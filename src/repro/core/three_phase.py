@@ -42,7 +42,7 @@ instead, the fault is reported aborted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.circuit.faults import Fault, materialize_fault
 from repro.circuit.netlist import Circuit
@@ -82,13 +82,22 @@ class _TernaryMachine:
 
 class _ExactMachine:
     """Faulty machine as a set of possible stable states of the
-    materialized faulty netlist."""
+    materialized faulty netlist.
+
+    ``apply`` results are memoised per machine, so per fault: the
+    differentiation searches from each activation target and from reset
+    keep applying the same vectors to the same state sets.  The memo
+    holds the ``None`` (fall back) outcome too, and dies with the fault.
+    """
 
     def __init__(self, circuit: Circuit, fault: Fault, cap: int, max_set: int):
         self.circuit = circuit
         self.faulty = materialize_fault(circuit, fault)
         self.cap = cap
         self.max_set = max_set
+        self._applied: Dict[
+            Tuple[exact_sim.FaultyStates, int], Optional[exact_sim.FaultyStates]
+        ] = {}
 
     def reset(self, reset_state: int):
         if self.faulty.reset_state is not None:
@@ -101,9 +110,13 @@ class _ExactMachine:
         return states
 
     def apply(self, states, pattern: int):
-        nxt = exact_sim.faulty_apply(
-            self.faulty, states, pattern, self.cap, self.max_set
-        )
+        key = (states, pattern)
+        try:
+            nxt = self._applied[key]
+        except KeyError:
+            nxt = self._applied[key] = exact_sim.faulty_apply(
+                self.faulty, states, pattern, self.cap, self.max_set
+            )
         if nxt is None:
             raise _Fallback
         return nxt

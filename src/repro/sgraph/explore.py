@@ -13,16 +13,18 @@ single-gate transitions and classifies the outcome (paper §2):
   ``k`` (paper §4.1: a k-step test cycle only waits for k transitions).
 
 A vector is *valid* for the CSSG exactly when the outcome is confluent,
-acyclic and within ``k`` (see :mod:`repro.sgraph.cssg`).
+acyclic and within ``k`` (see :mod:`repro.sgraph.cssg`).  One
+depth-first search decides all four at once (see :func:`settle_report`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.errors import StateGraphError
+from repro.obs import metrics as _obs
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,21 @@ def settle_report(circuit: Circuit, start: int, cap: int = 200_000) -> SettleRep
 
     ``cap`` bounds the number of distinct states explored; blowing past it
     marks the report ``truncated`` (treated as invalid by the CSSG, which
-    is conservative in the same direction as the paper's ternary check).
+    is conservative in the same direction as the paper's ternary check)
+    and, when metrics are armed, counts it in
+    ``repro_settle_truncations_total``.
+
+    One iterative depth-first search answers all three questions.  A
+    state is visited the first time the search reaches it, so stable
+    states and the state count come from the visit order; an edge back
+    to a state still on the search path closes a cycle; and a state's
+    *height*, the longest transition path from it to a stable state, is
+    known when the search leaves it.  The height of ``start`` is the
+    |sigma| of paper §4.1: the worst-case number of gate transitions
+    before the circuit is guaranteed stable.  Successors are visited
+    last-first, which is the order a push-all stack pops them in, so a
+    search cut at ``cap`` has explored the first ``cap`` states of that
+    order.
 
     Excited-gate enumeration — the hot inner loop — runs through the
     compiled whole-circuit function of :mod:`repro.sim.engine` rather
@@ -78,92 +94,58 @@ def settle_report(circuit: Circuit, start: int, cap: int = 200_000) -> SettleRep
     from repro.sim.engine import compiled
 
     excited_signals = compiled(circuit).excited_signals
-    succs: Dict[int, Tuple[int, ...]] = {}
+    # Finished states map to their height, states on the path to -1.
+    height: Dict[int, int] = {}
+    get_height = height.get
     stable: List[int] = []
-    stack = [start]
-    truncated = False
-    while stack:
-        state = stack.pop()
-        if state in succs:
-            continue
-        if len(succs) >= cap:
+    # One frame per state on the path: (state, successors, iterator over
+    # the successors not yet tried, last first).
+    path: List[Tuple[int, List[int], Iterator[int]]] = []
+    has_cycle = truncated = False
+    state: Optional[int] = start
+    while state is not None:
+        if len(height) >= cap:
             truncated = True
             break
         excited = excited_signals(state)
-        if not excited:
-            succs[state] = ()
+        if excited:
+            height[state] = -1
+            succs = [state ^ (1 << gi) for gi in excited]
+            path.append((state, succs, reversed(succs)))
+        else:
+            height[state] = 0
             stable.append(state)
-            continue
-        nxt = tuple(state ^ (1 << gi) for gi in excited)
-        succs[state] = nxt
-        for t in nxt:
-            if t not in succs:
-                stack.append(t)
+        state = None
+        while path:
+            frame = path[-1]
+            for child in frame[2]:
+                h = get_height(child)
+                if h is None:
+                    state = child
+                    break
+                if h < 0:
+                    has_cycle = True
+            if state is not None:
+                break
+            path.pop()
+            # Heights mean nothing once a cycle is seen; 0 still marks the
+            # state finished, so later edges into it are not back edges.
+            height[frame[0]] = 0 if has_cycle else 1 + max(
+                map(height.__getitem__, frame[1])
+            )
 
-    has_cycle = _has_cycle(succs, start) if not truncated else True
-    longest = None
-    if not truncated and not has_cycle:
-        longest = _longest_path(succs, start)
+    if truncated:
+        if _obs.enabled():
+            _obs.get_registry().counter(
+                "repro_settle_truncations_total",
+                "Settling explorations cut short at their state cap.",
+            ).inc()
+        has_cycle = True
     return SettleReport(
         start=start,
         stable_states=frozenset(stable),
         has_cycle=has_cycle,
-        longest_path=longest,
-        n_states=len(succs),
+        longest_path=None if has_cycle else height[start],
+        n_states=len(height),
         truncated=truncated,
     )
-
-
-def _has_cycle(succs: Dict[int, Tuple[int, ...]], start: int) -> bool:
-    """Iterative three-color DFS over the explored settling graph."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: Dict[int, int] = {}
-    stack: List[Tuple[int, int]] = [(start, 0)]
-    color[start] = GRAY
-    while stack:
-        node, i = stack[-1]
-        children = succs.get(node, ())
-        if i < len(children):
-            stack[-1] = (node, i + 1)
-            child = children[i]
-            c = color.get(child, WHITE)
-            if c == GRAY:
-                return True
-            if c == WHITE:
-                color[child] = GRAY
-                stack.append((child, 0))
-        else:
-            color[node] = BLACK
-            stack.pop()
-    return False
-
-
-def _longest_path(succs: Dict[int, Tuple[int, ...]], start: int) -> int:
-    """Longest transition path from ``start`` in the (acyclic) settling
-    graph.  This is the |sigma| of paper §4.1: the worst-case number of
-    gate transitions before the circuit is guaranteed stable."""
-    order: List[int] = []
-    seen = set([start])
-    stack: List[Tuple[int, int]] = [(start, 0)]
-    while stack:
-        node, i = stack[-1]
-        children = succs.get(node, ())
-        if i < len(children):
-            stack[-1] = (node, i + 1)
-            child = children[i]
-            if child not in seen:
-                seen.add(child)
-                stack.append((child, 0))
-        else:
-            order.append(node)
-            stack.pop()
-    # Reverse postorder is a topological order; relax in that order.
-    dist = {start: 0}
-    for node in reversed(order):
-        d = dist.get(node)
-        if d is None:
-            continue
-        for child in succs.get(node, ()):
-            if dist.get(child, -1) < d + 1:
-                dist[child] = d + 1
-    return max(dist.values())

@@ -9,8 +9,9 @@ so this subpackage implements the required slice from scratch:
 * :mod:`repro.stg.parser` — the textual ``.g`` (astg) format;
 * :mod:`repro.stg.reachability` — token-game state graph with safeness,
   consistency and CSC (Complete State Coding) checks;
-* :mod:`repro.stg.twolevel` — Quine–McCluskey two-level minimization
-  with don't-cares (irredundant and complete-sum covers);
+* :mod:`repro.stg.twolevel` — two-level minimization with don't-cares:
+  primes as the minimal transversals of the OFF-set, irredundant and
+  complete-sum covers;
 * :mod:`repro.stg.synthesis` — gate-level implementations: atomic
   complex gates (speed-independent, the Petrify stand-in) and structural
   two-level networks with complete-sum covers (the redundant SIS

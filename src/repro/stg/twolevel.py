@@ -1,7 +1,11 @@
-"""Two-level logic minimization: Quine–McCluskey with don't-cares.
+"""Two-level logic minimization with don't-cares.
 
-Small and exact — our next-state functions have at most ~10 variables, so
-the classic algorithm is entirely adequate (Espresso would be overkill).
+Small and exact — our next-state functions have at most ~10 variables,
+so an exact prime generator is entirely adequate (Espresso would be
+overkill).  Primes are generated from the OFF-set as its minimal
+transversals (see ``compute_primes``): the OFF-set of a next-state
+function is the handful of reachable codes where it is 0, while the
+Quine–McCluskey merge over ON and DC would walk nearly all 2^nv codes.
 
 Cubes are (ones, dashes) pairs over ``nv`` variables: a dash bit means
 the variable is absent from the product term; otherwise the ``ones`` bit
@@ -50,36 +54,51 @@ def compute_primes(on: Iterable[int], dc: Iterable[int], nv: int) -> List[Cube]:
     """All prime implicants of the (ON, DC) incompletely-specified
     function, filtered to those covering at least one ON minterm.
 
-    The merge loop works on raw ``(ones, dashes)`` int pairs grouped by
-    dash mask; ``Cube`` objects are only materialized for the surviving
-    primes.  Dataclass hashing in the inner loop dominated synthesis of
-    the larger benchmarks (millions of throwaway cubes on vbe10b).
+    A cube is an implicant exactly when every OFF minterm disagrees with
+    at least one of its literals, so the primes are the minimal
+    consistent literal sets that hit every OFF minterm (the minimal
+    transversals of the OFF-set).  They are built one OFF minterm at a
+    time: a cube that already disagrees with it is kept, every other
+    cube grows by one literal opposing it, and a grown cube is dropped
+    when a surviving one subsumes it.  Cubes are raw ``(ones, care)``
+    int pairs until the end.
+
+    The work scales with the OFF-set, not with 2^nv.  Synthesis with
+    ``dc_policy="dc"`` has an OFF-set of the reachable codes whose next
+    state is 0, at most a few dozen; ``dc_policy="off"`` makes every
+    code outside ON part of the OFF-set, which costs far more here than
+    a merge over the ON-set would.  Only tests use that policy.
     """
     on = set(on)
-    dc = set(dc) - on
+    care_set = on | set(dc)
+    full = (1 << nv) - 1
     bits = [1 << i for i in range(nv)]
-    current: Dict[int, Set[int]] = {0: set(on | dc)}
-    primes: List[Tuple[int, int]] = []
-    while current:
-        next_level: Dict[int, Set[int]] = {}
-        for dashes, values in current.items():
-            free = [b for b in bits if not (dashes & b)]
-            combined: Set[int] = set()
-            for ones in values:
-                for b in free:
-                    if ones & b:
-                        continue
-                    partner = ones | b
-                    if partner in values:
-                        next_level.setdefault(dashes | b, set()).add(ones)
-                        combined.add(ones)
-                        combined.add(partner)
-            for ones in values - combined:
-                primes.append((ones, dashes))
-        current = next_level
+    cubes: List[Tuple[int, int]] = [(0, 0)]  # the all-dash cube
+    for m in range(1 << nv):
+        if m in care_set:
+            continue
+        kept: List[Tuple[int, int]] = []
+        grown: List[Tuple[int, int]] = []
+        for ones, care in cubes:
+            if (ones ^ m) & care:
+                kept.append((ones, care))
+                continue
+            for b in bits:
+                if not care & b:
+                    grown.append((ones | (b & ~m), care | b))
+        # A kept cube is never subsumed by a grown one (the cube it grew
+        # from would subsume the kept cube), so only grown cubes need the
+        # check.  Fewer literals first: a subsuming cube is never longer.
+        grown = sorted(set(grown), key=lambda c: bin(c[1]).count("1"))
+        for ones, care in grown:
+            if not any(
+                not (c & ~care) and not ((o ^ ones) & c) for o, c in kept
+            ):
+                kept.append((ones, care))
+        cubes = kept
     return sorted(
         c
-        for c in (Cube(ones, dashes) for ones, dashes in primes)
+        for c in (Cube(ones, full & ~care) for ones, care in cubes)
         if any(c.covers(m) for m in on)
     )
 

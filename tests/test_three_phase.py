@@ -4,11 +4,14 @@ import pytest
 
 from repro.circuit.faults import Fault, input_fault_universe
 from repro.circuit.parser import parse_netlist
+from repro.core import exact_sim
 from repro.core.three_phase import (
     ABORTED,
     DETECTED,
     UNDETECTABLE,
     ThreePhaseGenerator,
+    _ExactMachine,
+    _Fallback,
 )
 from repro.sgraph.cssg import build_cssg
 from repro.sim import ternary
@@ -122,3 +125,44 @@ def test_detection_at_reset_short_circuits(celem):
     assert outcome.detected
     assert outcome.patterns == ()  # visible at observation 0
     assert outcome.detected_during_justification
+
+
+def _counting_settle(monkeypatch):
+    calls = []
+    real = exact_sim.settle_report
+
+    def counted(circuit, start, cap):
+        calls.append(start)
+        return real(circuit, start, cap)
+
+    monkeypatch.setattr(exact_sim, "settle_report", counted)
+    return calls
+
+
+def test_exact_machine_settles_a_repeated_apply_once(celem, monkeypatch):
+    c = celem.index("c")
+    machine = _ExactMachine(celem, Fault("input", c, c, 1), 50_000, 64)
+    states = machine.reset(celem.require_reset())
+    calls = _counting_settle(monkeypatch)
+    first = machine.apply(states, 0b11)
+    assert len(calls) == len(states)
+    assert machine.apply(states, 0b11) == first
+    assert len(calls) == len(states)
+    machine.apply(states, 0b01)  # a new vector settles again
+    assert len(calls) == 2 * len(states)
+
+
+def test_exact_machine_memoises_the_fallback(celem, monkeypatch):
+    c = celem.index("c")
+    # A one-state cap truncates every settle that moves at all.
+    machine = _ExactMachine(celem, Fault("input", c, c, 1), 1, 64)
+    states = frozenset([celem.require_reset()])
+    calls = _counting_settle(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(_Fallback):
+            machine.apply(states, 0b11)
+    assert len(calls) == 1
+    outcome = ThreePhaseGenerator(build_cssg(celem), settle_cap=1).generate(
+        Fault("input", c, c, 1)
+    )
+    assert outcome.semantics == "ternary"

@@ -1,11 +1,20 @@
-"""Quine–McCluskey minimization with don't-cares, vs brute force."""
+"""Two-level minimization with don't-cares, vs brute force and vs a
+Quine–McCluskey reference for the prime generator."""
 
 import itertools
+import json
+from pathlib import Path
+from typing import Dict, List, Set, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.benchmarks_data import TABLE1_NAMES, TABLE2_NAMES
+from repro.benchmarks_data.registry import load_benchmark_stg
+from repro.stg import synthesis
+from repro.stg.parser import parse_stg
+from repro.stg.reachability import build_state_graph
 from repro.stg.twolevel import (
     Cube,
     compute_primes,
@@ -15,6 +24,41 @@ from repro.stg.twolevel import (
     irredundant_cover,
     verify_cover,
 )
+
+FUZZ_DIR = Path(__file__).resolve().parent / "data" / "fuzz"
+
+
+def reference_primes(on, dc, nv: int) -> List[Cube]:
+    """Quine–McCluskey: merge ON+DC cubes that differ in one variable,
+    level by level; the cubes no merge consumed are the primes.  Same
+    contract as ``compute_primes``."""
+    on = set(on)
+    dc = set(dc) - on
+    bits = [1 << i for i in range(nv)]
+    current: Dict[int, Set[int]] = {0: set(on | dc)}
+    primes: List[Tuple[int, int]] = []
+    while current:
+        next_level: Dict[int, Set[int]] = {}
+        for dashes, values in current.items():
+            free = [b for b in bits if not (dashes & b)]
+            combined: Set[int] = set()
+            for ones in values:
+                for b in free:
+                    if ones & b:
+                        continue
+                    partner = ones | b
+                    if partner in values:
+                        next_level.setdefault(dashes | b, set()).add(ones)
+                        combined.add(ones)
+                        combined.add(partner)
+            for ones in values - combined:
+                primes.append((ones, dashes))
+        current = next_level
+    return sorted(
+        c
+        for c in (Cube(ones, dashes) for ones, dashes in primes)
+        if any(c.covers(m) for m in on)
+    )
 
 
 def test_cube_covers_and_literals():
@@ -135,3 +179,74 @@ def test_random_functions_minimize_correctly(nv, data):
             if not (p.dashes >> i) & 1:
                 grown = Cube(p.ones & ~(1 << i), p.dashes | (1 << i))
                 assert any(grown.covers(m) for m in off)
+
+
+# -- compute_primes against the Quine–McCluskey reference -----------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), st.data())
+def test_primes_match_reference_on_random_functions(nv, data):
+    universe = list(range(1 << nv))
+    on = data.draw(st.sets(st.sampled_from(universe)))
+    dc = data.draw(st.sets(st.sampled_from(universe)))
+    assert compute_primes(on, dc, nv) == reference_primes(on, dc, nv)
+
+
+def _corpus_stgs():
+    """``(label, stg, style)`` for the Table-1 complex and Table-2
+    two-level corpora and the fuzz corpus's STG specs."""
+    for name in TABLE1_NAMES:
+        yield name, load_benchmark_stg(name), "complex"
+    for name in TABLE2_NAMES:
+        yield name, load_benchmark_stg(name), "two-level"
+    manifest = json.loads((FUZZ_DIR / "manifest.json").read_text())
+    for entry in manifest["entries"]:
+        if entry["kind"] == "stg":
+            text = (FUZZ_DIR / entry["file"]).read_text()
+            yield entry["file"], parse_stg(text), entry["style"]
+
+
+def test_primes_match_reference_on_every_corpus_cover(monkeypatch):
+    calls = []
+
+    def record(on, dc, nv):
+        calls.append((on, dc, nv))
+        return compute_primes(on, dc, nv)
+
+    monkeypatch.setattr(synthesis, "compute_primes", record)
+    checked = 0
+    for label, stg, style in _corpus_stgs():
+        calls.clear()
+        synthesis.synthesize(stg, style=style)
+        for on, dc, nv in calls:
+            assert compute_primes(on, dc, nv) == reference_primes(on, dc, nv), label
+        checked += len(calls)
+    assert checked > 100
+
+
+def test_primes_without_variables():
+    assert compute_primes([0], [], 0) == [Cube(0, 0)]
+    assert compute_primes([], [0], 0) == []
+    assert compute_primes([], [], 0) == []
+
+
+def test_primes_of_empty_on_set():
+    assert compute_primes([], [1, 2], 3) == []
+    assert compute_primes([], [], 3) == []
+
+
+def test_primes_of_empty_off_set_is_one_all_dash_cube():
+    assert compute_primes([0, 5], set(range(8)), 3) == [Cube(0, 0b111)]
+    assert compute_primes(range(8), [], 3) == [Cube(0, 0b111)]
+
+
+def test_primes_match_reference_under_dc_policy_off():
+    sg = build_state_graph(load_benchmark_stg(TABLE2_NAMES[0]))
+    nv = len(sg.stg.signals)
+    for signal in sg.stg.non_input_signals:
+        cubes, on, off = synthesis.next_state_cover(
+            sg, signal, "complete", dc_policy="off"
+        )
+        assert cubes == reference_primes(on, [], nv)
+        assert verify_cover(cubes, on, off)
