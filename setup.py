@@ -18,9 +18,8 @@ setup(
         "(Roig, Cortadella, Peña, Pastor — DAC 1997)"
     ),
     python_requires=">=3.8",
-    # numpy backs the slab fault-simulation kernel (repro.sim.arena);
-    # the import site raises a pointed ImportError if it's absent.
-    install_requires=["numpy"],
+    # Standard library only: no runtime dependencies.
+    install_requires=[],
     package_dir={"": "src"},
     packages=find_packages("src"),
     package_data={

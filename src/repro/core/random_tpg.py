@@ -2,9 +2,11 @@
 
 Random TPG walks the CSSG from the reset state choosing a uniformly random
 valid input vector at each step, while a :class:`FaultBatch` simulates all
-still-undetected faulty machines in parallel.  The paper reports 40–80%
-(average ~45%) of faults falling to this step at negligible CPU cost; the
-remainder go to the 3-phase deterministic generator.
+still-undetected faulty machines in parallel, one machine per bit of a
+word, through the compiled arena walk kernel (:mod:`repro.sim.arena`).
+The paper reports 40–80% (average ~45%) of faults falling to this step at
+negligible CPU cost; the remainder go to the 3-phase deterministic
+generator.
 
 Detection is conservative exactly as in the paper: a fault counts as
 covered only when some primary output *definitely* differs (ternary
@@ -19,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.circuit.faults import Fault
 from repro.core.sequences import Test
 from repro.sgraph.cssg import Cssg
-from repro.sim.batch import ChunkedFaultSim, FaultBatch
+from repro.sim.batch import FaultBatch
 
 
 def random_tpg(
@@ -28,7 +30,6 @@ def random_tpg(
     n_walks: int = 16,
     walk_len: int = 64,
     seed: int = 0,
-    chunk_width: Optional[int] = None,
     rng: Optional[random.Random] = None,
     should_stop: Optional[Callable[[], bool]] = None,
     on_walk: Optional[Callable[[int, int], None]] = None,
@@ -39,12 +40,10 @@ def random_tpg(
     as a :class:`Test` — trimmed to its last useful cycle — whenever it
     detects at least one previously undetected fault.
 
-    ``chunk_width`` routes the batch through the numpy array-slab
-    kernel (see :class:`repro.sim.batch.ChunkedFaultSim`); detection
-    results are identical either way, so the default stays monolithic.
-    Both paths walk through the compiled arena kernels — state lives
-    inside the kernel and each cycle returns its detection mask
-    directly (:meth:`~repro.sim.batch.FaultBatch.walk`).
+    One :class:`FaultBatch` holds every fault, and each walk runs
+    through its compiled arena kernel — state lives inside the kernel
+    and each cycle returns its detection mask directly
+    (:meth:`~repro.sim.batch.FaultBatch.walk`).
 
     Cooperative hooks for the staged flow: ``rng`` supplies the random
     stream (must be freshly seeded for reproducibility; overrides
@@ -56,10 +55,7 @@ def random_tpg(
     circuit = cssg.circuit
     if rng is None:
         rng = random.Random(seed)
-    if chunk_width is not None:
-        batch = ChunkedFaultSim(circuit, faults, chunk_width)
-    else:
-        batch = FaultBatch(circuit, faults)
+    batch = FaultBatch(circuit, faults)
     undetected = batch.ones
     detected_by: Dict[Fault, Tuple[int, ...]] = {}
     tests: List[Test] = []

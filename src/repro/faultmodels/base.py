@@ -82,9 +82,9 @@ class FaultModel:
         updating the engine's mask dictionaries (``pin_force`` /
         ``out_force`` / ``self_and`` / ``self_or`` / ``bridges``).
 
-        These mask tables are the *only* fault contract: the arena fast
-        paths (:mod:`repro.sim.arena`) compile their walk and slab
-        kernels from the same dictionaries, so a model implemented here
+        These mask tables are the *only* fault contract: the arena walk
+        kernel (:mod:`repro.sim.arena`) compiles from the same
+        dictionaries, so a model implemented here
         runs on every simulation path without further work."""
         raise NotImplementedError
 

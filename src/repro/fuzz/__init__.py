@@ -13,7 +13,7 @@ through the model-dispatched differential oracle pairs
 * compiled engine vs the seed's sweep settling,
 * explicit-exact vs symbolic CSSG construction,
 * fault overlays vs materialized faulty netlists,
-* arena walk vs slab fault-sim kernels,
+* arena walk kernel vs worklist fault simulation,
 * plain vs incremental re-ATPG across mutations
   (:mod:`repro.fuzz.mutate`).
 

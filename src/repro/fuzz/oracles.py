@@ -14,7 +14,7 @@ construction — there is no "expected output" file anywhere):
 ``faults``     packed fault overlays vs physically materialized
                faulty netlists along random valid walks, for every
                registered fault model
-``kernels``    arena walk and slab kernels vs the scalar
+``kernels``    arena walk kernel vs the worklist
                :class:`~repro.sim.batch.FaultBatch` reference,
                detection words and packed states per step
 ``incremental``  plain :func:`~repro.campaign.runner.execute_job` vs
@@ -59,7 +59,7 @@ from repro.fuzz.mutate import MUTATION_OPS, mutate_netlist
 from repro.sgraph.cssg import Cssg, build_cssg
 from repro.sgraph.symbolic import SymbolicTcsg
 from repro.sim import legacy, ternary
-from repro.sim.batch import ChunkedFaultSim, FaultBatch
+from repro.sim.batch import FaultBatch
 
 __all__ = [
     "ORACLES",
@@ -253,7 +253,6 @@ def _oracle_kernels(ctx: _Ctx) -> Tuple[int, List[str]]:
     batch = FaultBatch(c, faults)
     state = batch.reset_and_settle(cssg.reset)
     walk = batch.walk(cssg.reset)
-    slab = ChunkedFaultSim(c, faults).walk(cssg.reset)
     checks, bad = 0, []
 
     def compare(step: str, pattern=None, good_state=None) -> None:
@@ -262,12 +261,9 @@ def _oracle_kernels(ctx: _Ctx) -> Tuple[int, List[str]]:
             state = batch.apply_settled(state, pattern)
         ref = batch.observe(state, good_state)
         w = walk.observe(good_state) if pattern is None else walk.step(pattern, good_state)
-        s = slab.observe(good_state) if pattern is None else slab.step(pattern, good_state)
         checks += 1
-        if w != ref or s != ref or walk.state() != state or slab.state() != state:
-            bad.append(
-                f"{step}: batch det={ref:#x} walk det={w:#x} slab det={s:#x}"
-            )
+        if w != ref or walk.state() != state:
+            bad.append(f"{step}: batch det={ref:#x} walk det={w:#x}")
 
     compare("reset", good_state=cssg.reset)
     for i, (pattern, good) in enumerate(trail):

@@ -2,20 +2,18 @@
 
 * :mod:`repro.sim.engine` — the compiled, event-driven settle core every
   workload shares: per-circuit code generation, fanout-driven worklist
-  Algorithm A/B, pluggable fault overlays (none / scalar / packed /
-  chunked).
+  Algorithm A/B, pluggable fault overlays (none / scalar / packed);
+  per-gate evaluators compile on an engine's first settle.
 * :mod:`repro.sim.ternary` — scalar ternary simulation (Eichelberger's
   Algorithms A and B) with optional single-fault injection; this is the
   conservative race/oscillation detector of paper §5.4.  Thin adapter
   over the engine.
-* :mod:`repro.sim.arena` — the flat-buffer fast paths: a compiled
-  generator walk kernel (state held in generator locals, one ``send``
-  per test cycle) and a numpy ``uint64`` slab kernel (levelized
-  vectorized settling of very wide fault universes).
+* :mod:`repro.sim.arena` — the walk fast path: a compiled generator
+  kernel (state held in generator locals, one ``send`` per test cycle,
+  Algorithms A and B sharing one sweep body).
 * :mod:`repro.sim.batch` — word-parallel ternary simulation of many
-  faulty machines at once (parallel fault simulation, Seshu-style);
-  large universes ride the arena slab.  Thin adapter over the engine
-  and arena kernels.
+  faulty machines at once (parallel fault simulation, Seshu-style).
+  Thin adapter over the engine and the arena walk kernel.
 * :mod:`repro.sim.legacy` — the seed's sweep-based reference
   implementations, kept exclusively as the parity/benchmark oracle.
 """
@@ -32,8 +30,8 @@ from repro.sim.ternary import (
     detects,
     phi_signals,
 )
-from repro.sim.arena import ArenaKernel, ArenaWalk, SlabKernel, arena_for, slab_for
-from repro.sim.batch import ChunkedFaultSim, FaultBatch
+from repro.sim.arena import ArenaKernel, ArenaWalk, arena_for
+from repro.sim.batch import FaultBatch
 from repro.sim.engine import SimEngine, compiled, engine_for
 
 __all__ = [
@@ -49,11 +47,8 @@ __all__ = [
     "phi_signals",
     "ArenaKernel",
     "ArenaWalk",
-    "SlabKernel",
     "arena_for",
-    "slab_for",
     "FaultBatch",
-    "ChunkedFaultSim",
     "SimEngine",
     "compiled",
     "engine_for",

@@ -1,45 +1,34 @@
-"""Arena kernels: flat-buffer fast paths for packed fault simulation.
+"""The arena walk kernel: the fast path for packed fault-simulation walks.
 
 The engine in :mod:`repro.sim.engine` dispatches one compiled function
 per gate through a worklist, with batch state living in per-signal lists
 of Python-int words.  That shape is ideal for *sparse* re-settles but
 pays per-event interpreter overhead on the hot walk loops (random TPG,
 test-set audit, flow fault grading), where every cycle is: drive a
-handful of inputs, settle, observe.  This module compiles two arena
-kernels per ``(circuit, fault overlay)`` pair on top of the same
-mask tables and the same operator emitter (:func:`~repro.sim.engine._emit_eval`
-— so results are bit-identical by construction):
+handful of inputs, settle, observe.  This module compiles one walk
+kernel per ``(circuit, fault overlay)`` pair on top of the engine's mask
+tables and the same operator emitter (:func:`~repro.sim.engine._emit_eval`
+— so results are bit-identical by construction).
 
-**The walk kernel** (:class:`ArenaKernel` / :class:`ArenaWalk`) — one
-generated *generator* whose locals hold every signal's ``(l, h)`` words
-for the whole walk; each cycle is a single ``send`` carrying
-``(pattern, good_state)`` and returning the detection mask.  Settling is
-the same Algorithm A/B chaotic iteration, driven by an int bitmask of
-changed signals: a pass re-evaluates only gates whose baked-in support
-mask intersects the changes (the event-driven worklist idea, without a
-deque or any per-event allocation), and both fixpoints are unique under
-any fair order, so the kernel is bit-identical to the engine and to the
-seed sweeps in :mod:`repro.sim.legacy`.  State never leaves the
-generator frame between cycles — no tuple packing, no list copies, no
-per-gate function calls.
+The kernel (:class:`ArenaKernel` / :class:`ArenaWalk`) is one generated
+*generator* whose locals hold every signal's ``(l, h)`` words for the
+whole walk; each cycle is a single ``send`` carrying ``(pattern,
+good_state)`` and returning the detection mask.  Settling is the same
+Algorithm A/B chaotic iteration, driven by an int bitmask of changed
+signals: a pass re-evaluates only gates whose baked-in support mask
+intersects the changes (the event-driven worklist idea, without a deque
+or any per-event allocation).  Both algorithms run through one sweep
+body in which every gate is emitted once; a phase flag picks the update
+(Algorithm A: lub into the old value; Algorithm B: plain assignment).
+Both fixpoints are unique under any fair order, so the kernel is
+bit-identical to the engine and to the seed sweeps in
+:mod:`repro.sim.legacy`.  State never leaves the generator frame between
+cycles — no tuple packing, no list copies, no per-gate function calls.
 
-**The slab kernel** (:class:`SlabKernel`) — batch state as two
-contiguous numpy ``uint64`` buffers of shape ``(n_signals, n_words)``,
-64 machines per lane word.  One generated ``settle`` runs levelized
-batch evaluation as vectorized bitwise ops across the word axis;
-per-fault masks (pin forces, output forces, self blends, bridge blends)
-are interned as indexed ``uint64`` mask arrays in the kernel's
-namespace.  This replaces the old :class:`~repro.sim.batch.ChunkedFaultSim`
-bignum splitting with array-slab management: one slab holds the whole
-universe, and chunk bookkeeping disappears.
-
-When to use which: the walk kernel wins whenever the universe fits a
-single bignum comfortably (every bundled benchmark) — CPython bignum
-bitwise ops are already C-speed word-parallel and the generator keeps
-per-cycle overhead near zero.  The slab kernel is the large-universe
-path: numpy's fixed per-op cost amortizes once words number in the
-dozens, and the buffers expose machine state without bignum shifting.
-Both are exercised against the legacy oracles by ``tests/test_arena.py``.
+CPython bignum bitwise ops are already C-speed word-parallel, so one
+bignum word per signal carries the whole fault universe of every bundled
+benchmark.  ``tests/test_arena.py`` checks the walk against the
+worklist path of :class:`~repro.sim.batch.FaultBatch`.
 """
 
 from __future__ import annotations
@@ -51,33 +40,12 @@ from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.errors import SimulationError
 from repro.obs import metrics as _obs
-from repro.sim.engine import SimEngine, _emit_eval, _exec, engine_for
+from repro.sim import engine as _engine
+from repro.sim.engine import SimEngine, _emit_eval, engine_for
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None
-
-__all__ = ["ArenaKernel", "ArenaWalk", "SlabKernel", "arena_for", "slab_for"]
+__all__ = ["ArenaKernel", "ArenaWalk", "arena_for"]
 
 _WORD = 64
-_WORD_ONES = (1 << _WORD) - 1
-
-
-def require_numpy():
-    """Return numpy or fail with an actionable message."""
-    if _np is None:
-        raise ImportError(
-            "the slab fault-simulation kernel requires numpy, which is a "
-            "declared dependency of repro-atpg (see setup.py); install it "
-            "with: pip install numpy"
-        )
-    return _np
-
-
-# ---------------------------------------------------------------------------
-# Shared codegen pieces
-# ---------------------------------------------------------------------------
 
 
 def _overlay_kwargs(engine: SimEngine, pos: int, gate_at) -> dict:
@@ -120,11 +88,6 @@ def _emit_observe(ap, indent: str, circuit: Circuit, good: str, dest: str):
         ap(f"{indent}    {dest} |= l{out} & ~h{out}")
         ap(f"{indent}else:")
         ap(f"{indent}    {dest} |= h{out} & ~l{out}")
-
-
-# ---------------------------------------------------------------------------
-# The walk kernel (bignum words, generator state)
-# ---------------------------------------------------------------------------
 
 
 def _codegen_walk(engine: SimEngine) -> str:
@@ -176,20 +139,31 @@ def _codegen_walk(engine: SimEngine) -> str:
     ap("        else:")
     ap(f"            r = {snapshot}")
     ap("            continue")
-    # Algorithm A: value <- lub(value, eval), to the least fixpoint.
-    # Each pass re-evaluates exactly the gates whose exam mask meets the
-    # signals changed in the previous pass; aev remembers every gate
-    # evaluated so Algorithm B can seed from it (a gate A never touched
-    # started settled and cannot move until a fan-in does).
+    # Algorithm A (pa = 1): value <- lub(value, eval), to the least
+    # fixpoint; then Algorithm B (pa = 0): value <- eval, monotone
+    # decreasing to the greatest fixpoint below it.  Each pass
+    # re-evaluates exactly the gates whose exam mask meets the signals
+    # changed so far (ac) or in this pass (nc); aev remembers every gate
+    # A evaluated so B can seed from it (a gate A never touched started
+    # settled and cannot move until a fan-in does).
     ap("        aev = 0")
+    ap("        pa = 1")
     ap("        rounds = 0")
-    ap("        while ac:")
+    ap("        while ac or pa:")
+    ap("            if not ac:")
+    ap("                pa = 0; ac = aev; rounds = 0")
+    ap("                continue")
     ap("            nc = 0")
     ap("            rounds += 1")
     ap(f"            if rounds > {cap}:")
+    ap("                if pa:")
+    ap(
+        "                    raise SimulationError("
+        "'Algorithm A failed to converge (internal bug)')"
+    )
     ap(
         "                raise SimulationError("
-        "'Algorithm A failed to converge (internal bug)')"
+        "'Algorithm B failed to converge (internal bug)')"
     )
     for pos in cc.order:
         gi = cc.gate_index[pos]
@@ -202,45 +176,17 @@ def _codegen_walk(engine: SimEngine) -> str:
             circuit.gates[pos].program,
             ones,
             ref=lambda arg: (f"l{arg}", f"h{arg}"),
-            lit=str,
             self_ref=(f"l{gi}", f"h{gi}"),
             **_overlay_kwargs(engine, pos, gate_at),
         )
-        ap(f"                aev |= {1 << gi}")
-        ap(f"                nl = ({l}) | l{gi}; nh = ({h}) | h{gi}")
+        ap("                if pa:")
+        ap(f"                    aev |= {1 << gi}")
+        ap(f"                    nl = ({l}) | l{gi}; nh = ({h}) | h{gi}")
+        ap("                else:")
+        ap(f"                    nl = {l}; nh = {h}")
         ap(f"                if nl != l{gi} or nh != h{gi}:")
         ap(f"                    l{gi} = nl; h{gi} = nh; nc |= {1 << gi}")
     ap("            ac = nc")
-    # Algorithm B: value <- eval, monotone decreasing to the greatest
-    # fixpoint below the Algorithm A result.
-    ap("        bc = aev")
-    ap("        rounds = 0")
-    ap("        while bc:")
-    ap("            nc = 0")
-    ap("            rounds += 1")
-    ap(f"            if rounds > {cap}:")
-    ap(
-        "                raise SimulationError("
-        "'Algorithm B failed to converge (internal bug)')"
-    )
-    for pos in cc.order:
-        gi = cc.gate_index[pos]
-        exam = _exam_mask(engine, pos, gate_at)
-        ap(f"            if (bc | nc) & {exam}:")
-        l, h = _emit_eval(
-            lines,
-            "                ",
-            f"b{pos}_",
-            circuit.gates[pos].program,
-            ones,
-            ref=lambda arg: (f"l{arg}", f"h{arg}"),
-            lit=str,
-            self_ref=(f"l{gi}", f"h{gi}"),
-            **_overlay_kwargs(engine, pos, gate_at),
-        )
-        ap(f"                if ({l}) != l{gi} or ({h}) != h{gi}:")
-        ap(f"                    l{gi} = ({l}); h{gi} = ({h}); nc |= {1 << gi}")
-    ap("            bc = nc")
     _emit_observe(ap, "        ", circuit, "b", "det")
     ap("        r = det")
     return "\n".join(lines)
@@ -338,7 +284,9 @@ class ArenaKernel:
     def __init__(self, engine: SimEngine):
         self.engine = engine
         self.circuit = engine.circuit
-        ns = _exec(
+        # Compiled through the engine module's ``_exec`` so one hook
+        # there sees every compile of the simulation layer.
+        ns = _engine._exec(
             _codegen_walk(engine),
             f"<arena:{engine.circuit.name}:{len(engine.faults)}f>",
         )
@@ -375,217 +323,4 @@ def arena_for(
     if kernel is None:
         kernel = ArenaKernel(engine)
         engine._arena_kernel = kernel
-    return kernel
-
-
-# ---------------------------------------------------------------------------
-# The slab kernel (numpy uint64 buffers)
-# ---------------------------------------------------------------------------
-
-
-def _codegen_slab(engine: SimEngine) -> Tuple[str, dict]:
-    """Source of ``settle(L, H)`` over ``(n_signals, n_words)`` uint64
-    slabs, plus the interned mask-array table ``{name: int}`` the exec
-    namespace must provide as word arrays.
-
-    Levelized batch evaluation: Algorithm A sweeps every gate in
-    levelized order (vectorized across the word axis) until a pass
-    changes nothing, then Algorithm B the same with plain assignment —
-    full sweeps rather than a worklist, because one numpy op already
-    touches the whole slab and per-gate change tracking would cost more
-    than it saves.
-    """
-    cc = engine.cc
-    circuit = engine.circuit
-    ones = engine.ones
-    gate_at = {g.index: g for g in circuit.gates}
-    cap = 2 * cc.n_signals * max(1, engine.width) + 4
-    masks = {}
-
-    def lit(val: int) -> str:
-        if val == 0:
-            return "0"
-        name = masks.get(val)
-        if name is None:
-            name = f"M{len(masks)}"
-            masks[val] = name
-        return name
-
-    lines: List[str] = ["def settle(L, H):"]
-    ap = lines.append
-    for phase in ("A", "B"):
-        ap("    rounds = 0")
-        ap("    while True:")
-        ap("        ch = False")
-        ap("        rounds += 1")
-        ap(f"        if rounds > {cap}:")
-        ap(
-            "            raise SimulationError("
-            f"'Algorithm {phase} failed to converge (internal bug)')"
-        )
-        for pos in cc.order:
-            gi = cc.gate_index[pos]
-            l, h = _emit_eval(
-                lines,
-                "        ",
-                f"{phase.lower()}{pos}_",
-                circuit.gates[pos].program,
-                ones,
-                ref=lambda arg: (f"L[{arg}]", f"H[{arg}]"),
-                lit=lit,
-                self_ref=(f"L[{gi}]", f"H[{gi}]"),
-                **_overlay_kwargs(engine, pos, gate_at),
-            )
-            if phase == "A":
-                ap(f"        nl = ({l}) | L[{gi}]; nh = ({h}) | H[{gi}]")
-            else:
-                ap(f"        nl = ({l}); nh = ({h})")
-            ap(f"        if (nl != L[{gi}]).any() or (nh != H[{gi}]).any():")
-            ap(f"            L[{gi}] = nl; H[{gi}] = nh; ch = True")
-        ap("        if not ch:")
-        ap("            break")
-    return "\n".join(lines), masks
-
-
-def _to_words(np, value: int, n_words: int):
-    """Split a bignum mask into little-endian 64-bit lane words."""
-    return np.array(
-        [(value >> (_WORD * k)) & _WORD_ONES for k in range(n_words)],
-        dtype=np.uint64,
-    )
-
-
-class SlabKernel:
-    """Word-slab packed fault simulation over numpy uint64 buffers.
-
-    One slab state is a pair of ``(n_signals, n_words)`` arrays with the
-    usual (can-be-0, can-be-1) encoding, machine *j* living in bit
-    ``j % 64`` of lane word ``j // 64``.  All fault-mask families are
-    pre-split into lane-word arrays and baked into the generated settle.
-    """
-
-    def __init__(self, engine: SimEngine):
-        np = require_numpy()
-        self.np = np
-        self.engine = engine
-        self.circuit = engine.circuit
-        self.width = engine.width
-        self.n_words = (self.width + _WORD - 1) // _WORD
-        self.ones = engine.ones
-        #: all-ones lane words (partial final word) — the slab's ``ones``.
-        self.ones_row = _to_words(np, self.ones, self.n_words)
-        src, masks = _codegen_slab(engine)
-        ns = _exec(src, f"<slab:{self.circuit.name}:{len(engine.faults)}f>")
-        ns["SimulationError"] = SimulationError
-        for value, name in masks.items():
-            ns[name] = _to_words(np, value, self.n_words)
-        self._settle = ns["settle"]
-        #: output-force masks as lane arrays, for reset pre-setting.
-        self._out_force_rows = {
-            gi: (_to_words(np, f0, self.n_words), _to_words(np, f1, self.n_words))
-            for gi, (f0, f1) in engine.out_force.items()
-        }
-
-    # -- state management ------------------------------------------------
-
-    def broadcast(self, state: int):
-        """Fresh slab replicating a binary state across every machine."""
-        np = self.np
-        n = self.circuit.n_signals
-        L = np.empty((n, self.n_words), dtype=np.uint64)
-        H = np.empty((n, self.n_words), dtype=np.uint64)
-        for i in range(n):
-            if (state >> i) & 1:
-                L[i] = 0
-                H[i] = self.ones_row
-            else:
-                L[i] = self.ones_row
-                H[i] = 0
-        return L, H
-
-    def settle(self, L, H) -> None:
-        """Algorithm A then B, vectorized, in place.  One settle sweeps
-        the whole slab, so (unlike the walk kernel) per-call metric
-        publication is already coarse enough."""
-        if not _obs.enabled():
-            self._settle(L, H)
-            return
-        t0 = perf_counter()
-        self._settle(L, H)
-        dt = perf_counter() - t0
-        reg = _obs.get_registry()
-        reg.counter(
-            "repro_sim_slab_settles_total", "Slab kernel settle calls."
-        ).inc()
-        reg.counter(
-            "repro_sim_slab_seconds_total",
-            "Wall-clock seconds inside slab settles.",
-        ).inc(dt)
-        if dt > 0.0:
-            units = self.n_words * max(1, len(self.circuit.gates))
-            reg.gauge(
-                "repro_sim_slab_words_gates_per_sec",
-                "Slab settle throughput: lane words x gates per second "
-                "(last settle).",
-            ).set(units / dt)
-
-    def reset_and_settle(self, reset_state: Optional[int] = None):
-        """Force the reset state on every machine and settle; machines
-        with an output fault get the stuck node pre-set to its stuck
-        value (exactly like ``FaultBatch.reset_and_settle``)."""
-        if reset_state is None:
-            reset_state = self.circuit.require_reset()
-        L, H = self.broadcast(reset_state)
-        for gi, (f0, f1) in self._out_force_rows.items():
-            L[gi] = (L[gi] | f0) & ~f1
-            H[gi] = (H[gi] | f1) & ~f0
-        self._settle(L, H)
-        return L, H
-
-    def drive(self, L, H, pattern: int) -> None:
-        """Drive every input to its definite pattern bit, in place."""
-        for i in range(self.circuit.n_inputs):
-            if (pattern >> i) & 1:
-                L[i] = 0
-                H[i] = self.ones_row
-            else:
-                L[i] = self.ones_row
-                H[i] = 0
-
-    def observe(self, L, H, good_state: int) -> int:
-        """Monolithic detection mask (bit *j* = machine *j* caught)."""
-        np = self.np
-        det = np.zeros(self.n_words, dtype=np.uint64)
-        for out in self.circuit.outputs:
-            if (good_state >> out) & 1:
-                det |= L[out] & ~H[out]
-            else:
-                det |= H[out] & ~L[out]
-        detected = 0
-        for k in range(self.n_words):
-            detected |= int(det[k]) << (_WORD * k)
-        return detected
-
-    def machine_state(self, L, H, j: int) -> Tuple[int, int]:
-        """Extract machine ``j`` as a scalar ternary (L, H) pair."""
-        word, bit = divmod(j, _WORD)
-        sl = 0
-        sh = 0
-        for i in range(self.circuit.n_signals):
-            sl |= ((int(L[i][word]) >> bit) & 1) << i
-            sh |= ((int(H[i][word]) >> bit) & 1) << i
-        return (sl, sh)
-
-
-def slab_for(
-    circuit: Circuit,
-    faults: Sequence[Fault] = (),
-    width: Optional[int] = None,
-) -> SlabKernel:
-    """The (cached) slab kernel for a fault overlay."""
-    engine = engine_for(circuit, tuple(faults), width)
-    kernel = getattr(engine, "_slab_kernel", None)
-    if kernel is None:
-        kernel = SlabKernel(engine)
-        engine._slab_kernel = kernel
     return kernel

@@ -5,10 +5,7 @@ many faulty machines".  Parallel simulation packs one faulty machine per
 bit of a Python int: signal *i* of the batch holds a pair of W-bit words
 ``(L[i], H[i])`` with the same (can-be-0, can-be-1) encoding as
 :mod:`repro.sim.ternary`.  Because Python ints are arbitrary precision,
-one batch can simulate the entire fault universe at once; for very large
-universes :class:`ChunkedFaultSim` manages the machines as a numpy
-``uint64`` array slab instead (64 machines per lane word), so state
-lives in two contiguous buffers rather than ever-larger bignums.
+one batch simulates the entire fault universe at once.
 
 Fault injection is compiled into per-gate masks:
 
@@ -18,10 +15,10 @@ Fault injection is compiled into per-gate masks:
 
 The settle loops live in :mod:`repro.sim.engine` (event-driven worklist,
 used by the state-passing methods here) and :mod:`repro.sim.arena` (the
-compiled walk and slab kernels) — this module is a thin adapter that
-owns batch state layout, fault masks, and observation.  A ``FaultBatch``
-of width 1 is bit-for-bit equivalent to the scalar engine (a property
-the test suite checks against the reference implementation in
+compiled walk kernel) — this module is a thin adapter that owns batch
+state layout, fault masks, and observation.  A ``FaultBatch`` of width 1
+is bit-for-bit equivalent to the scalar engine (a property the test
+suite checks against the reference implementation in
 :mod:`repro.sim.legacy`); the arena walk behind :meth:`FaultBatch.walk`
 is checked the same way by ``tests/test_arena.py``.
 """
@@ -150,95 +147,3 @@ class FaultBatch:
         return arena_for(self.circuit, tuple(self.faults), self.width).walk(
             reset_state
         )
-
-
-class SlabWalk:
-    """Walk handle over a slab state, protocol-compatible with
-    :class:`repro.sim.arena.ArenaWalk`."""
-
-    __slots__ = ("_kernel", "_L", "_H")
-
-    def __init__(self, kernel, reset_state: Optional[int]):
-        self._kernel = kernel
-        self._L, self._H = kernel.reset_and_settle(reset_state)
-
-    def step(self, pattern: int, good_state: int) -> int:
-        kernel = self._kernel
-        kernel.drive(self._L, self._H, pattern)
-        kernel.settle(self._L, self._H)
-        return kernel.observe(self._L, self._H, good_state)
-
-    def observe(self, good_state: int) -> int:
-        return self._kernel.observe(self._L, self._H, good_state)
-
-    def state(self) -> BatchState:
-        """Snapshot as bignum word tuples (one per signal)."""
-        low = []
-        high = []
-        for i in range(self._kernel.circuit.n_signals):
-            wl = 0
-            wh = 0
-            for k in range(self._kernel.n_words):
-                wl |= int(self._L[i][k]) << (64 * k)
-                wh |= int(self._H[i][k]) << (64 * k)
-            low.append(wl)
-            high.append(wh)
-        return (tuple(low), tuple(high))
-
-
-class ChunkedFaultSim:
-    """A large fault universe as a numpy ``uint64`` array slab.
-
-    Historically this class split the machines into fixed-width
-    :class:`FaultBatch` chunks; it now delegates to the slab kernel
-    (:class:`repro.sim.arena.SlabKernel`): state is a pair of contiguous
-    ``(n_signals, n_words)`` buffers, 64 machines per lane word, settled
-    by levelized vectorized sweeps.  Observable behaviour is identical
-    to one monolithic batch (machines are independent), and ``observe``
-    masks use the monolithic bit numbering, so callers can swap this in
-    for a ``FaultBatch`` without touching their bookkeeping.
-
-    ``chunk_width`` is kept for API compatibility and validation only:
-    the slab always packs machines into 64-bit lanes.
-    """
-
-    def __init__(
-        self, circuit: Circuit, faults: Sequence[Fault], chunk_width: int = 64
-    ):
-        if chunk_width < 1:
-            raise ValueError("chunk_width must be positive")
-        from repro.sim.arena import slab_for
-
-        self.circuit = circuit
-        self.faults = list(faults)
-        self.width = len(self.faults)
-        self.chunk_width = chunk_width
-        self.kernel = slab_for(circuit, tuple(self.faults), self.width)
-        self.ones = (1 << self.width) - 1 if self.width else 0
-
-    def reset_and_settle(self, reset_state: Optional[int] = None):
-        return self.kernel.reset_and_settle(reset_state)
-
-    def apply(self, state, pattern: int):
-        L, H = state
-        L = L.copy()
-        H = H.copy()
-        self.kernel.drive(L, H, pattern)
-        self.kernel.settle(L, H)
-        return L, H
-
-    # The slab settle is always a full levelized sweep, so the settled
-    # and unsettled entry points coincide.
-    apply_settled = apply
-
-    def observe(self, state, good_state: int) -> int:
-        L, H = state
-        return self.kernel.observe(L, H, good_state)
-
-    def machine_state(self, state, j: int) -> Tuple[int, int]:
-        L, H = state
-        return self.kernel.machine_state(L, H, j)
-
-    def walk(self, reset_state: Optional[int] = None) -> SlabWalk:
-        """Slab-backed walk handle (see :meth:`FaultBatch.walk`)."""
-        return SlabWalk(self.kernel, reset_state)

@@ -14,9 +14,14 @@ translated to a small Python function evaluating the ternary ``(l, h)``
 pair straight off per-signal word lists — no AST walk, no stack
 interpreter, no ``getv`` closure per operand.  A companion whole-circuit
 function enumerates excited gates in the binary domain for the exact
-settling explorer.  The circuit additionally provides cached fanout
-lists and a levelized schedule (:meth:`Circuit.fanouts`,
-:meth:`Circuit.levels`) that the engine consumes.
+settling explorer; it is compiled with the circuit.  The per-gate
+evaluators are compiled on an engine's first :meth:`SimEngine.settle`
+instead, because many engines never settle: random TPG only steps the
+arena walk kernel, which reads the engine's mask tables, and the
+three-phase generator's faulty machines only enumerate excited gates.
+The circuit additionally provides cached fanout lists and a levelized
+schedule (:meth:`Circuit.fanouts`, :meth:`Circuit.levels`) that the
+engine consumes.
 
 **Event-driven settling.**  Algorithms A and B are run with a worklist:
 only gates whose fan-in changed are re-evaluated, seeded either from the
@@ -38,10 +43,7 @@ a fault-injection overlay:
   already established is bit-for-bit the scalar semantics;
 * *packed masks* — W faults simulated in parallel, one machine per bit
   of a Python int (paper §5.4), with the per-fault masks baked into the
-  affected gates' compiled code;
-* *chunked* — a large fault universe split into fixed-width words (see
-  :class:`repro.sim.batch.ChunkedFaultSim`), trading single-word
-  bignum arithmetic for cache-sized chunks.
+  affected gates' compiled code.
 
 Four mask families cover the registered fault models
 (:mod:`repro.faultmodels`); each is the identity outside its machine
@@ -104,7 +106,6 @@ def _emit_eval(
     program: Program,
     ones: int,
     ref: Callable[[int], Tuple[str, str]],
-    lit: Callable[[int], str],
     pin_force: Optional[Dict[int, Tuple[int, int]]] = None,
     out_force: Optional[Tuple[int, int]] = None,
     self_ref: Optional[Tuple[str, str]] = None,
@@ -117,13 +118,11 @@ def _emit_eval(
 
     This is the single source of truth for the ternary operator and
     overlay-mask formulas: the per-gate function compiler below and the
-    arena kernels (:mod:`repro.sim.arena`) both emit through it, so the
-    bignum, generator-walk and numpy-slab paths cannot drift apart.
+    arena walk kernel (:mod:`repro.sim.arena`) both emit through it, so
+    the worklist and generator-walk paths cannot drift apart.
     ``ref(sig)`` names a signal's (l, h) operand pair in the target
-    kernel's vocabulary (list reads, locals, slab rows); ``lit(mask)``
-    renders a per-machine mask constant (an int literal, or an interned
-    word-array name for the slab).  Overlay hooks, each a per-machine
-    mask over the word's bits:
+    kernel's vocabulary (list reads or locals).  Overlay hooks, each a
+    per-machine mask over the word's bits:
 
     * ``pin_force[site] = (f0, f1)`` bakes per-pin stuck-at masks into
       the operand reads;
@@ -163,8 +162,8 @@ def _emit_eval(
                     f0, f1 = force
                     stack.append(
                         (
-                            f"(({rl}|{lit(f0)})&{lit(ones & ~f1)})",
-                            f"(({rh}|{lit(f1)})&{lit(ones & ~f0)})",
+                            f"(({rl}|{f0})&{ones & ~f1})",
+                            f"(({rh}|{f1})&{ones & ~f0})",
                         )
                     )
             elif op == OP_NOT:
@@ -193,7 +192,7 @@ def _emit_eval(
                 stack[-1] = (a, b)
             else:  # OP_CONST
                 stack.append(
-                    (lit(0 if arg else ones), lit(ones if arg else 0))
+                    (str(0 if arg else ones), str(ones if arg else 0))
                 )
         return stack.pop()
 
@@ -205,28 +204,28 @@ def _emit_eval(
         lb, hb = emit(partner_program, None)
         a, b = fresh()
         lines.append(
-            f"{indent}{a} = (({l})|({lb}&{lit(and_mask)}))"
-            f"&(({lb})|{lit(ones & ~or_mask)}); "
-            f"{b} = (({h})&(({hb})|{lit(ones & ~and_mask)}))"
-            f"|(({hb})&{lit(or_mask)})"
+            f"{indent}{a} = (({l})|({lb}&{and_mask}))"
+            f"&(({lb})|{ones & ~or_mask}); "
+            f"{b} = (({h})&(({hb})|{ones & ~and_mask}))"
+            f"|(({hb})&{or_mask})"
         )
         l, h = a, b
     if self_and or self_or:
         sl, sh = self_ref
         a, b = fresh()
         lines.append(
-            f"{indent}{a} = (({l})|({sl}&{lit(self_and)}))"
-            f"&({sl}|{lit(ones & ~self_or)}); "
-            f"{b} = (({h})&({sh}|{lit(ones & ~self_and)}))"
-            f"|({sh}&{lit(self_or)})"
+            f"{indent}{a} = (({l})|({sl}&{self_and}))"
+            f"&({sl}|{ones & ~self_or}); "
+            f"{b} = (({h})&({sh}|{ones & ~self_and}))"
+            f"|({sh}&{self_or})"
         )
         l, h = a, b
     if out_force is not None:
         f0, f1 = out_force
         a, b = fresh()
         lines.append(
-            f"{indent}{a} = ({l}|{lit(f0)})&{lit(ones & ~f1)}; "
-            f"{b} = ({h}|{lit(f1)})&{lit(ones & ~f0)}"
+            f"{indent}{a} = ({l}|{f0})&{ones & ~f1}; "
+            f"{b} = ({h}|{f1})&{ones & ~f0}"
         )
         l, h = a, b
     return l, h
@@ -254,7 +253,6 @@ def _codegen_ternary(
         program,
         ones,
         ref=lambda arg: (f"L[{arg}]", f"H[{arg}]"),
-        lit=str,
         pin_force=pin_force,
         out_force=out_force,
         self_ref=(f"L[{gate_index}]", f"H[{gate_index}]"),
@@ -331,21 +329,30 @@ class CompiledCircuit:
             for pos, g in enumerate(circuit.gates)
             if any(op == OP_CONST for op, _ in g.program)
         )
-        src = "\n".join(
-            _codegen_ternary(f"g{pos}", g.program, 1)
-            for pos, g in enumerate(circuit.gates)
-        )
-        ns = _exec(src, f"<engine:{circuit.name}>")
-        #: clean width-1 evaluators, one per gate position.
-        self.clean_fns: Tuple[GateFn, ...] = tuple(
-            ns[f"g{pos}"] for pos in range(len(circuit.gates))
-        )
+        self._clean_fns: Optional[Tuple[GateFn, ...]] = None
         exc_ns = _exec(_codegen_excited(circuit), f"<excited:{circuit.name}>")
         #: ``excited(state) -> [gate indices]`` in the binary domain.
         self.excited_signals: Callable[[int], List[int]] = exc_ns["excited"]
         self._engines: "OrderedDict[Tuple[Tuple[Fault, ...], int], SimEngine]" = (
             OrderedDict()
         )
+
+    @property
+    def clean_fns(self) -> Tuple[GateFn, ...]:
+        """Clean width-1 evaluators, one per gate position, compiled on
+        first use.  The tuple is published by one assignment, so two
+        threads racing here at worst compile it twice."""
+        fns = self._clean_fns
+        if fns is None:
+            gates = self.circuit.gates
+            src = "\n".join(
+                _codegen_ternary(f"g{pos}", g.program, 1)
+                for pos, g in enumerate(gates)
+            )
+            ns = _exec(src, f"<engine:{self.circuit.name}>")
+            fns = tuple(ns[f"g{pos}"] for pos in range(len(gates)))
+            self._clean_fns = fns
+        return fns
 
 
 def compiled(circuit: Circuit) -> CompiledCircuit:
@@ -453,45 +460,9 @@ class SimEngine:
                 except ReproError as exc:
                     raise SimulationError(str(exc)) from None
                 model.engine_overlay(self, fault, j)
-        # Compiled evaluators: share the clean width-1 functions wherever
-        # possible, regenerate only overlay-touched and const-bearing gates.
-        fns = list(cc.clean_fns)
-        regen = set(cc.const_positions) if self.ones != 1 else set()
+        self._fns: Optional[Tuple[GateFn, ...]] = None
         pos_of = {gi: pos for pos, gi in enumerate(cc.gate_index)}
         gate_at = {g.index: g for g in circuit.gates}
-        for gi in (
-            set(self.pin_force)
-            | set(self.out_force)
-            | set(self.self_and)
-            | set(self.self_or)
-            | set(self.bridges)
-        ):
-            regen.add(pos_of[gi])
-        if regen:
-            gates = circuit.gates
-            src = "\n".join(
-                _codegen_ternary(
-                    f"g{pos}",
-                    gates[pos].program,
-                    self.ones,
-                    self.pin_force.get(cc.gate_index[pos]),
-                    self.out_force.get(cc.gate_index[pos]),
-                    gate_index=cc.gate_index[pos],
-                    self_and=self.self_and.get(cc.gate_index[pos], 0),
-                    self_or=self.self_or.get(cc.gate_index[pos], 0),
-                    bridges=[
-                        (gate_at[partner].program, ma, mo)
-                        for partner, (ma, mo) in sorted(
-                            self.bridges.get(cc.gate_index[pos], {}).items()
-                        )
-                    ],
-                )
-                for pos in sorted(regen)
-            )
-            ns = _exec(src, f"<engine:{circuit.name}:{len(self.faults)}f>")
-            for pos in regen:
-                fns[pos] = ns[f"g{pos}"]
-        self.fns: Tuple[GateFn, ...] = tuple(fns)
         # Overlay-induced extra dependencies: a self-sticky gate reads
         # its own output, a bridged gate reads its partner's support.
         # The worklist must re-examine those gates when the new sources
@@ -514,6 +485,60 @@ class SimEngine:
         n_gates = len(circuit.gates)
         self._evl = [0] * n_gates
         self._evh = [0] * n_gates
+
+    @property
+    def fns(self) -> Tuple[GateFn, ...]:
+        """Per-gate evaluators, compiled on first use (the first
+        :meth:`settle`): the circuit's clean width-1 functions wherever
+        possible, regenerated only for overlay-touched and const-bearing
+        gates.  Published by one assignment, like
+        :attr:`CompiledCircuit.clean_fns`."""
+        fns = self._fns
+        if fns is None:
+            fns = self._fns = self._compile_fns()
+        return fns
+
+    def _compile_fns(self) -> Tuple[GateFn, ...]:
+        cc = self.cc
+        gates = self.circuit.gates
+        fns = list(cc.clean_fns)
+        regen = set(cc.const_positions) if self.ones != 1 else set()
+        pos_of = {gi: pos for pos, gi in enumerate(cc.gate_index)}
+        gate_at = {g.index: g for g in gates}
+        for gi in (
+            set(self.pin_force)
+            | set(self.out_force)
+            | set(self.self_and)
+            | set(self.self_or)
+            | set(self.bridges)
+        ):
+            regen.add(pos_of[gi])
+        if regen:
+            src = "\n".join(
+                _codegen_ternary(
+                    f"g{pos}",
+                    gates[pos].program,
+                    self.ones,
+                    self.pin_force.get(cc.gate_index[pos]),
+                    self.out_force.get(cc.gate_index[pos]),
+                    gate_index=cc.gate_index[pos],
+                    self_and=self.self_and.get(cc.gate_index[pos], 0),
+                    self_or=self.self_or.get(cc.gate_index[pos], 0),
+                    bridges=[
+                        (gate_at[partner].program, ma, mo)
+                        for partner, (ma, mo) in sorted(
+                            self.bridges.get(cc.gate_index[pos], {}).items()
+                        )
+                    ],
+                )
+                for pos in sorted(regen)
+            )
+            ns = _exec(
+                src, f"<engine:{self.circuit.name}:{len(self.faults)}f>"
+            )
+            for pos in regen:
+                fns[pos] = ns[f"g{pos}"]
+        return tuple(fns)
 
     # -- the one settle loop --------------------------------------------
 

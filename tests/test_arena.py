@@ -1,28 +1,39 @@
-"""Arena-kernel parity: the flat-buffer fast paths vs the worklist engine.
+"""Arena walk kernel parity and the simulation layer's compile budget.
 
 The arena walk kernel (compiled generator, state in generator locals)
-and the numpy slab kernel (uint64 buffers, levelized vectorized sweeps)
-must be *bit-identical* to the per-step :class:`FaultBatch` path — same
+must be *bit-identical* to the worklist :class:`FaultBatch` path — same
 settled states after every cycle, same detection words at every
 observation — because Eichelberger's Algorithms A and B compute unique
 lattice fixpoints regardless of evaluation order.
 
 Checked here on every Table-1 benchmark under every registered fault
 model's full universe, riding a deterministic random walk through the
-CSSG.  This is the sim half of the PR's differential battery; the BDD
-half lives in ``test_symbolic_diff.py``.
+CSSG.  This is the sim half of the differential battery; the BDD half
+lives in ``test_symbolic_diff.py``.
+
+The compile-budget tests pin down that an ATPG job compiles only code
+that runs: no per-gate engine evaluators (nothing settles through the
+worklist), one walk kernel per non-empty job, and no numpy import.
 """
 
+import os
 import random
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
+from repro.campaign import runner
+from repro.campaign.plan import CampaignSpec, expand
+from repro.circuit.parser import netlist_to_text, parse_netlist
 from repro.faultmodels import get_model, model_names
 from repro.sgraph.cssg import build_cssg
-from repro.sim import arena
-from repro.sim.batch import ChunkedFaultSim, FaultBatch
+from repro.sim import engine, legacy
+from repro.sim.batch import FaultBatch
 
 WALK_LEN = 8
 
@@ -49,6 +60,9 @@ def _walk_states(cssg, seed):
 @pytest.mark.parametrize("model_name", model_names())
 @pytest.mark.parametrize("name", TABLE1_NAMES)
 def test_arena_walk_and_slab_match_batch(name, model_name):
+    """The walk matches ``FaultBatch.apply_settled`` cycle by cycle.  (The
+    name predates the removal of the numpy slab kernel; it is kept so
+    the test IDs stay stable.)"""
     cssg = _cssg_for(name)
     circuit = cssg.circuit
     faults = get_model(model_name).universe(circuit)
@@ -59,21 +73,16 @@ def test_arena_walk_and_slab_match_batch(name, model_name):
     batch = FaultBatch(circuit, faults)
     state = batch.reset_and_settle(cssg.reset)
     walk = batch.walk(cssg.reset)
-    slab = ChunkedFaultSim(circuit, faults).walk(cssg.reset)
 
     assert walk.state() == state
-    assert slab.state() == state
     det_ref = batch.observe(state, cssg.reset)
     assert walk.observe(cssg.reset) == det_ref
-    assert slab.observe(cssg.reset) == det_ref
 
     for pattern, good in trail:
         state = batch.apply_settled(state, pattern)
         det_ref = batch.observe(state, good)
         assert walk.step(pattern, good) == det_ref
-        assert slab.step(pattern, good) == det_ref
         assert walk.state() == state
-        assert slab.state() == state
 
 
 def test_walk_is_restartable():
@@ -99,20 +108,55 @@ def test_empty_universe_width_zero():
     batch = FaultBatch(cssg.circuit, [])
     walk = batch.walk(cssg.reset)
     assert walk.observe(cssg.reset) == 0
-    slab = ChunkedFaultSim(cssg.circuit, []).walk(cssg.reset)
-    assert slab.observe(cssg.reset) == 0
+    state = batch.reset_and_settle(cssg.reset)
+    assert walk.state() == state
     pattern, good = _walk_states(cssg, seed=1)[0]
     assert walk.step(pattern, good) == 0
-    assert slab.step(pattern, good) == 0
+    assert walk.state() == batch.apply_settled(state, pattern)
 
 
-def test_require_numpy_message(monkeypatch):
-    """Without numpy the slab path fails with an actionable message."""
-    monkeypatch.setattr(arena, "_np", None)
-    with pytest.raises(ImportError, match=r"numpy.*setup\.py.*pip install numpy"):
-        arena.require_numpy()
+def test_atpg_jobs_compile_only_the_walk_kernel(monkeypatch):
+    """A Table-1 job under each fault model compiles no per-gate engine
+    evaluator and exactly one arena walk kernel (if its universe is
+    non-empty); the evaluators still compile on the first settle."""
+    compiles = []
+    real_exec = engine._exec
+
+    def spy(src, filename):
+        compiles.append(filename)
+        return real_exec(src, filename)
+
+    monkeypatch.setattr(engine, "_exec", spy)
+    name = "ebergen"
+    # A private copy of the circuit, so nothing compiled by earlier tests
+    # is reused; every job of the circuit shares it, as a table pass does.
+    circuit = parse_netlist(netlist_to_text(load_benchmark(name, "complex")))
+    monkeypatch.setattr(runner, "load_job_circuit", lambda job: circuit)
+    cssg_memo = {}
+    for job in expand(CampaignSpec(benchmarks=[name], fault_models=model_names())):
+        compiles.clear()
+        runner.execute_job(job, cssg_memo)
+        n_faults = len(get_model(job.options.fault_model).universe(circuit))
+        assert not [f for f in compiles if f.startswith("<engine:")], job.name
+        arena_compiles = [f for f in compiles if f.startswith("<arena:")]
+        assert len(arena_compiles) == (1 if n_faults else 0), (job.name, compiles)
+
+    faults = get_model("input").universe(circuit)
+    batch = FaultBatch(circuit, faults)
+    state = batch.broadcast(circuit.require_reset())
+    compiles.clear()
+    assert batch.settle(state) == legacy.batch_settle(circuit, faults, state)
+    assert f"<engine:{circuit.name}>" in compiles
+    assert f"<engine:{circuit.name}:{len(faults)}f>" in compiles
 
 
-def test_require_numpy_returns_module():
-    np = arena.require_numpy()
-    assert np.uint64(3) == 3
+def test_import_repro_does_not_load_numpy():
+    """The package is standard-library only: importing it (and the
+    simulation layer) must not drag numpy in."""
+    code = (
+        "import sys, repro, repro.sim; "
+        "assert 'numpy' not in sys.modules, 'numpy was imported'"
+    )
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -6,9 +6,9 @@ scenarios against feature-preserving predicates (keep the choice, keep
 the mirror, keep the XOR, ...), so each file is close to the smallest
 healthy spec exhibiting its feature.  Any implementation drift that
 makes two paired implementations disagree — engine vs legacy settle,
-explicit vs symbolic CSSG, overlay vs materialized faults, walk vs
-slab kernels, plain vs incremental re-ATPG — fails the replay here,
-inside tier-1, without needing a fuzzing run.
+explicit vs symbolic CSSG, overlay vs materialized faults, arena walk
+vs worklist fault sim, plain vs incremental re-ATPG — fails the replay
+here, inside tier-1, without needing a fuzzing run.
 """
 
 import hashlib
