@@ -10,7 +10,7 @@ draws are retried.  This bench pins that cost:
   must sustain at least ``GEN_FLOOR_PER_SEC`` accepted scenarios per
   second (measured ~14/sec on CI-class hardware; the floor is the
   conservative regression bar, ~4x headroom).
-* **oracle battery rate** — the full five-pair differential battery
+* **oracle battery rate** — the full six-pair differential battery
   per scenario, recorded for trajectory tracking (no floor: the
   incremental pair's ATPG cost dominates and varies with shape).
 

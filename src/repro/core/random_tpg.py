@@ -11,12 +11,22 @@ generator.
 Detection is conservative exactly as in the paper: a fault counts as
 covered only when some primary output *definitely* differs (ternary
 simulation may under-report, never over-report).
+
+Walks do not hunt faults that cannot be caught.  After the first walk
+that detects nothing new, the optional ``prove_undetectable`` hook is
+offered the faults still undetected, once; the subset it proves
+undetectable (in the staged flow: three-phase's exhausted product
+search, see :mod:`repro.flow.stages`) leaves the walk mask, and the
+walks end as soon as every remaining fault is caught.  Detection being
+sound, no later walk could have caught a proven fault, so the random
+stream, the detections and the trimmed tests are those of a run without
+the hook.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.circuit.faults import Fault
 from repro.core.sequences import Test
@@ -33,6 +43,9 @@ def random_tpg(
     rng: Optional[random.Random] = None,
     should_stop: Optional[Callable[[], bool]] = None,
     on_walk: Optional[Callable[[int, int], None]] = None,
+    prove_undetectable: Optional[
+        Callable[[List[Fault]], Iterable[Fault]]
+    ] = None,
 ) -> Tuple[Dict[Fault, Tuple[int, ...]], List[Test]]:
     """Run random TPG; returns (detected fault -> sequence, kept tests).
 
@@ -49,14 +62,19 @@ def random_tpg(
     stream (must be freshly seeded for reproducibility; overrides
     ``seed``), ``should_stop`` is polled before each walk so a run
     budget can cut the stage short at a walk boundary (everything
-    already detected stays detected), and ``on_walk(walk_index,
-    n_detected_so_far)`` reports per-walk progress.
+    already detected stays detected), ``on_walk(walk_index,
+    n_detected_so_far)`` reports per-walk progress, and
+    ``prove_undetectable(faults)`` returns the subset of ``faults`` it
+    proves undetectable.  It is called at most once, after the first
+    walk that detects nothing new while faults remain undetected; the
+    proven faults stop being hunted (see the module docstring).
     """
     circuit = cssg.circuit
     if rng is None:
         rng = random.Random(seed)
     batch = FaultBatch(circuit, faults)
     undetected = batch.ones
+    bit_of = {fault: j for j, fault in enumerate(faults)}
     detected_by: Dict[Fault, Tuple[int, ...]] = {}
     tests: List[Test] = []
 
@@ -98,6 +116,11 @@ def random_tpg(
             tests.append(
                 Test(tuple(patterns[:last_useful]), covered, source="random")
             )
+        elif undetected and prove_undetectable is not None:
+            proven = prove_undetectable([faults[j] for j in _bits(undetected)])
+            prove_undetectable = None  # one proof per run
+            for fault in proven:
+                undetected &= ~(1 << bit_of[fault])
         if on_walk is not None:
             on_walk(walk_index, len(detected_by))
     return detected_by, tests

@@ -9,15 +9,16 @@ stable-state-observation semantics), neither is complete:
 * **never excited** — the fault's model proves the faulty functions
   agree with the good ones everywhere the good machine can go, so no
   divergence can ever start.  For stuck-at kinds this is the classic
-  check (the site holds the stuck value in every reachable stable state
-  and the faulty machine is stable in each of them); bridging and
-  transition models prove agreement over the *transient-inclusive*
-  symbolic reachable set instead, since their excitation can be purely
-  transient.  Both sets come from one symbolic TCSG reachability
-  computation — a superset of the CSSG's nodes (which only contains
-  states reachable through *valid* vectors), so the verdict holds even
-  for excursions the CSSG pruned; each per-fault check is a handful of
-  BDD conjunctions, no enumeration.  An explicit CSSG-state walk
+  check (the site holds the stuck value); bridging and transition
+  models prove agreement of the shorted or sticky functions.  Every
+  model proves it over the *transient-inclusive* reachable set, since
+  excitation can be purely transient: a site that pulses only while
+  the circuit settles still drives other gates.  The set comes from
+  one symbolic TCSG reachability computation — a superset of the
+  states the CSSG's valid vectors pass through, so the verdict holds
+  even for excursions the CSSG pruned; each per-fault check is a
+  handful of BDD conjunctions, no enumeration.  An explicit walk over
+  the CSSG's states and the settling interleavings of its edges
   remains as the ``use_symbolic=False`` fallback for the stuck-at
   kinds (other models conservatively skip it).
 * **stable-equivalent** — exhaustive product walk of (good CSSG state,
@@ -52,22 +53,20 @@ class Classification:
 
 
 def _never_excited_symbolic(
-    sym: SymbolicTcsg, reachable: int, stable_reachable: int, fault: Fault
+    sym: SymbolicTcsg, reachable: int, fault: Fault
 ) -> bool:
     """The never-excited check, dispatched to the fault's model.
 
     Each model proves its own sound sufficient condition over the
-    symbolic TCSG sets: the stuck-at kinds over the reachable *stable*
-    states (site holds the stuck value everywhere, and the faulted
-    gate's function still agrees with its output there, so no
-    stable-state divergence can ever start); bridging and transition
-    faults over the *transient-inclusive* reachable set (their faulty
+    *transient-inclusive* symbolic TCSG reachable set: the faulty
     functions agree with the good ones on every state the good machine
-    can even pass through)."""
+    can even pass through (for the stuck-at kinds: the site holds the
+    stuck value in every such state).  Stable states alone do not
+    suffice, since a site may pulse only while the circuit settles."""
     from repro.faultmodels import model_for_kind
 
     return model_for_kind(fault.kind).never_excited_symbolic(
-        sym, reachable, stable_reachable, fault
+        sym, reachable, fault
     )
 
 
@@ -136,26 +135,21 @@ def classify_undetectable(
     The returned verdicts partition ``faults`` into provably undetectable
     (two reasons) and possibly detectable.  With ``use_symbolic`` (the
     default) the never-excited check runs against the symbolic TCSG
-    reachable-stable set — one BDD reachability computation shared by
-    every fault; otherwise it walks the explicit CSSG states.  A caller
+    reachable set — one BDD reachability computation shared by every
+    fault; otherwise it walks the CSSG's states and edge settlings.  A caller
     that already holds a :class:`SymbolicTcsg` for this circuit (e.g.
     because the CSSG itself was built symbolically) can pass it as
     ``symbolic`` to reuse its encoding instead of rebuilding one.
     """
     sym: Optional[SymbolicTcsg] = None
     reachable = FALSE
-    stable_reachable = FALSE
     if use_symbolic and faults:
         try:
             sym = symbolic if symbolic is not None else SymbolicTcsg(cssg.circuit)
-            # One reachability computation shared by every fault: the
-            # transient-inclusive set (bridging/transition proofs) and
-            # its stable restriction (the stuck-at proof).
+            # One transient-inclusive reachability computation shared
+            # by every fault.
             reachable = sym.mgr.add_root(
                 sym.reachable(sym.state_bdd(cssg.reset))
-            )
-            stable_reachable = sym.mgr.add_root(
-                sym.mgr.apply_and(reachable, sym.stable)
             )
         except StateGraphError:
             sym = None  # fall back to the explicit CSSG walk
@@ -163,9 +157,7 @@ def classify_undetectable(
     try:
         for fault in faults:
             if sym is not None:
-                never = _never_excited_symbolic(
-                    sym, reachable, stable_reachable, fault
-                )
+                never = _never_excited_symbolic(sym, reachable, fault)
                 # Per-fault faulty-function garbage has no further use;
                 # let the manager's auto-GC reclaim it at this safe
                 # point (the reachable set and encoding are rooted).
@@ -184,8 +176,7 @@ def classify_undetectable(
                 )
     finally:
         if sym is not None:
-            # Unpin the reachable sets — the manager may outlive this
+            # Unpin the reachable set — the manager may outlive this
             # call when the caller passed its own SymbolicTcsg.
-            sym.mgr.remove_root(stable_reachable)
             sym.mgr.remove_root(reachable)
     return result

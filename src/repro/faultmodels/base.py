@@ -129,12 +129,11 @@ class FaultModel:
     # -- a-priori undetectability --------------------------------------
 
     def never_excited_symbolic(
-        self, sym, reachable: int, stable_reachable: int, fault: Fault
+        self, sym, reachable: int, fault: Fault
     ) -> bool:
         """Sound sufficient proof that ``fault`` can never start a
-        divergence, over the symbolic TCSG reachable sets
-        (``reachable`` includes transient states, ``stable_reachable``
-        only stable ones — both are rooted BDDs of ``sym.mgr``).
+        divergence, over the symbolic TCSG reachable set ``reachable``
+        (transient states included; a rooted BDD of ``sym.mgr``).
         Default: no proof (conservative ``False``)."""
         return False
 

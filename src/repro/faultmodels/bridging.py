@@ -116,7 +116,7 @@ class BridgingModel(FaultModel):
     # -- a-priori undetectability --------------------------------------
 
     def never_excited_symbolic(
-        self, sym, reachable: int, stable_reachable: int, fault: Fault
+        self, sym, reachable: int, fault: Fault
     ) -> bool:
         """Sound proof over the *transient-inclusive* reachable set: the
         wired function differs from a driver exactly where

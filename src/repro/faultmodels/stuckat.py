@@ -68,38 +68,56 @@ class _StuckAtModel(FaultModel):
     # -- a-priori undetectability --------------------------------------
 
     def never_excited_symbolic(
-        self, sym, reachable: int, stable_reachable: int, fault: Fault
+        self, sym, reachable: int, fault: Fault
     ) -> bool:
-        """Over every reachable stable state: the site already holds the
-        stuck value (never excited) and the faulted gate's function still
-        agrees with its output there (the fault does not destabilize the
-        state) — then no stable-state divergence can ever start."""
+        """Over every reachable state, transient ones included: the site
+        holds the stuck value (never excited) and the faulted gate
+        computes what the good gate computes — then the faulty netlist
+        follows the good one along every trajectory.  Stable states
+        alone do not suffice: a site that pulses while the circuit
+        settles can drive other gates without ever holding the
+        non-stuck value in a stable state."""
         from repro.bdd.manager import FALSE
 
         mgr = sym.mgr
         site, stuck = fault.site, fault.value
         stuck_lit = mgr.var(site) if stuck else mgr.nvar(site)
-        if mgr.apply_and(stable_reachable, stuck_lit ^ 1) != FALSE:
-            return False  # some reachable stable state excites the site
-        disagree = mgr.apply_xor(mgr.var(fault.gate), sym.faulty_gate_fn(fault))
-        return mgr.apply_and(stable_reachable, disagree) == FALSE
+        if mgr.apply_and(reachable, stuck_lit ^ 1) != FALSE:
+            return False  # some reachable state excites the site
+        disagree = mgr.apply_xor(sym.gate_fn[fault.gate], sym.faulty_gate_fn(fault))
+        return mgr.apply_and(reachable, disagree) == FALSE
 
     def never_excited_explicit(self, cssg, fault: Fault) -> bool:
-        """The same check walked over the CSSG's states (a subset of the
-        TCSG stable set, hence weaker — the ``use_symbolic=False``
-        fallback and the differential oracle)."""
-        from repro.sim import ternary
+        """The site check walked explicitly: over the CSSG's states and
+        every state any interleaving passes through while a CSSG edge
+        settles (a valid edge settles acyclically, so this is finite).
+        These states are a subset of the TCSG reachable set, hence a
+        weaker proof — the ``use_symbolic=False`` fallback and the
+        differential oracle.  With the site never excited, the faulted
+        gate computes what the good gate computes."""
+        from repro._bits import mask
+        from repro.sim.engine import compiled
 
         circuit = cssg.circuit
+        excited_signals = compiled(circuit).excited_signals
+        imask = mask(circuit.n_inputs)
         site, stuck = fault.site, fault.value
         for state in cssg.states:
             if ((state >> site) & 1) != stuck:
                 return False
-            settled = ternary.settle(
-                circuit, ternary.from_binary(state, circuit.n_signals), fault
-            )
-            if not ternary.is_definite(settled) or ternary.to_binary(settled) != state:
-                return False
+            for pattern in cssg.valid_patterns(state):
+                start = (state & ~imask) | pattern
+                seen = {start}
+                stack = [start]
+                while stack:
+                    node = stack.pop()
+                    if ((node >> site) & 1) != stuck:
+                        return False
+                    for gi in excited_signals(node):
+                        nxt = node ^ (1 << gi)
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            stack.append(nxt)
         return True
 
 

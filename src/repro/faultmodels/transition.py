@@ -152,7 +152,7 @@ class TransitionModel(FaultModel):
     # -- a-priori undetectability --------------------------------------
 
     def never_excited_symbolic(
-        self, sym, reachable: int, stable_reachable: int, fault: Fault
+        self, sym, reachable: int, fault: Fault
     ) -> bool:
         """Sound proof over the *transient-inclusive* reachable set: the
         sticky function differs from ``F`` exactly where the gate is

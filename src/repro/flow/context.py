@@ -24,7 +24,13 @@ from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.core.atpg import AtpgOptions, AtpgResult, FaultStatus
 from repro.core.sequences import Test, TestSet
-from repro.core.three_phase import ABORTED, DETECTED, UNDETECTABLE
+from repro.core.three_phase import (
+    ABORTED,
+    DETECTED,
+    UNDETECTABLE,
+    GenerationOutcome,
+    ThreePhaseGenerator,
+)
 from repro.flow.budget import Budget
 from repro.flow.events import EventBus, FaultClassified, TestAdded
 from repro.sgraph.cssg import Cssg
@@ -69,6 +75,30 @@ class RunContext:
         self.stage = ""
         #: Free-form per-stage statistics (e.g. compaction counts).
         self.stage_stats: Dict[str, Dict] = {}
+        self._generator: Optional[ThreePhaseGenerator] = None
+        self._outcomes: Dict[Fault, GenerationOutcome] = {}
+
+    # -- three-phase generation (once per fault per run) -----------------
+
+    def generate(self, fault: Fault) -> GenerationOutcome:
+        """The fault's three-phase outcome, generated on first request."""
+        outcome = self._outcomes.get(fault)
+        if outcome is None:
+            if self._generator is None:
+                self._generator = ThreePhaseGenerator(
+                    self.cssg,
+                    self.budget.max_product_states,
+                    faulty_semantics=self.options.faulty_semantics,
+                )
+            outcome = self._generator.generate(
+                fault, self.budget.max_activation_tries
+            )
+            self._outcomes[fault] = outcome
+        return outcome
+
+    def generated(self, fault: Fault) -> Optional[GenerationOutcome]:
+        """The fault's outcome if this run already generated it."""
+        return self._outcomes.get(fault)
 
     # -- ledger operations (each emits its event) ------------------------
 

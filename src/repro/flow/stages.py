@@ -9,13 +9,25 @@ and ``run(ctx)`` which reads and mutates the shared
 
 matching the paper's flow (§2, §5) with the two classic ATPG
 bracketing steps (structural collapsing before, static compaction
-after).  Stages honor the run :class:`~repro.flow.budget.Budget`
-cooperatively: :class:`RandomTpgStage` stops at a walk boundary,
-:class:`ThreePhaseStage` classifies every untried fault
-``aborted``/``"budget"`` once the deadline passes, and
-:class:`CompactionStage` skips (it only shrinks an already-valid test
-set).  A bounded run therefore always produces a complete, valid
-partial result.
+after).
+
+The two generating stages share three-phase outcomes through
+:meth:`RunContext.generate`, which runs the generator at most once per
+fault and run.  After the first random walk that detects nothing new,
+:class:`RandomTpgStage` asks three-phase about the faults still
+undetected.  The walks stop hunting the ones it proves undetectable
+(the paper's §6 early classification, with three-phase's own
+exhaustive search as the proof).  :class:`ThreePhaseStage` then issues
+every verdict as before, in work-list order, reusing those outcomes,
+so events, fault-sim credit and results do not change.
+
+Stages honor the run :class:`~repro.flow.budget.Budget` cooperatively:
+:class:`RandomTpgStage` stops at a walk boundary and its proof stops
+between faults, :class:`ThreePhaseStage` classifies every fault it has
+no outcome for ``aborted``/``"budget"`` once the deadline passes (an
+outcome already generated is honoured), and :class:`CompactionStage`
+skips (it only shrinks an already-valid test set).  A bounded run
+therefore always produces a complete, valid partial result.
 """
 
 from __future__ import annotations
@@ -26,12 +38,7 @@ from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 from repro.circuit.faults import Fault
 from repro.core.random_tpg import random_tpg
 from repro.core.sequences import Test
-from repro.core.three_phase import (
-    ABORTED,
-    DETECTED,
-    UNDETECTABLE,
-    ThreePhaseGenerator,
-)
+from repro.core.three_phase import ABORTED, DETECTED, UNDETECTABLE
 from repro.flow.budget import REASON_BUDGET
 from repro.flow.context import RunContext
 from repro.flow.events import BudgetExhausted, ProgressTick
@@ -167,7 +174,10 @@ class ReplayStage:
 
 
 class RandomTpgStage:
-    """Random walks on the CSSG with parallel fault simulation (§5.4)."""
+    """Random walks on the CSSG with parallel fault simulation (§5.4);
+    stops hunting faults three-phase proves undetectable (see the
+    module docstring).  ``stage_stats`` records ``n_detected``,
+    ``n_walks`` (walks actually run) and ``n_proven_undetectable``."""
 
     name = "random-tpg"
 
@@ -176,13 +186,30 @@ class RandomTpgStage:
 
     def run(self, ctx: RunContext) -> None:
         opts = ctx.options
+        n_walks = 0
+        n_proven = 0
 
         def on_walk(walk_index: int, n_detected: int) -> None:
+            nonlocal n_walks
+            n_walks += 1
             ctx.bus.emit(
                 ProgressTick(
                     self.name, walk_index + 1, opts.random_walks, n_detected
                 )
             )
+
+        def prove_undetectable(faults: List[Fault]) -> List[Fault]:
+            # Three-phase's own verdicts, through the run's outcome memo:
+            # the three-phase stage later reuses every one of them.
+            nonlocal n_proven
+            proven: List[Fault] = []
+            for fault in faults:
+                if ctx.budget.expired():
+                    break
+                if ctx.generate(fault).status == UNDETECTABLE:
+                    proven.append(fault)
+            n_proven = len(proven)
+            return proven
 
         detected_by, random_tests = random_tpg(
             ctx.cssg,
@@ -192,12 +219,17 @@ class RandomTpgStage:
             rng=ctx.rng,
             should_stop=ctx.budget.expired,
             on_walk=on_walk,
+            prove_undetectable=prove_undetectable,
         )
         for test in random_tests:
             test_index = ctx.add_test(test)
             for fault in test.faults:
                 ctx.classify(fault, DETECTED, "rnd", test_index)
-        ctx.stage_stats[self.name] = {"n_detected": len(detected_by)}
+        ctx.stage_stats[self.name] = {
+            "n_detected": len(detected_by),
+            "n_walks": n_walks,
+            "n_proven_undetectable": n_proven,
+        }
 
 
 class ThreePhaseStage:
@@ -214,27 +246,28 @@ class ThreePhaseStage:
     def run(self, ctx: RunContext) -> None:
         opts = ctx.options
         budget = ctx.budget
-        generator = ThreePhaseGenerator(
-            ctx.cssg,
-            budget.max_product_states,
-            faulty_semantics=opts.faulty_semantics,
-        )
         remaining = ctx.remaining()
         total = len(remaining)
         budget_announced = False
         for done, fault in enumerate(remaining, start=1):
             if fault in ctx.statuses:  # picked up by a previous fault's test
                 continue
-            if budget.expired():
+            # An outcome random TPG's proof already generated is honoured
+            # even past the deadline: that work is done.
+            if ctx.generated(fault) is None and budget.expired():
                 if not budget_announced:
                     budget_announced = True
-                    n_left = sum(1 for f in remaining if f not in ctx.statuses)
+                    n_left = sum(
+                        1
+                        for f in remaining
+                        if f not in ctx.statuses and ctx.generated(f) is None
+                    )
                     ctx.bus.emit(
                         BudgetExhausted(self.name, "deadline", n_left)
                     )
                 ctx.classify(fault, ABORTED, reason=REASON_BUDGET)
                 continue
-            outcome = generator.generate(fault, budget.max_activation_tries)
+            outcome = ctx.generate(fault)
             if outcome.status == DETECTED:
                 test = Test(outcome.patterns, [fault], source="3-phase")
                 extras: List[Fault] = []

@@ -1,4 +1,4 @@
-"""The five differential oracle pairs every scenario runs through.
+"""The six differential oracle pairs every scenario runs through.
 
 Each oracle compares two independent implementations that must agree;
 any disagreement is a :class:`Divergence` (a bug in one of the two, by
@@ -21,6 +21,10 @@ construction — there is no "expected output" file anywhere):
                the cohort-incremental path: cold byte-identity, warm
                pure-merge identity, then a mutation with the *exact*
                predicted cohort-reuse count and verdict replay
+``undetectable``  three-phase exhaustion vs the a-priori classifier
+               (:mod:`repro.ext.undetectable`) and vs random walks of
+               the arena kernel: a fault either side proves
+               undetectable is never detected by the other
 ============   ====================================================
 
 Oracles assert exactly the documented contracts and no more: the
@@ -28,7 +32,9 @@ incremental oracle predicts reuse counts from cohort-key set
 intersections (the invalidation matrix in ``docs/incremental.md``)
 and requires replayed faults to keep their cached verdicts, but does
 not compare stale-fault test indices to a from-scratch run — those
-are documented to differ.
+are documented to differ.  The undetectable oracle checks soundness
+only: a three-phase search cut short by its product-state cap proves
+nothing either way, and the classifier is not complete.
 
 Everything is deterministic in ``(scenario, caps)``: internal RNGs are
 seeded from the scenario seed, so a divergence found in CI replays
@@ -53,6 +59,8 @@ from repro.circuit.faults import fault_universe, materialize_fault
 from repro.circuit.netlist import Circuit
 from repro.circuit.parser import netlist_to_text, parse_netlist
 from repro.core.atpg import AtpgOptions
+from repro.core.three_phase import DETECTED, UNDETECTABLE, ThreePhaseGenerator
+from repro.ext.undetectable import POSSIBLY_DETECTABLE, classify_undetectable
 from repro.faultmodels import model_names
 from repro.fuzz.generator import Scenario
 from repro.fuzz.mutate import MUTATION_OPS, mutate_netlist
@@ -406,12 +414,70 @@ def _oracle_incremental(ctx: _Ctx) -> Tuple[int, List[str]]:
     return checks, bad
 
 
+#: Product-state cap of the undetectable oracle's three-phase searches
+#: (the same bound the incremental oracle gives its ATPG runs).
+_UNDETECTABLE_PRODUCT_CAP = 4000
+#: Random walks over the undetectable faults per scenario.
+_UNDETECTABLE_WALKS = 4
+
+
+def _oracle_undetectable(ctx: _Ctx) -> Tuple[int, List[str]]:
+    c = ctx.circuit
+    # Every claim here is relative to one CSSG, so all three sides share
+    # a single-input-change one: fuzzed specs can have 6+ primary inputs,
+    # where the unbounded CSSG offers ~100 vectors per state and each
+    # exhaustive search takes seconds per fault.
+    cssg = build_cssg(c, method="exact", max_input_changes=1)
+    faults = [f for model in model_names() for f in ctx.fault_sample(model)]
+    if not faults:
+        return 0, []
+    generator = ThreePhaseGenerator(cssg, _UNDETECTABLE_PRODUCT_CAP)
+    verdict = {fault: generator.generate(fault).status for fault in faults}
+    checks, bad = 0, []
+    # Every a-priori proof must survive three-phase's exhaustive search.
+    classified = classify_undetectable(
+        cssg, faults, use_symbolic=c.n_signals <= ctx.caps.max_symbolic_signals
+    )
+    for fault, cls in classified.items():
+        if cls.verdict == POSSIBLY_DETECTABLE:
+            continue
+        checks += 1
+        if verdict[fault] == DETECTED:
+            bad.append(
+                f"{fault.describe(c)}: classifier proved {cls.verdict}, "
+                "three-phase detected it"
+            )
+    # No random walk may detect a fault three-phase exhausted.
+    undetectable = [f for f in faults if verdict[f] == UNDETECTABLE]
+    if not undetectable:
+        return checks, bad
+    batch = FaultBatch(c, undetectable)
+    rng = random.Random(f"fuzz-undetectable:{ctx.scenario.seed}")
+    for _ in range(_UNDETECTABLE_WALKS):
+        patterns = cssg.random_walk(rng, ctx.caps.walk_len)
+        walk = batch.walk(cssg.reset)
+        good = cssg.reset
+        detected = walk.observe(good)
+        for pattern in patterns:
+            good = cssg.edges[good][pattern]
+            detected |= walk.step(pattern, good)
+        checks += 1
+        hit = [f for j, f in enumerate(undetectable) if (detected >> j) & 1]
+        if hit:
+            bad.append(
+                f"walk {patterns} detects three-phase-undetectable "
+                f"{[f.describe(c) for f in hit]}"
+            )
+    return checks, bad
+
+
 ORACLES: Dict[str, Callable[[_Ctx], Tuple[int, List[str]]]] = {
     "settle": _oracle_settle,
     "cssg": _oracle_cssg,
     "faults": _oracle_faults,
     "kernels": _oracle_kernels,
     "incremental": _oracle_incremental,
+    "undetectable": _oracle_undetectable,
 }
 
 
@@ -419,7 +485,7 @@ def oracle_names() -> Tuple[str, ...]:
     """All oracle pair names, battery order.
 
     >>> oracle_names()
-    ('settle', 'cssg', 'faults', 'kernels', 'incremental')
+    ('settle', 'cssg', 'faults', 'kernels', 'incremental', 'undetectable')
     """
     return tuple(ORACLES)
 

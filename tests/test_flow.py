@@ -425,3 +425,85 @@ def test_fault_subset_and_shared_cssg(celem):
     )
     assert result.n_total == 4
     assert result.cssg is cssg
+
+
+# -- one three-phase outcome per fault ---------------------------------------
+
+
+@pytest.mark.parametrize("use_random_tpg", [True, False])
+def test_three_phase_generates_each_fault_once(use_random_tpg, monkeypatch):
+    """converta/input: random TPG's undetectability proof and the
+    three-phase stage share one outcome per fault, so the generator runs
+    exactly once for each fault three-phase classifies."""
+    from collections import Counter
+
+    from repro.core.three_phase import ThreePhaseGenerator
+
+    calls = []
+    real_generate = ThreePhaseGenerator.generate
+
+    def spy(self, fault, *args, **kwargs):
+        calls.append(fault)
+        return real_generate(self, fault, *args, **kwargs)
+
+    monkeypatch.setattr(ThreePhaseGenerator, "generate", spy)
+    circuit = load_benchmark("converta", "complex")
+    result, events = run_with_recorder(
+        circuit, AtpgOptions(fault_model="input", use_random_tpg=use_random_tpg)
+    )
+    by_three_phase = [
+        e.fault
+        for e in events
+        if isinstance(e, FaultClassified)
+        and e.stage == "three-phase"
+        and e.phase != "sim"
+    ]
+    assert result.n_undetectable == 7
+    assert len(by_three_phase) >= 7
+    assert Counter(calls) == Counter(by_three_phase)
+    assert max(Counter(calls).values()) == 1
+
+
+def test_deadline_inside_the_undetectability_proof(monkeypatch):
+    """The deadline passes while random TPG's prover works on its first
+    fault: that proven fault still comes back undetectable (its outcome
+    is honoured), the unproven leftovers are aborted/'budget', and the
+    random detections stand."""
+    from repro.core.three_phase import ThreePhaseGenerator
+
+    now = [0.0]
+    budget = Budget(deadline_seconds=10.0, clock=lambda: now[0])
+    generated = []
+    real_generate = ThreePhaseGenerator.generate
+
+    def generate_past_deadline(self, fault, *args, **kwargs):
+        outcome = real_generate(self, fault, *args, **kwargs)
+        generated.append(fault)
+        now[0] = 100.0
+        return outcome
+
+    monkeypatch.setattr(ThreePhaseGenerator, "generate", generate_past_deadline)
+    circuit = load_benchmark("converta", "complex")
+    options = AtpgOptions(fault_model="input")
+    unbounded = Flow.default().run(circuit, options)
+    recorder = Recorder()
+    generated.clear()
+    now[0] = 0.0
+    result = Flow.default().run(
+        circuit, options, budget=budget, listeners=[recorder]
+    )
+    (proven,) = generated
+    assert result.statuses[proven].status == "undetectable"
+    leftovers = [
+        f for f in result.faults if unbounded.statuses[f].status != "detected"
+    ]
+    assert len(leftovers) == 7 and proven in leftovers
+    for fault in leftovers:
+        if fault != proven:
+            status = result.statuses[fault]
+            assert (status.status, status.reason) == ("aborted", REASON_BUDGET)
+    assert result.n_covered == unbounded.n_covered
+    (exhausted,) = [
+        e for e in recorder.events if isinstance(e, BudgetExhausted)
+    ]
+    assert exhausted.stage == "three-phase" and exhausted.n_remaining == 6

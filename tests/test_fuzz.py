@@ -316,5 +316,5 @@ def test_run_scenario_rejects_unknown_oracle():
     with pytest.raises(ValueError, match="unknown oracles"):
         run_scenario(scenario, ("nope",), OracleCaps())
     assert oracle_names() == (
-        "settle", "cssg", "faults", "kernels", "incremental"
+        "settle", "cssg", "faults", "kernels", "incremental", "undetectable"
     )
