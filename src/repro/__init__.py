@@ -23,9 +23,8 @@ Public API quick map:
   paper's collapse → random TPG → 3-phase → compaction), :class:`Budget`
   (deadline + per-fault caps), :class:`RunContext`, the typed event
   stream (:class:`EventBus`, :mod:`repro.flow.events`) and its consumers
-  (:class:`ProgressLine`, :class:`TraceWriter`, :class:`Heartbeat`);
-  options/results — :class:`AtpgOptions`, :class:`AtpgResult`
-  (:class:`AtpgEngine` survives as a deprecated facade)
+  (:class:`ProgressLine`, :class:`Heartbeat`); options/results —
+  :class:`AtpgOptions`, :class:`AtpgResult`
 * campaigns — :class:`CampaignSpec`, :func:`expand`, :func:`run_campaign`,
   :class:`ResultStore` (sharded corpus runs with a content-addressed
   cache and per-job flow heartbeats)
@@ -53,7 +52,6 @@ from repro.faultmodels import (
     register_model,
 )
 from repro.core import (
-    AtpgEngine,
     AtpgOptions,
     AtpgResult,
     Test,
@@ -79,7 +77,6 @@ from repro.flow import (
     ProgressLine,
     RunContext,
     Stage,
-    TraceWriter,
 )
 from repro.bdd import BddManager, LegacyBddManager
 from repro.sgraph import (
@@ -129,7 +126,6 @@ __all__ = [
     "parse_netlist",
     "load_netlist",
     "netlist_to_text",
-    "AtpgEngine",
     "AtpgOptions",
     "AtpgResult",
     "Budget",
@@ -139,7 +135,6 @@ __all__ = [
     "ProgressLine",
     "RunContext",
     "Stage",
-    "TraceWriter",
     "Test",
     "TestSet",
     "format_table",

@@ -193,12 +193,6 @@ class BddManager:
         self._level2var.append(index)
         return self.var(index)
 
-    def _level(self, ref: int) -> int:
-        """Level of a reference's top variable (terminals sink lowest)."""
-        if ref <= TRUE:
-            return _TERMINAL_LEVEL
-        return self._var2level[self._var[ref >> 1]]
-
     def _mk(self, var: int, lo: int, hi: int) -> int:
         if lo == hi:
             return lo
@@ -295,12 +289,6 @@ class BddManager:
         self._level2var = list(order)
         for level, v in enumerate(order):
             self._var2level[v] = level
-
-    def level_of(self, i: int) -> int:
-        """Current level of variable ``i`` (0 = topmost)."""
-        if not 0 <= i < self.n_vars:
-            raise BddError(f"variable {i} not declared (n_vars={self.n_vars})")
-        return self._var2level[i]
 
     def order(self) -> List[int]:
         """The current variable order: ``order()[level] = var``."""

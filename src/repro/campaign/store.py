@@ -12,7 +12,8 @@ cone sub-netlist, options, code version, schema versions — see
 :mod:`repro.campaign.plan` and :mod:`repro.campaign.cohort`), so
 invalidation is automatic: any change produces a different key, and
 stale entries are simply never addressed again.  Writes are atomic
-(temp file + ``fsync`` + ``os.replace``) so concurrent campaigns — or
+(temp file + ``fsync`` + ``os.replace``, through
+:func:`repro.obs.export.atomic_write_text`) so concurrent campaigns — or
 the ``repro-serve`` daemon's parallel workers — sharing a cache
 directory can only ever observe complete entries; when several writers
 race on the same key the last replace wins and every reader sees one
@@ -35,12 +36,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs import metrics as _obs
+from repro.obs.export import atomic_write_text
 
 #: Entry classes, in reporting order.
 ENTRY_CLASSES = ("results", "cohorts", "cssg")
@@ -127,19 +128,7 @@ class ResultStore:
             parts.append(f"{tag}{'_' if tag else ''}hits={h}")
             parts.append(f"{tag}{'_' if tag else ''}misses={m}")
         line = "summary " + " ".join(parts) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=str(log.parent), prefix=".stats-")
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, log)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(log, line, prefix=".stats-")
 
     @staticmethod
     def _read_lookup_counts(log: Path) -> Dict[str, List[int]]:
@@ -196,22 +185,11 @@ class ResultStore:
 
     def _write(self, key: str, payload: Dict, entry_class: str) -> Path:
         path = self.path_for(key, entry_class)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=f".{key[:8]}-", suffix=".tmp"
+        atomic_write_text(
+            path,
+            json.dumps(payload, separators=(",", ":")),
+            prefix=f".{key[:8]}-",
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         return path
 
     # -- whole-job results (the original store surface) ----------------

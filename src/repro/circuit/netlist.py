@@ -317,9 +317,6 @@ class Circuit:
         """Instantaneous function value of ``gate`` in ``state``."""
         return eval_binary(gate.program, state)
 
-    def is_excited(self, gate: Gate, state: int) -> bool:
-        return eval_binary(gate.program, state) != bit(state, gate.index)
-
     def excited_gates(self, state: int) -> List[Gate]:
         """All excited gates of ``state`` (the nondeterministic choices of
         the next-state function delta, §3.1)."""

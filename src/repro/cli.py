@@ -12,7 +12,7 @@ Examples::
     repro-atpg path/to/circuit.net --show-tests
     repro-atpg converta --json           # one result as a JSON object
     repro-atpg vbe6a --progress          # live stage/coverage line
-    repro-atpg vbe6a --trace out.jsonl   # structured event trace
+    repro-atpg vbe6a --spans out.jsonl   # span timeline + flow events
     repro-atpg vbe6a --deadline 0.5      # bounded run (partial result)
     repro-atpg vbe6a --collapse --compact --faulty-semantics ternary
 
@@ -44,6 +44,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.benchmarks_data import benchmark_names, load_benchmark
@@ -51,7 +52,7 @@ from repro.circuit.parser import load_netlist
 from repro.core.atpg import AtpgOptions
 from repro.errors import ReproError
 from repro.faultmodels import model_names
-from repro.flow import Flow, ProgressLine, TraceWriter
+from repro.flow import Flow, ProgressLine
 from repro.sgraph.cssg import CSSG_METHODS
 
 
@@ -133,12 +134,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="live one-line progress from the flow event stream (stderr)",
     )
     parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write the flow's event stream as JSON lines to FILE",
-    )
-    parser.add_argument(
         "--metrics",
         default=None,
         metavar="FILE",
@@ -151,7 +146,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--spans",
         default=None,
         metavar="FILE",
-        help="trace the run's spans and write them as JSON lines to FILE",
+        help=(
+            "trace the run and write one JSON line per span to FILE; "
+            "each flow event rides the span open when it was emitted"
+        ),
     )
     parser.add_argument(
         "--self-profile",
@@ -227,42 +225,19 @@ def main(argv=None) -> int:
             compact=args.compact,
             deadline_seconds=args.deadline,
         )
-        listeners = []
-        progress = trace = None
-        if args.progress:
-            progress = ProgressLine(sys.stderr)
-            listeners.append(progress)
-        if args.trace:
-            try:
-                trace = TraceWriter(args.trace)
-            except OSError as exc:
-                print(f"error: cannot open trace file: {exc}", file=sys.stderr)
-                return 1
-            listeners.append(trace)
+        progress = ProgressLine(sys.stderr) if args.progress else None
+        listeners = [progress] if progress is not None else []
         tracer = None
         if args.spans or args.self_profile:
             from repro.obs import Tracer
 
             tracer = Tracer()
-        if args.metrics:
-            from repro.obs import MetricsRegistry, enable
-
-            enable(MetricsRegistry())
-        try:
-            result = _run_observed(circuit, options, listeners, tracer, args)
-        finally:
-            if progress is not None:
-                progress.close()
-            if trace is not None:
-                trace.close()
-            if args.metrics:
-                from repro.obs import disable
-
-                disable()  # one-shot: don't leave the global switch armed
-        if args.metrics:
-            from repro.obs import get_registry, write_metrics
-
-            write_metrics(args.metrics, get_registry())
+        with _armed_metrics(bool(args.metrics), args.metrics):
+            try:
+                result = _run_observed(circuit, options, listeners, tracer, args)
+            finally:
+                if progress is not None:
+                    progress.close()
         if tracer is not None:
             if args.spans:
                 tracer.write_jsonl(args.spans)
@@ -290,6 +265,95 @@ def main(argv=None) -> int:
                 label += f": {record.reason}"
             print(f"  undetected [{label}]: {fault.describe(circuit)}")
     return 0
+
+
+@contextmanager
+def _armed_metrics(arm: bool, path):
+    """Arm a fresh ambient metrics registry over the block when ``arm``,
+    disarm it after (one-shot: never leave the global switch armed), and
+    write the registry to ``path`` when one is given and the block
+    succeeded — the ``--metrics`` plumbing of ``repro-atpg`` and
+    ``repro-campaign``."""
+    if not arm:
+        yield
+        return
+    from repro.obs import MetricsRegistry, disable, enable, get_registry, write_metrics
+
+    enable(MetricsRegistry())
+    try:
+        yield
+    finally:
+        disable()
+    if path:
+        write_metrics(path, get_registry())
+
+
+def _add_runner_options(parser, unit, refresh_help, hang_help, out_help, json_help):
+    """The campaign-runner options ``repro-campaign`` and ``repro-fuzz``
+    share; ``unit`` names one campaign job ("job" / "chunk")."""
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes (0 = in-process; default: CPU count)",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help=f"per-{unit} timeout in seconds (default: 600)",
+    )
+    parser.add_argument("--hang-timeout", type=float, default=None, help=hang_help)
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true", help="neither read nor write the cache"
+    )
+    parser.add_argument("--refresh", action="store_true", help=refresh_help)
+    parser.add_argument("--out", default=None, help=out_help)
+    parser.add_argument("--json", action="store_true", help=json_help)
+    parser.add_argument(
+        "--quiet", action="store_true", help=f"suppress per-{unit} progress on stderr"
+    )
+
+
+def _run_jobs(jobs, args, quiet=False, **kwargs):
+    """``run_campaign`` over ``jobs`` with the shared runner options,
+    printing one progress line per resolved job on stderr unless
+    ``--quiet`` or ``quiet``."""
+    from repro.campaign import ResultStore, run_campaign
+    from repro.campaign.runner import DEFAULT_JOB_TIMEOUT
+
+    def progress(outcome, done, total):
+        line = f"[{done}/{total}] {outcome.job.name}: {outcome.status}"
+        if outcome.executed:
+            line += f" ({outcome.seconds:.2f}s)"
+        if outcome.error:
+            line += f" — {outcome.error}"
+        print(line, file=sys.stderr)
+
+    return run_campaign(
+        jobs,
+        workers=args.workers,
+        store=None if args.no_cache else ResultStore(args.cache_dir),
+        timeout=args.timeout if args.timeout is not None else DEFAULT_JOB_TIMEOUT,
+        progress=None if args.quiet or quiet else progress,
+        refresh=args.refresh,
+        hang_timeout=args.hang_timeout,
+        **kwargs,
+    )
+
+
+def _print_failures(report) -> None:
+    for outcome in report.outcomes:
+        if not outcome.ok:
+            print(
+                f"error: {outcome.job.name}: {outcome.status} {outcome.error}",
+                file=sys.stderr,
+            )
 
 
 def _run_observed(circuit, options, listeners, tracer, args):
@@ -381,40 +445,17 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--walk-len", type=int, default=None, help="random TPG walk length"
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (0 = in-process; default: CPU count)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-job timeout in seconds (default: 600)",
-    )
-    parser.add_argument(
-        "--hang-timeout",
-        type=float,
-        default=None,
-        help=(
+    _add_runner_options(
+        parser,
+        "job",
+        refresh_help="ignore cached results but still store fresh ones",
+        hang_help=(
             "kill a worker silent (no flow heartbeat) this long; "
             "slow-but-alive jobs still get the full --timeout "
             "(default: disabled)"
         ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="neither read nor write the cache"
-    )
-    parser.add_argument(
-        "--refresh",
-        action="store_true",
-        help="ignore cached results but still store fresh ones",
+        out_help="write table.txt / campaign.csv / campaign.json here",
+        json_help="print the campaign manifest as JSON instead of the table",
     )
     parser.add_argument(
         "--incremental",
@@ -425,17 +466,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
             "replay from cached partials, only stale ones re-run "
             "(needs the cache; see docs/incremental.md)"
         ),
-    )
-    parser.add_argument(
-        "--out", default=None, help="write table.txt / campaign.csv / campaign.json here"
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the campaign manifest as JSON instead of the table",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-job progress on stderr"
     )
     parser.add_argument(
         "--dashboard",
@@ -462,14 +492,11 @@ def campaign_main(argv=None) -> int:
     from repro.benchmarks_data import TABLE1_NAMES, TABLE2_NAMES
     from repro.campaign import (
         CampaignSpec,
-        ResultStore,
         campaign_manifest,
         expand,
         rows_from_outcomes,
-        run_campaign,
         write_artifacts,
     )
-    from repro.campaign.runner import DEFAULT_JOB_TIMEOUT
     from repro.core.report import format_table
 
     args = build_campaign_parser().parse_args(argv)
@@ -516,56 +543,29 @@ def campaign_main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-
-    def progress(outcome, done, total):
-        if args.quiet:
-            return
-        line = f"[{done}/{total}] {outcome.job.name}: {outcome.status}"
-        if outcome.executed:
-            line += f" ({outcome.seconds:.2f}s)"
-        if outcome.error:
-            line += f" — {outcome.error}"
-        print(line, file=sys.stderr)
 
     title = "Table-2 campaign" if args.table2 else "Campaign"
     collect_telemetry = args.dashboard or bool(args.metrics)
-    dashboard = None
-    if args.dashboard:
-        from repro.obs import CampaignDashboard, MetricsRegistry, enable
+    with _armed_metrics(collect_telemetry, args.metrics):
+        dashboard = None
+        if args.dashboard:
+            from repro.obs import CampaignDashboard
 
-        enable(MetricsRegistry())
-        dashboard = CampaignDashboard(total_jobs=len(jobs))
-    elif args.metrics:
-        from repro.obs import MetricsRegistry, enable
-
-        enable(MetricsRegistry())
-    try:
-        report = run_campaign(
-            jobs,
-            workers=args.workers,
-            store=store,
-            timeout=args.timeout if args.timeout is not None else DEFAULT_JOB_TIMEOUT,
-            # The dashboard owns the stderr frame; per-job progress
-            # lines would tear it.
-            progress=None if args.dashboard else progress,
-            refresh=args.refresh,
-            hang_timeout=args.hang_timeout,
-            collect_telemetry=collect_telemetry,
-            dashboard=dashboard,
-            incremental=args.incremental,
-        )
-    finally:
-        if dashboard is not None:
-            dashboard.close()
-        if collect_telemetry:
-            from repro.obs import disable
-
-            disable()  # one-shot: don't leave the global switch armed
-    if args.metrics:
-        from repro.obs import get_registry, write_metrics
-
-        write_metrics(args.metrics, get_registry())
+            dashboard = CampaignDashboard(total_jobs=len(jobs))
+        try:
+            report = _run_jobs(
+                jobs,
+                args,
+                # The dashboard owns the stderr frame; per-job progress
+                # lines would tear it.
+                quiet=args.dashboard,
+                collect_telemetry=collect_telemetry,
+                dashboard=dashboard,
+                incremental=args.incremental,
+            )
+        finally:
+            if dashboard is not None:
+                dashboard.close()
     if args.out:
         write_artifacts(args.out, report, spec, title=title)
     if args.json:
@@ -583,12 +583,7 @@ def campaign_main(argv=None) -> int:
                 f"executed of {sum(d.get('cohorts_total', 0) for d in inc)}",
                 file=sys.stderr,
             )
-    for outcome in report.outcomes:
-        if not outcome.ok:
-            print(
-                f"error: {outcome.job.name}: {outcome.status} {outcome.error}",
-                file=sys.stderr,
-            )
+    _print_failures(report)
     return 0 if report.all_ok else 1
 
 
@@ -683,52 +678,16 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         default=None,
         help="faults sampled per model in the oracle battery",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (0 = in-process; default: CPU count)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-chunk timeout in seconds (default: 600)",
-    )
-    parser.add_argument(
-        "--hang-timeout",
-        type=float,
-        default=None,
-        help="kill a worker silent (no heartbeat) this long (default: off)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="neither read nor write the cache"
-    )
-    parser.add_argument(
-        "--refresh",
-        action="store_true",
-        help="ignore cached chunk results but still store fresh ones",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help=(
+    _add_runner_options(
+        parser,
+        "chunk",
+        refresh_help="ignore cached chunk results but still store fresh ones",
+        hang_help="kill a worker silent (no heartbeat) this long (default: off)",
+        out_help=(
             "directory for fuzz_report.json plus one shrunk .g/.net file "
             "per divergent seed (the nightly-job artifact)"
         ),
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the aggregate report as JSON instead of the summary",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-chunk progress on stderr"
+        json_help="print the aggregate report as JSON instead of the summary",
     )
     return parser
 
@@ -736,8 +695,6 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
 def fuzz_main(argv=None) -> int:
     from dataclasses import replace
 
-    from repro.campaign import ResultStore, run_campaign
-    from repro.campaign.runner import DEFAULT_JOB_TIMEOUT
     from repro.fuzz import (
         FuzzSpec,
         GeneratorConfig,
@@ -791,27 +748,7 @@ def fuzz_main(argv=None) -> int:
     except (ReproError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-
-    def progress(outcome, done, total):
-        if args.quiet:
-            return
-        line = f"[{done}/{total}] {outcome.job.name}: {outcome.status}"
-        if outcome.executed:
-            line += f" ({outcome.seconds:.2f}s)"
-        if outcome.error:
-            line += f" — {outcome.error}"
-        print(line, file=sys.stderr)
-
-    report = run_campaign(
-        jobs,
-        workers=args.workers,
-        store=store,
-        timeout=args.timeout if args.timeout is not None else DEFAULT_JOB_TIMEOUT,
-        progress=progress,
-        refresh=args.refresh,
-        hang_timeout=args.hang_timeout,
-    )
+    report = _run_jobs(jobs, args)
     payloads = [o.payload for o in report.outcomes if o.payload is not None]
     aggregate = aggregate_reports(payloads)
     if args.out:
@@ -835,12 +772,7 @@ def fuzz_main(argv=None) -> int:
                 f"DIVERGENCE seed={d['seed']} oracle={d['oracle']}: {d['detail']}"
             )
     print(report.summary(), file=sys.stderr)
-    for outcome in report.outcomes:
-        if not outcome.ok:
-            print(
-                f"error: {outcome.job.name}: {outcome.status} {outcome.error}",
-                file=sys.stderr,
-            )
+    _print_failures(report)
     # The CI smoke gate is this exit code: 0 means every chunk ran
     # (or replayed) cleanly AND no oracle pair disagreed on any seed.
     return 0 if report.all_ok and aggregate["n_divergent"] == 0 else 1

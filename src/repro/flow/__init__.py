@@ -17,7 +17,9 @@ monolith:
 * :mod:`repro.flow.events` — the typed event stream
   (``StageStarted`` … ``BudgetExhausted``) and :class:`EventBus`;
 * :mod:`repro.flow.consumers` — ready-made listeners:
-  :class:`ProgressLine`, :class:`TraceWriter`, :class:`Heartbeat`.
+  :class:`ProgressLine`, :class:`Heartbeat`.  A run under a recording
+  :class:`~repro.obs.trace.Tracer` also files every event on its span
+  timeline (see :mod:`repro.flow.flow`).
 """
 
 from repro.flow.budget import (
@@ -27,7 +29,7 @@ from repro.flow.budget import (
     REASON_BUDGET,
     REASON_PRODUCT_STATES,
 )
-from repro.flow.consumers import Heartbeat, ProgressLine, TraceWriter
+from repro.flow.consumers import Heartbeat, ProgressLine
 from repro.flow.context import REASON_UNPROCESSED, RunContext
 from repro.flow.events import (
     BudgetExhausted,
@@ -58,7 +60,6 @@ __all__ = [
     "REASON_UNPROCESSED",
     "Heartbeat",
     "ProgressLine",
-    "TraceWriter",
     "RunContext",
     "BudgetExhausted",
     "EventBus",

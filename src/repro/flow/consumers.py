@@ -1,26 +1,24 @@
-"""Event-stream consumers: progress line, JSONL trace, heartbeats.
+"""Event-stream consumers: progress line and heartbeats.
 
-Three ready-made listeners for the flow's :class:`EventBus`, all fed by
+Two ready-made listeners for the flow's :class:`EventBus`, both fed by
 the same typed stream:
 
 * :class:`ProgressLine` — a live single-line status on a TTY-ish stream
   (``repro-atpg --progress``);
-* :class:`TraceWriter` — one JSON object per event, appended to a
-  ``.jsonl`` file (``repro-atpg --trace out.jsonl``); replayable by any
-  tool that reads JSON lines;
 * :class:`Heartbeat` — a throttled liveness callback; the campaign
   runner's workers use it to tell the parent "slow but alive", so a
   silent worker can be distinguished from a busy one.
+
+The structured record of the stream is not a listener here: a run
+under a recording :class:`~repro.obs.trace.Tracer` files every event
+on the span open when it was emitted (``repro-atpg --spans FILE``).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import sys
-import tempfile
 import time
-from typing import Callable, IO, Optional, Union
+from typing import Callable, IO, Optional
 
 from repro.flow.events import (
     BudgetExhausted,
@@ -32,7 +30,7 @@ from repro.flow.events import (
     TestAdded,
 )
 
-__all__ = ["ProgressLine", "TraceWriter", "Heartbeat"]
+__all__ = ["ProgressLine", "Heartbeat"]
 
 
 class ProgressLine:
@@ -117,89 +115,6 @@ class ProgressLine:
             self.stream.flush()
 
     def __enter__(self) -> "ProgressLine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class TraceWriter:
-    """Writes every event as one JSON line: ``{"seq": N, "t": secs,
-    "event": "FaultClassified", ...}``.  ``t`` is seconds since the
-    writer was created (wall clock — strip it when diffing traces).
-
-    A *path* target gets the same atomic-write discipline as the
-    campaign result store: records accumulate in a same-directory temp
-    file (binary mode, so byte offsets are exact), a watermark tracks
-    the end of the last *complete* record, and :meth:`close` truncates
-    to the watermark before ``os.replace``-ing the temp file into
-    place.  A crash mid-run leaves no file at the target path; an
-    exception mid-record (disk full, encoding error) can never publish
-    a truncated JSON line — the half-record is cut at close.  The file
-    is flushed at every ``StageFinished``, so the temp file on disk is
-    near-current during long runs.
-
-    Pass an open *handle* to keep full control of the file: records are
-    written through directly (non-atomic), and :meth:`close` flushes
-    without closing or replacing anything."""
-
-    def __init__(self, target: Union[str, IO]):
-        if isinstance(target, str):
-            directory = os.path.dirname(os.path.abspath(target))
-            fd, self._tmp_path = tempfile.mkstemp(
-                dir=directory, prefix=".trace-", suffix=".tmp"
-            )
-            self._handle: IO = os.fdopen(fd, "wb")
-            self._final_path: Optional[str] = target
-            self._owns = True
-        else:
-            self._handle = target
-            self._tmp_path = None
-            self._final_path = None
-            self._owns = False
-        self._seq = 0
-        self._t0 = time.perf_counter()
-        self._complete = 0  # byte watermark after the last full record
-        self._closed = False
-
-    def __call__(self, event: FlowEvent) -> None:
-        doc = {"seq": self._seq, "t": round(time.perf_counter() - self._t0, 6)}
-        doc.update(event.to_json_dict())
-        line = json.dumps(doc, separators=(",", ":")) + "\n"
-        if self._owns:
-            self._handle.write(line.encode("utf-8"))
-            self._complete = self._handle.tell()
-        else:
-            self._handle.write(line)
-        self._seq += 1
-        if isinstance(event, StageFinished):
-            self._handle.flush()
-
-    def close(self) -> None:
-        """Publish the trace.  Safe to call after an error and more
-        than once; the published file always ends on a record
-        boundary."""
-        if self._closed:
-            return
-        self._closed = True
-        if not self._owns:
-            self._handle.flush()
-            return
-        try:
-            self._handle.flush()
-            self._handle.truncate(self._complete)
-            self._handle.close()
-            os.replace(self._tmp_path, self._final_path)
-        except BaseException:
-            try:
-                if not self._handle.closed:
-                    self._handle.close()
-                os.unlink(self._tmp_path)
-            except OSError:
-                pass
-            raise
-
-    def __enter__(self) -> "TraceWriter":
         return self
 
     def __exit__(self, *exc) -> None:

@@ -15,8 +15,9 @@ emitting events on the run's :class:`EventBus`:
 
 Events are frozen dataclasses with a stable :meth:`to_json_dict` form,
 so the same stream feeds the ``repro-atpg --progress`` live line, the
-``--trace out.jsonl`` structured trace, and the campaign runner's
-per-job heartbeats.  The stream is **deterministic** for a fixed
+span events of a traced run (``--spans FILE``: each event rides the
+span open when it was emitted), and the campaign runner's per-job
+heartbeats.  The stream is **deterministic** for a fixed
 (circuit, options, seed) — only the wall-clock fields
 (:attr:`StageFinished.seconds`) vary between runs.
 """

@@ -10,10 +10,12 @@ freezing the context into an :class:`~repro.core.atpg.AtpgResult`.
 
 Listeners subscribe per run::
 
-    result = Flow.default().run(
-        circuit, options,
-        listeners=[ProgressLine(), TraceWriter("out.jsonl")],
-    )
+    result = Flow.default().run(circuit, options, listeners=[ProgressLine()])
+
+Under a recording tracer (:func:`repro.obs.use_tracer`) the run also
+files every event on the innermost span open at emission time
+(:meth:`repro.obs.Tracer.event`), so one span file carries the run's
+timeline and its verdict narrative (``repro-atpg --spans FILE``).
 """
 
 from __future__ import annotations
@@ -116,11 +118,13 @@ class Flow:
             bus.subscribe(listener)
         # Observability is ambient, never part of the call contract:
         # with metrics enabled the run also feeds a MetricsConsumer, and
-        # every stage runs under a tracer span.  Both are observational
+        # under a recording tracer every stage runs in a span that also
+        # collects the events emitted inside it.  Both are observational
         # only — the event stream and the default serialized payload are
         # byte-identical with or without them; the opt-in `telemetry`
         # block below is the single exception.
-        observing = obs_metrics.enabled() or tracing_active()
+        tracing = tracing_active()
+        observing = obs_metrics.enabled() or tracing
         if obs_metrics.enabled():
             from repro.obs.metrics import MetricsConsumer
 
@@ -135,6 +139,8 @@ class Flow:
         with tracer.span(
             "flow.run", circuit=circuit.name, fault_model=opts.fault_model
         ):
+            if tracing:
+                bus.subscribe(lambda event: tracer.event(event.to_json_dict()))
             if cssg is None:
                 bus.emit(StageStarted("cssg", len(faults)))
                 t0 = time.perf_counter()

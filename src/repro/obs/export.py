@@ -44,16 +44,21 @@ __all__ = [
 ]
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a same-directory temp file and
-    ``os.replace`` — the store's atomic-write discipline, so a reader
-    (or a crash) can never observe a half-written file."""
+def atomic_write_text(path, text: str, prefix: str = ".obs-") -> None:
+    """Write ``text`` to ``path`` through a same-directory temp file
+    ``<prefix>….tmp``: write, flush, ``fsync``, then ``os.replace``.
+    A reader (or a crash) sees the old file or the complete new one,
+    never a torn one, and a write that raises leaves no temp file.
+    Result-store entries, span files and metrics files all go through
+    here."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".obs-", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:

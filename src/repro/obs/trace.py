@@ -13,6 +13,12 @@ Spans carry the only wall-clock data the observability layer produces
 had): event payloads and serialized results stay byte-deterministic,
 and anything timing-shaped lives here.
 
+**Span events.**  :meth:`Tracer.event` files a point-in-time record
+on the innermost open span.  A flow run under a recording tracer
+subscribes one listener that files every flow event this way, so a
+span's ``events`` list narrates the verdicts reached while it was
+open, next to its timing.
+
 The finished-span records (:attr:`Tracer.spans`) serialize to JSON
 lines (:meth:`Tracer.write_jsonl`) and fold into a per-run
 **self-profile** (:meth:`Tracer.profile` /
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = [
     "Span",
@@ -52,13 +58,15 @@ __all__ = [
 class Span:
     """One open span; becomes a finished record when its ``with`` block
     exits.  ``set`` attaches attributes mid-flight (counts discovered
-    during the work, e.g. image-iteration totals)."""
+    during the work, e.g. image-iteration totals); ``events`` collects
+    what :meth:`Tracer.event` files while this is the innermost span."""
 
-    __slots__ = ("name", "attrs", "_tracer", "_id", "_parent", "_t0")
+    __slots__ = ("name", "attrs", "events", "_tracer", "_id", "_parent", "_t0")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Dict):
         self.name = name
         self.attrs = attrs
+        self.events: List[Dict] = []
         self._tracer = tracer
         self._id = -1
         self._parent = -1
@@ -71,8 +79,8 @@ class Span:
         tracer = self._tracer
         self._id = tracer._next_id
         tracer._next_id += 1
-        self._parent = tracer._stack[-1] if tracer._stack else -1
-        tracer._stack.append(self._id)
+        self._parent = tracer._stack[-1]._id if tracer._stack else -1
+        tracer._stack.append(self)
         self._t0 = time.perf_counter()
         return self
 
@@ -91,20 +99,22 @@ class Span:
             record["error"] = exc_type.__name__
         if self.attrs:
             record["attrs"] = self.attrs
+        if self.events:
+            record["events"] = self.events
         tracer.spans.append(record)
 
 
 class Tracer:
     """Collects finished span records, in completion order.
 
-    ``start`` fields are seconds since the tracer was created (one
-    monotonic epoch per tracer), so a span file is self-contained and
-    diffable without absolute timestamps.
+    ``start`` fields (and event ``t`` stamps) are seconds since the
+    tracer was created (one monotonic epoch per tracer), so a span file
+    is self-contained and diffable without absolute timestamps.
     """
 
     def __init__(self) -> None:
         self.spans: List[Dict] = []
-        self._stack: List[int] = []
+        self._stack: List[Span] = []
         self._next_id = 0
         self._t0 = time.perf_counter()
 
@@ -112,11 +122,22 @@ class Tracer:
         """A new span context manager under the currently open span."""
         return Span(self, name, attrs)
 
+    def event(self, doc: Dict) -> None:
+        """File ``{"t": <seconds since the tracer epoch>, **doc}`` on the
+        innermost open span; its record then carries an ``events`` list.
+        ``t`` is left unrounded, so sorting by it restores emission order
+        across spans.  With no span open the event is dropped."""
+        if self._stack:
+            self._stack[-1].events.append(
+                {"t": time.perf_counter() - self._t0, **doc}
+            )
+
     # -- outputs ---------------------------------------------------------
 
     def write_jsonl(self, path: str) -> int:
-        """Write one JSON object per finished span; returns the count.
-        The write is atomic (temp file + replace) like every other
+        """Write one JSON object per finished span (events included);
+        returns the count.  The write is atomic
+        (:func:`~repro.obs.export.atomic_write_text`) like every other
         artifact writer in the package."""
         from repro.obs.export import atomic_write_text
 

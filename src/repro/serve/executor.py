@@ -175,10 +175,6 @@ class ForkedExecutor:
             self._pool.spawn()
         self._thread.start()
 
-    @property
-    def n_unresolved(self) -> int:
-        return len(self._unresolved) + self._incoming.qsize()
-
     def submit(self, job: Job) -> None:
         self._incoming.put(job)
 

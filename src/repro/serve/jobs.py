@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import itertools
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -110,9 +109,6 @@ class EventLog:
         self._closed = True
         self._wake()
 
-    def close_threadsafe(self) -> None:
-        self._loop.call_soon_threadsafe(self.close)
-
     async def stream(self, start: int = 0):
         """Yield ``(seq, doc)`` from ``start``; live until closed."""
         cursor = start
@@ -134,9 +130,6 @@ class EventLog:
             await fut
 
 
-_record_ids = itertools.count(1)
-
-
 @dataclass
 class JobRecord:
     """One accepted submission and its lifecycle."""
@@ -154,10 +147,6 @@ class JobRecord:
     error: str = ""
     payload: Optional[Dict] = field(default=None, repr=False)
     primary_id: Optional[str] = None  #: set on coalesced followers
-
-    @staticmethod
-    def new_id() -> str:
-        return f"j{next(_record_ids):06d}"
 
     @property
     def active(self) -> bool:

@@ -244,11 +244,6 @@ class SymbolicTcsg:
                     self._checkpoint(reached, frontier)
         raise StateGraphError("symbolic reachability did not converge")
 
-    def stable_reachable(self, from_states: Optional[int] = None) -> int:
-        """The reachable *stable* states — the node universe of the CSSG
-        before the validity pruning."""
-        return self.mgr.apply_and(self.reachable(from_states), self.stable)
-
     def enumerate_states(self, bdd: int) -> Iterator[int]:
         """Decode a state-set BDD into packed state ints."""
         for assignment in self.mgr.sat_iter(bdd, list(range(self.n))):

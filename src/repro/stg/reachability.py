@@ -47,9 +47,6 @@ class StateGraph:
     def code_of(self, state_id: int) -> int:
         return self.states[state_id][1]
 
-    def marking_of(self, state_id: int) -> Marking:
-        return self.states[state_id][0]
-
     def signal_bit(self, signal: str) -> int:
         return self.stg.signals.index(signal)
 

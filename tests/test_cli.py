@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.core.atpg import RESULT_SCHEMA_VERSION
 
@@ -143,9 +145,21 @@ def test_progress_flag_renders_live_line(capsys):
 
 
 def test_trace_flag_writes_jsonl(tmp_path, capsys):
-    path = tmp_path / "trace.jsonl"
-    assert main(["dff", "--trace", str(path)]) == 0
-    docs = [json.loads(line) for line in path.read_text().splitlines()]
-    assert docs[0]["event"] == "StageStarted"
-    events = {d["event"] for d in docs}
-    assert {"StageFinished", "FaultClassified", "TestAdded"} <= events
+    """``--spans`` is the one trace file: the flow events ride the span
+    records, each exactly once.  ``--trace`` is gone."""
+    path = tmp_path / "spans.jsonl"
+    assert main(["dff", "--spans", str(path)]) == 0
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    events = sorted(
+        (event for rec in records for event in rec.get("events", ())),
+        key=lambda event: event["t"],
+    )
+    assert events[0]["event"] == "StageStarted"
+    assert {"StageFinished", "FaultClassified", "TestAdded"} <= {
+        event["event"] for event in events
+    }
+    # 10 input stuck-at faults on dff: one verdict each, filed once
+    assert sum(e["event"] == "FaultClassified" for e in events) == 10
+    with pytest.raises(SystemExit) as exc:
+        main(["dff", "--trace", str(tmp_path / "trace.jsonl")])
+    assert exc.value.code == 2

@@ -5,8 +5,9 @@ import pytest
 from repro.benchmarks_data import load_benchmark
 from repro.circuit.faults import Fault, input_fault_universe, output_fault_universe
 from repro.circuit.parser import parse_netlist
-from repro.core.atpg import AtpgEngine, AtpgOptions
+from repro.core.atpg import AtpgOptions
 from repro.core.collapse import collapse_faults, collapse_ratio
+from repro.flow import Flow
 
 
 def gate_net(expr):
@@ -73,8 +74,8 @@ def test_different_gates_never_merge(celem):
 @pytest.mark.parametrize("name", ["ebergen", "mmu", "sbuf-send-ctl"])
 def test_collapse_is_lossless_in_the_engine(name):
     circuit = load_benchmark(name, "complex")
-    plain = AtpgEngine(circuit, AtpgOptions(seed=3)).run()
-    collapsed = AtpgEngine(circuit, AtpgOptions(seed=3, collapse=True)).run()
+    plain = Flow.default().run(circuit, AtpgOptions(seed=3))
+    collapsed = Flow.default().run(circuit, AtpgOptions(seed=3, collapse=True))
     assert collapsed.n_total == plain.n_total
     assert collapsed.n_covered == plain.n_covered
     # Every fault gets a status after class expansion.

@@ -3,18 +3,19 @@
 import pytest
 
 from repro.benchmarks_data import load_benchmark
-from repro.core.atpg import AtpgEngine, AtpgOptions
+from repro.core.atpg import AtpgOptions
 from repro.core.compact import compact_test_set
 from repro.core.verify import verify_test_set
+from repro.flow import Flow
 
 
 @pytest.mark.parametrize("name", ["sbuf-send-ctl", "master-read", "mmu"])
 def test_compaction_preserves_guaranteed_coverage(name):
     circuit = load_benchmark(name, "complex")
     # A wasteful budget to give compaction something to remove.
-    result = AtpgEngine(
+    result = Flow.default().run(
         circuit, AtpgOptions(seed=2, random_walks=12, walk_len=24)
-    ).run()
+    )
     before = verify_test_set(result.cssg, result.tests.tests, result.faults)
     compacted, stats = compact_test_set(
         result.cssg, result.tests.tests, result.faults
@@ -29,7 +30,7 @@ def test_compaction_preserves_guaranteed_coverage(name):
 def test_compaction_actually_removes_redundancy(celem):
     # Duplicate every generated test: the copies are pure redundancy and
     # compaction must throw at least that much away.
-    result = AtpgEngine(celem, AtpgOptions(seed=0)).run()
+    result = Flow.default().run(celem, AtpgOptions(seed=0))
     doubled = result.tests.tests + [
         type(t)(t.patterns, list(t.faults), t.source) for t in result.tests.tests
     ]
@@ -39,7 +40,7 @@ def test_compaction_actually_removes_redundancy(celem):
 
 
 def test_compacted_tests_carry_their_detections(celem):
-    result = AtpgEngine(celem, AtpgOptions(seed=1)).run()
+    result = Flow.default().run(celem, AtpgOptions(seed=1))
     compacted, _ = compact_test_set(result.cssg, result.tests.tests, result.faults)
     confirm = verify_test_set(result.cssg, compacted.tests, result.faults)
     for test, hits in zip(compacted.tests, confirm.per_test):

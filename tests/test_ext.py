@@ -4,7 +4,7 @@ import pytest
 
 from repro.benchmarks_data import load_benchmark
 from repro.circuit.faults import input_fault_universe
-from repro.core.atpg import AtpgEngine, AtpgOptions
+from repro.core.atpg import AtpgOptions
 from repro.errors import NetlistError
 from repro.ext.paths import enumerate_paths, structural_paths
 from repro.ext.scan import insert_scan_inputs, rank_scan_candidates
@@ -14,6 +14,7 @@ from repro.ext.undetectable import (
     STABLE_EQUIVALENT,
     classify_undetectable,
 )
+from repro.flow import Flow
 from repro.sgraph.cssg import build_cssg
 
 
@@ -36,12 +37,12 @@ def test_scan_rejects_bad_names(celem):
 def test_scan_improves_coverage_on_redundant_circuit():
     circuit = load_benchmark("converta", "complex")
     options = AtpgOptions(fault_model="input", seed=1)
-    base = AtpgEngine(circuit, options).run()
+    base = Flow.default().run(circuit, options)
     assert base.coverage < 1.0
     ranking = rank_scan_candidates(circuit, base.undetected_faults())
     assert ranking
     scanned = insert_scan_inputs(circuit, [ranking[0][0]])
-    improved = AtpgEngine(scanned, options).run()
+    improved = Flow.default().run(scanned, options)
     assert improved.coverage > base.coverage
 
 
@@ -78,7 +79,7 @@ def test_classifier_on_known_redundancy():
 def test_classifier_never_flags_detectable_faults(celem):
     """Soundness: every fault the engine detects must be classified as
     possibly detectable."""
-    result = AtpgEngine(celem, AtpgOptions(seed=1)).run()
+    result = Flow.default().run(celem, AtpgOptions(seed=1))
     cssg = result.cssg
     detected = [
         f for f in result.faults if result.statuses[f].status == "detected"
@@ -108,7 +109,6 @@ def test_never_excited_sees_transient_pulses(use_symbolic):
     states alone wrongly called both faults never excited."""
     from repro.circuit.faults import Fault
     from repro.circuit.parser import parse_netlist
-    from repro.flow import Flow
 
     circuit = parse_netlist(PULSE_NET)
     cssg = build_cssg(circuit)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
 from repro.circuit.faults import fault_universe
-from repro.core.atpg import AtpgEngine, AtpgOptions
+from repro.core.atpg import AtpgOptions, cssg_for
 from repro.flow import (
     Budget,
     BudgetExhausted,
@@ -23,10 +23,10 @@ from repro.flow import (
     StageStarted,
     TestAdded,
     ThreePhaseStage,
-    TraceWriter,
     REASON_BUDGET,
     REASON_UNPROCESSED,
 )
+from repro.obs import Tracer, use_tracer
 
 
 def strip_cpu(payload):
@@ -35,40 +35,56 @@ def strip_cpu(payload):
     return clean
 
 
-def engine_result(circuit, options):
-    """Run the deprecated facade with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return AtpgEngine(circuit, options).run()
+def untraced(result):
+    """A traced run's payload minus its opt-in telemetry block."""
+    doc = strip_cpu(result.to_json_dict())
+    del doc["telemetry"]
+    return doc
 
 
-# -- engine-vs-flow parity ---------------------------------------------------
+def span_events(tracer):
+    """Every event filed on ``tracer``'s spans, in emission order."""
+    return sorted(
+        (event for rec in tracer.spans for event in rec.get("events", ())),
+        key=lambda event: event["t"],
+    )
+
+
+# -- parity ------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", TABLE1_NAMES)
 def test_flow_matches_legacy_engine_on_table1(name):
-    """Acceptance: identical payloads (modulo cpu_seconds) on every
-    Table-1 benchmark."""
+    """Tracing is observational on every Table-1 benchmark: a run under
+    a recording tracer yields the untraced payload (modulo cpu_seconds
+    and the opt-in telemetry block) and files each event exactly once.
+    (The ID dates from when this compared a since-removed engine facade
+    with the flow.)"""
     circuit = load_benchmark(name, "complex")
     options = AtpgOptions(seed=0)
-    via_flow = Flow.default().run(circuit, options)
-    via_engine = engine_result(circuit, options)
-    assert strip_cpu(via_flow.to_json_dict()) == strip_cpu(
-        via_engine.to_json_dict()
-    )
+    plain = Flow.default().run(circuit, options)
+    seen = []
+    with use_tracer(Tracer()) as tracer:
+        traced = Flow.default().run(circuit, options, listeners=[seen.append])
+    assert plain.telemetry is None
+    assert untraced(traced) == strip_cpu(plain.to_json_dict())
+    assert len(span_events(tracer)) == len(seen)
 
 
 def test_flow_matches_engine_with_collapse_and_output_model():
+    """Passing the fault universe and a pre-built CSSG explicitly (how
+    callers share one construction) changes nothing in the result."""
     circuit = load_benchmark("converta", "complex")
     options = AtpgOptions(fault_model="output", seed=5, collapse=True)
-    assert strip_cpu(Flow.default().run(circuit, options).to_json_dict()) == (
-        strip_cpu(engine_result(circuit, options).to_json_dict())
+    explicit = Flow.default().run(
+        circuit,
+        options,
+        faults=fault_universe(circuit, "output"),
+        cssg=cssg_for(circuit, options),
     )
-
-
-def test_engine_facade_warns_deprecation(celem):
-    with pytest.warns(DeprecationWarning, match="AtpgEngine is deprecated"):
-        AtpgEngine(celem)
+    assert strip_cpu(Flow.default().run(circuit, options).to_json_dict()) == (
+        strip_cpu(explicit.to_json_dict())
+    )
 
 
 # -- budgets -----------------------------------------------------------------
@@ -308,17 +324,30 @@ def test_event_bus_raising_listener_dropped_without_disturbing_run(celem):
 
 
 def test_trace_writer_emits_replayable_jsonl(celem, tmp_path):
-    path = tmp_path / "trace.jsonl"
-    with TraceWriter(str(path)) as trace:
-        Flow.default().run(celem, AtpgOptions(seed=1), listeners=[trace])
-    lines = path.read_text().strip().splitlines()
-    docs = [json.loads(line) for line in lines]
-    assert [d["seq"] for d in docs] == list(range(len(docs)))
-    assert docs[0]["event"] == "StageStarted" and docs[0]["stage"] == "cssg"
+    """Under a recording tracer the flow files every event on the span
+    open at emission time: sorted by ``t``, the span events are the
+    plain listener's stream field for field, and the span file replays
+    them."""
+    options = AtpgOptions(seed=1)
+    plain = Flow.default().run(celem, options)
+    seen = []
+    with use_tracer(Tracer()) as tracer:
+        traced = Flow.default().run(celem, options, listeners=[seen.append])
+    filed = span_events(tracer)
+    assert [
+        {key: value for key, value in event.items() if key != "t"}
+        for event in filed
+    ] == [event.to_json_dict() for event in seen]
+    assert filed[0]["event"] == "StageStarted" and filed[0]["stage"] == "cssg"
     assert {"FaultClassified", "TestAdded", "StageFinished"} <= {
-        d["event"] for d in docs
+        event["event"] for event in filed
     }
-    assert all("t" in d for d in docs)
+    assert untraced(traced) == strip_cpu(plain.to_json_dict())
+
+    path = tmp_path / "spans.jsonl"
+    assert tracer.write_jsonl(str(path)) == len(tracer.spans)
+    replayed = [json.loads(line) for line in path.read_text().splitlines()]
+    assert replayed == tracer.spans
 
 
 def test_progress_line_renders_and_closes(celem):

@@ -18,6 +18,7 @@ from repro.flow.events import EventBus, StageFinished, StageStarted
 from repro.obs import metrics as obs_metrics
 from repro.obs.dashboard import CampaignDashboard
 from repro.obs.export import (
+    atomic_write_text,
     parse_prometheus_text,
     to_json_text,
     to_prometheus_text,
@@ -356,40 +357,64 @@ def test_progress_line_non_tty_emits_plain_lines():
     assert all(l.startswith("[random-tpg]") for l in lines)
 
 
-def test_trace_writer_atomic_publish_and_crash_safety(tmp_path):
-    from repro.flow.consumers import TraceWriter
+def test_trace_writer_atomic_publish_and_crash_safety(tmp_path, monkeypatch):
+    """The one atomic writer (span files, metrics, store entries): the
+    target appears only at ``os.replace``, after an fsync of the temp
+    file, and a write that raises leaves neither file behind."""
+    target = tmp_path / "spans.jsonl"
+    real_replace = os.replace
+    steps = []
 
-    target = tmp_path / "trace.jsonl"
-    writer = TraceWriter(str(target))
-    writer(StageStarted(stage="s", n_remaining=1))
-    writer(StageFinished(stage="s", seconds=0.1))
-    assert not target.exists()  # nothing published before close
-    writer.close()
-    writer.close()  # idempotent
-    records = [json.loads(l) for l in target.read_text().splitlines()]
-    assert [r["event"] for r in records] == ["StageStarted", "StageFinished"]
-    assert [r["seq"] for r in records] == [0, 1]
+    def spy_fsync(fd):
+        steps.append("fsync")
 
-    # a writer that never reaches close leaves no file at the target
-    orphan = tmp_path / "never.jsonl"
-    writer2 = TraceWriter(str(orphan))
-    writer2(StageStarted(stage="s", n_remaining=1))
-    del writer2
-    assert not orphan.exists()
+    def spy_replace(src, dst):
+        assert not os.path.exists(dst)  # nothing at the target before publish
+        steps.append(os.path.basename(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    atomic_write_text(str(target), "{}\n")
+    assert steps[0] == "fsync" and steps[1].startswith(".obs-")
+    assert target.read_text() == "{}\n"
+
+    # store entries: same writer, `.<key[:8]>-….tmp` names (what prune
+    # reaps), compact JSON bytes
+    from repro.campaign.store import ResultStore
+
+    steps.clear()
+    key = "ab12cd34" * 8
+    path = ResultStore(tmp_path / "cache").put(key, {"b": 1, "a": [1, 2]})
+    assert steps[0] == "fsync"
+    assert steps[1].startswith(f".{key[:8]}-") and steps[1].endswith(".tmp")
+    assert path.read_text() == '{"b":1,"a":[1,2]}'
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    doomed = tmp_path / "never.jsonl"
+    with pytest.raises(OSError):
+        atomic_write_text(str(doomed), "{}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "spans.jsonl"]
 
 
-def test_trace_writer_truncates_half_record_at_close(tmp_path):
-    from repro.flow.consumers import TraceWriter
-
-    target = tmp_path / "trace.jsonl"
-    writer = TraceWriter(str(target))
-    writer(StageStarted(stage="s", n_remaining=1))
-    # simulate a mid-record failure: bytes past the watermark
-    writer._handle.write(b'{"seq":1,"truncat')
-    writer.close()
-    lines = target.read_text().splitlines()
-    assert len(lines) == 1
-    json.loads(lines[0])  # the published file ends on a record boundary
+def test_tracer_event_files_on_innermost_span():
+    tracer = Tracer()
+    tracer.event({"event": "Orphan"})  # no span open: dropped
+    with tracer.span("outer"):
+        tracer.event({"event": "A"})
+        with tracer.span("inner"):
+            tracer.event({"event": "B", "stage": "s"})
+        with tracer.span("quiet"):
+            pass
+    inner, quiet, outer = tracer.spans
+    assert [e["event"] for e in outer["events"]] == ["A"]
+    assert inner["events"][0]["stage"] == "s"
+    assert list(inner["events"][0]) == ["t", "event", "stage"]
+    assert "events" not in quiet  # only spans that have events carry a list
+    assert outer["events"][0]["t"] < inner["events"][0]["t"]
 
 
 # -- dashboard --------------------------------------------------------------

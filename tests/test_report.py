@@ -1,14 +1,15 @@
 """Result-table rendering."""
 
 from repro.benchmarks_data import load_benchmark
-from repro.core.atpg import AtpgEngine, AtpgOptions
+from repro.core.atpg import AtpgOptions
 from repro.core.report import TableRow, format_table, result_row, to_csv, to_json
+from repro.flow import Flow
 
 
 def test_result_row_combines_models():
     circuit = load_benchmark("hazard", "complex")
-    out_res = AtpgEngine(circuit, AtpgOptions(fault_model="output", seed=1)).run()
-    in_res = AtpgEngine(circuit, AtpgOptions(fault_model="input", seed=1)).run()
+    out_res = Flow.default().run(circuit, AtpgOptions(fault_model="output", seed=1))
+    in_res = Flow.default().run(circuit, AtpgOptions(fault_model="input", seed=1))
     row = result_row("hazard", out_res, in_res)
     assert row.out_tot == out_res.n_total
     assert row.in_cov == in_res.n_covered
@@ -19,7 +20,7 @@ def test_result_row_combines_models():
 
 def test_result_row_without_output_run():
     circuit = load_benchmark("hazard", "complex")
-    in_res = AtpgEngine(circuit, AtpgOptions(fault_model="input", seed=1)).run()
+    in_res = Flow.default().run(circuit, AtpgOptions(fault_model="input", seed=1))
     row = result_row("hazard", None, in_res)
     assert row.out_tot == 0 and row.out_fc == 1.0
 
@@ -67,8 +68,6 @@ def test_row_carries_cssg_and_symbolic_columns():
     rows when the CSSG was built symbolically."""
     circuit = load_benchmark("hazard", "complex")
     options = AtpgOptions(fault_model="input", seed=1, cssg_method="symbolic")
-    from repro.flow import Flow
-
     in_res = Flow.default().run(circuit, options)
     row = result_row("hazard", None, in_res)
     assert row.cssg_method == "symbolic"

@@ -8,7 +8,6 @@ from repro.benchmarks_data import load_benchmark
 from repro.circuit.faults import Fault
 from repro.core.atpg import (
     RESULT_SCHEMA_VERSION,
-    AtpgEngine,
     AtpgOptions,
     AtpgResult,
     CssgSummary,
@@ -16,12 +15,13 @@ from repro.core.atpg import (
 )
 from repro.core.sequences import Test
 from repro.errors import ReproError
+from repro.flow import Flow
 
 
 @pytest.fixture(scope="module")
 def ebergen_result():
     circuit = load_benchmark("ebergen", "complex")
-    return circuit, AtpgEngine(circuit, AtpgOptions(seed=3)).run()
+    return circuit, Flow.default().run(circuit, AtpgOptions(seed=3))
 
 
 def test_fault_round_trip():
@@ -55,8 +55,6 @@ def test_fault_status_reason_round_trip():
 def test_cssg_block_round_trips_symbolic_facts():
     """Schema v3: the resolved method and the symbolic-kernel facts
     survive serialization into the CssgSummary."""
-    from repro.flow import Flow
-
     circuit = load_benchmark("hazard", "complex")
     result = Flow.default().run(
         circuit, AtpgOptions(seed=1, cssg_method="symbolic")
@@ -76,8 +74,6 @@ def test_cssg_block_round_trips_symbolic_facts():
 def test_aborted_result_round_trips_reasons():
     """A deadline-cut partial result keeps its abort ledger through
     JSON (the campaign cache path for bounded runs)."""
-    from repro.flow import Flow
-
     circuit = load_benchmark("ebergen", "complex")
     result = Flow.default().run(
         circuit, AtpgOptions(seed=1, deadline_seconds=0.0)
