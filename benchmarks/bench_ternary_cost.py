@@ -6,20 +6,24 @@ settling time on inverter chains of growing length and check the growth
 is polynomial (time ratio bounded by ~cubic in the size ratio, allowing
 interpreter noise), not exponential.
 
-A second experiment pits the compiled event-driven engine against the
-seed's sweep implementation (preserved in :mod:`repro.sim.legacy`) on
-the largest bundled benchmark: ~2.5x measured on an idle machine, with
-a 1.5x floor asserted (noise headroom for shared CI runners); the
-printed ratio keeps regressions visible in CI logs.
+A second experiment pits the scalar settle (:func:`ternary.settle`,
+which runs the compiled arena kernel) against the seed's sweep
+implementation (preserved in :mod:`repro.sim.legacy`) on the largest
+bundled benchmark: 4.1–4.3x measured on a 2-core VM under Python 3.11
+(2.9x for the per-gate worklist engine the kernel replaced), with a
+1.5x floor asserted (noise headroom for shared CI runners); the printed
+ratio keeps regressions visible in CI logs.
 
 A third experiment benchmarks wide packed fault simulation: the arena
 walk kernel (:meth:`FaultBatch.walk`) against the PR-5 chunked path,
 reconstructed inline as a list of 64-wide ``FaultBatch`` lanes each
-re-settling through the per-gate-closure worklist engine.  At a
-2560-machine universe the walk kernel measures ~24x (and the gap grows
-with width); a ≥10x floor and an absolute words·gates/sec throughput
-floor are asserted.  Results land in
-``benchmarks/out/BENCH_ternary_cost.json``.
+re-settling every cycle through the state-passing
+:meth:`FaultBatch.apply_settled` (which reloads the state into the
+kernel per call; the per-gate-closure worklist engine it originally ran
+on no longer exists).  At a 2560-machine universe the walk kernel
+measures ~24x (and the gap grows with width); a ≥10x floor and an
+absolute words·gates/sec throughput floor are asserted.  Results land
+in ``benchmarks/out/BENCH_ternary_cost.json``.
 """
 
 import json
@@ -162,10 +166,10 @@ def test_engine_speedup_vs_seed_on_largest_benchmark():
 
 class Pr5ChunkedSim:
     """The PR-5 wide-universe path, reconstructed: split the fault list
-    into 64-machine :class:`FaultBatch` lanes and run each through the
-    per-gate-closure worklist engine with bignum state tuples.  This is
-    byte-for-byte the control flow the old ``ChunkedFaultSim`` used, so
-    the benchmark measures exactly what the arena walk replaced."""
+    into 64-machine :class:`FaultBatch` lanes and re-settle each per
+    cycle through the state-passing path with bignum state tuples.  This
+    is the control flow the old ``ChunkedFaultSim`` used; only the
+    settle under it is now the kernel rather than the worklist engine."""
 
     def __init__(self, circuit, faults, chunk_width=64):
         from repro.sim.batch import FaultBatch

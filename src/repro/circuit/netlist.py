@@ -202,8 +202,7 @@ class Circuit:
     def fanouts(self) -> Tuple[Tuple[int, ...], ...]:
         """For every signal index, the positions (into ``self.gates``) of
         the gates whose support reads that signal.  Computed once and
-        cached; the event-driven simulation engine seeds its worklist
-        from these lists."""
+        cached."""
         cached = getattr(self, "_fanouts", None)
         if cached is None:
             lists: List[List[int]] = [[] for _ in range(self.n_signals)]

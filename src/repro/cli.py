@@ -599,9 +599,9 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         prog="repro-fuzz",
         description=(
             "Differential-oracle fuzzing: generate seeded STG/netlist "
-            "scenarios, run each through paired implementations (engine "
+            "scenarios, run each through paired implementations (kernel "
             "vs legacy settle, explicit vs symbolic CSSG, overlay vs "
-            "materialized faults, walk kernel vs worklist fault sim, "
+            "materialized faults, walk kernel vs legacy fault sim, "
             "plain vs incremental re-ATPG) and auto-shrink any divergence "
             "to a minimal failing spec.  Runs as a campaign: seed chunks are "
             "jobs on the fork workers with the shared result cache."

@@ -29,7 +29,10 @@ Two faulty-machine semantics are available:
   is a *set* of possible stable states (see :mod:`repro.core.exact_sim`).
   Oscillation or set blow-up falls back to ternary, never the reverse.
 * ``"ternary"`` — the paper's machinery: Eichelberger simulation with
-  the fault injected, conservative about races.
+  the fault injected, conservative about races.  Each fault's machine is
+  one lane of the arena kernel compiled for the generator's fault list
+  (:meth:`~repro.sim.batch.FaultBatch.apply_lane`), so a whole run
+  compiles one kernel, not one per fault.
 
 Faults that are never excited in any stable state (§5.1's
 even-number-of-switches case) skip straight to differentiation from the
@@ -42,13 +45,14 @@ instead, the fault is reported aborted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.faults import Fault, materialize_fault
 from repro.circuit.netlist import Circuit
 from repro.core import exact_sim
 from repro.sgraph.cssg import Cssg
 from repro.sim import ternary
+from repro.sim.batch import BatchState, FaultBatch
 
 DETECTED = "detected"
 UNDETECTABLE = "undetectable"
@@ -60,24 +64,30 @@ class _Fallback(Exception):
 
 
 class _TernaryMachine:
-    """Faulty machine under the paper's ternary semantics."""
+    """Faulty machine under the paper's ternary semantics: lane ``j`` of
+    a :class:`FaultBatch`, run alone.  ``resets`` memoises the whole
+    batch settled at each reset state, shared by every lane."""
 
-    def __init__(self, circuit: Circuit, fault: Fault):
-        self.circuit = circuit
-        self.fault = fault
+    def __init__(self, batch: FaultBatch, resets: Dict[int, BatchState], j: int):
+        self.batch = batch
+        self.resets = resets
+        self.j = j
 
     def reset(self, reset_state: int):
-        return ternary.settle_from_reset(self.circuit, reset_state, self.fault)
+        settled = self.resets.get(reset_state)
+        if settled is None:
+            settled = self.resets[reset_state] = self.batch.reset_and_settle(
+                reset_state
+            )
+        return self.batch.machine_state(settled, self.j)
 
     def apply(self, state, pattern: int):
         # States here are always fixpoints this machine itself produced,
-        # so the dirty-seeded fast path applies.
-        return ternary.apply_pattern_settled(
-            self.circuit, state, pattern, self.fault
-        )
+        # so the settled fast path applies.
+        return self.batch.apply_lane(state, pattern, self.j)
 
     def detects(self, good_state: int, state) -> bool:
-        return ternary.detects(self.circuit, good_state, state)
+        return ternary.detects(self.batch.circuit, good_state, state)
 
 
 class _ExactMachine:
@@ -149,7 +159,11 @@ class GenerationOutcome:
 
 
 class ThreePhaseGenerator:
-    """Per-fault deterministic test generation over a fixed CSSG."""
+    """Per-fault deterministic test generation over a fixed CSSG.
+
+    ``faults`` is the fault list whose one compiled kernel runs every
+    ternary faulty machine, a lane per fault; a fault outside it gets a
+    one-lane kernel of its own."""
 
     def __init__(
         self,
@@ -158,6 +172,7 @@ class ThreePhaseGenerator:
         faulty_semantics: str = "exact",
         settle_cap: int = 50_000,
         max_faulty_set: int = 64,
+        faults: Sequence[Fault] = (),
     ):
         if faulty_semantics not in ("exact", "ternary"):
             raise ValueError(f"unknown faulty semantics {faulty_semantics!r}")
@@ -169,6 +184,11 @@ class ThreePhaseGenerator:
         self.max_faulty_set = max_faulty_set
         # Shortest-path tree from reset, shared by all faults (phase 2).
         self._dist, self._parent = cssg.bfs_tree()
+        self._faults = tuple(faults)
+        self._lane_of = {f: j for j, f in enumerate(self._faults)}
+        #: The batch over ``faults`` and its settled resets, built by the
+        #: first ternary machine of a listed fault.
+        self._lanes: Optional[Tuple[FaultBatch, Dict[int, BatchState]]] = None
 
     # -- phase 1 ---------------------------------------------------------
 
@@ -239,7 +259,13 @@ class ThreePhaseGenerator:
             return _ExactMachine(
                 self.circuit, fault, self.settle_cap, self.max_faulty_set
             )
-        return _TernaryMachine(self.circuit, fault)
+        j = self._lane_of.get(fault)
+        if j is None:
+            return _TernaryMachine(FaultBatch(self.circuit, [fault]), {}, 0)
+        if self._lanes is None:
+            self._lanes = (FaultBatch(self.circuit, self._faults), {})
+        batch, resets = self._lanes
+        return _TernaryMachine(batch, resets, j)
 
     def generate(self, fault: Fault, max_activation_tries: int = 8) -> GenerationOutcome:
         """Run activation -> justification -> differentiation for ``fault``."""

@@ -25,7 +25,8 @@ stable-state-observation semantics), neither is complete:
   faulty ternary state) shows the faulty machine always reaches output-
   identical *definite* stable states.  This is the same search the
   3-phase generator would do, run with a bounded budget up front so the
-  per-fault ATPG can be skipped.
+  per-fault ATPG can be skipped.  Each faulty machine is one lane of the
+  arena kernel compiled for the classified fault list.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.errors import StateGraphError
 from repro.sgraph.cssg import Cssg
 from repro.sgraph.symbolic import SymbolicTcsg
 from repro.sim import ternary
+from repro.sim.batch import BatchState, FaultBatch
 
 NEVER_EXCITED = "never-excited"
 STABLE_EQUIVALENT = "stable-equivalent"
@@ -83,16 +85,17 @@ def _never_excited(cssg: Cssg, fault: Fault) -> bool:
 
 
 def _stable_equivalent(
-    cssg: Cssg, fault: Fault, budget: int
+    cssg: Cssg, batch: FaultBatch, j: int, faulty0: ternary.TernaryState, budget: int
 ) -> Tuple[Optional[bool], int]:
-    """Exhaustive product walk; returns (undetectable?, states explored).
+    """Exhaustive product walk of lane ``j`` of ``batch``, from its
+    settled reset state ``faulty0``; returns (undetectable?, states
+    explored).
 
     ``None`` means the budget ran out or an uncertain (Φ-bearing) faulty
     state was met — either way the fault cannot be *proven* undetectable
     cheaply, so it goes to the full 3-phase generator.
     """
     circuit = cssg.circuit
-    faulty0 = ternary.settle_from_reset(circuit, cssg.reset, fault)
     if ternary.detects(circuit, cssg.reset, faulty0):
         return False, 0
     seen: Set[Tuple[int, ternary.TernaryState]] = {(cssg.reset, faulty0)}
@@ -105,7 +108,9 @@ def _stable_equivalent(
             if explored > budget:
                 return None, explored
             ngood = cssg.edges[good][pattern]
-            nfaulty = ternary.apply_pattern(circuit, faulty, pattern, fault)
+            # Every state here is a fixpoint the machine itself
+            # produced, so the settled fast path applies.
+            nfaulty = batch.apply_lane(faulty, pattern, j)
             if ternary.detects(circuit, ngood, nfaulty):
                 return False, explored
             if not ternary.is_definite(nfaulty):
@@ -154,8 +159,10 @@ def classify_undetectable(
         except StateGraphError:
             sym = None  # fall back to the explicit CSSG walk
     result: Dict[Fault, Classification] = {}
+    # The faulty machines' batch, settled at reset; built on first need.
+    lanes: Optional[Tuple[FaultBatch, BatchState]] = None
     try:
-        for fault in faults:
+        for j, fault in enumerate(faults):
             if sym is not None:
                 never = _never_excited_symbolic(sym, reachable, fault)
                 # Per-fault faulty-function garbage has no further use;
@@ -167,7 +174,13 @@ def classify_undetectable(
             if never:
                 result[fault] = Classification(fault, NEVER_EXCITED)
                 continue
-            verdict, explored = _stable_equivalent(cssg, fault, budget_per_fault)
+            if lanes is None:
+                batch = FaultBatch(cssg.circuit, faults)
+                lanes = (batch, batch.reset_and_settle(cssg.reset))
+            batch, at_reset = lanes
+            verdict, explored = _stable_equivalent(
+                cssg, batch, j, batch.machine_state(at_reset, j), budget_per_fault
+            )
             if verdict is True:
                 result[fault] = Classification(fault, STABLE_EQUIVALENT, explored)
             else:

@@ -96,7 +96,7 @@ class BridgingModel(FaultModel):
 
     def engine_overlay(self, engine, fault: Fault, bit: int) -> None:
         """Blend each bridged gate's result with its partner's function
-        in machine ``bit`` (see ``_codegen_ternary``'s bridge blocks)."""
+        in machine ``bit`` (see ``_emit_eval``'s bridge blocks)."""
         for g, partner in ((fault.gate, fault.site), (fault.site, fault.gate)):
             per_gate: Dict[int, Tuple[int, int]] = engine.bridges.setdefault(g, {})
             ma, mo = per_gate.get(partner, (0, 0))

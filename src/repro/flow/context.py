@@ -89,6 +89,7 @@ class RunContext:
                     self.cssg,
                     self.budget.max_product_states,
                     faulty_semantics=self.options.faulty_semantics,
+                    faults=self.work_list,
                 )
             outcome = self._generator.generate(
                 fault, self.budget.max_activation_tries

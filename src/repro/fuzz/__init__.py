@@ -10,10 +10,10 @@ feedback netlists for the settling oracles.  Every scenario runs
 through the model-dispatched differential oracle pairs
 (:mod:`repro.fuzz.oracles`):
 
-* compiled engine vs the seed's sweep settling,
+* the compiled settle kernel vs the seed's sweep settling,
 * explicit-exact vs symbolic CSSG construction,
 * fault overlays vs materialized faulty netlists,
-* arena walk kernel vs worklist fault simulation,
+* arena walk kernel vs the seed's sweeps as fault simulation,
 * plain vs incremental re-ATPG across mutations
   (:mod:`repro.fuzz.mutate`).
 

@@ -17,9 +17,11 @@ operator       preserving  expected cohort / CSSG effect
 ``splice``     no          inserts a fanout buffer: every cone that
                            contained the spliced consumer widens, and
                            the fault universe itself changes
-``reset_shift``  no        moves the reset to another stable state:
-                           reset bits live in every cone doc, so all
-                           cohorts and the CSSG cache are invalidated
+``reset_shift``  no        moves the reset to another stable state
+                           reachable from it (a state of its single-
+                           input-change CSSG): reset bits live in every
+                           cone doc, so all cohorts and the CSSG cache
+                           are invalidated
 =============  ==========  ===========================================
 
 ``preserving`` means the *good-circuit semantics* are untouched (the
@@ -40,6 +42,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.circuit.expr import And, Expr, Not, Or, Var, Xor
 from repro.circuit.netlist import Circuit
 from repro.circuit.parser import _gate_input_order, netlist_to_text, parse_netlist
+from repro.errors import StateGraphError
+from repro.sgraph.cssg import build_cssg
 from repro.stg.parser import parse_stg
 
 __all__ = [
@@ -183,8 +187,16 @@ def _op_splice(circuit: Circuit, rng: random.Random) -> Optional[Mutation]:
 
 
 def _op_reset_shift(circuit: Circuit, rng: random.Random) -> Optional[Mutation]:
-    """Move the reset to a different stable state."""
-    stable = [s for s in circuit.enumerate_stable_states() if s != circuit.reset_state]
+    """Move the reset to a different stable state reachable from it.
+
+    The candidates are the states of the exact single-input-change CSSG,
+    the graph the incremental oracle's ATPG runs build; None when the
+    reset does not settle confluently (no CSSG)."""
+    try:
+        cssg = build_cssg(circuit, method="exact", max_input_changes=1)
+    except StateGraphError:
+        return None
+    stable = [s for s in sorted(cssg.states) if s != circuit.reset_state]
     if not stable:
         return None
     pick = stable[rng.randrange(len(stable))]

@@ -5,7 +5,7 @@ any disagreement is a :class:`Divergence` (a bug in one of the two, by
 construction — there is no "expected output" file anywhere):
 
 ============   ====================================================
-``settle``     compiled ternary engine vs the seed's sweep-based
+``settle``     compiled ternary kernel vs the seed's sweep-based
                legacy settling, over random ternary states and
                stuck-at overlays (the only kinds the legacy oracle
                implements)
@@ -14,9 +14,10 @@ construction — there is no "expected output" file anywhere):
 ``faults``     packed fault overlays vs physically materialized
                faulty netlists along random valid walks, for every
                registered fault model
-``kernels``    arena walk kernel vs the worklist
-               :class:`~repro.sim.batch.FaultBatch` reference,
-               detection words and packed states per step
+``kernels``    arena walk kernel vs the seed's sweeps in
+               :mod:`repro.sim.legacy` (:func:`reference_reset` /
+               :func:`reference_apply`), detection words and packed
+               states per step, for every registered fault model
 ``incremental``  plain :func:`~repro.campaign.runner.execute_job` vs
                the cohort-incremental path: cold byte-identity, warm
                pure-merge identity, then a mutation with the *exact*
@@ -55,7 +56,7 @@ from repro.campaign.cohort import cohort_salt, partition
 from repro.campaign.plan import Job, job_key, source_fingerprint
 from repro.campaign.runner import execute_job, execute_job_incremental
 from repro.campaign.store import ResultStore
-from repro.circuit.faults import fault_universe, materialize_fault
+from repro.circuit.faults import Fault, fault_universe, materialize_fault
 from repro.circuit.netlist import Circuit
 from repro.circuit.parser import netlist_to_text, parse_netlist
 from repro.core.atpg import AtpgOptions
@@ -67,7 +68,7 @@ from repro.fuzz.mutate import MUTATION_OPS, mutate_netlist
 from repro.sgraph.cssg import Cssg, build_cssg
 from repro.sgraph.symbolic import SymbolicTcsg
 from repro.sim import legacy, ternary
-from repro.sim.batch import FaultBatch
+from repro.sim.batch import BatchState, FaultBatch
 
 __all__ = [
     "ORACLES",
@@ -167,6 +168,74 @@ def _tstate(rng: random.Random, n: int) -> Tuple[int, int]:
     return (low, high)
 
 
+def _legacy_settle(
+    circuit: Circuit, faults: Sequence[Fault], lanes: List[ternary.TernaryState]
+) -> List[ternary.TernaryState]:
+    """Settle one scalar machine per fault on the seed's sweeps.  The
+    legacy oracle simulates the stuck-at kinds only, so those lanes
+    settle together through :func:`legacy.batch_settle`, and each
+    bridging or transition lane settles alone through
+    :func:`legacy.settle` on its materialized faulty netlist."""
+    out = list(lanes)
+    stuck = [j for j, f in enumerate(faults) if f.kind in ("input", "output")]
+    if stuck:
+        low, high = legacy.batch_settle(
+            circuit,
+            [faults[j] for j in stuck],
+            pack_lanes([lanes[j] for j in stuck], circuit.n_signals),
+        )
+        for k, j in enumerate(stuck):
+            out[j] = (
+                sum(((w >> k) & 1) << i for i, w in enumerate(low)),
+                sum(((w >> k) & 1) << i for i, w in enumerate(high)),
+            )
+    for j, fault in enumerate(faults):
+        if fault.kind not in ("input", "output"):
+            out[j] = legacy.settle(materialize_fault(circuit, fault), lanes[j])
+    return out
+
+
+def pack_lanes(lanes: Sequence[ternary.TernaryState], n_signals: int) -> BatchState:
+    """Scalar machine states as a packed batch state, lane ``j`` from
+    ``lanes[j]`` (the inverse of ``FaultBatch.machine_state``)."""
+    return tuple(
+        tuple(
+            sum(((s[half] >> i) & 1) << j for j, s in enumerate(lanes))
+            for i in range(n_signals)
+        )
+        for half in (0, 1)
+    )
+
+
+def reference_reset(
+    circuit: Circuit, faults: Sequence[Fault], reset: int
+) -> List[ternary.TernaryState]:
+    """Reference settled reset, one scalar state per fault: the reset
+    state forced, an output stuck-at's node pre-set to its stuck value."""
+    starts = []
+    for fault in faults:
+        state = reset
+        if fault.kind == "output":
+            state = (state & ~(1 << fault.site)) | (fault.value << fault.site)
+        starts.append(ternary.from_binary(state, circuit.n_signals))
+    return _legacy_settle(circuit, faults, starts)
+
+
+def reference_apply(
+    circuit: Circuit,
+    faults: Sequence[Fault],
+    lanes: List[ternary.TernaryState],
+    pattern: int,
+) -> List[ternary.TernaryState]:
+    """Reference test cycle: drive ``pattern`` on every machine, settle."""
+    imask = (1 << circuit.n_inputs) - 1
+    driven = [
+        ((low & ~imask) | (~pattern & imask), (high & ~imask) | (pattern & imask))
+        for low, high in lanes
+    ]
+    return _legacy_settle(circuit, faults, driven)
+
+
 def _oracle_settle(ctx: _Ctx) -> Tuple[int, List[str]]:
     c = ctx.circuit
     rng = random.Random(f"fuzz-settle:{ctx.scenario.seed}")
@@ -212,34 +281,37 @@ def _oracle_faults(ctx: _Ctx) -> Tuple[int, List[str]]:
     c = ctx.circuit
     cssg = ctx.cssg
     checks, bad = 0, []
-    for model in model_names():
-        for fault in ctx.fault_sample(model):
-            rng = random.Random(
-                f"fuzz-faults:{ctx.scenario.seed}:{fault.to_json()}"
-            )
-            mat = materialize_fault(c, fault)
-            via_overlay = ternary.settle_from_reset(c, cssg.reset, fault)
-            via_netlist = ternary.settle_from_reset(mat, mat.require_reset())
+    # Each overlay machine runs as a lane of one batch over every sampled
+    # fault, as the three-phase and classifier faulty machines do (the
+    # kernels pair's fault list, hence its kernel).
+    sampled = [(m, f) for m in model_names() for f in ctx.fault_sample(m)]
+    batch = FaultBatch(c, [f for _, f in sampled])
+    at_reset = batch.reset_and_settle(cssg.reset) if sampled else None
+    for j, (model, fault) in enumerate(sampled):
+        rng = random.Random(f"fuzz-faults:{ctx.scenario.seed}:{fault.to_json()}")
+        mat = materialize_fault(c, fault)
+        via_overlay = batch.machine_state(at_reset, j)
+        via_netlist = ternary.settle_from_reset(mat, mat.require_reset())
+        checks += 1
+        if via_overlay != via_netlist:
+            bad.append(f"{model}/{fault.describe(c)}: reset settle differs")
+            continue
+        good = cssg.reset
+        for _ in range(ctx.caps.walk_len):
+            choices = sorted(cssg.valid_patterns(good))
+            if not choices:
+                break
+            pattern = rng.choice(choices)
+            good = cssg.edges[good][pattern]
+            via_overlay = batch.apply_lane(via_overlay, pattern, j)
+            via_netlist = ternary.apply_pattern(mat, via_netlist, pattern)
             checks += 1
             if via_overlay != via_netlist:
-                bad.append(f"{model}/{fault.describe(c)}: reset settle differs")
-                continue
-            good = cssg.reset
-            for _ in range(ctx.caps.walk_len):
-                choices = sorted(cssg.valid_patterns(good))
-                if not choices:
-                    break
-                pattern = rng.choice(choices)
-                good = cssg.edges[good][pattern]
-                via_overlay = ternary.apply_pattern(c, via_overlay, pattern, fault)
-                via_netlist = ternary.apply_pattern(mat, via_netlist, pattern)
-                checks += 1
-                if via_overlay != via_netlist:
-                    bad.append(
-                        f"{model}/{fault.describe(c)}: overlay={via_overlay} "
-                        f"materialized={via_netlist} after {pattern:b}"
-                    )
-                    break
+                bad.append(
+                    f"{model}/{fault.describe(c)}: overlay={via_overlay} "
+                    f"materialized={via_netlist} after {pattern:b}"
+                )
+                break
     return checks, bad
 
 
@@ -258,20 +330,21 @@ def _oracle_kernels(ctx: _Ctx) -> Tuple[int, List[str]]:
         good = cssg.edges[good][pattern]
         trail.append((pattern, good))
 
-    batch = FaultBatch(c, faults)
-    state = batch.reset_and_settle(cssg.reset)
-    walk = batch.walk(cssg.reset)
+    lanes = reference_reset(c, faults, cssg.reset)
+    walk = FaultBatch(c, faults).walk(cssg.reset)
     checks, bad = 0, []
 
     def compare(step: str, pattern=None, good_state=None) -> None:
-        nonlocal checks, state
+        nonlocal checks, lanes
         if pattern is not None:
-            state = batch.apply_settled(state, pattern)
-        ref = batch.observe(state, good_state)
+            lanes = reference_apply(c, faults, lanes, pattern)
+        ref = sum(
+            ternary.detects(c, good_state, s) << j for j, s in enumerate(lanes)
+        )
         w = walk.observe(good_state) if pattern is None else walk.step(pattern, good_state)
         checks += 1
-        if w != ref or walk.state() != state:
-            bad.append(f"{step}: batch det={ref:#x} walk det={w:#x}")
+        if w != ref or walk.state() != pack_lanes(lanes, c.n_signals):
+            bad.append(f"{step}: legacy det={ref:#x} walk det={w:#x}")
 
     compare("reset", good_state=cssg.reset)
     for i, (pattern, good) in enumerate(trail):
@@ -431,7 +504,7 @@ def _oracle_undetectable(ctx: _Ctx) -> Tuple[int, List[str]]:
     faults = [f for model in model_names() for f in ctx.fault_sample(model)]
     if not faults:
         return 0, []
-    generator = ThreePhaseGenerator(cssg, _UNDETECTABLE_PRODUCT_CAP)
+    generator = ThreePhaseGenerator(cssg, _UNDETECTABLE_PRODUCT_CAP, faults=faults)
     verdict = {fault: generator.generate(fault).status for fault in faults}
     checks, bad = 0, []
     # Every a-priori proof must survive three-phase's exhaustive search.

@@ -1,66 +1,173 @@
-"""The arena walk kernel: the fast path for packed fault-simulation walks.
+"""The arena walk kernel: the package's one Algorithm A/B settle.
 
-The engine in :mod:`repro.sim.engine` dispatches one compiled function
-per gate through a worklist, with batch state living in per-signal lists
-of Python-int words.  That shape is ideal for *sparse* re-settles but
-pays per-event interpreter overhead on the hot walk loops (random TPG,
-test-set audit, flow fault grading), where every cycle is: drive a
-handful of inputs, settle, observe.  This module compiles one walk
-kernel per ``(circuit, fault overlay)`` pair on top of the engine's mask
-tables and the same operator emitter (:func:`~repro.sim.engine._emit_eval`
-— so results are bit-identical by construction).
+Every ternary settle runs here: random TPG and test-set walks, the
+batch state-passing methods of :class:`~repro.sim.batch.FaultBatch`,
+the scalar API of :mod:`repro.sim.ternary`, and the three-phase and
+classifier faulty machines (each one a lane of the kernel compiled for
+its fault list).  One kernel is compiled per ``(circuit, fault
+overlay)`` pair from the overlay's mask tables; the
+:class:`~repro.sim.engine.SimEngine` owning those tables compiles it on
+first use and keeps it.
 
-The kernel (:class:`ArenaKernel` / :class:`ArenaWalk`) is one generated
-*generator* whose locals hold every signal's ``(l, h)`` words for the
-whole walk; each cycle is a single ``send`` carrying ``(pattern,
-good_state)`` and returning the detection mask.  Settling is the same
-Algorithm A/B chaotic iteration, driven by an int bitmask of changed
-signals: a pass re-evaluates only gates whose baked-in support mask
-intersects the changes (the event-driven worklist idea, without a deque
-or any per-event allocation).  Both algorithms run through one sweep
-body in which every gate is emitted once; a phase flag picks the update
+The kernel is one generated *generator* whose locals hold every
+signal's ``(l, h)`` words; each request is a single ``send`` (see
+:func:`_codegen_walk` for the protocol), so state never leaves the
+generator frame between test cycles of a walk.  Settling is
+Eichelberger's Algorithm A then Algorithm B, driven by an int bitmask
+of changed signals: a pass re-evaluates only gates whose baked-in exam
+mask intersects the changes (no queue, no per-event allocation, no
+per-gate function calls).  Both algorithms run through one sweep body
+in which every gate is emitted once; a phase flag picks the update
 (Algorithm A: lub into the old value; Algorithm B: plain assignment).
 Both fixpoints are unique under any fair order, so the kernel is
-bit-identical to the engine and to the seed sweeps in
-:mod:`repro.sim.legacy`.  State never leaves the generator frame between
-cycles — no tuple packing, no list copies, no per-gate function calls.
+bit-identical to the seed's sweeps kept in :mod:`repro.sim.legacy`,
+which ``tests/test_sim_cross.py`` and ``tests/test_arena.py`` check.
 
 CPython bignum bitwise ops are already C-speed word-parallel, so one
 bignum word per signal carries the whole fault universe of every bundled
-benchmark.  ``tests/test_arena.py`` checks the walk against the
-worklist path of :class:`~repro.sim.batch.FaultBatch`.
+benchmark.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.circuit.faults import Fault
+from repro.circuit.expr import OP_AND, OP_NOT, OP_OR, OP_VAR, OP_XOR, Program
 from repro.circuit.netlist import Circuit
-from repro.errors import SimulationError
 from repro.obs import metrics as _obs
-from repro.sim import engine as _engine
-from repro.sim.engine import SimEngine, _emit_eval, engine_for
 
-__all__ = ["ArenaKernel", "ArenaWalk", "arena_for"]
+if TYPE_CHECKING:
+    from repro.sim.engine import SimEngine
+
+__all__ = ["ArenaWalk"]
 
 _WORD = 64
 
 
-def _overlay_kwargs(engine: SimEngine, pos: int, gate_at) -> dict:
-    """The :func:`_emit_eval` overlay arguments for gate ``pos``."""
+def _emit_eval(
+    lines: List[str], indent: str, engine: SimEngine, pos: int, gate_at
+) -> Tuple[str, str]:
+    """Append the straight-line evaluation of gate ``pos`` under the
+    engine's fault overlay to ``lines``; returns the final ``(l, h)``
+    result expressions.
+
+    This is the single source of truth for the ternary operator and
+    overlay-mask formulas.  Operands are the kernel's locals ``l{sig}`` /
+    ``h{sig}``.  The overlay's mask tables enter as follows, each a
+    per-machine mask over the word's bits:
+
+    * ``pin_force[gate][site] = (f0, f1)`` bakes per-pin stuck-at masks
+      into the operand reads;
+    * ``bridges[gate][partner] = (and_mask, or_mask)``: the partner's
+      (clean) function is evaluated inline and the result blended in —
+      the ternary AND for machines in ``and_mask`` (wired-AND bridging),
+      the OR for ``or_mask`` machines;
+    * ``self_and`` / ``self_or`` blend the gate's **own current value**
+      into the result — the self-sticky encoding of slow-to-rise /
+      slow-to-fall transition faults;
+    * ``out_force`` forces the result words (output stuck-at).
+
+    Every blend is the identity outside its mask, and each machine bit
+    carries at most one fault, so the application order is immaterial.
+    Temporaries are introduced per operator, so the generated code is
+    linear in the program length (shared subterms are never
+    re-expanded).
+    """
     gi = engine.cc.gate_index[pos]
-    return dict(
-        pin_force=engine.pin_force.get(gi),
-        out_force=engine.out_force.get(gi),
-        self_and=engine.self_and.get(gi, 0),
-        self_or=engine.self_or.get(gi, 0),
-        bridges=[
-            (gate_at[partner].program, ma, mo)
-            for partner, (ma, mo) in sorted(engine.bridges.get(gi, {}).items())
-        ],
-    )
+    ones = engine.ones
+    tag = f"g{pos}_"
+    counter = [0]
+
+    def fresh() -> Tuple[str, str]:
+        a, b = f"{tag}t{counter[0]}", f"{tag}u{counter[0]}"
+        counter[0] += 1
+        return a, b
+
+    def emit(prog: Program, forces) -> Tuple[str, str]:
+        """Append the evaluation of ``prog`` to ``lines``; returns the
+        (l, h) result expressions."""
+        stack: List[Tuple[str, str]] = []
+        for op, arg in prog:
+            if op == OP_VAR:
+                force = forces.get(arg) if forces else None
+                rl, rh = f"l{arg}", f"h{arg}"
+                if force is None:
+                    stack.append((rl, rh))
+                else:
+                    f0, f1 = force
+                    stack.append(
+                        (
+                            f"(({rl}|{f0})&{ones & ~f1})",
+                            f"(({rh}|{f1})&{ones & ~f0})",
+                        )
+                    )
+            elif op == OP_NOT:
+                l, h = stack.pop()
+                stack.append((h, l))
+            elif op == OP_AND:
+                l2, h2 = stack.pop()
+                l1, h1 = stack[-1]
+                a, b = fresh()
+                lines.append(f"{indent}{a} = {l1}|{l2}; {b} = {h1}&{h2}")
+                stack[-1] = (a, b)
+            elif op == OP_OR:
+                l2, h2 = stack.pop()
+                l1, h1 = stack[-1]
+                a, b = fresh()
+                lines.append(f"{indent}{a} = {l1}&{l2}; {b} = {h1}|{h2}")
+                stack[-1] = (a, b)
+            elif op == OP_XOR:
+                l2, h2 = stack.pop()
+                l1, h1 = stack[-1]
+                a, b = fresh()
+                lines.append(
+                    f"{indent}{a} = ({l1}&{l2})|({h1}&{h2}); "
+                    f"{b} = ({l1}&{h2})|({h1}&{l2})"
+                )
+                stack[-1] = (a, b)
+            else:  # OP_CONST
+                stack.append(
+                    (str(0 if arg else ones), str(ones if arg else 0))
+                )
+        return stack.pop()
+
+    l, h = emit(engine.circuit.gates[pos].program, engine.pin_force.get(gi))
+    for partner, (and_mask, or_mask) in sorted(engine.bridges.get(gi, {}).items()):
+        # Masked blend of the partner's driven value: per machine,
+        # ternary AND for and_mask bits, ternary OR for or_mask bits,
+        # identity elsewhere (the masks never share a bit).
+        lb, hb = emit(gate_at[partner].program, None)
+        a, b = fresh()
+        lines.append(
+            f"{indent}{a} = (({l})|({lb}&{and_mask}))"
+            f"&(({lb})|{ones & ~or_mask}); "
+            f"{b} = (({h})&(({hb})|{ones & ~and_mask}))"
+            f"|(({hb})&{or_mask})"
+        )
+        l, h = a, b
+    self_and = engine.self_and.get(gi, 0)
+    self_or = engine.self_or.get(gi, 0)
+    if self_and or self_or:
+        sl, sh = f"l{gi}", f"h{gi}"
+        a, b = fresh()
+        lines.append(
+            f"{indent}{a} = (({l})|({sl}&{self_and}))"
+            f"&({sl}|{ones & ~self_or}); "
+            f"{b} = (({h})&({sh}|{ones & ~self_and}))"
+            f"|({sh}&{self_or})"
+        )
+        l, h = a, b
+    out_force = engine.out_force.get(gi)
+    if out_force is not None:
+        f0, f1 = out_force
+        a, b = fresh()
+        lines.append(
+            f"{indent}{a} = ({l}|{f0})&{ones & ~f1}; "
+            f"{b} = ({h}|{f1})&{ones & ~f0}"
+        )
+        l, h = a, b
+    return l, h
 
 
 def _exam_mask(engine: SimEngine, pos: int, gate_at) -> int:
@@ -97,9 +204,12 @@ def _codegen_walk(engine: SimEngine) -> str:
     with ``pattern >= 0`` runs one test cycle — drive inputs, Algorithm
     A then B over the changed-signal bitmask, observe — and yields the
     detection word.  Control ops use negative first elements:
-    ``(-1, good)`` observes without stepping, ``(-2, 0)`` fully settles
-    the current state (used once at walk start), ``(-3, 0)`` yields a
-    snapshot ``((l...), (h...))`` of every signal word.
+    ``(-1, good)`` observes without stepping; ``(-2, changed)`` settles
+    the current state, re-examining the gates whose exam mask meets
+    the ``changed`` signal bitmask (every signal for an arbitrary
+    state, only the rewritten ones for a state that had settled under
+    this overlay); ``(-3, 0)`` yields a snapshot ``((l...), (h...))``
+    of every signal word.
     """
     cc = engine.cc
     circuit = engine.circuit
@@ -135,7 +245,7 @@ def _codegen_walk(engine: SimEngine) -> str:
     ap("            r = det")
     ap("            continue")
     ap("        elif a == -2:")
-    ap(f"            ac = {(1 << n_signals) - 1}")
+    ap("            ac = b")
     ap("        else:")
     ap(f"            r = {snapshot}")
     ap("            continue")
@@ -169,16 +279,7 @@ def _codegen_walk(engine: SimEngine) -> str:
         gi = cc.gate_index[pos]
         exam = _exam_mask(engine, pos, gate_at)
         ap(f"            if (ac | nc) & {exam}:")
-        l, h = _emit_eval(
-            lines,
-            "                ",
-            f"g{pos}_",
-            circuit.gates[pos].program,
-            ones,
-            ref=lambda arg: (f"l{arg}", f"h{arg}"),
-            self_ref=(f"l{gi}", f"h{gi}"),
-            **_overlay_kwargs(engine, pos, gate_at),
-        )
+        l, h = _emit_eval(lines, "                ", engine, pos, gate_at)
         ap("                if pa:")
         ap(f"                    aev |= {1 << gi}")
         ap(f"                    nl = ({l}) | l{gi}; nh = ({h}) | h{gi}")
@@ -187,6 +288,9 @@ def _codegen_walk(engine: SimEngine) -> str:
         ap(f"                if nl != l{gi} or nh != h{gi}:")
         ap(f"                    l{gi} = nl; h{gi} = nh; nc |= {1 << gi}")
     ap("            ac = nc")
+    ap("        if a < 0:")
+    ap("            r = None")
+    ap("            continue")
     _emit_observe(ap, "        ", circuit, "b", "det")
     ap("        r = det")
     return "\n".join(lines)
@@ -276,51 +380,3 @@ class ArenaWalk:
     def state(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Snapshot ``(low words, high words)`` of every signal."""
         return self._gen.send((-3, 0))
-
-
-class ArenaKernel:
-    """The compiled walk kernel for one ``(circuit, fault overlay)``."""
-
-    def __init__(self, engine: SimEngine):
-        self.engine = engine
-        self.circuit = engine.circuit
-        # Compiled through the engine module's ``_exec`` so one hook
-        # there sees every compile of the simulation layer.
-        ns = _engine._exec(
-            _codegen_walk(engine),
-            f"<arena:{engine.circuit.name}:{len(engine.faults)}f>",
-        )
-        ns["SimulationError"] = SimulationError
-        self._walk_fn = ns["walk"]
-
-    def walk(self, reset_state: Optional[int] = None) -> ArenaWalk:
-        """Start a walk: force the reset state (output-stuck nodes
-        pre-set to their stuck value, as in ``reset_and_settle``),
-        fully settle, return the stepping handle."""
-        engine = self.engine
-        if reset_state is None:
-            reset_state = self.circuit.require_reset()
-        low, high = engine.broadcast(reset_state)
-        for gate_index, (f0, f1) in engine.out_force.items():
-            low[gate_index] = (low[gate_index] | f0) & ~f1
-            high[gate_index] = (high[gate_index] | f1) & ~f0
-        gen = self._walk_fn(low, high)
-        next(gen)
-        gen.send((-2, 0))
-        meter = _WalkMeter(engine) if _obs.enabled() else None
-        return ArenaWalk(gen, meter)
-
-
-def arena_for(
-    circuit: Circuit,
-    faults: Sequence[Fault] = (),
-    width: Optional[int] = None,
-) -> ArenaKernel:
-    """The (cached) arena walk kernel for a fault overlay; rides the
-    engine cache, so eviction policies stay in one place."""
-    engine = engine_for(circuit, tuple(faults), width)
-    kernel = getattr(engine, "_arena_kernel", None)
-    if kernel is None:
-        kernel = ArenaKernel(engine)
-        engine._arena_kernel = kernel
-    return kernel

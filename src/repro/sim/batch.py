@@ -13,22 +13,25 @@ Fault injection is compiled into per-gate masks:
   ``site``, bit *j* of the operand words is forced to ``v``;
 * an *output* fault forces bit *j* of gate ``g``'s evaluation result.
 
-The settle loops live in :mod:`repro.sim.engine` (event-driven worklist,
-used by the state-passing methods here) and :mod:`repro.sim.arena` (the
-compiled walk kernel) — this module is a thin adapter that owns batch
-state layout, fault masks, and observation.  A ``FaultBatch`` of width 1
-is bit-for-bit equivalent to the scalar engine (a property the test
-suite checks against the reference implementation in
-:mod:`repro.sim.legacy`); the arena walk behind :meth:`FaultBatch.walk`
-is checked the same way by ``tests/test_arena.py``.
+Every method settles through the overlay's arena walk kernel
+(:mod:`repro.sim.arena`); this module is a thin adapter that owns batch
+state layout and observation.  Lanes never interact under the kernel's
+bitwise operators and the Algorithm A/B fixpoints are unique, so lane
+*j* of a batch is bit-for-bit the scalar machine of fault *j*.  That is
+how the three-phase generator and the undetectability classifier run
+their per-fault ternary machines (:meth:`FaultBatch.apply_lane`) on the
+one kernel compiled for their fault list, and what the test suite
+checks against the reference implementation in :mod:`repro.sim.legacy`.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
+from repro._bits import mask
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
+from repro.sim.arena import ArenaWalk
 from repro.sim.engine import engine_for
 
 BatchState = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -46,7 +49,7 @@ class FaultBatch:
 
     ``observe`` returns a W-bit mask of machines whose outputs *definitely*
     differ from the good circuit.  Construction is cheap for a repeated
-    (circuit, faults) pair: the compiled engine behind it is cached.
+    (circuit, faults) pair: the compiled kernel behind it is cached.
     """
 
     def __init__(self, circuit: Circuit, faults: Sequence[Fault]):
@@ -55,8 +58,7 @@ class FaultBatch:
         self.width = len(self.faults)
         self.engine = engine_for(circuit, tuple(self.faults), width=self.width)
         self.ones = self.engine.ones
-        self.pin_force = self.engine.pin_force
-        self.out_force = self.engine.out_force
+        self._at_rest: Optional[BatchState] = None
 
     # -- state helpers ---------------------------------------------------
 
@@ -79,12 +81,7 @@ class FaultBatch:
         its stuck value (the node never held the fault-free reset value;
         see :func:`repro.sim.ternary.settle_from_reset`).
         """
-        if reset_state is None:
-            reset_state = self.circuit.require_reset()
-        low, high = self.engine.broadcast(reset_state)
-        for gate_index, (f0, f1) in self.out_force.items():
-            low[gate_index] = (low[gate_index] | f0) & ~f1
-            high[gate_index] = (high[gate_index] | f1) & ~f0
+        low, high = self.engine.reset_words(reset_state)
         self.engine.settle(low, high)
         return (tuple(low), tuple(high))
 
@@ -136,14 +133,53 @@ class FaultBatch:
             sh |= ((high[i] >> j) & 1) << i
         return (sl, sh)
 
-    def walk(self, reset_state: Optional[int] = None) -> "ArenaWalk":
+    def apply_lane(
+        self, tstate: Tuple[int, int], pattern: int, j: int
+    ) -> Tuple[int, int]:
+        """:meth:`apply_settled` for machine ``j`` alone: ``tstate`` is
+        its settled scalar ternary state (as :meth:`machine_state`
+        extracts it), and so is the result.
+
+        The other lanes rest at a fixpoint of their own machine (see
+        :meth:`_rest`), and no input of theirs is driven, so they never
+        move: the settle does lane ``j``'s work alone.  Lanes never
+        interact and the fixpoints are unique, so lane ``j`` ends at
+        exactly the scalar machine's fixpoint."""
+        imask = mask(self.circuit.n_inputs)
+        low, high = tstate
+        nlow = (low & ~imask) | (~pattern & imask)
+        nhigh = (high & ~imask) | (pattern & imask)
+        changed = (nlow ^ low) | (nhigh ^ high)
+        if not changed:
+            return tstate
+        rest_low, rest_high = self._rest()
+        others = self.ones & ~(1 << j)
+        L = [(w & others) | (((nlow >> i) & 1) << j) for i, w in enumerate(rest_low)]
+        H = [(w & others) | (((nhigh >> i) & 1) << j) for i, w in enumerate(rest_high)]
+        self.engine.settle(L, H, changed)
+        return self.machine_state((L, H), j)
+
+    def _rest(self) -> BatchState:
+        """Every machine settled from all-zero words, computed once.
+
+        A zero pair is neither 0 nor 1, and no lane read through
+        :meth:`apply_lane` ever holds it; it only keeps the other lanes'
+        words small.  Every kernel operator is monotone in each bit, so
+        from zero Algorithm A only raises values and Algorithm B, which
+        starts where A's lub leaves every gate at or above its
+        evaluation, only lowers them: the settle terminates, at a
+        fixpoint of every machine with its inputs at zero."""
+        if self._at_rest is None:
+            L = [0] * self.circuit.n_signals
+            H = list(L)
+            self.engine.settle(L, H)
+            self._at_rest = (tuple(L), tuple(H))
+        return self._at_rest
+
+    def walk(self, reset_state: Optional[int] = None) -> ArenaWalk:
         """Start an arena walk over this batch's fault overlay — the
         fast path for walk-shaped workloads (random TPG, test replay):
         state stays inside the compiled kernel and each cycle is one
         ``step(pattern, good)`` call returning the detection mask.
         Results are bit-identical to the state-passing methods above."""
-        from repro.sim.arena import arena_for
-
-        return arena_for(self.circuit, tuple(self.faults), self.width).walk(
-            reset_state
-        )
+        return self.engine.walk(reset_state)

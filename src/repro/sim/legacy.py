@@ -2,12 +2,13 @@
 
 These are the seed tree's sweep-based Algorithm A/B implementations:
 full-circuit passes with per-gate stack interpretation through
-:func:`repro.circuit.expr.eval_ternary`.  The compiled event-driven
-engine in :mod:`repro.sim.engine` must be **bit-identical** to them on
-every state — ``tests/test_sim_cross.py`` and
-``benchmarks/bench_ternary_cost.py`` import this module as the ground
-truth and the speed baseline.  Production code must not: the engine is
-strictly faster and the only supported settle path.
+:func:`repro.circuit.expr.eval_ternary`.  The arena walk kernel in
+:mod:`repro.sim.arena` — the package's one settle — must be
+**bit-identical** to them on every state: ``tests/test_sim_cross.py``,
+``tests/test_arena.py``, the fuzzer's ``settle`` and ``kernels`` oracle
+pairs and ``benchmarks/bench_ternary_cost.py`` import this module as
+the ground truth and the speed baseline.  Production code must not: the
+kernel is strictly faster and the only supported settle path.
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ uncertainty propagates until a fixpoint.  **Algorithm B** then repeatedly
 re-evaluates every gate; values can only resolve downward (Φ → 0/1).
 Both fixpoints exist because the ternary gate operators are monotone in
 the information order; because they are *unique* for any fair evaluation
-order, this module is a thin adapter over the compiled event-driven
-engine (:mod:`repro.sim.engine`) — it contains no settle loop of its
-own, and its results are bit-identical to the historical sweep
-implementation preserved in :mod:`repro.sim.legacy`.
+order, this module is a thin adapter over the fault overlay's compiled
+arena walk kernel (:mod:`repro.sim.engine`, :mod:`repro.sim.arena`) —
+it contains no settle loop of its own, and its results are bit-identical
+to the historical sweep implementation preserved in
+:mod:`repro.sim.legacy`.
 
 If the final state is fully definite it is the *unique* stable successor
 under the unbounded gate-delay model; any remaining Φ conservatively
@@ -24,8 +25,11 @@ signals possible non-confluence or oscillation.
 A single fault of any registered model can be injected: an ``input``
 pin force, an ``output`` constant, a ``bridging`` wired blend, or a
 ``transition`` self-sticky blend (see :mod:`repro.faultmodels` for the
-overlay semantics).  Per-fault engines are cached, so per-fault
-machines (three-phase generation) pay the overlay compilation once.
+overlay semantics).  Each fault compiles its own width-1 kernel (cached
+per circuit); the package's per-fault machines (three-phase generation,
+the undetectability classifier) instead run as lanes of the kernel
+compiled for their whole fault list
+(:meth:`~repro.sim.batch.FaultBatch.apply_lane`).
 """
 
 from __future__ import annotations
@@ -114,34 +118,15 @@ def apply_pattern(
 
     Accepts arbitrary ``tstate`` values, exactly like the historical
     implementation: every gate is re-examined, so an unsettled start
-    state is fully settled rather than silently preserved.  Callers
-    that can guarantee a settled state (the per-fault machines of the
-    three-phase generator, batched walks) use the engine's dirty-seeded
-    fast path instead."""
+    state is fully settled rather than silently preserved.  Per-fault
+    machines stepping their own settled states run as lanes of their
+    fault list's kernel instead
+    (:meth:`~repro.sim.batch.FaultBatch.apply_lane`)."""
     imask = mask(circuit.n_inputs)
     low, high = tstate
     low = (low & ~imask) | (~pattern & imask)
     high = (high & ~imask) | (pattern & imask)
     return settle(circuit, (low, high), fault)
-
-
-def apply_pattern_settled(
-    circuit: Circuit,
-    tstate: TernaryState,
-    pattern: int,
-    fault: Optional[Fault] = None,
-) -> TernaryState:
-    """Fast-path test cycle for **settled** states.
-
-    ``tstate`` must be a fixpoint produced by :func:`settle`,
-    :func:`settle_from_reset`, or this function under the same fault —
-    the engine then only re-examines the fanout of the inputs that
-    actually changed.  Feeding an unsettled state here returns garbage;
-    use :func:`apply_pattern` when in doubt."""
-    engine = _engine(circuit, fault)
-    L, H = _unpack(tstate, circuit.n_signals)
-    engine.apply_pattern(L, H, pattern)
-    return _pack(L, H)
 
 
 def settle_from_reset(

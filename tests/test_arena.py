@@ -1,10 +1,14 @@
 """Arena walk kernel parity and the simulation layer's compile budget.
 
 The arena walk kernel (compiled generator, state in generator locals)
-must be *bit-identical* to the worklist :class:`FaultBatch` path — same
-settled states after every cycle, same detection words at every
-observation — because Eichelberger's Algorithms A and B compute unique
-lattice fixpoints regardless of evaluation order.
+is the package's one Algorithm A/B settle, so its reference is the
+seed's sweeps in :mod:`repro.sim.legacy`: the walk must match them
+bit for bit — same settled states after every cycle, same detection
+words at every observation — because Eichelberger's Algorithms A and B
+compute unique lattice fixpoints regardless of evaluation order.  The
+legacy oracle simulates the stuck-at kinds only; bridging and
+transition machines are checked one at a time on their materialized
+faulty netlists.
 
 Checked here on every Table-1 benchmark under every registered fault
 model's full universe, riding a deterministic random walk through the
@@ -12,8 +16,9 @@ CSSG.  This is the sim half of the differential battery; the BDD half
 lives in ``test_symbolic_diff.py``.
 
 The compile-budget tests pin down that an ATPG job compiles only code
-that runs: no per-gate engine evaluators (nothing settles through the
-worklist), one walk kernel per non-empty job, and no numpy import.
+that runs: one walk kernel per non-empty job, under either faulty-machine
+semantics (the ternary machines are lanes of that kernel), and no numpy
+import.
 """
 
 import os
@@ -30,9 +35,11 @@ from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
 from repro.campaign import runner
 from repro.campaign.plan import CampaignSpec, expand
 from repro.circuit.parser import netlist_to_text, parse_netlist
+from repro.core.atpg import AtpgOptions
 from repro.faultmodels import get_model, model_names
+from repro.fuzz.oracles import pack_lanes, reference_apply, reference_reset
 from repro.sgraph.cssg import build_cssg
-from repro.sim import engine, legacy
+from repro.sim import engine, legacy, ternary
 from repro.sim.batch import FaultBatch
 
 WALK_LEN = 8
@@ -57,12 +64,17 @@ def _walk_states(cssg, seed):
     return trail
 
 
+def _detections(circuit, lanes, good):
+    return sum(ternary.detects(circuit, good, s) << j for j, s in enumerate(lanes))
+
+
 @pytest.mark.parametrize("model_name", model_names())
 @pytest.mark.parametrize("name", TABLE1_NAMES)
 def test_arena_walk_and_slab_match_batch(name, model_name):
-    """The walk matches ``FaultBatch.apply_settled`` cycle by cycle.  (The
-    name predates the removal of the numpy slab kernel; it is kept so
-    the test IDs stay stable.)"""
+    """The walk matches the legacy sweeps cycle by cycle.  (The name
+    predates the removal of the numpy slab kernel and of the worklist
+    batch path it was compared with; it is kept so the test IDs stay
+    stable.)"""
     cssg = _cssg_for(name)
     circuit = cssg.circuit
     faults = get_model(model_name).universe(circuit)
@@ -70,19 +82,18 @@ def test_arena_walk_and_slab_match_batch(name, model_name):
         pytest.skip(f"{model_name} universe is empty on {name}")
     trail = _walk_states(cssg, seed=zlib.crc32(f"{name}:{model_name}".encode()))
 
-    batch = FaultBatch(circuit, faults)
-    state = batch.reset_and_settle(cssg.reset)
-    walk = batch.walk(cssg.reset)
+    lanes = reference_reset(circuit, faults, cssg.reset)
+    walk = FaultBatch(circuit, faults).walk(cssg.reset)
 
-    assert walk.state() == state
-    det_ref = batch.observe(state, cssg.reset)
+    assert walk.state() == pack_lanes(lanes, circuit.n_signals)
+    det_ref = _detections(circuit, lanes, cssg.reset)
     assert walk.observe(cssg.reset) == det_ref
 
     for pattern, good in trail:
-        state = batch.apply_settled(state, pattern)
-        det_ref = batch.observe(state, good)
+        lanes = reference_apply(circuit, faults, lanes, pattern)
+        det_ref = _detections(circuit, lanes, good)
         assert walk.step(pattern, good) == det_ref
-        assert walk.state() == state
+        assert walk.state() == pack_lanes(lanes, circuit.n_signals)
 
 
 def test_walk_is_restartable():
@@ -115,10 +126,8 @@ def test_empty_universe_width_zero():
     assert walk.state() == batch.apply_settled(state, pattern)
 
 
-def test_atpg_jobs_compile_only_the_walk_kernel(monkeypatch):
-    """A Table-1 job under each fault model compiles no per-gate engine
-    evaluator and exactly one arena walk kernel (if its universe is
-    non-empty); the evaluators still compile on the first settle."""
+def _spy_compiles(monkeypatch):
+    """Record the filename of every simulation-layer compile."""
     compiles = []
     real_exec = engine._exec
 
@@ -127,27 +136,80 @@ def test_atpg_jobs_compile_only_the_walk_kernel(monkeypatch):
         return real_exec(src, filename)
 
     monkeypatch.setattr(engine, "_exec", spy)
+    return compiles
+
+
+def _run_jobs(monkeypatch, compiles, options=None):
+    """Run one Table-1 circuit under every fault model; returns the
+    private circuit copy and the compiles of each job."""
     name = "ebergen"
     # A private copy of the circuit, so nothing compiled by earlier tests
     # is reused; every job of the circuit shares it, as a table pass does.
     circuit = parse_netlist(netlist_to_text(load_benchmark(name, "complex")))
     monkeypatch.setattr(runner, "load_job_circuit", lambda job: circuit)
+    spec = CampaignSpec(
+        benchmarks=[name],
+        fault_models=model_names(),
+        options=options if options is not None else AtpgOptions(),
+    )
     cssg_memo = {}
-    for job in expand(CampaignSpec(benchmarks=[name], fault_models=model_names())):
+    per_job = []
+    for job in expand(spec):
         compiles.clear()
         runner.execute_job(job, cssg_memo)
         n_faults = len(get_model(job.options.fault_model).universe(circuit))
-        assert not [f for f in compiles if f.startswith("<engine:")], job.name
-        arena_compiles = [f for f in compiles if f.startswith("<arena:")]
-        assert len(arena_compiles) == (1 if n_faults else 0), (job.name, compiles)
+        per_job.append((job, n_faults, list(compiles)))
+    return circuit, per_job
+
+
+def test_atpg_jobs_compile_only_the_walk_kernel(monkeypatch):
+    """A Table-1 job under each fault model compiles no per-gate engine
+    evaluator and exactly one arena walk kernel (if its universe is
+    non-empty); a later settle on the same fault list reuses it."""
+    compiles = _spy_compiles(monkeypatch)
+    circuit, per_job = _run_jobs(monkeypatch, compiles)
+    for job, n_faults, job_compiles in per_job:
+        assert not [f for f in job_compiles if f.startswith("<engine:")], job.name
+        arena_compiles = [f for f in job_compiles if f.startswith("<arena:")]
+        assert len(arena_compiles) == (1 if n_faults else 0), (
+            job.name,
+            job_compiles,
+        )
 
     faults = get_model("input").universe(circuit)
     batch = FaultBatch(circuit, faults)
     state = batch.broadcast(circuit.require_reset())
     compiles.clear()
     assert batch.settle(state) == legacy.batch_settle(circuit, faults, state)
-    assert f"<engine:{circuit.name}>" in compiles
-    assert f"<engine:{circuit.name}:{len(faults)}f>" in compiles
+    assert compiles == []
+
+
+def test_ternary_semantics_jobs_run_faulty_machines_as_lanes(monkeypatch):
+    """Under ``faulty_semantics="ternary"`` every three-phase faulty
+    machine is a lane of the job's one walk kernel: no per-fault kernel
+    and no per-gate evaluator is compiled."""
+    lane_calls = []
+    real_apply_lane = FaultBatch.apply_lane
+
+    def spy_apply_lane(self, tstate, pattern, j):
+        lane_calls.append(j)
+        return real_apply_lane(self, tstate, pattern, j)
+
+    monkeypatch.setattr(FaultBatch, "apply_lane", spy_apply_lane)
+    compiles = _spy_compiles(monkeypatch)
+    circuit, per_job = _run_jobs(
+        monkeypatch, compiles, AtpgOptions(faulty_semantics="ternary")
+    )
+    for job, n_faults, job_compiles in per_job:
+        assert not [f for f in job_compiles if f.startswith("<engine:")], job.name
+        # The one kernel spans the job's whole fault list (no collapse).
+        kernel = f"<arena:{circuit.name}:{n_faults}f>"
+        arena_compiles = [f for f in job_compiles if f.startswith("<arena:")]
+        assert arena_compiles == ([kernel] if n_faults else []), (
+            job.name,
+            job_compiles,
+        )
+    assert lane_calls, "no ternary faulty machine ran"
 
 
 def test_import_repro_does_not_load_numpy():

@@ -219,7 +219,7 @@ def test_packed_batch_matches_scalar_for_mixed_universe(bench):
         good = cssg.edges[good][pattern]
         state = batch.apply_settled(state, pattern)
         scalars = [
-            ternary.apply_pattern_settled(circuit, s, pattern, f)
+            ternary.apply_pattern(circuit, s, pattern, f)
             for s, f in zip(scalars, faults)
         ]
 

@@ -8,15 +8,18 @@ These are the load-bearing soundness relations of the whole approach:
   definite outcome for a racy vector);
 * **agreement** — if ternary is definite, the settling graph is acyclic,
   confluent, and terminates in exactly the ternary result;
-* **parity** — the compiled event-driven engine (:mod:`repro.sim.engine`)
+* **parity** — the compiled arena walk kernel (:mod:`repro.sim.arena`)
   must be *bit-identical* to the seed's sweep implementation preserved
   in :mod:`repro.sim.legacy`: scalar ternary settling (with and without
-  faults), width-1 ``FaultBatch`` machines, and the excited-gate
-  enumeration that drives exact simulation.
+  faults), width-1 ``FaultBatch`` machines, each lane of a fault list's
+  batch run alone (the three-phase and classifier faulty machines), and
+  the excited-gate enumeration that drives exact simulation.
 
 Checked on the fixture circuits, on every bundled benchmark, and on
 randomly generated netlists.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,9 @@ from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
 from repro.circuit.expr import And, Const, Not, Or, Var, Xor
 from repro.circuit.faults import fault_universe
 from repro.circuit.netlist import Circuit
+from repro.faultmodels import get_model, model_names
+from repro.fuzz.oracles import reference_apply, reference_reset
+from repro.sgraph.cssg import build_cssg
 from repro.sgraph.explore import settle_report
 from repro.sim import legacy, ternary
 from repro.sim.batch import FaultBatch
@@ -180,6 +186,29 @@ def test_width1_batch_matches_seed_on_benchmarks(name):
             high = (sstate[1] & ~imask) | (pattern & imask)
             sstate = legacy.settle(circuit, (low, high), fault)
             assert batch.machine_state(bstate, 0) == sstate
+
+
+@pytest.mark.parametrize("model_name", model_names())
+def test_lanes_match_seed_along_cssg_walks(model_name):
+    """Every lane of a fault list's batch, run alone from its settled
+    reset along a seeded CSSG walk (how the three-phase generator and
+    the classifier run their ternary faulty machines), matches the seed
+    sweeps on every Table-1 benchmark."""
+    for name in TABLE1_NAMES:
+        cssg = build_cssg(load_benchmark(name, "complex"))
+        circuit = cssg.circuit
+        faults = get_model(model_name).universe(circuit)
+        batch = FaultBatch(circuit, faults)
+        at_reset = batch.reset_and_settle(cssg.reset)
+        patterns = cssg.random_walk(random.Random(f"{name}:{model_name}"), 8)
+        for j, fault in enumerate(faults):
+            (want,) = reference_reset(circuit, [fault], cssg.reset)
+            got = batch.machine_state(at_reset, j)
+            assert got == want, (name, fault)
+            for pattern in patterns:
+                (want,) = reference_apply(circuit, [fault], [want], pattern)
+                got = batch.apply_lane(got, pattern, j)
+                assert got == want, (name, fault, pattern)
 
 
 @pytest.mark.parametrize("name", TABLE1_NAMES)
