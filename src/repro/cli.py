@@ -767,6 +767,11 @@ def fuzz_main(argv=None) -> int:
         )
         if checks:
             print(f"checks: {checks}")
+        if aggregate["tallies"]:
+            tallies = ", ".join(
+                f"{case}={n}" for case, n in aggregate["tallies"].items()
+            )
+            print(f"tallies (not divergences): {tallies}")
         for d in aggregate["divergences"]:
             print(
                 f"DIVERGENCE seed={d['seed']} oracle={d['oracle']}: {d['detail']}"

@@ -8,8 +8,8 @@ ever definite).  The paper accepts the loss during bulk fault simulation
 (§5.4) — so do we — but per-fault generation deserves better.
 
 Here the faulty circuit is *materialized* as a real netlist
-(:func:`repro.circuit.faults.materialize_fault`) and simulated with the
-same exhaustive settling explorer used for the good circuit.  Because a
+(:func:`repro.circuit.faults.materialize_fault`) and simulated by
+exhaustive settling analysis, as the good circuit is.  Because a
 faulty circuit driven by good-circuit-valid vectors may itself race, the
 machine state is a **set** of possible stable states:
 
@@ -23,10 +23,21 @@ machine state is a **set** of possible stable states:
   caller falls back to ternary semantics (sound, never optimistic).
 
 This module owns no settling machinery of its own: all exploration
-routes through :func:`repro.sgraph.explore.settle_report`, whose
-excited-gate enumeration is the compiled function of
-:mod:`repro.sim.engine` — the same engine every other simulation
-workload shares.
+routes through its module-level name ``settle_report``, bound to
+:func:`repro.sgraph.explore.reduced_settle_report`.  Only the stable
+states and the cycle and truncation flags are read here, never the
+height, so the stubborn-set-reduced explorer serves: it keeps every
+stable state and every reachable cycle (the two theorems in its
+docstring) and visits about a fifth of the states on Table 2.  Its cap
+counts reduced states, so a start the full explorer would cut short
+may finish here with an exact answer instead of falling back.  The
+CSSG keeps the full :func:`repro.sgraph.explore.settle_report`, whose
+heights its k-bound needs.  Both explorers enumerate excited gates
+through the compiled function of :mod:`repro.sim.engine`.
+
+With metrics armed, each fallback is counted in
+``repro_exact_fallbacks_total{reason}``: ``oscillation``,
+``truncation`` or ``max_set``.
 """
 
 from __future__ import annotations
@@ -34,9 +45,33 @@ from __future__ import annotations
 from typing import FrozenSet, Optional
 
 from repro.circuit.netlist import Circuit
-from repro.sgraph.explore import settle_report
+from repro.obs import metrics as _obs
+from repro.sgraph.explore import reduced_settle_report as settle_report
 
 FaultyStates = FrozenSet[int]
+
+
+def _fallback(reason: str) -> None:
+    """Count one fall back to ternary semantics (metrics armed only)."""
+    if _obs.enabled():
+        _obs.get_registry().counter(
+            "repro_exact_fallbacks_total",
+            "Exact faulty-machine simulations handed back to ternary.",
+            ("reason",),
+        ).labels(reason).inc()
+
+
+def _settled(faulty: Circuit, start: int, cap: int) -> Optional[FaultyStates]:
+    """Stable states reachable from ``start``, or None (counted) when the
+    machine may oscillate or the exploration hits ``cap``."""
+    report = settle_report(faulty, start, cap)
+    if report.truncated:
+        _fallback("truncation")
+        return None
+    if report.oscillating:
+        _fallback("oscillation")
+        return None
+    return report.stable_states
 
 
 def faulty_reset_states(
@@ -51,12 +86,11 @@ def faulty_reset_states(
     ``materialize_fault``).  Returns None when the machine may oscillate
     or the analysis blows the caps.
     """
-    report = settle_report(faulty, reset_state, cap)
-    if report.oscillating or report.truncated:
+    states = _settled(faulty, reset_state, cap)
+    if states is not None and len(states) > max_set:
+        _fallback("max_set")
         return None
-    if len(report.stable_states) > max_set:
-        return None
-    return report.stable_states
+    return states
 
 
 def faulty_apply(
@@ -69,12 +103,12 @@ def faulty_apply(
     """Drive the inputs to ``pattern`` on every possible faulty state."""
     out = set()
     for state in states:
-        started = faulty.apply_input_pattern(state, pattern)
-        report = settle_report(faulty, started, cap)
-        if report.oscillating or report.truncated:
+        settled = _settled(faulty, faulty.apply_input_pattern(state, pattern), cap)
+        if settled is None:
             return None
-        out |= report.stable_states
+        out |= settled
         if len(out) > max_set:
+            _fallback("max_set")
             return None
     return frozenset(out)
 

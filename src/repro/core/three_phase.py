@@ -25,8 +25,9 @@ For one target fault the generator runs:
 Two faulty-machine semantics are available:
 
 * ``"exact"`` (default) — the faulty circuit is materialized as a real
-  netlist and simulated with the exhaustive settling explorer; its state
-  is a *set* of possible stable states (see :mod:`repro.core.exact_sim`).
+  netlist and simulated with the stubborn-set-reduced settling explorer,
+  which keeps every stable state and reachable cycle; its state is a
+  *set* of possible stable states (see :mod:`repro.core.exact_sim`).
   Oscillation or set blow-up falls back to ternary, never the reverse.
 * ``"ternary"`` — the paper's machinery: Eichelberger simulation with
   the fault injected, conservative about races.  Each fault's machine is

@@ -43,7 +43,7 @@ __all__ = [
 #: Version of the fuzz job document *and* result block; bump on any
 #: change to generation, oracles or shrinking semantics so stale
 #: cached verdicts can never satisfy a new campaign.
-FUZZ_SCHEMA_VERSION = 1
+FUZZ_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,8 @@ class FuzzResult:
     rejections: Dict[str, int]
     checks: Dict[str, int]
     n_unproductive: int  #: seeds whose every generation attempt was rejected
+    #: oracle-noted cases that are not divergences (``ScenarioReport.tallies``)
+    tallies: Dict[str, int] = field(default_factory=dict)
     cpu_seconds: float = 0.0
 
     def to_json_dict(self) -> Dict:
@@ -144,6 +146,7 @@ class FuzzResult:
             "divergences": self.divergences,
             "rejections": dict(sorted(self.rejections.items())),
             "checks": dict(sorted(self.checks.items())),
+            "tallies": dict(sorted(self.tallies.items())),
             "n_scenarios": len(self.scenarios),
             "n_divergent": len({d["seed"] for d in self.divergences}),
             "n_unproductive": self.n_unproductive,
@@ -182,6 +185,7 @@ def execute_fuzz_job(job: Job, listeners=()) -> FuzzResult:
     divergences: List[Dict] = []
     rejections: Dict[str, int] = {}
     checks: Dict[str, int] = {}
+    tallies: Dict[str, int] = {}
     n_unproductive = 0
     for done, seed in enumerate(range(a, b)):
         emit(ProgressTick("fuzz", done=done, total=b - a, covered=0))
@@ -194,6 +198,8 @@ def execute_fuzz_job(job: Job, listeners=()) -> FuzzResult:
         report = run_scenario(scenario, oracles, caps)
         for oracle, n in report.checks.items():
             checks[oracle] = checks.get(oracle, 0) + n
+        for case, n in report.tallies.items():
+            tallies[case] = tallies.get(case, 0) + n
         scenarios.append(
             {
                 "seed": seed,
@@ -202,6 +208,7 @@ def execute_fuzz_job(job: Job, listeners=()) -> FuzzResult:
                 "sha256": _sha(scenario.text),
                 "attempts": scenario.rejections.attempts,
                 "checks": dict(sorted(report.checks.items())),
+                "tallies": dict(sorted(report.tallies.items())),
                 "ok": report.ok,
             }
         )
@@ -232,6 +239,7 @@ def execute_fuzz_job(job: Job, listeners=()) -> FuzzResult:
         rejections=rejections,
         checks=checks,
         n_unproductive=n_unproductive,
+        tallies=tallies,
         cpu_seconds=time.perf_counter() - t0,
     )
 
@@ -260,6 +268,7 @@ def aggregate_reports(payloads: Sequence[Dict]) -> Dict:
         "n_unproductive": 0,
         "by_kind": {},
         "checks": {},
+        "tallies": {},
         "rejections": {},
         "divergences": [],
     }
@@ -274,11 +283,14 @@ def aggregate_reports(payloads: Sequence[Dict]) -> Dict:
             out["by_kind"][kind] = out["by_kind"].get(kind, 0) + 1
         for oracle, n in payload["checks"].items():
             out["checks"][oracle] = out["checks"].get(oracle, 0) + n
+        for case, n in payload["tallies"].items():
+            out["tallies"][case] = out["tallies"].get(case, 0) + n
         for reason, n in payload["rejections"].items():
             out["rejections"][reason] = out["rejections"].get(reason, 0) + n
         out["divergences"].extend(payload["divergences"])
     out["by_kind"] = dict(sorted(out["by_kind"].items()))
     out["checks"] = dict(sorted(out["checks"].items()))
+    out["tallies"] = dict(sorted(out["tallies"].items()))
     out["rejections"] = dict(sorted(out["rejections"].items()))
     out["divergences"].sort(key=lambda d: (d["seed"], d["oracle"]))
     return out

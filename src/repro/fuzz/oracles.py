@@ -1,4 +1,4 @@
-"""The six differential oracle pairs every scenario runs through.
+"""The seven differential oracle pairs every scenario runs through.
 
 Each oracle compares two independent implementations that must agree;
 any disagreement is a :class:`Divergence` (a bug in one of the two, by
@@ -26,6 +26,11 @@ construction — there is no "expected output" file anywhere):
                (:mod:`repro.ext.undetectable`) and vs random walks of
                the arena kernel: a fault either side proves
                undetectable is never detected by the other
+``reduced_settle``  full settling explorer vs the stubborn-set-reduced
+               one, on every exact-settle start of the undetectable
+               pair's three-phase run plus seeded starts on the good
+               and sampled faulty circuits: equal stable states and
+               cycle flags, and never a reduced-only truncation
 ============   ====================================================
 
 Oracles assert exactly the documented contracts and no more: the
@@ -35,7 +40,11 @@ and requires replayed faults to keep their cached verdicts, but does
 not compare stale-fault test indices to a from-scratch run — those
 are documented to differ.  The undetectable oracle checks soundness
 only: a three-phase search cut short by its product-state cap proves
-nothing either way, and the classifier is not complete.
+nothing either way, and the classifier is not complete.  The
+reduced-settle oracle compares nothing where the full explorer
+truncates; a start the reduced explorer finishes there is tallied as
+``reduced_settle.full_truncated`` in the report's ``tallies``, apart
+from divergences.
 
 Everything is deterministic in ``(scenario, caps)``: internal RNGs are
 seeded from the scenario seed, so a divergence found in CI replays
@@ -48,9 +57,10 @@ import json
 import hashlib
 import random
 import tempfile
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.campaign.cohort import cohort_salt, partition
 from repro.campaign.plan import Job, job_key, source_fingerprint
@@ -59,6 +69,7 @@ from repro.campaign.store import ResultStore
 from repro.circuit.faults import Fault, fault_universe, materialize_fault
 from repro.circuit.netlist import Circuit
 from repro.circuit.parser import netlist_to_text, parse_netlist
+from repro.core import exact_sim
 from repro.core.atpg import AtpgOptions
 from repro.core.three_phase import DETECTED, UNDETECTABLE, ThreePhaseGenerator
 from repro.ext.undetectable import POSSIBLY_DETECTABLE, classify_undetectable
@@ -66,6 +77,7 @@ from repro.faultmodels import model_names
 from repro.fuzz.generator import Scenario
 from repro.fuzz.mutate import MUTATION_OPS, mutate_netlist
 from repro.sgraph.cssg import Cssg, build_cssg
+from repro.sgraph.explore import reduced_settle_report, settle_report
 from repro.sgraph.symbolic import SymbolicTcsg
 from repro.sim import legacy, ternary
 from repro.sim.batch import BatchState, FaultBatch
@@ -119,6 +131,9 @@ class ScenarioReport:
     kind: str
     checks: Dict[str, int]  #: oracle -> comparisons made (0 = skipped)
     divergences: List[Divergence]
+    #: ``"<oracle>.<case>"`` -> count of cases an oracle notes but does
+    #: not compare (never divergences)
+    tallies: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -130,23 +145,33 @@ class ScenarioReport:
             "kind": self.kind,
             "checks": dict(sorted(self.checks.items())),
             "divergences": [d.to_json_dict() for d in self.divergences],
+            "tallies": dict(sorted(self.tallies.items())),
         }
 
 
 class _Ctx:
-    """Shared per-scenario material (circuit + exact CSSG, built once)."""
+    """Shared per-scenario material (circuit, exact CSSG, three-phase
+    run), each built once."""
 
     def __init__(self, scenario: Scenario, caps: OracleCaps):
         self.scenario = scenario
         self.caps = caps
         self.circuit = scenario.circuit()
+        self.tallies: Dict[str, int] = {}
         self._cssg: Optional[Cssg] = None
+        self._three_phase: Optional["_ThreePhaseRun"] = None
 
     @property
     def cssg(self) -> Cssg:
         if self._cssg is None:
             self._cssg = build_cssg(self.circuit, method="exact")
         return self._cssg
+
+    @property
+    def three_phase(self) -> "_ThreePhaseRun":
+        if self._three_phase is None:
+            self._three_phase = _ThreePhaseRun(self)
+        return self._three_phase
 
     def fault_sample(self, model: str) -> List:
         """A deterministic spread through the model's universe."""
@@ -494,18 +519,55 @@ _UNDETECTABLE_PRODUCT_CAP = 4000
 _UNDETECTABLE_WALKS = 4
 
 
+@contextmanager
+def _recording_exact_settles(
+    sink: List[Tuple[Circuit, int, int]]
+) -> Iterator[None]:
+    """Record every ``(circuit, start, cap)`` the exact faulty machine
+    settles, by rebinding :mod:`repro.core.exact_sim`'s module-level
+    ``settle_report`` (its one explorer entry) for the duration.  The
+    rebinding is process-wide; oracles run one scenario at a time."""
+    real = exact_sim.settle_report
+
+    def record(circuit: Circuit, start: int, cap: int = 200_000):
+        sink.append((circuit, start, cap))
+        return real(circuit, start, cap)
+
+    exact_sim.settle_report = record
+    try:
+        yield
+    finally:
+        exact_sim.settle_report = real
+
+
+class _ThreePhaseRun:
+    """Three-phase generation on every sampled fault, shared by the
+    undetectable and reduced-settle pairs.  Every claim is relative to
+    one single-input-change CSSG: fuzzed specs can have 6+ primary
+    inputs, where the unbounded CSSG offers ~100 vectors per state and
+    each exhaustive search takes seconds per fault."""
+
+    def __init__(self, ctx: _Ctx):
+        self.cssg = build_cssg(ctx.circuit, method="exact", max_input_changes=1)
+        self.faults = [f for model in model_names() for f in ctx.fault_sample(model)]
+        #: every exact faulty-machine settle the run issued
+        self.exact_starts: List[Tuple[Circuit, int, int]] = []
+        self.verdict: Dict[Fault, str] = {}
+        if self.faults:
+            generator = ThreePhaseGenerator(
+                self.cssg, _UNDETECTABLE_PRODUCT_CAP, faults=self.faults
+            )
+            with _recording_exact_settles(self.exact_starts):
+                for fault in self.faults:
+                    self.verdict[fault] = generator.generate(fault).status
+
+
 def _oracle_undetectable(ctx: _Ctx) -> Tuple[int, List[str]]:
     c = ctx.circuit
-    # Every claim here is relative to one CSSG, so all three sides share
-    # a single-input-change one: fuzzed specs can have 6+ primary inputs,
-    # where the unbounded CSSG offers ~100 vectors per state and each
-    # exhaustive search takes seconds per fault.
-    cssg = build_cssg(c, method="exact", max_input_changes=1)
-    faults = [f for model in model_names() for f in ctx.fault_sample(model)]
+    run = ctx.three_phase
+    cssg, faults, verdict = run.cssg, run.faults, run.verdict
     if not faults:
         return 0, []
-    generator = ThreePhaseGenerator(cssg, _UNDETECTABLE_PRODUCT_CAP, faults=faults)
-    verdict = {fault: generator.generate(fault).status for fault in faults}
     checks, bad = 0, []
     # Every a-priori proof must survive three-phase's exhaustive search.
     classified = classify_undetectable(
@@ -544,6 +606,58 @@ def _oracle_undetectable(ctx: _Ctx) -> Tuple[int, List[str]]:
     return checks, bad
 
 
+#: State cap of the reduced-settle pair's seeded starts: an arbitrary
+#: state of a wide circuit can reach far more states than a test cycle.
+_SEEDED_SETTLE_CAP = 2000
+
+
+def _oracle_reduced_settle(ctx: _Ctx) -> Tuple[int, List[str]]:
+    c = ctx.circuit
+    starts = list(ctx.three_phase.exact_starts)
+    # Seeded starts: a CSSG state under a random input pattern (what a
+    # test cycle settles) and an arbitrary state, per circuit.
+    rng = random.Random(f"fuzz-reduced-settle:{ctx.scenario.seed}")
+    stable = sorted(ctx.three_phase.cssg.states)
+    circuits = [c] + [
+        materialize_fault(c, f)
+        for model in model_names()
+        for f in ctx.fault_sample(model)
+    ]
+    for circuit in circuits:
+        for _ in range(ctx.caps.n_states // 4):
+            pattern = rng.getrandbits(circuit.n_inputs)
+            starts.append(
+                (circuit, circuit.apply_input_pattern(rng.choice(stable), pattern),
+                 _SEEDED_SETTLE_CAP)
+            )
+            starts.append(
+                (circuit, rng.getrandbits(circuit.n_signals), _SEEDED_SETTLE_CAP)
+            )
+    distinct = {(id(start[0]),) + start[1:]: start for start in starts}
+    checks, rescued, bad = 0, 0, []
+    for circuit, start, cap in distinct.values():
+        full = settle_report(circuit, start, cap)
+        reduced = reduced_settle_report(circuit, start, cap)
+        checks += 1
+        if full.truncated:
+            rescued += not reduced.truncated
+            continue
+        if (
+            reduced.truncated
+            or reduced.stable_states != full.stable_states
+            or reduced.has_cycle != full.has_cycle
+        ):
+            bad.append(
+                f"{circuit.name} from {circuit.state_bits(start)} (cap {cap}): "
+                f"full stable={sorted(full.stable_states)} cycle={full.has_cycle}; "
+                f"reduced stable={sorted(reduced.stable_states)} "
+                f"cycle={reduced.has_cycle} truncated={reduced.truncated}"
+            )
+    if rescued:
+        ctx.tallies["reduced_settle.full_truncated"] = rescued
+    return checks, bad
+
+
 ORACLES: Dict[str, Callable[[_Ctx], Tuple[int, List[str]]]] = {
     "settle": _oracle_settle,
     "cssg": _oracle_cssg,
@@ -551,14 +665,16 @@ ORACLES: Dict[str, Callable[[_Ctx], Tuple[int, List[str]]]] = {
     "kernels": _oracle_kernels,
     "incremental": _oracle_incremental,
     "undetectable": _oracle_undetectable,
+    "reduced_settle": _oracle_reduced_settle,
 }
 
 
 def oracle_names() -> Tuple[str, ...]:
     """All oracle pair names, battery order.
 
-    >>> oracle_names()
-    ('settle', 'cssg', 'faults', 'kernels', 'incremental', 'undetectable')
+    >>> oracle_names()  # doctest: +NORMALIZE_WHITESPACE
+    ('settle', 'cssg', 'faults', 'kernels', 'incremental', 'undetectable',
+     'reduced_settle')
     """
     return tuple(ORACLES)
 
@@ -580,4 +696,6 @@ def run_scenario(
         n, bad = ORACLES[name](ctx)
         checks[name] = n
         divergences.extend(Divergence(name, detail) for detail in bad)
-    return ScenarioReport(scenario.seed, scenario.kind, checks, divergences)
+    return ScenarioReport(
+        scenario.seed, scenario.kind, checks, divergences, dict(ctx.tallies)
+    )

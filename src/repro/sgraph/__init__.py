@@ -2,7 +2,8 @@
 
 * :mod:`repro.sgraph.explore` — exhaustive unbounded-delay settling
   analysis from a single state (non-confluence, oscillation, test-cycle
-  length; paper §2, §4.1).
+  length; paper §2, §4.1), and its stubborn-set-reduced, height-free
+  variant for the exact faulty machine.
 * :mod:`repro.sgraph.cssg` — reachable-stable-state traversal and the
   k-Confluent Stable State Graph (paper §4.2).
 * :mod:`repro.sgraph.symbolic` — partitioned BDD image computation of
@@ -14,7 +15,7 @@ Construction methods implement the :class:`CssgBuilder` protocol and
 register in :data:`CSSG_METHODS`; :func:`build_cssg` dispatches on it.
 """
 
-from repro.sgraph.explore import SettleReport, settle_report
+from repro.sgraph.explore import SettleReport, reduced_settle_report, settle_report
 from repro.sgraph.cssg import (
     CSSG_METHODS,
     Cssg,
@@ -26,6 +27,7 @@ from repro.sgraph.cssg import (
 
 __all__ = [
     "SettleReport",
+    "reduced_settle_report",
     "settle_report",
     "CSSG_METHODS",
     "Cssg",

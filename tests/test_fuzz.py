@@ -316,5 +316,6 @@ def test_run_scenario_rejects_unknown_oracle():
     with pytest.raises(ValueError, match="unknown oracles"):
         run_scenario(scenario, ("nope",), OracleCaps())
     assert oracle_names() == (
-        "settle", "cssg", "faults", "kernels", "incremental", "undetectable"
+        "settle", "cssg", "faults", "kernels", "incremental", "undetectable",
+        "reduced_settle",
     )
