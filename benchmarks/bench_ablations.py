@@ -13,7 +13,6 @@ from repro.benchmarks_data import load_benchmark
 from repro.circuit.faults import input_fault_universe
 from repro.core.atpg import AtpgOptions
 from repro.flow import Flow
-from repro.core.random_tpg import random_tpg
 from repro.sgraph.cssg import build_cssg
 from repro.sgraph.symbolic import SymbolicTcsg
 

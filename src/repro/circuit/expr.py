@@ -23,7 +23,7 @@ The ternary operators used here are the standard monotone extensions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParseError
 
@@ -185,7 +185,7 @@ def or_all(args: Sequence[Expr]) -> Expr:
 _TOKEN_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.$[]")
 
 
-def _tokenize(text: str, filename: str, line: int) -> List[str]:
+def _tokenize(text: str, filename: Optional[str], line: int) -> List[str]:
     tokens: List[str] = []
     i = 0
     while i < len(text):
@@ -207,7 +207,7 @@ def _tokenize(text: str, filename: str, line: int) -> List[str]:
 
 
 class _ExprParser:
-    def __init__(self, tokens: List[str], filename: str, line: int):
+    def __init__(self, tokens: List[str], filename: Optional[str], line: int):
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
@@ -272,7 +272,7 @@ class _ExprParser:
         return Var(tok)
 
 
-def parse_expr(text: str, filename: str = "<string>", line: int = 0) -> Expr:
+def parse_expr(text: str, filename: Optional[str] = None, line: int = 0) -> Expr:
     """Parse an expression like ``(a & ~b) | c ^ d``.
 
     Precedence (highest first): ``~``, ``&``, ``^``, ``|``.

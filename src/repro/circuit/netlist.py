@@ -172,13 +172,16 @@ class Circuit:
                 program = compile_expr(expr, index_of)
             except KeyError as exc:
                 raise NetlistError(
-                    f"gate {n!r} references undefined signal {exc.args[0]!r}"
+                    f"gate {n!r} references undefined signal {exc.args[0]!r}",
+                    ("gate", n),
                 ) from None
             gates.append(Gate(n, idx, expr, program, program_vars(program), gtype))
             signals.append(Signal(n, idx, False, n in out_set))
         for n in self._output_names:
             if n not in index_of:
-                raise NetlistError(f"output {n!r} is not a defined signal")
+                raise NetlistError(
+                    f"output {n!r} is not a defined signal", ("output", n)
+                )
         self.signals = tuple(signals)
         self.gates = tuple(gates)
         self.outputs = tuple(index_of[n] for n in self._output_names)
@@ -186,10 +189,14 @@ class Circuit:
         if self._reset_values is not None:
             missing = [n for n in names if n not in self._reset_values]
             if missing:
-                raise NetlistError(f"reset state missing signals: {missing}")
+                raise NetlistError(
+                    f"reset state missing signals: {missing}", ("reset", "")
+                )
             unknown = [n for n in self._reset_values if n not in index_of]
             if unknown:
-                raise NetlistError(f"reset state has unknown signals: {unknown}")
+                raise NetlistError(
+                    f"reset state has unknown signals: {unknown}", ("reset", "")
+                )
             state = 0
             for n, v in self._reset_values.items():
                 state = set_bit(state, index_of[n], int(v))

@@ -24,22 +24,28 @@ Example (the paper's figure 1(b) oscillator)::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Tuple
 
 from repro.circuit.expr import parse_expr
 from repro.circuit.netlist import Circuit
-from repro.errors import ParseError
+from repro.errors import NetlistError, ParseError
 
 
 def parse_netlist(text: str, filename: str = "<string>") -> Circuit:
-    """Parse ``.net`` source text into a finalized :class:`Circuit`."""
-    circuit: Optional[Circuit] = None
+    """Parse ``.net`` source text into a finalized :class:`Circuit`.
+
+    Every error is a :class:`ParseError` naming ``filename``, and the
+    line at fault when one is: checks made once the whole file is read
+    (an undefined signal, an incomplete ``.reset``, an unknown output)
+    point back at the gate, ``.reset`` or ``.outputs`` line."""
     pending: List[tuple] = []  # deferred (kind, payload, line)
     name = "circuit"
-    inputs: List[str] = []
-    outputs: List[str] = []
+    inputs: List[Tuple[str, int]] = []
+    outputs: List[Tuple[str, int]] = []
     reset = None
     k = None
+    #: NetlistError.source -> the line that declared it
+    lines: Dict[Tuple[str, str], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -51,9 +57,9 @@ def parse_netlist(text: str, filename: str = "<string>") -> Circuit:
                 raise ParseError(".model expects one name", filename, lineno)
             name = tokens[1]
         elif head == ".inputs":
-            inputs.extend(tokens[1:])
+            inputs.extend((n, lineno) for n in tokens[1:])
         elif head == ".outputs":
-            outputs.extend(tokens[1:])
+            outputs.extend((n, lineno) for n in tokens[1:])
         elif head == ".gate":
             if len(tokens) < 3:
                 raise ParseError(".gate expects OUT GTYPE [INPUTS...]", filename, lineno)
@@ -75,40 +81,44 @@ def parse_netlist(text: str, filename: str = "<string>") -> Circuit:
                 if v not in ("0", "1"):
                     raise ParseError(f"reset value must be 0/1 in {tok!r}", filename, lineno)
                 reset[n] = int(v)
+            lines["reset", ""] = lineno
         elif head == ".k":
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise ParseError(".k expects a positive integer", filename, lineno)
-            k = int(tokens[1])
+            k = (int(tokens[1]), lineno)
         elif head == ".end":
             break
         else:
             raise ParseError(f"unknown directive {head!r}", filename, lineno)
 
     circuit = Circuit(name)
-    for n in inputs:
-        _wrap(circuit.add_input, filename, 0, n)
+    for n, lineno in inputs:
+        _wrap(circuit.add_input, filename, lineno, n)
     for kind, payload, lineno in pending:
+        lines.setdefault(("gate", payload[0]), lineno)
         if kind == "gate":
             out, gtype, ins = payload
             _wrap(circuit.add_gate, filename, lineno, out, gtype=gtype, inputs=ins)
         else:
             out, expr = payload
             _wrap(circuit.add_gate, filename, lineno, out, expr=expr)
-    for n in outputs:
+    for n, lineno in outputs:
+        lines.setdefault(("output", n), lineno)
         circuit.mark_output(n)
     if reset is not None:
         circuit.set_reset(reset)
     if k is not None:
-        circuit.set_k(k)
-    _wrap(circuit.finalize, filename, 0)
+        _wrap(circuit.set_k, filename, k[1], k[0])
+    try:
+        circuit.finalize()
+    except NetlistError as exc:
+        raise ParseError(str(exc), filename, lines.get(exc.source, 0)) from None
     return circuit
 
 
 def _wrap(fn, filename, lineno, *args, **kwargs):
     """Convert NetlistError raised by construction into a ParseError with
     position information."""
-    from repro.errors import NetlistError
-
     try:
         return fn(*args, **kwargs)
     except NetlistError as exc:
@@ -117,8 +127,21 @@ def _wrap(fn, filename, lineno, *args, **kwargs):
 
 def load_netlist(path) -> Circuit:
     """Parse a ``.net`` file from disk."""
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_netlist(f.read(), filename=str(path))
+    return parse_netlist(read_source(path), filename=str(path))
+
+
+def read_source(path) -> str:
+    """The text of a source file; bytes that are not UTF-8 are a
+    :class:`ParseError` at their line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"not UTF-8 text (byte {data[exc.start]:#04x})", str(path), line
+        ) from None
 
 
 def netlist_to_text(circuit: Circuit) -> str:

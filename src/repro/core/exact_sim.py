@@ -7,11 +7,18 @@ tests (the faulty machine dissolves into Φ and no output difference is
 ever definite).  The paper accepts the loss during bulk fault simulation
 (§5.4) — so do we — but per-fault generation deserves better.
 
-Here the faulty circuit is *materialized* as a real netlist
-(:func:`repro.circuit.faults.materialize_fault`) and simulated by
-exhaustive settling analysis, as the good circuit is.  Because a
-faulty circuit driven by good-circuit-valid vectors may itself race, the
-machine state is a **set** of possible stable states:
+Here the faulty circuit is simulated by exhaustive settling analysis,
+as the good circuit is.  A fault rewrites at most two gates, so the
+faulty machine is a :class:`PatchedMachine`: the good circuit plus a
+patch of the gates its model replaces
+(:meth:`repro.faultmodels.FaultModel.replacements`), the classic
+fault-simulation idea of simulating each faulty machine as a small
+difference from the good one (Ulrich & Baker, "Concurrent simulation
+of nearly identical digital networks", IEEE Computer 1974).  No faulty
+netlist is built: :func:`repro.circuit.faults.materialize_fault` builds
+the same machine as a real netlist, and stays the test-side oracle.
+Because a faulty circuit driven by good-circuit-valid vectors may
+itself race, the machine state is a **set** of possible stable states:
 
 * applying a vector maps each member through its settling analysis and
   unions the outcomes;
@@ -33,7 +40,8 @@ counts reduced states, so a start the full explorer would cut short
 may finish here with an exact answer instead of falling back.  The
 CSSG keeps the full :func:`repro.sgraph.explore.settle_report`, whose
 heights its k-bound needs.  Both explorers enumerate excited gates
-through the compiled function of :mod:`repro.sim.engine`.
+through compiled functions of :mod:`repro.sim.engine`; a patched
+machine's is the good circuit's plus its patch.
 
 With metrics armed, each fallback is counted in
 ``repro_exact_fallbacks_total{reason}``: ``oscillation``,
@@ -42,13 +50,77 @@ With metrics armed, each fallback is counted in
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional
+from typing import FrozenSet, Optional, Union
 
+from repro.circuit.expr import compile_expr, program_vars
+from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
+from repro.faultmodels import model_for_kind
+from repro.faultmodels.base import faulty_name
 from repro.obs import metrics as _obs
+from repro.sgraph.explore import _Stubborn
 from repro.sgraph.explore import reduced_settle_report as settle_report
+from repro.sim.engine import patched_excited
 
 FaultyStates = FrozenSet[int]
+
+
+class PatchedMachine:
+    """The faulty machine of ``fault`` as the good ``circuit`` plus a
+    patch of the (at most two) gates the fault's model replaces.
+
+    * ``excited_signals`` is the good circuit's compiled excited-gate
+      function with the patched gates re-evaluated, removed and
+      re-inserted in ascending gate order: the very list the materialized
+      netlist's would return, so the reduced explorer's tie-break, and
+      with it every per-start state count, is unchanged.  The patch is
+      the machine's only compiled code.
+    * ``stubborn`` holds the reduced explorer's dependence masks, built
+      from the patched supports: a bridged gate reads its partner's
+      support as well, and a table built from the good supports would
+      miss those dependences.
+    * ``reset_state`` is the good reset as a tester forces it on the
+      faulty machine (:meth:`~repro.faultmodels.FaultModel.forced_reset`),
+      or None when the circuit has none.
+    """
+
+    __slots__ = (
+        "circuit",
+        "fault",
+        "name",
+        "excited_signals",
+        "stubborn",
+        "reset_state",
+    )
+
+    def __init__(self, circuit: Circuit, fault: Fault):
+        model = model_for_kind(fault.kind)
+        index_of = {s.name: s.index for s in circuit.signals}
+        programs = {
+            g: compile_expr(expr, index_of)
+            for g, expr in model.replacements(circuit, fault).items()
+        }
+        self.circuit = circuit
+        self.fault = fault
+        self.name = faulty_name(circuit, fault)
+        self.excited_signals = patched_excited(circuit, programs, self.name)
+        self.stubborn = _Stubborn(
+            circuit, {g: program_vars(p) for g, p in programs.items()}
+        )
+        reset = circuit.reset_state
+        self.reset_state = (
+            None if reset is None else model.forced_reset(circuit, fault, reset)
+        )
+
+    def apply_input_pattern(self, state: int, pattern: int) -> int:
+        """Drive the inputs to ``pattern``: an R_I step, as on the good
+        circuit (a fault never moves an input wire)."""
+        return self.circuit.apply_input_pattern(state, pattern)
+
+
+#: What the exact simulator settles: a patched machine, or any netlist
+#: (a materialized faulty one in tests).
+Machine = Union[PatchedMachine, Circuit]
 
 
 def _fallback(reason: str) -> None:
@@ -61,7 +133,7 @@ def _fallback(reason: str) -> None:
         ).labels(reason).inc()
 
 
-def _settled(faulty: Circuit, start: int, cap: int) -> Optional[FaultyStates]:
+def _settled(faulty: Machine, start: int, cap: int) -> Optional[FaultyStates]:
     """Stable states reachable from ``start``, or None (counted) when the
     machine may oscillate or the exploration hits ``cap``."""
     report = settle_report(faulty, start, cap)
@@ -75,16 +147,16 @@ def _settled(faulty: Circuit, start: int, cap: int) -> Optional[FaultyStates]:
 
 
 def faulty_reset_states(
-    faulty: Circuit,
+    faulty: Machine,
     reset_state: int,
     cap: int = 50_000,
     max_set: int = 64,
 ) -> Optional[FaultyStates]:
     """Possible stable states of the faulty machine after reset forcing.
 
-    ``reset_state`` already carries the output-fault pre-set (see
-    ``materialize_fault``).  Returns None when the machine may oscillate
-    or the analysis blows the caps.
+    ``reset_state`` already carries the model's pre-set (see
+    :attr:`PatchedMachine.reset_state`).  Returns None when the machine
+    may oscillate or the analysis blows the caps.
     """
     states = _settled(faulty, reset_state, cap)
     if states is not None and len(states) > max_set:
@@ -94,7 +166,7 @@ def faulty_reset_states(
 
 
 def faulty_apply(
-    faulty: Circuit,
+    faulty: Machine,
     states: FaultyStates,
     pattern: int,
     cap: int = 50_000,

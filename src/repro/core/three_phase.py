@@ -24,11 +24,13 @@ For one target fault the generator runs:
 
 Two faulty-machine semantics are available:
 
-* ``"exact"`` (default) — the faulty circuit is materialized as a real
-  netlist and simulated with the stubborn-set-reduced settling explorer,
-  which keeps every stable state and reachable cycle; its state is a
-  *set* of possible stable states (see :mod:`repro.core.exact_sim`).
-  Oscillation or set blow-up falls back to ternary, never the reverse.
+* ``"exact"`` (default) — the faulty circuit is the good one with the
+  fault's (at most two) gates patched in, simulated with the
+  stubborn-set-reduced settling explorer, which keeps every stable
+  state and reachable cycle; its state is a *set* of possible stable
+  states (see :mod:`repro.core.exact_sim`).  Per fault it compiles one
+  small patch, never a whole faulty circuit.  Oscillation or set
+  blow-up falls back to ternary, never the reverse.
 * ``"ternary"`` — the paper's machinery: Eichelberger simulation with
   the fault injected, conservative about races.  Each fault's machine is
   one lane of the arena kernel compiled for the generator's fault list
@@ -48,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.circuit.faults import Fault, materialize_fault
+from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.core import exact_sim
 from repro.sgraph.cssg import Cssg
@@ -92,8 +94,8 @@ class _TernaryMachine:
 
 
 class _ExactMachine:
-    """Faulty machine as a set of possible stable states of the
-    materialized faulty netlist.
+    """Faulty machine as a set of possible stable states of the good
+    circuit with the fault patched in (:class:`exact_sim.PatchedMachine`).
 
     ``apply`` results are memoised per machine, so per fault: the
     differentiation searches from each activation target and from reset
@@ -103,7 +105,7 @@ class _ExactMachine:
 
     def __init__(self, circuit: Circuit, fault: Fault, cap: int, max_set: int):
         self.circuit = circuit
-        self.faulty = materialize_fault(circuit, fault)
+        self.faulty = exact_sim.PatchedMachine(circuit, fault)
         self.cap = cap
         self.max_set = max_set
         self._applied: Dict[
@@ -112,7 +114,7 @@ class _ExactMachine:
 
     def reset(self, reset_state: int):
         if self.faulty.reset_state is not None:
-            reset_state = self.faulty.reset_state  # carries output pre-set
+            reset_state = self.faulty.reset_state  # carries the pre-set
         states = exact_sim.faulty_reset_states(
             self.faulty, reset_state, self.cap, self.max_set
         )

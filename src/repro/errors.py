@@ -6,22 +6,43 @@ callers can catch library failures without masking programming errors.
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
 class NetlistError(ReproError):
-    """Malformed circuit construction (bad names, undriven signals...)."""
+    """Malformed circuit construction (bad names, undriven signals...).
+
+    ``source`` names the declaration at fault when there is one, so a
+    parser can point at its line: ``("gate", name)``,
+    ``("output", name)`` or ``("reset", "")``."""
+
+    def __init__(self, message: str, source: Optional[Tuple[str, str]] = None):
+        super().__init__(message)
+        self.source = source
 
 
 class ParseError(ReproError):
-    """Syntactic error in a netlist (.net) or STG (.g) source file."""
+    """Error in a netlist (.net) or STG (.g) source file.
 
-    def __init__(self, message: str, filename: str = "<string>", line: int = 0):
+    The message names the file, and the line when one caused the error:
+    ``file:line: message`` or ``file: message``.  Only a fragment parsed
+    with no file at all (``filename=None``) gives the bare message."""
+
+    def __init__(
+        self, message: str, filename: Optional[str] = None, line: int = 0
+    ):
         self.filename = filename
         self.line = line
-        super().__init__(f"{filename}:{line}: {message}" if line else message)
+        if filename is None:
+            super().__init__(message)
+        elif line:
+            super().__init__(f"{filename}:{line}: {message}")
+        else:
+            super().__init__(f"{filename}: {message}")
 
 
 class SimulationError(ReproError):
@@ -33,7 +54,15 @@ class StateGraphError(ReproError):
 
 
 class StgError(ReproError):
-    """Semantic error in a signal transition graph."""
+    """Semantic error in a signal transition graph.
+
+    ``source`` names the element at fault when there is one, so the
+    ``.g`` parser can point at its line: ``("transition", label)`` or
+    ``("marking", "")``."""
+
+    def __init__(self, message: str, source: Optional[Tuple[str, str]] = None):
+        super().__init__(message)
+        self.source = source
 
 
 class ConsistencyError(StgError):

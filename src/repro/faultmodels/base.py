@@ -7,8 +7,9 @@ search only need, per model,
 
 * a **universe** — which :class:`~repro.circuit.faults.Fault` records
   exist for a circuit;
-* **faulty-circuit semantics** — a materialized faulty netlist for the
-  exact simulator plus a packed-mask overlay for the compiled engine;
+* **faulty-circuit semantics** — the replacement gate functions the
+  exact simulator patches onto the good circuit, plus a packed-mask
+  overlay for the compiled engine;
 * an **excitation predicate** — which stable states (or CSSG edges) can
   make the fault visible, used by the 3-phase activation step and the
   a-priori undetectability classifier.
@@ -23,7 +24,7 @@ happens two ways:
 
 * by **model name** (:func:`get_model`) when enumerating a universe;
 * by **fault kind** (:func:`model_for_kind`) when an individual fault
-  record needs its semantics (overlay masks, materialization,
+  record needs its semantics (overlay masks, replacements,
   excitation) — so mixed-universe fault lists are well-defined.
 
 >>> from repro.faultmodels import model_names
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
+from repro.circuit.expr import Expr
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.errors import ReproError
@@ -43,8 +45,8 @@ from repro.errors import ReproError
 class FaultModel:
     """One fault universe and its faulty-circuit semantics.
 
-    Subclasses override the abstract trio (:meth:`universe`,
-    :meth:`describe`, :meth:`materialize`, :meth:`engine_overlay`) and
+    Subclasses override the abstract hooks (:meth:`universe`,
+    :meth:`describe`, :meth:`replacements`, :meth:`engine_overlay`) and
     whichever predicate hooks their semantics support; the base-class
     defaults are always *sound* (no collapsing, no cheap
     undetectability proof) so a minimal model is immediately correct,
@@ -71,10 +73,27 @@ class FaultModel:
 
     # -- faulty-circuit semantics --------------------------------------
 
-    def materialize(self, circuit: Circuit, fault: Fault) -> Circuit:
-        """The faulty circuit as a real netlist, signal-order preserved,
-        for the exact settling simulator (:mod:`repro.core.exact_sim`)."""
+    def replacements(self, circuit: Circuit, fault: Fault) -> Dict[int, Expr]:
+        """The faulty circuit's gate functions that differ from the good
+        ones (gate signal index → new :class:`~repro.circuit.expr.Expr`
+        over the circuit's signal names).  Together with
+        :meth:`forced_reset` this is the model's whole faulty-circuit
+        semantics for the exact simulator: it patches these gates onto
+        the good circuit (:class:`repro.core.exact_sim.PatchedMachine`),
+        and :meth:`materialize` builds the same machine as a netlist."""
         raise NotImplementedError
+
+    def materialize(self, circuit: Circuit, fault: Fault) -> Circuit:
+        """The faulty circuit as a real netlist, signal order preserved:
+        :meth:`replacements` swapped in and the reset state pre-set by
+        :meth:`forced_reset`.  The test-side oracle for the patched
+        machine."""
+        reset = circuit.reset_state
+        if reset is not None:
+            reset = self.forced_reset(circuit, fault, reset)
+        return rebuild_faulty(
+            circuit, fault, self.replacements(circuit, fault), reset
+        )
 
     def engine_overlay(self, engine, fault: Fault, bit: int) -> None:
         """Install ``fault`` as machine ``bit`` of a packed
@@ -144,25 +163,28 @@ class FaultModel:
         return False
 
 
+def faulty_name(circuit: Circuit, fault: Fault) -> str:
+    """The name of ``circuit`` under ``fault``: ``name#kind-gate-site-value``."""
+    return f"{circuit.name}#{fault.kind}-{fault.gate}-{fault.site}-{fault.value}"
+
+
 def rebuild_faulty(
     circuit: Circuit,
     fault: Fault,
-    replacements: Dict[int, object],
-    reset_overrides: Optional[Dict[int, int]] = None,
+    replacements: Dict[int, Expr],
+    reset_state: Optional[int] = None,
 ) -> Circuit:
     """Materialization helper shared by every model: rebuild ``circuit``
     with the expressions of the gates in ``replacements`` (signal index
-    → new :class:`~repro.circuit.expr.Expr`) swapped out, optionally
-    overriding reset bits (signal index → value).
+    → new :class:`~repro.circuit.expr.Expr`) swapped out and, when
+    given, ``reset_state`` as its reset.
 
     Signal order, outputs and ``k`` are preserved, so states of the good
     and faulty circuits are directly comparable — the property the exact
     faulty simulator (:mod:`repro.core.exact_sim`) relies on."""
     from repro._bits import bit
 
-    faulty = Circuit(
-        f"{circuit.name}#{fault.kind}-{fault.gate}-{fault.site}-{fault.value}"
-    )
+    faulty = Circuit(faulty_name(circuit, fault))
     for name in circuit.input_names:
         faulty.add_input(name)
     for gate in circuit.gates:
@@ -170,11 +192,10 @@ def rebuild_faulty(
         faulty.add_gate(gate.name, expr=expr)
     for name in circuit.output_names:
         faulty.mark_output(name)
-    if circuit.reset_state is not None:
-        reset = {s.name: bit(circuit.reset_state, s.index) for s in circuit.signals}
-        for index, value in (reset_overrides or {}).items():
-            reset[circuit.signal_name(index)] = value
-        faulty.set_reset(reset)
+    if reset_state is None:
+        reset_state = circuit.reset_state
+    if reset_state is not None:
+        faulty.set_reset({s.name: bit(reset_state, s.index) for s in circuit.signals})
     faulty.set_k(circuit.k)
     return faulty.finalize()
 

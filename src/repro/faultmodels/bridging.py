@@ -21,7 +21,8 @@ handle (``tests/test_faultmodels.py`` pins it).
 **Synchronous testability.**  A bridge is excited exactly in the stable
 states where the two nets disagree, so activation states are read
 straight off the CSSG node set; justification and differentiation then
-run unchanged against the materialized wired netlist (exact semantics)
+run unchanged against the wired gates patched onto the good circuit
+(exact semantics)
 or the packed blend overlay (ternary semantics).
 """
 
@@ -29,10 +30,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from repro.circuit.expr import And, Or
+from repro.circuit.expr import And, Expr, Or
 from repro.circuit.faults import Fault
-from repro.circuit.netlist import Circuit, Gate
-from repro.faultmodels.base import FaultModel, rebuild_faulty
+from repro.circuit.netlist import Circuit
+from repro.faultmodels.base import FaultModel
 
 #: ``Fault.value`` encoding: 0 = wired-AND, 1 = wired-OR.
 WIRED_AND = 0
@@ -82,17 +83,15 @@ class BridgingModel(FaultModel):
 
     # -- faulty-circuit semantics --------------------------------------
 
-    def materialize(self, circuit: Circuit, fault: Fault) -> Circuit:
+    def replacements(self, circuit: Circuit, fault: Fault) -> Dict[int, Expr]:
         """Both bridged gates drive the wired function ``F_a op F_b``
         (each still evaluated over the true wire values of its own
-        support)."""
+        support), so each now reads the other's support too."""
         ga = circuit.gate_at(fault.gate)
         gb = circuit.gate_at(fault.site)
         ctor = And if fault.value == WIRED_AND else Or
         wired = ctor((ga.expr, gb.expr))
-        return rebuild_faulty(
-            circuit, fault, {fault.gate: wired, fault.site: wired}
-        )
+        return {fault.gate: wired, fault.site: wired}
 
     def engine_overlay(self, engine, fault: Fault, bit: int) -> None:
         """Blend each bridged gate's result with its partner's function

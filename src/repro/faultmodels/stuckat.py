@@ -9,7 +9,7 @@
   constant, and after the forced reset state the node holds the stuck
   value permanently.
 
-The enumeration, materialization, collapse tables and excitation
+The enumeration, faulty gate functions, collapse tables and excitation
 predicates here are byte-identical to the pre-registry implementation —
 ``tests/test_faultmodels_diff.py`` pins the full-flow payloads on every
 Table-1 benchmark against recorded golden digests.
@@ -17,13 +17,13 @@ Table-1 benchmark against recorded golden digests.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro._bits import set_bit
-from repro.circuit.expr import Const, eval_binary
+from repro.circuit.expr import Const, Expr, eval_binary
 from repro.circuit.faults import Fault, substitute_signal
 from repro.circuit.netlist import Circuit, Gate
-from repro.faultmodels.base import FaultModel, rebuild_faulty
+from repro.faultmodels.base import FaultModel
 
 
 class _StuckAtModel(FaultModel):
@@ -143,16 +143,12 @@ class InputStuckAtModel(_StuckAtModel):
             f"{circuit.signal_name(fault.site)} SA{fault.value}"
         )
 
-    def materialize(self, circuit: Circuit, fault: Fault) -> Circuit:
+    def replacements(self, circuit: Circuit, fault: Fault) -> Dict[int, Expr]:
         """The faulted gate's expression reads a constant in place of
         the stuck source signal."""
         gate = circuit.gate_at(fault.gate)
         site_name = circuit.signal_name(fault.site)
-        return rebuild_faulty(
-            circuit,
-            fault,
-            {fault.gate: substitute_signal(gate.expr, site_name, fault.value)},
-        )
+        return {fault.gate: substitute_signal(gate.expr, site_name, fault.value)}
 
     def engine_overlay(self, engine, fault: Fault, bit: int) -> None:
         """Force the pin's operand reads in machine ``bit``."""
@@ -183,16 +179,10 @@ class OutputStuckAtModel(_StuckAtModel):
     def describe(self, circuit: Circuit, fault: Fault) -> str:
         return f"{circuit.signal_name(fault.site)} SA{fault.value}"
 
-    def materialize(self, circuit: Circuit, fault: Fault) -> Circuit:
-        """The gate's function becomes the constant, and the reset state
-        pre-sets the node to its stuck value (the node never held the
-        fault-free reset value)."""
-        return rebuild_faulty(
-            circuit,
-            fault,
-            {fault.gate: Const(fault.value)},
-            reset_overrides={fault.site: fault.value},
-        )
+    def replacements(self, circuit: Circuit, fault: Fault) -> Dict[int, Expr]:
+        """The gate's function becomes the constant (and
+        :meth:`forced_reset` pre-sets the node to it)."""
+        return {fault.gate: Const(fault.value)}
 
     def engine_overlay(self, engine, fault: Fault, bit: int) -> None:
         """Force the gate's result words in machine ``bit``."""

@@ -12,7 +12,7 @@ encoding as a *self-sticky* gate:
     STF:  F'(X, s) = F(X) ∨ s        (can rise; needs s=0 to stay 0)
 
 which slots straight into every simulator in the package: the exact
-machine materializes the self-feedback netlist, the ternary/packed
+machine patches the self-feedback gate onto the good circuit, the ternary/packed
 engine applies a self-read blend mask, and both stay monotone in the
 ternary information order, so Algorithms A/B converge exactly as for
 the good circuit.
@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.circuit.expr import And, Or, Var
+from repro.circuit.expr import And, Expr, Or, Var
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
-from repro.faultmodels.base import FaultModel, rebuild_faulty
+from repro.faultmodels.base import FaultModel
 
 #: ``Fault.value`` encoding: the transition's *destination* value —
 #: 1 = slow-to-rise (never completes 0→1), 0 = slow-to-fall.
@@ -65,15 +65,13 @@ class TransitionModel(FaultModel):
 
     # -- faulty-circuit semantics --------------------------------------
 
-    def materialize(self, circuit: Circuit, fault: Fault) -> Circuit:
-        """The self-sticky netlist: ``F ∧ s`` (STR) / ``F ∨ s`` (STF)."""
+    def replacements(self, circuit: Circuit, fault: Fault) -> Dict[int, Expr]:
+        """The self-sticky gate: ``F ∧ s`` (STR) / ``F ∨ s`` (STF)."""
         gate = circuit.gate_at(fault.gate)
         self_var = Var(circuit.signal_name(fault.gate))
         if fault.value == SLOW_TO_RISE:
-            sticky = And((gate.expr, self_var))
-        else:
-            sticky = Or((gate.expr, self_var))
-        return rebuild_faulty(circuit, fault, {fault.gate: sticky})
+            return {fault.gate: And((gate.expr, self_var))}
+        return {fault.gate: Or((gate.expr, self_var))}
 
     def engine_overlay(self, engine, fault: Fault, bit: int) -> None:
         """Blend the gate's result with its own current value in machine

@@ -12,8 +12,10 @@ construction — there is no "expected output" file anywhere):
 ``cssg``       explicit-exact CSSG construction vs the symbolic
                (BDD) builder: reset, state set and edge function
 ``faults``     packed fault overlays vs physically materialized
-               faulty netlists along random valid walks, for every
-               registered fault model
+               faulty netlists along random valid walks, and the exact
+               simulator's patched machine vs the same netlist
+               (excited-gate lists, reduced-explorer tables, forced
+               reset), for every registered fault model
 ``kernels``    arena walk kernel vs the seed's sweeps in
                :mod:`repro.sim.legacy` (:func:`reference_reset` /
                :func:`reference_apply`), detection words and packed
@@ -29,8 +31,11 @@ construction — there is no "expected output" file anywhere):
 ``reduced_settle``  full settling explorer vs the stubborn-set-reduced
                one, on every exact-settle start of the undetectable
                pair's three-phase run plus seeded starts on the good
-               and sampled faulty circuits: equal stable states and
-               cycle flags, and never a reduced-only truncation
+               circuit and the sampled faults' patched machines: equal
+               stable states and cycle flags, and never a reduced-only
+               truncation; a patched machine's reference is its
+               materialized netlist, whose reduced report it must
+               equal outright
 ============   ====================================================
 
 Oracles assert exactly the documented contracts and no more: the
@@ -77,10 +82,11 @@ from repro.faultmodels import model_names
 from repro.fuzz.generator import Scenario
 from repro.fuzz.mutate import MUTATION_OPS, mutate_netlist
 from repro.sgraph.cssg import Cssg, build_cssg
-from repro.sgraph.explore import reduced_settle_report, settle_report
+from repro.sgraph.explore import _stubborn, reduced_settle_report, settle_report
 from repro.sgraph.symbolic import SymbolicTcsg
 from repro.sim import legacy, ternary
 from repro.sim.batch import BatchState, FaultBatch
+from repro.sim.engine import compiled
 
 __all__ = [
     "ORACLES",
@@ -315,6 +321,11 @@ def _oracle_faults(ctx: _Ctx) -> Tuple[int, List[str]]:
     for j, (model, fault) in enumerate(sampled):
         rng = random.Random(f"fuzz-faults:{ctx.scenario.seed}:{fault.to_json()}")
         mat = materialize_fault(c, fault)
+        checks += 1
+        bad.extend(
+            f"{model}/{fault.describe(c)}: {detail}"
+            for detail in _patch_mismatches(ctx, fault, mat)
+        )
         via_overlay = batch.machine_state(at_reset, j)
         via_netlist = ternary.settle_from_reset(mat, mat.require_reset())
         checks += 1
@@ -338,6 +349,37 @@ def _oracle_faults(ctx: _Ctx) -> Tuple[int, List[str]]:
                 )
                 break
     return checks, bad
+
+
+def _patch_mismatches(ctx: _Ctx, fault: Fault, netlist: Circuit) -> List[str]:
+    """Where the exact simulator's patched machine of ``fault`` differs
+    from ``netlist``, its materialized faulty circuit: the forced reset,
+    the reduced explorer's dependence masks, and the excited-gate list
+    (order included) on every CSSG state plus seeded random states."""
+    machine = exact_sim.PatchedMachine(ctx.circuit, fault)
+    bad = []
+    if machine.reset_state != netlist.reset_state:
+        bad.append(
+            f"patched reset {machine.reset_state} != "
+            f"materialized reset {netlist.reset_state}"
+        )
+    tables = _stubborn(netlist)
+    for name in ("cone", "fan_cone"):
+        if getattr(machine.stubborn, name) != getattr(tables, name):
+            bad.append(f"patched stubborn {name} differs from materialized")
+    rng = random.Random(f"fuzz-patch:{ctx.scenario.seed}:{fault.to_json()}")
+    states = sorted(ctx.cssg.states) + [
+        rng.getrandbits(netlist.n_signals) for _ in range(ctx.caps.n_states)
+    ]
+    excited = compiled(netlist).excited_signals
+    for state in states:
+        if machine.excited_signals(state) != excited(state):
+            bad.append(
+                f"excited at {netlist.state_bits(state)}: patched "
+                f"{machine.excited_signals(state)} materialized {excited(state)}"
+            )
+            break
+    return bad
 
 
 def _oracle_kernels(ctx: _Ctx) -> Tuple[int, List[str]]:
@@ -521,17 +563,18 @@ _UNDETECTABLE_WALKS = 4
 
 @contextmanager
 def _recording_exact_settles(
-    sink: List[Tuple[Circuit, int, int]]
+    sink: List[Tuple[exact_sim.Machine, int, int]]
 ) -> Iterator[None]:
-    """Record every ``(circuit, start, cap)`` the exact faulty machine
-    settles, by rebinding :mod:`repro.core.exact_sim`'s module-level
+    """Record every ``(machine, start, cap)`` the exact faulty machine
+    settles (a :class:`~repro.core.exact_sim.PatchedMachine`), by
+    rebinding :mod:`repro.core.exact_sim`'s module-level
     ``settle_report`` (its one explorer entry) for the duration.  The
     rebinding is process-wide; oracles run one scenario at a time."""
     real = exact_sim.settle_report
 
-    def record(circuit: Circuit, start: int, cap: int = 200_000):
-        sink.append((circuit, start, cap))
-        return real(circuit, start, cap)
+    def record(machine: exact_sim.Machine, start: int, cap: int = 200_000):
+        sink.append((machine, start, cap))
+        return real(machine, start, cap)
 
     exact_sim.settle_report = record
     try:
@@ -551,7 +594,7 @@ class _ThreePhaseRun:
         self.cssg = build_cssg(ctx.circuit, method="exact", max_input_changes=1)
         self.faults = [f for model in model_names() for f in ctx.fault_sample(model)]
         #: every exact faulty-machine settle the run issued
-        self.exact_starts: List[Tuple[Circuit, int, int]] = []
+        self.exact_starts: List[Tuple[exact_sim.Machine, int, int]] = []
         self.verdict: Dict[Fault, str] = {}
         if self.faults:
             generator = ThreePhaseGenerator(
@@ -615,30 +658,46 @@ def _oracle_reduced_settle(ctx: _Ctx) -> Tuple[int, List[str]]:
     c = ctx.circuit
     starts = list(ctx.three_phase.exact_starts)
     # Seeded starts: a CSSG state under a random input pattern (what a
-    # test cycle settles) and an arbitrary state, per circuit.
+    # test cycle settles) and an arbitrary state, per machine.
     rng = random.Random(f"fuzz-reduced-settle:{ctx.scenario.seed}")
     stable = sorted(ctx.three_phase.cssg.states)
-    circuits = [c] + [
-        materialize_fault(c, f)
+    machines = [c] + [
+        exact_sim.PatchedMachine(c, f)
         for model in model_names()
         for f in ctx.fault_sample(model)
     ]
-    for circuit in circuits:
+    for machine in machines:
         for _ in range(ctx.caps.n_states // 4):
-            pattern = rng.getrandbits(circuit.n_inputs)
+            pattern = rng.getrandbits(c.n_inputs)
             starts.append(
-                (circuit, circuit.apply_input_pattern(rng.choice(stable), pattern),
+                (machine, machine.apply_input_pattern(rng.choice(stable), pattern),
                  _SEEDED_SETTLE_CAP)
             )
-            starts.append(
-                (circuit, rng.getrandbits(circuit.n_signals), _SEEDED_SETTLE_CAP)
-            )
+            starts.append((machine, rng.getrandbits(c.n_signals), _SEEDED_SETTLE_CAP))
+    # A patched machine's full-explorer reference is its fault's
+    # materialized netlist, one per (circuit, fault).
+    netlists: Dict[Tuple[int, Fault], Circuit] = {}
+
+    def netlist_of(machine) -> Circuit:
+        if isinstance(machine, Circuit):
+            return machine
+        key = (id(machine.circuit), machine.fault)
+        if key not in netlists:
+            netlists[key] = materialize_fault(machine.circuit, machine.fault)
+        return netlists[key]
+
     distinct = {(id(start[0]),) + start[1:]: start for start in starts}
     checks, rescued, bad = 0, 0, []
-    for circuit, start, cap in distinct.values():
-        full = settle_report(circuit, start, cap)
-        reduced = reduced_settle_report(circuit, start, cap)
+    for machine, start, cap in distinct.values():
+        netlist = netlist_of(machine)
+        full = settle_report(netlist, start, cap)
+        reduced = reduced_settle_report(machine, start, cap)
         checks += 1
+        where = f"{netlist.name} from {netlist.state_bits(start)} (cap {cap})"
+        if netlist is not machine:
+            checks += 1
+            if reduced != reduced_settle_report(netlist, start, cap):
+                bad.append(f"{where}: patched and materialized reduced reports differ")
         if full.truncated:
             rescued += not reduced.truncated
             continue
@@ -648,7 +707,7 @@ def _oracle_reduced_settle(ctx: _Ctx) -> Tuple[int, List[str]]:
             or reduced.has_cycle != full.has_cycle
         ):
             bad.append(
-                f"{circuit.name} from {circuit.state_bits(start)} (cap {cap}): "
+                f"{where}: "
                 f"full stable={sorted(full.stable_states)} cycle={full.has_cycle}; "
                 f"reduced stable={sorted(reduced.stable_states)} "
                 f"cycle={reduced.has_cycle} truncated={reduced.truncated}"

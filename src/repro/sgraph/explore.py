@@ -28,7 +28,7 @@ add the states they visit to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.errors import StateGraphError
@@ -185,14 +185,27 @@ class _Stubborn:
     settling, so no mask holds one.  ``cone[g]`` is gate ``g`` and every
     gate it reads, transitively; ``fan_cone[g]`` is the union of the
     cones of the gates that read ``g``.  Built from the gates' supports
-    alone: no code is generated.
+    alone: no code is generated.  ``supports`` (gate index → support)
+    overrides the supports of the gates a patched faulty machine
+    rewrites: a bridged gate reads its partner's support too, so the
+    good circuit's tables would miss dependences there.
     """
 
     __slots__ = ("cone", "fan_cone")
 
-    def __init__(self, circuit: Circuit):
+    def __init__(
+        self, circuit: Circuit, supports: Optional[Dict[int, Sequence[int]]] = None
+    ):
+        supports = supports or {}
         reads = [
-            (gate.index, [src for src in gate.support if src >= circuit.n_inputs])
+            (
+                gate.index,
+                [
+                    src
+                    for src in supports.get(gate.index, gate.support)
+                    if src >= circuit.n_inputs
+                ],
+            )
             for gate in circuit.gates
         ]
         cone = [0] * circuit.n_signals
@@ -252,11 +265,15 @@ def _stubborn(circuit: Circuit) -> _Stubborn:
     return tables
 
 
-def reduced_settle_report(
-    circuit: Circuit, start: int, cap: int = 200_000
-) -> SettleReport:
+def reduced_settle_report(machine, start: int, cap: int = 200_000) -> SettleReport:
     """:func:`settle_report`'s stable states, cycle flag and truncation
     flag, exploring only a stubborn-set-reduced subgraph.
+
+    ``machine`` is a :class:`Circuit`, explored through its own compiled
+    excited-gate function and dependence masks, or a patched faulty
+    machine (:class:`repro.core.exact_sim.PatchedMachine`), which
+    supplies both: the good circuit's compiled function plus its patch,
+    and masks built from its patched supports.
 
     The report is *height-free*: ``longest_path`` is None, and asking it
     for CSSG validity raises :class:`StateGraphError` (the CSSG's k-bound
@@ -314,10 +331,14 @@ def reduced_settle_report(
     keeping only an on-path flag per state.  The dependence masks are
     built once per circuit from its gate supports (:class:`_Stubborn`).
     """
-    from repro.sim.engine import compiled
+    if isinstance(machine, Circuit):
+        from repro.sim.engine import compiled
 
-    excited_signals = compiled(circuit).excited_signals
-    fire = _stubborn(circuit).fire
+        excited_signals = compiled(machine).excited_signals
+        fire = _stubborn(machine).fire
+    else:
+        excited_signals = machine.excited_signals
+        fire = machine.stubborn.fire
     # Visited states: True while on the search path, False once left.
     on_path: Dict[int, bool] = {}
     get_on_path = on_path.get

@@ -12,6 +12,8 @@ what they share:
 straight-line function enumerating excited gates in the binary domain
 — the hot inner loop of the exact settling explorer — plus the
 levelized gate order (:meth:`Circuit.levels`) and the engine cache.
+An exact faulty machine reuses the good circuit's function and compiles
+only a patch of the gates its fault rewrites (:func:`patched_excited`).
 
 **Fault overlays** (:class:`SimEngine`).  One engine pairs the circuit
 with a fault-injection overlay:
@@ -56,11 +58,12 @@ per-fault machines) reuses the compiled kernel.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._bits import mask
-from repro.circuit.expr import OP_AND, OP_NOT, OP_OR, OP_VAR, OP_XOR
+from repro.circuit.expr import OP_AND, OP_NOT, OP_OR, OP_VAR, OP_XOR, Program
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.errors import ReproError, SimulationError
@@ -73,6 +76,34 @@ from repro.sim.arena import ArenaWalk, _codegen_walk, _WalkMeter
 # ---------------------------------------------------------------------------
 
 
+def _codegen_value(gate: int, program) -> Tuple[List[str], str]:
+    """Straight-line binary evaluation of gate ``gate``'s ``program``:
+    the body lines (temporaries ``b{gate}_*``) and the expression of the
+    value it drives."""
+    stack: List[str] = []
+    tmp = 0
+    body: List[str] = []
+    for op, arg in program:
+        if op == OP_VAR:
+            stack.append(f"((state>>{arg})&1)")
+        elif op == OP_NOT:
+            a = f"b{gate}_{tmp}"
+            tmp += 1
+            body.append(f"    {a} = {stack.pop()}^1")
+            stack.append(a)
+        elif op in (OP_AND, OP_OR, OP_XOR):
+            sym = {OP_AND: "&", OP_OR: "|", OP_XOR: "^"}[op]
+            x = stack.pop()
+            y = stack.pop()
+            a = f"b{gate}_{tmp}"
+            tmp += 1
+            body.append(f"    {a} = {y}{sym}{x}")
+            stack.append(a)
+        else:  # OP_CONST
+            stack.append(str(arg))
+    return body, stack.pop()
+
+
 def _codegen_excited(circuit: Circuit) -> str:
     """Source of ``excited(state) -> [gate signal indices]``.
 
@@ -80,33 +111,43 @@ def _codegen_excited(circuit: Circuit) -> str:
     overhead — the hot inner loop of the exact settling explorer."""
     lines = ["def excited(state):", "    ex = []", "    ap = ex.append"]
     for gate in circuit.gates:
-        stack: List[str] = []
-        tmp = 0
-        body: List[str] = []
-        for op, arg in gate.program:
-            if op == OP_VAR:
-                stack.append(f"((state>>{arg})&1)")
-            elif op == OP_NOT:
-                a = f"b{gate.index}_{tmp}"
-                tmp += 1
-                body.append(f"    {a} = {stack.pop()}^1")
-                stack.append(a)
-            elif op in (OP_AND, OP_OR, OP_XOR):
-                sym = {OP_AND: "&", OP_OR: "|", OP_XOR: "^"}[op]
-                x = stack.pop()
-                y = stack.pop()
-                a = f"b{gate.index}_{tmp}"
-                tmp += 1
-                body.append(f"    {a} = {y}{sym}{x}")
-                stack.append(a)
-            else:  # OP_CONST
-                stack.append(str(arg))
-        body.append(
-            f"    if {stack.pop()} != ((state>>{gate.index})&1): ap({gate.index})"
-        )
+        body, value = _codegen_value(gate.index, gate.program)
         lines.extend(body)
+        lines.append(
+            f"    if {value} != ((state>>{gate.index})&1): ap({gate.index})"
+        )
     lines.append("    return ex")
     return "\n".join(lines)
+
+
+def _codegen_patch(programs: Dict[int, Program]) -> str:
+    """Source of ``patch(state) -> [gate signal indices]``: ``good``'s
+    excited list with the gates of ``programs`` (gate index → faulty
+    program) re-evaluated, each dropped from or inserted into the list
+    in ascending order, so the list equals the one the faulty netlist's
+    own ``excited`` would return, element for element."""
+    lines = ["def patch(state):", "    ex = good(state)"]
+    for g, program in sorted(programs.items()):
+        body, value = _codegen_value(g, program)
+        lines.extend(body)
+        lines.append(f"    if {value} != ((state>>{g})&1):")
+        lines.append(f"        if {g} not in ex: insort(ex, {g})")
+        lines.append(f"    elif {g} in ex: ex.remove({g})")
+    lines.append("    return ex")
+    return "\n".join(lines)
+
+
+def patched_excited(
+    circuit: Circuit, programs: Dict[int, Program], name: str
+) -> Callable[[int], List[int]]:
+    """The excited-gate function of ``circuit`` with the gates of
+    ``programs`` rewritten: the circuit's compiled ``excited`` plus one
+    small compiled ``patch`` named ``<patch:name>``, so a faulty machine
+    differing in one or two gates never compiles the whole circuit."""
+    ns = _exec(_codegen_patch(programs), f"<patch:{name}>")
+    ns["good"] = compiled(circuit).excited_signals
+    ns["insort"] = insort
+    return ns["patch"]
 
 
 def _exec(src: str, filename: str) -> Dict[str, object]:

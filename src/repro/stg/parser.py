@@ -23,8 +23,9 @@ transitions are not supported (they never occur in our benchmark set).
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import Dict, List, Tuple
 
+from repro.circuit.parser import read_source
 from repro.errors import ParseError, StgError
 from repro.stg.petrinet import Stg, StgBuilder
 
@@ -59,11 +60,17 @@ def _marking_tokens(body: str) -> List[str]:
 
 
 def parse_stg(text: str, filename: str = "<string>") -> Stg:
-    """Parse ``.g`` source text into a validated :class:`Stg`."""
+    """Parse ``.g`` source text into a validated :class:`Stg`.
+
+    Every error is a :class:`ParseError` naming ``filename``, and the
+    line at fault when one is: checks made once the whole net is read
+    (an undeclared signal, a transition with no input place, an unknown
+    marked place) point back at the arc or ``.marking`` line."""
     builder = StgBuilder()
     in_graph = False
     saw_marking = False
-    marking_lineno = 0
+    #: StgError.source -> the line that introduced it
+    lines: Dict[Tuple[str, str], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,7 +95,7 @@ def parse_stg(text: str, filename: str = "<string>") -> Stg:
                     raise StgError(".marking expects { ... }")
                 builder.set_marking(_marking_tokens(body[1:-1]))
                 saw_marking = True
-                marking_lineno = lineno
+                lines["marking", ""] = lineno
             elif head == ".initial":
                 values = {}
                 for tok in tokens[1:]:
@@ -110,23 +117,21 @@ def parse_stg(text: str, filename: str = "<string>") -> Stg:
                     raise StgError(f"arc line needs a source and targets: {line!r}")
                 for dst in tokens[1:]:
                     builder.add_arc(head, dst)
+                    for token in (head, dst):
+                        lines.setdefault(("transition", token), lineno)
         except StgError as exc:
             raise ParseError(str(exc), filename, lineno) from None
     if not saw_marking:
-        raise ParseError("missing .marking", filename, 0)
+        raise ParseError("missing .marking", filename)
     try:
         return builder.build()
     except StgError as exc:
-        # Unknown-place complaints come from the marking tokens, so
-        # point at the .marking line rather than "somewhere".
-        at = marking_lineno if "marking references" in str(exc) else 0
-        raise ParseError(str(exc), filename, at) from None
+        raise ParseError(str(exc), filename, lines.get(exc.source, 0)) from None
 
 
 def load_stg(path) -> Stg:
     """Parse a ``.g`` file from disk."""
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_stg(f.read(), filename=str(path))
+    return parse_stg(read_source(path), filename=str(path))
 
 
 def stg_to_text(stg: Stg) -> str:

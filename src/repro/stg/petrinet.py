@@ -98,9 +98,15 @@ class Stg:
             raise StgError(f"duplicate signal declarations in {self.name}")
         for t in self.transitions:
             if t.signal not in sigs:
-                raise StgError(f"transition {t} on undeclared signal {t.signal!r}")
+                raise StgError(
+                    f"transition {t} on undeclared signal {t.signal!r}",
+                    ("transition", t.label),
+                )
             if not self.t_in_places[t.index]:
-                raise StgError(f"transition {t} has no input places (always enabled)")
+                raise StgError(
+                    f"transition {t} has no input places (always enabled)",
+                    ("transition", t.label),
+                )
         used = set()
         for s in self.t_in_places:
             used |= s
@@ -218,7 +224,9 @@ class StgBuilder:
         marking = set()
         for token in self.initial_marking_tokens:
             if token not in self._places:
-                raise StgError(f"marking references unknown place {token!r}")
+                raise StgError(
+                    f"marking references unknown place {token!r}", ("marking", "")
+                )
             marking.add(self._places[token])
         return Stg(
             name=self.name,

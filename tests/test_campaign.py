@@ -1,7 +1,6 @@
 """The campaign orchestration subsystem: plan, store, runner, artifacts."""
 
 import json
-import os
 
 import pytest
 

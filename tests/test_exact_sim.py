@@ -1,9 +1,28 @@
-"""Materialized faulty circuits and set-based exact fault simulation."""
+"""Materialized and patched faulty circuits, and set-based exact fault
+simulation."""
 
-from repro.circuit.faults import Fault, input_fault_universe, materialize_fault
-from repro.core.exact_sim import faulty_apply, faulty_detects, faulty_reset_states
+import random
+
+import pytest
+
+from repro.benchmarks_data import load_benchmark
+from repro.circuit.faults import (
+    Fault,
+    fault_universe,
+    input_fault_universe,
+    materialize_fault,
+)
+from repro.core.exact_sim import (
+    PatchedMachine,
+    faulty_apply,
+    faulty_detects,
+    faulty_reset_states,
+)
+from repro.faultmodels import model_names
 from repro.sgraph.cssg import build_cssg
+from repro.sgraph.explore import _stubborn
 from repro.sim import ternary
+from repro.sim.engine import compiled
 
 
 def test_materialize_output_fault(celem):
@@ -91,3 +110,33 @@ def test_detects_requires_all_members_to_differ(celem):
     assert faulty_detects(celem, good, frozenset([differ]))
     assert not faulty_detects(celem, good, frozenset([differ, good]))
     assert not faulty_detects(celem, good, frozenset())
+
+
+@pytest.mark.parametrize(
+    "name,style",
+    [("ebergen", "complex"), ("vbe6a", "two-level"), ("converta", "two-level")],
+)
+def test_patched_machine_is_the_materialized_netlist(name, style):
+    """Every fault's patched machine against its materialized netlist:
+    the same excited list, order included (the reduced explorer's
+    tie-break reads it), on every CSSG state and on random states; the
+    same dependence masks; the same forced reset."""
+    circuit = load_benchmark(name, style)
+    rng = random.Random(f"patch:{name}")
+    states = sorted(build_cssg(circuit).states) + [
+        rng.getrandbits(circuit.n_signals) for _ in range(64)
+    ]
+    for model in model_names():
+        for fault in fault_universe(circuit, model):
+            machine = PatchedMachine(circuit, fault)
+            netlist = materialize_fault(circuit, fault)
+            assert machine.reset_state == netlist.reset_state
+            tables = _stubborn(netlist)
+            assert machine.stubborn.cone == tables.cone
+            assert machine.stubborn.fan_cone == tables.fan_cone
+            excited = compiled(netlist).excited_signals
+            for state in states:
+                assert machine.excited_signals(state) == excited(state), (
+                    fault,
+                    state,
+                )

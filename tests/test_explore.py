@@ -1,6 +1,7 @@
 """Exhaustive settling analysis (the TCR_k validity oracle) and its
 stubborn-set-reduced variant for the exact faulty machine."""
 
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.benchmarks_data import TABLE1_NAMES, TABLE2_NAMES
 from repro.campaign import plan, runner
 from repro.campaign.plan import CampaignSpec
+from repro.circuit.faults import materialize_fault
 from repro.circuit.parser import parse_netlist
 from repro.core import exact_sim
 from repro.errors import StateGraphError
@@ -193,10 +195,11 @@ def test_opposing_edges_race_on_celem(celem):
 
 @pytest.fixture(scope="module")
 def corpus_starts():
-    """``{(table, caller): [(circuit, start, cap), ...]}``: every
+    """``{(table, caller): [(machine, start, cap), ...]}``: every
     distinct settle one pass of Table 1 or Table 2 (all circuits x the
-    four fault models) issues, from CSSG construction (``"cssg"``) or
-    from the exact faulty machine (``"exact"``)."""
+    four fault models) issues, from CSSG construction (``"cssg"``, on
+    the good circuit) or from the exact faulty machine (``"exact"``, on
+    a :class:`~repro.core.exact_sim.PatchedMachine`)."""
     calls: Dict[Tuple[str, str], Dict] = {}
 
     def recorder(table, caller, real):
@@ -231,11 +234,21 @@ def corpus_starts():
     return {key: list(seen.values()) for key, seen in calls.items()}
 
 
+@lru_cache(maxsize=None)
+def materialized(machine):
+    """The faulty netlist a patched machine stands for: the oracle the
+    full explorer runs on."""
+    return materialize_fault(machine.circuit, machine.fault)
+
+
 @pytest.fixture(scope="module")
 def table2_starts(corpus_starts):
     """Every distinct CSSG and exact-simulation settle of one Table-2
-    pass."""
-    return corpus_starts["table2", "cssg"] + corpus_starts["table2", "exact"]
+    pass, the latter on its materialized faulty netlist."""
+    return corpus_starts["table2", "cssg"] + [
+        (materialized(machine), start, cap)
+        for machine, start, cap in corpus_starts["table2", "exact"]
+    ]
 
 
 def test_matches_reference_on_every_table2_start(table2_starts):
@@ -330,20 +343,27 @@ def _same_outcome(circuit, start, cap=200_000):
 
 @pytest.mark.parametrize("table", ["table1", "table2"])
 def test_reduced_matches_full_on_every_corpus_exact_start(corpus_starts, table):
+    """Every exact start of the pass, as three-phase settled it on the
+    patched machine, against its materialized faulty netlist: the same
+    reduced report, state count included, and the full explorer's
+    outcome."""
     starts = corpus_starts[table, "exact"]
     assert len(starts) > 100
-    for circuit, start, cap in starts:
+    for machine, start, cap in starts:
+        netlist = materialized(machine)
+        patched = reduced_settle_report(machine, start, cap)
+        assert patched == reduced_settle_report(netlist, start, cap)
         # No corpus start comes near the cap, so the reduced cap changes
         # no result (see test_cap_counts_reduced_states).
-        assert not settle_report(circuit, start, cap).truncated
-        _same_outcome(circuit, start, cap)
+        assert not settle_report(netlist, start, cap).truncated
+        assert patched == _same_outcome(netlist, start, cap)
 
 
 def test_reduced_explores_at_most_half_the_table2_states(corpus_starts):
     """Deterministic state-count floor (measured: ~0.2)."""
     starts = corpus_starts["table2", "exact"]
-    full = sum(settle_report(c, s, cap).n_states for c, s, cap in starts)
-    reduced = sum(reduced_settle_report(c, s, cap).n_states for c, s, cap in starts)
+    full = sum(settle_report(materialized(m), s, cap).n_states for m, s, cap in starts)
+    reduced = sum(reduced_settle_report(m, s, cap).n_states for m, s, cap in starts)
     assert reduced <= 0.5 * full
 
 

@@ -24,7 +24,7 @@ from repro.obs.export import (
     to_prometheus_text,
     write_metrics,
 )
-from repro.obs.metrics import MetricsConsumer, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     NULL_TRACER,
     Tracer,

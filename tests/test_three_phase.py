@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.benchmarks_data import TABLE2_NAMES, load_benchmark
+from repro.campaign import runner
+from repro.campaign.plan import CampaignSpec, expand
 from repro.circuit.faults import Fault, input_fault_universe
-from repro.circuit.parser import parse_netlist
+from repro.circuit.parser import netlist_to_text, parse_netlist
 from repro.core import exact_sim
 from repro.core.three_phase import (
     ABORTED,
@@ -13,8 +16,9 @@ from repro.core.three_phase import (
     _ExactMachine,
     _Fallback,
 )
+from repro.faultmodels import model_names
 from repro.sgraph.cssg import build_cssg
-from repro.sim import ternary
+from repro.sim import engine, ternary
 
 
 @pytest.fixture
@@ -128,12 +132,13 @@ def test_detection_at_reset_short_circuits(celem):
 
 
 def _counting_settle(monkeypatch):
+    """Record what every exact settle explores, one entry per call."""
     calls = []
     real = exact_sim.settle_report
 
-    def counted(circuit, start, cap):
-        calls.append(start)
-        return real(circuit, start, cap)
+    def counted(subject, start, cap):
+        calls.append(subject)
+        return real(subject, start, cap)
 
     monkeypatch.setattr(exact_sim, "settle_report", counted)
     return calls
@@ -142,6 +147,7 @@ def _counting_settle(monkeypatch):
 def test_exact_machine_settles_a_repeated_apply_once(celem, monkeypatch):
     c = celem.index("c")
     machine = _ExactMachine(celem, Fault("input", c, c, 1), 50_000, 64)
+    assert isinstance(machine.faulty, exact_sim.PatchedMachine)
     states = machine.reset(celem.require_reset())
     calls = _counting_settle(monkeypatch)
     first = machine.apply(states, 0b11)
@@ -150,6 +156,7 @@ def test_exact_machine_settles_a_repeated_apply_once(celem, monkeypatch):
     assert len(calls) == len(states)
     machine.apply(states, 0b01)  # a new vector settles again
     assert len(calls) == 2 * len(states)
+    assert all(subject is machine.faulty for subject in calls)
 
 
 def test_exact_machine_memoises_the_fallback(celem, monkeypatch):
@@ -161,8 +168,49 @@ def test_exact_machine_memoises_the_fallback(celem, monkeypatch):
     for _ in range(2):
         with pytest.raises(_Fallback):
             machine.apply(states, 0b11)
-    assert len(calls) == 1
+    assert calls == [machine.faulty]
     outcome = ThreePhaseGenerator(build_cssg(celem), settle_cap=1).generate(
         Fault("input", c, c, 1)
     )
     assert outcome.semantics == "ternary"
+
+
+def test_table2_pass_compiles_excited_once_per_circuit(monkeypatch):
+    """A Table-2 pass compiles the excited-gate function of each good
+    circuit once and never one of a faulty circuit: every exact faulty
+    machine runs the good function plus a small per-fault patch."""
+    compiles = []
+    real_exec = engine._exec
+
+    def spy(src, filename):
+        compiles.append(filename)
+        return real_exec(src, filename)
+
+    # Private circuit copies, so nothing compiled by earlier tests is
+    # reused; the four models of one circuit share it, as a pass does.
+    copies = {}
+
+    def fresh(job):
+        key = (job.source, job.style)
+        if key not in copies:
+            text = netlist_to_text(load_benchmark(job.source, job.style))
+            copies[key] = parse_netlist(text)
+        return copies[key]
+
+    monkeypatch.setattr(engine, "_exec", spy)
+    monkeypatch.setattr(runner, "load_job_circuit", fresh)
+    spec = CampaignSpec(
+        benchmarks=TABLE2_NAMES, styles=("two-level",),
+        fault_models=model_names(), seeds=(0,),
+    )
+    cssg_memo = {}
+    for job in expand(spec):
+        runner.execute_job(job, cssg_memo)
+    excited = [f for f in compiles if f.startswith("<excited:")]
+    assert sorted(excited) == sorted(
+        f"<excited:{c.name}>" for c in copies.values()
+    )
+    assert len(excited) == len(TABLE2_NAMES) == 9
+    assert not [f for f in excited if "#" in f]
+    patches = [f for f in compiles if f.startswith("<patch:")]
+    assert patches and all("#" in f for f in patches)
