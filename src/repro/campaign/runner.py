@@ -25,6 +25,13 @@
 which is what the table benchmarks use so their timings measure ATPG,
 not orchestration.  Results are identical either way: every job is an
 independent, seeded, deterministic computation.
+
+:func:`run_job` is the one per-job path (the ``workers=0`` loop, the
+forked worker, and the server's inline thread all call it), and
+:meth:`_Pool.step` the one parent-side message pump: the campaign steps
+it until every job is resolved, :mod:`repro.serve.executor` until the
+server stops.  Payloads bound for a store or a client go through
+:func:`canonical_payload`.
 """
 
 from __future__ import annotations
@@ -59,6 +66,10 @@ DEFAULT_HANG_TIMEOUT = None
 
 #: Minimum seconds between heartbeats a worker relays to the parent.
 HEARTBEAT_INTERVAL = 0.5
+
+#: Parent-side cadence: the longest the pump waits for a worker
+#: message, and the interval between two policing sweeps.
+POLL_SECONDS = 0.2
 
 #: Test-only hook: set to ``"<source>:<marker path>"`` to make the first
 #: worker that picks up a job for ``source`` hard-exit (simulating a
@@ -172,58 +183,28 @@ def execute_job(
 
         return execute_fuzz_job(job, listeners=listeners)
     circuit = load_job_circuit(job)
-    opts = job.options
     cssg = None
     if cssg_memo is not None:
-        # Key on the *resolved* method so e.g. "auto" and the method it
-        # resolves to for this circuit share one construction.
-        memo_key = (
-            job.group,
-            opts.k,
-            opts.max_input_changes,
-            resolve_cssg_method(circuit, opts),
-        )
-        cssg = cssg_memo.get(memo_key)
-        if cssg is None:
-            # Narrate the memoized construction exactly as Flow.run
-            # would narrate its own: listeners (the heartbeat included)
-            # see a beat right before the longest silent stretch.
-            from repro.circuit.faults import fault_universe
-            from repro.flow import StageFinished, StageStarted
-
-            n_faults = len(fault_universe(circuit, opts.fault_model))
-            for listener in listeners:
-                listener(StageStarted("cssg", n_faults))
-            t0 = time.perf_counter()
-            cssg = cssg_for(circuit, opts)
-            cssg_memo[memo_key] = cssg
-            for listener in listeners:
-                listener(
-                    StageFinished(
-                        "cssg",
-                        time.perf_counter() - t0,
-                        f"{cssg.n_states} states / {cssg.n_edges} edges "
-                        f"[{cssg.method}]",
-                    )
-                )
-    return Flow.default().run(circuit, opts, cssg=cssg, listeners=listeners)
+        cssg = _memoised_cssg(circuit, job, cssg_memo, listeners)
+    return Flow.default().run(circuit, job.options, cssg=cssg, listeners=listeners)
 
 
-def _incremental_cssg(
+def _memoised_cssg(
     circuit: Circuit,
     job: Job,
-    store: ResultStore,
     cssg_memo: Optional[Dict],
     listeners,
-    stats,
+    store: Optional[ResultStore] = None,
+    stats=None,
     refresh: bool = False,
 ):
-    """The job's CSSG, by preference: batch memo → structural cache →
-    fresh construction (which then populates both).  The cache key is
-    the name-free structural fingerprint, so renames and
-    logic-preserving rewrites reuse the graph outright."""
-    from repro.campaign import cohort as _cohort
-
+    """The job's CSSG, by preference: batch memo → structural cache
+    (only with a ``store``) → fresh construction, which then populates
+    both.  The memo keys on the *resolved* method, so e.g. "auto" and
+    the method it resolves to for this circuit share one construction;
+    the cache key is the name-free structural fingerprint, so renames
+    and logic-preserving rewrites reuse the graph outright.  ``refresh``
+    skips the cache read; a cache hit sets ``stats.cssg_reused``."""
     opts = job.options
     method = resolve_cssg_method(circuit, opts)
     memo_key = (job.group, opts.k, opts.max_input_changes, method)
@@ -231,15 +212,21 @@ def _incremental_cssg(
         cssg = cssg_memo.get(memo_key)
         if cssg is not None:
             return cssg
-    fingerprint = _cohort.cssg_fingerprint(
-        circuit, opts.k, opts.max_input_changes, method
-    )
     cssg = None
-    if not refresh:
-        cssg = _cohort.cssg_from_doc(circuit, store.get_cssg(fingerprint))
-    if cssg is not None:
-        stats.cssg_reused = True
-    else:
+    if store is not None:
+        from repro.campaign import cohort as _cohort
+
+        fingerprint = _cohort.cssg_fingerprint(
+            circuit, opts.k, opts.max_input_changes, method
+        )
+        if not refresh:
+            cssg = _cohort.cssg_from_doc(circuit, store.get_cssg(fingerprint))
+        if cssg is not None:
+            stats.cssg_reused = True
+    if cssg is None:
+        # Narrate the construction exactly as Flow.run would narrate
+        # its own: listeners (the heartbeat included) see a beat right
+        # before the longest silent stretch.
         from repro.circuit.faults import fault_universe
         from repro.flow import StageFinished, StageStarted
 
@@ -257,7 +244,8 @@ def _incremental_cssg(
                     f"[{cssg.method}]",
                 )
             )
-        store.put_cssg(fingerprint, _cohort.cssg_to_doc(cssg))
+        if store is not None:
+            store.put_cssg(fingerprint, _cohort.cssg_to_doc(cssg))
     if cssg_memo is not None:
         cssg_memo[memo_key] = cssg
     return cssg
@@ -277,7 +265,8 @@ def execute_job_incremental(
     * every cohort cached → **pure merge**: the payload is reassembled
       from the partials without building a CSSG or running the flow
       (``live_result`` is None);
-    * some cohorts stale → one :class:`~repro.flow.Flow` run over the
+    * some cohorts stale, or an empty fault universe (no cohorts, so
+      nothing to merge from) → one :class:`~repro.flow.Flow` run over the
       full universe with a leading
       :class:`~repro.flow.stages.ReplayStage` injecting the cached
       verdicts, so the generating stages see only the stale faults;
@@ -330,7 +319,7 @@ def execute_job_incremental(
     stats.faults_reused = sum(len(c.faults) for c, _ in reused)
     stats.faults_executed = sum(len(c.faults) for c in stale)
 
-    if not stale:
+    if cohorts and not stale:
         # Pure merge: no CSSG, no flow — reassemble the payload.
         payload = _cohort.merge_payload(
             circuit,
@@ -342,8 +331,8 @@ def execute_job_incremental(
         )
         return payload, None, stats
 
-    cssg = _incremental_cssg(
-        circuit, job, store, cssg_memo, listeners, stats, refresh=refresh
+    cssg = _memoised_cssg(
+        circuit, job, cssg_memo, listeners, store, stats, refresh=refresh
     )
     from repro.flow.stages import ReplayStage
 
@@ -355,7 +344,7 @@ def execute_job_incremental(
         circuit, opts, faults=list(universe), cssg=cssg, listeners=listeners
     )
     payload = result.to_json_dict()
-    canonical = {k: v for k, v in payload.items() if k != "telemetry"}
+    canonical = canonical_payload(payload)
     # Re-extract *every* cohort from this run's payload, not just the
     # stale ones: reused partials get re-normalized onto this producing
     # run, so all partials of a partition always reference one run and
@@ -366,16 +355,14 @@ def execute_job_incremental(
     return payload, result, stats
 
 
-def note_incremental_stats(stats) -> None:
-    """Fold one incremental execution's cohort accounting into the
-    ambient metrics registry (call exactly once per job, parent-side —
-    never inside a telemetry-collected worker, which would double-count
-    through the snapshot merge).  Accepts an
-    :class:`~repro.campaign.cohort.IncrementalStats` or its dict form;
-    ``None`` is a no-op."""
-    if stats is None or not _obs.enabled():
+def note_incremental_stats(doc: Optional[Dict]) -> None:
+    """Fold one incremental execution's cohort accounting (a
+    :attr:`JobOutcome.incremental` dict) into the ambient metrics
+    registry — call exactly once per job, parent-side, never inside a
+    telemetry-collected worker, which would double-count through the
+    snapshot merge.  ``None`` is a no-op."""
+    if doc is None or not _obs.enabled():
         return
-    doc = stats if isinstance(stats, dict) else stats.to_json_dict()
     counter = _obs.get_registry().counter(
         "repro_incremental_cohorts_total",
         "Fault cohorts planned/reused/executed by incremental re-ATPG.",
@@ -384,6 +371,49 @@ def note_incremental_stats(stats) -> None:
     counter.labels("planned").inc(doc.get("cohorts_total", 0))
     counter.labels("reused").inc(doc.get("cohorts_reused", 0))
     counter.labels("executed").inc(doc.get("cohorts_executed", 0))
+
+
+def canonical_payload(payload: Optional[Dict]) -> Optional[Dict]:
+    """``payload`` without its opt-in ``telemetry`` block — the form
+    every store entry and served result takes.  Telemetry is wall-clock
+    data specific to one run; dropping it keeps the payload
+    byte-identical to what a plain run produces."""
+    if payload is None or "telemetry" not in payload:
+        return payload
+    return {k: v for k, v in payload.items() if k != "telemetry"}
+
+
+def run_job(
+    job: Job,
+    store: Optional[ResultStore],
+    cssg_memo: Optional[Dict] = None,
+    listeners=(),
+    refresh: bool = False,
+) -> JobOutcome:
+    """Run one job — through the per-cohort cache when ``store`` is
+    given, plainly otherwise (see :func:`execute_job_incremental`) — as
+    a ``ran`` or ``failed`` outcome.  Cohort stats ride on the outcome
+    for the parent's :func:`note_incremental_stats`."""
+    t0 = time.perf_counter()
+    try:
+        payload, live, inc = execute_job_incremental(
+            job, store, cssg_memo, listeners=listeners, refresh=refresh
+        )
+    except Exception as exc:  # report; the caller carries on
+        return JobOutcome(
+            job,
+            "failed",
+            error=f"{type(exc).__name__}: {exc}",
+            seconds=time.perf_counter() - t0,
+        )
+    return JobOutcome(
+        job,
+        "ran",
+        payload=payload,
+        seconds=time.perf_counter() - t0,
+        live=live,
+        incremental=None if inc is None else inc.to_json_dict(),
+    )
 
 
 def _fresh_payload(store: Optional[ResultStore], job: Job) -> Optional[Dict]:
@@ -460,7 +490,6 @@ def _worker_main(
         cssg_memo: Dict = {}
         for job in jobs:
             _maybe_crash_for_test(job)
-            t0 = time.perf_counter()
             # Liveness relay: at most one beat per HEARTBEAT_INTERVAL,
             # driven by the job's own flow events.  One beat fires
             # unconditionally at pickup, so the hang clock starts from
@@ -484,27 +513,17 @@ def _worker_main(
 
             else:
                 listener = Heartbeat(send, min_interval=HEARTBEAT_INTERVAL)
-            try:
-                if inc_store is not None:
-                    payload, _live, inc = execute_job_incremental(
-                        job, inc_store, cssg_memo,
-                        listeners=(listener,), refresh=refresh,
-                    )
-                    event_q.put(
-                        ("done", wid, job.key, time.perf_counter() - t0,
-                         payload,
-                         None if inc is None else inc.to_json_dict())
-                    )
-                else:
-                    result = execute_job(job, cssg_memo, listeners=(listener,))
-                    event_q.put(
-                        ("done", wid, job.key, time.perf_counter() - t0,
-                         result.to_json_dict())
-                    )
-            except Exception as exc:  # report and keep the worker alive
+            outcome = run_job(
+                job, inc_store, cssg_memo, listeners=(listener,), refresh=refresh
+            )
+            if outcome.ok:
                 event_q.put(
-                    ("fail", wid, job.key, time.perf_counter() - t0,
-                     f"{type(exc).__name__}: {exc}")
+                    ("done", wid, job.key, outcome.seconds, outcome.payload,
+                     outcome.incremental)
+                )
+            else:
+                event_q.put(
+                    ("fail", wid, job.key, outcome.seconds, outcome.error)
                 )
         event_q.put(("batch-done", wid, batch_id, 0.0))
 
@@ -537,7 +556,11 @@ class _Pool:
     events beats every :data:`HEARTBEAT_INTERVAL` and therefore only
     ever hits the hard budget; a job gone truly silent is culled after
     ``hang_timeout`` instead of occupying a worker for the full
-    ``timeout``."""
+    ``timeout``.
+
+    :meth:`step` is the one message pump: after :meth:`start`, the
+    campaign steps until :attr:`unresolved` empties, the server until it
+    is stopped."""
 
     def __init__(
         self,
@@ -561,13 +584,15 @@ class _Pool:
         self.refresh = refresh
         #: dispatch instant per job key, for queue-wait accounting.
         self.dispatched_at: Dict[str, float] = {}
-        self.n_respawns = 0
         # Floor: below a few heartbeat intervals even a perfectly
         # beating job would be culled between relays.
         if hang_timeout is not None:
             hang_timeout = max(hang_timeout, 4 * HEARTBEAT_INTERVAL)
         self.hang_timeout = hang_timeout
         self.job_of = {j.key: j for j in pending}
+        #: keys of handed-in jobs that have no outcome yet.
+        self.unresolved = set(self.job_of)
+        self.last_police = time.monotonic()
         self.target_workers = workers
         self.next_wid = 0
         self.next_batch_id = 0
@@ -593,10 +618,21 @@ class _Pool:
         """Append more work after construction — the long-lived serving
         front end feeds submissions in as they arrive.  Each job becomes
         its own single-job batch (service jobs arrive one by one; there
-        is no whole-campaign group to co-schedule)."""
+        is no whole-campaign group to co-schedule).  Workers that died
+        while idle are replaced before the new work is dispatched."""
         for job in jobs:
             self.job_of[job.key] = job
+            self.unresolved.add(job.key)
             self.group_queue.append([job])
+        while len(self.procs) < self.target_workers:
+            self.spawn()
+        self.dispatch_all()
+
+    def start(self) -> None:
+        """Spawn the worker processes and hand each its first batch."""
+        for _ in range(self.target_workers):
+            self.spawn()
+        self.dispatch_all()
 
     def spawn(self) -> None:
         wid = self.next_wid
@@ -644,11 +680,6 @@ class _Pool:
                 j for j in self.worker_remaining[wid] if j.key != key
             ]
 
-    def note_beat(self, wid: int) -> None:
-        """Record a heartbeat: the worker is alive and making progress
-        (the per-job completion clock keeps running)."""
-        self.worker_last_beat[wid] = time.monotonic()
-
     def drop_worker(self, wid: int, kill: bool) -> List[Job]:
         """Remove a worker; returns its unfinished batch jobs in order
         (the first is the one that was in flight)."""
@@ -664,6 +695,117 @@ class _Pool:
     def requeue_first(self, jobs: List[Job]) -> None:
         if jobs:
             self.group_queue.insert(0, jobs)
+
+    def step(
+        self,
+        resolve: Callable[[JobOutcome], None],
+        on_beat: Optional[Callable[[int, str, Optional[Dict]], None]] = None,
+        on_event: Optional[Callable[[int, str, Dict], None]] = None,
+    ) -> None:
+        """Pump one worker message, waiting at most
+        :data:`POLL_SECONDS`, and police the workers on that cadence.
+
+        Every terminal outcome goes to ``resolve`` exactly once: ``ran``
+        / ``failed`` from the worker's ``done`` / ``fail`` message,
+        ``crashed`` / ``timeout`` / ``hung`` from policing.  A ``beat``
+        goes to ``on_beat(wid, key, snapshot)`` (the in-flight metrics
+        snapshot, or None), a relayed flow event to ``on_event(wid,
+        key, event_json)``."""
+        try:
+            event = self.event_q.get(timeout=POLL_SECONDS)
+        except queue_mod.Empty:
+            event = None
+        # Police on a wall-clock cadence, not only on queue-empty: with
+        # many fast jobs the event stream never pauses, which would let
+        # a dead or hung worker go unnoticed for the whole campaign.
+        if time.monotonic() - self.last_police >= POLL_SECONDS:
+            self.police(resolve)
+            self.dispatch_all()
+            self.last_police = time.monotonic()
+        if event is None:
+            return
+        kind, wid, key, seconds = event[0], event[1], event[2], event[3]
+        if kind in ("beat", "event"):
+            # A sign of life: the per-job completion clock keeps running.
+            if wid in self.procs:
+                self.worker_last_beat[wid] = time.monotonic()
+            hook = on_beat if kind == "beat" else on_event
+            if hook is not None:
+                hook(wid, key, event[4] if len(event) > 4 else None)
+            return
+        if kind == "batch-done":
+            if wid in self.procs:
+                self.note_event(wid, None)
+                self.dispatch(wid)
+            return
+        if wid in self.procs:
+            self.note_event(wid, key)
+        if key not in self.unresolved:
+            return
+        self.unresolved.discard(key)
+        job = self.job_of[key]
+        if kind == "done":
+            resolve(
+                JobOutcome(
+                    job, "ran", payload=event[4], seconds=seconds,
+                    incremental=event[5],
+                )
+            )
+        else:
+            resolve(JobOutcome(job, "failed", error=event[4], seconds=seconds))
+
+    def police(self, resolve: Callable[[JobOutcome], None]) -> None:
+        """Detect dead, over-deadline, and silent (hung) workers; replace
+        them.  The hard ``timeout`` clock runs from the last completion
+        event; the ``hang_timeout`` clock from the last sign of life of
+        any kind, so heartbeat-emitting slow jobs survive until the hard
+        budget while truly silent ones are culled early."""
+        now = time.monotonic()
+        for wid in list(self.procs):
+            proc = self.procs[wid]
+            busy = bool(self.worker_remaining.get(wid))
+            timed_out = (
+                busy and now - self.worker_last_event.get(wid, 0.0) > self.timeout
+            )
+            hung = (
+                busy
+                and self.hang_timeout is not None
+                and now - self.worker_last_beat.get(wid, 0.0) > self.hang_timeout
+            )
+            if proc.is_alive() and not timed_out and not hung:
+                continue
+            if not proc.is_alive():
+                status = "crashed"
+            elif timed_out:
+                status = "timeout"
+            else:
+                status = "hung"
+            leftovers = self.drop_worker(wid, kill=True)
+            if leftovers:
+                # In-order processing: the first job without a completion
+                # event is the one that was running when the worker died.
+                culprit, rest = leftovers[0], leftovers[1:]
+                if culprit.key in self.unresolved:
+                    self.unresolved.discard(culprit.key)
+                    if status == "timeout":
+                        message = f"exceeded per-job timeout ({self.timeout:.0f}s)"
+                    elif status == "hung":
+                        message = (
+                            "no heartbeat for "
+                            f"{self.hang_timeout:.0f}s (presumed hung)"
+                        )
+                    else:
+                        message = "worker process died"
+                    resolve(JobOutcome(culprit, status, error=message))
+                self.requeue_first(rest)
+            if self.unresolved and len(self.procs) < self.target_workers:
+                self.spawn()
+                if _obs.enabled():
+                    _obs.get_registry().counter(
+                        "repro_campaign_worker_respawns_total",
+                        "Workers replaced after dying, timing out, or hanging.",
+                        ("reason",),
+                    ).labels(status).inc()
 
     def shutdown(self) -> None:
         for wid, proc in list(self.procs.items()):
@@ -731,16 +873,9 @@ def run_campaign(
 
     def resolve(outcome: JobOutcome) -> None:
         outcomes[outcome.job.key] = outcome
+        note_incremental_stats(outcome.incremental)
         if outcome.executed and store is not None and outcome.payload is not None:
-            payload = outcome.payload
-            if "telemetry" in payload:
-                # Never cache telemetry: it is wall-clock data specific
-                # to this run, and the store must keep serving the
-                # byte-deterministic payload a plain run would produce.
-                payload = {
-                    k: v for k, v in payload.items() if k != "telemetry"
-                }
-            store.put(outcome.job.key, payload)
+            store.put(outcome.job.key, canonical_payload(outcome.payload))
         if _obs.enabled():
             _obs.get_registry().counter(
                 "repro_campaign_jobs_total",
@@ -761,59 +896,37 @@ def run_campaign(
             pending.append(job)
 
     if workers == 0:
+        job_store = store if incremental else None
         cssg_memo: Dict = {}
         last_group: Optional[str] = None
         for job in pending:
             if job.group != last_group:  # bound memory to one circuit
                 cssg_memo = {}
                 last_group = job.group
-            t0 = time.perf_counter()
-            try:
-                if incremental and store is not None:
-                    payload, live, inc = execute_job_incremental(
-                        job, store, cssg_memo, refresh=refresh
-                    )
-                    note_incremental_stats(inc)
-                    resolve(
-                        JobOutcome(
-                            job,
-                            "ran",
-                            payload=payload,
-                            seconds=time.perf_counter() - t0,
-                            live=live,
-                            incremental=(
-                                None if inc is None else inc.to_json_dict()
-                            ),
-                        )
-                    )
-                else:
-                    result = execute_job(job, cssg_memo)
-                    resolve(
-                        JobOutcome(
-                            job,
-                            "ran",
-                            payload=result.to_json_dict(),
-                            seconds=time.perf_counter() - t0,
-                            live=result,
-                        )
-                    )
-            except Exception as exc:
-                resolve(
-                    JobOutcome(
-                        job,
-                        "failed",
-                        error=f"{type(exc).__name__}: {exc}",
-                        seconds=time.perf_counter() - t0,
-                    )
-                )
+            resolve(run_job(job, job_store, cssg_memo, refresh=refresh))
     elif pending:
-        _run_pool(
-            pending, min(workers, len(pending)), timeout, resolve,
-            hang_timeout, collect_telemetry, dashboard,
+        pool = _Pool(
+            pending, min(workers, len(pending)), timeout, hang_timeout,
+            collect_telemetry,
             incremental=incremental and store is not None,
             cache_root=str(store.root) if store is not None else None,
             refresh=refresh,
         )
+
+        def resolve_worker_job(outcome: JobOutcome) -> None:
+            if outcome.status in ("ran", "failed"):  # the worker reported it
+                _absorb_job_telemetry(pool, outcome)
+            resolve(outcome)
+
+        try:
+            pool.start()
+            while pool.unresolved:
+                pool.step(
+                    resolve_worker_job,
+                    on_beat=None if dashboard is None else dashboard.on_beat,
+                )
+        finally:
+            pool.shutdown()
 
     return CampaignReport(
         jobs=jobs,
@@ -823,83 +936,7 @@ def run_campaign(
     )
 
 
-def _run_pool(
-    pending: List[Job],
-    workers: int,
-    timeout: float,
-    resolve: Callable[[JobOutcome], None],
-    hang_timeout: Optional[float] = None,
-    collect_telemetry: bool = False,
-    dashboard=None,
-    incremental: bool = False,
-    cache_root: Optional[str] = None,
-    refresh: bool = False,
-) -> None:
-    pool = _Pool(
-        pending, workers, timeout, hang_timeout, collect_telemetry,
-        incremental=incremental, cache_root=cache_root, refresh=refresh,
-    )
-    unresolved = {j.key for j in pending}
-    try:
-        for _ in range(workers):
-            pool.spawn()
-        pool.dispatch_all()
-        last_police = time.monotonic()
-        while unresolved:
-            try:
-                event = pool.event_q.get(timeout=0.2)
-            except queue_mod.Empty:
-                event = None
-            # Police on a wall-clock cadence, not only on queue-empty:
-            # with many fast jobs the event stream never pauses, which
-            # would let a dead or hung worker go unnoticed for the whole
-            # campaign.
-            if time.monotonic() - last_police >= 0.2:
-                _police_workers(pool, unresolved, resolve)
-                pool.dispatch_all()
-                last_police = time.monotonic()
-            if event is None:
-                continue
-            kind, wid, key, seconds = event[0], event[1], event[2], event[3]
-            if kind == "beat":
-                if wid in pool.procs:
-                    pool.note_beat(wid)
-                if dashboard is not None:
-                    dashboard.on_beat(
-                        wid, key, event[4] if len(event) > 4 else None
-                    )
-                continue
-            if kind == "batch-done":
-                if wid in pool.procs:
-                    pool.note_event(wid, None)
-                    pool.dispatch(wid)
-                continue
-            if wid in pool.procs:
-                pool.note_event(wid, key)
-            if key in unresolved:
-                unresolved.discard(key)
-                job = pool.job_of[key]
-                if kind == "done":
-                    payload = event[4]
-                    inc = event[5] if len(event) > 5 else None
-                    note_incremental_stats(inc)
-                    _absorb_job_telemetry(pool, key, seconds, payload)
-                    resolve(
-                        JobOutcome(
-                            job, "ran", payload=payload, seconds=seconds,
-                            incremental=inc,
-                        )
-                    )
-                else:
-                    _absorb_job_telemetry(pool, key, seconds, None)
-                    resolve(JobOutcome(job, "failed", error=event[4], seconds=seconds))
-    finally:
-        pool.shutdown()
-
-
-def _absorb_job_telemetry(
-    pool: _Pool, key: str, seconds: float, payload: Optional[Dict]
-) -> None:
+def _absorb_job_telemetry(pool: _Pool, outcome: JobOutcome) -> None:
     """Fold one finished worker job into the campaign-wide registry:
     merge the per-job metrics snapshot the flow attached to the payload
     (exactly once per job — beats carry in-flight snapshots for the
@@ -910,73 +947,18 @@ def _absorb_job_telemetry(
     if not _obs.enabled():
         return
     reg = _obs.get_registry()
-    telemetry = (payload or {}).get("telemetry") or {}
+    telemetry = (outcome.payload or {}).get("telemetry") or {}
     snap = telemetry.get("metrics")
     if snap:
         reg.merge_snapshot(snap)
     reg.histogram(
         "repro_campaign_job_seconds", "Per-job ATPG run time (worker-side)."
-    ).observe(seconds)
-    dispatched = pool.dispatched_at.pop(key, None)
+    ).observe(outcome.seconds)
+    dispatched = pool.dispatched_at.pop(outcome.job.key, None)
     if dispatched is not None:
-        wait = (time.monotonic() - dispatched) - seconds
+        wait = (time.monotonic() - dispatched) - outcome.seconds
         reg.histogram(
             "repro_campaign_queue_wait_seconds",
             "Seconds a job spent dispatched but not running "
             "(waiting behind its batch).",
         ).observe(max(0.0, wait))
-
-
-def _police_workers(pool: _Pool, unresolved, resolve) -> None:
-    """Detect dead, over-deadline, and silent (hung) workers; replace
-    them.  The hard ``timeout`` clock runs from the last completion
-    event; the ``hang_timeout`` clock from the last sign of life of any
-    kind, so heartbeat-emitting slow jobs survive until the hard budget
-    while truly silent ones are culled early."""
-    now = time.monotonic()
-    for wid in list(pool.procs):
-        proc = pool.procs[wid]
-        busy = bool(pool.worker_remaining.get(wid))
-        timed_out = (
-            busy and now - pool.worker_last_event.get(wid, 0.0) > pool.timeout
-        )
-        hung = (
-            busy
-            and pool.hang_timeout is not None
-            and now - pool.worker_last_beat.get(wid, 0.0) > pool.hang_timeout
-        )
-        if proc.is_alive() and not timed_out and not hung:
-            continue
-        if not proc.is_alive():
-            status = "crashed"
-        elif timed_out:
-            status = "timeout"
-        else:
-            status = "hung"
-        leftovers = pool.drop_worker(wid, kill=True)
-        if leftovers:
-            # In-order processing: the first job without a completion
-            # event is the one that was running when the worker died.
-            culprit, rest = leftovers[0], leftovers[1:]
-            if culprit.key in unresolved:
-                unresolved.discard(culprit.key)
-                if status == "timeout":
-                    message = f"exceeded per-job timeout ({pool.timeout:.0f}s)"
-                elif status == "hung":
-                    message = (
-                        "no heartbeat for "
-                        f"{pool.hang_timeout:.0f}s (presumed hung)"
-                    )
-                else:
-                    message = "worker process died"
-                resolve(JobOutcome(culprit, status, error=message))
-            pool.requeue_first(rest)
-        if unresolved and len(pool.procs) < pool.target_workers:
-            pool.spawn()
-            pool.n_respawns += 1
-            if _obs.enabled():
-                _obs.get_registry().counter(
-                    "repro_campaign_worker_respawns_total",
-                    "Workers replaced after dying, timing out, or hanging.",
-                    ("reason",),
-                ).labels(status).inc()

@@ -116,7 +116,7 @@ class ReproServer:
             _obs.enable(_obs.MetricsRegistry())
         if self.workers == 0:
             self._executor = InlineExecutor(
-                1, self._cb_start, self._cb_event, self._cb_done,
+                self._cb_start, self._cb_event, self._cb_done,
                 store=self.store, incremental=self.incremental,
             )
         else:

@@ -278,6 +278,108 @@ def test_incremental_matches_golden_digests(name, tmp_path):
         )
 
 
+# -- empty fault universes ---------------------------------------------
+
+
+def _empty_bridging_jobs():
+    """Every corpus job (Table 1 complex, Table 2 two-level) whose
+    bridging universe is empty — no cohorts, so nothing to merge."""
+    from repro.benchmarks_data import TABLE2_NAMES, load_benchmark
+
+    corpus = [(n, "complex") for n in TABLE1_NAMES]
+    corpus += [(n, "two-level") for n in TABLE2_NAMES]
+    return [
+        expand(
+            CampaignSpec(
+                benchmarks=[name], styles=(style,), fault_models=("bridging",)
+            )
+        )[0]
+        for name, style in corpus
+        if not fault_universe(load_benchmark(name, style=style), "bridging")
+    ]
+
+
+def test_empty_universe_runs_the_flow_and_matches_the_plain_payload(tmp_path):
+    from repro.campaign.runner import execute_job
+
+    jobs = _empty_bridging_jobs()
+    assert {"hazard", "alloc-outbound"} <= {job.source for job in jobs}
+    store = ResultStore(tmp_path)
+    for job in jobs:
+        plain = payload_digest(execute_job(job).to_json_dict())
+        for run in ("cold", "warm"):
+            payload, live, stats = execute_job_incremental(job, store)
+            assert stats.cohorts_total == 0 and live is not None, job.name
+            assert payload_digest(payload) == plain, f"{job.name} ({run})"
+
+
+# -- incremental campaigns ---------------------------------------------
+
+#: The CI campaign-smoke corpus, crossed with every fault model.
+SMOKE_SPEC = CampaignSpec(
+    benchmarks=["dff", "chu150", "hazard", "ebergen"],
+    fault_models=("output", "input", "bridging", "transition"),
+)
+
+
+@pytest.fixture()
+def armed_registry():
+    """A fresh, armed ambient metrics registry; restored afterwards."""
+    from repro.obs import metrics as obs_metrics
+
+    was_enabled = obs_metrics.enabled()
+    previous = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
+    try:
+        yield obs_metrics
+    finally:
+        obs_metrics.set_registry(previous)
+        if not was_enabled:
+            obs_metrics.disable()
+
+
+def _cohort_totals(obs_metrics):
+    reg = obs_metrics.get_registry()
+    return {
+        outcome: reg.value("repro_incremental_cohorts_total", outcome)
+        for outcome in ("planned", "reused", "executed")
+    }
+
+
+def test_incremental_campaign_matches_plain_at_both_worker_counts(
+    tmp_path, armed_registry
+):
+    """In-process and forked incremental campaigns both reproduce the
+    plain payloads, count cohorts once per job, and a warm rerun (whole
+    results dropped, cohorts kept) reuses every cohort."""
+    import shutil
+
+    from repro.campaign import run_campaign
+
+    jobs = expand(SMOKE_SPEC)
+    plain = run_campaign(jobs, workers=0, store=None).by_key
+    totals = {}
+    for workers in (0, 2):
+        store = ResultStore(tmp_path / f"w{workers}")
+        for run in ("cold", "warm"):
+            armed_registry.enable(armed_registry.MetricsRegistry())
+            report = run_campaign(
+                jobs, workers=workers, store=store, incremental=True,
+                collect_telemetry=True,
+            )
+            assert report.all_ok and report.n_ran == len(jobs), (workers, run)
+            for outcome in report.outcomes:
+                assert payload_digest(outcome.payload) == payload_digest(
+                    plain[outcome.job.key].payload
+                ), (workers, run, outcome.job.name)
+            totals[workers, run] = _cohort_totals(armed_registry)
+            shutil.rmtree(store.root / "results")
+        warm = totals[workers, "warm"]
+        assert warm["reused"] == warm["planned"] > 0 and warm["executed"] == 0
+    assert totals[0, "cold"] == totals[2, "cold"]
+    assert totals[0, "warm"] == totals[2, "warm"]
+    assert totals[0, "cold"]["executed"] == totals[0, "cold"]["planned"]
+
+
 # -- store satellites --------------------------------------------------
 
 

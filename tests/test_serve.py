@@ -183,6 +183,31 @@ def test_e2e_forked_workers_relay_live_events(tmp_path):
         assert _comparable(payload) == _direct_payload("chu150", seed=3)
 
 
+def test_forked_worker_crash_resolves_crashed_and_worker_respawns(
+    tmp_path, monkeypatch
+):
+    from repro.campaign.runner import CRASH_ONCE_ENV
+
+    marker = tmp_path / "crashed-once"
+    monkeypatch.setenv(CRASH_ONCE_ENV, f"chu150:{marker}")
+    store = ResultStore(tmp_path / "cache")
+    with ServerHarness(
+        state_dir=tmp_path / "state", store=store, workers=1
+    ) as h:
+        crashed = h.client.wait(h.client.submit(benchmark="chu150", seed=5)["id"])
+        assert marker.exists()  # the simulated crash fired
+        assert crashed["state"] == "crashed"
+        assert crashed["error"] == "worker process died"
+        events = list(h.client.events(crashed["id"]))
+        assert events[-1]["event"] == "JobResolved"
+        assert events[-1]["state"] == "crashed"
+        # The dead worker is replaced; the next submission runs on it.
+        done = h.client.wait(h.client.submit(benchmark="chu150", seed=6)["id"])
+        assert done["state"] == "done"
+        payload = h.client.result(done["key"])
+        assert _comparable(payload) == _direct_payload("chu150", seed=6)
+
+
 def test_inline_netlist_submission_runs_and_caches(harness):
     from pathlib import Path
 
