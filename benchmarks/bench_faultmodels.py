@@ -8,10 +8,15 @@ timed work is the ATPG itself).  Results go to
 so the per-model cost trajectory is tracked as the corpus and the
 models grow.
 
+Each row also records the arena walk kernels the model's run compiled
+(``walk_kernel_compiles``): the four models of a circuit share one
+bridge-free kernel, and bridging adds one of its own.
+
 Assertions are deliberately *shape* checks, not speed floors: every
 model must run end to end on the whole corpus, stuck-at universes must
-match their closed-form sizes, and the per-model scenario count must
-multiply the corpus as advertised (23 benchmarks × 4 models).
+match their closed-form sizes, the four models of a circuit compile at
+most two walk kernels, and the per-model scenario count must multiply
+the corpus as advertised (23 benchmarks × 4 models).
 """
 
 import json
@@ -26,6 +31,7 @@ from repro.core.atpg import AtpgOptions, cssg_for
 from repro.core.collapse import collapse_faults, collapse_ratio
 from repro.faultmodels import model_names
 from repro.flow import Flow
+from repro.sim import engine
 
 OUT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_faultmodels.json"
 
@@ -44,6 +50,9 @@ def emit_json():
             "atpg_seconds": round(
                 sum(r["atpg_seconds"] for r in rows.values()), 3
             ),
+            "walk_kernel_compiles": sum(
+                r["walk_kernel_compiles"] for r in rows.values()
+            ),
             "n_benchmarks": len(rows),
         }
         for model, rows in models.items()
@@ -59,12 +68,22 @@ def emit_json():
 
 
 @pytest.mark.parametrize("name", TABLE1_NAMES)
-def test_all_models_run_on(name):
+def test_all_models_run_on(name, monkeypatch):
+    kernels = []
+    real_exec = engine._exec
+
+    def spy(src, filename):
+        if filename.startswith("<arena:"):
+            kernels.append(filename)
+        return real_exec(src, filename)
+
+    monkeypatch.setattr(engine, "_exec", spy)
     circuit = load_benchmark(name, "complex")
     cssg = cssg_for(circuit, AtpgOptions(seed=0))
     for model in model_names():
         faults = fault_universe(circuit, model)
         reps, _ = collapse_faults(circuit, faults)
+        n_kernels = len(kernels)
         t0 = time.perf_counter()
         result = Flow.default().run(
             circuit, AtpgOptions(fault_model=model, seed=0), cssg=cssg
@@ -87,7 +106,10 @@ def test_all_models_run_on(name):
             "n_aborted": result.n_aborted,
             "coverage": round(result.coverage, 4),
             "atpg_seconds": round(elapsed, 4),
+            "walk_kernel_compiles": len(kernels) - n_kernels,
         }
+    # One bridge-free kernel shared by the models, one bridging kernel.
+    assert len(kernels) <= 2, kernels
 
 
 def test_corpus_scenario_multiplier():

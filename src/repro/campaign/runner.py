@@ -164,17 +164,30 @@ def load_job_circuit(job: Job) -> Circuit:
     return load_netlist(job.source)
 
 
+def _memoised_circuit(job: Job, cssg_memo: Optional[Dict]) -> Circuit:
+    """The job's circuit, loaded once per job group through ``cssg_memo``
+    (the group's jobs then share one parse or synthesis, and the walk
+    kernels compiled on it), or freshly without a memo."""
+    if cssg_memo is None:
+        return load_job_circuit(job)
+    key = ("circuit", job.group)
+    circuit = cssg_memo.get(key)
+    if circuit is None:
+        circuit = cssg_memo[key] = load_job_circuit(job)
+    return circuit
+
+
 def execute_job(
     job: Job,
     cssg_memo: Optional[Dict] = None,
     listeners=(),
 ) -> AtpgResult:
-    """Run one job through ``Flow.default()``, optionally sharing CSSG
-    construction through ``cssg_memo`` (all fault-model / seed variants
-    of one circuit use the same graph, exactly like the sequential table
-    harness did).  ``listeners`` subscribe to the job's flow event
-    stream — the worker loop wires a :class:`~repro.flow.Heartbeat`
-    here."""
+    """Run one job through ``Flow.default()``, optionally sharing the
+    loaded circuit and CSSG construction through ``cssg_memo`` (all
+    fault-model / seed variants of one circuit use the same graph,
+    exactly like the sequential table harness did).  ``listeners``
+    subscribe to the job's flow event stream — the worker loop wires a
+    :class:`~repro.flow.Heartbeat` here."""
     if job.source_kind == "fuzz":
         # Scenario-fuzzing chunks (repro-fuzz) ride the same workers,
         # heartbeats and store; their execution lives with the fuzz
@@ -182,7 +195,7 @@ def execute_job(
         from repro.fuzz.campaign import execute_fuzz_job
 
         return execute_fuzz_job(job, listeners=listeners)
-    circuit = load_job_circuit(job)
+    circuit = _memoised_circuit(job, cssg_memo)
     cssg = None
     if cssg_memo is not None:
         cssg = _memoised_cssg(circuit, job, cssg_memo, listeners)
@@ -296,7 +309,7 @@ def execute_job_incremental(
     from repro.circuit.faults import fault_universe
 
     t_start = time.perf_counter()
-    circuit = load_job_circuit(job)
+    circuit = _memoised_circuit(job, cssg_memo)
     universe = fault_universe(circuit, opts.fault_model)
     salt = _cohort.cohort_salt(circuit, job.style, opts)
     cohorts = _cohort.partition(circuit, universe, salt)

@@ -33,9 +33,9 @@ Two faulty-machine semantics are available:
   blow-up falls back to ternary, never the reverse.
 * ``"ternary"`` — the paper's machinery: Eichelberger simulation with
   the fault injected, conservative about races.  Each fault's machine is
-  one lane of the arena kernel compiled for the generator's fault list
-  (:meth:`~repro.sim.batch.FaultBatch.apply_lane`), so a whole run
-  compiles one kernel, not one per fault.
+  one lane of the generator's fault-list overlay on the circuit's arena
+  kernel (:meth:`~repro.sim.batch.FaultBatch.apply_lane`), so a run
+  compiles no kernel per fault.
 
 Faults that are never excited in any stable state (§5.1's
 even-number-of-switches case) skip straight to differentiation from the

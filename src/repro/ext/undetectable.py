@@ -26,7 +26,7 @@ stable-state-observation semantics), neither is complete:
   identical *definite* stable states.  This is the same search the
   3-phase generator would do, run with a bounded budget up front so the
   per-fault ATPG can be skipped.  Each faulty machine is one lane of the
-  arena kernel compiled for the classified fault list.
+  classified fault list's overlay on the circuit's arena kernel.
 """
 
 from __future__ import annotations

@@ -101,10 +101,10 @@ class FaultModel:
         updating the engine's mask dictionaries (``pin_force`` /
         ``out_force`` / ``self_and`` / ``self_or`` / ``bridges``).
 
-        These mask tables are the *only* fault contract: the arena walk
-        kernel (:mod:`repro.sim.arena`) compiles from the same
-        dictionaries, so a model implemented here
-        runs on every simulation path without further work."""
+        These mask tables are the *only* fault contract: the engine
+        passes them to the arena walk kernel (:mod:`repro.sim.arena`)
+        as arguments, so a model implemented here runs on every
+        simulation path without further work."""
         raise NotImplementedError
 
     def forced_reset(self, circuit: Circuit, fault: Fault, reset_state: int) -> int:

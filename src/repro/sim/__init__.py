@@ -2,11 +2,13 @@
 
 * :mod:`repro.sim.arena` — the arena walk kernel, the package's one
   Algorithm A/B settle (Eichelberger's ternary simulation): a compiled
-  generator per fault overlay, state held in generator locals, one
-  ``send`` per test cycle, both algorithms sharing one sweep body.
+  generator per circuit, fault overlay masks passed as its arguments,
+  state held in generator locals, one ``send`` per test cycle, both
+  algorithms sharing one sweep body.
 * :mod:`repro.sim.engine` — per-circuit compilation (excited-gate
-  enumeration for the exact settling explorer) and the pluggable fault
-  overlays (none / scalar / packed) that own and run their kernel.
+  enumeration for the exact settling explorer, the walk kernels) and
+  the pluggable fault overlays (none / scalar / packed) that run the
+  kernel with their masks.
 * :mod:`repro.sim.ternary` — scalar ternary simulation with optional
   single-fault injection; this is the conservative race/oscillation
   detector of paper §5.4.  Thin adapter over the engine.

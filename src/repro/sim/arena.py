@@ -3,25 +3,34 @@
 Every ternary settle runs here: random TPG and test-set walks, the
 batch state-passing methods of :class:`~repro.sim.batch.FaultBatch`,
 the scalar API of :mod:`repro.sim.ternary`, and the three-phase and
-classifier faulty machines (each one a lane of the kernel compiled for
-its fault list).  One kernel is compiled per ``(circuit, fault
-overlay)`` pair from the overlay's mask tables; the
-:class:`~repro.sim.engine.SimEngine` owning those tables compiles it on
-first use and keeps it.
+classifier faulty machines (each one a lane of the kernel their fault
+list runs on).
+
+A kernel is generated from the circuit alone, never from an overlay's
+masks: every gate carries *argument slots* for its pin forces (one per
+support signal), its self blend and its output force, and every
+overlay's masks arrive as one argument tuple the generator unpacks into
+locals when it starts.  So one kernel per circuit serves the good
+machine and every input, output and transition overlay at every width;
+only bridging, whose blends evaluate a partner gate inline, adds one
+kernel per set of bridged gate pairs (bridge blends are extra slots of
+the same code).  :class:`~repro.sim.engine.CompiledCircuit` compiles
+and caches them; each :class:`~repro.sim.engine.SimEngine` builds its
+argument tuple once, with identity masks where its overlay has none.
 
 The kernel is one generated *generator* whose locals hold every
 signal's ``(l, h)`` words; each request is a single ``send`` (see
 :func:`_codegen_walk` for the protocol), so state never leaves the
 generator frame between test cycles of a walk.  Settling is
 Eichelberger's Algorithm A then Algorithm B, driven by an int bitmask
-of changed signals: a pass re-evaluates only gates whose baked-in exam
-mask intersects the changes (no queue, no per-event allocation, no
-per-gate function calls).  Both algorithms run through one sweep body
-in which every gate is emitted once; a phase flag picks the update
-(Algorithm A: lub into the old value; Algorithm B: plain assignment).
-Both fixpoints are unique under any fair order, so the kernel is
-bit-identical to the seed's sweeps kept in :mod:`repro.sim.legacy`,
-which ``tests/test_sim_cross.py`` and ``tests/test_arena.py`` check.
+of changed signals: a pass re-evaluates only gates whose exam mask
+intersects the changes (no queue, no per-event allocation, no per-gate
+function calls).  Both algorithms run through one sweep body in which
+every gate is emitted once; a phase flag picks the update (Algorithm A:
+lub into the old value; Algorithm B: plain assignment).  Both fixpoints
+are unique under any fair order, so the kernel is bit-identical to the
+seed's sweeps kept in :mod:`repro.sim.legacy`, which
+``tests/test_sim_cross.py`` and ``tests/test_arena.py`` check.
 
 CPython bignum bitwise ops are already C-speed word-parallel, so one
 bignum word per signal carries the whole fault universe of every bundled
@@ -31,77 +40,136 @@ benchmark.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.circuit.expr import OP_AND, OP_NOT, OP_OR, OP_VAR, OP_XOR, Program
-from repro.circuit.netlist import Circuit
+from repro.circuit.netlist import Circuit, Gate
 from repro.obs import metrics as _obs
 
 if TYPE_CHECKING:
     from repro.sim.engine import SimEngine
 
-__all__ = ["ArenaWalk"]
+__all__ = ["ArenaWalk", "WalkKernel", "walk_layout"]
 
 _WORD = 64
 
+#: Per gate, in declaration order: ``(gate signal index, pin sites,
+#: bridge partners)`` — the gate's support, and the partners it is
+#: bridged to, sorted.  It fixes the kernel's argument order.
+WalkLayout = Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]
+
+
+class WalkKernel(NamedTuple):
+    """One compiled walk kernel: ``run(low, high, args)`` is the
+    generator function, and ``layout`` fixes the order of ``args``."""
+
+    run: Callable
+    layout: WalkLayout
+
+
+def walk_layout(
+    circuit: Circuit, bridge_pairs: Sequence[Tuple[int, int]] = ()
+) -> WalkLayout:
+    """The argument layout of ``circuit``'s kernel with blends for the
+    bridged ``(gate, partner)`` pairs."""
+    partners: Dict[int, List[int]] = {}
+    for gate, partner in bridge_pairs:
+        partners.setdefault(gate, []).append(partner)
+    return tuple(
+        (g.index, tuple(g.support), tuple(sorted(partners.get(g.index, ()))))
+        for g in circuit.gates
+    )
+
+
+def _slot(prefix: str) -> List[str]:
+    """The four argument words of one mask slot: masks ``m0`` / ``m1``
+    and their complements within ``ones``, ``k1 = ones & ~m1`` and
+    ``k0 = ones & ~m0``."""
+    return [f"{prefix}m0", f"{prefix}k1", f"{prefix}m1", f"{prefix}k0"]
+
+
+def _arg_names(layout: WalkLayout) -> List[str]:
+    """The locals the kernel unpacks its argument tuple into, in order:
+    ``ones`` and the round cap, then per gate four slot families — its
+    pins (one slot per support signal), its bridges (one per partner),
+    its self blend and its output force — each a flag followed by the
+    family's slots."""
+    names = ["ones", "cap"]
+    for gi, sites, partners in layout:
+        names.append(f"fp{gi}")
+        for s in sites:
+            names += _slot(f"p{gi}_{s}")
+        names.append(f"fb{gi}")
+        for p in partners:
+            names += _slot(f"b{gi}_{p}")
+        names += [f"fs{gi}"] + _slot(f"s{gi}") + [f"fo{gi}"] + _slot(f"o{gi}")
+    return names
+
 
 def _emit_eval(
-    lines: List[str], indent: str, engine: SimEngine, pos: int, gate_at
+    lines: List[str],
+    indent: str,
+    gate: Gate,
+    partners: Tuple[int, ...],
+    gate_at: Dict[int, Gate],
 ) -> Tuple[str, str]:
-    """Append the straight-line evaluation of gate ``pos`` under the
-    engine's fault overlay to ``lines``; returns the final ``(l, h)``
-    result expressions.
+    """Append the straight-line evaluation of ``gate`` with its overlay
+    slots to ``lines``; returns the ``(l, h)`` result locals, which are
+    the gate's own temporaries, free for the caller to update in place.
 
     This is the single source of truth for the ternary operator and
-    overlay-mask formulas.  Operands are the kernel's locals ``l{sig}`` /
-    ``h{sig}``.  The overlay's mask tables enter as follows, each a
-    per-machine mask over the word's bits:
+    overlay-mask formulas.  Operands are the kernel's locals ``l{sig}``
+    / ``h{sig}``; each slot is a pair of per-machine masks ``m0`` /
+    ``m1`` (with complements ``k1`` / ``k0``, see :func:`_slot`):
 
-    * ``pin_force[gate][site] = (f0, f1)`` bakes per-pin stuck-at masks
-      into the operand reads;
-    * ``bridges[gate][partner] = (and_mask, or_mask)``: the partner's
-      (clean) function is evaluated inline and the result blended in —
-      the ternary AND for machines in ``and_mask`` (wired-AND bridging),
-      the OR for ``or_mask`` machines;
-    * ``self_and`` / ``self_or`` blend the gate's **own current value**
-      into the result — the self-sticky encoding of slow-to-rise /
-      slow-to-fall transition faults;
-    * ``out_force`` forces the result words (output stuck-at).
+    * pin ``p{gate}_{site}`` (input stuck-at) clamps the operand read
+      once per evaluation, ``(l|m0)&k1`` / ``(h|m1)&k0``, for the
+      force-0 machines ``m0`` and force-1 machines ``m1``;
+    * bridge ``b{gate}_{partner}``: the partner's (clean) function is
+      evaluated inline and blended in — the ternary AND for machines in
+      ``m0`` (wired-AND), the OR for ``m1`` (wired-OR);
+    * self ``s{gate}`` blends the gate's **own current value** in the
+      same way (AND for ``m0``, OR for ``m1``) — the self-sticky
+      encoding of slow-to-rise / slow-to-fall transition faults;
+    * output ``o{gate}`` forces the result words like a pin.
 
-    Every blend is the identity outside its mask, and each machine bit
-    carries at most one fault, so the application order is immaterial.
-    Temporaries are introduced per operator, so the generated code is
-    linear in the program length (shared subterms are never
+    Every slot is the identity outside its masks (every word fits in
+    ``ones``), and each machine bit carries at most one fault, so the
+    application order is immaterial.  Each family of a gate's slots
+    (pins, bridges, self, output) sits behind a flag (``fp`` / ``fb`` /
+    ``fs`` / ``fo`` + gate), false when the overlay leaves the whole
+    family at identity, so an overlay pays only for the families it
+    sets.  Temporaries are introduced per operator, so the generated
+    code is linear in the program length (shared subterms are never
     re-expanded).
     """
-    gi = engine.cc.gate_index[pos]
-    ones = engine.ones
-    tag = f"g{pos}_"
+    gi = gate.index
+    tag = f"g{gi}_"
     counter = [0]
+    ap = lines.append
+    inner = indent + "    "
 
     def fresh() -> Tuple[str, str]:
         a, b = f"{tag}t{counter[0]}", f"{tag}u{counter[0]}"
         counter[0] += 1
         return a, b
 
-    def emit(prog: Program, forces) -> Tuple[str, str]:
-        """Append the evaluation of ``prog`` to ``lines``; returns the
-        (l, h) result expressions."""
+    def emit(prog: Program, read, at: str) -> Tuple[str, str]:
+        """Append the evaluation of ``prog`` at indent ``at``, reading
+        signal ``s`` as ``read(s)``; returns the (l, h) results."""
         stack: List[Tuple[str, str]] = []
         for op, arg in prog:
             if op == OP_VAR:
-                force = forces.get(arg) if forces else None
-                rl, rh = f"l{arg}", f"h{arg}"
-                if force is None:
-                    stack.append((rl, rh))
-                else:
-                    f0, f1 = force
-                    stack.append(
-                        (
-                            f"(({rl}|{f0})&{ones & ~f1})",
-                            f"(({rh}|{f1})&{ones & ~f0})",
-                        )
-                    )
+                stack.append(read(arg))
             elif op == OP_NOT:
                 l, h = stack.pop()
                 stack.append((h, l))
@@ -109,76 +177,69 @@ def _emit_eval(
                 l2, h2 = stack.pop()
                 l1, h1 = stack[-1]
                 a, b = fresh()
-                lines.append(f"{indent}{a} = {l1}|{l2}; {b} = {h1}&{h2}")
+                ap(f"{at}{a} = {l1}|{l2}; {b} = {h1}&{h2}")
                 stack[-1] = (a, b)
             elif op == OP_OR:
                 l2, h2 = stack.pop()
                 l1, h1 = stack[-1]
                 a, b = fresh()
-                lines.append(f"{indent}{a} = {l1}&{l2}; {b} = {h1}|{h2}")
+                ap(f"{at}{a} = {l1}&{l2}; {b} = {h1}|{h2}")
                 stack[-1] = (a, b)
             elif op == OP_XOR:
                 l2, h2 = stack.pop()
                 l1, h1 = stack[-1]
                 a, b = fresh()
-                lines.append(
-                    f"{indent}{a} = ({l1}&{l2})|({h1}&{h2}); "
+                ap(
+                    f"{at}{a} = ({l1}&{l2})|({h1}&{h2}); "
                     f"{b} = ({l1}&{h2})|({h1}&{l2})"
                 )
                 stack[-1] = (a, b)
             else:  # OP_CONST
-                stack.append(
-                    (str(0 if arg else ones), str(ones if arg else 0))
-                )
+                stack.append(("0", "ones") if arg else ("ones", "0"))
         return stack.pop()
 
-    l, h = emit(engine.circuit.gates[pos].program, engine.pin_force.get(gi))
-    for partner, (and_mask, or_mask) in sorted(engine.bridges.get(gi, {}).items()):
-        # Masked blend of the partner's driven value: per machine,
-        # ternary AND for and_mask bits, ternary OR for or_mask bits,
-        # identity elsewhere (the masks never share a bit).
-        lb, hb = emit(gate_at[partner].program, None)
+    if gate.support:
+        ap(f"{indent}if fp{gi}:")
+        for s in gate.support:
+            p = f"p{gi}_{s}"
+            ap(
+                f"{inner}x{gi}_{s} = (l{s}|{p}m0)&{p}k1; "
+                f"y{gi}_{s} = (h{s}|{p}m1)&{p}k0"
+            )
+        ap(f"{indent}else:")
+        copies = (f"x{gi}_{s} = l{s}; y{gi}_{s} = h{s}" for s in gate.support)
+        ap(inner + "; ".join(copies))
+    l, h = emit(gate.program, lambda s: (f"x{gi}_{s}", f"y{gi}_{s}"), indent)
+    if l in ("0", "ones"):  # a constant gate: give its value locals
         a, b = fresh()
-        lines.append(
-            f"{indent}{a} = (({l})|({lb}&{and_mask}))"
-            f"&(({lb})|{ones & ~or_mask}); "
-            f"{b} = (({h})&(({hb})|{ones & ~and_mask}))"
-            f"|(({hb})&{or_mask})"
-        )
+        ap(f"{indent}{a} = {l}; {b} = {h}")
         l, h = a, b
-    self_and = engine.self_and.get(gi, 0)
-    self_or = engine.self_or.get(gi, 0)
-    if self_and or self_or:
-        sl, sh = f"l{gi}", f"h{gi}"
-        a, b = fresh()
-        lines.append(
-            f"{indent}{a} = (({l})|({sl}&{self_and}))"
-            f"&({sl}|{ones & ~self_or}); "
-            f"{b} = (({h})&({sh}|{ones & ~self_and}))"
-            f"|({sh}&{self_or})"
+    if partners:
+        ap(f"{indent}if fb{gi}:")
+    for partner in partners:
+        lb, hb = emit(gate_at[partner].program, lambda s: (f"l{s}", f"h{s}"), inner)
+        b = f"b{gi}_{partner}"
+        ap(
+            f"{inner}{l} = ({l}|({lb}&{b}m0))&({lb}|{b}k1); "
+            f"{h} = ({h}&({hb}|{b}k0))|({hb}&{b}m1)"
         )
-        l, h = a, b
-    out_force = engine.out_force.get(gi)
-    if out_force is not None:
-        f0, f1 = out_force
-        a, b = fresh()
-        lines.append(
-            f"{indent}{a} = ({l}|{f0})&{ones & ~f1}; "
-            f"{b} = ({h}|{f1})&{ones & ~f0}"
-        )
-        l, h = a, b
+    ap(f"{indent}if fs{gi}:")
+    ap(
+        f"{inner}{l} = ({l}|(l{gi}&s{gi}m0))&(l{gi}|s{gi}k1); "
+        f"{h} = ({h}&(h{gi}|s{gi}k0))|(h{gi}&s{gi}m1)"
+    )
+    ap(f"{indent}if fo{gi}:")
+    ap(f"{inner}{l} = ({l}|o{gi}m0)&o{gi}k1; {h} = ({h}|o{gi}m1)&o{gi}k0")
     return l, h
 
 
-def _exam_mask(engine: SimEngine, pos: int, gate_at) -> int:
-    """Signal bitmask that must intersect the changed-set for gate
-    ``pos`` to need re-evaluation: its support, any bridge partner's
-    support, and its own output (covers self blends and seeding)."""
-    gi = engine.cc.gate_index[pos]
-    gate = engine.circuit.gates[pos]
+def _exam_mask(gate: Gate, partners: Tuple[int, ...], gate_at) -> int:
+    """Signal bitmask that must intersect the changed-set for ``gate``
+    to need re-evaluation: its support, any bridge partner's support,
+    and its own output (covers self blends and seeding)."""
     sigs = set(gate.support)
-    sigs.add(gi)
-    for partner in engine.bridges.get(gi, {}):
+    sigs.add(gate.index)
+    for partner in partners:
         sigs.update(gate_at[partner].support)
     m = 0
     for s in sigs:
@@ -197,8 +258,10 @@ def _emit_observe(ap, indent: str, circuit: Circuit, good: str, dest: str):
         ap(f"{indent}    {dest} |= h{out} & ~l{out}")
 
 
-def _codegen_walk(engine: SimEngine) -> str:
-    """Source of the arena walk generator for one engine overlay.
+def _codegen_walk(circuit: Circuit, layout: WalkLayout) -> str:
+    """Source of the arena walk generator ``walk(low, high, args)`` for
+    ``circuit`` with the slots of ``layout``; ``args`` holds the words
+    :func:`_arg_names` lists, in that order.
 
     Protocol (after priming with ``next``): ``send((pattern, good))``
     with ``pattern >= 0`` runs one test cycle — drive inputs, Algorithm
@@ -208,38 +271,32 @@ def _codegen_walk(engine: SimEngine) -> str:
     the current state, re-examining the gates whose exam mask meets
     the ``changed`` signal bitmask (every signal for an arbitrary
     state, only the rewritten ones for a state that had settled under
-    this overlay); ``(-3, 0)`` yields a snapshot ``((l...), (h...))``
+    these arguments); ``(-3, 0)`` yields a snapshot ``((l...), (h...))``
     of every signal word.
     """
-    cc = engine.cc
-    circuit = engine.circuit
-    ones = engine.ones
-    n_signals = cc.n_signals
+    n_signals = circuit.n_signals
+    n_inputs = circuit.n_inputs
     gate_at = {g.index: g for g in circuit.gates}
-    cap = 2 * n_signals * max(1, engine.width) + 4
-    lines: List[str] = ["def walk(low, high):"]
+    partners_of = {gi: partners for gi, _, partners in layout}
+    lows = ", ".join(f"l{i}" for i in range(n_signals)) + ","
+    highs = ", ".join(f"h{i}" for i in range(n_signals)) + ","
+    lines: List[str] = ["def walk(low, high, args):"]
     ap = lines.append
-    for i in range(n_signals):
-        ap(f"    l{i} = low[{i}]; h{i} = high[{i}]")
-    snapshot = (
-        "(("
-        + ", ".join(f"l{i}" for i in range(n_signals))
-        + ",), ("
-        + ", ".join(f"h{i}" for i in range(n_signals))
-        + ",))"
-    )
+    ap("    " + ", ".join(_arg_names(layout)) + " = args")
+    ap(f"    {lows} = low")
+    ap(f"    {highs} = high")
     ap("    r = None")
     ap("    while True:")
     ap("        a, b = yield r")
     ap("        if a >= 0:")
     ap("            ac = 0")
-    for i in range(cc.n_inputs):
+    for i in range(n_inputs):
         ap(f"            if (a >> {i}) & 1:")
-        ap(f"                if l{i} or h{i} != {ones}:")
-        ap(f"                    l{i} = 0; h{i} = {ones}; ac |= {1 << i}")
+        ap(f"                if l{i} or h{i} != ones:")
+        ap(f"                    l{i} = 0; h{i} = ones; ac |= {1 << i}")
         ap("            else:")
-        ap(f"                if l{i} != {ones} or h{i}:")
-        ap(f"                    l{i} = {ones}; h{i} = 0; ac |= {1 << i}")
+        ap(f"                if l{i} != ones or h{i}:")
+        ap(f"                    l{i} = ones; h{i} = 0; ac |= {1 << i}")
     ap("        elif a == -1:")
     _emit_observe(ap, "            ", circuit, "b", "det")
     ap("            r = det")
@@ -247,7 +304,7 @@ def _codegen_walk(engine: SimEngine) -> str:
     ap("        elif a == -2:")
     ap("            ac = b")
     ap("        else:")
-    ap(f"            r = {snapshot}")
+    ap(f"            r = (({lows}), ({highs}))")
     ap("            continue")
     # Algorithm A (pa = 1): value <- lub(value, eval), to the least
     # fixpoint; then Algorithm B (pa = 0): value <- eval, monotone
@@ -265,7 +322,7 @@ def _codegen_walk(engine: SimEngine) -> str:
     ap("                continue")
     ap("            nc = 0")
     ap("            rounds += 1")
-    ap(f"            if rounds > {cap}:")
+    ap("            if rounds > cap:")
     ap("                if pa:")
     ap(
         "                    raise SimulationError("
@@ -275,18 +332,16 @@ def _codegen_walk(engine: SimEngine) -> str:
         "                raise SimulationError("
         "'Algorithm B failed to converge (internal bug)')"
     )
-    for pos in cc.order:
-        gi = cc.gate_index[pos]
-        exam = _exam_mask(engine, pos, gate_at)
-        ap(f"            if (ac | nc) & {exam}:")
-        l, h = _emit_eval(lines, "                ", engine, pos, gate_at)
+    for pos in circuit.levels():
+        gate = circuit.gates[pos]
+        gi = gate.index
+        partners = partners_of[gi]
+        ap(f"            if (ac | nc) & {_exam_mask(gate, partners, gate_at)}:")
+        l, h = _emit_eval(lines, "                ", gate, partners, gate_at)
         ap("                if pa:")
-        ap(f"                    aev |= {1 << gi}")
-        ap(f"                    nl = ({l}) | l{gi}; nh = ({h}) | h{gi}")
-        ap("                else:")
-        ap(f"                    nl = {l}; nh = {h}")
-        ap(f"                if nl != l{gi} or nh != h{gi}:")
-        ap(f"                    l{gi} = nl; h{gi} = nh; nc |= {1 << gi}")
+        ap(f"                    aev |= {1 << gi}; {l} |= l{gi}; {h} |= h{gi}")
+        ap(f"                if {l} != l{gi} or {h} != h{gi}:")
+        ap(f"                    l{gi} = {l}; h{gi} = {h}; nc |= {1 << gi}")
     ap("            ac = nc")
     ap("        if a < 0:")
     ap("            r = None")

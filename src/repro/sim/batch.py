@@ -7,20 +7,22 @@ bit of a Python int: signal *i* of the batch holds a pair of W-bit words
 :mod:`repro.sim.ternary`.  Because Python ints are arbitrary precision,
 one batch simulates the entire fault universe at once.
 
-Fault injection is compiled into per-gate masks:
+Fault injection is a set of per-gate masks, passed to the circuit's
+compiled kernel as arguments:
 
 * an *input* fault ``(g, site, v)`` owns bit *j*: when gate ``g`` reads
   ``site``, bit *j* of the operand words is forced to ``v``;
 * an *output* fault forces bit *j* of gate ``g``'s evaluation result.
 
-Every method settles through the overlay's arena walk kernel
-(:mod:`repro.sim.arena`); this module is a thin adapter that owns batch
-state layout and observation.  Lanes never interact under the kernel's
-bitwise operators and the Algorithm A/B fixpoints are unique, so lane
+Every method settles through the circuit's arena walk kernel
+(:mod:`repro.sim.arena`) run with the batch's masks; this module is a
+thin adapter that owns batch state layout and observation.  Lanes never
+interact under the kernel's bitwise operators and the Algorithm A/B
+fixpoints are unique, so lane
 *j* of a batch is bit-for-bit the scalar machine of fault *j*.  That is
 how the three-phase generator and the undetectability classifier run
-their per-fault ternary machines (:meth:`FaultBatch.apply_lane`) on the
-one kernel compiled for their fault list, and what the test suite
+their per-fault ternary machines (:meth:`FaultBatch.apply_lane`) on
+their fault list's overlay, compiling nothing, and what the test suite
 checks against the reference implementation in :mod:`repro.sim.legacy`.
 """
 
@@ -48,8 +50,9 @@ class FaultBatch:
         detected |= batch.observe(state, good_state)
 
     ``observe`` returns a W-bit mask of machines whose outputs *definitely*
-    differ from the good circuit.  Construction is cheap for a repeated
-    (circuit, faults) pair: the compiled kernel behind it is cached.
+    differ from the good circuit.  Construction is cheap: the engine of
+    a repeated (circuit, faults) pair is cached, and the compiled kernel
+    behind it is shared by every overlay of the circuit.
     """
 
     def __init__(self, circuit: Circuit, faults: Sequence[Fault]):

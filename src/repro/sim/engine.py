@@ -11,9 +11,12 @@ what they share:
 **Per-circuit compilation** (:func:`compiled`, once per circuit).  A
 straight-line function enumerating excited gates in the binary domain
 — the hot inner loop of the exact settling explorer — plus the
-levelized gate order (:meth:`Circuit.levels`) and the engine cache.
-An exact faulty machine reuses the good circuit's function and compiles
-only a patch of the gates its fault rewrites (:func:`patched_excited`).
+levelized gate order (:meth:`Circuit.levels`), the engine cache, and
+the arena walk kernels (:meth:`CompiledCircuit.walk_kernel`): one for
+the good machine and every input, output and transition overlay, and
+one per set of bridged gate pairs.  An exact faulty machine reuses the
+good circuit's function and compiles only a patch of the gates its
+fault rewrites (:func:`patched_excited`).
 
 **Fault overlays** (:class:`SimEngine`).  One engine pairs the circuit
 with a fault-injection overlay:
@@ -22,8 +25,8 @@ with a fault-injection overlay:
 * *scalar fault* — one fault, a width-1 packed overlay, which the seed
   test suite already established is bit-for-bit the scalar semantics;
 * *packed masks* — W faults simulated in parallel, one machine per bit
-  of a Python int (paper §5.4), with the per-fault masks baked into the
-  affected gates' compiled code.
+  of a Python int (paper §5.4), with the per-fault masks passed to the
+  circuit's compiled kernel as arguments.
 
 Four mask families cover the registered fault models
 (:mod:`repro.faultmodels`); each is the identity outside its machine
@@ -45,15 +48,18 @@ Every model, the stuck-at pair included, installs its masks through
 workload (random TPG, fault grading, the three-phase machines, the
 auditor) picks a new kind up unchanged.
 
-**The settle.**  An engine compiles its overlay's arena walk kernel
-(:mod:`repro.sim.arena`) on first use, and :meth:`SimEngine.settle`,
-:meth:`SimEngine.apply_pattern` and :meth:`SimEngine.walk` all run it:
-it is the package's only Algorithm A/B implementation.  The seed's
-sweeps in :mod:`repro.sim.legacy` remain as the test oracle.
+**The settle.**  An engine builds its overlay's kernel argument tuple
+once, with identity masks where the overlay has none, and
+:meth:`SimEngine.settle`, :meth:`SimEngine.apply_pattern` and
+:meth:`SimEngine.walk` all run the circuit's arena walk kernel
+(:mod:`repro.sim.arena`) on it: it is the package's only Algorithm A/B
+implementation.  The seed's sweeps in :mod:`repro.sim.legacy` remain as
+the test oracle.
 
 Engines are cached per ``(circuit, faults, width)``, so repeated
 construction (the auditor's per-test batches, the scalar API's
-per-fault machines) reuses the compiled kernel.
+per-fault machines) reuses the argument tuple; the kernel itself is
+shared by every overlay of the circuit without bridges.
 """
 
 from __future__ import annotations
@@ -69,7 +75,14 @@ from repro.circuit.netlist import Circuit
 from repro.errors import ReproError, SimulationError
 from repro.faultmodels import model_for_kind
 from repro.obs import metrics as _obs
-from repro.sim.arena import ArenaWalk, _codegen_walk, _WalkMeter
+from repro.sim.arena import (
+    ArenaWalk,
+    WalkKernel,
+    WalkLayout,
+    _codegen_walk,
+    _WalkMeter,
+    walk_layout,
+)
 
 # ---------------------------------------------------------------------------
 # Per-circuit compilation
@@ -150,6 +163,14 @@ def patched_excited(
     return ns["patch"]
 
 
+def _add_slots(args: List[int], pairs: List[Tuple[int, int]], ones: int) -> None:
+    """Append a flag (any mask set) and the four words of each
+    ``(m0, m1)`` mask pair: ``m0``, ``ones & ~m1``, ``m1``, ``ones & ~m0``."""
+    args.append(any(m0 or m1 for m0, m1 in pairs))
+    for m0, m1 in pairs:
+        args += (m0, ones & ~m1, m1, ones & ~m0)
+
+
 def _exec(src: str, filename: str) -> Dict[str, object]:
     ns: Dict[str, object] = {}
     exec(compile(src, filename, "exec"), ns)  # noqa: S102 - trusted codegen
@@ -171,6 +192,28 @@ class CompiledCircuit:
         self._engines: "OrderedDict[Tuple[Tuple[Fault, ...], int], SimEngine]" = (
             OrderedDict()
         )
+        self._walks: Dict[Tuple[Tuple[int, int], ...], WalkKernel] = {}
+
+    def walk_kernel(
+        self, bridge_pairs: Tuple[Tuple[int, int], ...] = ()
+    ) -> WalkKernel:
+        """The circuit's arena walk kernel with blend slots for the
+        bridged ``(gate, partner)`` pairs, compiled on first use.  The
+        good machine and every input, output and transition overlay
+        share the bridge-free one.  A kernel is published by one
+        assignment, so two threads racing here at worst compile it
+        twice."""
+        kernel = self._walks.get(bridge_pairs)
+        if kernel is None:
+            circuit = self.circuit
+            layout = walk_layout(circuit, bridge_pairs)
+            name = circuit.name
+            if bridge_pairs:
+                name += f":{len(bridge_pairs)}br"
+            ns = _exec(_codegen_walk(circuit, layout), f"<arena:{name}>")
+            ns["SimulationError"] = SimulationError
+            kernel = self._walks[bridge_pairs] = WalkKernel(ns["walk"], layout)
+        return kernel
 
 
 def compiled(circuit: Circuit) -> CompiledCircuit:
@@ -258,23 +301,37 @@ class SimEngine:
             except ReproError as exc:
                 raise SimulationError(str(exc)) from None
             model.engine_overlay(self, fault, j)
-        self._kernel = None
+        self._bridge_pairs = tuple(
+            sorted((g, p) for g, per_gate in self.bridges.items() for p in per_gate)
+        )
+        self._args: Optional[Tuple[int, ...]] = None
         self._all = mask(cc.n_signals)
 
+    def _walk_args(self, layout: WalkLayout) -> Tuple[int, ...]:
+        """The kernel argument tuple of this overlay (see
+        :func:`repro.sim.arena._arg_names` for the order): every slot
+        this overlay leaves empty gets identity masks, and each slot
+        family's flag says whether any of its slots is set."""
+        ones = self.ones
+        args: List[int] = [ones, 2 * self.cc.n_signals * max(1, self.width) + 4]
+        for gi, sites, partners in layout:
+            pins = self.pin_force.get(gi, {})
+            _add_slots(args, [pins.get(s, (0, 0)) for s in sites], ones)
+            bridged = self.bridges.get(gi, {})
+            _add_slots(args, [bridged.get(p, (0, 0)) for p in partners], ones)
+            self_blend = (self.self_and.get(gi, 0), self.self_or.get(gi, 0))
+            _add_slots(args, [self_blend], ones)
+            _add_slots(args, [self.out_force.get(gi, (0, 0))], ones)
+        return tuple(args)
+
     def _start(self, L: Sequence[int], H: Sequence[int]):
-        """A primed generator of the overlay's walk kernel holding
-        ``(L, H)``.  The kernel compiles on first use and is published
-        by one assignment, so two threads racing here at worst compile
-        it twice."""
-        kernel = self._kernel
-        if kernel is None:
-            ns = _exec(
-                _codegen_walk(self),
-                f"<arena:{self.circuit.name}:{len(self.faults)}f>",
-            )
-            ns["SimulationError"] = SimulationError
-            kernel = self._kernel = ns["walk"]
-        gen = kernel(L, H)
+        """A primed generator of the circuit's walk kernel holding
+        ``(L, H)``, run with this overlay's arguments."""
+        kernel = self.cc.walk_kernel(self._bridge_pairs)
+        args = self._args
+        if args is None:
+            args = self._args = self._walk_args(kernel.layout)
+        gen = kernel.run(L, H, args)
         next(gen)
         return gen
 

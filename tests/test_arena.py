@@ -16,9 +16,10 @@ CSSG.  This is the sim half of the differential battery; the BDD half
 lives in ``test_symbolic_diff.py``.
 
 The compile-budget tests pin down that an ATPG job compiles only code
-that runs: one walk kernel per non-empty job, under either faulty-machine
-semantics (the ternary machines are lanes of that kernel), and no numpy
-import.
+that runs: a circuit's fault-model jobs share one bridge-free walk
+kernel plus one bridging kernel, under either faulty-machine semantics
+(the ternary machines are lanes of those kernels), overlays of any mix
+and width run on them, and nothing imports numpy.
 """
 
 import os
@@ -31,7 +32,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
+from repro.benchmarks_data import TABLE1_NAMES, TABLE2_NAMES, load_benchmark
 from repro.campaign import runner
 from repro.campaign.plan import CampaignSpec, expand
 from repro.circuit.parser import netlist_to_text, parse_netlist
@@ -139,13 +140,26 @@ def _spy_compiles(monkeypatch):
     return compiles
 
 
+def _private_copy(name, style="complex"):
+    """A private copy of a bundled circuit, so nothing compiled by
+    earlier tests is reused."""
+    return parse_netlist(netlist_to_text(load_benchmark(name, style)))
+
+
+def _walk_kernels(compiles):
+    """The walk-kernel compiles among ``compiles``, split into the
+    bridge-free ones and the bridging ones."""
+    arena = [f for f in compiles if f.startswith("<arena:")]
+    bridged = [f for f in arena if f.endswith("br>")]
+    return [f for f in arena if f not in bridged], bridged
+
+
 def _run_jobs(monkeypatch, compiles, options=None):
     """Run one Table-1 circuit under every fault model; returns the
     private circuit copy and the compiles of each job."""
     name = "ebergen"
-    # A private copy of the circuit, so nothing compiled by earlier tests
-    # is reused; every job of the circuit shares it, as a table pass does.
-    circuit = parse_netlist(netlist_to_text(load_benchmark(name, "complex")))
+    # Every job of the circuit shares the copy, as a table pass does.
+    circuit = _private_copy(name)
     monkeypatch.setattr(runner, "load_job_circuit", lambda job: circuit)
     spec = CampaignSpec(
         benchmarks=[name],
@@ -162,19 +176,33 @@ def _run_jobs(monkeypatch, compiles, options=None):
     return circuit, per_job
 
 
-def test_atpg_jobs_compile_only_the_walk_kernel(monkeypatch):
-    """A Table-1 job under each fault model compiles no per-gate engine
-    evaluator and exactly one arena walk kernel (if its universe is
-    non-empty); a later settle on the same fault list reuses it."""
-    compiles = _spy_compiles(monkeypatch)
-    circuit, per_job = _run_jobs(monkeypatch, compiles)
+def _assert_one_kernel_per_shape(circuit, per_job):
+    """The four models of one circuit compile one bridge-free walk
+    kernel, plus one bridging kernel if the bridging universe is
+    non-empty; no kernel compiles twice (so a job whose kernel shape
+    an earlier job compiled compiles nothing), an empty job compiles
+    nothing, and no job compiles a per-gate engine evaluator."""
+    seen = []
     for job, n_faults, job_compiles in per_job:
         assert not [f for f in job_compiles if f.startswith("<engine:")], job.name
-        arena_compiles = [f for f in job_compiles if f.startswith("<arena:")]
-        assert len(arena_compiles) == (1 if n_faults else 0), (
-            job.name,
-            job_compiles,
-        )
+        kernels = [f for f in job_compiles if f.startswith("<arena:")]
+        assert not set(kernels) & set(seen), (job.name, job_compiles)
+        assert len(kernels) == len(set(kernels)), (job.name, job_compiles)
+        assert kernels == [] or n_faults, (job.name, job_compiles)
+        seen += kernels
+    free, bridged = _walk_kernels(seen)
+    assert free == [f"<arena:{circuit.name}>"]
+    assert len(bridged) == (1 if get_model("bridging").universe(circuit) else 0)
+
+
+def test_atpg_jobs_compile_only_the_walk_kernel(monkeypatch):
+    """A Table-1 circuit's four fault-model jobs share one bridge-free
+    walk kernel, plus one bridging kernel, and compile no per-gate
+    engine evaluator; a later settle on a job's fault list reuses the
+    kernel."""
+    compiles = _spy_compiles(monkeypatch)
+    circuit, per_job = _run_jobs(monkeypatch, compiles)
+    _assert_one_kernel_per_shape(circuit, per_job)
 
     faults = get_model("input").universe(circuit)
     batch = FaultBatch(circuit, faults)
@@ -186,8 +214,8 @@ def test_atpg_jobs_compile_only_the_walk_kernel(monkeypatch):
 
 def test_ternary_semantics_jobs_run_faulty_machines_as_lanes(monkeypatch):
     """Under ``faulty_semantics="ternary"`` every three-phase faulty
-    machine is a lane of the job's one walk kernel: no per-fault kernel
-    and no per-gate evaluator is compiled."""
+    machine is a lane of its job's walk kernel: the kernel budget is the
+    same as under exact semantics, so no lane compiles anything."""
     lane_calls = []
     real_apply_lane = FaultBatch.apply_lane
 
@@ -200,16 +228,99 @@ def test_ternary_semantics_jobs_run_faulty_machines_as_lanes(monkeypatch):
     circuit, per_job = _run_jobs(
         monkeypatch, compiles, AtpgOptions(faulty_semantics="ternary")
     )
-    for job, n_faults, job_compiles in per_job:
-        assert not [f for f in job_compiles if f.startswith("<engine:")], job.name
-        # The one kernel spans the job's whole fault list (no collapse).
-        kernel = f"<arena:{circuit.name}:{n_faults}f>"
-        arena_compiles = [f for f in job_compiles if f.startswith("<arena:")]
-        assert arena_compiles == ([kernel] if n_faults else []), (
-            job.name,
-            job_compiles,
-        )
+    _assert_one_kernel_per_shape(circuit, per_job)
     assert lane_calls, "no ternary faulty machine ran"
+
+
+def test_table_pass_compiles_one_walk_kernel_per_circuit(monkeypatch):
+    """A cold Table 1 + Table 2 pass (every job of a circuit on one
+    private copy, as a table pass shares the registry's circuit)
+    compiles at most one bridge-free walk kernel per circuit, and at
+    most one bridging kernel per circuit with a non-empty bridging
+    universe."""
+    copies = {}
+
+    def fresh(job):
+        if job.group not in copies:
+            copies[job.group] = _private_copy(job.source, job.style)
+        return copies[job.group]
+
+    compiles = _spy_compiles(monkeypatch)
+    monkeypatch.setattr(runner, "load_job_circuit", fresh)
+    specs = [
+        CampaignSpec(benchmarks=TABLE1_NAMES, fault_models=model_names()),
+        CampaignSpec(
+            benchmarks=TABLE2_NAMES, styles=("two-level",),
+            fault_models=model_names(),
+        ),
+    ]
+    memo, group = {}, None
+    for job in [job for spec in specs for job in expand(spec)]:
+        if job.group != group:
+            memo, group = {}, job.group
+        runner.execute_job(job, memo)
+    free, bridged = _walk_kernels(compiles)
+    assert len(free) == len(set(free)) <= len(copies)
+    assert set(free) <= {f"<arena:{c.name}>" for c in copies.values()}
+    n_bridgeable = sum(
+        1 for c in copies.values() if get_model("bridging").universe(c)
+    )
+    assert len(bridged) == len(set(bridged)) <= n_bridgeable
+    assert len(copies) == len(TABLE1_NAMES) + len(TABLE2_NAMES)
+
+
+@pytest.mark.parametrize("name", ["ebergen", "chu150", "vbe6a"])
+def test_mixed_overlay_batch_matches_the_reference(name):
+    """One word mixing input, output and transition faults runs on the
+    shared bridge-free kernel and matches the per-fault references
+    cycle by cycle."""
+    cssg = _cssg_for(name)
+    circuit = cssg.circuit
+    faults = [
+        fault
+        for model in ("input", "output", "transition")
+        for fault in get_model(model).universe(circuit)
+    ]
+    batch = FaultBatch(circuit, faults)
+    assert batch.engine._bridge_pairs == ()
+    for seed in range(3):
+        lanes = reference_reset(circuit, faults, cssg.reset)
+        walk = batch.walk(cssg.reset)
+        assert walk.state() == pack_lanes(lanes, circuit.n_signals)
+        assert walk.observe(cssg.reset) == _detections(circuit, lanes, cssg.reset)
+        for pattern, good in _walk_states(cssg, seed=seed):
+            lanes = reference_apply(circuit, faults, lanes, pattern)
+            assert walk.step(pattern, good) == _detections(circuit, lanes, good)
+            assert walk.state() == pack_lanes(lanes, circuit.n_signals)
+
+
+def test_engines_of_different_widths_share_one_kernel(monkeypatch):
+    """Two overlays of different widths run on one compiled kernel, and
+    their walks interleaved step by step match each walk run alone."""
+    cssg = _cssg_for("ebergen")
+    circuit = _private_copy("ebergen")
+    faults = get_model("output").universe(circuit)
+    compiles = _spy_compiles(monkeypatch)
+    narrow = FaultBatch(circuit, get_model("input").universe(circuit)[:3])
+    wide = FaultBatch(circuit, faults)
+    trail = _walk_states(cssg, seed=11)
+
+    def alone(batch):
+        walk = batch.walk(cssg.reset)
+        return [walk.observe(cssg.reset)] + [
+            (walk.step(p, g), walk.state()) for p, g in trail
+        ]
+
+    want_narrow, want_wide = alone(narrow), alone(wide)
+    a, b, c = narrow.walk(cssg.reset), wide.walk(cssg.reset), narrow.walk(cssg.reset)
+    got = {id(w): [w.observe(cssg.reset)] for w in (a, b, c)}
+    for p, g in trail:
+        for w in (a, b, c):
+            got[id(w)].append((w.step(p, g), w.state()))
+    assert got[id(a)] == got[id(c)] == want_narrow
+    assert got[id(b)] == want_wide
+    assert _walk_kernels(compiles) == ([f"<arena:{circuit.name}>"], [])
+    assert narrow.engine.width != wide.engine.width
 
 
 def test_import_repro_does_not_load_numpy():

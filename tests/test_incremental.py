@@ -313,6 +313,50 @@ def test_empty_universe_runs_the_flow_and_matches_the_plain_payload(tmp_path):
             assert payload_digest(payload) == plain, f"{job.name} ({run})"
 
 
+def test_a_net_group_loads_its_circuit_once_through_the_memo(
+    tmp_path, monkeypatch
+):
+    """The four model jobs of one ``.net`` group, sharing a memo, parse
+    the netlist once, plain and incremental, and their payloads equal
+    those of loading it per job."""
+    from repro.benchmarks_data import load_benchmark
+    from repro.campaign import runner
+    from repro.circuit.parser import netlist_to_text
+    from repro.faultmodels import model_names
+
+    path = tmp_path / "ebergen.net"
+    path.write_text(netlist_to_text(load_benchmark("ebergen", "complex")))
+    jobs = expand(CampaignSpec(benchmarks=[str(path)], fault_models=model_names()))
+    assert len(jobs) == 4 and len({job.group for job in jobs}) == 1
+    loads = []
+    real_load = runner.load_job_circuit
+
+    def counting_load(job):
+        loads.append(job.name)
+        return real_load(job)
+
+    monkeypatch.setattr(runner, "load_job_circuit", counting_load)
+
+    def run(incremental, shared):
+        store = None
+        if incremental:
+            store = ResultStore(tmp_path / f"{incremental}-{shared}")
+        memo, digests = {}, []
+        loads.clear()
+        for job in jobs:
+            if not shared:
+                memo = {}
+            payload, _live, _stats = execute_job_incremental(job, store, memo)
+            digests.append(payload_digest(payload))
+        return digests, len(loads)
+
+    for incremental in (False, True):
+        per_job, n_per_job = run(incremental, shared=False)
+        shared, n_shared = run(incremental, shared=True)
+        assert (n_per_job, n_shared) == (4, 1), incremental
+        assert shared == per_job, incremental
+
+
 # -- incremental campaigns ---------------------------------------------
 
 #: The CI campaign-smoke corpus, crossed with every fault model.
