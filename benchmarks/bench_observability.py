@@ -96,7 +96,7 @@ def test_packed_walk_overhead():
     from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
     from repro.circuit.faults import fault_universe
     from repro.sgraph.cssg import build_cssg
-    from repro.sim.batch import FaultBatch
+    from repro.sim.engine import engine_for
 
     circuit = max(
         (load_benchmark(name, "complex") for name in TABLE1_NAMES),
@@ -111,10 +111,10 @@ def test_packed_walk_overhead():
     for pattern in patterns:
         good = cssg.edges[good][pattern]
         goods.append(good)
-    batch = FaultBatch(circuit, faults)
+    engine = engine_for(circuit, faults)
 
     def run_walk():
-        walk = batch.walk(cssg.reset)
+        walk = engine.walk(cssg.reset)
         det = walk.observe(cssg.reset)
         for pattern, g in zip(patterns, goods):
             det |= walk.step(pattern, g)

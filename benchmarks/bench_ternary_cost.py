@@ -8,19 +8,18 @@ interpreter noise), not exponential.
 
 A second experiment pits the scalar settle (:func:`ternary.settle`,
 which runs the compiled arena kernel) against the seed's sweep
-implementation (preserved in :mod:`repro.sim.legacy`) on the largest
+implementation (preserved in :mod:`repro.fuzz.reference`) on the largest
 bundled benchmark: 4.1–4.3x measured on a 2-core VM under Python 3.11
 (2.9x for the per-gate worklist engine the kernel replaced), with a
 1.5x floor asserted (noise headroom for shared CI runners); the printed
 ratio keeps regressions visible in CI logs.
 
 A third experiment benchmarks wide packed fault simulation: the arena
-walk kernel (:meth:`FaultBatch.walk`) against the PR-5 chunked path,
-reconstructed inline as a list of 64-wide ``FaultBatch`` lanes each
-re-settling every cycle through the state-passing
-:meth:`FaultBatch.apply_settled` (which reloads the state into the
-kernel per call; the per-gate-closure worklist engine it originally ran
-on no longer exists).  At a 2560-machine universe the walk kernel
+walk kernel (:meth:`SimEngine.walk`) against the PR-5 chunked path,
+reconstructed inline as a list of 64-machine engines, each re-settling
+every cycle through the state-passing :meth:`SimEngine.settle` (which
+reloads the state into the kernel per call; the per-gate-closure
+worklist engine it originally ran on no longer exists).  At a 2560-machine universe the walk kernel
 measures ~24x (and the gap grows with width); a ≥10x floor and an
 absolute words·gates/sec throughput floor are asserted.  Results land
 in ``benchmarks/out/BENCH_ternary_cost.json``.
@@ -34,7 +33,9 @@ from pathlib import Path
 import pytest
 
 from repro.circuit.netlist import Circuit
-from repro.sim import legacy, ternary
+from repro.fuzz import reference
+from repro.sim import ternary
+from repro.sim.engine import engine_for
 
 CHAIN_SIZES = [8, 16, 32, 64]
 
@@ -128,7 +129,7 @@ def test_engine_speedup_vs_seed_on_largest_benchmark():
     # Warm both paths (engine compilation happens here, outside timing),
     # and check bit-identical results while at it.
     for ts in starts:
-        assert ternary.settle(circuit, ts) == legacy.settle(circuit, ts)
+        assert ternary.settle(circuit, ts) == reference.settle(circuit, ts)
 
     def measure(fn, reps=20):
         best = float("inf")
@@ -140,7 +141,7 @@ def test_engine_speedup_vs_seed_on_largest_benchmark():
             best = min(best, (time.perf_counter() - t0) / reps)
         return best
 
-    t_legacy = measure(legacy.settle)
+    t_legacy = measure(reference.settle)
     t_engine = measure(ternary.settle)
     speedup = t_legacy / t_engine
     print(
@@ -166,32 +167,51 @@ def test_engine_speedup_vs_seed_on_largest_benchmark():
 
 class Pr5ChunkedSim:
     """The PR-5 wide-universe path, reconstructed: split the fault list
-    into 64-machine :class:`FaultBatch` lanes and re-settle each per
-    cycle through the state-passing path with bignum state tuples.  This
-    is the control flow the old ``ChunkedFaultSim`` used; only the
-    settle under it is now the kernel rather than the worklist engine."""
+    into 64-machine engines and re-settle each per cycle through the
+    state-passing path, driving the inputs into per-signal word lists
+    and settling from the input mask.  This is the control flow the old
+    ``ChunkedFaultSim`` used; only the settle under it is now the kernel
+    rather than the worklist engine."""
 
     def __init__(self, circuit, faults, chunk_width=64):
-        from repro.sim.batch import FaultBatch
-
-        self.batches = [
-            FaultBatch(circuit, faults[o:o + chunk_width])
+        self.circuit = circuit
+        self.engines = [
+            engine_for(circuit, faults[o:o + chunk_width])
             for o in range(0, len(faults), chunk_width)
         ]
         self.chunk_width = chunk_width
 
+    def observe(self, state, good):
+        low, high = state
+        det = 0
+        for out in self.circuit.outputs:
+            if (good >> out) & 1:
+                det |= low[out] & ~high[out]
+            else:
+                det |= high[out] & ~low[out]
+        return det
+
     def run(self, reset, patterns, goods):
         cw = self.chunk_width
-        states = [b.reset_and_settle(reset) for b in self.batches]
+        n_inputs = self.circuit.n_inputs
+        imask = (1 << n_inputs) - 1
+        states = []
+        for e in self.engines:
+            low, high = e.reset_words(reset)
+            e.settle(low, high)
+            states.append((low, high))
         det = 0
-        for off, (b, s) in enumerate(zip(self.batches, states)):
-            det |= b.observe(s, reset) << (off * cw)
+        for off, s in enumerate(states):
+            det |= self.observe(s, reset) << (off * cw)
         for p, g in zip(patterns, goods):
-            states = [
-                b.apply_settled(s, p) for b, s in zip(self.batches, states)
-            ]
-            for off, (b, s) in enumerate(zip(self.batches, states)):
-                det |= b.observe(s, g) << (off * cw)
+            for off, (e, (low, high)) in enumerate(zip(self.engines, states)):
+                for i in range(n_inputs):
+                    if (p >> i) & 1:
+                        low[i], high[i] = 0, e.ones
+                    else:
+                        low[i], high[i] = e.ones, 0
+                e.settle(low, high, imask)
+                det |= self.observe((low, high), g) << (off * cw)
         return det
 
 
@@ -202,7 +222,6 @@ def test_packed_fault_sim_speedup_and_throughput():
     from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
     from repro.circuit.faults import fault_universe
     from repro.sgraph.cssg import build_cssg
-    from repro.sim.batch import FaultBatch
 
     circuit = max(
         (load_benchmark(name, "complex") for name in TABLE1_NAMES),
@@ -222,13 +241,13 @@ def test_packed_fault_sim_speedup_and_throughput():
         goods.append(good)
 
     old = Pr5ChunkedSim(circuit, faults)
-    batch = FaultBatch(circuit, faults)
+    engine = engine_for(circuit, faults)
 
     def run_old():
         return old.run(cssg.reset, patterns, goods)
 
     def run_walk():
-        walk = batch.walk(cssg.reset)
+        walk = engine.walk(cssg.reset)
         det = walk.observe(cssg.reset)
         for pattern, g in zip(patterns, goods):
             det |= walk.step(pattern, g)

@@ -16,7 +16,7 @@ Public API quick map:
   :class:`CssgBuilder` method registry: exact / ternary / hybrid /
   symbolic), :class:`SymbolicTcsg`
 * BDD kernel — :class:`BddManager` (complement edges, unified ITE, GC,
-  in-place sifting; :class:`LegacyBddManager` is the seed oracle)
+  in-place sifting; the seed oracle stays in :mod:`repro.bdd.legacy`)
 * STGs — :func:`parse_stg`, :func:`load_stg`, :func:`build_state_graph`,
   :func:`synthesize`
 * ATPG flow — :class:`Flow` (staged pipeline; ``Flow.default()`` is the
@@ -78,7 +78,7 @@ from repro.flow import (
     RunContext,
     Stage,
 )
-from repro.bdd import BddManager, LegacyBddManager
+from repro.bdd import BddManager
 from repro.sgraph import (
     CSSG_METHODS,
     Cssg,
@@ -148,7 +148,6 @@ __all__ = [
     "run_campaign",
     "write_artifacts",
     "BddManager",
-    "LegacyBddManager",
     "CSSG_METHODS",
     "Cssg",
     "CssgBuilder",

@@ -8,13 +8,12 @@ manager with complement edges, a unified ITE apply over one int-keyed
 operation cache, quantification, the fused and-exists relational
 product, arbitrary variable substitution, mark-and-sweep garbage
 collection and in-place sifting (:mod:`repro.bdd.manager`).  The seed
-engine is preserved as :class:`LegacyBddManager`
-(:mod:`repro.bdd.legacy`) — the differential oracle and the benchmark
+engine is preserved as ``LegacyBddManager`` in :mod:`repro.bdd.legacy`
+(not re-exported here) — the differential oracle and the benchmark
 baseline.  :mod:`repro.bdd.reorder` hosts the offline variable-order
 exploration utilities on top of the in-place machinery.
 """
 
-from repro.bdd.legacy import LegacyBddManager
 from repro.bdd.manager import BddManager, BddStats
 
-__all__ = ["BddManager", "BddStats", "LegacyBddManager"]
+__all__ = ["BddManager", "BddStats"]

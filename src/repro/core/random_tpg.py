@@ -1,9 +1,10 @@
 """Random test pattern generation on the CSSG (paper §5.4).
 
 Random TPG walks the CSSG from the reset state choosing a uniformly random
-valid input vector at each step, while a :class:`FaultBatch` simulates all
-still-undetected faulty machines in parallel, one machine per bit of a
-word, through the compiled arena walk kernel (:mod:`repro.sim.arena`).
+valid input vector at each step, while one engine
+(:class:`~repro.sim.engine.SimEngine`) simulates all still-undetected
+faulty machines in parallel, one machine per bit of a word, through the
+compiled arena walk kernel (:mod:`repro.sim.arena`).
 The paper reports 40–80% (average ~45%) of faults falling to this step at
 negligible CPU cost; the remainder go to the 3-phase deterministic
 generator.
@@ -31,7 +32,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.circuit.faults import Fault
 from repro.core.sequences import Test
 from repro.sgraph.cssg import Cssg
-from repro.sim.batch import FaultBatch
+from repro.sim.engine import engine_for
 
 
 def random_tpg(
@@ -53,10 +54,10 @@ def random_tpg(
     as a :class:`Test` — trimmed to its last useful cycle — whenever it
     detects at least one previously undetected fault.
 
-    One :class:`FaultBatch` holds every fault, and each walk runs
-    through its compiled arena kernel — state lives inside the kernel
-    and each cycle returns its detection mask directly
-    (:meth:`~repro.sim.batch.FaultBatch.walk`).
+    One engine holds every fault, and each walk runs through its
+    compiled arena kernel — state lives inside the kernel and each
+    cycle returns its detection mask directly
+    (:meth:`~repro.sim.engine.SimEngine.walk`).
 
     Cooperative hooks for the staged flow: ``rng`` supplies the random
     stream (must be freshly seeded for reproducibility; overrides
@@ -69,11 +70,12 @@ def random_tpg(
     walk that detects nothing new while faults remain undetected; the
     proven faults stop being hunted (see the module docstring).
     """
-    circuit = cssg.circuit
+    if not faults:
+        return {}, []
     if rng is None:
         rng = random.Random(seed)
-    batch = FaultBatch(circuit, faults)
-    undetected = batch.ones
+    engine = engine_for(cssg.circuit, faults)
+    undetected = engine.ones
     bit_of = {fault: j for j, fault in enumerate(faults)}
     detected_by: Dict[Fault, Tuple[int, ...]] = {}
     tests: List[Test] = []
@@ -83,7 +85,7 @@ def random_tpg(
             break
         if should_stop is not None and should_stop():
             break
-        walk = batch.walk(cssg.reset)
+        walk = engine.walk(cssg.reset)
         good = cssg.reset
         patterns: List[int] = []
         walk_new: List[Tuple[int, int]] = []  # (cycle index, new-detections mask)

@@ -33,8 +33,8 @@ Two faulty-machine semantics are available:
   blow-up falls back to ternary, never the reverse.
 * ``"ternary"`` — the paper's machinery: Eichelberger simulation with
   the fault injected, conservative about races.  Each fault's machine is
-  one lane of the generator's fault-list overlay on the circuit's arena
-  kernel (:meth:`~repro.sim.batch.FaultBatch.apply_lane`), so a run
+  one lane of the generator's fault-list engine on the circuit's arena
+  kernel (:meth:`~repro.sim.engine.SimEngine.apply_lane`), so a run
   compiles no kernel per fault.
 
 Faults that are never excited in any stable state (§5.1's
@@ -48,14 +48,14 @@ instead, the fault is reported aborted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.core import exact_sim
 from repro.sgraph.cssg import Cssg
 from repro.sim import ternary
-from repro.sim.batch import BatchState, FaultBatch
+from repro.sim.engine import SimEngine, engine_for
 
 DETECTED = "detected"
 UNDETECTABLE = "undetectable"
@@ -68,29 +68,20 @@ class _Fallback(Exception):
 
 class _TernaryMachine:
     """Faulty machine under the paper's ternary semantics: lane ``j`` of
-    a :class:`FaultBatch`, run alone.  ``resets`` memoises the whole
-    batch settled at each reset state, shared by every lane."""
+    an engine, run alone."""
 
-    def __init__(self, batch: FaultBatch, resets: Dict[int, BatchState], j: int):
-        self.batch = batch
-        self.resets = resets
+    def __init__(self, engine: SimEngine, j: int):
+        self.engine = engine
         self.j = j
 
     def reset(self, reset_state: int):
-        settled = self.resets.get(reset_state)
-        if settled is None:
-            settled = self.resets[reset_state] = self.batch.reset_and_settle(
-                reset_state
-            )
-        return self.batch.machine_state(settled, self.j)
+        return self.engine.lane_at_reset(self.j, reset_state)
 
     def apply(self, state, pattern: int):
-        # States here are always fixpoints this machine itself produced,
-        # so the settled fast path applies.
-        return self.batch.apply_lane(state, pattern, self.j)
+        return self.engine.apply_lane(state, pattern, self.j)
 
     def detects(self, good_state: int, state) -> bool:
-        return ternary.detects(self.batch.circuit, good_state, state)
+        return ternary.detects(self.engine.circuit, good_state, state)
 
 
 class _ExactMachine:
@@ -164,9 +155,9 @@ class GenerationOutcome:
 class ThreePhaseGenerator:
     """Per-fault deterministic test generation over a fixed CSSG.
 
-    ``faults`` is the fault list whose one compiled kernel runs every
-    ternary faulty machine, a lane per fault; a fault outside it gets a
-    one-lane kernel of its own."""
+    ``faults`` is the fault list whose one engine runs every ternary
+    faulty machine, a lane per fault; a fault outside it gets a
+    one-machine engine of its own."""
 
     def __init__(
         self,
@@ -189,9 +180,10 @@ class ThreePhaseGenerator:
         self._dist, self._parent = cssg.bfs_tree()
         self._faults = tuple(faults)
         self._lane_of = {f: j for j, f in enumerate(self._faults)}
-        #: The batch over ``faults`` and its settled resets, built by the
-        #: first ternary machine of a listed fault.
-        self._lanes: Optional[Tuple[FaultBatch, Dict[int, BatchState]]] = None
+        #: The engine over ``faults``, looked up once, by the first
+        #: ternary machine of a listed fault: the cache key hashes every
+        #: fault, too much to pay per machine.
+        self._engine: Optional[SimEngine] = None
 
     # -- phase 1 ---------------------------------------------------------
 
@@ -264,11 +256,10 @@ class ThreePhaseGenerator:
             )
         j = self._lane_of.get(fault)
         if j is None:
-            return _TernaryMachine(FaultBatch(self.circuit, [fault]), {}, 0)
-        if self._lanes is None:
-            self._lanes = (FaultBatch(self.circuit, self._faults), {})
-        batch, resets = self._lanes
-        return _TernaryMachine(batch, resets, j)
+            return _TernaryMachine(engine_for(self.circuit, (fault,)), 0)
+        if self._engine is None:
+            self._engine = engine_for(self.circuit, self._faults)
+        return _TernaryMachine(self._engine, j)
 
     def generate(self, fault: Fault, max_activation_tries: int = 8) -> GenerationOutcome:
         """Run activation -> justification -> differentiation for ``fault``."""

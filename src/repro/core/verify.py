@@ -21,7 +21,7 @@ from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.core.sequences import Test
 from repro.sgraph.cssg import Cssg
-from repro.sim.batch import FaultBatch
+from repro.sim.engine import engine_for
 
 
 @dataclass
@@ -70,12 +70,12 @@ def verify_test_set(
     """
     circuit = cssg.circuit
     report = VerificationReport(circuit=circuit, n_faults=len(faults))
-    # One batch (and therefore one cached compiled arena kernel) serves
-    # every test: the batch holds no cross-test state beyond its fault
+    # One engine (and therefore one cached compiled arena kernel) serves
+    # every test: the engine holds no cross-test state beyond its fault
     # masks, and each replay is a fresh kernel walk from reset.
-    batch = FaultBatch(circuit, faults)
+    engine = engine_for(circuit, faults)
     for index, test in enumerate(tests):
-        walk = batch.walk(cssg.reset)
+        walk = engine.walk(cssg.reset)
         good = cssg.reset
         caught = walk.observe(good)
         valid = True

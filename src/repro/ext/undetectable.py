@@ -40,7 +40,7 @@ from repro.errors import StateGraphError
 from repro.sgraph.cssg import Cssg
 from repro.sgraph.symbolic import SymbolicTcsg
 from repro.sim import ternary
-from repro.sim.batch import BatchState, FaultBatch
+from repro.sim.engine import SimEngine, engine_for
 
 NEVER_EXCITED = "never-excited"
 STABLE_EQUIVALENT = "stable-equivalent"
@@ -85,17 +85,17 @@ def _never_excited(cssg: Cssg, fault: Fault) -> bool:
 
 
 def _stable_equivalent(
-    cssg: Cssg, batch: FaultBatch, j: int, faulty0: ternary.TernaryState, budget: int
+    cssg: Cssg, engine: SimEngine, j: int, budget: int
 ) -> Tuple[Optional[bool], int]:
-    """Exhaustive product walk of lane ``j`` of ``batch``, from its
-    settled reset state ``faulty0``; returns (undetectable?, states
-    explored).
+    """Exhaustive product walk of lane ``j`` of ``engine`` from its
+    settled reset state; returns (undetectable?, states explored).
 
     ``None`` means the budget ran out or an uncertain (Φ-bearing) faulty
     state was met — either way the fault cannot be *proven* undetectable
     cheaply, so it goes to the full 3-phase generator.
     """
     circuit = cssg.circuit
+    faulty0 = engine.lane_at_reset(j, cssg.reset)
     if ternary.detects(circuit, cssg.reset, faulty0):
         return False, 0
     seen: Set[Tuple[int, ternary.TernaryState]] = {(cssg.reset, faulty0)}
@@ -108,9 +108,7 @@ def _stable_equivalent(
             if explored > budget:
                 return None, explored
             ngood = cssg.edges[good][pattern]
-            # Every state here is a fixpoint the machine itself
-            # produced, so the settled fast path applies.
-            nfaulty = batch.apply_lane(faulty, pattern, j)
+            nfaulty = engine.apply_lane(faulty, pattern, j)
             if ternary.detects(circuit, ngood, nfaulty):
                 return False, explored
             if not ternary.is_definite(nfaulty):
@@ -159,8 +157,8 @@ def classify_undetectable(
         except StateGraphError:
             sym = None  # fall back to the explicit CSSG walk
     result: Dict[Fault, Classification] = {}
-    # The faulty machines' batch, settled at reset; built on first need.
-    lanes: Optional[Tuple[FaultBatch, BatchState]] = None
+    # The faulty machines are the lanes of one engine over ``faults``.
+    engine = engine_for(cssg.circuit, faults)
     try:
         for j, fault in enumerate(faults):
             if sym is not None:
@@ -174,13 +172,7 @@ def classify_undetectable(
             if never:
                 result[fault] = Classification(fault, NEVER_EXCITED)
                 continue
-            if lanes is None:
-                batch = FaultBatch(cssg.circuit, faults)
-                lanes = (batch, batch.reset_and_settle(cssg.reset))
-            batch, at_reset = lanes
-            verdict, explored = _stable_equivalent(
-                cssg, batch, j, batch.machine_state(at_reset, j), budget_per_fault
-            )
+            verdict, explored = _stable_equivalent(cssg, engine, j, budget_per_fault)
             if verdict is True:
                 result[fault] = Classification(fault, STABLE_EQUIVALENT, explored)
             else:

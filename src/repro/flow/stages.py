@@ -43,7 +43,7 @@ from repro.flow.budget import REASON_BUDGET
 from repro.flow.context import RunContext
 from repro.flow.events import BudgetExhausted, ProgressTick
 from repro.sgraph.cssg import Cssg
-from repro.sim.batch import FaultBatch
+from repro.sim.engine import engine_for
 
 __all__ = [
     "Stage",
@@ -341,7 +341,7 @@ def fault_simulate(
     """
     if not faults:
         return []
-    walk = FaultBatch(cssg.circuit, faults).walk(cssg.reset)
+    walk = engine_for(cssg.circuit, faults).walk(cssg.reset)
     good = cssg.reset
     detected = walk.observe(good)
     for pattern in patterns:

@@ -17,7 +17,7 @@ construction — there is no "expected output" file anywhere):
                (excited-gate lists, reduced-explorer tables, forced
                reset), for every registered fault model
 ``kernels``    arena walk kernel vs the seed's sweeps in
-               :mod:`repro.sim.legacy` (:func:`reference_reset` /
+               :mod:`repro.fuzz.reference` (:func:`reference_reset` /
                :func:`reference_apply`), detection words and packed
                states per step, for every registered fault model
 ``incremental``  plain :func:`~repro.campaign.runner.execute_job` vs
@@ -84,9 +84,10 @@ from repro.fuzz.mutate import MUTATION_OPS, mutate_netlist
 from repro.sgraph.cssg import Cssg, build_cssg
 from repro.sgraph.explore import _stubborn, reduced_settle_report, settle_report
 from repro.sgraph.symbolic import SymbolicTcsg
-from repro.sim import legacy, ternary
-from repro.sim.batch import BatchState, FaultBatch
-from repro.sim.engine import compiled
+from repro.fuzz import reference
+from repro.fuzz.reference import pack_lanes, reference_apply, reference_reset
+from repro.sim import ternary
+from repro.sim.engine import compiled, engine_for
 
 __all__ = [
     "ORACLES",
@@ -199,74 +200,6 @@ def _tstate(rng: random.Random, n: int) -> Tuple[int, int]:
     return (low, high)
 
 
-def _legacy_settle(
-    circuit: Circuit, faults: Sequence[Fault], lanes: List[ternary.TernaryState]
-) -> List[ternary.TernaryState]:
-    """Settle one scalar machine per fault on the seed's sweeps.  The
-    legacy oracle simulates the stuck-at kinds only, so those lanes
-    settle together through :func:`legacy.batch_settle`, and each
-    bridging or transition lane settles alone through
-    :func:`legacy.settle` on its materialized faulty netlist."""
-    out = list(lanes)
-    stuck = [j for j, f in enumerate(faults) if f.kind in ("input", "output")]
-    if stuck:
-        low, high = legacy.batch_settle(
-            circuit,
-            [faults[j] for j in stuck],
-            pack_lanes([lanes[j] for j in stuck], circuit.n_signals),
-        )
-        for k, j in enumerate(stuck):
-            out[j] = (
-                sum(((w >> k) & 1) << i for i, w in enumerate(low)),
-                sum(((w >> k) & 1) << i for i, w in enumerate(high)),
-            )
-    for j, fault in enumerate(faults):
-        if fault.kind not in ("input", "output"):
-            out[j] = legacy.settle(materialize_fault(circuit, fault), lanes[j])
-    return out
-
-
-def pack_lanes(lanes: Sequence[ternary.TernaryState], n_signals: int) -> BatchState:
-    """Scalar machine states as a packed batch state, lane ``j`` from
-    ``lanes[j]`` (the inverse of ``FaultBatch.machine_state``)."""
-    return tuple(
-        tuple(
-            sum(((s[half] >> i) & 1) << j for j, s in enumerate(lanes))
-            for i in range(n_signals)
-        )
-        for half in (0, 1)
-    )
-
-
-def reference_reset(
-    circuit: Circuit, faults: Sequence[Fault], reset: int
-) -> List[ternary.TernaryState]:
-    """Reference settled reset, one scalar state per fault: the reset
-    state forced, an output stuck-at's node pre-set to its stuck value."""
-    starts = []
-    for fault in faults:
-        state = reset
-        if fault.kind == "output":
-            state = (state & ~(1 << fault.site)) | (fault.value << fault.site)
-        starts.append(ternary.from_binary(state, circuit.n_signals))
-    return _legacy_settle(circuit, faults, starts)
-
-
-def reference_apply(
-    circuit: Circuit,
-    faults: Sequence[Fault],
-    lanes: List[ternary.TernaryState],
-    pattern: int,
-) -> List[ternary.TernaryState]:
-    """Reference test cycle: drive ``pattern`` on every machine, settle."""
-    imask = (1 << circuit.n_inputs) - 1
-    driven = [
-        ((low & ~imask) | (~pattern & imask), (high & ~imask) | (pattern & imask))
-        for low, high in lanes
-    ]
-    return _legacy_settle(circuit, faults, driven)
-
-
 def _oracle_settle(ctx: _Ctx) -> Tuple[int, List[str]]:
     c = ctx.circuit
     rng = random.Random(f"fuzz-settle:{ctx.scenario.seed}")
@@ -279,7 +212,7 @@ def _oracle_settle(ctx: _Ctx) -> Tuple[int, List[str]]:
     for tstate in states:
         for fault in faults:
             got = ternary.settle(c, tstate, fault)
-            want = legacy.settle(c, tstate, fault)
+            want = reference.settle(c, tstate, fault)
             checks += 1
             if got != want:
                 fj = None if fault is None else fault.to_json()
@@ -312,12 +245,11 @@ def _oracle_faults(ctx: _Ctx) -> Tuple[int, List[str]]:
     c = ctx.circuit
     cssg = ctx.cssg
     checks, bad = 0, []
-    # Each overlay machine runs as a lane of one batch over every sampled
+    # Each overlay machine runs as a lane of one engine over every sampled
     # fault, as the three-phase and classifier faulty machines do (the
     # kernels pair's fault list, hence its kernel).
     sampled = [(m, f) for m in model_names() for f in ctx.fault_sample(m)]
-    batch = FaultBatch(c, [f for _, f in sampled])
-    at_reset = batch.reset_and_settle(cssg.reset) if sampled else None
+    engine = engine_for(c, [f for _, f in sampled])
     for j, (model, fault) in enumerate(sampled):
         rng = random.Random(f"fuzz-faults:{ctx.scenario.seed}:{fault.to_json()}")
         mat = materialize_fault(c, fault)
@@ -326,7 +258,7 @@ def _oracle_faults(ctx: _Ctx) -> Tuple[int, List[str]]:
             f"{model}/{fault.describe(c)}: {detail}"
             for detail in _patch_mismatches(ctx, fault, mat)
         )
-        via_overlay = batch.machine_state(at_reset, j)
+        via_overlay = engine.lane_at_reset(j, cssg.reset)
         via_netlist = ternary.settle_from_reset(mat, mat.require_reset())
         checks += 1
         if via_overlay != via_netlist:
@@ -339,7 +271,7 @@ def _oracle_faults(ctx: _Ctx) -> Tuple[int, List[str]]:
                 break
             pattern = rng.choice(choices)
             good = cssg.edges[good][pattern]
-            via_overlay = batch.apply_lane(via_overlay, pattern, j)
+            via_overlay = engine.apply_lane(via_overlay, pattern, j)
             via_netlist = ternary.apply_pattern(mat, via_netlist, pattern)
             checks += 1
             if via_overlay != via_netlist:
@@ -398,7 +330,7 @@ def _oracle_kernels(ctx: _Ctx) -> Tuple[int, List[str]]:
         trail.append((pattern, good))
 
     lanes = reference_reset(c, faults, cssg.reset)
-    walk = FaultBatch(c, faults).walk(cssg.reset)
+    walk = engine_for(c, faults).walk(cssg.reset)
     checks, bad = 0, []
 
     def compare(step: str, pattern=None, good_state=None) -> None:
@@ -629,11 +561,11 @@ def _oracle_undetectable(ctx: _Ctx) -> Tuple[int, List[str]]:
     undetectable = [f for f in faults if verdict[f] == UNDETECTABLE]
     if not undetectable:
         return checks, bad
-    batch = FaultBatch(c, undetectable)
+    engine = engine_for(c, undetectable)
     rng = random.Random(f"fuzz-undetectable:{ctx.scenario.seed}")
     for _ in range(_UNDETECTABLE_WALKS):
         patterns = cssg.random_walk(rng, ctx.caps.walk_len)
-        walk = batch.walk(cssg.reset)
+        walk = engine.walk(cssg.reset)
         good = cssg.reset
         detected = walk.observe(good)
         for pattern in patterns:

@@ -7,8 +7,13 @@ full-circuit passes with per-gate stack interpretation through
 **bit-identical** to them on every state: ``tests/test_sim_cross.py``,
 ``tests/test_arena.py``, the fuzzer's ``settle`` and ``kernels`` oracle
 pairs and ``benchmarks/bench_ternary_cost.py`` import this module as
-the ground truth and the speed baseline.  Production code must not: the
+the ground truth and the speed baseline.  Production code outside
+:mod:`repro.fuzz` must not (``tests/test_layering.py`` checks): the
 kernel is strictly faster and the only supported settle path.
+
+:func:`reference_reset` and :func:`reference_apply` run one scalar
+machine per fault of any registered model on these sweeps, for
+comparison with an engine's lanes.
 """
 
 from __future__ import annotations
@@ -16,12 +21,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.circuit.expr import eval_ternary
-from repro.circuit.faults import Fault
+from repro.circuit.faults import Fault, materialize_fault
 from repro.circuit.netlist import Circuit, Gate
 from repro.errors import SimulationError
-from repro.sim.ternary import TernaryState
-
-BatchState = Tuple[Tuple[int, ...], Tuple[int, ...]]
+from repro.sim.engine import BatchState
+from repro.sim.ternary import TernaryState, from_binary
 
 
 def _check_kind(fault: Optional[Fault]) -> None:
@@ -199,3 +203,71 @@ def batch_settle(
     else:
         raise SimulationError("batched Algorithm B failed to converge")
     return (tuple(low), tuple(high))
+
+
+def _legacy_settle(
+    circuit: Circuit, faults: Sequence[Fault], lanes: List[TernaryState]
+) -> List[TernaryState]:
+    """Settle one scalar machine per fault on the seed's sweeps.  The
+    sweeps simulate the stuck-at kinds only, so those lanes settle
+    together through :func:`batch_settle`, and each bridging or
+    transition lane settles alone through :func:`settle` on its
+    materialized faulty netlist."""
+    out = list(lanes)
+    stuck = [j for j, f in enumerate(faults) if f.kind in ("input", "output")]
+    if stuck:
+        low, high = batch_settle(
+            circuit,
+            [faults[j] for j in stuck],
+            pack_lanes([lanes[j] for j in stuck], circuit.n_signals),
+        )
+        for k, j in enumerate(stuck):
+            out[j] = (
+                sum(((w >> k) & 1) << i for i, w in enumerate(low)),
+                sum(((w >> k) & 1) << i for i, w in enumerate(high)),
+            )
+    for j, fault in enumerate(faults):
+        if fault.kind not in ("input", "output"):
+            out[j] = settle(materialize_fault(circuit, fault), lanes[j])
+    return out
+
+
+def pack_lanes(lanes: Sequence[TernaryState], n_signals: int) -> BatchState:
+    """Scalar machine states as a packed batch state, lane ``j`` from
+    ``lanes[j]`` (the inverse of :func:`repro.sim.engine.lane_of`)."""
+    return tuple(
+        tuple(
+            sum(((s[half] >> i) & 1) << j for j, s in enumerate(lanes))
+            for i in range(n_signals)
+        )
+        for half in (0, 1)
+    )
+
+
+def reference_reset(
+    circuit: Circuit, faults: Sequence[Fault], reset: int
+) -> List[TernaryState]:
+    """Reference settled reset, one scalar state per fault: the reset
+    state forced, an output stuck-at's node pre-set to its stuck value."""
+    starts = []
+    for fault in faults:
+        state = reset
+        if fault.kind == "output":
+            state = (state & ~(1 << fault.site)) | (fault.value << fault.site)
+        starts.append(from_binary(state, circuit.n_signals))
+    return _legacy_settle(circuit, faults, starts)
+
+
+def reference_apply(
+    circuit: Circuit,
+    faults: Sequence[Fault],
+    lanes: List[TernaryState],
+    pattern: int,
+) -> List[TernaryState]:
+    """Reference test cycle: drive ``pattern`` on every machine, settle."""
+    imask = (1 << circuit.n_inputs) - 1
+    driven = [
+        ((low & ~imask) | (~pattern & imask), (high & ~imask) | (pattern & imask))
+        for low, high in lanes
+    ]
+    return _legacy_settle(circuit, faults, driven)

@@ -7,17 +7,16 @@
   algorithms sharing one sweep body.
 * :mod:`repro.sim.engine` — per-circuit compilation (excited-gate
   enumeration for the exact settling explorer, the walk kernels) and
-  the pluggable fault overlays (none / scalar / packed) that run the
-  kernel with their masks.
+  :class:`SimEngine`, the one simulation handle: a fault overlay that
+  runs the kernel with its masks, one machine per fault — word-parallel
+  ternary simulation of many faulty machines at once (parallel fault
+  simulation, Seshu-style), and any one of them alone as a lane.
 * :mod:`repro.sim.ternary` — scalar ternary simulation with optional
   single-fault injection; this is the conservative race/oscillation
   detector of paper §5.4.  Thin adapter over the engine.
-* :mod:`repro.sim.batch` — word-parallel ternary simulation of many
-  faulty machines at once (parallel fault simulation, Seshu-style), and
-  any one of them alone as a lane of the same kernel.  Thin adapter
-  over the engine.
-* :mod:`repro.sim.legacy` — the seed's sweep-based reference
-  implementations, kept exclusively as the parity/benchmark oracle.
+
+The seed's sweep-based reference implementations live with the fuzzer,
+in :mod:`repro.fuzz.reference`, as the parity/benchmark oracle.
 """
 
 from repro.sim.ternary import (
@@ -32,7 +31,6 @@ from repro.sim.ternary import (
     phi_signals,
 )
 from repro.sim.arena import ArenaWalk
-from repro.sim.batch import FaultBatch
 from repro.sim.engine import SimEngine, compiled, engine_for
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "detects",
     "phi_signals",
     "ArenaWalk",
-    "FaultBatch",
     "SimEngine",
     "compiled",
     "engine_for",

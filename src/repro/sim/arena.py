@@ -1,8 +1,7 @@
 """The arena walk kernel: the package's one Algorithm A/B settle.
 
 Every ternary settle runs here: random TPG and test-set walks, the
-batch state-passing methods of :class:`~repro.sim.batch.FaultBatch`,
-the scalar API of :mod:`repro.sim.ternary`, and the three-phase and
+scalar API of :mod:`repro.sim.ternary`, and the three-phase and
 classifier faulty machines (each one a lane of the kernel their fault
 list runs on).
 
@@ -11,10 +10,10 @@ masks: every gate carries *argument slots* for its pin forces (one per
 support signal), its self blend and its output force, and every
 overlay's masks arrive as one argument tuple the generator unpacks into
 locals when it starts.  So one kernel per circuit serves the good
-machine and every input, output and transition overlay at every width;
-only bridging, whose blends evaluate a partner gate inline, adds one
-kernel per set of bridged gate pairs (bridge blends are extra slots of
-the same code).  :class:`~repro.sim.engine.CompiledCircuit` compiles
+machine and every input, output and transition overlay, however many
+faults it carries; only bridging, whose blends evaluate a partner gate
+inline, adds one kernel per set of bridged gate pairs (bridge blends
+are extra slots of the same code).  :class:`~repro.sim.engine.CompiledCircuit` compiles
 and caches them; each :class:`~repro.sim.engine.SimEngine` builds its
 argument tuple once, with identity masks where its overlay has none.
 
@@ -29,7 +28,7 @@ function calls).  Both algorithms run through one sweep body in which
 every gate is emitted once; a phase flag picks the update (Algorithm A:
 lub into the old value; Algorithm B: plain assignment).  Both fixpoints
 are unique under any fair order, so the kernel is bit-identical to the
-seed's sweeps kept in :mod:`repro.sim.legacy`, which
+seed's sweeps kept in :mod:`repro.fuzz.reference`, which
 ``tests/test_sim_cross.py`` and ``tests/test_arena.py`` check.
 
 CPython bignum bitwise ops are already C-speed word-parallel, so one
@@ -249,7 +248,8 @@ def _exam_mask(gate: Gate, partners: Tuple[int, ...], gate_at) -> int:
 
 def _emit_observe(ap, indent: str, circuit: Circuit, good: str, dest: str):
     """Detection mask accumulation: definite output difference vs the
-    good state in ``good`` (same formula as ``FaultBatch.observe``)."""
+    good state in ``good`` (same formula as :func:`repro.sim.ternary.detects`,
+    one machine per bit)."""
     ap(f"{indent}{dest} = 0")
     for out in circuit.outputs:
         ap(f"{indent}if ({good} >> {out}) & 1:")
@@ -367,7 +367,7 @@ class _WalkMeter:
 
     def __init__(self, engine: SimEngine):
         reg = _obs.get_registry()
-        words = (max(1, engine.width) + _WORD - 1) // _WORD
+        words = (engine.width + _WORD - 1) // _WORD
         self.units = words * max(1, len(engine.circuit.gates))
         self._steps = 0
         self._seconds = 0.0
@@ -402,12 +402,13 @@ class _WalkMeter:
 
 
 class ArenaWalk:
-    """One in-flight walk over a packed fault batch.
+    """One in-flight walk of an engine's machines.
 
     Thin handle over the kernel's generator: :meth:`step` is one test
     cycle returning the detection mask, :meth:`observe` re-observes the
     current state (observation 0 after reset), :meth:`state` snapshots
-    the per-signal words as a ``FaultBatch``-compatible state tuple.
+    the per-signal words (:func:`repro.sim.engine.lane_of` reads one
+    machine out of them).
     With metrics disabled (the default) stepping pays a single ``is
     None`` check on top of the generator send.
     """

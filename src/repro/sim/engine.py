@@ -50,16 +50,25 @@ auditor) picks a new kind up unchanged.
 
 **The settle.**  An engine builds its overlay's kernel argument tuple
 once, with identity masks where the overlay has none, and
-:meth:`SimEngine.settle`, :meth:`SimEngine.apply_pattern` and
-:meth:`SimEngine.walk` all run the circuit's arena walk kernel
+:meth:`SimEngine.settle`, :meth:`SimEngine.walk` and
+:meth:`SimEngine.apply_lane` all run the circuit's arena walk kernel
 (:mod:`repro.sim.arena`) on it: it is the package's only Algorithm A/B
-implementation.  The seed's sweeps in :mod:`repro.sim.legacy` remain as
-the test oracle.
+implementation.  An engine's width is its fault count (one machine for
+the good circuit), so every mask lies inside ``ones``.
 
-Engines are cached per ``(circuit, faults, width)``, so repeated
-construction (the auditor's per-test batches, the scalar API's
-per-fault machines) reuses the argument tuple; the kernel itself is
-shared by every overlay of the circuit without bridges.
+**Lanes.**  Lanes never interact under the kernel's bitwise operators
+and the Algorithm A/B fixpoints are unique, so lane *j* of an engine is
+bit-for-bit the scalar machine of fault *j*.  That is how the
+three-phase generator and the undetectability classifier run their
+per-fault ternary machines on their fault list's engine
+(:meth:`SimEngine.lane_at_reset`, :meth:`SimEngine.apply_lane`),
+compiling nothing per fault.
+
+Engines are cached per ``(circuit, faults)``, so repeated construction
+(the scalar API's per-fault machines, a classifier and a generator over
+one fault list) reuses the argument tuple and the settled resets; the
+kernel itself is shared by every overlay of the circuit without
+bridges.
 """
 
 from __future__ import annotations
@@ -83,6 +92,9 @@ from repro.sim.arena import (
     _WalkMeter,
     walk_layout,
 )
+
+#: Per-signal words ``((L...), (H...))`` of every machine of an engine.
+BatchState = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 # ---------------------------------------------------------------------------
 # Per-circuit compilation
@@ -189,9 +201,7 @@ class CompiledCircuit:
         exc_ns = _exec(_codegen_excited(circuit), f"<excited:{circuit.name}>")
         #: ``excited(state) -> [gate indices]`` in the binary domain.
         self.excited_signals: Callable[[int], List[int]] = exc_ns["excited"]
-        self._engines: "OrderedDict[Tuple[Tuple[Fault, ...], int], SimEngine]" = (
-            OrderedDict()
-        )
+        self._engines: "OrderedDict[Tuple[Fault, ...], SimEngine]" = OrderedDict()
         self._walks: Dict[Tuple[Tuple[int, int], ...], WalkKernel] = {}
 
     def walk_kernel(
@@ -233,32 +243,33 @@ def compiled(circuit: Circuit) -> CompiledCircuit:
 _ENGINE_CACHE_SIZE = 128
 
 
-def engine_for(
-    circuit: Circuit,
-    faults: Sequence[Fault] = (),
-    width: Optional[int] = None,
-) -> "SimEngine":
-    """The (cached) engine for ``circuit`` with a fault overlay.
-
-    ``width`` defaults to ``max(1, len(faults))``: a scalar good-machine
-    engine for no faults, one machine per fault otherwise.  Pass
-    ``width=0`` explicitly for a degenerate empty batch.  The per-circuit
-    cache is LRU-bounded to ``_ENGINE_CACHE_SIZE`` overlays.
-    """
+def engine_for(circuit: Circuit, faults: Sequence[Fault] = ()) -> "SimEngine":
+    """The (cached) engine for ``circuit`` with the overlay of
+    ``faults``.  The per-circuit cache is LRU-bounded to
+    ``_ENGINE_CACHE_SIZE`` overlays."""
     cc = compiled(circuit)
     faults = tuple(faults)
-    if width is None:
-        width = max(1, len(faults))
-    key = (faults, width)
-    engine = cc._engines.get(key)
+    engine = cc._engines.get(faults)
     if engine is None:
-        engine = SimEngine(circuit, faults, width)
-        cc._engines[key] = engine
+        engine = SimEngine(circuit, faults)
+        cc._engines[faults] = engine
         if len(cc._engines) > _ENGINE_CACHE_SIZE:
             cc._engines.popitem(last=False)
     else:
-        cc._engines.move_to_end(key)
+        cc._engines.move_to_end(faults)
     return engine
+
+
+def lane_of(words: BatchState, j: int) -> Tuple[int, int]:
+    """Machine ``j`` of per-signal words ``(L, H)`` as a scalar ternary
+    ``(L, H)`` pair."""
+    low, high = words
+    sl = 0
+    sh = 0
+    for i in range(len(low)):
+        sl |= ((low[i] >> j) & 1) << i
+        sh |= ((high[i] >> j) & 1) << i
+    return (sl, sh)
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +278,21 @@ def engine_for(
 
 
 class SimEngine:
-    """One circuit + one fault overlay, at one word width.
+    """One circuit + one fault overlay: machine *j* carries fault *j*,
+    and a fault-free engine is the one good machine.
 
     State is a pair of per-signal word lists ``(L, H)``: bit *j* of
     ``L[i]`` means "signal *i* of machine *j* can be 0", likewise ``H``
     for "can be 1" — the exact encoding of the seed simulators.
-    :meth:`settle` and :meth:`apply_pattern` mutate the lists in place.
+    :meth:`settle` mutates the lists in place.
     """
 
-    def __init__(self, circuit: Circuit, faults: Sequence[Fault] = (), width: int = 1):
+    def __init__(self, circuit: Circuit, faults: Sequence[Fault] = ()):
         self.circuit = circuit
         self.cc = cc = compiled(circuit)
         self.faults = tuple(faults)
-        self.width = width
-        self.ones = mask(width)
+        self.width = max(1, len(self.faults))
+        self.ones = mask(self.width)
         # Overlay mask tables, filled per fault (one machine bit each)
         # by the fault's model through its ``engine_overlay`` hook.
         #: pin_force[gate signal index][site] = (force-0 mask, force-1 mask)
@@ -306,6 +318,10 @@ class SimEngine:
         )
         self._args: Optional[Tuple[int, ...]] = None
         self._all = mask(cc.n_signals)
+        #: Every machine settled from each forced reset state, and from
+        #: all-zero words (:meth:`_rest`), computed on first use.
+        self._resets: Dict[int, BatchState] = {}
+        self._at_rest: Optional[BatchState] = None
 
     def _walk_args(self, layout: WalkLayout) -> Tuple[int, ...]:
         """The kernel argument tuple of this overlay (see
@@ -313,7 +329,7 @@ class SimEngine:
         this overlay leaves empty gets identity masks, and each slot
         family's flag says whether any of its slots is set."""
         ones = self.ones
-        args: List[int] = [ones, 2 * self.cc.n_signals * max(1, self.width) + 4]
+        args: List[int] = [ones, 2 * self.cc.n_signals * self.width + 4]
         for gi, sites, partners in layout:
             pins = self.pin_force.get(gi, {})
             _add_slots(args, [pins.get(s, (0, 0)) for s in sites], ones)
@@ -348,17 +364,9 @@ class SimEngine:
         gen.send((-2, self._all if changed is None else changed))
         L[:], H[:] = gen.send((-3, 0))
 
-    def apply_pattern(self, L: List[int], H: List[int], pattern: int) -> None:
-        """One synchronous test cycle on a settled state: drive every
-        input to its definite pattern bit and settle the fanout of the
-        inputs that actually changed."""
-        gen = self._start(L, H)
-        gen.send((pattern, 0))
-        L[:], H[:] = gen.send((-3, 0))
-
     def broadcast(self, state: int) -> Tuple[List[int], List[int]]:
         """Per-signal word lists replicating a binary state across all
-        machines of this engine's width."""
+        machines of this engine."""
         ones = self.ones
         L = [(0 if (state >> i) & 1 else ones) for i in range(self.cc.n_signals)]
         H = [(ones if (state >> i) & 1 else 0) for i in range(self.cc.n_signals)]
@@ -384,3 +392,57 @@ class SimEngine:
         gen = self._start(*self.reset_words(reset_state))
         gen.send((-2, self._all))
         return ArenaWalk(gen, _WalkMeter(self) if _obs.enabled() else None)
+
+    def lane_at_reset(self, j: int, reset_state: int) -> Tuple[int, int]:
+        """Machine ``j`` settled from the forced ``reset_state`` (see
+        :meth:`reset_words`), as a scalar ternary ``(L, H)`` pair.
+        Every machine settles together, once per reset state."""
+        settled = self._resets.get(reset_state)
+        if settled is None:
+            L, H = self.reset_words(reset_state)
+            self.settle(L, H)
+            settled = self._resets[reset_state] = (tuple(L), tuple(H))
+        return lane_of(settled, j)
+
+    def apply_lane(
+        self, tstate: Tuple[int, int], pattern: int, j: int
+    ) -> Tuple[int, int]:
+        """One synchronous test cycle of machine ``j`` alone: ``tstate``
+        is its settled scalar ternary state (from :meth:`lane_at_reset`
+        or this method), and so is the result.
+
+        The other lanes rest at a fixpoint of their own machine (see
+        :meth:`_rest`), and no input of theirs is driven, so they never
+        move: the settle does lane ``j``'s work alone.  Lanes never
+        interact and the fixpoints are unique, so lane ``j`` ends at
+        exactly the scalar machine's fixpoint."""
+        imask = mask(self.cc.n_inputs)
+        low, high = tstate
+        nlow = (low & ~imask) | (~pattern & imask)
+        nhigh = (high & ~imask) | (pattern & imask)
+        changed = (nlow ^ low) | (nhigh ^ high)
+        if not changed:
+            return tstate
+        rest_low, rest_high = self._rest()
+        others = self.ones & ~(1 << j)
+        L = [(w & others) | (((nlow >> i) & 1) << j) for i, w in enumerate(rest_low)]
+        H = [(w & others) | (((nhigh >> i) & 1) << j) for i, w in enumerate(rest_high)]
+        self.settle(L, H, changed)
+        return lane_of((L, H), j)
+
+    def _rest(self) -> BatchState:
+        """Every machine settled from all-zero words, computed once.
+
+        A zero pair is neither 0 nor 1, and no lane read through
+        :meth:`apply_lane` ever holds it; it only keeps the other lanes'
+        words small.  Every kernel operator is monotone in each bit, so
+        from zero Algorithm A only raises values and Algorithm B, which
+        starts where A's lub leaves every gate at or above its
+        evaluation, only lowers them: the settle terminates, at a
+        fixpoint of every machine with its inputs at zero."""
+        if self._at_rest is None:
+            L = [0] * self.cc.n_signals
+            H = list(L)
+            self.settle(L, H)
+            self._at_rest = (tuple(L), tuple(H))
+        return self._at_rest

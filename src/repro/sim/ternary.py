@@ -16,7 +16,7 @@ order, this module is a thin adapter over the fault overlay's compiled
 arena walk kernel (:mod:`repro.sim.engine`, :mod:`repro.sim.arena`) —
 it contains no settle loop of its own, and its results are bit-identical
 to the historical sweep implementation preserved in
-:mod:`repro.sim.legacy`.
+:mod:`repro.fuzz.reference`.
 
 If the final state is fully definite it is the *unique* stable successor
 under the unbounded gate-delay model; any remaining Φ conservatively
@@ -25,11 +25,11 @@ signals possible non-confluence or oscillation.
 A single fault of any registered model can be injected: an ``input``
 pin force, an ``output`` constant, a ``bridging`` wired blend, or a
 ``transition`` self-sticky blend (see :mod:`repro.faultmodels` for the
-overlay semantics).  Each fault compiles its own width-1 kernel (cached
-per circuit); the package's per-fault machines (three-phase generation,
-the undetectability classifier) instead run as lanes of the kernel
-compiled for their whole fault list
-(:meth:`~repro.sim.batch.FaultBatch.apply_lane`).
+overlay semantics).  Each fault gets its own one-machine engine (cached
+per circuit) on the circuit's shared kernel; the package's per-fault
+machines (three-phase generation, the undetectability classifier)
+instead run as lanes of their whole fault list's engine
+(:meth:`~repro.sim.engine.SimEngine.apply_lane`).
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ def apply_pattern(
     implementation: every gate is re-examined, so an unsettled start
     state is fully settled rather than silently preserved.  Per-fault
     machines stepping their own settled states run as lanes of their
-    fault list's kernel instead
-    (:meth:`~repro.sim.batch.FaultBatch.apply_lane`)."""
+    fault list's engine instead
+    (:meth:`~repro.sim.engine.SimEngine.apply_lane`)."""
     imask = mask(circuit.n_inputs)
     low, high = tstate
     low = (low & ~imask) | (~pattern & imask)

@@ -2,7 +2,7 @@
 
 The arena walk kernel (compiled generator, state in generator locals)
 is the package's one Algorithm A/B settle, so its reference is the
-seed's sweeps in :mod:`repro.sim.legacy`: the walk must match them
+seed's sweeps in :mod:`repro.fuzz.reference`: the walk must match them
 bit for bit — same settled states after every cycle, same detection
 words at every observation — because Eichelberger's Algorithms A and B
 compute unique lattice fixpoints regardless of evaluation order.  The
@@ -37,11 +37,16 @@ from repro.campaign import runner
 from repro.campaign.plan import CampaignSpec, expand
 from repro.circuit.parser import netlist_to_text, parse_netlist
 from repro.core.atpg import AtpgOptions
+from repro.core.sequences import Test
+from repro.core.three_phase import ThreePhaseGenerator
+from repro.core.verify import verify_test_set
+from repro.ext.undetectable import classify_undetectable
 from repro.faultmodels import get_model, model_names
-from repro.fuzz.oracles import pack_lanes, reference_apply, reference_reset
+from repro.fuzz import reference
+from repro.fuzz.reference import pack_lanes, reference_apply, reference_reset
 from repro.sgraph.cssg import build_cssg
-from repro.sim import engine, legacy, ternary
-from repro.sim.batch import FaultBatch
+from repro.sim import engine, ternary
+from repro.sim.engine import SimEngine, engine_for, lane_of
 
 WALK_LEN = 8
 
@@ -84,7 +89,7 @@ def test_arena_walk_and_slab_match_batch(name, model_name):
     trail = _walk_states(cssg, seed=zlib.crc32(f"{name}:{model_name}".encode()))
 
     lanes = reference_reset(circuit, faults, cssg.reset)
-    walk = FaultBatch(circuit, faults).walk(cssg.reset)
+    walk = engine_for(circuit, faults).walk(cssg.reset)
 
     assert walk.state() == pack_lanes(lanes, circuit.n_signals)
     det_ref = _detections(circuit, lanes, cssg.reset)
@@ -101,11 +106,11 @@ def test_walk_is_restartable():
     """Each ``walk()`` call is an independent replay from reset."""
     cssg = _cssg_for("dff")
     faults = get_model("input").universe(cssg.circuit)
-    batch = FaultBatch(cssg.circuit, faults)
+    sim = engine_for(cssg.circuit, faults)
     trail = _walk_states(cssg, seed=7)
 
     def run():
-        walk = batch.walk(cssg.reset)
+        walk = sim.walk(cssg.reset)
         det = walk.observe(cssg.reset)
         for pattern, good in trail:
             det |= walk.step(pattern, good)
@@ -115,16 +120,22 @@ def test_walk_is_restartable():
 
 
 def test_empty_universe_width_zero():
-    """Width-0 kernels settle and observe without faulting."""
+    """An empty fault list's engine is the one good machine: it settles
+    and observes without faulting, and the auditor replaying tests
+    against no faults still flags an invalid one."""
     cssg = _cssg_for("dff")
-    batch = FaultBatch(cssg.circuit, [])
-    walk = batch.walk(cssg.reset)
+    good_machine = engine_for(cssg.circuit, [])
+    walk = good_machine.walk(cssg.reset)
     assert walk.observe(cssg.reset) == 0
-    state = batch.reset_and_settle(cssg.reset)
-    assert walk.state() == state
+    state = good_machine.lane_at_reset(0, cssg.reset)
+    assert lane_of(walk.state(), 0) == state
     pattern, good = _walk_states(cssg, seed=1)[0]
     assert walk.step(pattern, good) == 0
-    assert walk.state() == batch.apply_settled(state, pattern)
+    assert lane_of(walk.state(), 0) == good_machine.apply_lane(state, pattern, 0)
+    bogus = Test((pattern, pattern), [], source="handmade")
+    report = verify_test_set(cssg, [Test((pattern,)), bogus], [])
+    assert report.invalid_tests == [1]
+    assert report.per_test == [set(), set()]
 
 
 def _spy_compiles(monkeypatch):
@@ -205,10 +216,12 @@ def test_atpg_jobs_compile_only_the_walk_kernel(monkeypatch):
     _assert_one_kernel_per_shape(circuit, per_job)
 
     faults = get_model("input").universe(circuit)
-    batch = FaultBatch(circuit, faults)
-    state = batch.broadcast(circuit.require_reset())
+    sim = engine_for(circuit, faults)
+    L, H = sim.broadcast(circuit.require_reset())
+    want = reference.batch_settle(circuit, faults, (tuple(L), tuple(H)))
     compiles.clear()
-    assert batch.settle(state) == legacy.batch_settle(circuit, faults, state)
+    sim.settle(L, H)
+    assert (tuple(L), tuple(H)) == want
     assert compiles == []
 
 
@@ -217,19 +230,65 @@ def test_ternary_semantics_jobs_run_faulty_machines_as_lanes(monkeypatch):
     machine is a lane of its job's walk kernel: the kernel budget is the
     same as under exact semantics, so no lane compiles anything."""
     lane_calls = []
-    real_apply_lane = FaultBatch.apply_lane
+    real_apply_lane = SimEngine.apply_lane
 
     def spy_apply_lane(self, tstate, pattern, j):
         lane_calls.append(j)
         return real_apply_lane(self, tstate, pattern, j)
 
-    monkeypatch.setattr(FaultBatch, "apply_lane", spy_apply_lane)
+    monkeypatch.setattr(SimEngine, "apply_lane", spy_apply_lane)
     compiles = _spy_compiles(monkeypatch)
     circuit, per_job = _run_jobs(
         monkeypatch, compiles, AtpgOptions(faulty_semantics="ternary")
     )
     _assert_one_kernel_per_shape(circuit, per_job)
     assert lane_calls, "no ternary faulty machine ran"
+
+
+def test_three_phase_and_classifier_share_one_engine(monkeypatch):
+    """Ternary-semantics three-phase and the undetectability classifier
+    over one fault list run their faulty machines as lanes of one
+    engine, which settles the reset once; every lane they read equals
+    the seed sweeps' machine."""
+    cssg = build_cssg(_private_copy("vbe6a"))
+    circuit = cssg.circuit
+    faults = [f for m in model_names() for f in get_model(m).universe(circuit)]
+    engines, reset_settles, resets, steps = set(), [], set(), set()
+    real_reset_words = SimEngine.reset_words
+    real_lane_at_reset = SimEngine.lane_at_reset
+    real_apply_lane = SimEngine.apply_lane
+
+    def spy_reset_words(self, reset_state=None):
+        reset_settles.append(reset_state)
+        return real_reset_words(self, reset_state)
+
+    def spy_lane_at_reset(self, j, reset_state):
+        engines.add(self)
+        lane = real_lane_at_reset(self, j, reset_state)
+        resets.add((j, reset_state, lane))
+        return lane
+
+    def spy_apply_lane(self, tstate, pattern, j):
+        engines.add(self)
+        lane = real_apply_lane(self, tstate, pattern, j)
+        steps.add((j, tstate, pattern, lane))
+        return lane
+
+    monkeypatch.setattr(SimEngine, "reset_words", spy_reset_words)
+    monkeypatch.setattr(SimEngine, "lane_at_reset", spy_lane_at_reset)
+    monkeypatch.setattr(SimEngine, "apply_lane", spy_apply_lane)
+    generator = ThreePhaseGenerator(cssg, faulty_semantics="ternary", faults=faults)
+    for fault in faults:
+        generator.generate(fault)
+    classified = classify_undetectable(cssg, faults)
+    assert engines == {engine_for(circuit, faults)}
+    assert reset_settles == [cssg.reset]
+    assert any(c.product_states for c in classified.values())
+    assert {j for j, *_ in resets} == set(range(len(faults)))
+    for j, reset_state, lane in resets:
+        assert reference_reset(circuit, [faults[j]], reset_state) == [lane]
+    for j, tstate, pattern, lane in steps:
+        assert reference_apply(circuit, [faults[j]], [tstate], pattern) == [lane]
 
 
 def test_table_pass_compiles_one_walk_kernel_per_circuit(monkeypatch):
@@ -281,11 +340,11 @@ def test_mixed_overlay_batch_matches_the_reference(name):
         for model in ("input", "output", "transition")
         for fault in get_model(model).universe(circuit)
     ]
-    batch = FaultBatch(circuit, faults)
-    assert batch.engine._bridge_pairs == ()
+    sim = engine_for(circuit, faults)
+    assert sim._bridge_pairs == ()
     for seed in range(3):
         lanes = reference_reset(circuit, faults, cssg.reset)
-        walk = batch.walk(cssg.reset)
+        walk = sim.walk(cssg.reset)
         assert walk.state() == pack_lanes(lanes, circuit.n_signals)
         assert walk.observe(cssg.reset) == _detections(circuit, lanes, cssg.reset)
         for pattern, good in _walk_states(cssg, seed=seed):
@@ -301,12 +360,12 @@ def test_engines_of_different_widths_share_one_kernel(monkeypatch):
     circuit = _private_copy("ebergen")
     faults = get_model("output").universe(circuit)
     compiles = _spy_compiles(monkeypatch)
-    narrow = FaultBatch(circuit, get_model("input").universe(circuit)[:3])
-    wide = FaultBatch(circuit, faults)
+    narrow = engine_for(circuit, get_model("input").universe(circuit)[:3])
+    wide = engine_for(circuit, faults)
     trail = _walk_states(cssg, seed=11)
 
-    def alone(batch):
-        walk = batch.walk(cssg.reset)
+    def alone(sim):
+        walk = sim.walk(cssg.reset)
         return [walk.observe(cssg.reset)] + [
             (walk.step(p, g), walk.state()) for p, g in trail
         ]
@@ -320,7 +379,7 @@ def test_engines_of_different_widths_share_one_kernel(monkeypatch):
     assert got[id(a)] == got[id(c)] == want_narrow
     assert got[id(b)] == want_wide
     assert _walk_kernels(compiles) == ([f"<arena:{circuit.name}>"], [])
-    assert narrow.engine.width != wide.engine.width
+    assert narrow.width != wide.width
 
 
 def test_import_repro_does_not_load_numpy():

@@ -1,4 +1,5 @@
-"""Parallel fault simulation: batch-of-W must equal W scalar runs."""
+"""Parallel fault simulation: an engine of W machines must equal W
+scalar runs."""
 
 import random
 
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.faults import fault_universe, input_fault_universe
+from repro.core.random_tpg import random_tpg
+from repro.flow.stages import fault_simulate
 from repro.sgraph.cssg import build_cssg
 from repro.sim import ternary
-from repro.sim.batch import FaultBatch
+from repro.sim.engine import engine_for, lane_of
 
 
 def walk_patterns(cssg, seed, length):
@@ -17,59 +20,65 @@ def walk_patterns(cssg, seed, length):
     return cssg.random_walk(rng, length)
 
 
+def walk_goods(cssg, patterns):
+    """``(pattern, good state after it)`` along a valid walk."""
+    good = cssg.reset
+    for pattern in patterns:
+        good = cssg.edges[good][pattern]
+        yield pattern, good
+
+
 @pytest.mark.parametrize("model", ["input", "output"])
 def test_batch_equals_scalar_on_celem(celem, model):
     faults = fault_universe(celem, model)
     cssg = build_cssg(celem)
     patterns = walk_patterns(cssg, seed=4, length=6)
-    batch = FaultBatch(celem, faults)
-    bstate = batch.reset_and_settle(cssg.reset)
+    walk = engine_for(celem, faults).walk(cssg.reset)
     scalar = [
         ternary.settle_from_reset(celem, cssg.reset, f) for f in faults
     ]
     for j in range(len(faults)):
-        assert batch.machine_state(bstate, j) == scalar[j]
-    for pattern in patterns:
-        bstate = batch.apply(bstate, pattern)
+        assert lane_of(walk.state(), j) == scalar[j]
+    for pattern, good in walk_goods(cssg, patterns):
+        walk.step(pattern, good)
         scalar = [
             ternary.apply_pattern(celem, s, pattern, f)
             for s, f in zip(scalar, faults)
         ]
         for j in range(len(faults)):
-            assert batch.machine_state(bstate, j) == scalar[j]
+            assert lane_of(walk.state(), j) == scalar[j]
 
 
 def test_observe_matches_scalar_detects(celem):
     faults = input_fault_universe(celem)
     cssg = build_cssg(celem)
-    batch = FaultBatch(celem, faults)
-    bstate = batch.reset_and_settle(cssg.reset)
-    good = cssg.reset
-    for pattern in walk_patterns(cssg, seed=9, length=8):
-        good = cssg.edges[good][pattern]
-        bstate = batch.apply(bstate, pattern)
-        mask = batch.observe(bstate, good)
+    walk = engine_for(celem, faults).walk(cssg.reset)
+    patterns = walk_patterns(cssg, seed=9, length=8)
+    for pattern, good in walk_goods(cssg, patterns):
+        mask = walk.step(pattern, good)
         for j, fault in enumerate(faults):
-            expected = ternary.detects(
-                celem, good, batch.machine_state(bstate, j)
-            )
+            expected = ternary.detects(celem, good, lane_of(walk.state(), j))
             assert bool((mask >> j) & 1) == expected
 
 
 def test_empty_batch(celem):
-    batch = FaultBatch(celem, [])
-    assert batch.width == 0
-    state = batch.reset_and_settle()
-    assert batch.observe(state, celem.require_reset()) == 0
+    """An empty fault list grades nothing: random TPG and fault
+    simulation return before building an engine, whose width would be
+    the good machine's one."""
+    cssg = build_cssg(celem)
+    patterns = walk_patterns(cssg, seed=1, length=4)
+    assert random_tpg(cssg, []) == ({}, [])
+    assert fault_simulate(cssg, [], patterns) == []
+    assert engine_for(celem, []).width == 1
 
 
 def test_broadcast_is_definite(celem):
     faults = input_fault_universe(celem)[:3]
-    batch = FaultBatch(celem, faults)
-    low, high = batch.broadcast(celem.require_reset())
+    engine = engine_for(celem, faults)
+    low, high = engine.broadcast(celem.require_reset())
     for i in range(celem.n_signals):
         assert (low[i] & high[i]) == 0
-        assert (low[i] | high[i]) == batch.ones
+        assert (low[i] | high[i]) == engine.ones
 
 
 @settings(max_examples=20, deadline=None)
@@ -83,14 +92,13 @@ def test_batch_equals_scalar_random_walks(seed, length):
     faults = input_fault_universe(circuit)
     cssg = build_cssg(circuit)
     patterns = walk_patterns(cssg, seed, length)
-    batch = FaultBatch(circuit, faults)
-    bstate = batch.reset_and_settle(cssg.reset)
+    walk = engine_for(circuit, faults).walk(cssg.reset)
     scalar = [ternary.settle_from_reset(circuit, cssg.reset, f) for f in faults]
-    for pattern in patterns:
-        bstate = batch.apply(bstate, pattern)
+    for pattern, good in walk_goods(cssg, patterns):
+        walk.step(pattern, good)
         scalar = [
             ternary.apply_pattern(circuit, s, pattern, f)
             for s, f in zip(scalar, faults)
         ]
     for j in range(len(faults)):
-        assert batch.machine_state(bstate, j) == scalar[j]
+        assert lane_of(walk.state(), j) == scalar[j]

@@ -34,7 +34,7 @@ from repro.faultmodels import (
 from repro.flow import Flow
 from repro.sgraph.cssg import build_cssg
 from repro.sim import ternary
-from repro.sim.batch import FaultBatch
+from repro.sim.engine import engine_for, lane_of
 
 #: A fanout-free buffer/inverter chain: no gate has two inputs, so no
 #: two nets are structurally adjacent — the bridging universe is empty.
@@ -115,7 +115,7 @@ def test_engine_rejects_unknown_kind(celem):
     from repro.sim.engine import SimEngine
 
     with pytest.raises(SimulationError, match="unknown fault kind"):
-        SimEngine(celem, [Fault("stuck-open", 2, 2, 0)], 1)
+        SimEngine(celem, [Fault("stuck-open", 2, 2, 0)])
 
 
 # -- bridging universe -------------------------------------------------------
@@ -200,16 +200,16 @@ def test_packed_batch_matches_scalar_for_mixed_universe(bench):
         + fault_universe(circuit, "transition")
         + fault_universe(circuit, "input")[:4]
     )
-    batch = FaultBatch(circuit, faults)
-    state = batch.reset_and_settle(cssg.reset)
+    walk = engine_for(circuit, faults).walk(cssg.reset)
     scalars = [
         ternary.settle_from_reset(circuit, cssg.reset, f) for f in faults
     ]
     rng = random.Random(3)
     good = cssg.reset
     for _ in range(10):
+        state = walk.state()
         for j, fault in enumerate(faults):
-            assert batch.machine_state(state, j) == scalars[j], (
+            assert lane_of(state, j) == scalars[j], (
                 fault.describe(circuit)
             )
         choices = sorted(cssg.valid_patterns(good))
@@ -217,7 +217,7 @@ def test_packed_batch_matches_scalar_for_mixed_universe(bench):
             break
         pattern = rng.choice(choices)
         good = cssg.edges[good][pattern]
-        state = batch.apply_settled(state, pattern)
+        walk.step(pattern, good)
         scalars = [
             ternary.apply_pattern(circuit, s, pattern, f)
             for s, f in zip(scalars, faults)

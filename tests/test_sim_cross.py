@@ -10,9 +10,9 @@ These are the load-bearing soundness relations of the whole approach:
   confluent, and terminates in exactly the ternary result;
 * **parity** — the compiled arena walk kernel (:mod:`repro.sim.arena`)
   must be *bit-identical* to the seed's sweep implementation preserved
-  in :mod:`repro.sim.legacy`: scalar ternary settling (with and without
-  faults), width-1 ``FaultBatch`` machines, each lane of a fault list's
-  batch run alone (the three-phase and classifier faulty machines), and
+  in :mod:`repro.fuzz.reference`: scalar ternary settling (with and
+  without faults), one-fault engines, each lane of a fault list's
+  engine run alone (the three-phase and classifier faulty machines), and
   the excited-gate enumeration that drives exact simulation.
 
 Checked on the fixture circuits, on every bundled benchmark, and on
@@ -30,12 +30,12 @@ from repro.circuit.expr import And, Const, Not, Or, Var, Xor
 from repro.circuit.faults import fault_universe
 from repro.circuit.netlist import Circuit
 from repro.faultmodels import get_model, model_names
-from repro.fuzz.oracles import reference_apply, reference_reset
+from repro.fuzz import reference
+from repro.fuzz.reference import reference_apply, reference_reset
 from repro.sgraph.cssg import build_cssg
 from repro.sgraph.explore import settle_report
-from repro.sim import legacy, ternary
-from repro.sim.batch import FaultBatch
-from repro.sim.engine import compiled
+from repro.sim import ternary
+from repro.sim.engine import compiled, engine_for
 
 
 def check_agreement(circuit, start_state):
@@ -152,45 +152,45 @@ def test_engine_matches_seed_scalar_on_benchmarks(name):
         start = reset
         if fault is not None and fault.kind == "output":
             start = (reset & ~(1 << fault.site)) | (fault.value << fault.site)
-        ts_seed = legacy.settle(circuit, ternary.from_binary(start, n), fault)
+        ts_seed = reference.settle(circuit, ternary.from_binary(start, n), fault)
         assert ts_engine == ts_seed
         for pattern in _walk(circuit):
             ts_engine = ternary.apply_pattern(circuit, ts_engine, pattern, fault)
             imask = (1 << circuit.n_inputs) - 1
             low = (ts_seed[0] & ~imask) | (~pattern & imask)
             high = (ts_seed[1] & ~imask) | (pattern & imask)
-            ts_seed = legacy.settle(circuit, (low, high), fault)
+            ts_seed = reference.settle(circuit, (low, high), fault)
             assert ts_engine == ts_seed, f"{name}: diverged on {pattern:b}"
 
 
 @pytest.mark.parametrize("name", TABLE1_NAMES)
 def test_width1_batch_matches_seed_on_benchmarks(name):
-    """A width-1 FaultBatch must stay bit-for-bit the scalar seed
+    """A one-fault engine must stay bit-for-bit the scalar seed
     semantics for every sampled fault."""
     circuit = load_benchmark(name, "complex")
     reset = circuit.require_reset()
     for fault in _fault_sample(circuit, stride=5):
-        batch = FaultBatch(circuit, [fault])
-        bstate = batch.reset_and_settle(reset)
+        sim = engine_for(circuit, [fault])
+        bstate = sim.lane_at_reset(0, reset)
         seed_start = reset
         if fault.kind == "output":
             seed_start = (reset & ~(1 << fault.site)) | (fault.value << fault.site)
-        sstate = legacy.settle(
+        sstate = reference.settle(
             circuit, ternary.from_binary(seed_start, circuit.n_signals), fault
         )
-        assert batch.machine_state(bstate, 0) == sstate
+        assert bstate == sstate
         for pattern in _walk(circuit, n_cycles=4):
-            bstate = batch.apply(bstate, pattern)
+            bstate = sim.apply_lane(bstate, pattern, 0)
             imask = (1 << circuit.n_inputs) - 1
             low = (sstate[0] & ~imask) | (~pattern & imask)
             high = (sstate[1] & ~imask) | (pattern & imask)
-            sstate = legacy.settle(circuit, (low, high), fault)
-            assert batch.machine_state(bstate, 0) == sstate
+            sstate = reference.settle(circuit, (low, high), fault)
+            assert bstate == sstate
 
 
 @pytest.mark.parametrize("model_name", model_names())
 def test_lanes_match_seed_along_cssg_walks(model_name):
-    """Every lane of a fault list's batch, run alone from its settled
+    """Every lane of a fault list's engine, run alone from its settled
     reset along a seeded CSSG walk (how the three-phase generator and
     the classifier run their ternary faulty machines), matches the seed
     sweeps on every Table-1 benchmark."""
@@ -198,16 +198,15 @@ def test_lanes_match_seed_along_cssg_walks(model_name):
         cssg = build_cssg(load_benchmark(name, "complex"))
         circuit = cssg.circuit
         faults = get_model(model_name).universe(circuit)
-        batch = FaultBatch(circuit, faults)
-        at_reset = batch.reset_and_settle(cssg.reset)
+        sim = engine_for(circuit, faults)
         patterns = cssg.random_walk(random.Random(f"{name}:{model_name}"), 8)
         for j, fault in enumerate(faults):
             (want,) = reference_reset(circuit, [fault], cssg.reset)
-            got = batch.machine_state(at_reset, j)
+            got = sim.lane_at_reset(j, cssg.reset)
             assert got == want, (name, fault)
             for pattern in patterns:
                 (want,) = reference_apply(circuit, [fault], [want], pattern)
-                got = batch.apply_lane(got, pattern, j)
+                got = sim.apply_lane(got, pattern, j)
                 assert got == want, (name, fault, pattern)
 
 
@@ -222,7 +221,7 @@ def test_excited_enumeration_matches_seed_on_benchmarks(name):
     # A deterministic multiplicative scramble over the state space.
     for i in range(200):
         state = (state * 0x9E3779B1 + i) & ((1 << n) - 1)
-        assert exc(state) == legacy.excited_gates(circuit, state)
+        assert exc(state) == reference.excited_gates(circuit, state)
 
 
 @settings(max_examples=80, deadline=None)
@@ -240,11 +239,11 @@ def test_engine_matches_seed_on_random_netlists(data):
     n = circuit.n_signals
     state = data.draw(st.integers(0, (1 << n) - 1))
     ts = ternary.from_binary(state, n)
-    assert ternary.settle(circuit, ts) == legacy.settle(circuit, ts)
+    assert ternary.settle(circuit, ts) == reference.settle(circuit, ts)
     faults = fault_universe(circuit, "input") + fault_universe(circuit, "output")
     fault = data.draw(st.sampled_from(faults))
-    assert ternary.settle(circuit, ts, fault) == legacy.settle(circuit, ts, fault)
-    assert compiled(circuit).excited_signals(state) == legacy.excited_gates(
+    assert ternary.settle(circuit, ts, fault) == reference.settle(circuit, ts, fault)
+    assert compiled(circuit).excited_signals(state) == reference.excited_gates(
         circuit, state
     )
 
@@ -264,7 +263,7 @@ def test_apply_pattern_settles_unsettled_states_like_seed():
     imask = (1 << circuit.n_inputs) - 1
     low = (start[0] & ~imask) | (~1 & imask)
     high = (start[1] & ~imask) | (1 & imask)
-    assert got == legacy.settle(circuit, (low, high))
+    assert got == reference.settle(circuit, (low, high))
     assert got == ternary.from_binary(0b11, circuit.n_signals)
 
 
@@ -280,7 +279,7 @@ def test_exact_sim_matches_seed_exploration():
             if state in succs:
                 continue
             assert len(succs) < cap
-            excited = legacy.excited_gates(circuit, state)
+            excited = reference.excited_gates(circuit, state)
             if not excited:
                 succs[state] = ()
                 stable.append(state)
