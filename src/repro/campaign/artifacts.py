@@ -1,9 +1,9 @@
 """Campaign artifacts: paper-shaped tables and machine-readable files.
 
-``rows_from_outcomes`` pairs each circuit variant's output- and
-input-model results into the :class:`~repro.core.report.TableRow` shape
-of the paper's Tables 1/2 — straight from the cached JSON payloads, no
-:class:`AtpgResult` reconstruction needed.  ``write_artifacts`` renders
+``rows_from_outcomes`` groups each circuit variant's fault-model
+payloads into one :class:`~repro.core.report.TableRow` of the paper's
+Tables 1/2 through :func:`repro.core.report.payload_row`, the package's
+one row builder (abort columns included).  ``write_artifacts`` renders
 one campaign as:
 
 * ``table.txt`` — the human table (:func:`repro.core.report.format_table`);
@@ -20,14 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.plan import CODE_VERSION, CampaignSpec
 from repro.campaign.runner import CampaignReport, JobOutcome
-from repro.core.report import (
-    TableRow,
-    format_model_counts,
-    format_table,
-    telemetry_columns,
-    to_csv,
-    to_json,
-)
+from repro.core.report import TableRow, format_table, payload_row, to_csv, to_json
 
 #: Version of the ``campaign.json`` manifest layout.
 ARTIFACT_SCHEMA_VERSION = 1
@@ -38,55 +31,6 @@ def _row_name(outcome: JobOutcome) -> str:
     segment (both models fold into one row)."""
     job = outcome.job
     return job.name.replace(f"/{job.fault_model}", "", 1)
-
-
-def row_from_payloads(
-    name: str,
-    out_payload: Optional[Dict],
-    in_payload: Optional[Dict],
-    extra_payloads: Optional[Dict[str, Dict]] = None,
-) -> TableRow:
-    """One table row from the serialized results of a variant's
-    fault-model runs (any may be absent).  The two stuck-at runs keep
-    their historical dedicated columns; other registered models
-    (``extra_payloads``, keyed by model name) fold into the compact
-    ``models`` column.  The stored ``n_total`` / ``n_covered`` fields
-    are authoritative — the coverage arithmetic lives in
-    :class:`AtpgResult`, not here."""
-    extras = extra_payloads or {}
-    anchor = in_payload or out_payload
-    if anchor is None and extras:
-        anchor = next(iter(extras.values()))
-    cssg = (anchor or {}).get("cssg", {})
-    models = format_model_counts(
-        {m: (p["n_covered"], p["n_total"]) for m, p in extras.items()}
-    )
-    return TableRow(
-        name=name,
-        out_tot=out_payload["n_total"] if out_payload else 0,
-        out_cov=out_payload["n_covered"] if out_payload else 0,
-        in_tot=in_payload["n_total"] if in_payload else 0,
-        in_cov=in_payload["n_covered"] if in_payload else 0,
-        rnd=in_payload["n_random"] if in_payload else 0,
-        three_ph=in_payload["n_three_phase"] if in_payload else 0,
-        sim=in_payload["n_fault_sim"] if in_payload else 0,
-        cpu=(out_payload["cpu_seconds"] if out_payload else 0.0)
-        + (in_payload["cpu_seconds"] if in_payload else 0.0)
-        + sum(p["cpu_seconds"] for p in extras.values()),
-        cssg_method=cssg.get("method", ""),
-        cssg_states=cssg.get("n_states", 0),
-        cssg_edges=cssg.get("n_edges", 0),
-        tcsg_states=cssg.get("n_tcsg_states", 0),
-        peak_bdd_nodes=cssg.get("peak_bdd_nodes", 0),
-        gc_passes=cssg.get("n_gc_passes", 0),
-        reorders=cssg.get("n_reorders", 0),
-        image_iters=cssg.get("n_image_iterations", 0),
-        models=models,
-        # Cached payloads never carry telemetry (the store keeps only
-        # the canonical deterministic result), so these usually stay at
-        # their defaults; fresh --dashboard runs may fill them.
-        **telemetry_columns((in_payload or {}).get("telemetry")),
-    )
 
 
 def rows_from_outcomes(outcomes: Sequence[JobOutcome]) -> List[TableRow]:
@@ -110,7 +54,7 @@ def rows_from_outcomes(outcomes: Sequence[JobOutcome]) -> List[TableRow]:
             order.append(variant)
         variants[variant][job.fault_model] = outcome.payload
     return [
-        row_from_payloads(
+        payload_row(
             names[v],
             variants[v].get("output"),
             variants[v].get("input"),

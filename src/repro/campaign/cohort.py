@@ -24,9 +24,11 @@ universe re-runs.  This module refines that to fault granularity:
   logic-preserving rewrites reuse the state graph outright.
 
 Merging the cached partials back into a full result payload
-(:func:`merge_payload`) reproduces :meth:`AtpgResult.to_json_dict`
-exactly (modulo ``cpu_seconds``) when all partials come from one run —
-the identity the golden tests pin on every bundled benchmark.
+(:func:`merge_payload`) is a flow run of the replay stage alone, so the
+payload is assembled by :meth:`AtpgResult.to_json_dict` as everywhere
+else; it reproduces the producing run's payload exactly (modulo
+``cpu_seconds``) when all partials come from one run — the identity
+the golden tests pin on every bundled benchmark.
 
 Cone replay is an approximation for *logic-changing* edits: the CSSG
 is a global object, so an out-of-cone edit can alter reachable stable
@@ -45,9 +47,9 @@ from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.core.atpg import RESULT_SCHEMA_VERSION, AtpgOptions
 from repro.errors import ReproError
-from repro.flow import DEFAULT_STAGE_NAMES
-from repro.flow.stages import ReplayPlan, ReplayedStatus, ReplayTest
-from repro.sgraph.cssg import Cssg, CssgStats
+from repro.flow import DEFAULT_STAGE_NAMES, Flow
+from repro.flow.stages import ReplayPlan, ReplayStage, ReplayedStatus, ReplayTest
+from repro.sgraph.cssg import Cssg, CssgStats, CssgSummary
 
 __all__ = [
     "COHORT_SCHEMA_VERSION",
@@ -319,11 +321,14 @@ def extract_partials(
 # -- merge and replay --------------------------------------------------
 
 
-def _test_groups(
+def build_replay_plan(
     cohorts: Sequence[Cohort], docs: Sequence[Dict]
-) -> List[Tuple[Tuple[str, int], Dict]]:
-    """Union the partials' test slices, grouped by the producing run's
-    ``(run key, test index)`` and ordered by it — deterministic, and
+) -> ReplayPlan:
+    """Turn cached partials into a :class:`ReplayPlan` for the flow's
+    :class:`~repro.flow.stages.ReplayStage`.
+
+    The partials' test slices are unioned by the producing run's
+    ``(run key, test index)`` and ordered by it: deterministic, and
     equal to original test order when every partial is from one run."""
     groups: Dict[Tuple[str, int], Dict] = {}
     for cohort, doc in zip(cohorts, docs):
@@ -347,23 +352,15 @@ def _test_groups(
                 )
             for pos, mi in test["at"]:
                 group["members"][int(pos)] = cohort.faults[int(mi)]
-    return [(gk, groups[gk]) for gk in sorted(groups)]
-
-
-def build_replay_plan(
-    cohorts: Sequence[Cohort], docs: Sequence[Dict]
-) -> ReplayPlan:
-    """Turn cached partials into a :class:`ReplayPlan` for the flow's
-    :class:`~repro.flow.stages.ReplayStage`."""
-    ordered = _test_groups(cohorts, docs)
-    ref_of = {gk: i for i, (gk, _) in enumerate(ordered)}
+    ordered = sorted(groups)
+    ref_of = {gk: i for i, gk in enumerate(ordered)}
     tests = tuple(
         ReplayTest(
-            patterns=tuple(group["patterns"]),
-            source=group["source"],
-            members=tuple(sorted(group["members"].items())),
+            patterns=tuple(groups[gk]["patterns"]),
+            source=groups[gk]["source"],
+            members=tuple(sorted(groups[gk]["members"].items())),
         )
-        for _, group in ordered
+        for gk in ordered
     )
     statuses = []
     for cohort, doc in zip(cohorts, docs):
@@ -393,75 +390,21 @@ def merge_payload(
     docs: Sequence[Dict],
     cpu_seconds: float,
 ) -> Dict:
-    """Reassemble a full result payload from per-cohort partials.
+    """Reassemble a full result payload from per-cohort partials: a
+    flow run of the replay stage alone over the cached CSSG summary (no
+    CSSG is built), serialized with ``cpu_seconds``.
 
     When every partial comes from one producing run, the output is
     byte-identical to that run's :meth:`AtpgResult.to_json_dict`
-    except for ``cpu_seconds`` (and the absent telemetry block) — the
+    except for ``cpu_seconds`` (and the telemetry block) — the
     invariant ``tests/test_incremental.py`` pins against the golden
     digests on every Table-1 benchmark.
     """
-    ordered = _test_groups(cohorts, docs)
-    index_of = {gk: i for i, (gk, _) in enumerate(ordered)}
-    tests_json = [
-        {
-            "patterns": group["patterns"],
-            "faults": [
-                fault.to_json()
-                for _, fault in sorted(group["members"].items())
-            ],
-            "source": group["source"],
-        }
-        for _, group in ordered
-    ]
-    verdict_of: Dict[Fault, Tuple[Dict, str]] = {}
-    for cohort, doc in zip(cohorts, docs):
-        for fault, status in zip(cohort.faults, doc["statuses"]):
-            verdict_of[fault] = (status, str(doc["run"]))
-
-    statuses_json = []
-    phases = {"rnd": 0, "3-ph": 0, "sim": 0}
-    by_status = {"undetectable": 0, "aborted": 0}
-    for fault in universe:
-        status, run = verdict_of[fault]
-        test = status["test"]
-        statuses_json.append(
-            {
-                "fault": fault.to_json(),
-                "status": status["status"],
-                "phase": status["phase"],
-                "test_index": (
-                    None if test is None else index_of[(run, int(test))]
-                ),
-                "reason": status["reason"],
-            }
-        )
-        if status["phase"] in phases:
-            phases[status["phase"]] += 1
-        if status["status"] in by_status:
-            by_status[status["status"]] += 1
-
-    return {
-        "schema_version": RESULT_SCHEMA_VERSION,
-        "circuit": {
-            "name": circuit.name,
-            "n_inputs": circuit.n_inputs,
-            "n_signals": circuit.n_signals,
-        },
-        "options": options.to_json_dict(),
-        "cssg": dict(docs[0]["cssg"]),
-        "faults": [fault.to_json() for fault in universe],
-        "statuses": statuses_json,
-        "tests": tests_json,
-        "cpu_seconds": cpu_seconds,
-        "n_total": len(universe),
-        "n_covered": phases["rnd"] + phases["3-ph"] + phases["sim"],
-        "n_random": phases["rnd"],
-        "n_three_phase": phases["3-ph"],
-        "n_fault_sim": phases["sim"],
-        "n_undetectable": by_status["undetectable"],
-        "n_aborted": by_status["aborted"],
-    }
+    result = Flow([ReplayStage(build_replay_plan(cohorts, docs))]).run(
+        circuit, options, faults=list(universe), cssg=CssgSummary(**docs[0]["cssg"])
+    )
+    result.cpu_seconds = cpu_seconds
+    return result.to_json_dict()
 
 
 # -- CSSG structural cache ---------------------------------------------

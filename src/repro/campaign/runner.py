@@ -276,8 +276,8 @@ def execute_job_incremental(
     Returns ``(payload, live_result_or_None, stats_or_None)``:
 
     * every cohort cached → **pure merge**: the payload is reassembled
-      from the partials without building a CSSG or running the flow
-      (``live_result`` is None);
+      from the partials by a replay-only flow run, without building a
+      CSSG (``live_result`` is None);
     * some cohorts stale, or an empty fault universe (no cohorts, so
       nothing to merge from) → one :class:`~repro.flow.Flow` run over the
       full universe with a leading
@@ -333,7 +333,7 @@ def execute_job_incremental(
     stats.faults_executed = sum(len(c.faults) for c in stale)
 
     if cohorts and not stale:
-        # Pure merge: no CSSG, no flow — reassemble the payload.
+        # Pure merge: no CSSG, no generating stage.
         payload = _cohort.merge_payload(
             circuit,
             opts,
@@ -450,6 +450,17 @@ def _maybe_crash_for_test(job: Job) -> None:
         os._exit(3)  # simulate a native crash: no exception, no cleanup
 
 
+def _incremental_store(incremental: bool, cache_root) -> Optional[ResultStore]:
+    """The store incremental jobs resolve cohorts through, opened the
+    same way in-process and in every worker.  ``track_stats``: cohort
+    and CSSG lookups are the incremental layer's whole point, and their
+    hit/miss ledger (capped ``stats.log``) is what ``repro-cache stats``
+    and the serve /metrics gauges report."""
+    if not incremental or cache_root is None:
+        return None
+    return ResultStore(cache_root, track_stats=True)
+
+
 def _worker_main(
     wid: int,
     task_q,
@@ -487,14 +498,7 @@ def _worker_main(
     :class:`ResultStore`; the cohort-reuse stats ride as a sixth
     ``done``-event element so the *parent* folds them into its registry
     exactly once."""
-    # track_stats: cohort/cssg lookups are the incremental layer's whole
-    # point — their hit/miss ledger (capped stats.log) is what
-    # ``repro-cache stats`` and the serve /metrics gauges report.
-    inc_store = (
-        ResultStore(cache_root, track_stats=True)
-        if incremental and cache_root
-        else None
-    )
+    inc_store = _incremental_store(incremental, cache_root)
     while True:
         item = task_q.get()
         if item is None:
@@ -909,7 +913,9 @@ def run_campaign(
             pending.append(job)
 
     if workers == 0:
-        job_store = store if incremental else None
+        job_store = _incremental_store(
+            incremental, None if store is None else store.root
+        )
         cssg_memo: Dict = {}
         last_group: Optional[str] = None
         for job in pending:

@@ -14,7 +14,7 @@ module keeps the *data contract* every consumer shares:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 
@@ -22,7 +22,7 @@ from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.core.sequences import Test, TestSet
 from repro.core.three_phase import DETECTED, UNDETECTABLE
-from repro.sgraph.cssg import Cssg, build_cssg
+from repro.sgraph.cssg import Cssg, CssgSummary, build_cssg
 
 
 #: Version of the :meth:`AtpgResult.to_json_dict` schema.  Bump whenever
@@ -154,27 +154,6 @@ class FaultStatus:
         )
 
 
-@dataclass(frozen=True)
-class CssgSummary:
-    """The CSSG facts a serialized result keeps: enough for reports and
-    :meth:`AtpgResult.summary`, without the full state graph.
-
-    ``method`` is the *resolved* construction method ("auto" never
-    appears here); the remaining fields are the symbolic-kernel metrics,
-    zero when an explicit builder ran."""
-
-    k: int
-    reset: int
-    n_states: int
-    n_edges: int
-    method: str = ""
-    n_tcsg_states: int = 0
-    peak_bdd_nodes: int = 0
-    n_gc_passes: int = 0
-    n_reorders: int = 0
-    n_image_iterations: int = 0
-
-
 @dataclass
 class AtpgResult:
     """Everything one Table 1/2 row needs, plus the tests themselves."""
@@ -230,12 +209,9 @@ class AtpgResult:
     def abort_reasons(self) -> Dict[str, int]:
         """Histogram of :attr:`FaultStatus.reason` over aborted faults,
         e.g. ``{"budget": 12, "product-states": 1}``."""
-        counts: Dict[str, int] = {}
-        for status in self.statuses.values():
-            if status.status != DETECTED and status.status != UNDETECTABLE:
-                key = status.reason or "unknown"
-                counts[key] = counts.get(key, 0) + 1
-        return dict(sorted(counts.items()))
+        return abort_histogram(
+            (status.status, status.reason) for status in self.statuses.values()
+        )
 
     # -- JSON contract (the campaign result cache stores exactly this) --
 
@@ -246,6 +222,9 @@ class AtpgResult:
         ``cpu_seconds`` (and the opt-in ``telemetry`` block, which
         carries wall-clock data and is only present for observed
         runs)."""
+        cssg = self.cssg
+        if isinstance(cssg, Cssg):
+            cssg = cssg.summary()
         doc = {
             "schema_version": RESULT_SCHEMA_VERSION,
             "circuit": {
@@ -254,18 +233,8 @@ class AtpgResult:
                 "n_signals": self.circuit.n_signals,
             },
             "options": self.options.to_json_dict(),
-            "cssg": {
-                "k": self.cssg.k,
-                "reset": self.cssg.reset,
-                "n_states": self.cssg.n_states,
-                "n_edges": self.cssg.n_edges,
-                "method": self.cssg.method,
-                "n_tcsg_states": self.cssg.n_tcsg_states,
-                "peak_bdd_nodes": self.cssg.peak_bdd_nodes,
-                "n_gc_passes": self.cssg.n_gc_passes,
-                "n_reorders": self.cssg.n_reorders,
-                "n_image_iterations": self.cssg.n_image_iterations,
-            },
+            # asdict's result for a flat dataclass, without its deep copy.
+            "cssg": dict(vars(cssg)),
             "faults": [f.to_json() for f in self.faults],
             "statuses": [self.statuses[f].to_json_dict() for f in self.faults],
             "tests": [t.to_json_dict() for t in self.tests],
@@ -305,22 +274,10 @@ class AtpgResult:
         faults = [Fault.from_json(f) for f in data["faults"]]
         statuses = [FaultStatus.from_json_dict(s) for s in data["statuses"]]
         tests = TestSet(circuit, [Test.from_json_dict(t) for t in data["tests"]])
-        g = data["cssg"]
         return AtpgResult(
             circuit=circuit,
             options=AtpgOptions.from_json_dict(data["options"]),
-            cssg=CssgSummary(
-                k=int(g["k"]),
-                reset=int(g["reset"]),
-                n_states=int(g["n_states"]),
-                n_edges=int(g["n_edges"]),
-                method=str(g.get("method", "")),
-                n_tcsg_states=int(g.get("n_tcsg_states", 0)),
-                peak_bdd_nodes=int(g.get("peak_bdd_nodes", 0)),
-                n_gc_passes=int(g.get("n_gc_passes", 0)),
-                n_reorders=int(g.get("n_reorders", 0)),
-                n_image_iterations=int(g.get("n_image_iterations", 0)),
-            ),
+            cssg=CssgSummary(**data["cssg"]),
             faults=faults,
             statuses={s.fault: s for s in statuses},
             tests=tests,
@@ -332,6 +289,18 @@ class AtpgResult:
             n_aborted=int(data["n_aborted"]),
             telemetry=data.get("telemetry"),
         )
+
+
+def abort_histogram(verdicts: Iterable[Tuple[str, str]]) -> Dict[str, int]:
+    """Abort-reason histogram over ``(status, reason)`` verdict pairs,
+    reason-sorted; an aborted fault without a reason counts as
+    ``"unknown"``."""
+    counts: Dict[str, int] = {}
+    for status, reason in verdicts:
+        if status != DETECTED and status != UNDETECTABLE:
+            key = reason or "unknown"
+            counts[key] = counts.get(key, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def resolve_cssg_method(circuit: Circuit, opts: AtpgOptions) -> str:

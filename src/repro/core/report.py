@@ -3,6 +3,11 @@
 Each row: benchmark name, output stuck-at tot/cov, input stuck-at
 tot/cov, then the input-model detections split into the random ("rnd"),
 3-phase ("3-ph") and fault-simulation ("sim") steps, and CPU seconds.
+
+:func:`payload_row` is the one row builder: it reads serialized result
+payloads, so campaign artifacts (cached payloads) and
+:func:`result_row` (live results, serialized first) fill every column
+the same way.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.atpg import AtpgResult
+from repro.core.atpg import AtpgResult, abort_histogram
 
 
 @dataclass
@@ -152,49 +157,71 @@ def telemetry_columns(telemetry: Optional[Dict]) -> Dict[str, object]:
     }
 
 
+def payload_row(
+    name: str,
+    out_payload: Optional[Dict],
+    in_payload: Optional[Dict],
+    extra_payloads: Optional[Dict[str, Dict]] = None,
+) -> TableRow:
+    """One table row from the serialized results
+    (:meth:`AtpgResult.to_json_dict`) of a variant's fault-model runs;
+    any may be absent.  The two stuck-at runs keep their historical
+    dedicated columns; other registered models (``extra_payloads``,
+    keyed by model name) fold into the compact ``models`` column.  The
+    stored ``n_total`` / ``n_covered`` fields are authoritative; the
+    coverage arithmetic lives in :class:`AtpgResult`, not here."""
+    extras = extra_payloads or {}
+    anchor = in_payload or out_payload or next(iter(extras.values()), {})
+    cssg = anchor.get("cssg", {})
+    out, inp = out_payload or {}, in_payload or {}
+    reasons = abort_histogram(
+        (s["status"], s["reason"]) for s in inp.get("statuses", ())
+    )
+    return TableRow(
+        name=name,
+        out_tot=out.get("n_total", 0),
+        out_cov=out.get("n_covered", 0),
+        in_tot=inp.get("n_total", 0),
+        in_cov=inp.get("n_covered", 0),
+        rnd=inp.get("n_random", 0),
+        three_ph=inp.get("n_three_phase", 0),
+        sim=inp.get("n_fault_sim", 0),
+        cpu=out.get("cpu_seconds", 0.0)
+        + inp.get("cpu_seconds", 0.0)
+        + sum(p["cpu_seconds"] for p in extras.values()),
+        aborted=inp.get("n_aborted", 0),
+        abort_reasons=",".join(f"{k}:{v}" for k, v in reasons.items()),
+        cssg_method=cssg.get("method", ""),
+        cssg_states=cssg.get("n_states", 0),
+        cssg_edges=cssg.get("n_edges", 0),
+        tcsg_states=cssg.get("n_tcsg_states", 0),
+        peak_bdd_nodes=cssg.get("peak_bdd_nodes", 0),
+        gc_passes=cssg.get("n_gc_passes", 0),
+        reorders=cssg.get("n_reorders", 0),
+        image_iters=cssg.get("n_image_iterations", 0),
+        models=format_model_counts(
+            {m: (p["n_covered"], p["n_total"]) for m, p in extras.items()}
+        ),
+        **telemetry_columns(inp.get("telemetry")),
+    )
+
+
 def result_row(
     name: str,
     output_result: Optional[AtpgResult],
     input_result: AtpgResult,
     extra_results: Optional[Dict[str, AtpgResult]] = None,
 ) -> TableRow:
-    """Combine the fault-model runs of one benchmark into a row.
-
-    ``extra_results`` maps non-stuck-at model names (``bridging``,
-    ``transition``, ...) to their results; they land in the compact
-    :attr:`TableRow.models` column."""
-    reasons = input_result.abort_reasons()
-    cssg = input_result.cssg
-    models = format_model_counts(
-        {
-            model: (res.n_covered, res.n_total)
-            for model, res in (extra_results or {}).items()
-        }
-    )
-    return TableRow(
-        name=name,
-        out_tot=output_result.n_total if output_result else 0,
-        out_cov=output_result.n_covered if output_result else 0,
-        in_tot=input_result.n_total,
-        in_cov=input_result.n_covered,
-        rnd=input_result.n_random,
-        three_ph=input_result.n_three_phase,
-        sim=input_result.n_fault_sim,
-        cpu=(input_result.cpu_seconds
-             + (output_result.cpu_seconds if output_result else 0.0)
-             + sum(r.cpu_seconds for r in (extra_results or {}).values())),
-        aborted=input_result.n_aborted,
-        abort_reasons=",".join(f"{k}:{v}" for k, v in reasons.items()),
-        cssg_method=cssg.method,
-        cssg_states=cssg.n_states,
-        cssg_edges=cssg.n_edges,
-        tcsg_states=cssg.n_tcsg_states,
-        peak_bdd_nodes=cssg.peak_bdd_nodes,
-        gc_passes=cssg.n_gc_passes,
-        reorders=cssg.n_reorders,
-        image_iters=cssg.n_image_iterations,
-        models=models,
-        **telemetry_columns(input_result.telemetry),
+    """:func:`payload_row` over live results: combine the fault-model
+    runs of one benchmark into a row.  ``extra_results`` maps
+    non-stuck-at model names (``bridging``, ``transition``, ...) to
+    their results; they land in the compact :attr:`TableRow.models`
+    column."""
+    return payload_row(
+        name,
+        output_result.to_json_dict() if output_result else None,
+        input_result.to_json_dict(),
+        {m: r.to_json_dict() for m, r in (extra_results or {}).items()},
     )
 
 

@@ -48,7 +48,7 @@ instead, the fault is reported aborted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit

@@ -105,7 +105,9 @@ class Flow:
 
         ``faults`` defaults to the full universe of
         ``options.fault_model``; ``cssg`` may be passed in to share one
-        construction across runs (the campaign runner does).  ``budget``
+        construction across runs (the campaign runner does), and a
+        replay-only flow needs no more than a
+        :class:`~repro.sgraph.cssg.CssgSummary`.  ``budget``
         overrides the one ``options`` implies (deadline + per-fault
         caps) — mainly for tests that inject a fake clock.
         """

@@ -38,12 +38,12 @@ from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 from repro.circuit.faults import Fault
 from repro.core.random_tpg import random_tpg
 from repro.core.sequences import Test
+from repro.core.verify import verify_test_set
 from repro.core.three_phase import ABORTED, DETECTED, UNDETECTABLE
 from repro.flow.budget import REASON_BUDGET
 from repro.flow.context import RunContext
 from repro.flow.events import BudgetExhausted, ProgressTick
 from repro.sgraph.cssg import Cssg
-from repro.sim.engine import engine_for
 
 __all__ = [
     "Stage",
@@ -334,20 +334,14 @@ def fault_simulate(
 ) -> List[Fault]:
     """Parallel-ternary simulation of one test over many faults (§5.4).
 
-    Returns the subset of ``faults`` the sequence definitely detects.
-    The conservativeness of ternary simulation may miss detections; the
+    Returns the subset of ``faults`` the sequence definitely detects,
+    in ``faults`` order, graded by one
+    :func:`~repro.core.verify.verify_test_set` replay.  The
+    conservativeness of ternary simulation may miss detections; the
     paper accepts this because missed faults still get their own 3-phase
     run later (§5.4, last paragraph).
     """
     if not faults:
         return []
-    walk = engine_for(cssg.circuit, faults).walk(cssg.reset)
-    good = cssg.reset
-    detected = walk.observe(good)
-    for pattern in patterns:
-        nxt = cssg.successor(good, pattern)
-        if nxt is None:
-            break
-        good = nxt
-        detected |= walk.step(pattern, good)
-    return [f for j, f in enumerate(faults) if (detected >> j) & 1]
+    hits = verify_test_set(cssg, [Test(tuple(patterns), [])], faults).per_test[0]
+    return [f for f in faults if f in hits]

@@ -18,7 +18,7 @@ post-R_I state, since distinct (state, pattern) pairs can coincide there.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     Dict,
     Iterable,
@@ -68,6 +68,37 @@ class CssgStats:
     n_cache_lookups: int = 0
 
 
+@dataclass(frozen=True)
+class CssgSummary:
+    """The CSSG facts a serialized result keeps: enough for reports and
+    :meth:`repro.core.atpg.AtpgResult.summary`, without the full state
+    graph.  Field order is the payload's ``cssg`` block key order.
+
+    ``method`` is the *resolved* construction method ("auto" never
+    appears here); the remaining fields are the symbolic-kernel metrics,
+    zero when an explicit builder ran.  Every field after ``n_edges``
+    is the :class:`CssgStats` field of the same name."""
+
+    k: int
+    reset: int
+    n_states: int
+    n_edges: int
+    method: str = ""
+    n_tcsg_states: int = 0
+    peak_bdd_nodes: int = 0
+    n_gc_passes: int = 0
+    n_reorders: int = 0
+    n_image_iterations: int = 0
+
+
+#: The :class:`CssgStats` fields a :class:`CssgSummary` keeps.
+_SUMMARY_STATS = tuple(
+    f.name
+    for f in fields(CssgSummary)
+    if f.name in {s.name for s in fields(CssgStats)}
+)
+
+
 @dataclass
 class Cssg:
     """The synchronous finite-state abstraction of an async circuit."""
@@ -87,34 +118,21 @@ class Cssg:
     def n_edges(self) -> int:
         return sum(len(e) for e in self.edges.values())
 
-    # The facts below mirror :class:`repro.core.atpg.CssgSummary` so a
-    # live graph and a deserialized summary are duck-interchangeable for
-    # reports.
-
     @property
     def method(self) -> str:
         """The validity analysis that built this graph (see stats)."""
         return self.stats.method
 
-    @property
-    def n_tcsg_states(self) -> int:
-        return self.stats.n_tcsg_states
-
-    @property
-    def peak_bdd_nodes(self) -> int:
-        return self.stats.peak_bdd_nodes
-
-    @property
-    def n_gc_passes(self) -> int:
-        return self.stats.n_gc_passes
-
-    @property
-    def n_reorders(self) -> int:
-        return self.stats.n_reorders
-
-    @property
-    def n_image_iterations(self) -> int:
-        return self.stats.n_image_iterations
+    def summary(self) -> CssgSummary:
+        """This graph's :class:`CssgSummary`: its size plus the stats
+        fields the summary names."""
+        return CssgSummary(
+            k=self.k,
+            reset=self.reset,
+            n_states=self.n_states,
+            n_edges=self.n_edges,
+            **{name: getattr(self.stats, name) for name in _SUMMARY_STATS},
+        )
 
     def valid_patterns(self, state: int) -> Dict[int, int]:
         """Map {input pattern: successor stable state} for ``state``."""

@@ -424,6 +424,22 @@ def test_incremental_campaign_matches_plain_at_both_worker_counts(
     assert totals[0, "cold"]["executed"] == totals[0, "cold"]["planned"]
 
 
+def test_in_process_incremental_campaign_records_cohort_lookups(tmp_path):
+    """``workers=0`` opens its incremental store like a worker does, so
+    the cohort lookup ledger does not depend on the worker count: a
+    cold campaign on a fresh store logs one miss per cohort."""
+    from repro.campaign import run_campaign
+
+    jobs = expand(CampaignSpec(benchmarks=["dff", "hazard"]))
+    report = run_campaign(
+        jobs, workers=0, store=ResultStore(tmp_path), incremental=True
+    )
+    n_cohorts = sum(o.incremental["cohorts_total"] for o in report.outcomes)
+    lookups = ResultStore(tmp_path).stats()["classes"]["cohorts"]["lookups"]
+    assert n_cohorts > 0
+    assert (lookups["hits"], lookups["misses"]) == (0, n_cohorts)
+
+
 # -- store satellites --------------------------------------------------
 
 

@@ -95,3 +95,25 @@ def test_to_json_round_trips_rows():
     data = json.loads(to_json(rows))
     assert data == [rows[0].to_dict()]
     assert data[0]["in_fc"] == 0.9
+
+
+def test_campaign_rows_match_result_row_on_aborted_runs():
+    """Campaign rows and ``result_row`` come from one builder: on a
+    deadline-cut two-model campaign they agree in every column but
+    ``cpu``, the abort ledger included."""
+    from dataclasses import replace
+
+    from repro.campaign import run_campaign
+    from repro.campaign.artifacts import rows_from_outcomes
+    from repro.campaign.plan import CampaignSpec, expand
+
+    spec = CampaignSpec(
+        benchmarks=["ebergen"], options=AtpgOptions(deadline_seconds=0.0)
+    )
+    report = run_campaign(expand(spec), workers=0, store=None)
+    (row,) = rows_from_outcomes(report.outcomes)
+    result = {o.job.fault_model: o.result() for o in report.outcomes}
+    expected = result_row(row.name, result["output"], result["input"])
+    assert row.aborted == result["input"].n_aborted > 0
+    assert row.abort_reasons == f"budget:{row.aborted}"
+    assert replace(row, cpu=0.0) == replace(expected, cpu=0.0)

@@ -10,7 +10,6 @@ from repro.core.atpg import (
     RESULT_SCHEMA_VERSION,
     AtpgOptions,
     AtpgResult,
-    CssgSummary,
     FaultStatus,
 )
 from repro.core.sequences import Test
@@ -115,18 +114,7 @@ def test_result_round_trip_equality(ebergen_result):
         result.n_covered,
         result.coverage,
     )
-    assert back.cssg == CssgSummary(
-        k=result.cssg.k,
-        reset=result.cssg.reset,
-        n_states=result.cssg.n_states,
-        n_edges=result.cssg.n_edges,
-        method=result.cssg.method,
-        n_tcsg_states=result.cssg.n_tcsg_states,
-        peak_bdd_nodes=result.cssg.peak_bdd_nodes,
-        n_gc_passes=result.cssg.n_gc_passes,
-        n_reorders=result.cssg.n_reorders,
-        n_image_iterations=result.cssg.n_image_iterations,
-    )
+    assert back.cssg == result.cssg.summary()
     assert back.summary() == result.summary()
 
 
