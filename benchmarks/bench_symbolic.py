@@ -1,27 +1,14 @@
-"""Symbolic-kernel benchmarks: new engine vs the seed BDD manager.
+"""Symbolic CSSG benchmark: explicit exact vs symbolic construction.
 
-Two experiments, results written to ``benchmarks/out/BENCH_symbolic.json``
-so the BENCH_* trajectory tracking has a machine-readable record:
+Builds the CSSG of the largest bundled Table-1 specs both ways, checks
+the two graphs are equal, and writes the timings and BDD peaks to
+``benchmarks/out/BENCH_symbolic.json``.  No speed assertion: at ≤13
+signals explicit enumeration is expected to win; the JSON row records
+the trajectory as the corpus grows.  The arena kernel's answers are
+checked against the seed BDD manager in ``tests/test_symbolic_diff.py``.
 
-* **Image-computation microbench** — TCSG reachability on a
-  benchmark-shaped wide handshake (``m`` buffered request lines + a
-  completion tree).  Declaration order puts all inputs before all
-  buffers, so each (input, buffer) pair sits ``m`` levels apart — the
-  classic pattern that is exponential under a fixed variable order.
-  The seed path (:class:`SeedMonolithicTraversal`: interleaved 2n-var
-  encoding, monolithic relation, ``LegacyBddManager`` — a faithful copy
-  of the seed ``sgraph/symbolic.py``) is stuck with that order; the
-  production arena kernel starts from a DFS static order and
-  garbage-collects and sifts in place as the fixpoint grows.  A ≥6x
-  floor is asserted at m=10 (measured ~9-23x against the dict-based
-  PR-5 kernel's ~530ms reference this was ~2x), and GC must keep the
-  new kernel's peak live nodes below the seed manager's final node
-  count.
-
-* **CSSG build timing** — explicit exact vs symbolic construction on
-  the largest bundled Table-1 specs, equality-checked.  No speed
-  assertion: at ≤13 signals explicit enumeration is expected to win;
-  the JSON row records the trajectory as the corpus grows.
+``wide_handshake`` is the reorder-sensitive image workload
+``bench_observability.py`` times with telemetry armed and disarmed.
 """
 
 import json
@@ -30,20 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.bdd.legacy import FALSE, TRUE, LegacyBddManager
 from repro.benchmarks_data import load_benchmark
-from repro.circuit.expr import OP_AND, OP_NOT, OP_OR, OP_VAR, OP_XOR
 from repro.circuit.netlist import Circuit
 from repro.sgraph.cssg import build_cssg
-from repro.sgraph.symbolic import SymbolicTcsg
 
 OUT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_symbolic.json"
-
-# PR-5 reference for the trajectory record: the dict-based BddManager
-# (per-node tuples, dict unique table) ran the m=10 image microbench in
-# ~530ms against the seed's ~1060ms — barely 2x.  The flat int-array
-# arena rebuild is what buys the rest.
-_PR5_REFERENCE = {"m": 10, "new_ms": 529.7, "speedup": 2.0}
 
 _results = {}
 
@@ -66,120 +44,12 @@ def best_of(fn, reps=2):
     return elapsed, result
 
 
-class SeedMonolithicTraversal:
-    """The seed symbolic traversal, verbatim in structure: interleaved
-    current/next variables, monolithic ``R_delta`` / ``R_I`` with frame
-    conjuncts, and-exists + rename image — on :class:`LegacyBddManager`
-    (fixed variable order, no GC).  The benchmark baseline."""
-
-    def __init__(self, circuit):
-        self.circuit = circuit
-        n = circuit.n_signals
-        self.mgr = LegacyBddManager(2 * n)
-        self.n = n
-        self.gate_fn = {g.index: self._compile(g.program) for g in circuit.gates}
-        self.stable = self._stable_set()
-        self.r_delta = self._build_r_delta()
-        self.r_input = self._build_r_input()
-
-    def cur(self, i):
-        return 2 * i
-
-    def nxt(self, i):
-        return 2 * i + 1
-
-    def _compile(self, program):
-        mgr = self.mgr
-        stack = []
-        for op, arg in program:
-            if op == OP_VAR:
-                stack.append(mgr.var(self.cur(arg)))
-            elif op == OP_NOT:
-                stack.append(mgr.apply_not(stack.pop()))
-            elif op == OP_AND:
-                b, a = stack.pop(), stack.pop()
-                stack.append(mgr.apply_and(a, b))
-            elif op == OP_OR:
-                b, a = stack.pop(), stack.pop()
-                stack.append(mgr.apply_or(a, b))
-            elif op == OP_XOR:
-                b, a = stack.pop(), stack.pop()
-                stack.append(mgr.apply_xor(a, b))
-            else:
-                stack.append(TRUE if arg else FALSE)
-        return stack[0]
-
-    def state_bdd(self, state):
-        mgr = self.mgr
-        return mgr.and_all(
-            mgr.var(self.cur(i)) if (state >> i) & 1 else mgr.nvar(self.cur(i))
-            for i in range(self.n)
-        )
-
-    def _stable_set(self):
-        mgr = self.mgr
-        return mgr.and_all(
-            mgr.apply_iff(mgr.var(self.cur(g.index)), self.gate_fn[g.index])
-            for g in self.circuit.gates
-        )
-
-    def _same(self, indices):
-        mgr = self.mgr
-        return mgr.and_all(
-            mgr.apply_iff(mgr.var(self.nxt(i)), mgr.var(self.cur(i)))
-            for i in indices
-        )
-
-    def _build_r_delta(self):
-        mgr = self.mgr
-        inputs_hold = self._same(range(self.circuit.n_inputs))
-        disjuncts = []
-        all_gates = [g.index for g in self.circuit.gates]
-        for g in self.circuit.gates:
-            excited = mgr.apply_xor(
-                mgr.var(self.cur(g.index)), self.gate_fn[g.index]
-            )
-            flip = mgr.apply_xor(
-                mgr.var(self.nxt(g.index)), mgr.var(self.cur(g.index))
-            )
-            others_hold = self._same(i for i in all_gates if i != g.index)
-            disjuncts.append(mgr.and_all([excited, flip, others_hold]))
-        stable_loop = mgr.apply_and(self.stable, self._same(all_gates))
-        return mgr.apply_and(
-            inputs_hold, mgr.apply_or(mgr.or_all(disjuncts), stable_loop)
-        )
-
-    def _build_r_input(self):
-        mgr = self.mgr
-        gates_hold = self._same(g.index for g in self.circuit.gates)
-        differs = mgr.apply_not(self._same(range(self.circuit.n_inputs)))
-        return mgr.and_all([self.stable, gates_hold, differs])
-
-    def image(self, states, relation):
-        mgr = self.mgr
-        cur_vars = [self.cur(i) for i in range(self.n)]
-        img = mgr.and_exists(relation, states, cur_vars)
-        return mgr.rename(img, {self.nxt(i): self.cur(i) for i in range(self.n)})
-
-    def reachable(self):
-        mgr = self.mgr
-        reached = frontier = self.state_bdd(self.circuit.require_reset())
-        relation = mgr.apply_or(self.r_delta, self.r_input)
-        while True:
-            img = self.image(frontier, relation)
-            new = mgr.apply_and(img, mgr.apply_not(reached))
-            if new == FALSE:
-                return reached
-            reached = mgr.apply_or(reached, new)
-            frontier = new
-
-    def count(self, bdd):
-        return self.mgr.sat_count(bdd, [self.cur(i) for i in range(self.n)])
-
-
 def wide_handshake(m):
-    """``m`` buffered request lines and a completion-tree ack — the
-    reorder-sensitive image workload (see module docstring)."""
+    """``m`` buffered request lines and a completion-tree ack.
+
+    Declaration order puts all inputs before all buffers, so each
+    (input, buffer) pair sits ``m`` levels apart: the pattern that is
+    exponential under a fixed variable order."""
     c = Circuit(f"wide{m}")
     reset = {}
     for i in range(m):
@@ -193,72 +63,6 @@ def wide_handshake(m):
     c.mark_output("ack")
     c.set_reset(reset)
     return c.finalize()
-
-
-def test_kernel_image_microbench():
-    """Arena kernel ≥6x over the seed manager on reachability images,
-    with GC keeping peak live nodes below the seed's ever-growing
-    store."""
-    rows = []
-    for m, assert_floor in ((6, None), (8, None), (10, 6.0)):
-        circuit = wide_handshake(m)
-        seed_store = {}
-
-        def run_seed():
-            t = SeedMonolithicTraversal(circuit)
-            n = t.count(t.reachable())
-            seed_store["n_nodes"] = t.mgr.n_nodes
-            return n
-
-        new_store = {}
-
-        def run_new():
-            s = SymbolicTcsg(circuit, auto_gc_nodes=5_000, auto_reorder_nodes=1_000)
-            n = s.count_states(s.reachable())
-            new_store["peak"] = s.mgr.stats.peak_nodes
-            new_store["gc_passes"] = s.mgr.stats.n_gc_passes
-            new_store["reorders"] = s.mgr.stats.n_reorders
-            return n
-
-        n_seed = run_seed()
-        n_new = run_new()
-        assert n_seed == n_new  # both engines agree on the reachable count
-        t_seed, _ = best_of(run_seed)
-        t_new, _ = best_of(run_new)
-        speedup = t_seed / t_new
-        row = {
-            "m": m,
-            "n_signals": circuit.n_signals,
-            "reachable_states": n_new,
-            "seed_ms": round(1000 * t_seed, 2),
-            "new_ms": round(1000 * t_new, 2),
-            "speedup": round(speedup, 2),
-            "seed_total_nodes": seed_store["n_nodes"],
-            "new_peak_nodes": new_store["peak"],
-            "gc_passes": new_store["gc_passes"],
-            "reorders": new_store["reorders"],
-        }
-        rows.append(row)
-        print(
-            f"\nwide{m} ({circuit.n_signals} signals, {n_new} reachable): "
-            f"seed {1000 * t_seed:.1f}ms ({seed_store['n_nodes']} nodes, no GC) "
-            f"vs new {1000 * t_new:.1f}ms (peak {new_store['peak']} nodes, "
-            f"{new_store['gc_passes']} GC passes, {new_store['reorders']} "
-            f"reorders) -> {speedup:.1f}x"
-        )
-        # GC + reordering keep the working set bounded: the new kernel's
-        # high-water mark stays below the seed's ever-growing store.
-        assert new_store["gc_passes"] >= 1
-        assert new_store["peak"] < seed_store["n_nodes"]
-        if assert_floor is not None:
-            # Measured ~9-23x on an idle machine (timer noise is high on
-            # shared runners); the floor leaves generous headroom while
-            # still being far above the ~2x the PR-5 dict kernel managed.
-            assert speedup >= assert_floor, (
-                f"kernel speedup {speedup:.2f}x below the {assert_floor}x floor"
-            )
-    _results["image_microbench"] = rows
-    _results["image_microbench_pr5_reference"] = _PR5_REFERENCE
 
 
 def test_cssg_build_timing_on_largest_specs():

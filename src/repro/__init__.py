@@ -16,13 +16,13 @@ Public API quick map:
   :class:`CssgBuilder` method registry: exact / ternary / hybrid /
   symbolic), :class:`SymbolicTcsg`
 * BDD kernel — :class:`BddManager` (complement edges, unified ITE, GC,
-  in-place sifting; the seed oracle stays in :mod:`repro.bdd.legacy`)
+  in-place sifting; the seed manager is a test-only oracle)
 * STGs — :func:`parse_stg`, :func:`load_stg`, :func:`build_state_graph`,
   :func:`synthesize`
 * ATPG flow — :class:`Flow` (staged pipeline; ``Flow.default()`` is the
   paper's collapse → random TPG → 3-phase → compaction), :class:`Budget`
-  (deadline + per-fault caps), :class:`RunContext`, the typed event
-  stream (:class:`EventBus`, :mod:`repro.flow.events`) and its consumers
+  (the run deadline), :class:`RunContext`, the typed event stream
+  (:class:`EventBus`, :mod:`repro.flow.events`) and its consumers
   (:class:`ProgressLine`, :class:`Heartbeat`); options/results —
   :class:`AtpgOptions`, :class:`AtpgResult`
 * campaigns — :class:`CampaignSpec`, :func:`expand`, :func:`run_campaign`,

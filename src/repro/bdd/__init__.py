@@ -7,11 +7,10 @@ provides the production kernel: a hash-consed reduced ordered BDD
 manager with complement edges, a unified ITE apply over one int-keyed
 operation cache, quantification, the fused and-exists relational
 product, arbitrary variable substitution, mark-and-sweep garbage
-collection and in-place sifting (:mod:`repro.bdd.manager`).  The seed
-engine is preserved as ``LegacyBddManager`` in :mod:`repro.bdd.legacy`
-(not re-exported here) — the differential oracle and the benchmark
-baseline.  :mod:`repro.bdd.reorder` hosts the offline variable-order
-exploration utilities on top of the in-place machinery.
+collection and in-place sifting (:mod:`repro.bdd.manager`), the only
+BDD engine in the package; the seed engine survives with the tests as
+their differential oracle.  :mod:`repro.bdd.reorder` hosts the offline
+variable-order exploration utilities on top of the in-place machinery.
 """
 
 from repro.bdd.manager import BddManager, BddStats

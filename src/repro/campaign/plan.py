@@ -192,9 +192,9 @@ def cohort_plan(job: Job) -> List["object"]:
     fault universe partitioned by structural cone of influence, each
     with a content key over the canonicalized cone sub-netlist (see
     :mod:`repro.campaign.cohort`).  The runner computes the same
-    partition internally; this entry point exists so planning tools
-    (``repro-campaign plan``, the serve front end) can enumerate and
-    display cohort keys without executing anything.
+    partition internally; this entry point enumerates a job's cohort
+    keys without executing anything (the incremental tests and
+    ``benchmarks/bench_incremental.py`` use it).
 
     Imports lazily: plan construction must stay cheap and free of the
     circuit/flow machinery for the common cached-campaign path.

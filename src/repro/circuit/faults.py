@@ -125,10 +125,6 @@ def substitute_signal(expr, name: str, value: int):
     raise TypeError(f"unknown expression node {expr!r}")
 
 
-#: Backwards-compatible alias (pre-registry private name).
-_substitute = substitute_signal
-
-
 def materialize_fault(circuit: Circuit, fault: Fault) -> Circuit:
     """Build the faulty circuit as a real netlist, dispatching to the
     fault's model.  The signal order, outputs and ``k`` are preserved,

@@ -73,15 +73,6 @@ def collapse_faults(
     return representatives, representative_of
 
 
-def _faulty_table(circuit: Circuit, gate, fault: Fault) -> Tuple[int, ...]:
-    """Pre-registry helper kept for compatibility: the stuck-at faulty
-    truth table over the gate's support (now owned by the stuck-at
-    models)."""
-    from repro.faultmodels import model_for_kind
-
-    return model_for_kind(fault.kind)._faulty_table(gate, fault)
-
-
 def collapse_ratio(n_total: int, n_representatives: int) -> float:
     """Fraction of per-fault work saved by collapsing."""
     if n_total == 0:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro._bits import iter_set_bits
 from repro.circuit.faults import Fault
 from repro.core.sequences import Test
 from repro.sgraph.cssg import Cssg
@@ -111,7 +112,7 @@ def random_tpg(
             last_useful = walk_new[-1][0]
             covered: List[Fault] = []
             for _, mask in walk_new:
-                for j in _bits(mask):
+                for j in iter_set_bits(mask):
                     fault = faults[j]
                     covered.append(fault)
                     detected_by[fault] = tuple(patterns[:last_useful])
@@ -119,19 +120,12 @@ def random_tpg(
                 Test(tuple(patterns[:last_useful]), covered, source="random")
             )
         elif undetected and prove_undetectable is not None:
-            proven = prove_undetectable([faults[j] for j in _bits(undetected)])
+            proven = prove_undetectable(
+                [faults[j] for j in iter_set_bits(undetected)]
+            )
             prove_undetectable = None  # one proof per run
             for fault in proven:
                 undetected &= ~(1 << bit_of[fault])
         if on_walk is not None:
             on_walk(walk_index, len(detected_by))
     return detected_by, tests
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1

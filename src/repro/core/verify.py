@@ -19,6 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
+from repro.core.atpg import cssg_for
 from repro.core.sequences import Test
 from repro.sgraph.cssg import Cssg
 from repro.sim.engine import engine_for
@@ -96,7 +97,13 @@ def verify_test_set(
 
 def audit_result(result, faults: Optional[Sequence[Fault]] = None) -> VerificationReport:
     """Audit an :class:`~repro.core.atpg.AtpgResult` against its own
-    fault universe (or a caller-supplied list)."""
+    fault universe (or a caller-supplied list).
+
+    A deserialized result carries only a CSSG summary, so its graph is
+    rebuilt the way the flow built it."""
     if faults is None:
         faults = result.faults
-    return verify_test_set(result.cssg, result.tests, faults)
+    cssg = result.cssg
+    if not isinstance(cssg, Cssg):
+        cssg = cssg_for(result.circuit, result.options)
+    return verify_test_set(cssg, result.tests, faults)

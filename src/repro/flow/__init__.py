@@ -11,9 +11,9 @@ monolith:
   ``enabled(ctx)`` / ``run(ctx)``;
 * :mod:`repro.flow.context` — :class:`RunContext`: the circuit, CSSG,
   fault ledger, test set, seeded RNG and budget every stage shares;
-* :mod:`repro.flow.budget` — :class:`Budget`: wall-clock deadline plus
-  per-fault effort caps, honored cooperatively (a bounded run yields a
-  valid partial result, remainder ``aborted``/``"budget"``);
+* :mod:`repro.flow.budget` — :class:`Budget`: the wall-clock deadline,
+  honored cooperatively (a bounded run yields a valid partial result,
+  remainder ``aborted``/``"budget"``);
 * :mod:`repro.flow.events` — the typed event stream
   (``StageStarted`` … ``BudgetExhausted``) and :class:`EventBus`;
 * :mod:`repro.flow.consumers` — ready-made listeners:

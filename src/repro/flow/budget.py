@@ -1,4 +1,4 @@
-"""Run budgets: wall-clock deadline plus per-fault effort caps.
+"""Run budgets: the wall-clock deadline of one flow run.
 
 A :class:`Budget` travels with the :class:`~repro.flow.context.RunContext`
 and is honored *cooperatively*: stages poll :meth:`Budget.expired` at
@@ -7,10 +7,11 @@ faults) and wind down cleanly when the deadline passes, so a bounded run
 always yields a valid partial :class:`~repro.core.atpg.AtpgResult` with
 the untried remainder classified ``aborted`` / reason ``"budget"``.
 
-The per-fault caps (``max_product_states``, ``max_activation_tries``)
-bound the deterministic generator's effort on any single fault; the
-deadline bounds the whole run.  ``clock`` is injectable so tests can
-drive expiry deterministically.
+The deadline bounds the whole run.  The per-fault effort caps are not
+part of the budget: the deterministic generator reads them from
+:class:`~repro.core.atpg.AtpgOptions` (``max_product_states``,
+``max_activation_tries``), their one source.  ``clock`` is injectable
+so tests can drive expiry deterministically.
 """
 
 from __future__ import annotations
@@ -71,8 +72,6 @@ class Budget:
     """
 
     deadline_seconds: Optional[float] = None
-    max_product_states: int = 200_000
-    max_activation_tries: int = 8
     clock: Callable[[], float] = field(
         default=time.perf_counter, repr=False, compare=False
     )
@@ -81,11 +80,7 @@ class Budget:
     @staticmethod
     def from_options(options) -> "Budget":
         """The budget an :class:`~repro.core.atpg.AtpgOptions` implies."""
-        return Budget(
-            deadline_seconds=options.deadline_seconds,
-            max_product_states=options.max_product_states,
-            max_activation_tries=options.max_activation_tries,
-        )
+        return Budget(deadline_seconds=options.deadline_seconds)
 
     def start(self) -> "Budget":
         self._t0 = self.clock()

@@ -87,12 +87,12 @@ class RunContext:
             if self._generator is None:
                 self._generator = ThreePhaseGenerator(
                     self.cssg,
-                    self.budget.max_product_states,
+                    self.options.max_product_states,
                     faulty_semantics=self.options.faulty_semantics,
                     faults=self.work_list,
                 )
             outcome = self._generator.generate(
-                fault, self.budget.max_activation_tries
+                fault, self.options.max_activation_tries
             )
             self._outcomes[fault] = outcome
         return outcome

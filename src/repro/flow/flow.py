@@ -108,8 +108,9 @@ class Flow:
         construction across runs (the campaign runner does), and a
         replay-only flow needs no more than a
         :class:`~repro.sgraph.cssg.CssgSummary`.  ``budget``
-        overrides the one ``options`` implies (deadline + per-fault
-        caps) — mainly for tests that inject a fake clock.
+        overrides the deadline ``options`` implies — mainly for tests
+        that inject a fake clock; the per-fault caps always come from
+        ``options``.
         """
         from repro.obs import metrics as obs_metrics
         from repro.obs.trace import active as tracing_active, get_tracer

@@ -1,9 +1,9 @@
 """Per-request QoS: the flow's budgets turned into service limits.
 
 A single-user run bounds itself with a :class:`~repro.flow.budget.Budget`
-(wall-clock deadline + per-fault effort caps).  A multi-tenant server
-needs the same levers *per request*, plus admission control so one
-client cannot starve the rest:
+(wall-clock deadline) and the per-fault effort caps in its options.  A
+multi-tenant server needs the same levers *per request*, plus admission
+control so one client cannot starve the rest:
 
 * **deadline ceiling** — every submitted job runs under
   ``min(requested, max_deadline_seconds)`` (see

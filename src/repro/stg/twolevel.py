@@ -9,21 +9,19 @@ Quine–McCluskey merge over ON and DC would walk nearly all 2^nv codes.
 
 Cubes are (ones, dashes) pairs over ``nv`` variables: a dash bit means
 the variable is absent from the product term; otherwise the ``ones`` bit
-gives its polarity.  Three cover flavours are offered:
+gives its polarity.  Two cover flavours are offered:
 
 * ``compute_primes`` — all prime implicants (the *complete sum*); used by
   the SIS-style back end, whose extra primes model the redundancy SIS
   introduces for hazard freedom (paper §6: redundant circuits test badly);
 * ``irredundant_cover`` — essential primes plus a greedy set cover; used
-  by the speed-independent complex-gate back end;
-* ``exact_cover`` — branch-and-bound minimum cover, practical for the
-  benchmark sizes and used by tests as ground truth.
+  by the speed-independent complex-gate back end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -210,41 +208,6 @@ def hazard_aware_cover(
     return sorted(pruned), uncoverable
 
 
-def exact_cover(primes: Sequence[Cube], on: Iterable[int]) -> List[Cube]:
-    """Minimum-cardinality prime cover via branch and bound (test oracle)."""
-    on = sorted(set(on))
-    if not on:
-        return []
-    cov = _coverage(primes, set(on))
-    best: Optional[List[Cube]] = None
-
-    def search(remaining: FrozenSet[int], chosen: List[Cube]):
-        nonlocal best
-        if best is not None and len(chosen) >= len(best):
-            return
-        if not remaining:
-            best = list(chosen)
-            return
-        # Branch on the hardest minterm (fewest covering primes).
-        m = min(remaining, key=lambda x: sum(1 for p in primes if x in cov[p]))
-        for p in primes:
-            if m in cov[p]:
-                search(remaining - cov[p], chosen + [p])
-
-    search(frozenset(on), [])
-    assert best is not None
-    return sorted(best)
-
-
 def cover_eval(cover: Sequence[Cube], minterm: int) -> int:
     """Evaluate a cover at a minterm (1 when any cube covers it)."""
     return 1 if any(c.covers(minterm) for c in cover) else 0
-
-
-def verify_cover(
-    cover: Sequence[Cube], on: Iterable[int], off: Iterable[int]
-) -> bool:
-    """True when the cover is 1 on all of ON and 0 on all of OFF."""
-    return all(cover_eval(cover, m) for m in on) and not any(
-        cover_eval(cover, m) for m in off
-    )

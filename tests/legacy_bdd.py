@@ -1,12 +1,11 @@
-"""The seed ROBDD manager, preserved as a differential/benchmark oracle.
+"""The seed ROBDD manager, kept with the tests as a differential oracle.
 
 This is the original "clarity-first" engine: no complement edges, no
 garbage collection, no reordering, tuple-keyed per-operation caches, and
 :meth:`LegacyBddManager.rename` restricted to order-preserving maps.
 The production kernel lives in :mod:`repro.bdd.manager`;
-``benchmarks/bench_symbolic.py`` times the two against each other on an
-image-computation workload, and the differential tests use this manager
-as an independent implementation to cross-check results.
+``tests/test_symbolic_diff.py`` uses this manager as an independent
+implementation to cross-check its results.
 
 Design notes (unchanged from the seed):
 

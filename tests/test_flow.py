@@ -152,6 +152,18 @@ def test_product_state_cap_reports_reason():
     assert set(result.abort_reasons()) == {"product-states"}
 
 
+def test_explicit_budget_keeps_the_options_caps():
+    """An explicit ``Budget`` bounds only the deadline: the per-fault
+    caps still come from ``options``."""
+    circuit = load_benchmark("vbe6a", "two-level")
+    options = AtpgOptions(seed=0, max_product_states=1, use_random_tpg=False)
+    implied = Flow.default().run(circuit, options)
+    explicit = Flow.default().run(circuit, options, budget=Budget())
+    assert explicit.n_aborted == implied.n_aborted > 0
+    assert explicit.abort_reasons() == implied.abort_reasons()
+    assert explicit.n_undetectable == implied.n_undetectable
+
+
 # -- event stream ------------------------------------------------------------
 
 

@@ -1,18 +1,20 @@
 """Layering: the seed oracles stay out of the production namespaces.
 
-The seed's sweep simulators (:mod:`repro.fuzz.reference`) and BDD
-manager (:mod:`repro.bdd.legacy`) are differential references for the
-tests, benchmarks and the fuzzer.  No production module may import
-them, directly or through a package re-export.
+The seed's sweep simulators (:mod:`repro.fuzz.reference`) are the
+differential reference for the tests, benchmarks and the ``repro-fuzz``
+CLI, which ships them.  No production module may import them, directly
+or through a package re-export.  The seed BDD manager is a test-only
+oracle (``tests/legacy_bdd.py``) and does not ship in ``repro`` at all.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import repro
 
 SRC = Path(repro.__file__).resolve().parent
-ORACLES = {"repro.fuzz.reference", "repro.bdd.legacy"}
+ORACLES = {"repro.fuzz.reference"}
 
 
 def _imported_modules(tree):
@@ -39,3 +41,4 @@ def test_production_modules_do_not_import_the_seed_oracles():
             if any(name == o or name.startswith(o + ".") for o in ORACLES):
                 offenders.append(f"{rel}: {name}")
     assert offenders == []
+    assert importlib.util.find_spec("repro.bdd.legacy") is None

@@ -7,18 +7,21 @@ states, edges and reset.  A second battery squeezes the symbolic build
 through a tiny GC threshold to prove collection never changes results.
 A third battery mirrors one op sequence (gate functions, quantification,
 relational products, renames) on the arena :class:`BddManager` and the
-seed :class:`LegacyBddManager`, comparing function *semantics*
-(truth vectors and model counts) — with mark-and-sweep collections and
-in-place sifts fired mid-sequence on the arena side only, which must
-not change any answer.
+seed :class:`LegacyBddManager` (kept in ``tests/legacy_bdd.py``),
+comparing function *semantics* (truth vectors and model counts) — with
+mark-and-sweep collections and in-place sifts fired mid-sequence on the
+arena side only, which must not change any answer.  A fourth pins the
+TCSG reachable counts the seed manager gave on a reorder-sensitive wide
+handshake.
 """
 
 import random
 
 import pytest
+from legacy_bdd import LegacyBddManager
 
-from repro.bdd.legacy import LegacyBddManager
 from repro.bdd.manager import BddManager
+from repro.benchmarks_data import load_benchmark
 from repro.circuit.expr import OP_AND, OP_NOT, OP_OR, OP_VAR, OP_XOR
 from repro.circuit.netlist import Circuit
 from repro.sgraph.cssg import build_cssg
@@ -221,10 +224,11 @@ def test_random_netlists_arena_bdd_equals_legacy(seed):
     got = _mirror_ops(arena, circuit, _arena_checkpoint)
     want = _mirror_ops(legacy, circuit, lambda mgr, live: None)
     assert got == want
+
+
+def test_gc_pressure_on_benchmark_matches_default():
     """The largest Table-1 benchmark under a small threshold: bounded
     peak, several collections, identical graph."""
-    from repro.benchmarks_data import load_benchmark
-
     circuit = load_benchmark("vbe10b", "complex")
     relaxed = SymbolicTcsg(circuit)
     pressured = SymbolicTcsg(circuit, auto_gc_nodes=2_000)
@@ -233,3 +237,45 @@ def test_random_netlists_arena_bdd_equals_legacy(seed):
     assert a.states == b.states and a.edges == b.edges
     assert b.stats.n_gc_passes > a.stats.n_gc_passes
     assert b.stats.peak_bdd_nodes <= a.stats.peak_bdd_nodes
+
+
+# -- reachable counts on a reorder-sensitive wide handshake ---------------
+
+
+def wide_handshake(m):
+    """``m`` buffered request lines and a completion-tree ack.
+
+    Declaration order puts all inputs before all buffers, so each
+    (input, buffer) pair sits ``m`` levels apart: the pattern that is
+    exponential under a fixed variable order, which the arena kernel
+    escapes by sifting."""
+    c = Circuit(f"wide{m}")
+    reset = {}
+    for i in range(m):
+        c.add_input(f"I{i}")
+        reset[f"I{i}"] = 0
+    for i in range(m):
+        c.add_gate(f"b{i}", gtype="BUF", inputs=[f"I{i}"])
+        reset[f"b{i}"] = 0
+    c.add_gate("ack", expr=" & ".join(f"b{i}" for i in range(m)))
+    reset["ack"] = 0
+    c.mark_output("ack")
+    c.set_reset(reset)
+    return c.finalize()
+
+
+#: TCSG reachable-state counts of ``wide_handshake(m)``, computed by the
+#: seed's monolithic traversal (interleaved 2n-variable encoding on
+#: :class:`LegacyBddManager`); each equals 4**m + 3**m - 1.
+SEED_WIDE_REACHABLE = {6: 4_824, 8: 72_096, 10: 1_107_624}
+
+
+@pytest.mark.parametrize("m", sorted(SEED_WIDE_REACHABLE))
+def test_wide_handshake_reachable_count_matches_seed(m):
+    """The arena kernel, collecting and sifting as the fixpoint grows,
+    reaches the seed's reachable-state count."""
+    sym = SymbolicTcsg(
+        wide_handshake(m), auto_gc_nodes=5_000, auto_reorder_nodes=1_000
+    )
+    assert sym.count_states(sym.reachable()) == SEED_WIDE_REACHABLE[m]
+    assert sym.mgr.stats.n_gc_passes >= 1

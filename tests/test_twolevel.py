@@ -1,10 +1,11 @@
-"""Two-level minimization with don't-cares, vs brute force and vs a
-Quine–McCluskey reference for the prime generator."""
+"""Two-level minimization with don't-cares, vs brute force, vs a
+branch-and-bound minimum cover, and vs a Quine–McCluskey reference for
+the prime generator."""
 
 import itertools
 import json
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,8 @@ from repro.stg.twolevel import (
     Cube,
     compute_primes,
     cover_eval,
-    exact_cover,
     hazard_aware_cover,
     irredundant_cover,
-    verify_cover,
 )
 
 FUZZ_DIR = Path(__file__).resolve().parent / "data" / "fuzz"
@@ -58,6 +57,41 @@ def reference_primes(on, dc, nv: int) -> List[Cube]:
         c
         for c in (Cube(ones, dashes) for ones, dashes in primes)
         if any(c.covers(m) for m in on)
+    )
+
+
+def exact_cover(primes: Sequence[Cube], on: Iterable[int]) -> List[Cube]:
+    """Minimum-cardinality prime cover via branch and bound."""
+    on = sorted(set(on))
+    if not on:
+        return []
+    cov = {p: frozenset(m for m in on if p.covers(m)) for p in primes}
+    best: Optional[List[Cube]] = None
+
+    def search(remaining: FrozenSet[int], chosen: List[Cube]):
+        nonlocal best
+        if best is not None and len(chosen) >= len(best):
+            return
+        if not remaining:
+            best = list(chosen)
+            return
+        # Branch on the hardest minterm (fewest covering primes).
+        m = min(remaining, key=lambda x: sum(1 for p in primes if x in cov[p]))
+        for p in primes:
+            if m in cov[p]:
+                search(remaining - cov[p], chosen + [p])
+
+    search(frozenset(on), [])
+    assert best is not None
+    return sorted(best)
+
+
+def verify_cover(
+    cover: Sequence[Cube], on: Iterable[int], off: Iterable[int]
+) -> bool:
+    """True when the cover is 1 on all of ON and 0 on all of OFF."""
+    return all(cover_eval(cover, m) for m in on) and not any(
+        cover_eval(cover, m) for m in off
     )
 
 

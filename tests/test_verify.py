@@ -1,8 +1,10 @@
 """The independent test-set auditor."""
 
+import pytest
+
 from repro.benchmarks_data import load_benchmark
 from repro.circuit.faults import input_fault_universe
-from repro.core.atpg import AtpgOptions
+from repro.core.atpg import AtpgOptions, AtpgResult
 from repro.core.sequences import Test
 from repro.core.verify import audit_result, verify_test_set
 from repro.flow import Flow
@@ -61,3 +63,19 @@ def test_empty_test_set(celem):
     report = verify_test_set(cssg, [], input_fault_universe(celem))
     assert report.n_detected == 0
     assert report.coverage == 0.0
+
+
+@pytest.mark.parametrize(
+    "name,style", [("dff", "complex"), ("chu150", "two-level")]
+)
+def test_audit_of_round_tripped_result_equals_live_audit(name, style):
+    """A deserialized result carries only a CSSG summary; its audit
+    rebuilds the graph and reaches the live result's verdicts."""
+    circuit = load_benchmark(name, style)
+    result = Flow.default().run(circuit, AtpgOptions(seed=0))
+    back = AtpgResult.from_json_dict(result.to_json_dict(), circuit)
+    live, again = audit_result(result), audit_result(back)
+    assert live.detected and live.per_test
+    assert again.detected == live.detected
+    assert again.per_test == live.per_test
+    assert again.invalid_tests == live.invalid_tests
