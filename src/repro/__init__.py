@@ -12,9 +12,8 @@ Public API quick map:
   :func:`register_model`): ``input`` / ``output`` stuck-at, ``bridging``
   wired-AND/OR shorts, ``transition`` slow-to-rise/fall
 * simulation — :mod:`repro.sim` (ternary + parallel fault simulation)
-* state graphs — :func:`settle_report`, :func:`build_cssg` (with the
-  :class:`CssgBuilder` method registry: exact / ternary / hybrid /
-  symbolic), :class:`SymbolicTcsg`
+* state graphs — :func:`settle_report`, :func:`build_cssg` (methods
+  exact / ternary / hybrid / symbolic), :class:`SymbolicTcsg`
 * BDD kernel — :class:`BddManager` (complement edges, unified ITE, GC,
   in-place sifting; the seed manager is a test-only oracle)
 * STGs — :func:`parse_stg`, :func:`load_stg`, :func:`build_state_graph`,
@@ -82,7 +81,6 @@ from repro.bdd import BddManager
 from repro.sgraph import (
     CSSG_METHODS,
     Cssg,
-    CssgBuilder,
     SettleReport,
     build_cssg,
     settle_report,
@@ -150,7 +148,6 @@ __all__ = [
     "BddManager",
     "CSSG_METHODS",
     "Cssg",
-    "CssgBuilder",
     "SettleReport",
     "build_cssg",
     "settle_report",

@@ -158,12 +158,7 @@ def cone_doc(circuit: Circuit, cone: Sequence[int]) -> List[List]:
     return rows
 
 
-def cohort_salt(
-    circuit: Circuit,
-    style: str,
-    options: AtpgOptions,
-    stages: Sequence[str] = DEFAULT_STAGE_NAMES,
-) -> str:
+def cohort_salt(circuit: Circuit, style: str, options: AtpgOptions) -> str:
     """The non-structural half of every cohort key: anything that
     invalidates *all* cohorts at once (option or fault-model change,
     stage-list change, interface change, code/schema bumps)."""
@@ -173,7 +168,7 @@ def cohort_salt(
         "code_version": _code_version(),
         "style": style,
         "options": options.to_json_dict(),
-        "stages": list(stages),
+        "stages": list(DEFAULT_STAGE_NAMES),
         "inputs": list(circuit.input_names),
         "outputs": list(circuit.output_names),
         "k": options.k if options.k is not None else circuit.k,

@@ -8,8 +8,7 @@ or ``.net`` netlist path), a synthesis style, and fully-resolved
   circuit is a pure function of those plus the style),
 * the **options** (canonical JSON, every field — including the flow's
   stage gates ``collapse`` / ``compact`` and ``deadline_seconds``),
-* the **stage list** the flow runs (``DEFAULT_STAGE_NAMES`` unless a
-  caller passes a custom pipeline), and
+* the **stage list** the flow runs (``DEFAULT_STAGE_NAMES``), and
 * the **code version** (:data:`CODE_VERSION`, bumped when an algorithm
   change alters results) and the result schema version.
 
@@ -160,26 +159,19 @@ def source_fingerprint(source_kind: str, source: str) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def job_key(
-    fingerprint: str,
-    style: str,
-    options: AtpgOptions,
-    stages: Sequence[str] = DEFAULT_STAGE_NAMES,
-) -> str:
+def job_key(fingerprint: str, style: str, options: AtpgOptions) -> str:
     """The content hash a job's result is stored under.
 
-    ``stages`` is the flow's stage-name pipeline; campaigns run
-    ``Flow.default()`` so the default is
-    :data:`~repro.flow.DEFAULT_STAGE_NAMES`, and any change to the
-    default pipeline (or a campaign over a custom one) lands in the key
-    and invalidates stale cache entries."""
+    Campaigns run ``Flow.default()``, so the hashed doc lists
+    :data:`~repro.flow.DEFAULT_STAGE_NAMES`: any change to the default
+    pipeline lands in the key and invalidates stale cache entries."""
     doc = {
         "code_version": CODE_VERSION,
         "schema_version": RESULT_SCHEMA_VERSION,
         "source_sha256": fingerprint,
         "style": style,
         "options": options.to_json_dict(),
-        "stages": list(stages),
+        "stages": list(DEFAULT_STAGE_NAMES),
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -195,16 +195,22 @@ def execute_job(
         from repro.fuzz.campaign import execute_fuzz_job
 
         return execute_fuzz_job(job, listeners=listeners)
+    from repro.circuit.faults import fault_universe
+
     circuit = _memoised_circuit(job, cssg_memo)
+    faults = fault_universe(circuit, job.options.fault_model)
     cssg = None
     if cssg_memo is not None:
-        cssg = _memoised_cssg(circuit, job, cssg_memo, listeners)
-    return Flow.default().run(circuit, job.options, cssg=cssg, listeners=listeners)
+        cssg = _memoised_cssg(circuit, job, len(faults), cssg_memo, listeners)
+    return Flow.default().run(
+        circuit, job.options, faults=faults, cssg=cssg, listeners=listeners
+    )
 
 
 def _memoised_cssg(
     circuit: Circuit,
     job: Job,
+    n_faults: int,
     cssg_memo: Optional[Dict],
     listeners,
     store: Optional[ResultStore] = None,
@@ -217,7 +223,8 @@ def _memoised_cssg(
     the method it resolves to for this circuit share one construction;
     the cache key is the name-free structural fingerprint, so renames
     and logic-preserving rewrites reuse the graph outright.  ``refresh``
-    skips the cache read; a cache hit sets ``stats.cssg_reused``."""
+    skips the cache read; a cache hit sets ``stats.cssg_reused``.
+    ``n_faults`` is the job's universe size, for ``StageStarted``."""
     opts = job.options
     method = resolve_cssg_method(circuit, opts)
     memo_key = (job.group, opts.k, opts.max_input_changes, method)
@@ -240,19 +247,18 @@ def _memoised_cssg(
         # Narrate the construction exactly as Flow.run would narrate
         # its own: listeners (the heartbeat included) see a beat right
         # before the longest silent stretch.
-        from repro.circuit.faults import fault_universe
         from repro.flow import StageFinished, StageStarted
 
-        n_faults = len(fault_universe(circuit, opts.fault_model))
         for listener in listeners:
             listener(StageStarted("cssg", n_faults))
         t0 = time.perf_counter()
         cssg = cssg_for(circuit, opts)
+        seconds = time.perf_counter() - t0
         for listener in listeners:
             listener(
                 StageFinished(
                     "cssg",
-                    time.perf_counter() - t0,
+                    seconds,
                     f"{cssg.n_states} states / {cssg.n_edges} edges "
                     f"[{cssg.method}]",
                 )
@@ -345,7 +351,8 @@ def execute_job_incremental(
         return payload, None, stats
 
     cssg = _memoised_cssg(
-        circuit, job, cssg_memo, listeners, store, stats, refresh=refresh
+        circuit, job, len(universe), cssg_memo, listeners, store, stats,
+        refresh=refresh,
     )
     from repro.flow.stages import ReplayStage
 
@@ -591,6 +598,8 @@ class _Pool:
         cache_root: Optional[str] = None,
         refresh: bool = False,
     ):
+        if workers < 1:
+            raise ReproError(f"a worker pool needs >= 1 worker, got {workers}")
         self.ctx = _mp_context()
         self.event_q = self.ctx.Queue()
         self.timeout = timeout
@@ -882,6 +891,8 @@ def run_campaign(
     jobs = list(jobs)
     if workers is None:
         workers = os.cpu_count() or 1
+    if workers < 0:
+        raise ReproError(f"workers must be >= 0, got {workers}")
     if collect_telemetry and not _obs.enabled():
         _obs.enable()
     start = time.perf_counter()

@@ -26,9 +26,9 @@ loading first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.circuit.netlist import Circuit, Gate
+from repro.circuit.netlist import Circuit
 
 
 @dataclass(frozen=True, order=True)
@@ -48,12 +48,6 @@ class Fault:
         from repro.faultmodels import model_for_kind
 
         return model_for_kind(self.kind).describe(circuit, self)
-
-    def excitation_site(self) -> int:
-        """The signal whose stable value matters for excitation
-        (paper §5.1).  Meaningful for the stuck-at kinds; model-aware
-        callers should use :meth:`FaultModel.excites` instead."""
-        return self.site
 
     def to_json(self) -> List:
         """Compact JSON form: ``[kind, gate, site, value]``."""
@@ -94,12 +88,6 @@ def fault_universe(circuit: Circuit, model: str) -> List[Fault]:
     from repro.faultmodels import get_model
 
     return get_model(model).universe(circuit)
-
-
-def gate_of(circuit: Circuit, fault: Fault) -> Optional[Gate]:
-    """The Gate object whose evaluation the fault perturbs (the first
-    one, for bridging faults)."""
-    return circuit.gate_at(fault.gate)
 
 
 def substitute_signal(expr, name: str, value: int):

@@ -338,10 +338,6 @@ class Circuit:
         """delta(s, g): flip the gate's output (gate must be excited)."""
         return state ^ (1 << gate.index)
 
-    def output_values(self, state: int) -> Tuple[int, ...]:
-        """Values of the primary outputs in ``state``, in output order."""
-        return tuple(bit(state, o) for o in self.outputs)
-
     def state_of(self, values: Dict[str, int]) -> int:
         """Pack a {name: value} map (must cover all signals) into a state."""
         missing = [s.name for s in self.signals if s.name not in values]

@@ -41,6 +41,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,11 +57,41 @@ from repro.flow import Flow, ProgressLine
 from repro.sgraph.cssg import CSSG_METHODS
 
 
-def _cssg_method_choices():
-    """Every registered construction method plus the size-resolved
-    ``auto`` — derived from the registry so a newly registered builder
-    is immediately accepted by both CLIs."""
-    return ["auto"] + sorted(CSSG_METHODS)
+#: Every construction method plus the size-resolved ``auto``.
+_CSSG_METHOD_CHOICES = ("auto",) + CSSG_METHODS
+
+
+def exits_on_broken_pipe(entry):
+    """Wrap a console entry point so a reader that goes away (``| head``)
+    ends it with status 1, without a traceback: stdout is flushed inside
+    the guard, then pointed at /dev/null so the exit-time flush is
+    silent too."""
+
+    @functools.wraps(entry)
+    def run(argv=None) -> int:
+        try:
+            status = entry(argv)
+            sys.stdout.flush()
+            return status
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+
+    return run
+
+
+def non_negative(convert):
+    """The argparse type ``convert`` (``int`` / ``float``) restricted
+    to values >= 0; argparse exits 2 on anything else."""
+
+    def parse(text: str):
+        value = convert(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value: 'x'"
+    return parse
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -95,7 +126,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cssg-method",
         default="auto",
-        choices=_cssg_method_choices(),
+        choices=_CSSG_METHOD_CHOICES,
         help="CSSG construction method (symbolic = BDD image computation)",
     )
     parser.add_argument(
@@ -182,6 +213,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@exits_on_broken_pipe
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if "--campaign" in argv:  # alias: repro-atpg --campaign ... == repro-campaign ...
@@ -293,7 +325,7 @@ def _add_runner_options(parser, unit, refresh_help, hang_help, out_help, json_he
     share; ``unit`` names one campaign job ("job" / "chunk")."""
     parser.add_argument(
         "--workers",
-        type=int,
+        type=non_negative(int),
         default=None,
         help="worker processes (0 = in-process; default: CPU count)",
     )
@@ -488,6 +520,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@exits_on_broken_pipe
 def campaign_main(argv=None) -> int:
     from repro.benchmarks_data import TABLE1_NAMES, TABLE2_NAMES
     from repro.campaign import (
@@ -507,7 +540,7 @@ def campaign_main(argv=None) -> int:
     methods = tuple(
         m.strip() for m in args.cssg_method.split(",") if m.strip()
     ) or ("auto",)
-    known = set(_cssg_method_choices())
+    known = set(_CSSG_METHOD_CHOICES)
     unknown = sorted(set(methods) - known)
     if unknown:
         print(
@@ -692,6 +725,7 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@exits_on_broken_pipe
 def fuzz_main(argv=None) -> int:
     from dataclasses import replace
 
@@ -849,6 +883,7 @@ def build_cache_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@exits_on_broken_pipe
 def cache_main(argv=None) -> int:
     """``repro-cache``: list / stats / prune / clear the result store."""
     from repro.campaign.store import ResultStore

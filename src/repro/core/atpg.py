@@ -102,6 +102,17 @@ class AtpgOptions:
     # still fully valid.
     deadline_seconds: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        for name in ("k", "random_walks", "walk_len", "deadline_seconds"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ReproError(f"AtpgOptions.{name} must be >= 0, got {value!r}")
+        if self.max_input_changes is not None and self.max_input_changes < 1:
+            raise ReproError(
+                "AtpgOptions.max_input_changes must be >= 1, "
+                f"got {self.max_input_changes!r}"
+            )
+
     def to_json_dict(self) -> Dict:
         return asdict(self)
 
@@ -120,8 +131,9 @@ class FaultStatus:
 
     ``reason`` records *why* an aborted fault was given up on:
     ``"budget"`` (run deadline expired before/while processing it),
-    ``"product-states"`` (per-fault product-state cap hit),
-    ``"activation-tries"`` (activation-target cap hit), or
+    ``"product-states"`` (per-fault product-state cap hit; the only
+    way three-phase gives up, since a search that ran out of activation
+    targets always re-proves from reset), or
     ``"unprocessed"`` (no stage of a custom flow classified it).
     Empty for detected / undetectable faults.
     """

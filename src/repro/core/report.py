@@ -84,34 +84,9 @@ class TableRow:
         return self.in_cov / self.in_tot if self.in_tot else 1.0
 
     def to_dict(self) -> Dict:
-        """Plain-JSON form, derived coverages included."""
-        return {
-            "name": self.name,
-            "out_tot": self.out_tot,
-            "out_cov": self.out_cov,
-            "out_fc": self.out_fc,
-            "in_tot": self.in_tot,
-            "in_cov": self.in_cov,
-            "in_fc": self.in_fc,
-            "rnd": self.rnd,
-            "three_ph": self.three_ph,
-            "sim": self.sim,
-            "cpu": self.cpu,
-            "aborted": self.aborted,
-            "abort_reasons": self.abort_reasons,
-            "cssg_method": self.cssg_method,
-            "cssg_states": self.cssg_states,
-            "cssg_edges": self.cssg_edges,
-            "tcsg_states": self.tcsg_states,
-            "peak_bdd_nodes": self.peak_bdd_nodes,
-            "gc_passes": self.gc_passes,
-            "reorders": self.reorders,
-            "image_iters": self.image_iters,
-            "models": self.models,
-            "stage_seconds": self.stage_seconds,
-            "bdd_cache_hits": self.bdd_cache_hits,
-            "bdd_cache_lookups": self.bdd_cache_lookups,
-        }
+        """Plain-JSON form, derived coverages included, keyed in
+        :data:`CSV_COLUMNS` order."""
+        return {name: getattr(self, name) for name in CSV_COLUMNS}
 
 
 def format_model_counts(counts: Dict[str, Sequence[int]]) -> str:
@@ -256,7 +231,7 @@ def format_table(rows: Sequence[TableRow], title: str = "") -> str:
     return "\n".join(lines)
 
 
-#: Column order of :func:`to_csv`, matching :meth:`TableRow.to_dict` keys.
+#: Column order of :func:`to_csv`, and the keys of :meth:`TableRow.to_dict`.
 CSV_COLUMNS = (
     "name", "out_tot", "out_cov", "out_fc", "in_tot", "in_cov", "in_fc",
     "rnd", "three_ph", "sim", "cpu", "aborted", "abort_reasons",

@@ -65,12 +65,6 @@ class TestSet:
     def n_vectors(self) -> int:
         return sum(len(t) for t in self.tests)
 
-    def covered_faults(self) -> List[Fault]:
-        out: List[Fault] = []
-        for t in self.tests:
-            out.extend(t.faults)
-        return out
-
     def __iter__(self):
         return iter(self.tests)
 

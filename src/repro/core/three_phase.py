@@ -94,11 +94,10 @@ class _ExactMachine:
     holds the ``None`` (fall back) outcome too, and dies with the fault.
     """
 
-    def __init__(self, circuit: Circuit, fault: Fault, cap: int, max_set: int):
+    def __init__(self, circuit: Circuit, fault: Fault, cap: int):
         self.circuit = circuit
         self.faulty = exact_sim.PatchedMachine(circuit, fault)
         self.cap = cap
-        self.max_set = max_set
         self._applied: Dict[
             Tuple[exact_sim.FaultyStates, int], Optional[exact_sim.FaultyStates]
         ] = {}
@@ -106,9 +105,7 @@ class _ExactMachine:
     def reset(self, reset_state: int):
         if self.faulty.reset_state is not None:
             reset_state = self.faulty.reset_state  # carries the pre-set
-        states = exact_sim.faulty_reset_states(
-            self.faulty, reset_state, self.cap, self.max_set
-        )
+        states = exact_sim.faulty_reset_states(self.faulty, reset_state, self.cap)
         if states is None:
             raise _Fallback
         return states
@@ -119,7 +116,7 @@ class _ExactMachine:
             nxt = self._applied[key]
         except KeyError:
             nxt = self._applied[key] = exact_sim.faulty_apply(
-                self.faulty, states, pattern, self.cap, self.max_set
+                self.faulty, states, pattern, self.cap
             )
         if nxt is None:
             raise _Fallback
@@ -142,9 +139,8 @@ class GenerationOutcome:
     detected_during_justification: bool = False
     product_states_explored: int = 0
     semantics: str = "exact"  # which machine produced the outcome
-    #: Why an ABORTED fault was given up on: "product-states" when the
-    #: product-BFS node budget ran out, "activation-tries" when only the
-    #: activation-target cap stopped the search short of a proof.
+    #: Why an ABORTED fault was given up on: always "product-states"
+    #: (the product-BFS node budget ran out).
     reason: str = ""
 
     @property
@@ -165,7 +161,6 @@ class ThreePhaseGenerator:
         max_product_states: int = 200_000,
         faulty_semantics: str = "exact",
         settle_cap: int = 50_000,
-        max_faulty_set: int = 64,
         faults: Sequence[Fault] = (),
     ):
         if faulty_semantics not in ("exact", "ternary"):
@@ -175,7 +170,6 @@ class ThreePhaseGenerator:
         self.max_product_states = max_product_states
         self.faulty_semantics = faulty_semantics
         self.settle_cap = settle_cap
-        self.max_faulty_set = max_faulty_set
         # Shortest-path tree from reset, shared by all faults (phase 2).
         self._dist, self._parent = cssg.bfs_tree()
         self._faults = tuple(faults)
@@ -251,9 +245,7 @@ class ThreePhaseGenerator:
 
     def _machine(self, fault: Fault, semantics: str):
         if semantics == "exact":
-            return _ExactMachine(
-                self.circuit, fault, self.settle_cap, self.max_faulty_set
-            )
+            return _ExactMachine(self.circuit, fault, self.settle_cap)
         j = self._lane_of.get(fault)
         if j is None:
             return _TernaryMachine(engine_for(self.circuit, (fault,)), 0)
@@ -355,23 +347,13 @@ class ThreePhaseGenerator:
                 )
             if explored_total >= budget:
                 exhausted_everywhere = False
-        status = UNDETECTABLE if exhausted_everywhere else ABORTED
-        reason = ""
-        if status == ABORTED:
-            # Today every abort traces to the product-state cap (an
-            # exhausted tried-target set always re-proves from reset);
-            # the activation-tries label is kept for defensive coverage
-            # of future search orders.
-            reason = (
-                "product-states"
-                if explored_total >= budget
-                else "activation-tries"
-            )
+        # An exhausted tried-target set always re-proves from reset, so
+        # the product-state cap is the only way to abort.
         return GenerationOutcome(
             fault,
-            status,
+            UNDETECTABLE if exhausted_everywhere else ABORTED,
             n_activation_states=len(activations),
             product_states_explored=explored_total,
             semantics=semantics,
-            reason=reason,
+            reason="" if exhausted_everywhere else "product-states",
         )

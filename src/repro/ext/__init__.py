@@ -4,19 +4,13 @@
   be assisted by partial scan-path [16]").
 * :mod:`repro.ext.undetectable` — a-priori classification of untestable
   faults ("classifying undetectable faults to avoid wasting time").
-* :mod:`repro.ext.paths` — structural path enumeration, the substrate a
-  path-delay-fault extension would build on ("covering a wider spectrum
-  of fault models (e.g. delay faults)").
 """
 
 from repro.ext.scan import insert_scan_inputs, rank_scan_candidates
 from repro.ext.undetectable import classify_undetectable
-from repro.ext.paths import enumerate_paths, structural_paths
 
 __all__ = [
     "insert_scan_inputs",
     "rank_scan_candidates",
     "classify_undetectable",
-    "enumerate_paths",
-    "structural_paths",
 ]

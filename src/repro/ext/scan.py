@@ -23,7 +23,6 @@ from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.errors import NetlistError
 
-SCAN_IN_SUFFIX = "$scan"
 SCAN_OUT_SUFFIX = "$obs"
 
 

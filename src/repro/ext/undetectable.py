@@ -46,6 +46,9 @@ NEVER_EXCITED = "never-excited"
 STABLE_EQUIVALENT = "stable-equivalent"
 POSSIBLY_DETECTABLE = "possibly-detectable"
 
+#: Product states the stable-equivalent walk may explore per fault.
+_BUDGET_PER_FAULT = 20_000
+
 
 @dataclass
 class Classification:
@@ -85,7 +88,7 @@ def _never_excited(cssg: Cssg, fault: Fault) -> bool:
 
 
 def _stable_equivalent(
-    cssg: Cssg, engine: SimEngine, j: int, budget: int
+    cssg: Cssg, engine: SimEngine, j: int
 ) -> Tuple[Optional[bool], int]:
     """Exhaustive product walk of lane ``j`` of ``engine`` from its
     settled reset state; returns (undetectable?, states explored).
@@ -105,7 +108,7 @@ def _stable_equivalent(
         good, faulty = stack.pop()
         for pattern in cssg.valid_patterns(good):
             explored += 1
-            if explored > budget:
+            if explored > _BUDGET_PER_FAULT:
                 return None, explored
             ngood = cssg.edges[good][pattern]
             nfaulty = engine.apply_lane(faulty, pattern, j)
@@ -127,11 +130,7 @@ def _stable_equivalent(
 
 
 def classify_undetectable(
-    cssg: Cssg,
-    faults: List[Fault],
-    budget_per_fault: int = 20_000,
-    use_symbolic: bool = True,
-    symbolic: Optional[SymbolicTcsg] = None,
+    cssg: Cssg, faults: List[Fault], use_symbolic: bool = True
 ) -> Dict[Fault, Classification]:
     """Classify each fault before running expensive per-fault ATPG.
 
@@ -139,16 +138,15 @@ def classify_undetectable(
     (two reasons) and possibly detectable.  With ``use_symbolic`` (the
     default) the never-excited check runs against the symbolic TCSG
     reachable set — one BDD reachability computation shared by every
-    fault; otherwise it walks the CSSG's states and edge settlings.  A caller
-    that already holds a :class:`SymbolicTcsg` for this circuit (e.g.
-    because the CSSG itself was built symbolically) can pass it as
-    ``symbolic`` to reuse its encoding instead of rebuilding one.
+    fault; otherwise it walks the CSSG's states and edge settlings.
+    The stable-equivalent walk explores at most ``_BUDGET_PER_FAULT``
+    product states per fault.
     """
     sym: Optional[SymbolicTcsg] = None
     reachable = FALSE
     if use_symbolic and faults:
         try:
-            sym = symbolic if symbolic is not None else SymbolicTcsg(cssg.circuit)
+            sym = SymbolicTcsg(cssg.circuit)
             # One transient-inclusive reachability computation shared
             # by every fault.
             reachable = sym.mgr.add_root(
@@ -159,29 +157,21 @@ def classify_undetectable(
     result: Dict[Fault, Classification] = {}
     # The faulty machines are the lanes of one engine over ``faults``.
     engine = engine_for(cssg.circuit, faults)
-    try:
-        for j, fault in enumerate(faults):
-            if sym is not None:
-                never = _never_excited_symbolic(sym, reachable, fault)
-                # Per-fault faulty-function garbage has no further use;
-                # let the manager's auto-GC reclaim it at this safe
-                # point (the reachable set and encoding are rooted).
-                sym.mgr.checkpoint()
-            else:
-                never = _never_excited(cssg, fault)
-            if never:
-                result[fault] = Classification(fault, NEVER_EXCITED)
-                continue
-            verdict, explored = _stable_equivalent(cssg, engine, j, budget_per_fault)
-            if verdict is True:
-                result[fault] = Classification(fault, STABLE_EQUIVALENT, explored)
-            else:
-                result[fault] = Classification(
-                    fault, POSSIBLY_DETECTABLE, explored
-                )
-    finally:
+    for j, fault in enumerate(faults):
         if sym is not None:
-            # Unpin the reachable set — the manager may outlive this
-            # call when the caller passed its own SymbolicTcsg.
-            sym.mgr.remove_root(reachable)
+            never = _never_excited_symbolic(sym, reachable, fault)
+            # Per-fault faulty-function garbage has no further use;
+            # let the manager's auto-GC reclaim it at this safe
+            # point (the reachable set and encoding are rooted).
+            sym.mgr.checkpoint()
+        else:
+            never = _never_excited(cssg, fault)
+        if never:
+            result[fault] = Classification(fault, NEVER_EXCITED)
+            continue
+        verdict, explored = _stable_equivalent(cssg, engine, j)
+        if verdict is True:
+            result[fault] = Classification(fault, STABLE_EQUIVALENT, explored)
+        else:
+            result[fault] = Classification(fault, POSSIBLY_DETECTABLE, explored)
     return result

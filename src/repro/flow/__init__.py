@@ -22,13 +22,7 @@ monolith:
   timeline (see :mod:`repro.flow.flow`).
 """
 
-from repro.flow.budget import (
-    Budget,
-    clamp_deadline,
-    REASON_ACTIVATION,
-    REASON_BUDGET,
-    REASON_PRODUCT_STATES,
-)
+from repro.flow.budget import Budget, clamp_deadline, REASON_BUDGET
 from repro.flow.consumers import Heartbeat, ProgressLine
 from repro.flow.context import REASON_UNPROCESSED, RunContext
 from repro.flow.events import (
@@ -54,9 +48,7 @@ from repro.flow.stages import (
 __all__ = [
     "Budget",
     "clamp_deadline",
-    "REASON_ACTIVATION",
     "REASON_BUDGET",
-    "REASON_PRODUCT_STATES",
     "REASON_UNPROCESSED",
     "Heartbeat",
     "ProgressLine",

@@ -20,18 +20,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-__all__ = [
-    "Budget",
-    "clamp_deadline",
-    "REASON_BUDGET",
-    "REASON_PRODUCT_STATES",
-    "REASON_ACTIVATION",
-]
+__all__ = ["Budget", "clamp_deadline", "REASON_BUDGET"]
 
-#: Abort reasons recorded in :attr:`repro.core.atpg.FaultStatus.reason`.
-REASON_BUDGET = "budget"  #: the run's wall-clock deadline expired
-REASON_PRODUCT_STATES = "product-states"  #: per-fault product-state cap hit
-REASON_ACTIVATION = "activation-tries"  #: activation-target cap hit
+#: The :attr:`repro.core.atpg.FaultStatus.reason` of a fault the run's
+#: wall-clock deadline left unfinished.
+REASON_BUDGET = "budget"
 
 
 def clamp_deadline(

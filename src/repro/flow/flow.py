@@ -149,11 +149,11 @@ class Flow:
                 t0 = time.perf_counter()
                 with tracer.span("stage.cssg"):
                     cssg = cssg_for(circuit, opts)
-                stage_seconds["cssg"] = time.perf_counter() - t0
+                stage_seconds["cssg"] = seconds = time.perf_counter() - t0
                 bus.emit(
                     StageFinished(
                         "cssg",
-                        time.perf_counter() - t0,
+                        seconds,
                         f"{cssg.n_states} states / {cssg.n_edges} edges "
                         f"[{cssg.method}]",
                     )
@@ -169,16 +169,14 @@ class Flow:
                 t0 = time.perf_counter()
                 with tracer.span(f"stage.{stage.name}"):
                     stage.run(ctx)
-                stage_seconds[stage.name] = time.perf_counter() - t0
+                stage_seconds[stage.name] = seconds = time.perf_counter() - t0
                 detail = ""
                 stats = ctx.stage_stats.get(stage.name)
                 if stats:
                     detail = " ".join(
                         f"{key}={value}" for key, value in sorted(stats.items())
                     )
-                bus.emit(
-                    StageFinished(stage.name, time.perf_counter() - t0, detail)
-                )
+                bus.emit(StageFinished(stage.name, seconds, detail))
             ctx.stage = ""
             result = ctx.finish(time.perf_counter() - start)
         if observing:

@@ -106,15 +106,6 @@ class _HistogramChild:
                 return
         self.bucket_counts[-1] += 1
 
-    def cumulative_counts(self) -> List[int]:
-        """Prometheus-style cumulative ``le`` counts (+Inf last)."""
-        out: List[int] = []
-        running = 0
-        for n in self.bucket_counts:
-            running += n
-            out.append(running)
-        return out
-
 
 class _Family:
     """Shared family behaviour: label binding and child bookkeeping."""

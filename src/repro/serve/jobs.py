@@ -32,23 +32,21 @@ from repro.serve.protocol import HttpError
 
 __all__ = [
     "ACTIVE_STATES",
-    "TERMINAL_STATES",
     "EventLog",
     "JobRecord",
     "parse_submission",
     "parse_campaign_submission",
 ]
 
-#: States a record moves through.  ``queued``/``running`` are active;
-#: everything else is terminal.  ``cached`` = answered from the warm
-#: store at submit time; ``coalesced`` = rode an identical in-flight
-#: submission; the failure states mirror the campaign runner's
-#: :class:`~repro.campaign.runner.JobOutcome` statuses.
+#: The active states of a record; every other state is terminal:
+#: ``done``, ``cached`` (answered from the warm store at submit time),
+#: ``coalesced`` (rode an identical in-flight submission), ``cancelled``,
+#: and the campaign runner's :class:`~repro.campaign.runner.JobOutcome`
+#: failure statuses.
 ACTIVE_STATES = ("queued", "running")
-TERMINAL_STATES = (
-    "done", "cached", "coalesced", "failed", "cancelled",
-    "timeout", "hung", "crashed",
-)
+
+#: Events an :class:`EventLog` buffers before it drops the oldest half.
+_MAX_EVENTS = 100_000
 
 #: Submission keys that are service-level, not AtpgOptions fields.
 _META_KEYS = {
@@ -64,15 +62,14 @@ class EventLog:
     :meth:`append_threadsafe`; consumers iterate :meth:`stream`, which
     replays history from any index and then waits for new events until
     the log is closed.  The buffer is capped: when more than
-    ``max_events`` accumulate the oldest half is dropped and late
+    ``_MAX_EVENTS`` accumulate the oldest half is dropped and late
     readers get one synthetic ``EventsDropped`` doc instead.
     """
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, max_events: int = 100_000):
+    def __init__(self, loop: asyncio.AbstractEventLoop):
         self._loop = loop
         self._events: List[Dict] = []
         self._base = 0  # seq of _events[0]
-        self._max = max_events
         self._closed = False
         self._waiters: List[asyncio.Future] = []
 
@@ -95,7 +92,7 @@ class EventLog:
         if self._closed:
             return
         self._events.append(doc)
-        if len(self._events) > self._max:
+        if len(self._events) > _MAX_EVENTS:
             dropped = len(self._events) // 2
             self._base += dropped
             del self._events[:dropped]

@@ -39,6 +39,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.campaign.plan import Job
 from repro.campaign.runner import _fresh_payload
 from repro.campaign.store import ResultStore
+from repro.cli import exits_on_broken_pipe, non_negative
 from repro.errors import ReproError
 from repro.obs import metrics as _obs
 from repro.obs.export import atomic_write_text, to_prometheus_text
@@ -618,7 +619,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="TCP port (0 = pick a free one and print it)",
     )
     parser.add_argument(
-        "--workers", type=int, default=2,
+        "--workers", type=non_negative(int), default=2,
         help="persistent fork workers (0 = in-process threads)",
     )
     parser.add_argument(
@@ -654,11 +655,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="active-job ceiling per client id",
     )
     parser.add_argument(
-        "--max-deadline", type=float, default=None, metavar="SECONDS",
+        "--max-deadline", type=non_negative(float), default=None, metavar="SECONDS",
         help="clamp every job's deadline_seconds to this ceiling",
     )
     parser.add_argument(
-        "--default-deadline", type=float, default=None, metavar="SECONDS",
+        "--default-deadline", type=non_negative(float), default=None, metavar="SECONDS",
         help="deadline applied to jobs that request none",
     )
     parser.add_argument(
@@ -726,6 +727,7 @@ async def _amain(args) -> int:
     return 0
 
 
+@exits_on_broken_pipe
 def serve_main(argv=None) -> int:
     args = build_serve_parser().parse_args(argv)
     try:

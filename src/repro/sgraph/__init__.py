@@ -11,19 +11,11 @@
   [10, 7]") — a first-class construction method (``method="symbolic"``)
   and the production path for large state spaces.
 
-Construction methods implement the :class:`CssgBuilder` protocol and
-register in :data:`CSSG_METHODS`; :func:`build_cssg` dispatches on it.
+:func:`build_cssg` dispatches on ``method``, one of :data:`CSSG_METHODS`.
 """
 
 from repro.sgraph.explore import SettleReport, reduced_settle_report, settle_report
-from repro.sgraph.cssg import (
-    CSSG_METHODS,
-    Cssg,
-    CssgBuilder,
-    ExplicitCssgBuilder,
-    SymbolicCssgBuilder,
-    build_cssg,
-)
+from repro.sgraph.cssg import CSSG_METHODS, Cssg, build_cssg
 
 __all__ = [
     "SettleReport",
@@ -31,8 +23,5 @@ __all__ = [
     "settle_report",
     "CSSG_METHODS",
     "Cssg",
-    "CssgBuilder",
-    "ExplicitCssgBuilder",
-    "SymbolicCssgBuilder",
     "build_cssg",
 ]

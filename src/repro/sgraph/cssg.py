@@ -19,16 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Set,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro._bits import hamming
 from repro.circuit.netlist import Circuit
@@ -226,12 +217,12 @@ def frontier_traverse(
     max_input_changes: Optional[int],
     cap_states: int,
 ) -> Cssg:
-    """The construction loop every builder shares: breadth-first over
+    """The construction loop every method shares: breadth-first over
     reachable stable states, trying every input pattern (optionally
     Hamming-limited), with results memoized on the post-R_I state.
 
     ``analyse(started) -> Optional[successor]`` is the method-specific
-    validity analysis — the only thing the builders differ in.  Raises
+    validity analysis — the only thing the methods differ in.  Raises
     :class:`StateGraphError` past ``cap_states`` stable states.
     """
     from repro.obs.trace import get_tracer
@@ -283,36 +274,22 @@ def _frontier_loop(cssg, analyse, max_input_changes, cap_states) -> None:
         frontier = next_frontier
 
 
-@runtime_checkable
-class CssgBuilder(Protocol):
-    """Strategy protocol every CSSG construction method implements.
-
-    A builder is registered under its ``method`` name (see
-    :data:`CSSG_METHODS`) and produces a :class:`Cssg` that downstream
-    consumers treat identically regardless of how it was built — the
-    symbolic builder's output is structurally indistinguishable from the
-    explicit exact builder's.
-    """
-
-    method: str
-
-    def build(
-        self,
-        circuit: Circuit,
-        k: Optional[int] = None,
-        reset: Optional[int] = None,
-        max_input_changes: Optional[int] = None,
-        cap_states: int = 100_000,
-        cap_settle: int = 200_000,
-    ) -> Cssg:
-        ...  # pragma: no cover
+#: The CSSG construction methods :func:`build_cssg` accepts;
+#: :func:`repro.core.atpg.cssg_for` resolves ``"auto"`` to one of them.
+CSSG_METHODS = ("exact", "hybrid", "symbolic", "ternary")
 
 
-class ExplicitCssgBuilder:
-    """Enumerative construction: forward traversal of reachable stable
-    states with a per-vector validity analysis.
+def build_cssg(
+    circuit: Circuit,
+    k: Optional[int] = None,
+    reset: Optional[int] = None,
+    max_input_changes: Optional[int] = None,
+    method: str = "exact",
+    cap_states: int = 100_000,
+) -> Cssg:
+    """Compute the CSSG_k by forward traversal from the reset state.
 
-    ``method`` selects the analysis:
+    ``method`` selects the per-vector validity analysis:
 
     * ``"exact"`` — exhaustive interleaving exploration implementing the
       paper's formal TCR_k/CSSG_k definition (§4.2): the settling graph
@@ -332,97 +309,20 @@ class ExplicitCssgBuilder:
       other's blind spot (exact: interlocked feedback that ternary
       dissolves into Φ; ternary: transient cycles whose escape is
       delay-forced).
+    * ``"symbolic"`` — the exact TCR_k semantics computed by BDD image
+      iteration (paper §3.1/§4.2) instead of interleaving enumeration;
+      see :meth:`repro.sgraph.symbolic.SymbolicTcsg.build_cssg`.
+
+    ``max_input_changes`` restricts how many input pins may switch in
+    one test cycle (None = any subset, the paper's default).
+    ``cap_states`` bounds the stable-state traversal of every method.
     """
-
-    def __init__(self, method: str):
-        self.method = method
-
-    def build(
-        self,
-        circuit: Circuit,
-        k: Optional[int] = None,
-        reset: Optional[int] = None,
-        max_input_changes: Optional[int] = None,
-        cap_states: int = 100_000,
-        cap_settle: int = 200_000,
-    ) -> Cssg:
-        method = self.method
-        if reset is None:
-            reset = circuit.require_reset()
-        if k is None:
-            k = circuit.k
-        if not circuit.is_stable(reset):
-            report = settle_report(circuit, reset, cap_settle)
-            if report.valid(k):
-                reset = report.unique_stable
-            else:
-                raise StateGraphError(
-                    f"reset state {circuit.state_bits(reset)} is unstable and "
-                    "does not settle confluently; provide a stable .reset"
-                )
-
-        cssg = Cssg(circuit=circuit, k=k, reset=reset)
-        stats = cssg.stats
-        stats.method = method
-
-        def ternary_outcome(started: int) -> Optional[int]:
-            from repro.sim import ternary as tsim
-
-            result = tsim.settle(
-                circuit, tsim.from_binary(started, circuit.n_signals)
-            )
-            if not tsim.is_definite(result):
-                stats.n_phi += 1
-                return None
-            return tsim.to_binary(result)
-
-        def analyse(started: int) -> Optional[int]:
-            """Unique stable successor of the post-R_I state, or None."""
-            if method == "ternary":
-                return ternary_outcome(started)
-            report = settle_report(circuit, started, cap_settle)
-            if report.nonconfluent:
-                stats.n_nonconfluent += 1
-                return None
-            if report.oscillating or report.truncated:
-                if method == "hybrid":
-                    # A transient cycle: a definite ternary verdict proves
-                    # a delay-forced escape to one stable state.
-                    return ternary_outcome(started)
-                stats.n_oscillating += 1
-                return None
-            assert report.longest_path is not None
-            if report.longest_path > k:
-                stats.n_too_slow += 1
-                return None
-            stats.max_settle_path = max(
-                stats.max_settle_path, report.longest_path
-            )
-            return report.unique_stable
-
-        return frontier_traverse(cssg, analyse, max_input_changes, cap_states)
-
-
-class SymbolicCssgBuilder:
-    """BDD-based construction (paper §3.1/§4.2): the exact TCR_k
-    semantics computed by symbolic image iteration instead of explicit
-    interleaving enumeration — the production path for large state
-    spaces.  See :class:`repro.sgraph.symbolic.SymbolicTcsg`."""
-
-    method = "symbolic"
-
-    def build(
-        self,
-        circuit: Circuit,
-        k: Optional[int] = None,
-        reset: Optional[int] = None,
-        max_input_changes: Optional[int] = None,
-        cap_states: int = 100_000,
-        cap_settle: int = 200_000,
-    ) -> Cssg:
-        # cap_states bounds the stable-state enumeration here too;
-        # cap_settle governs explicit settling only (symbolic settling
-        # is bounded by k and the manager's housekeeping instead).
+    if method not in CSSG_METHODS:
+        raise StateGraphError(
+            f"unknown CSSG method {method!r} "
+            f"(available: {', '.join(CSSG_METHODS)})"
+        )
+    if method == "symbolic":
         from repro.sgraph.symbolic import SymbolicTcsg
 
         return SymbolicTcsg(circuit).build_cssg(
@@ -431,51 +331,55 @@ class SymbolicCssgBuilder:
             max_input_changes=max_input_changes,
             cap_states=cap_states,
         )
+    if reset is None:
+        reset = circuit.require_reset()
+    if k is None:
+        k = circuit.k
+    if not circuit.is_stable(reset):
+        report = settle_report(circuit, reset)
+        if report.valid(k):
+            reset = report.unique_stable
+        else:
+            raise StateGraphError(
+                f"reset state {circuit.state_bits(reset)} is unstable and "
+                "does not settle confluently; provide a stable .reset"
+            )
 
+    cssg = Cssg(circuit=circuit, k=k, reset=reset)
+    stats = cssg.stats
+    stats.method = method
 
-#: Registry of CSSG construction methods; ``build_cssg`` dispatches on
-#: it and :func:`repro.core.atpg.cssg_for` resolves ``"auto"`` against
-#: its keys.  Extend by registering another :class:`CssgBuilder`.
-CSSG_METHODS: Dict[str, CssgBuilder] = {
-    "exact": ExplicitCssgBuilder("exact"),
-    "ternary": ExplicitCssgBuilder("ternary"),
-    "hybrid": ExplicitCssgBuilder("hybrid"),
-    "symbolic": SymbolicCssgBuilder(),
-}
+    def ternary_outcome(started: int) -> Optional[int]:
+        from repro.sim import ternary as tsim
 
-
-def build_cssg(
-    circuit: Circuit,
-    k: Optional[int] = None,
-    reset: Optional[int] = None,
-    max_input_changes: Optional[int] = None,
-    method: str = "exact",
-    cap_states: int = 100_000,
-    cap_settle: int = 200_000,
-) -> Cssg:
-    """Compute the CSSG_k by forward traversal from the reset state.
-
-    ``method`` names a registered :class:`CssgBuilder` — ``"exact"`` /
-    ``"ternary"`` / ``"hybrid"`` (enumerative; see
-    :class:`ExplicitCssgBuilder`) or ``"symbolic"`` (BDD image
-    computation with exact TCR_k semantics; see
-    :class:`SymbolicCssgBuilder`).  ``max_input_changes`` restricts how
-    many input pins may switch in one test cycle (None = any subset,
-    the paper's default).  ``cap_states`` bounds the explicit
-    stable-state traversal, ``cap_settle`` each explicit settling
-    exploration.
-    """
-    builder = CSSG_METHODS.get(method)
-    if builder is None:
-        raise StateGraphError(
-            f"unknown CSSG method {method!r} "
-            f"(available: {', '.join(sorted(CSSG_METHODS))})"
+        result = tsim.settle(
+            circuit, tsim.from_binary(started, circuit.n_signals)
         )
-    return builder.build(
-        circuit,
-        k=k,
-        reset=reset,
-        max_input_changes=max_input_changes,
-        cap_states=cap_states,
-        cap_settle=cap_settle,
-    )
+        if not tsim.is_definite(result):
+            stats.n_phi += 1
+            return None
+        return tsim.to_binary(result)
+
+    def analyse(started: int) -> Optional[int]:
+        """Unique stable successor of the post-R_I state, or None."""
+        if method == "ternary":
+            return ternary_outcome(started)
+        report = settle_report(circuit, started)
+        if report.nonconfluent:
+            stats.n_nonconfluent += 1
+            return None
+        if report.oscillating or report.truncated:
+            if method == "hybrid":
+                # A transient cycle: a definite ternary verdict proves
+                # a delay-forced escape to one stable state.
+                return ternary_outcome(started)
+            stats.n_oscillating += 1
+            return None
+        assert report.longest_path is not None
+        if report.longest_path > k:
+            stats.n_too_slow += 1
+            return None
+        stats.max_settle_path = max(stats.max_settle_path, report.longest_path)
+        return report.unique_stable
+
+    return frontier_traverse(cssg, analyse, max_input_changes, cap_states)

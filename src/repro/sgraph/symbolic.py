@@ -62,6 +62,10 @@ from repro.sgraph.cssg import Cssg
 DEFAULT_AUTO_GC_NODES = 20_000
 DEFAULT_AUTO_REORDER_NODES = 100_000
 
+#: Frontier iterations :meth:`SymbolicTcsg.reachable` runs before it
+#: gives up on convergence.
+_MAX_REACH_ITERS = 100_000
+
 
 class SymbolicTcsg:
     """BDD encoding of one circuit's test-mode behaviour.
@@ -213,9 +217,7 @@ class SymbolicTcsg:
 
     # -- traversal ---------------------------------------------------------
 
-    def reachable(
-        self, from_states: Optional[int] = None, max_iters: int = 100_000
-    ) -> int:
+    def reachable(self, from_states: Optional[int] = None) -> int:
         """Least fixpoint of the TCSG relation R_I ∪ R_delta from reset,
         frontier-based: each iteration computes the image of the newly
         reached states only."""
@@ -228,7 +230,7 @@ class SymbolicTcsg:
         reached = from_states
         frontier = from_states
         with tracer.span("cssg.reach"):
-            for iteration in range(max_iters):
+            for iteration in range(_MAX_REACH_ITERS):
                 # One span per frontier *iteration*, not per image call —
                 # iterations are the natural unit and stay rare enough
                 # that tracing cannot perturb the kernel.

@@ -89,9 +89,6 @@ class Stg:
     def n_places(self) -> int:
         return len(self.place_names)
 
-    def transitions_of(self, signal: str) -> List[Transition]:
-        return [t for t in self.transitions if t.signal == signal]
-
     def _validate(self) -> None:
         sigs = set(self.signals)
         if len(sigs) != len(self.signals):

@@ -50,9 +50,6 @@ class StateGraph:
     def signal_bit(self, signal: str) -> int:
         return self.stg.signals.index(signal)
 
-    def enabled_signals(self, state_id: int) -> Set[str]:
-        return {t.signal for t, _ in self.edges[state_id]}
-
     def next_state_value(self, state_id: int, signal: str) -> int:
         """NS(signal) at a state: where the signal is headed.
 

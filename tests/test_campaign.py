@@ -435,3 +435,50 @@ def test_refresh_forces_recompute(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["summary"]["n_cached"] == 2
     assert campaign_main(args + ["--refresh", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["n_ran"] == 2
+
+
+def test_negative_worker_counts_raise_before_spawning():
+    from repro.campaign.runner import _Pool
+
+    # No jobs: a regression fails here instead of stepping an empty pool
+    # forever.
+    with pytest.raises(ReproError, match="workers must be >= 0, got -2"):
+        run_campaign([], workers=-2, store=None)
+    for width in (-1, 0):
+        with pytest.raises(ReproError, match=f"needs >= 1 worker, got {width}"):
+            _Pool([], width, 600)
+
+
+def test_campaign_spec_rejects_out_of_range_options():
+    with pytest.raises(ReproError, match="AtpgOptions.k must be >= 0"):
+        expand(CampaignSpec(benchmarks=["dff"], ks=(-1,)))
+    with pytest.raises(ReproError, match="AtpgOptions.random_walks"):
+        CampaignSpec.table1(random_walks=-1)
+
+
+def test_fault_universe_is_computed_once_per_job(monkeypatch, tmp_path):
+    """The first job of a circuit group builds the CSSG; its
+    ``StageStarted`` count reuses the job's one universe."""
+    from repro.campaign import runner
+    from repro.circuit import faults
+
+    calls = []
+    real = faults.fault_universe
+
+    def counting(circuit, model):
+        calls.append(model)
+        return real(circuit, model)
+
+    monkeypatch.setattr(faults, "fault_universe", counting)
+    jobs = expand(CampaignSpec(benchmarks=["dff"], options=AtpgOptions(**FAST)))
+    memo = {}
+    for job in jobs:
+        calls.clear()
+        runner.execute_job(job, memo, listeners=[lambda event: None])
+        assert calls == [job.options.fault_model], job.name
+    store = ResultStore(tmp_path)
+    memo = {}
+    for job in jobs:
+        calls.clear()
+        runner.execute_job_incremental(job, store, memo)
+        assert calls == [job.options.fault_model], job.name

@@ -1,9 +1,14 @@
 """The repro-atpg command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core.atpg import RESULT_SCHEMA_VERSION
 
@@ -163,3 +168,83 @@ def test_trace_flag_writes_jsonl(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dff", "--trace", str(tmp_path / "trace.jsonl")])
     assert exc.value.code == 2
+
+
+#: ``python -c`` prologue binding ``entry`` to one console entry point.
+ENTRY_POINTS = {
+    "repro-atpg": "from repro.cli import main as entry",
+    "repro-campaign": "from repro.cli import campaign_main as entry",
+    "repro-fuzz": "from repro.cli import fuzz_main as entry",
+    "repro-cache": "from repro.cli import cache_main as entry",
+    "repro-serve": "from repro.serve.server import serve_main as entry",
+}
+
+
+def run_entry_point(name, argv, stdout=subprocess.DEVNULL):
+    """Run one console entry point in a fresh interpreter, bounded by a
+    timeout (a hang fails the test instead of stalling the suite)."""
+    code = f"import sys; {ENTRY_POINTS[name]}; sys.exit(entry({argv!r}))"
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src_dir),
+    )
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("repro-atpg", ["dff", "--json"]),
+    ("repro-campaign", ["dff", "--workers", "0", "--no-cache", "--quiet"]),
+    ("repro-fuzz", ["-n", "1", "--workers", "0", "--no-cache", "--quiet"]),
+    ("repro-cache", ["--cache-dir", "{tmp}", "stats"]),
+    ("repro-serve", ["--port", "0", "--workers", "0", "--no-cache",
+                     "--state-dir", "{tmp}"]),
+])
+def test_broken_pipe_exits_1_without_traceback(name, argv, tmp_path):
+    """A reader that is gone before the first write (``| head`` that
+    already quit) ends every entry point with status 1 and nothing on
+    stderr but its own progress lines."""
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_entry_point(name, argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("repro-campaign", ["dff", "--workers", "-2", "--no-cache"]),
+    ("repro-fuzz", ["-n", "2", "--workers", "-1", "--no-cache"]),
+    ("repro-serve", ["--workers", "-1", "--no-cache"]),
+])
+def test_negative_workers_exit_2(name, argv):
+    proc = run_entry_point(name, argv)
+    assert proc.returncode == 2
+    assert "--workers: must be >= 0, got -" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--max-deadline", "--default-deadline"])
+def test_negative_serve_deadline_exits_2(flag, capsys):
+    from repro.serve.server import build_serve_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_serve_parser().parse_args([flag, "-1"])
+    assert exc.value.code == 2
+    assert f"{flag}: must be >= 0, got -1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--k", "-1", "k"),
+    ("--deadline", "-5", "deadline_seconds"),
+])
+def test_out_of_range_option_exits_1_naming_the_field(flag, value, field, capsys):
+    assert main(["dff", flag, value]) == 1
+    assert f"AtpgOptions.{field} must be >= 0" in capsys.readouterr().err

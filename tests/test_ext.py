@@ -6,7 +6,6 @@ from repro.benchmarks_data import load_benchmark
 from repro.circuit.faults import input_fault_universe
 from repro.core.atpg import AtpgOptions
 from repro.errors import NetlistError
-from repro.ext.paths import enumerate_paths, structural_paths
 from repro.ext.scan import insert_scan_inputs, rank_scan_candidates
 from repro.ext.undetectable import (
     NEVER_EXCITED,
@@ -155,30 +154,3 @@ def test_classifier_symbolic_and_explicit_agree_on_verdict_partition():
         a = with_symbolic[fault].verdict == POSSIBLY_DETECTABLE
         b = explicit[fault].verdict == POSSIBLY_DETECTABLE
         assert a == b, fault.describe(circuit)
-
-
-# -- path enumeration ---------------------------------------------------------
-
-def test_paths_on_celem(celem):
-    paths = list(enumerate_paths(celem))
-    # A -> a -> c and B -> b -> c.
-    assert len(paths) == 2
-    for path in paths:
-        assert celem.signals[path[0]].is_input
-        assert path[-1] == celem.index("c")
-
-
-def test_paths_are_simple(celem):
-    for path in enumerate_paths(celem):
-        assert len(set(path)) == len(path)
-
-
-def test_structural_path_counts():
-    circuit = load_benchmark("ebergen", "complex")
-    counts = structural_paths(circuit)
-    assert set(counts) == set(circuit.output_names)
-    assert all(v >= 1 for v in counts.values())
-
-
-def test_max_paths_cap(celem):
-    assert len(list(enumerate_paths(celem, max_paths=1))) == 1

@@ -6,7 +6,6 @@ from repro.errors import ReproError
 from repro.circuit.faults import (
     Fault,
     fault_universe,
-    gate_of,
     input_fault_universe,
     output_fault_universe,
 )
@@ -48,22 +47,6 @@ def test_describe(celem):
     a = celem.index("a")
     assert Fault("input", c, a, 0).describe(celem) == "c<-a SA0"
     assert Fault("output", c, c, 1).describe(celem) == "c SA1"
-
-
-def test_excitation_site(celem):
-    c = celem.index("c")
-    a = celem.index("a")
-    assert Fault("input", c, a, 0).excitation_site() == a
-    assert Fault("output", c, c, 1).excitation_site() == c
-
-
-def test_gate_of(celem):
-    c = celem.index("c")
-    fault = Fault("input", c, celem.index("a"), 0)
-    gate = gate_of(celem, fault)
-    assert gate is not None and gate.name == "c"
-    bogus = Fault("input", 0, 0, 0)  # site 0 is the primary input wire
-    assert gate_of(celem, bogus) is None
 
 
 def test_faults_are_hashable_and_ordered(celem):

@@ -559,3 +559,23 @@ def test_deadline_inside_the_undetectability_proof(monkeypatch):
         e for e in recorder.events if isinstance(e, BudgetExhausted)
     ]
     assert exhausted.stage == "three-phase" and exhausted.n_remaining == 6
+
+
+def test_telemetry_stage_seconds_equal_the_stage_finished_seconds():
+    """Each stage's time is read from the clock once: the telemetry
+    block and the ``StageFinished`` event carry the same reading, the
+    ``cssg`` pseudo-stage included."""
+    finished = []
+    with use_tracer(Tracer()):
+        result = Flow.default().run(
+            load_benchmark("ebergen", "complex"),
+            AtpgOptions(),
+            listeners=[finished.append],
+        )
+    seconds = {
+        e.stage: round(e.seconds, 6)
+        for e in finished
+        if isinstance(e, StageFinished)
+    }
+    assert "cssg" in seconds and "random-tpg" in seconds
+    assert result.telemetry["stage_seconds"] == seconds

@@ -75,7 +75,7 @@ def test_counter_gauge_histogram_basics():
     child = lat.labels()
     assert child.count == 3
     assert child.sum == pytest.approx(5.55)
-    assert child.cumulative_counts() == [1, 2, 3]
+    assert child.bucket_counts == [1, 1, 1]
 
 
 def test_registry_get_or_create_and_shape_conflicts():

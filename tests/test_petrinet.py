@@ -109,4 +109,4 @@ def test_duplicate_signals_rejected():
 
 def test_transitions_of():
     stg = build_cycle()
-    assert [t.label for t in stg.transitions_of("z")] == ["z+", "z-"]
+    assert [t.label for t in stg.transitions if t.signal == "z"] == ["z+", "z-"]

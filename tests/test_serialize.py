@@ -1,5 +1,6 @@
 """JSON round-trip contract for ATPG results (the cache's foundation)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -44,7 +45,7 @@ def test_fault_status_round_trip():
 
 def test_fault_status_reason_round_trip():
     """Schema v2: the abort reason survives serialization."""
-    for reason in ("budget", "product-states", "activation-tries"):
+    for reason in ("budget", "product-states", "unprocessed"):
         status = FaultStatus(Fault("input", 3, 1, 0), "aborted", reason=reason)
         back = FaultStatus.from_json_dict(status.to_json_dict())
         assert back == status and back.reason == reason
@@ -91,6 +92,32 @@ def test_options_round_trip():
 def test_options_reject_unknown_fields():
     with pytest.raises(ReproError, match="unknown AtpgOptions"):
         AtpgOptions.from_json_dict({"fault_model": "input", "bogus": 1})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("k", -1),
+    ("random_walks", -1),
+    ("walk_len", -1),
+    ("deadline_seconds", -5.0),
+    ("max_input_changes", 0),
+])
+def test_options_reject_out_of_range_values(field, value):
+    bound = ">= 1" if field == "max_input_changes" else ">= 0"
+    with pytest.raises(ReproError, match=f"AtpgOptions.{field} must be {bound}"):
+        AtpgOptions(**{field: value})
+    with pytest.raises(ReproError, match=f"AtpgOptions.{field}"):
+        AtpgOptions.from_json_dict({field: value})
+
+
+def test_options_boundary_values_stay_legal_and_serialize_unchanged():
+    opts = AtpgOptions(
+        k=0, random_walks=0, walk_len=0, deadline_seconds=0.0,
+        max_input_changes=1,
+    )
+    assert AtpgOptions.from_json_dict(opts.to_json_dict()) == opts
+    assert list(AtpgOptions().to_json_dict()) == [
+        f.name for f in dataclasses.fields(AtpgOptions)
+    ]
 
 
 def test_result_round_trip_is_a_fixed_point(ebergen_result):

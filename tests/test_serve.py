@@ -283,6 +283,18 @@ def test_unknown_fields_and_bad_sources_are_400(harness):
         assert exc.value.status == 400
 
 
+def test_out_of_range_options_are_400_naming_the_field(harness):
+    for body, field in (
+        ({"benchmark": "dff", "k": -1}, "k"),
+        ({"benchmark": "dff", "options": {"walk_len": -1}}, "walk_len"),
+        ({"benchmark": "dff", "max_input_changes": 0}, "max_input_changes"),
+    ):
+        with pytest.raises(ServeError) as exc:
+            harness.client.submit(**body)
+        assert exc.value.status == 400
+        assert f"AtpgOptions.{field} must be" in str(exc.value)
+
+
 # -- coalescing --------------------------------------------------------------
 
 

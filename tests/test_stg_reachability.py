@@ -18,7 +18,7 @@ def test_handshake_state_graph(handshake_stg):
 def test_next_state_value_semantics(handshake_stg):
     sg = build_state_graph(handshake_stg)
     # Initial state: ri+ enabled (an input), outputs quiescent.
-    assert sg.enabled_signals(sg.initial) == {"ri"}
+    assert {t.signal for t, _ in sg.edges[sg.initial]} == {"ri"}
     assert sg.next_state_value(sg.initial, "ro") == 0
     # After ri+: ro+ becomes enabled -> NS(ro) = 1.
     after = sg.edges[sg.initial][0][1]

@@ -146,7 +146,7 @@ def _counting_settle(monkeypatch):
 
 def test_exact_machine_settles_a_repeated_apply_once(celem, monkeypatch):
     c = celem.index("c")
-    machine = _ExactMachine(celem, Fault("input", c, c, 1), 50_000, 64)
+    machine = _ExactMachine(celem, Fault("input", c, c, 1), 50_000)
     assert isinstance(machine.faulty, exact_sim.PatchedMachine)
     states = machine.reset(celem.require_reset())
     calls = _counting_settle(monkeypatch)
@@ -162,7 +162,7 @@ def test_exact_machine_settles_a_repeated_apply_once(celem, monkeypatch):
 def test_exact_machine_memoises_the_fallback(celem, monkeypatch):
     c = celem.index("c")
     # A one-state cap truncates every settle that moves at all.
-    machine = _ExactMachine(celem, Fault("input", c, c, 1), 1, 64)
+    machine = _ExactMachine(celem, Fault("input", c, c, 1), 1)
     states = frozenset([celem.require_reset()])
     calls = _counting_settle(monkeypatch)
     for _ in range(2):
