@@ -14,7 +14,9 @@ universe re-runs.  This module refines that to fault granularity:
   fault-model/options signature, the stage list, the I/O interface and
   the code/schema versions.
 * A run stores one **partial payload** per cohort: the cohort's fault
-  verdicts and the slices of the test set that cover them.  On a rerun
+  verdicts and the slices of the test set that cover them.  A job's
+  partials travel together as one pack (:func:`extract_partials`), in
+  which the fields they share are stored once.  On a rerun
   after an edit, only cohorts whose cones contain the edited logic get
   new keys; everything else is replayed from cache
   (:class:`repro.flow.stages.ReplayStage`) and only the stale faults
@@ -72,7 +74,8 @@ __all__ = [
 
 #: Bump when the partial-payload layout or the cone canonicalization
 #: changes; it salts every cohort key, so old partials simply miss.
-COHORT_SCHEMA_VERSION = 1
+#: Version 2: one pack per job instead of one file per cohort.
+COHORT_SCHEMA_VERSION = 2
 
 #: Same role for serialized CSSGs under their structural fingerprint.
 CSSG_CACHE_SCHEMA_VERSION = 1
@@ -261,14 +264,18 @@ def extract_partials(
     payload: Dict,
     cohorts: Sequence[Cohort],
     run_key: str,
-) -> Dict[str, Dict]:
-    """Slice a full result payload into one partial doc per cohort.
+) -> Dict:
+    """Slice a full result payload into one partial doc per cohort,
+    packed for :meth:`~repro.campaign.store.ResultStore.put_cohort`.
 
     Each partial records, in cohort-fault order, the verdict docs
     (``test`` pointing at the *producing run's* final test index) and
     the tests that cover any cohort fault — with ``at`` pairs
     ``[position-in-test, cohort-fault-index]`` so a later merge can
-    rebuild every test's fault list position-exactly.
+    rebuild every test's fault list position-exactly.  The fields all
+    partials share (schema ``version``, producing ``run``, ``cssg``
+    summary) sit once at the pack's top level; the partials sit under
+    ``"cohorts"``, keyed by cohort key.
     """
     locate: Dict[Tuple, Tuple[int, int]] = {}
     for ci, cohort in enumerate(cohorts):
@@ -277,12 +284,9 @@ def extract_partials(
 
     docs = [
         {
-            "version": COHORT_SCHEMA_VERSION,
-            "run": run_key,
             "faults": [_fault_names(circuit, f) for f in cohort.faults],
             "statuses": [],
             "tests": [],
-            "cssg": dict(payload["cssg"]),
         }
         for cohort in cohorts
     ]
@@ -310,7 +314,12 @@ def extract_partials(
                     "at": at,
                 }
             )
-    return {cohort.key: doc for cohort, doc in zip(cohorts, docs)}
+    return {
+        "version": COHORT_SCHEMA_VERSION,
+        "run": run_key,
+        "cssg": dict(payload["cssg"]),
+        "cohorts": {cohort.key: doc for cohort, doc in zip(cohorts, docs)},
+    }
 
 
 # -- merge and replay --------------------------------------------------

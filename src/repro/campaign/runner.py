@@ -289,8 +289,8 @@ def execute_job_incremental(
       full universe with a leading
       :class:`~repro.flow.stages.ReplayStage` injecting the cached
       verdicts, so the generating stages see only the stale faults;
-      fresh partials are then stored for *every* cohort, keeping all of
-      a partition's partials on one producing run;
+      fresh partials are then stored for *every* cohort, as one pack,
+      keeping all of a partition's partials on one producing run;
     * no store, or a deadline-bounded job (a budget abort would cache
       partial verdicts as if they were final — the documented
       "cohort hit impossible" case) → plain :func:`execute_job`,
@@ -364,14 +364,16 @@ def execute_job_incremental(
         circuit, opts, faults=list(universe), cssg=cssg, listeners=listeners
     )
     payload = result.to_json_dict()
-    canonical = canonical_payload(payload)
     # Re-extract *every* cohort from this run's payload, not just the
     # stale ones: reused partials get re-normalized onto this producing
     # run, so all partials of a partition always reference one run and
-    # a later merge reassembles this payload position-exactly.
-    partials = _cohort.extract_partials(circuit, canonical, cohorts, job.key)
-    for cohort in cohorts:
-        store.put_cohort(cohort.key, partials[cohort.key])
+    # a later merge reassembles this payload position-exactly.  The
+    # whole partition is one pack, so this is one store write.
+    if cohorts:
+        partials = _cohort.extract_partials(
+            circuit, canonical_payload(payload), cohorts, job.key
+        )
+        store.put_cohort(job.key, partials)
     return payload, result, stats
 
 

@@ -4,30 +4,44 @@ The store files three entry classes under one cache directory, each a
 JSON document keyed by content hash::
 
     <root>/results/<key[:2]>/<key>.json   whole-job AtpgResult payloads
-    <root>/cohorts/<key[:2]>/<key>.json   per-cohort partial payloads
+    <root>/cohorts/<run[:2]>/<run>.json   one job's cohort partials (a pack)
+    <root>/cohorts/index                  ``<cohort key> <run>`` rows
     <root>/cssg/<key[:2]>/<key>.json      CSSGs by structural fingerprint
 
 Keys already encode everything the entry depends on (netlist bytes or
 cone sub-netlist, options, code version, schema versions — see
 :mod:`repro.campaign.plan` and :mod:`repro.campaign.cohort`), so
 invalidation is automatic: any change produces a different key, and
-stale entries are simply never addressed again.  Writes are atomic
-(temp file + ``fsync`` + ``os.replace``, through
+stale entries are simply never addressed again.
+
+Cohort partials are written a job at a time.  A job's whole partition
+is one *pack*, filed under the producing job's key; the fields every
+partial of the job shares are stored once, at the pack's top level.
+The append-only ``cohorts/index`` maps each cohort key to the pack that
+holds it, and its latest row wins, so the index is a small log in the
+manner of log-structured stores (Rosenblum & Ousterhout, SOSP 1991).
+
+Writes are atomic (temp file + ``fsync`` + ``os.replace``, through
 :func:`repro.obs.export.atomic_write_text`) so concurrent campaigns — or
 the ``repro-serve`` daemon's parallel workers — sharing a cache
 directory can only ever observe complete entries; when several writers
 race on the same key the last replace wins and every reader sees one
-complete payload or a miss, never a torn file.  Corrupt or foreign
-files read as cache misses.
+complete payload or a miss, never a torn file.  An index row is
+appended (one ``O_APPEND`` write per pack, no ``fsync``) only after its
+pack is durable, so a crash can lose rows but never publish a row whose
+pack is torn; a lost row is a miss.  A torn or garbage index line, a
+row whose pack is gone and a pack without the key all read as misses,
+as do corrupt or foreign files.
 
 The store is also a maintainable artifact: :meth:`ResultStore.entries`
 / :meth:`~ResultStore.prune` / :meth:`~ResultStore.prune_plan` /
 :meth:`~ResultStore.stats` back the ``repro-cache`` CLI (list, age- and
-size-bounded pruning with a per-class dry-run, hit statistics), and
-``track_stats=True`` appends one ``<class->hit|miss <key>`` line per
-lookup to ``<root>/stats.log`` (O_APPEND, crash-safe) so long-lived
-services can report hit rates across restarts.  The log is bounded:
-past :data:`STATS_LOG_MAX_BYTES` it is compacted into a single
+size-bounded pruning with a per-class dry-run, hit statistics; cohorts
+are counted and evicted as whole packs, and pruning compacts the
+index), and ``track_stats=True`` appends one ``<class->hit|miss <key>``
+line per lookup to ``<root>/stats.log`` (O_APPEND, crash-safe) so
+long-lived services can report hit rates across restarts.  The log is
+bounded: past :data:`STATS_LOG_MAX_BYTES` it is compacted into a single
 ``summary`` line carrying the same tallies (atomic replace; a racing
 appender can at worst lose its own line, never corrupt the counts).
 """
@@ -36,6 +50,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import threading
 import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -55,6 +71,12 @@ _CLASS_META = {
     "cohorts": ("cohort-", "repro_campaign_cohort_requests_total"),
     "cssg": ("cssg-", "repro_campaign_cssg_requests_total"),
 }
+
+#: One ``cohorts/index`` row: a cohort key and the run key of the pack
+#: holding it, or ``-`` once the cohort is deleted.  Matched at the end
+#: of a line, so a row appended after a torn one is still found.
+_INDEX_ROW = re.compile(r"([0-9a-f]{64}) ([0-9a-f]{64}|-)$")
+_DELETED = "-"
 
 
 def default_cache_dir() -> Path:
@@ -77,6 +99,12 @@ class ResultStore:
         self.root = Path(root) if root is not None else default_cache_dir()
         self._results = self.root / "results"
         self._stats_log = self.root / "stats.log" if track_stats else None
+        self._index = self._class_dir("cohorts") / "index"
+        #: The index as ``{cohort key: run key}``, read up to
+        #: ``_index_at``: the index file's ``(inode, bytes consumed)``.
+        self._index_rows: Dict[str, str] = {}
+        self._index_at: Optional[Tuple[int, int]] = None
+        self._index_lock = threading.Lock()
 
     def _class_dir(self, entry_class: str) -> Path:
         return self.root / entry_class
@@ -91,19 +119,7 @@ class ResultStore:
             return
         prefix = _CLASS_META[entry_class][0]
         try:
-            self._stats_log.parent.mkdir(parents=True, exist_ok=True)
-            # O_APPEND: one small write per lookup is atomic on POSIX,
-            # so concurrent processes interleave whole lines.
-            fd = os.open(
-                str(self._stats_log),
-                os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                0o644,
-            )
-            try:
-                os.write(fd, f"{prefix}{outcome} {key}\n".encode("ascii"))
-                size = os.fstat(fd).st_size
-            finally:
-                os.close(fd)
+            size = _append(self._stats_log, f"{prefix}{outcome} {key}\n")
             if size > STATS_LOG_MAX_BYTES:
                 self._compact_stats_log()
         except OSError:
@@ -162,15 +178,24 @@ class ResultStore:
 
     # -- generic class-aware read/write --------------------------------
 
-    def _read(self, key: str, entry_class: str) -> Optional[Dict]:
-        path = self.path_for(key, entry_class)
+    @staticmethod
+    def _load(path: Path) -> Optional[Dict]:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
-            payload = None
-        if not isinstance(payload, dict):
-            payload = None
+            return None
+        return payload if isinstance(payload, dict) else None
+
+    def _read(self, key: str, entry_class: str) -> Optional[Dict]:
+        return self._counted(
+            self._load(self.path_for(key, entry_class)), key, entry_class
+        )
+
+    def _counted(
+        self, payload: Optional[Dict], key: str, entry_class: str
+    ) -> Optional[Dict]:
+        """``payload``, once its lookup is counted as a hit or a miss."""
         outcome = "miss" if payload is None else "hit"
         if _obs.enabled():
             # Keys embed the relevant schema versions, so a raw store
@@ -220,24 +245,100 @@ class ResultStore:
         except OSError:
             return False
 
-    # -- per-cohort partials and cached CSSGs --------------------------
+    # -- per-cohort partials (packs + index) and cached CSSGs ----------
 
     def get_cohort(self, key: str) -> Optional[Dict]:
-        """A cached per-cohort partial payload, or ``None``."""
-        return self._read(key, "cohorts")
+        """A cached per-cohort partial payload, or ``None``: the pack's
+        shared fields merged with the cohort's own, from the pack the
+        latest index row names."""
+        return self._counted(self._find_partial(key), key, "cohorts")
 
-    def put_cohort(self, key: str, payload: Dict) -> Path:
-        return self._write(key, payload, "cohorts")
+    def put_cohort(self, run_key: str, partials: Dict) -> Path:
+        """Persist one job's cohort partials as one pack, then index it.
+
+        ``partials`` carries the fields every partial shares at its top
+        level and each cohort's own fields under ``"cohorts"``, keyed by
+        cohort key.  The pack is durable (see :meth:`put`) before its
+        rows go to the index in one ``O_APPEND`` write, so every row
+        names a complete pack; the index is not fsynced, since a lost
+        row only costs a miss.  Returns the pack's path.
+        """
+        path = self._write(run_key, partials, "cohorts")
+        _append(
+            self._index,
+            "".join(f"{key} {run_key}\n" for key in partials["cohorts"]),
+        )
+        return path
 
     def has_cohort(self, key: str) -> bool:
-        return self.path_for(key, "cohorts").exists()
+        return self._find_partial(key) is not None
 
     def delete_cohort(self, key: str) -> bool:
-        try:
-            self.path_for(key, "cohorts").unlink()
-            return True
-        except OSError:
+        """Unindex one cohort (its pack stays for the others); later
+        lookups of ``key`` miss until a pack holding it is put again."""
+        if self._find_partial(key) is None:
             return False
+        _append(self._index, f"{key} {_DELETED}\n")
+        return True
+
+    def _find_partial(self, key: str) -> Optional[Dict]:
+        run = self._read_index().get(key, _DELETED)
+        if run == _DELETED:
+            return None
+        pack = self._load(self.path_for(run, "cohorts"))
+        cohorts = pack.get("cohorts") if pack is not None else None
+        own = cohorts.get(key) if isinstance(cohorts, dict) else None
+        if not isinstance(own, dict):
+            return None
+        partial = {name: v for name, v in pack.items() if name != "cohorts"}
+        partial.update(own)
+        return partial
+
+    def _read_index(self) -> Dict[str, str]:
+        """The index rows, with every complete line appended since this
+        store last looked read in (an unterminated tail waits for its
+        newline).  A compaction replaces the file, so a new inode, or
+        one shorter than what was read, is read again from the start."""
+        with self._index_lock:
+            try:
+                fd = os.open(self._index, os.O_RDONLY)
+            except OSError:
+                self._index_rows, self._index_at = {}, None
+                return self._index_rows
+            try:
+                st = os.fstat(fd)
+                inode, done = self._index_at or (None, 0)
+                if st.st_ino != inode or st.st_size < done:
+                    self._index_rows, done = {}, 0
+                data = os.pread(fd, st.st_size - done, done)
+            finally:
+                os.close(fd)
+            end = data.rfind(b"\n") + 1
+            for line in data[:end].decode("ascii", "replace").split("\n"):
+                row = _INDEX_ROW.search(line)
+                if row is not None:
+                    self._index_rows[row.group(1)] = row.group(2)
+            self._index_at = (st.st_ino, done + end)
+            return self._index_rows
+
+    def _compact_index(self) -> None:
+        """Rewrite the index as the latest row of each cohort whose pack
+        still exists, in one atomic replace.  Lock-free like
+        :meth:`_compact_stats_log`: a row appended between the read and
+        the replace is lost, which costs its cohort one miss."""
+        if not self._index.exists():
+            return
+        self._index_at = None  # read the whole index afresh
+        rows = self._read_index()
+        alive: Dict[str, bool] = {}
+        for run in rows.values():
+            if run not in alive:
+                alive[run] = run != _DELETED and os.path.exists(
+                    self.path_for(run, "cohorts")
+                )
+        live = [f"{key} {run}\n" for key, run in rows.items() if alive[run]]
+        atomic_write_text(self._index, "".join(live), prefix=".index-")
+        self._index_at = None
 
     def get_cssg(self, key: str) -> Optional[Dict]:
         """A serialized CSSG by structural fingerprint, or ``None``."""
@@ -312,11 +413,11 @@ class ResultStore:
         max_total_bytes: Optional[int] = None,
         now: Optional[float] = None,
     ) -> Tuple[int, int]:
-        """Evict entries (all classes) older than ``max_age_seconds``,
-        then — oldest first across classes — until the store fits
-        ``max_total_bytes``.  Also reaps orphaned ``.tmp`` files
-        abandoned by crashed writers.  Returns
-        ``(n_removed, bytes_freed)``.
+        """Evict entries (all classes; cohorts a whole pack at a time)
+        older than ``max_age_seconds``, then — oldest first across
+        classes — until the store fits ``max_total_bytes``.  Also reaps
+        orphaned ``.tmp`` files abandoned by crashed writers, and
+        compacts the cohort index.  Returns ``(n_removed, bytes_freed)``.
         """
         now = time.time() if now is None else now
         n_removed = 0
@@ -325,7 +426,7 @@ class ResultStore:
             base = self._class_dir(entry_class)
             if not base.exists():
                 continue
-            for tmp in base.glob("*/.*.tmp"):
+            for tmp in [*base.glob(".*.tmp"), *base.glob("*/.*.tmp")]:
                 try:
                     st = tmp.stat()
                     if now - st.st_mtime > 3600:  # not an in-flight write
@@ -343,6 +444,7 @@ class ResultStore:
                 continue
             n_removed += 1
             bytes_freed += size
+        self._compact_index()
         return n_removed, bytes_freed
 
     def prune_plan(
@@ -415,7 +517,8 @@ class ResultStore:
         return sum(1 for _ in self.iter_keys())
 
     def clear(self) -> int:
-        """Remove every entry in every class; returns how many."""
+        """Remove every entry in every class, and the cohort index;
+        returns how many entries."""
         n = 0
         for entry_class in ENTRY_CLASSES:
             for _key, path, _size, _mtime in self.class_entries(entry_class):
@@ -424,7 +527,29 @@ class ResultStore:
                     n += 1
                 except OSError:
                     continue
+        try:
+            self._index.unlink()
+        except OSError:
+            pass
         return n
 
     def __repr__(self):
         return f"ResultStore({str(self.root)!r})"
+
+
+def _append(path: Path, text: str) -> int:
+    """Append ``text`` to ``path`` in one ``O_APPEND`` write, creating
+    the file (and, the first time, its directory); returns the new
+    size.  One write is atomic against other appenders on POSIX, so
+    concurrent processes interleave whole writes, never parts of them."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+    try:
+        fd = os.open(path, flags, 0o644)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, flags, 0o644)
+    try:
+        os.write(fd, text.encode("ascii"))
+        return os.fstat(fd).st_size
+    finally:
+        os.close(fd)

@@ -969,7 +969,7 @@ def cache_main(argv=None) -> int:
             row = plan[entry_class]
             label = (
                 "full results" if entry_class == "results" else
-                "cohort partials" if entry_class == "cohorts" else
+                "cohort packs" if entry_class == "cohorts" else
                 "cssg graphs"
             )
             print(

@@ -26,7 +26,6 @@ See ``docs/serving.md`` for the full API surface and a worked session.
 from repro.serve.client import ServeClient
 from repro.serve.jobs import EventLog, JobRecord
 from repro.serve.qos import QosPolicy
-from repro.serve.server import ReproServer, serve_main
 
 __all__ = [
     "EventLog",
@@ -36,3 +35,13 @@ __all__ = [
     "ServeClient",
     "serve_main",
 ]
+
+
+def __getattr__(name):
+    # The server is imported on first use, not with the package, so
+    # ``python -m repro.serve.server`` runs it once, under one name.
+    if name in ("ReproServer", "serve_main"):
+        from repro.serve import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -231,6 +231,23 @@ def test_negative_workers_exit_2(name, argv):
     assert "--workers: must be >= 0, got -" in proc.stderr
 
 
+@pytest.mark.parametrize("module", ["repro.serve", "repro.serve.server"])
+def test_serve_module_runs_once_without_runpy_warning(module):
+    """The package does not import its server eagerly, so ``-m`` runs
+    either module once, under one name, with no runpy warning."""
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "--help"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src_dir),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: repro-serve")
+    assert "RuntimeWarning" not in proc.stderr
+
+
 @pytest.mark.parametrize("flag", ["--max-deadline", "--default-deadline"])
 def test_negative_serve_deadline_exits_2(flag, capsys):
     from repro.serve.server import build_serve_parser

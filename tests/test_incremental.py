@@ -466,7 +466,7 @@ def test_prune_plan_reports_reclaimable_bytes_per_class(tmp_path):
     store = ResultStore(tmp_path)
     store.put("a" * 64, {"kind": "result"})
     store.put("b" * 64, {"kind": "result"})
-    store.put_cohort("c" * 64, {"kind": "partial"})
+    store.put_cohort("e" * 64, {"cohorts": {"c" * 64: {"kind": "partial"}}})
     store.put_cssg("d" * 64, {"kind": "graph"})
     plan = store.prune_plan(max_age_seconds=0.0, now=time.time() + 60)
     assert plan["results"]["n_entries"] == 2

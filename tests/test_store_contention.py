@@ -170,3 +170,244 @@ def test_repro_cache_cli_smoke(tmp_path, capsys):
     assert cache_main(["prune", "--cache-dir", str(tmp_path)]) == 2  # no bounds
     assert cache_main(["clear", "--cache-dir", str(tmp_path)]) == 0
     assert len(store) == 0
+
+
+# -- cohort packs and the cohort index -----------------------------------
+
+
+def _cohort_key(i: int) -> str:
+    return f"{i:02x}" + "c0" * 31
+
+
+def _run_key(i: int) -> str:
+    return f"{i:02x}" + "9a" * 31
+
+
+def _pack(run: str, cohorts, pad: int = 0) -> dict:
+    """A pack whose partials each name their producing run, so a partial
+    assembled from two packs is detectable."""
+    return {
+        "run": run,
+        "cohorts": {
+            key: {"made_by": run, "pad": "z" * pad} for key in cohorts
+        },
+    }
+
+
+def test_torn_index_tail_is_ignored_and_later_appends_are_read(tmp_path):
+    store = ResultStore(tmp_path)
+    store.put_cohort(_run_key(1), _pack(_run_key(1), [_cohort_key(1)]))
+    index = tmp_path / "cohorts" / "index"
+    with open(index, "a", encoding="ascii") as handle:
+        handle.write("not a row at all\n")
+        handle.write(f"{_cohort_key(2)} {_run_key(1)[:30]}")  # torn tail
+    reader = ResultStore(tmp_path)
+    assert reader.get_cohort(_cohort_key(1))["run"] == _run_key(1)
+    assert reader.get_cohort(_cohort_key(2)) is None
+    # A later put appends behind the torn line; both stores read it.
+    ResultStore(tmp_path).put_cohort(
+        _run_key(3), _pack(_run_key(3), [_cohort_key(3)])
+    )
+    for store in (reader, ResultStore(tmp_path)):
+        assert store.get_cohort(_cohort_key(3))["run"] == _run_key(3)
+        assert store.get_cohort(_cohort_key(1))["run"] == _run_key(1)
+        assert store.get_cohort(_cohort_key(2)) is None
+
+
+def test_index_row_seen_in_part_is_read_once_its_newline_lands(tmp_path):
+    """A reader can see an append still in flight: the unterminated
+    part waits for its newline instead of being dropped as garbage."""
+    store = ResultStore(tmp_path)
+    a, b = _cohort_key(1), _cohort_key(2)
+    store.put_cohort(_run_key(1), _pack(_run_key(1), [a, b]))
+    store.delete_cohort(b)
+    row = f"{b} {_run_key(1)}\n"
+    with open(tmp_path / "cohorts" / "index", "a", encoding="ascii") as handle:
+        handle.write(row[:100])
+        handle.flush()
+        assert store.get_cohort(b) is None
+        handle.write(row[100:])
+    assert store.get_cohort(b)["made_by"] == _run_key(1)
+
+
+def test_row_whose_pack_is_gone_or_deleted_reads_as_a_miss(tmp_path):
+    store = ResultStore(tmp_path)
+    a, b = _cohort_key(1), _cohort_key(2)
+    pack = store.put_cohort(_run_key(1), _pack(_run_key(1), [a, b]))
+    assert store.has_cohort(a) and store.has_cohort(b)
+
+    assert store.delete_cohort(a)
+    assert not store.delete_cohort(a)  # already gone
+    assert store.get_cohort(a) is None and not store.has_cohort(a)
+    assert store.get_cohort(b)["made_by"] == _run_key(1)  # pack kept
+    assert ResultStore(tmp_path).get_cohort(a) is None
+
+    store.put_cohort(_run_key(1), _pack(_run_key(1), [a, b]))
+    assert store.get_cohort(a)["made_by"] == _run_key(1)  # put again
+
+    pack.unlink()
+    assert store.get_cohort(a) is None and store.get_cohort(b) is None
+    assert not store.has_cohort(b)
+
+    size = store.put_cohort(_run_key(2), _pack(_run_key(2), [a])).stat().st_size
+    assert store.get_cohort(a)["made_by"] == _run_key(2)
+    pruned = store.prune(max_age_seconds=0.0, now=time.time() + 60)
+    assert pruned == (1, size)  # the one pack left; the unlinked is gone
+    assert store.get_cohort(a) is None
+
+
+def test_prune_evicts_whole_packs_and_compacts_the_index(tmp_path):
+    store = ResultStore(tmp_path)
+    a, b, c = _cohort_key(1), _cohort_key(2), _cohort_key(3)
+    old = store.put_cohort(_run_key(1), _pack(_run_key(1), [a, b]))
+    store.put_cohort(_run_key(2), _pack(_run_key(2), [b, c]))
+    store.delete_cohort(c)
+    os.utime(old, (time.time() - 10 * 86400,) * 2)
+    assert [e[0] for e in store.class_entries("cohorts")] == [
+        _run_key(1), _run_key(2)
+    ]
+
+    n, freed = store.prune(max_age_seconds=86400)
+    assert n == 1 and freed > 0
+    assert [e[0] for e in store.class_entries("cohorts")] == [_run_key(2)]
+    # One row per live cohort: a's pack is gone, b's older row was
+    # superseded, c was deleted.
+    index = (tmp_path / "cohorts" / "index").read_text()
+    assert index == f"{b} {_run_key(2)}\n"
+    assert store.get_cohort(a) is None
+    assert store.get_cohort(b)["made_by"] == _run_key(2)
+    assert store.get_cohort(c) is None
+    # Appends after the compaction are read by old and new stores.
+    store.put_cohort(_run_key(3), _pack(_run_key(3), [a]))
+    for reader in (store, ResultStore(tmp_path)):
+        assert reader.get_cohort(a)["made_by"] == _run_key(3)
+    assert not list((tmp_path / "cohorts").glob(".*.tmp"))
+
+
+def test_store_sees_its_own_put_cohort_on_its_next_lookup(tmp_path):
+    store, other = ResultStore(tmp_path), ResultStore(tmp_path)
+    key = _cohort_key(1)
+    assert store.get_cohort(key) is None
+    store.put_cohort(_run_key(1), _pack(_run_key(1), [key]))
+    assert store.get_cohort(key)["run"] == _run_key(1)
+    other.put_cohort(_run_key(2), _pack(_run_key(2), [key]))
+    assert store.get_cohort(key)["run"] == _run_key(2)  # latest row wins
+    store.put_cohort(_run_key(1), _pack(_run_key(1), [key]))
+    assert store.get_cohort(key)["run"] == _run_key(1)
+    assert other.get_cohort(key)["run"] == _run_key(1)
+
+
+def test_cohort_lookups_are_counted_on_hit_and_miss(tmp_path):
+    from repro.obs import metrics as obs_metrics
+
+    previous = obs_metrics.get_registry()
+    registry = obs_metrics.enable(obs_metrics.MetricsRegistry())
+    try:
+        store = ResultStore(tmp_path, track_stats=True)
+        store.put_cohort(_run_key(1), _pack(_run_key(1), [_cohort_key(1)]))
+        assert store.get_cohort(_cohort_key(1)) is not None
+        assert store.get_cohort(_cohort_key(2)) is None
+        assert store.get_cohort(_cohort_key(3)) is None
+    finally:
+        obs_metrics.disable()
+        obs_metrics.set_registry(previous)
+    name = "repro_campaign_cohort_requests_total"
+    assert registry.value(name, "hit") == 1
+    assert registry.value(name, "miss") == 2
+    lookups = ResultStore(tmp_path).stats()["classes"]["cohorts"]["lookups"]
+    assert (lookups["hits"], lookups["misses"]) == (1, 2)
+
+
+def _pack_writer(root, writer_id, n_rounds, barrier):
+    store = ResultStore(root)
+    keys = [_cohort_key(i) for i in range(6)]
+    barrier.wait()
+    for nonce in range(n_rounds):
+        run = _run_key(16 * writer_id + nonce % 16)
+        # Overlapping partitions: each writer packs a sliding window.
+        window = keys[nonce % 3 : nonce % 3 + 4]
+        store.put_cohort(run, _pack(run, window, pad=512))
+
+
+def _pack_reader(root, n_rounds, barrier, bad_counter):
+    store = ResultStore(root)
+    barrier.wait()
+    for nonce in range(n_rounds):
+        for i in range(6):
+            doc = store.get_cohort(_cohort_key(i))
+            if doc is not None and (
+                doc["run"] != doc["made_by"] or len(doc["pad"]) != 512
+            ):
+                with bad_counter.get_lock():
+                    bad_counter.value += 1
+
+
+def test_concurrent_overlapping_packs_never_mix_runs(tmp_path):
+    """Two writers put overlapping partitions at once: every lookup is a
+    miss or one complete partial of a single run."""
+    n_writers, n_readers, n_rounds = 2, 2, 40
+    ctx = multiprocessing.get_context("fork")
+    barrier = ctx.Barrier(n_writers + n_readers)
+    bad = ctx.Value("i", 0)
+    procs = [
+        ctx.Process(
+            target=_pack_writer, args=(tmp_path, wid, n_rounds, barrier)
+        )
+        for wid in range(n_writers)
+    ] + [
+        ctx.Process(
+            target=_pack_reader, args=(tmp_path, n_rounds, barrier, bad)
+        )
+        for _ in range(n_readers)
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+    assert bad.value == 0, f"{bad.value} mixed or torn partials observed"
+    store = ResultStore(tmp_path)
+    rows = (tmp_path / "cohorts" / "index").read_text().splitlines()
+    assert len(rows) == n_writers * n_rounds * 4  # no row torn or lost
+    for i in range(6):
+        doc = store.get_cohort(_cohort_key(i))
+        assert doc is not None and doc["run"] == doc["made_by"]
+    assert not list((tmp_path / "cohorts").glob("*/.*.tmp"))
+
+
+def test_threads_sharing_one_store_agree_with_the_index_file(tmp_path):
+    """Threads that put and look up through one store keep its in-memory
+    index in step with the file: a lost update would leave the shared
+    store answering an older row than a fresh store reads."""
+    import sys
+    import threading
+
+    store = ResultStore(tmp_path)
+    key = _cohort_key(1)
+    errors = []
+
+    def work(tid):
+        try:
+            for nonce in range(25):
+                run = _run_key(25 * tid + nonce)
+                store.put_cohort(run, _pack(run, [key, _cohort_key(2 + tid)]))
+                doc = store.get_cohort(key)
+                assert doc is not None and doc["run"] == doc["made_by"]
+        except Exception as exc:  # surfaced below, on the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    fresh = ResultStore(tmp_path)
+    for k in [key] + [_cohort_key(2 + t) for t in range(4)]:
+        assert store.get_cohort(k)["run"] == fresh.get_cohort(k)["run"]
