@@ -30,7 +30,6 @@ setup(
         "console_scripts": [
             "repro-atpg = repro.cli:main",
             "repro-campaign = repro.cli:campaign_main",
-            "repro-serve = repro.serve.server:serve_main",
             "repro-cache = repro.cli:cache_main",
             "repro-fuzz = repro.cli:fuzz_main",
         ],

@@ -26,12 +26,10 @@ which is what the table benchmarks use so their timings measure ATPG,
 not orchestration.  Results are identical either way: every job is an
 independent, seeded, deterministic computation.
 
-:func:`run_job` is the one per-job path (the ``workers=0`` loop, the
-forked worker, and the server's inline thread all call it), and
-:meth:`_Pool.step` the one parent-side message pump: the campaign steps
-it until every job is resolved, :mod:`repro.serve.executor` until the
-server stops.  Payloads bound for a store or a client go through
-:func:`canonical_payload`.
+:func:`run_job` is the one per-job path (the ``workers=0`` loop and
+the forked worker both call it), and :meth:`_Pool.step` the one
+parent-side message pump, stepped until every job is resolved.
+Payloads bound for a store go through :func:`canonical_payload`.
 """
 
 from __future__ import annotations
@@ -397,9 +395,9 @@ def note_incremental_stats(doc: Optional[Dict]) -> None:
 
 def canonical_payload(payload: Optional[Dict]) -> Optional[Dict]:
     """``payload`` without its opt-in ``telemetry`` block — the form
-    every store entry and served result takes.  Telemetry is wall-clock
-    data specific to one run; dropping it keeps the payload
-    byte-identical to what a plain run produces."""
+    every store entry takes.  Telemetry is wall-clock data specific to
+    one run; dropping it keeps the payload byte-identical to what a
+    plain run produces."""
     if payload is None or "telemetry" not in payload:
         return payload
     return {k: v for k, v in payload.items() if k != "telemetry"}
@@ -464,7 +462,7 @@ def _incremental_store(incremental: bool, cache_root) -> Optional[ResultStore]:
     same way in-process and in every worker.  ``track_stats``: cohort
     and CSSG lookups are the incremental layer's whole point, and their
     hit/miss ledger (capped ``stats.log``) is what ``repro-cache stats``
-    and the serve /metrics gauges report."""
+    reports."""
     if not incremental or cache_root is None:
         return None
     return ResultStore(cache_root, track_stats=True)
@@ -475,7 +473,6 @@ def _worker_main(
     task_q,
     event_q,
     collect_telemetry: bool = False,
-    relay_events: bool = False,
     incremental: bool = False,
     cache_root: Optional[str] = None,
     refresh: bool = False,
@@ -493,14 +490,6 @@ def _worker_main(
     lets the flow attach the final snapshot to the result's
     ``telemetry`` block — which is how per-job metrics reach the
     parent's campaign-wide registry exactly once.
-
-    With ``relay_events`` the worker forwards **every flow event** as a
-    ``("event", wid, key, 0.0, event_json)`` message instead of the
-    throttled heartbeat — the serving front end streams these live to
-    subscribed clients, and any event doubles as a sign of life for the
-    parent's hang policing.  (Campaigns keep the cheap heartbeat: a
-    23-benchmark batch has no event subscribers, so shipping the full
-    stream across the process boundary would be pure overhead.)
 
     With ``incremental`` (and a ``cache_root``), jobs resolve through
     :func:`execute_job_incremental` against a worker-local
@@ -532,13 +521,7 @@ def _worker_main(
                     event_q.put(("beat", wid, key, 0.0))
 
             send()
-            if relay_events:
-
-                def listener(event, key=job.key):
-                    event_q.put(("event", wid, key, 0.0, event.to_json_dict()))
-
-            else:
-                listener = Heartbeat(send, min_interval=HEARTBEAT_INTERVAL)
+            listener = Heartbeat(send, min_interval=HEARTBEAT_INTERVAL)
             outcome = run_job(
                 job, inc_store, cssg_memo, listeners=(listener,), refresh=refresh
             )
@@ -585,8 +568,7 @@ class _Pool:
     ``timeout``.
 
     :meth:`step` is the one message pump: after :meth:`start`, the
-    campaign steps until :attr:`unresolved` empties, the server until it
-    is stopped."""
+    campaign steps until :attr:`unresolved` empties."""
 
     def __init__(
         self,
@@ -595,7 +577,6 @@ class _Pool:
         timeout: float,
         hang_timeout: Optional[float] = None,
         collect_telemetry: bool = False,
-        relay_events: bool = False,
         incremental: bool = False,
         cache_root: Optional[str] = None,
         refresh: bool = False,
@@ -606,7 +587,6 @@ class _Pool:
         self.event_q = self.ctx.Queue()
         self.timeout = timeout
         self.collect_telemetry = collect_telemetry
-        self.relay_events = relay_events
         self.incremental = incremental
         self.cache_root = cache_root
         self.refresh = refresh
@@ -642,20 +622,6 @@ class _Pool:
             key=lambda js: (-sum(j.cost_hint for j in js), js[0].key),
         )
 
-    def add_jobs(self, jobs: Sequence[Job]) -> None:
-        """Append more work after construction — the long-lived serving
-        front end feeds submissions in as they arrive.  Each job becomes
-        its own single-job batch (service jobs arrive one by one; there
-        is no whole-campaign group to co-schedule).  Workers that died
-        while idle are replaced before the new work is dispatched."""
-        for job in jobs:
-            self.job_of[job.key] = job
-            self.unresolved.add(job.key)
-            self.group_queue.append([job])
-        while len(self.procs) < self.target_workers:
-            self.spawn()
-        self.dispatch_all()
-
     def start(self) -> None:
         """Spawn the worker processes and hand each its first batch."""
         for _ in range(self.target_workers):
@@ -670,8 +636,8 @@ class _Pool:
             target=_worker_main,
             args=(
                 wid, task_q, self.event_q,
-                self.collect_telemetry, self.relay_events,
-                self.incremental, self.cache_root, self.refresh,
+                self.collect_telemetry, self.incremental,
+                self.cache_root, self.refresh,
             ),
             daemon=True,
         )
@@ -728,7 +694,6 @@ class _Pool:
         self,
         resolve: Callable[[JobOutcome], None],
         on_beat: Optional[Callable[[int, str, Optional[Dict]], None]] = None,
-        on_event: Optional[Callable[[int, str, Dict], None]] = None,
     ) -> None:
         """Pump one worker message, waiting at most
         :data:`POLL_SECONDS`, and police the workers on that cadence.
@@ -737,8 +702,7 @@ class _Pool:
         / ``failed`` from the worker's ``done`` / ``fail`` message,
         ``crashed`` / ``timeout`` / ``hung`` from policing.  A ``beat``
         goes to ``on_beat(wid, key, snapshot)`` (the in-flight metrics
-        snapshot, or None), a relayed flow event to ``on_event(wid,
-        key, event_json)``."""
+        snapshot, or None)."""
         try:
             event = self.event_q.get(timeout=POLL_SECONDS)
         except queue_mod.Empty:
@@ -753,13 +717,12 @@ class _Pool:
         if event is None:
             return
         kind, wid, key, seconds = event[0], event[1], event[2], event[3]
-        if kind in ("beat", "event"):
+        if kind == "beat":
             # A sign of life: the per-job completion clock keeps running.
             if wid in self.procs:
                 self.worker_last_beat[wid] = time.monotonic()
-            hook = on_beat if kind == "beat" else on_event
-            if hook is not None:
-                hook(wid, key, event[4] if len(event) > 4 else None)
+            if on_beat is not None:
+                on_beat(wid, key, event[4] if len(event) > 4 else None)
             return
         if kind == "batch-done":
             if wid in self.procs:

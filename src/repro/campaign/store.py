@@ -22,9 +22,9 @@ holds it, and its latest row wins, so the index is a small log in the
 manner of log-structured stores (Rosenblum & Ousterhout, SOSP 1991).
 
 Writes are atomic (temp file + ``fsync`` + ``os.replace``, through
-:func:`repro.obs.export.atomic_write_text`) so concurrent campaigns — or
-the ``repro-serve`` daemon's parallel workers — sharing a cache
-directory can only ever observe complete entries; when several writers
+:func:`repro.obs.export.atomic_write_text`) so concurrent campaigns —
+or one campaign's parallel workers — sharing a cache directory can
+only ever observe complete entries; when several writers
 race on the same key the last replace wins and every reader sees one
 complete payload or a miss, never a torn file.  An index row is
 appended (one ``O_APPEND`` write per pack, no ``fsync``) only after its
@@ -40,7 +40,7 @@ size-bounded pruning with a per-class dry-run, hit statistics; cohorts
 are counted and evicted as whole packs, and pruning compacts the
 index), and ``track_stats=True`` appends one ``<class->hit|miss <key>``
 line per lookup to ``<root>/stats.log`` (O_APPEND, crash-safe) so
-long-lived services can report hit rates across restarts.  The log is
+``repro-cache stats`` can report hit rates across runs.  The log is
 bounded: past :data:`STATS_LOG_MAX_BYTES` it is compacted into a single
 ``summary`` line carrying the same tallies (atomic replace; a racing
 appender can at worst lose its own line, never corrupt the counts).

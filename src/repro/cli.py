@@ -32,9 +32,6 @@ Examples::
     repro-fuzz --seed 1000 -n 50 --oracles settle,kernels
     repro-fuzz -n 500 --workers 8 --out out/fuzz   # shrunk-spec artifacts
 
-(The ``repro-serve`` daemon has its own entry point — see
-:mod:`repro.serve.server` and ``docs/serving.md``.)
-
 ``python -m repro.cli`` behaves like ``repro-atpg``.
 """
 
@@ -370,7 +367,10 @@ def _run_jobs(jobs, args, quiet=False, **kwargs):
     return run_campaign(
         jobs,
         workers=args.workers,
-        store=None if args.no_cache else ResultStore(args.cache_dir),
+        store=(
+            None if args.no_cache
+            else ResultStore(args.cache_dir, track_stats=True)
+        ),
         timeout=args.timeout if args.timeout is not None else DEFAULT_JOB_TIMEOUT,
         progress=None if args.quiet or quiet else progress,
         refresh=args.refresh,
@@ -856,7 +856,7 @@ def build_cache_parser() -> argparse.ArgumentParser:
         prog="repro-cache",
         description=(
             "Maintain the shared content-addressed result cache used by "
-            "repro-campaign and repro-serve."
+            "repro-campaign and repro-fuzz."
         ),
     )
     parser.add_argument(
@@ -886,7 +886,7 @@ def build_cache_parser() -> argparse.ArgumentParser:
 @exits_on_broken_pipe
 def cache_main(argv=None) -> int:
     """``repro-cache``: list / stats / prune / clear the result store."""
-    from repro.campaign.store import ResultStore
+    from repro.campaign.store import ENTRY_CLASSES, ResultStore
 
     args = build_cache_parser().parse_args(argv)
     store = ResultStore(args.cache_dir)
@@ -938,7 +938,10 @@ def cache_main(argv=None) -> int:
         return 0
 
     if args.command == "clear":
-        n = len(store) if args.dry_run else store.clear()
+        if args.dry_run:
+            n = sum(len(store.class_entries(c)) for c in ENTRY_CLASSES)
+        else:
+            n = store.clear()
         verb = "would remove" if args.dry_run else "removed"
         print(f"{verb} {n} entries from {store.root}")
         return 0

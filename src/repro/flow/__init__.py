@@ -22,7 +22,7 @@ monolith:
   timeline (see :mod:`repro.flow.flow`).
 """
 
-from repro.flow.budget import Budget, clamp_deadline, REASON_BUDGET
+from repro.flow.budget import Budget, REASON_BUDGET
 from repro.flow.consumers import Heartbeat, ProgressLine
 from repro.flow.context import REASON_UNPROCESSED, RunContext
 from repro.flow.events import (
@@ -47,7 +47,6 @@ from repro.flow.stages import (
 
 __all__ = [
     "Budget",
-    "clamp_deadline",
     "REASON_BUDGET",
     "REASON_UNPROCESSED",
     "Heartbeat",

@@ -20,39 +20,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-__all__ = ["Budget", "clamp_deadline", "REASON_BUDGET"]
+__all__ = ["Budget", "REASON_BUDGET"]
 
 #: The :attr:`repro.core.atpg.FaultStatus.reason` of a fault the run's
 #: wall-clock deadline left unfinished.
 REASON_BUDGET = "budget"
-
-
-def clamp_deadline(
-    requested: Optional[float], ceiling: Optional[float]
-) -> Optional[float]:
-    """The wall-clock deadline a request may actually have.
-
-    ``None`` means unbounded on either side: no ceiling passes the
-    request through, no request inherits the ceiling.  This is how a
-    multi-tenant front end (``repro-serve``) turns the cooperative run
-    budget into a per-request QoS limit — the clamped value goes into
-    :attr:`~repro.core.atpg.AtpgOptions.deadline_seconds` and from
-    there into the ordinary :class:`Budget`.
-
-    >>> clamp_deadline(None, None) is None
-    True
-    >>> clamp_deadline(5.0, None)
-    5.0
-    >>> clamp_deadline(None, 30.0)
-    30.0
-    >>> clamp_deadline(120.0, 30.0)
-    30.0
-    """
-    if ceiling is None:
-        return requested
-    if requested is None:
-        return ceiling
-    return min(requested, ceiling)
 
 
 @dataclass

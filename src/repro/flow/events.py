@@ -132,11 +132,10 @@ class EventBus:
 
     Mid-run attach/detach is supported: :meth:`subscribe` and
     :meth:`unsubscribe` may be called while the flow is emitting — from
-    inside a listener or from another thread (a serving front end
-    detaching a disconnected client).  Each :meth:`emit` fans out to a
-    snapshot of the subscription list, so a subscription added mid-emit
-    takes effect from the *next* event and a detach never perturbs the
-    other listeners' delivery.  :meth:`unsubscribe` is idempotent — a
+    inside a listener or from another thread.  Each :meth:`emit` fans
+    out to a snapshot of the subscription list, so a subscription added
+    mid-emit takes effect from the *next* event and a detach never
+    perturbs the other listeners' delivery.  :meth:`unsubscribe` is idempotent — a
     listener that already unsubscribed itself (or was dropped after
     raising) is a no-op to remove again.
     """

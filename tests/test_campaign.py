@@ -208,21 +208,26 @@ def test_failed_job_is_isolated(tmp_path):
 
 
 def test_resume_after_worker_crash(tmp_path, monkeypatch):
-    marker = tmp_path / "crashed-once"
-    monkeypatch.setenv(CRASH_ONCE_ENV, f"chu150:{marker}")
-    store = ResultStore(tmp_path / "cache")
+    """With one worker, only its respawned replacement can finish the
+    queue; with two, the survivor may.  Both must leave exactly the
+    crashed job to the resumed run.  (One test over both worker counts,
+    so its id stays put.)"""
     jobs = expand(small_spec())
-    first = run_campaign(jobs, workers=2, store=store, timeout=60)
-    assert marker.exists()  # the simulated crash fired
-    crashed = [o for o in first.outcomes if o.status == "crashed"]
-    assert len(crashed) == 1 and crashed[0].job.source == "chu150"
-    assert crashed[0].error == "worker process died"
-    # Healthy jobs from the same campaign all completed and were cached.
-    assert first.n_ran == len(jobs) - 1
-    # Second run resumes: only the crashed job is recomputed.
-    resumed = run_campaign(jobs, workers=2, store=store, timeout=60)
-    assert resumed.all_ok
-    assert resumed.n_ran == 1 and resumed.n_cached == len(jobs) - 1
+    for workers in (1, 2):
+        marker = tmp_path / f"crashed-once-{workers}"
+        monkeypatch.setenv(CRASH_ONCE_ENV, f"chu150:{marker}")
+        store = ResultStore(tmp_path / f"cache-{workers}")
+        first = run_campaign(jobs, workers=workers, store=store, timeout=60)
+        assert marker.exists()  # the simulated crash fired
+        crashed = [o for o in first.outcomes if o.status == "crashed"]
+        assert len(crashed) == 1 and crashed[0].job.source == "chu150"
+        assert crashed[0].error == "worker process died"
+        # Healthy jobs from the same campaign all completed and were cached.
+        assert first.n_ran == len(jobs) - 1
+        # Second run resumes: only the crashed job is recomputed.
+        resumed = run_campaign(jobs, workers=workers, store=store, timeout=60)
+        assert resumed.all_ok
+        assert resumed.n_ran == 1 and resumed.n_cached == len(jobs) - 1
 
 
 def test_hung_job_times_out_and_campaign_continues(tmp_path, monkeypatch):

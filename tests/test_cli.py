@@ -176,7 +176,6 @@ ENTRY_POINTS = {
     "repro-campaign": "from repro.cli import campaign_main as entry",
     "repro-fuzz": "from repro.cli import fuzz_main as entry",
     "repro-cache": "from repro.cli import cache_main as entry",
-    "repro-serve": "from repro.serve.server import serve_main as entry",
 }
 
 
@@ -200,8 +199,6 @@ def run_entry_point(name, argv, stdout=subprocess.DEVNULL):
     ("repro-campaign", ["dff", "--workers", "0", "--no-cache", "--quiet"]),
     ("repro-fuzz", ["-n", "1", "--workers", "0", "--no-cache", "--quiet"]),
     ("repro-cache", ["--cache-dir", "{tmp}", "stats"]),
-    ("repro-serve", ["--port", "0", "--workers", "0", "--no-cache",
-                     "--state-dir", "{tmp}"]),
 ])
 def test_broken_pipe_exits_1_without_traceback(name, argv, tmp_path):
     """A reader that is gone before the first write (``| head`` that
@@ -223,39 +220,11 @@ def test_broken_pipe_exits_1_without_traceback(name, argv, tmp_path):
 @pytest.mark.parametrize("name,argv", [
     ("repro-campaign", ["dff", "--workers", "-2", "--no-cache"]),
     ("repro-fuzz", ["-n", "2", "--workers", "-1", "--no-cache"]),
-    ("repro-serve", ["--workers", "-1", "--no-cache"]),
 ])
 def test_negative_workers_exit_2(name, argv):
     proc = run_entry_point(name, argv)
     assert proc.returncode == 2
     assert "--workers: must be >= 0, got -" in proc.stderr
-
-
-@pytest.mark.parametrize("module", ["repro.serve", "repro.serve.server"])
-def test_serve_module_runs_once_without_runpy_warning(module):
-    """The package does not import its server eagerly, so ``-m`` runs
-    either module once, under one name, with no runpy warning."""
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "--help"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=dict(os.environ, PYTHONPATH=src_dir),
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("usage: repro-serve")
-    assert "RuntimeWarning" not in proc.stderr
-
-
-@pytest.mark.parametrize("flag", ["--max-deadline", "--default-deadline"])
-def test_negative_serve_deadline_exits_2(flag, capsys):
-    from repro.serve.server import build_serve_parser
-
-    with pytest.raises(SystemExit) as exc:
-        build_serve_parser().parse_args([flag, "-1"])
-    assert exc.value.code == 2
-    assert f"{flag}: must be >= 0, got -1.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value,field", [
@@ -265,3 +234,19 @@ def test_negative_serve_deadline_exits_2(flag, capsys):
 def test_out_of_range_option_exits_1_naming_the_field(flag, value, field, capsys):
     assert main(["dff", flag, value]) == 1
     assert f"AtpgOptions.{field} must be >= 0" in capsys.readouterr().err
+
+
+def test_campaign_logs_whole_job_lookups(tmp_path, capsys):
+    """``repro-campaign`` keeps the store's hit log, so ``repro-cache
+    stats`` counts a warm rerun's cached jobs as hits."""
+    from repro.campaign.store import ResultStore
+    from repro.cli import campaign_main
+
+    argv = ["dff", "--workers", "0", "--cache-dir", str(tmp_path), "--quiet"]
+    assert campaign_main(argv) == 0
+    cold = ResultStore(tmp_path).stats()["lookups"]
+    assert cold["hits"] == 0 and cold["misses"] > 0
+    assert campaign_main(argv) == 0
+    warm = ResultStore(tmp_path).stats()["lookups"]
+    assert warm["hits"] == cold["misses"]
+    assert warm["misses"] == cold["misses"]

@@ -21,7 +21,6 @@ DOC_FILES = [
     "docs/fuzzing.md",
     "docs/incremental.md",
     "docs/observability.md",
-    "docs/serving.md",
 ]
 
 

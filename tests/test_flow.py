@@ -304,8 +304,8 @@ def test_event_bus_cross_thread_detach_does_not_disturb_others():
     thread = threading.Thread(target=emitter)
     thread.start()
     try:
-        # A serving front end detaching disconnected clients while the
-        # flow thread keeps emitting.
+        # Another thread detaching listeners while the flow thread
+        # keeps emitting.
         for victim in victims:
             bus.unsubscribe(victim)
     finally:
@@ -319,9 +319,9 @@ def test_event_bus_cross_thread_detach_does_not_disturb_others():
 def test_event_bus_raising_listener_dropped_without_disturbing_run(celem):
     import warnings
 
-    # A listener that dies mid-run (the serving analog: a client whose
-    # connection broke) is unsubscribed after one warning; the run
-    # completes and the steady listener sees the full stream.
+    # A listener that dies mid-run (say, one writing to a broken pipe)
+    # is unsubscribed after one warning; the run completes and the
+    # steady listener sees the full stream.
     steady = []
     flaky_seen = []
 

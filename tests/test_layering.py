@@ -4,11 +4,13 @@ The seed's sweep simulators (:mod:`repro.fuzz.reference`) are the
 differential reference for the tests, benchmarks and the ``repro-fuzz``
 CLI, which ships them.  No production module may import them, directly
 or through a package re-export.  The seed BDD manager is a test-only
-oracle (``tests/legacy_bdd.py``) and does not ship in ``repro`` at all.
+oracle (``tests/legacy_bdd.py``) and does not ship in ``repro`` at all;
+nor does the retired HTTP daemon.
 """
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import repro
@@ -42,3 +44,9 @@ def test_production_modules_do_not_import_the_seed_oracles():
                 offenders.append(f"{rel}: {name}")
     assert offenders == []
     assert importlib.util.find_spec("repro.bdd.legacy") is None
+    # The HTTP daemon is retired: no package, and no console script.
+    assert importlib.util.find_spec("repro.serve") is None
+    setup_py = Path(__file__).resolve().parent.parent / "setup.py"
+    scripts = re.findall(r'"([\w-]+) = ([\w.]+):\w+"', setup_py.read_text())
+    assert "repro-atpg" in dict(scripts)
+    assert [s for s in scripts if s[1].startswith("repro.serve")] == []

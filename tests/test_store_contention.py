@@ -1,8 +1,8 @@
 """Concurrency and maintenance guarantees of the result store.
 
-The contention test is the serving scenario: several *processes*
+The contention test is the shared-cache scenario: several *processes*
 hammer the same content key (writers re-putting, readers getting) the
-way parallel ``repro-serve`` workers and campaigns sharing one cache
+way parallel campaign workers and campaigns sharing one cache
 directory do.  The store promises last-write-wins with no torn reads —
 every ``get`` observes either a miss or one writer's complete payload,
 never a mix.
@@ -411,3 +411,21 @@ def test_threads_sharing_one_store_agree_with_the_index_file(tmp_path):
     fresh = ResultStore(tmp_path)
     for k in [key] + [_cohort_key(2 + t) for t in range(4)]:
         assert store.get_cohort(k)["run"] == fresh.get_cohort(k)["run"]
+
+
+def test_clear_dry_run_counts_every_class(tmp_path, capsys):
+    """``repro-cache clear --dry-run`` announces exactly the number of
+    entries ``clear`` then removes: results, cohort packs and CSSGs."""
+    from repro.cli import cache_main
+
+    store = ResultStore(tmp_path)
+    store.put(KEY, {"ok": True})
+    run = _run_key(1)
+    store.put_cohort(run, _pack(run, [_cohort_key(1), _cohort_key(2)]))
+    store.put_cssg("ab" * 32, {"states": 1})
+
+    argv = ["clear", "--cache-dir", str(tmp_path)]
+    assert cache_main(argv + ["--dry-run"]) == 0
+    assert "would remove 3 entries" in capsys.readouterr().out
+    assert cache_main(argv) == 0
+    assert "removed 3 entries" in capsys.readouterr().out
