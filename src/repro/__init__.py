@@ -22,11 +22,11 @@ Public API quick map:
   paper's collapse → random TPG → 3-phase → compaction), :class:`Budget`
   (the run deadline), :class:`RunContext`, the typed event stream
   (:class:`EventBus`, :mod:`repro.flow.events`) and its consumers
-  (:class:`ProgressLine`, :class:`Heartbeat`); options/results —
+  (:class:`ProgressLine`); options/results —
   :class:`AtpgOptions`, :class:`AtpgResult`
 * campaigns — :class:`CampaignSpec`, :func:`expand`, :func:`run_campaign`,
   :class:`ResultStore` (sharded corpus runs with a content-addressed
-  cache and per-job flow heartbeats)
+  cache and a per-job timeout)
 * benchmarks — :func:`load_benchmark`, :func:`benchmark_names`,
   :data:`TABLE1_NAMES`, :data:`TABLE2_NAMES`
 """
@@ -72,7 +72,6 @@ from repro.flow import (
     Budget,
     EventBus,
     Flow,
-    Heartbeat,
     ProgressLine,
     RunContext,
     Stage,
@@ -129,7 +128,6 @@ __all__ = [
     "Budget",
     "EventBus",
     "Flow",
-    "Heartbeat",
     "ProgressLine",
     "RunContext",
     "Stage",

@@ -13,13 +13,7 @@
 4. a worker that dies (crash) or exceeds the per-job timeout is killed
    and replaced; the job in flight is marked ``crashed``/``timeout``,
    the unstarted remainder of its group is re-queued, and the campaign
-   carries on;
-5. while a job runs, its flow event stream drives a throttled
-   **heartbeat** back to the parent, so a slow-but-alive job is
-   distinguishable from a hung one: with ``hang_timeout`` set, a busy
-   worker that has been *silent* (no heartbeat, no completion) that
-   long is killed early with status ``hung``, while a job that keeps
-   beating is allowed to run all the way to the hard ``timeout``.
+   carries on.  A job that hangs is killed at that same timeout.
 
 ``workers=0`` runs everything in-process (no subprocess, no pickling),
 which is what the table benchmarks use so their timings measure ATPG,
@@ -51,28 +45,15 @@ from repro.core.atpg import (
     resolve_cssg_method,
 )
 from repro.errors import ReproError
-from repro.flow import Flow, Heartbeat
+from repro.flow import Flow
 from repro.obs import metrics as _obs
 
 #: Default per-job wall-clock budget in worker mode.
 DEFAULT_JOB_TIMEOUT = 600.0
 
-#: How long a busy worker may be silent (no heartbeat, no completion)
-#: before it is presumed hung.  ``None`` disables early hang detection;
-#: the hard per-job ``timeout`` still applies either way.
-DEFAULT_HANG_TIMEOUT = None
-
-#: Minimum seconds between heartbeats a worker relays to the parent.
-HEARTBEAT_INTERVAL = 0.5
-
 #: Parent-side cadence: the longest the pump waits for a worker
 #: message, and the interval between two policing sweeps.
 POLL_SECONDS = 0.2
-
-#: Test-only hook: set to ``"<source>:<marker path>"`` to make the first
-#: worker that picks up a job for ``source`` hard-exit (simulating a
-#: native crash) and leave the marker so reruns proceed normally.
-CRASH_ONCE_ENV = "REPRO_CAMPAIGN_CRASH_ONCE"
 
 #: Outcome statuses that mean "the result payload is valid".
 _OK_STATUSES = ("cached", "ran")
@@ -83,7 +64,7 @@ class JobOutcome:
     """How one job was resolved."""
 
     job: Job
-    status: str  #: "cached" | "ran" | "failed" | "crashed" | "timeout" | "hung"
+    status: str  #: "cached" | "ran" | "failed" | "crashed" | "timeout"
     payload: Optional[Dict] = None  #: the result JSON when ok
     error: str = ""
     seconds: float = 0.0
@@ -175,42 +156,32 @@ def _memoised_circuit(job: Job, cssg_memo: Optional[Dict]) -> Circuit:
     return circuit
 
 
-def execute_job(
-    job: Job,
-    cssg_memo: Optional[Dict] = None,
-    listeners=(),
-) -> AtpgResult:
+def execute_job(job: Job, cssg_memo: Optional[Dict] = None) -> AtpgResult:
     """Run one job through ``Flow.default()``, optionally sharing the
     loaded circuit and CSSG construction through ``cssg_memo`` (all
     fault-model / seed variants of one circuit use the same graph,
-    exactly like the sequential table harness did).  ``listeners``
-    subscribe to the job's flow event stream — the worker loop wires a
-    :class:`~repro.flow.Heartbeat` here."""
+    exactly like the sequential table harness did)."""
     if job.source_kind == "fuzz":
-        # Scenario-fuzzing chunks (repro-fuzz) ride the same workers,
-        # heartbeats and store; their execution lives with the fuzz
-        # subsystem.  cssg_memo is meaningless across fuzzed circuits.
+        # Scenario-fuzzing chunks (repro-fuzz) ride the same workers
+        # and store; their execution lives with the fuzz subsystem.
+        # cssg_memo is meaningless across fuzzed circuits.
         from repro.fuzz.campaign import execute_fuzz_job
 
-        return execute_fuzz_job(job, listeners=listeners)
+        return execute_fuzz_job(job)
     from repro.circuit.faults import fault_universe
 
     circuit = _memoised_circuit(job, cssg_memo)
     faults = fault_universe(circuit, job.options.fault_model)
     cssg = None
     if cssg_memo is not None:
-        cssg = _memoised_cssg(circuit, job, len(faults), cssg_memo, listeners)
-    return Flow.default().run(
-        circuit, job.options, faults=faults, cssg=cssg, listeners=listeners
-    )
+        cssg = _memoised_cssg(circuit, job, cssg_memo)
+    return Flow.default().run(circuit, job.options, faults=faults, cssg=cssg)
 
 
 def _memoised_cssg(
     circuit: Circuit,
     job: Job,
-    n_faults: int,
     cssg_memo: Optional[Dict],
-    listeners,
     store: Optional[ResultStore] = None,
     stats=None,
     refresh: bool = False,
@@ -221,8 +192,7 @@ def _memoised_cssg(
     the method it resolves to for this circuit share one construction;
     the cache key is the name-free structural fingerprint, so renames
     and logic-preserving rewrites reuse the graph outright.  ``refresh``
-    skips the cache read; a cache hit sets ``stats.cssg_reused``.
-    ``n_faults`` is the job's universe size, for ``StageStarted``."""
+    skips the cache read; a cache hit sets ``stats.cssg_reused``."""
     opts = job.options
     method = resolve_cssg_method(circuit, opts)
     memo_key = (job.group, opts.k, opts.max_input_changes, method)
@@ -242,25 +212,7 @@ def _memoised_cssg(
         if cssg is not None:
             stats.cssg_reused = True
     if cssg is None:
-        # Narrate the construction exactly as Flow.run would narrate
-        # its own: listeners (the heartbeat included) see a beat right
-        # before the longest silent stretch.
-        from repro.flow import StageFinished, StageStarted
-
-        for listener in listeners:
-            listener(StageStarted("cssg", n_faults))
-        t0 = time.perf_counter()
         cssg = cssg_for(circuit, opts)
-        seconds = time.perf_counter() - t0
-        for listener in listeners:
-            listener(
-                StageFinished(
-                    "cssg",
-                    seconds,
-                    f"{cssg.n_states} states / {cssg.n_edges} edges "
-                    f"[{cssg.method}]",
-                )
-            )
         if store is not None:
             store.put_cssg(fingerprint, _cohort.cssg_to_doc(cssg))
     if cssg_memo is not None:
@@ -272,7 +224,6 @@ def execute_job_incremental(
     job: Job,
     store: Optional[ResultStore],
     cssg_memo: Optional[Dict] = None,
-    listeners=(),
     refresh: bool = False,
 ):
     """Resolve one job through the per-cohort incremental cache.
@@ -306,7 +257,7 @@ def execute_job_incremental(
     ):
         # Fuzz chunks have no fault cohorts to reuse — the whole-result
         # cache (keyed on the chunk's content hash) is their only tier.
-        result = execute_job(job, cssg_memo, listeners=listeners)
+        result = execute_job(job, cssg_memo)
         return result.to_json_dict(), result, None
 
     from repro.campaign import cohort as _cohort
@@ -348,19 +299,14 @@ def execute_job_incremental(
         )
         return payload, None, stats
 
-    cssg = _memoised_cssg(
-        circuit, job, len(universe), cssg_memo, listeners, store, stats,
-        refresh=refresh,
-    )
+    cssg = _memoised_cssg(circuit, job, cssg_memo, store, stats, refresh=refresh)
     from repro.flow.stages import ReplayStage
 
     plan = _cohort.build_replay_plan(
         [cohort for cohort, _ in reused], [doc for _, doc in reused]
     )
     flow = Flow([ReplayStage(plan)] + list(Flow.default().stages))
-    result = flow.run(
-        circuit, opts, faults=list(universe), cssg=cssg, listeners=listeners
-    )
+    result = flow.run(circuit, opts, faults=list(universe), cssg=cssg)
     payload = result.to_json_dict()
     # Re-extract *every* cohort from this run's payload, not just the
     # stale ones: reused partials get re-normalized onto this producing
@@ -407,7 +353,6 @@ def run_job(
     job: Job,
     store: Optional[ResultStore],
     cssg_memo: Optional[Dict] = None,
-    listeners=(),
     refresh: bool = False,
 ) -> JobOutcome:
     """Run one job — through the per-cohort cache when ``store`` is
@@ -417,7 +362,7 @@ def run_job(
     t0 = time.perf_counter()
     try:
         payload, live, inc = execute_job_incremental(
-            job, store, cssg_memo, listeners=listeners, refresh=refresh
+            job, store, cssg_memo, refresh=refresh
         )
     except Exception as exc:  # report; the caller carries on
         return JobOutcome(
@@ -444,17 +389,6 @@ def _fresh_payload(store: Optional[ResultStore], job: Job) -> Optional[Dict]:
     if payload is None or payload.get("schema_version") != RESULT_SCHEMA_VERSION:
         return None
     return payload
-
-
-def _maybe_crash_for_test(job: Job) -> None:
-    spec = os.environ.get(CRASH_ONCE_ENV)
-    if not spec or ":" not in spec:
-        return
-    source, marker = spec.split(":", 1)
-    if job.source == source and not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8") as handle:
-            handle.write(job.key)
-        os._exit(3)  # simulate a native crash: no exception, no cleanup
 
 
 def _incremental_store(incremental: bool, cache_root) -> Optional[ResultStore]:
@@ -485,11 +419,9 @@ def _worker_main(
     fault-model / seed variants share a single construction.
 
     With ``collect_telemetry`` the worker arms a **fresh metrics
-    registry per job**, ships its snapshot as a fifth heartbeat element
-    (the parent's dashboard reads live, in-flight numbers from it), and
-    lets the flow attach the final snapshot to the result's
-    ``telemetry`` block — which is how per-job metrics reach the
-    parent's campaign-wide registry exactly once.
+    registry per job** and lets the flow attach its final snapshot to
+    the result's ``telemetry`` block — which is how per-job metrics
+    reach the parent's campaign-wide registry exactly once.
 
     With ``incremental`` (and a ``cache_root``), jobs resolve through
     :func:`execute_job_incremental` against a worker-local
@@ -504,27 +436,9 @@ def _worker_main(
         batch_id, jobs = item
         cssg_memo: Dict = {}
         for job in jobs:
-            _maybe_crash_for_test(job)
-            # Liveness relay: at most one beat per HEARTBEAT_INTERVAL,
-            # driven by the job's own flow events.  One beat fires
-            # unconditionally at pickup, so the hang clock starts from
-            # "job started", not from the first flow event.
             if collect_telemetry:
-                reg = _obs.enable(_obs.MetricsRegistry())
-
-                def send(key=job.key, reg=reg):
-                    event_q.put(("beat", wid, key, 0.0, reg.snapshot()))
-
-            else:
-
-                def send(key=job.key):
-                    event_q.put(("beat", wid, key, 0.0))
-
-            send()
-            listener = Heartbeat(send, min_interval=HEARTBEAT_INTERVAL)
-            outcome = run_job(
-                job, inc_store, cssg_memo, listeners=(listener,), refresh=refresh
-            )
+                _obs.enable(_obs.MetricsRegistry())
+            outcome = run_job(job, inc_store, cssg_memo, refresh=refresh)
             if outcome.ok:
                 event_q.put(
                     ("done", wid, job.key, outcome.seconds, outcome.payload,
@@ -552,20 +466,14 @@ class _Pool:
     milliseconds each, so per-job round trips would drown the pool in
     dispatch latency.  The parent records every batch it hands out and
     workers process batches strictly in order, so when a worker dies or
-    goes silent past the per-job timeout, the first batch job without a
+    goes past the per-job timeout, the first batch job without a
     completion event *is* the culprit: it gets the ``crashed`` /
-    ``timeout`` / ``hung`` outcome, the rest of the batch is re-queued
-    first in line, and a replacement worker is spawned.  Nothing about
-    failure handling depends on event delivery from a crashing process.
+    ``timeout`` outcome, the rest of the batch is re-queued first in
+    line, and a replacement worker is spawned.  Nothing about failure
+    handling depends on event delivery from a crashing process.
 
-    Two clocks govern a busy worker: ``timeout`` measures since the last
-    *completion* event (the hard per-job budget), while ``hang_timeout``
-    — when set — measures since the last sign of life of any kind
-    (completion *or* flow heartbeat).  A job whose flow keeps emitting
-    events beats every :data:`HEARTBEAT_INTERVAL` and therefore only
-    ever hits the hard budget; a job gone truly silent is culled after
-    ``hang_timeout`` instead of occupying a worker for the full
-    ``timeout``.
+    One clock governs a busy worker: ``timeout``, measured since its
+    last completion event (the hard per-job budget).
 
     :meth:`step` is the one message pump: after :meth:`start`, the
     campaign steps until :attr:`unresolved` empties."""
@@ -575,7 +483,6 @@ class _Pool:
         pending: List[Job],
         workers: int,
         timeout: float,
-        hang_timeout: Optional[float] = None,
         collect_telemetry: bool = False,
         incremental: bool = False,
         cache_root: Optional[str] = None,
@@ -590,13 +497,9 @@ class _Pool:
         self.incremental = incremental
         self.cache_root = cache_root
         self.refresh = refresh
-        #: dispatch instant per job key, for queue-wait accounting.
+        #: dispatch instant per in-flight job key, for queue-wait
+        #: accounting; popped when the job resolves.
         self.dispatched_at: Dict[str, float] = {}
-        # Floor: below a few heartbeat intervals even a perfectly
-        # beating job would be culled between relays.
-        if hang_timeout is not None:
-            hang_timeout = max(hang_timeout, 4 * HEARTBEAT_INTERVAL)
-        self.hang_timeout = hang_timeout
         self.job_of = {j.key: j for j in pending}
         #: keys of handed-in jobs that have no outcome yet.
         self.unresolved = set(self.job_of)
@@ -610,8 +513,6 @@ class _Pool:
         #: yet, in the order the worker runs them.
         self.worker_remaining: Dict[int, List[Job]] = {}
         self.worker_last_event: Dict[int, float] = {}
-        #: last sign of life of any kind (completion or heartbeat).
-        self.worker_last_beat: Dict[int, float] = {}
 
         groups: Dict[str, List[Job]] = {}
         for job in pending:
@@ -656,7 +557,6 @@ class _Pool:
         self.worker_remaining[wid] = list(batch)
         now = time.monotonic()
         self.worker_last_event[wid] = now
-        self.worker_last_beat[wid] = now
         for job in batch:
             self.dispatched_at[job.key] = now
         self.task_qs[wid].put((batch_id, batch))
@@ -668,7 +568,6 @@ class _Pool:
     def note_event(self, wid: int, key: Optional[str]) -> None:
         """Record a completion event: the job is no longer in flight."""
         self.worker_last_event[wid] = time.monotonic()
-        self.worker_last_beat[wid] = time.monotonic()
         if key is not None:
             self.worker_remaining[wid] = [
                 j for j in self.worker_remaining[wid] if j.key != key
@@ -683,33 +582,26 @@ class _Pool:
         proc.join(timeout=5)
         self.task_qs.pop(wid)
         self.worker_last_event.pop(wid, None)
-        self.worker_last_beat.pop(wid, None)
         return self.worker_remaining.pop(wid)
 
     def requeue_first(self, jobs: List[Job]) -> None:
         if jobs:
             self.group_queue.insert(0, jobs)
 
-    def step(
-        self,
-        resolve: Callable[[JobOutcome], None],
-        on_beat: Optional[Callable[[int, str, Optional[Dict]], None]] = None,
-    ) -> None:
+    def step(self, resolve: Callable[[JobOutcome], None]) -> None:
         """Pump one worker message, waiting at most
         :data:`POLL_SECONDS`, and police the workers on that cadence.
 
         Every terminal outcome goes to ``resolve`` exactly once: ``ran``
         / ``failed`` from the worker's ``done`` / ``fail`` message,
-        ``crashed`` / ``timeout`` / ``hung`` from policing.  A ``beat``
-        goes to ``on_beat(wid, key, snapshot)`` (the in-flight metrics
-        snapshot, or None)."""
+        ``crashed`` / ``timeout`` from policing."""
         try:
             event = self.event_q.get(timeout=POLL_SECONDS)
         except queue_mod.Empty:
             event = None
         # Police on a wall-clock cadence, not only on queue-empty: with
         # many fast jobs the event stream never pauses, which would let
-        # a dead or hung worker go unnoticed for the whole campaign.
+        # a dead or stuck worker go unnoticed for the whole campaign.
         if time.monotonic() - self.last_police >= POLL_SECONDS:
             self.police(resolve)
             self.dispatch_all()
@@ -717,13 +609,6 @@ class _Pool:
         if event is None:
             return
         kind, wid, key, seconds = event[0], event[1], event[2], event[3]
-        if kind == "beat":
-            # A sign of life: the per-job completion clock keeps running.
-            if wid in self.procs:
-                self.worker_last_beat[wid] = time.monotonic()
-            if on_beat is not None:
-                on_beat(wid, key, event[4] if len(event) > 4 else None)
-            return
         if kind == "batch-done":
             if wid in self.procs:
                 self.note_event(wid, None)
@@ -746,11 +631,8 @@ class _Pool:
             resolve(JobOutcome(job, "failed", error=event[4], seconds=seconds))
 
     def police(self, resolve: Callable[[JobOutcome], None]) -> None:
-        """Detect dead, over-deadline, and silent (hung) workers; replace
-        them.  The hard ``timeout`` clock runs from the last completion
-        event; the ``hang_timeout`` clock from the last sign of life of
-        any kind, so heartbeat-emitting slow jobs survive until the hard
-        budget while truly silent ones are culled early."""
+        """Detect dead and over-deadline workers and replace them.  The
+        ``timeout`` clock runs from the worker's last completion event."""
         now = time.monotonic()
         for wid in list(self.procs):
             proc = self.procs[wid]
@@ -758,19 +640,9 @@ class _Pool:
             timed_out = (
                 busy and now - self.worker_last_event.get(wid, 0.0) > self.timeout
             )
-            hung = (
-                busy
-                and self.hang_timeout is not None
-                and now - self.worker_last_beat.get(wid, 0.0) > self.hang_timeout
-            )
-            if proc.is_alive() and not timed_out and not hung:
+            if proc.is_alive() and not timed_out:
                 continue
-            if not proc.is_alive():
-                status = "crashed"
-            elif timed_out:
-                status = "timeout"
-            else:
-                status = "hung"
+            status = "timeout" if proc.is_alive() else "crashed"
             leftovers = self.drop_worker(wid, kill=True)
             if leftovers:
                 # In-order processing: the first job without a completion
@@ -780,11 +652,6 @@ class _Pool:
                     self.unresolved.discard(culprit.key)
                     if status == "timeout":
                         message = f"exceeded per-job timeout ({self.timeout:.0f}s)"
-                    elif status == "hung":
-                        message = (
-                            "no heartbeat for "
-                            f"{self.hang_timeout:.0f}s (presumed hung)"
-                        )
                     else:
                         message = "worker process died"
                     resolve(JobOutcome(culprit, status, error=message))
@@ -794,7 +661,7 @@ class _Pool:
                 if _obs.enabled():
                     _obs.get_registry().counter(
                         "repro_campaign_worker_respawns_total",
-                        "Workers replaced after dying, timing out, or hanging.",
+                        "Workers replaced after dying or timing out.",
                         ("reason",),
                     ).labels(status).inc()
 
@@ -820,9 +687,7 @@ def run_campaign(
     timeout: float = DEFAULT_JOB_TIMEOUT,
     progress: Optional[Callable[[JobOutcome, int, int], None]] = None,
     refresh: bool = False,
-    hang_timeout: Optional[float] = DEFAULT_HANG_TIMEOUT,
     collect_telemetry: bool = False,
-    dashboard=None,
     incremental: bool = False,
 ) -> CampaignReport:
     """Resolve every job: from the cache when possible, else by running
@@ -830,23 +695,15 @@ def run_campaign(
     machine's CPU count.  ``store=None`` disables caching entirely;
     ``refresh=True`` bypasses cache reads but still stores fresh
     results (existing entries are only ever overwritten, never deleted,
-    so an interrupted refresh loses nothing).  ``hang_timeout`` kills a
-    busy worker that has shown no sign of life (heartbeat or
-    completion) for that many seconds — shorter than ``timeout``, which
-    is the hard budget a *live* job may spend on one result.  Beats are
-    driven by flow events, so set ``hang_timeout`` above the longest
-    *silent* stretch a healthy job can have: a single CSSG construction
-    or one 3-phase product search emits nothing while it runs (a floor
-    of a few heartbeat intervals is enforced automatically).
+    so an interrupted refresh loses nothing).  ``timeout`` is the hard
+    budget a worker job may spend on one result; past it the worker is
+    killed and the job resolves as ``timeout``.
 
     ``collect_telemetry`` arms metrics collection (the parent's ambient
     registry becomes the campaign-wide aggregate; workers record into
     per-job registries whose snapshots are merged in as results
-    arrive).  ``dashboard`` is any object with ``on_beat(wid, key,
-    snapshot)`` / ``on_outcome(outcome, done, total)`` hooks — the
-    runner drives it, the caller owns (and closes) it.  Neither option
-    changes a single payload byte that reaches the store: the cache
-    always holds the canonical, telemetry-free result.
+    arrive).  It never changes a payload byte that reaches the store:
+    the cache always holds the canonical, telemetry-free result.
 
     ``incremental`` resolves jobs that miss the whole-result cache
     through :func:`execute_job_incremental`: per-fault-cohort partials
@@ -877,8 +734,6 @@ def run_campaign(
             ).labels(outcome.status).inc()
         if progress is not None:
             progress(outcome, len(outcomes), n_total)
-        if dashboard is not None:
-            dashboard.on_outcome(outcome, len(outcomes), n_total)
 
     pending: List[Job] = []
     for job in jobs:
@@ -901,25 +756,22 @@ def run_campaign(
             resolve(run_job(job, job_store, cssg_memo, refresh=refresh))
     elif pending:
         pool = _Pool(
-            pending, min(workers, len(pending)), timeout, hang_timeout,
-            collect_telemetry,
+            pending, min(workers, len(pending)), timeout, collect_telemetry,
             incremental=incremental and store is not None,
             cache_root=str(store.root) if store is not None else None,
             refresh=refresh,
         )
 
         def resolve_worker_job(outcome: JobOutcome) -> None:
+            dispatched = pool.dispatched_at.pop(outcome.job.key, None)
             if outcome.status in ("ran", "failed"):  # the worker reported it
-                _absorb_job_telemetry(pool, outcome)
+                _absorb_job_telemetry(outcome, dispatched)
             resolve(outcome)
 
         try:
             pool.start()
             while pool.unresolved:
-                pool.step(
-                    resolve_worker_job,
-                    on_beat=None if dashboard is None else dashboard.on_beat,
-                )
+                pool.step(resolve_worker_job)
         finally:
             pool.shutdown()
 
@@ -931,14 +783,14 @@ def run_campaign(
     )
 
 
-def _absorb_job_telemetry(pool: _Pool, outcome: JobOutcome) -> None:
+def _absorb_job_telemetry(
+    outcome: JobOutcome, dispatched: Optional[float]
+) -> None:
     """Fold one finished worker job into the campaign-wide registry:
     merge the per-job metrics snapshot the flow attached to the payload
-    (exactly once per job — beats carry in-flight snapshots for the
-    dashboard but are never merged), and record the run/queue-wait
-    split.  Queue wait is parent-side arithmetic: seconds since the
-    job's *batch* was dispatched, minus the run time the worker
-    reports."""
+    (exactly once per job), and record the run/queue-wait split.  Queue
+    wait is parent-side arithmetic: seconds since the job's *batch* was
+    ``dispatched``, minus the run time the worker reports."""
     if not _obs.enabled():
         return
     reg = _obs.get_registry()
@@ -949,7 +801,6 @@ def _absorb_job_telemetry(pool: _Pool, outcome: JobOutcome) -> None:
     reg.histogram(
         "repro_campaign_job_seconds", "Per-job ATPG run time (worker-side)."
     ).observe(outcome.seconds)
-    dispatched = pool.dispatched_at.pop(outcome.job.key, None)
     if dispatched is not None:
         wait = (time.monotonic() - dispatched) - outcome.seconds
         reg.histogram(

@@ -317,7 +317,7 @@ def _armed_metrics(arm: bool, path):
         write_metrics(path, get_registry())
 
 
-def _add_runner_options(parser, unit, refresh_help, hang_help, out_help, json_help):
+def _add_runner_options(parser, unit, refresh_help, out_help, json_help):
     """The campaign-runner options ``repro-campaign`` and ``repro-fuzz``
     share; ``unit`` names one campaign job ("job" / "chunk")."""
     parser.add_argument(
@@ -332,7 +332,6 @@ def _add_runner_options(parser, unit, refresh_help, hang_help, out_help, json_he
         default=None,
         help=f"per-{unit} timeout in seconds (default: 600)",
     )
-    parser.add_argument("--hang-timeout", type=float, default=None, help=hang_help)
     parser.add_argument(
         "--cache-dir",
         default=None,
@@ -349,10 +348,10 @@ def _add_runner_options(parser, unit, refresh_help, hang_help, out_help, json_he
     )
 
 
-def _run_jobs(jobs, args, quiet=False, **kwargs):
+def _run_jobs(jobs, args, **kwargs):
     """``run_campaign`` over ``jobs`` with the shared runner options,
     printing one progress line per resolved job on stderr unless
-    ``--quiet`` or ``quiet``."""
+    ``--quiet``."""
     from repro.campaign import ResultStore, run_campaign
     from repro.campaign.runner import DEFAULT_JOB_TIMEOUT
 
@@ -372,9 +371,8 @@ def _run_jobs(jobs, args, quiet=False, **kwargs):
             else ResultStore(args.cache_dir, track_stats=True)
         ),
         timeout=args.timeout if args.timeout is not None else DEFAULT_JOB_TIMEOUT,
-        progress=None if args.quiet or quiet else progress,
+        progress=None if args.quiet else progress,
         refresh=args.refresh,
-        hang_timeout=args.hang_timeout,
         **kwargs,
     )
 
@@ -481,11 +479,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         parser,
         "job",
         refresh_help="ignore cached results but still store fresh ones",
-        hang_help=(
-            "kill a worker silent (no flow heartbeat) this long; "
-            "slow-but-alive jobs still get the full --timeout "
-            "(default: disabled)"
-        ),
         out_help="write table.txt / campaign.csv / campaign.json here",
         json_help="print the campaign manifest as JSON instead of the table",
     )
@@ -497,15 +490,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
             "layer: fault cohorts whose cones of influence are unchanged "
             "replay from cached partials, only stale ones re-run "
             "(needs the cache; see docs/incremental.md)"
-        ),
-    )
-    parser.add_argument(
-        "--dashboard",
-        action="store_true",
-        help=(
-            "live campaign dashboard on stderr (jobs done/running/hung, "
-            "classification rates, cache hit ratio); also collects "
-            "campaign-wide telemetry from the workers"
         ),
     )
     parser.add_argument(
@@ -578,27 +562,14 @@ def campaign_main(argv=None) -> int:
         return 2
 
     title = "Table-2 campaign" if args.table2 else "Campaign"
-    collect_telemetry = args.dashboard or bool(args.metrics)
+    collect_telemetry = bool(args.metrics)
     with _armed_metrics(collect_telemetry, args.metrics):
-        dashboard = None
-        if args.dashboard:
-            from repro.obs import CampaignDashboard
-
-            dashboard = CampaignDashboard(total_jobs=len(jobs))
-        try:
-            report = _run_jobs(
-                jobs,
-                args,
-                # The dashboard owns the stderr frame; per-job progress
-                # lines would tear it.
-                quiet=args.dashboard,
-                collect_telemetry=collect_telemetry,
-                dashboard=dashboard,
-                incremental=args.incremental,
-            )
-        finally:
-            if dashboard is not None:
-                dashboard.close()
+        report = _run_jobs(
+            jobs,
+            args,
+            collect_telemetry=collect_telemetry,
+            incremental=args.incremental,
+        )
     if args.out:
         write_artifacts(args.out, report, spec, title=title)
     if args.json:
@@ -715,7 +686,6 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         parser,
         "chunk",
         refresh_help="ignore cached chunk results but still store fresh ones",
-        hang_help="kill a worker silent (no heartbeat) this long (default: off)",
         out_help=(
             "directory for fuzz_report.json plus one shrunk .g/.net file "
             "per divergent seed (the nightly-job artifact)"

@@ -16,14 +16,14 @@ monolith:
   remainder ``aborted``/``"budget"``);
 * :mod:`repro.flow.events` — the typed event stream
   (``StageStarted`` … ``BudgetExhausted``) and :class:`EventBus`;
-* :mod:`repro.flow.consumers` — ready-made listeners:
-  :class:`ProgressLine`, :class:`Heartbeat`.  A run under a recording
+* :mod:`repro.flow.consumers` — the ready-made listener
+  :class:`ProgressLine`.  A run under a recording
   :class:`~repro.obs.trace.Tracer` also files every event on its span
   timeline (see :mod:`repro.flow.flow`).
 """
 
 from repro.flow.budget import Budget, REASON_BUDGET
-from repro.flow.consumers import Heartbeat, ProgressLine
+from repro.flow.consumers import ProgressLine
 from repro.flow.context import REASON_UNPROCESSED, RunContext
 from repro.flow.events import (
     BudgetExhausted,
@@ -49,7 +49,6 @@ __all__ = [
     "Budget",
     "REASON_BUDGET",
     "REASON_UNPROCESSED",
-    "Heartbeat",
     "ProgressLine",
     "RunContext",
     "BudgetExhausted",

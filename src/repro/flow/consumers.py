@@ -1,13 +1,8 @@
-"""Event-stream consumers: progress line and heartbeats.
+"""Event-stream consumer: the progress line.
 
-Two ready-made listeners for the flow's :class:`EventBus`, both fed by
-the same typed stream:
-
-* :class:`ProgressLine` — a live single-line status on a TTY-ish stream
-  (``repro-atpg --progress``);
-* :class:`Heartbeat` — a throttled liveness callback; the campaign
-  runner's workers use it to tell the parent "slow but alive", so a
-  silent worker can be distinguished from a busy one.
+:class:`ProgressLine` is the ready-made listener for the flow's
+:class:`EventBus`: a live single-line status on a TTY-ish stream
+(``repro-atpg --progress``).
 
 The structured record of the stream is not a listener here: a run
 under a recording :class:`~repro.obs.trace.Tracer` files every event
@@ -18,7 +13,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Callable, IO, Optional
+from typing import IO, Optional
 
 from repro.flow.events import (
     BudgetExhausted,
@@ -30,7 +25,7 @@ from repro.flow.events import (
     TestAdded,
 )
 
-__all__ = ["ProgressLine", "Heartbeat"]
+__all__ = ["ProgressLine"]
 
 
 class ProgressLine:
@@ -120,24 +115,3 @@ class ProgressLine:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-class Heartbeat:
-    """Throttled liveness relay: forwards at most one beat per
-    ``min_interval`` seconds to ``send``, no matter how dense the event
-    stream is.  The campaign worker wires ``send`` to its event queue so
-    the parent can tell a slow-but-alive job from a hung one."""
-
-    def __init__(self, send: Callable[[], None], min_interval: float = 0.5):
-        self.send = send
-        self.min_interval = min_interval
-        # -inf, not 0.0: time.monotonic() counts from an arbitrary epoch
-        # (often boot), so on a freshly booted host ``now - 0.0`` can be
-        # smaller than min_interval and even the first beat would be
-        # swallowed.  The first event must always get through.
-        self._last = float("-inf")
-
-    def __call__(self, event: FlowEvent) -> None:
-        now = time.monotonic()
-        if now - self._last >= self.min_interval:
-            self._last = now
-            self.send()

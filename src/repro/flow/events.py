@@ -14,10 +14,9 @@ emitting events on the run's :class:`EventBus`:
   remainder is classified ``aborted`` with reason ``"budget"``.
 
 Events are frozen dataclasses with a stable :meth:`to_json_dict` form,
-so the same stream feeds the ``repro-atpg --progress`` live line, the
-span events of a traced run (``--spans FILE``: each event rides the
-span open when it was emitted), and the campaign runner's per-job
-heartbeats.  The stream is **deterministic** for a fixed
+so the same stream feeds the ``repro-atpg --progress`` live line and
+the span events of a traced run (``--spans FILE``: each event rides
+the span open when it was emitted).  The stream is **deterministic** for a fixed
 (circuit, options, seed) — only the wall-clock fields
 (:attr:`StageFinished.seconds`) vary between runs.
 """

@@ -20,7 +20,7 @@ through the model-dispatched differential oracle pairs
 A divergence is auto-shrunk (:mod:`repro.fuzz.shrink`) to a minimal
 failing spec.  :mod:`repro.fuzz.campaign` packages seed ranges as
 campaign jobs so ``repro-fuzz`` rides the existing runner: fork
-workers, heartbeats and the content-addressed result store (warm
+workers, the per-job timeout and the content-addressed result store (warm
 reruns of an already-fuzzed seed range cost zero).
 """
 

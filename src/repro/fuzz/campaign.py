@@ -9,7 +9,7 @@ The job key is the SHA-256 of that document — same seeds + same config
 content-addressed result store, exactly like benchmark ATPG jobs.
 
 :func:`~repro.campaign.runner.execute_job` dispatches these jobs here;
-they ride the fork workers, heartbeats, hang policing and the store
+they ride the fork workers, timeout policing and the store
 untouched.  Results are byte-deterministic: the only non-deterministic
 payload field is ``cpu_seconds`` (excluded from reproducibility
 comparisons, like everywhere else in the repo).
@@ -26,7 +26,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.atpg import RESULT_SCHEMA_VERSION, AtpgOptions
 from repro.campaign.plan import CODE_VERSION, Job
 from repro.errors import ReproError
-from repro.flow import ProgressTick
 from repro.fuzz.generator import GeneratorConfig, generate_scenario
 from repro.fuzz.oracles import OracleCaps, oracle_names, run_scenario
 from repro.fuzz.shrink import shrink_scenario
@@ -158,7 +157,7 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def execute_fuzz_job(job: Job, listeners=()) -> FuzzResult:
+def execute_fuzz_job(job: Job) -> FuzzResult:
     """Run one seed chunk: generate, oracle, shrink divergences.
 
     The per-seed scenario records carry only content *hashes* of the
@@ -176,19 +175,13 @@ def execute_fuzz_job(job: Job, listeners=()) -> FuzzResult:
     oracles = tuple(doc["oracles"])
     a, b = doc["seeds"]
     t0 = time.perf_counter()
-
-    def emit(event) -> None:
-        for listener in listeners:
-            listener(event)
-
     scenarios: List[Dict] = []
     divergences: List[Dict] = []
     rejections: Dict[str, int] = {}
     checks: Dict[str, int] = {}
     tallies: Dict[str, int] = {}
     n_unproductive = 0
-    for done, seed in enumerate(range(a, b)):
-        emit(ProgressTick("fuzz", done=done, total=b - a, covered=0))
+    for seed in range(a, b):
         scenario = generate_scenario(seed, cfg)
         if scenario is None:
             n_unproductive += 1

@@ -1,4 +1,4 @@
-"""Observability: metrics, span tracing, and the campaign dashboard.
+"""Observability: metrics and span tracing.
 
 The telemetry subsystem the rest of the package reports into — see
 ``docs/observability.md`` for the full taxonomy and examples:
@@ -13,16 +13,13 @@ The telemetry subsystem the rest of the package reports into — see
   (:func:`get_tracer` / :func:`use_tracer`, no-op by default), and the
   self-profile table;
 * :mod:`repro.obs.export` — zero-dependency Prometheus-text and JSON
-  exposition plus a minimal parser for CI assertions;
-* :mod:`repro.obs.dashboard` — the live ``repro-campaign --dashboard``
-  terminal screen.
+  exposition plus a minimal parser for CI assertions.
 
 Everything here is observational: enabling any of it never changes the
 flow's event stream or serialized results beyond the explicitly
 opt-in ``telemetry`` block.
 """
 
-from repro.obs.dashboard import CampaignDashboard
 from repro.obs.export import (
     parse_prometheus_text,
     to_json_text,
@@ -55,7 +52,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "CampaignDashboard",
     "parse_prometheus_text",
     "to_json_text",
     "to_prometheus_text",

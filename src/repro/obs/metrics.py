@@ -17,17 +17,16 @@ A :class:`MetricsRegistry` owns families (``counter()`` / ``gauge()`` /
 ``histogram()`` are get-or-create), snapshots to a JSON-friendly dict
 (:meth:`MetricsRegistry.snapshot`) and merges snapshots from other
 processes (:meth:`MetricsRegistry.merge_snapshot`) — that pair is the
-fleet-aggregation transport: campaign workers snapshot their per-job
-registry onto the heartbeat channel and the parent merges the stream
-into one campaign-wide registry.  Exposition (Prometheus text / JSON)
+campaign-aggregation transport: each campaign worker job's final
+snapshot rides its result payload, and the parent merges it once into
+one campaign-wide registry.  Exposition (Prometheus text / JSON)
 lives in :mod:`repro.obs.export`.
 
 **Process-global switch.**  Instrumented hot paths (the arena kernels,
 the BDD manager) guard their measurement code on :func:`enabled`, which
 is off by default — a plain run pays one cheap check per handle, not
 per operation.  ``enable()`` arms collection into the default registry
-(or one you pass); the CLI's ``--metrics`` / ``--dashboard`` surfaces
-flip it for you.
+(or one you pass); the CLI's ``--metrics`` flag flips it for you.
 
 >>> reg = MetricsRegistry()
 >>> c = reg.counter("requests_total", "Requests served.", ("verb",))
@@ -280,7 +279,7 @@ class MetricsRegistry:
             return 0.0
         return child.value if isinstance(child, _Child) else child.sum
 
-    # -- snapshot / merge (the fleet-aggregation transport) --------------
+    # -- snapshot / merge (the campaign-aggregation transport) -----------
 
     def snapshot(self) -> Dict:
         """A JSON-friendly copy of every series: the wire format workers

@@ -227,6 +227,24 @@ def test_negative_workers_exit_2(name, argv):
     assert "--workers: must be >= 0, got -" in proc.stderr
 
 
+def test_retired_liveness_flags_exit_2(capsys):
+    """Jobs are policed by the per-job ``--timeout`` alone: the live
+    dashboard and the silent-worker cull are gone."""
+    from repro.cli import campaign_main, fuzz_main
+
+    for entry, argv in (
+        (campaign_main, ["dff", "--workers", "0", "--no-cache", "--dashboard"]),
+        (campaign_main, ["dff", "--workers", "0", "--no-cache",
+                         "--hang-timeout", "5"]),
+        (fuzz_main, ["-n", "1", "--workers", "0", "--no-cache",
+                     "--hang-timeout", "5"]),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            entry(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value,field", [
     ("--k", "-1", "k"),
     ("--deadline", "-5", "deadline_seconds"),

@@ -15,7 +15,6 @@ from repro.flow import (
     EventBus,
     FaultClassified,
     Flow,
-    Heartbeat,
     ProgressLine,
     ProgressTick,
     RandomTpgStage,
@@ -380,14 +379,6 @@ def test_progress_line_renders_and_closes(celem):
     text = stream.getvalue()
     assert "covered=" in text and "tests=" in text
     assert text.endswith("\n")
-
-
-def test_heartbeat_throttles():
-    beats = []
-    heart = Heartbeat(lambda: beats.append(1), min_interval=3600.0)
-    for _ in range(50):
-        heart(StageStarted("x", 1))
-    assert len(beats) == 1  # first fires, the rest are throttled
 
 
 # -- composition -------------------------------------------------------------

@@ -46,6 +46,8 @@ def test_production_modules_do_not_import_the_seed_oracles():
     assert importlib.util.find_spec("repro.bdd.legacy") is None
     # The HTTP daemon is retired: no package, and no console script.
     assert importlib.util.find_spec("repro.serve") is None
+    # The live campaign dashboard is retired with the worker heartbeat.
+    assert importlib.util.find_spec("repro.obs.dashboard") is None
     setup_py = Path(__file__).resolve().parent.parent / "setup.py"
     scripts = re.findall(r'"([\w-]+) = ([\w.]+):\w+"', setup_py.read_text())
     assert "repro-atpg" in dict(scripts)

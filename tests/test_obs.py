@@ -1,4 +1,4 @@
-"""The observability subsystem: metrics, tracing, exposition, dashboard.
+"""The observability subsystem: metrics, tracing, exposition.
 
 Every test here restores the process-global switches (ambient registry,
 enabled flag, ambient tracer) on exit — telemetry must never leak into
@@ -16,7 +16,6 @@ from repro.errors import ReproError
 from repro.flow import Flow
 from repro.flow.events import EventBus, StageFinished, StageStarted
 from repro.obs import metrics as obs_metrics
-from repro.obs.dashboard import CampaignDashboard
 from repro.obs.export import (
     atomic_write_text,
     parse_prometheus_text,
@@ -417,41 +416,6 @@ def test_tracer_event_files_on_innermost_span():
     assert outer["events"][0]["t"] < inner["events"][0]["t"]
 
 
-# -- dashboard --------------------------------------------------------------
-
-
-def test_dashboard_reads_ambient_registry_and_renders():
-    reg = obs_metrics.enable(MetricsRegistry())
-    reg.counter(
-        "repro_flow_faults_classified_total", "F.", ("status", "reason")
-    ).labels("detected", "").inc(9)
-    reg.counter(
-        "repro_campaign_cache_requests_total", "C.", ("outcome",)
-    ).labels("hit").inc(3)
-    reg.get("repro_campaign_cache_requests_total").labels("miss").inc(1)
-
-    pipe = _Pipe()
-    dash = CampaignDashboard(total_jobs=4, stream=pipe, min_interval=0.0)
-    assert dash.registry is reg  # defaults to the ambient aggregate
-
-    class Job:
-        key = "k1"
-
-    class Outcome:
-        job = Job()
-        status = "ran"
-
-    dash.on_beat(0, "k1", None)
-    dash.on_outcome(Outcome(), 1, 4)
-    dash.close()
-    out = pipe.text
-    assert "1/4 jobs" in out
-    assert "detected=9 (100.0%)" in out
-    assert "cache: 3/4 hits (75.0%)" in out
-    # non-TTY frames are single flattened lines
-    assert all(" | " in l for l in out.splitlines() if l)
-
-
 # -- campaign integration ---------------------------------------------------
 
 
@@ -466,25 +430,13 @@ def test_campaign_collect_telemetry_aggregates_and_keeps_cache_clean(tmp_path):
     jobs = expand(spec)
     store = ResultStore(tmp_path / "cache")
 
-    class Recorder:
-        def __init__(self):
-            self.outcomes = []
-
-        def on_beat(self, wid, key, snapshot):
-            pass
-
-        def on_outcome(self, outcome, done, total):
-            self.outcomes.append((outcome.status, done, total))
-
-        def close(self):
-            pass
-
-    dash = Recorder()
+    done_order = []
     report = run_campaign(
-        jobs, workers=0, store=store, collect_telemetry=True, dashboard=dash
+        jobs, workers=0, store=store, collect_telemetry=True,
+        progress=lambda outcome, done, total: done_order.append(done),
     )
     assert report.n_ran == len(jobs)
-    assert [d for _, d, _ in dash.outcomes] == [1, 2]
+    assert done_order == [1, 2]
 
     reg = obs_metrics.get_registry()
     assert reg.value("repro_campaign_jobs_total", "ran") == len(jobs)
@@ -585,17 +537,22 @@ def test_campaign_cli_dashboard_and_metrics(tmp_path, capsys, monkeypatch):
     args = [
         "dff", "--models", "input", "--workers", "0",
         "--random-walks", "1", "--walk-len", "1",
-        "--out", str(tmp_path / "art"), "--dashboard",
+        "--out", str(tmp_path / "art"),
         "--metrics", str(metrics),
     ]
     assert campaign_main(args) == 0
     err = capsys.readouterr().err
-    assert "campaign [" in err and "jobs" in err  # dashboard frames
+    assert "[1/1] " in err and ": ran (" in err  # the per-job progress line
     snap = json.loads(metrics.read_text())
     names = {rec["name"] for rec in snap["counters"]}
     assert "repro_campaign_jobs_total" in names
 
-    # warm rerun: everything cached, the dashboard says so
+    # warm rerun: everything cached, and the metrics say so
     assert campaign_main(args) == 0
     err = capsys.readouterr().err
-    assert "cache: 1/1 hits (100.0%)" in err
+    assert "[1/1] " in err and ": cached" in err
+    cache = next(
+        rec for rec in json.loads(metrics.read_text())["counters"]
+        if rec["name"] == "repro_campaign_cache_requests_total"
+    )
+    assert {tuple(lv): v for lv, v in cache["samples"]}[("hit",)] == 1
