@@ -174,13 +174,14 @@ def execute_job(job: Job, cssg_memo: Optional[Dict] = None) -> AtpgResult:
     faults = fault_universe(circuit, job.options.fault_model)
     cssg = None
     if cssg_memo is not None:
-        cssg = _memoised_cssg(circuit, job, cssg_memo)
+        cssg = _memoised_cssg(circuit, job, len(faults), cssg_memo)
     return Flow.default().run(circuit, job.options, faults=faults, cssg=cssg)
 
 
 def _memoised_cssg(
     circuit: Circuit,
     job: Job,
+    n_faults: int,
     cssg_memo: Optional[Dict],
     store: Optional[ResultStore] = None,
     stats=None,
@@ -192,7 +193,10 @@ def _memoised_cssg(
     the method it resolves to for this circuit share one construction;
     the cache key is the name-free structural fingerprint, so renames
     and logic-preserving rewrites reuse the graph outright.  ``refresh``
-    skips the cache read; a cache hit sets ``stats.cssg_reused``."""
+    skips the cache read; a cache hit sets ``stats.cssg_reused``.  A
+    fresh construction is metered and traced as the flow's ``"cssg"``
+    stage (:meth:`Flow.build_cssg`, over ``n_faults``); a memo or cache
+    hit is not."""
     opts = job.options
     method = resolve_cssg_method(circuit, opts)
     memo_key = (job.group, opts.k, opts.max_input_changes, method)
@@ -212,7 +216,7 @@ def _memoised_cssg(
         if cssg is not None:
             stats.cssg_reused = True
     if cssg is None:
-        cssg = cssg_for(circuit, opts)
+        cssg, _ = Flow.build_cssg(circuit, opts, n_faults, build=cssg_for)
         if store is not None:
             store.put_cssg(fingerprint, _cohort.cssg_to_doc(cssg))
     if cssg_memo is not None:
@@ -299,7 +303,9 @@ def execute_job_incremental(
         )
         return payload, None, stats
 
-    cssg = _memoised_cssg(circuit, job, cssg_memo, store, stats, refresh=refresh)
+    cssg = _memoised_cssg(
+        circuit, job, len(universe), cssg_memo, store, stats, refresh=refresh
+    )
     from repro.flow.stages import ReplayStage
 
     plan = _cohort.build_replay_plan(

@@ -3,10 +3,10 @@
 The store files three entry classes under one cache directory, each a
 JSON document keyed by content hash::
 
-    <root>/results/<key[:2]>/<key>.json   whole-job AtpgResult payloads
-    <root>/cohorts/<run[:2]>/<run>.json   one job's cohort partials (a pack)
-    <root>/cohorts/index                  ``<cohort key> <run>`` rows
-    <root>/cssg/<key[:2]>/<key>.json      CSSGs by structural fingerprint
+    <root>/results/<key>.json   whole-job AtpgResult payloads
+    <root>/cohorts/<run>.json   one job's cohort partials (a pack)
+    <root>/cohorts/index        ``<cohort key> <run>`` rows
+    <root>/cssg/<key>.json      CSSGs by structural fingerprint
 
 Keys already encode everything the entry depends on (netlist bytes or
 cone sub-netlist, options, code version, schema versions — see
@@ -21,17 +21,29 @@ The append-only ``cohorts/index`` maps each cohort key to the pack that
 holds it, and its latest row wins, so the index is a small log in the
 manner of log-structured stores (Rosenblum & Ousterhout, SOSP 1991).
 
-Writes are atomic (temp file + ``fsync`` + ``os.replace``, through
-:func:`repro.obs.export.atomic_write_text`) so concurrent campaigns —
-or one campaign's parallel workers — sharing a cache directory can
-only ever observe complete entries; when several writers
-race on the same key the last replace wins and every reader sees one
-complete payload or a miss, never a torn file.  An index row is
-appended (one ``O_APPEND`` write per pack, no ``fsync``) only after its
-pack is durable, so a crash can lose rows but never publish a row whose
-pack is torn; a lost row is a miss.  A torn or garbage index line, a
-row whose pack is gone and a pack without the key all read as misses,
-as do corrupt or foreign files.
+The store is a cache, not a database: a lost entry only costs a
+recompute, so it promises *no wrong answer after a crash*, not
+durability.  Every entry is its compact JSON body followed by a
+checksum trailer, ``<json>\n<crc32 as 8 hex digits>\n`` (compact JSON
+has no raw newline, so the last line is always the trailer), and a
+read checks the trailer before parsing.  An entry a crash left empty,
+zero-filled, cut short or with a flipped byte, and one written before
+the trailer existed, all read as misses, and the next put overwrites
+it.  So entries are not fsynced.  Writes still go through a temp file
+and ``os.replace`` (:func:`repro.obs.export.atomic_write_text`), so
+concurrent campaigns — or one campaign's parallel workers — sharing a
+cache directory only ever observe one writer's complete entry or a
+miss; when several writers race on the same key the last replace
+wins.  An index row is appended (one ``O_APPEND`` write per pack)
+only after its pack is replaced into place, so every row names a
+complete pack or, after a crash, one that fails its checksum; either
+way a lost or dangling row is a miss.  A torn or garbage index line,
+a row whose pack is gone and a pack without the key all read as
+misses, as do corrupt or foreign files.
+
+Caches written before the flat layout filed entries one directory
+deeper, under ``<class>/<key[:2]>/``.  Those entries are never read,
+but listing, statistics, pruning and ``clear`` still find them.
 
 The store is also a maintainable artifact: :meth:`ResultStore.entries`
 / :meth:`~ResultStore.prune` / :meth:`~ResultStore.prune_plan` /
@@ -53,6 +65,7 @@ import os
 import re
 import threading
 import time
+import zlib
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -77,6 +90,13 @@ _CLASS_META = {
 #: of a line, so a row appended after a torn one is still found.
 _INDEX_ROW = re.compile(r"([0-9a-f]{64}) ([0-9a-f]{64}|-)$")
 _DELETED = "-"
+
+#: Bytes of an entry's checksum trailer, ``\n<crc32 as 8 hex>\n``.
+_TRAILER = 10
+
+
+def _trailer(body: bytes) -> bytes:
+    return b"\n%08x\n" % zlib.crc32(body)
 
 
 def default_cache_dir() -> Path:
@@ -110,7 +130,7 @@ class ResultStore:
         return self.root / entry_class
 
     def path_for(self, key: str, entry_class: str = "results") -> Path:
-        return self._class_dir(entry_class) / key[:2] / f"{key}.json"
+        return self._class_dir(entry_class) / f"{key}.json"
 
     # -- lookup statistics ---------------------------------------------
 
@@ -180,10 +200,19 @@ class ResultStore:
 
     @staticmethod
     def _load(path: Path) -> Optional[Dict]:
+        """The entry at ``path`` if its checksum trailer matches its
+        body, else ``None``."""
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            return None
+        body, trailer = data[:-_TRAILER], data[-_TRAILER:]
+        if trailer != _trailer(body):
+            return None
+        try:
+            payload = json.loads(body)
+        except ValueError:
             return None
         return payload if isinstance(payload, dict) else None
 
@@ -209,11 +238,16 @@ class ResultStore:
         return payload
 
     def _write(self, key: str, payload: Dict, entry_class: str) -> Path:
+        """The one entry writer: compact JSON plus its checksum trailer,
+        through a ``.<key[:8]>-….tmp`` temp file and ``os.replace``,
+        without ``fsync``."""
         path = self.path_for(key, entry_class)
+        body = json.dumps(payload, separators=(",", ":"))
         atomic_write_text(
             path,
-            json.dumps(payload, separators=(",", ":")),
+            body + _trailer(body.encode("ascii")).decode("ascii"),
             prefix=f".{key[:8]}-",
+            fsync=False,
         )
         return path
 
@@ -226,10 +260,9 @@ class ResultStore:
     def put(self, key: str, payload: Dict) -> Path:
         """Atomically persist ``payload`` under ``key``.
 
-        The temp file is flushed and fsynced before the ``os.replace``,
-        so a rename is only ever published for fully-durable bytes —
-        a crash mid-write leaves either the old entry or a stray
-        ``.tmp`` (reaped by :meth:`prune`), never a truncated entry.
+        The entry carries a checksum and is not fsynced: a crash can
+        leave it torn or empty, which reads as a miss, or a stray
+        ``.tmp`` (reaped by :meth:`prune`), but never a wrong payload.
         Concurrent same-key writers are safe: each writes its own temp
         file and the last replace wins whole.
         """
@@ -258,10 +291,12 @@ class ResultStore:
 
         ``partials`` carries the fields every partial shares at its top
         level and each cohort's own fields under ``"cohorts"``, keyed by
-        cohort key.  The pack is durable (see :meth:`put`) before its
-        rows go to the index in one ``O_APPEND`` write, so every row
-        names a complete pack; the index is not fsynced, since a lost
-        row only costs a miss.  Returns the pack's path.
+        cohort key.  The pack is written like every entry (see
+        :meth:`put`) and replaced into place before its rows go to the
+        index in one ``O_APPEND`` write, so a row never names a pack
+        still being written.  Neither is fsynced: after a crash a lost
+        row, or a row whose pack fails its checksum, is one miss.
+        Returns the pack's path.
         """
         path = self._write(run_key, partials, "cohorts")
         _append(
@@ -352,19 +387,21 @@ class ResultStore:
     def iter_keys(self) -> Iterator[str]:
         if not self._results.exists():
             return
-        for path in sorted(self._results.glob("*/*.json")):
+        for path in sorted(self._results.rglob("*.json")):
             yield path.stem
 
     def class_entries(
         self, entry_class: str
     ) -> List[Tuple[str, Path, int, float]]:
         """One class's entries as ``(key, path, size_bytes, mtime)``,
-        oldest first — the order :meth:`prune` evicts in."""
+        oldest first — the order :meth:`prune` evicts in.  Entries of
+        the old ``<key[:2]>/`` layout are listed too, so they can be
+        counted and evicted, though never read."""
         out: List[Tuple[str, Path, int, float]] = []
         base = self._class_dir(entry_class)
         if not base.exists():
             return out
-        for path in base.glob("*/*.json"):
+        for path in base.rglob("*.json"):
             try:
                 st = path.stat()
             except OSError:
@@ -420,21 +457,7 @@ class ResultStore:
         compacts the cohort index.  Returns ``(n_removed, bytes_freed)``.
         """
         now = time.time() if now is None else now
-        n_removed = 0
-        bytes_freed = 0
-        for entry_class in ENTRY_CLASSES:
-            base = self._class_dir(entry_class)
-            if not base.exists():
-                continue
-            for tmp in [*base.glob(".*.tmp"), *base.glob("*/.*.tmp")]:
-                try:
-                    st = tmp.stat()
-                    if now - st.st_mtime > 3600:  # not an in-flight write
-                        tmp.unlink()
-                        n_removed += 1
-                        bytes_freed += st.st_size
-                except OSError:
-                    continue
+        n_removed, bytes_freed = self._reap_tmp(now)
         for _entry_class, _key, path, size in self._doomed(
             max_age_seconds, max_total_bytes, now
         ):
@@ -445,6 +468,23 @@ class ResultStore:
             n_removed += 1
             bytes_freed += size
         self._compact_index()
+        return n_removed, bytes_freed
+
+    def _reap_tmp(self, now: float) -> Tuple[int, int]:
+        """Remove the ``.tmp`` files crashed writers abandoned, at
+        either layout's depth; a temp file under an hour old is
+        presumed in flight and spared.  Returns ``(n, bytes)``."""
+        n_removed = bytes_freed = 0
+        for entry_class in ENTRY_CLASSES:
+            for tmp in self._class_dir(entry_class).rglob(".*.tmp"):
+                try:
+                    st = tmp.stat()
+                    if now - st.st_mtime > 3600:
+                        tmp.unlink()
+                        n_removed += 1
+                        bytes_freed += st.st_size
+                except OSError:
+                    continue
         return n_removed, bytes_freed
 
     def prune_plan(
@@ -517,8 +557,10 @@ class ResultStore:
         return sum(1 for _ in self.iter_keys())
 
     def clear(self) -> int:
-        """Remove every entry in every class, and the cohort index;
-        returns how many entries."""
+        """Remove every entry in every class, the cohort index, stray
+        ``.tmp`` files (as :meth:`prune` does) and the emptied
+        directories of the old ``<key[:2]>/`` layout; returns how many
+        entries."""
         n = 0
         for entry_class in ENTRY_CLASSES:
             for _key, path, _size, _mtime in self.class_entries(entry_class):
@@ -527,6 +569,13 @@ class ResultStore:
                     n += 1
                 except OSError:
                     continue
+        self._reap_tmp(time.time())
+        for entry_class in ENTRY_CLASSES:
+            for shard in self._class_dir(entry_class).glob("*/"):
+                try:
+                    shard.rmdir()
+                except OSError:
+                    continue  # not empty: an in-flight write
         try:
             self._index.unlink()
         except OSError:

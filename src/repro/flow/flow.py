@@ -21,7 +21,7 @@ timeline and its verdict narrative (``repro-atpg --spans FILE``).
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.circuit.faults import Fault, fault_universe
 from repro.circuit.netlist import Circuit
@@ -116,22 +116,8 @@ class Flow:
         from repro.obs.trace import active as tracing_active, get_tracer
 
         opts = options if options is not None else AtpgOptions()
-        bus = EventBus()
-        for listener in listeners:
-            bus.subscribe(listener)
-        # Observability is ambient, never part of the call contract:
-        # with metrics enabled the run also feeds a MetricsConsumer, and
-        # under a recording tracer every stage runs in a span that also
-        # collects the events emitted inside it.  Both are observational
-        # only — the event stream and the default serialized payload are
-        # byte-identical with or without them; the opt-in `telemetry`
-        # block below is the single exception.
-        tracing = tracing_active()
-        observing = obs_metrics.enabled() or tracing
-        if obs_metrics.enabled():
-            from repro.obs.metrics import MetricsConsumer
-
-            bus.subscribe(MetricsConsumer())
+        bus = _observed_bus(listeners)
+        observing = obs_metrics.enabled() or tracing_active()
         tracer = get_tracer()
         stage_seconds: "dict" = {}
         start = time.perf_counter()
@@ -142,21 +128,9 @@ class Flow:
         with tracer.span(
             "flow.run", circuit=circuit.name, fault_model=opts.fault_model
         ):
-            if tracing:
-                bus.subscribe(lambda event: tracer.event(event.to_json_dict()))
             if cssg is None:
-                bus.emit(StageStarted("cssg", len(faults)))
-                t0 = time.perf_counter()
-                with tracer.span("stage.cssg"):
-                    cssg = cssg_for(circuit, opts)
-                stage_seconds["cssg"] = seconds = time.perf_counter() - t0
-                bus.emit(
-                    StageFinished(
-                        "cssg",
-                        seconds,
-                        f"{cssg.n_states} states / {cssg.n_edges} edges "
-                        f"[{cssg.method}]",
-                    )
+                cssg, stage_seconds["cssg"] = self.build_cssg(
+                    circuit, opts, len(faults), bus
                 )
             ctx = RunContext(
                 circuit, opts, cssg, list(faults), bus=bus, budget=run_budget
@@ -186,6 +160,41 @@ class Flow:
         return result
 
     @staticmethod
+    def build_cssg(
+        circuit: Circuit,
+        opts: AtpgOptions,
+        n_faults: int,
+        bus: Optional[EventBus] = None,
+        build: Optional[Callable[[Circuit, AtpgOptions], Cssg]] = None,
+    ) -> Tuple[Cssg, float]:
+        """Build ``circuit``'s CSSG as the pseudo-stage ``"cssg"``, in a
+        ``stage.cssg`` span between ``StageStarted`` and
+        ``StageFinished`` on ``bus``; returns the graph and its seconds.
+
+        ``bus`` defaults to one carrying only the ambient observers, so
+        a construction outside a run (the campaign runner builds one
+        graph for a circuit's jobs) is metered and traced as a run's
+        is.  ``build`` defaults to :func:`~repro.core.atpg.cssg_for`.
+        """
+        from repro.obs.trace import get_tracer
+
+        bus = bus if bus is not None else _observed_bus()
+        bus.emit(StageStarted("cssg", n_faults))
+        t0 = time.perf_counter()
+        with get_tracer().span("stage.cssg"):
+            cssg = (build or cssg_for)(circuit, opts)
+        seconds = time.perf_counter() - t0
+        bus.emit(
+            StageFinished(
+                "cssg",
+                seconds,
+                f"{cssg.n_states} states / {cssg.n_edges} edges "
+                f"[{cssg.method}]",
+            )
+        )
+        return cssg, seconds
+
+    @staticmethod
     def _telemetry_block(cssg, stage_seconds, obs_metrics) -> dict:
         """The opt-in ``telemetry`` payload block: per-stage wall times,
         symbolic-kernel cache counters, and — with metrics armed — the
@@ -208,3 +217,27 @@ class Flow:
         if obs_metrics.enabled():
             block["metrics"] = obs_metrics.get_registry().snapshot()
         return block
+
+
+def _observed_bus(listeners: Iterable[Listener] = ()) -> EventBus:
+    """An event bus feeding ``listeners`` and the ambient observers.
+
+    Observability is ambient, never part of the call contract: with
+    metrics enabled the bus also feeds a MetricsConsumer, and under a
+    recording tracer every event is filed on the span open when it is
+    emitted.  Both are observational only — the event stream and the
+    default serialized payload are byte-identical with or without them;
+    the opt-in ``telemetry`` block of :meth:`Flow.run` is the single
+    exception."""
+    from repro.obs import metrics as obs_metrics
+    from repro.obs.trace import active as tracing_active, get_tracer
+
+    bus = EventBus()
+    for listener in listeners:
+        bus.subscribe(listener)
+    if obs_metrics.enabled():
+        bus.subscribe(obs_metrics.MetricsConsumer())
+    if tracing_active():
+        tracer = get_tracer()
+        bus.subscribe(lambda event: tracer.event(event.to_json_dict()))
+    return bus

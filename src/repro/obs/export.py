@@ -44,21 +44,33 @@ __all__ = [
 ]
 
 
-def atomic_write_text(path, text: str, prefix: str = ".obs-") -> None:
+def atomic_write_text(
+    path, text: str, prefix: str = ".obs-", fsync: bool = True
+) -> None:
     """Write ``text`` to ``path`` through a same-directory temp file
-    ``<prefix>….tmp``: write, flush, ``fsync``, then ``os.replace``.
-    A reader (or a crash) sees the old file or the complete new one,
-    never a torn one, and a write that raises leaves no temp file.
-    Result-store entries, span files and metrics files all go through
-    here."""
+    ``<prefix>….tmp``: write, flush, ``fsync``, then ``os.replace``,
+    creating the directory only when the temp file finds it missing.
+    A reader sees the old file or the complete new one, never a torn
+    one, and a write that raises leaves no temp file.
+
+    Span files, metrics files and the store's compacted logs
+    (``stats.log``, ``cohorts/index``) are fsynced, so a crash leaves
+    them whole too.  Result-store entries pass
+    ``fsync=False``: each carries its own checksum, a crash can leave
+    it torn or empty, and a torn entry reads as a miss (see
+    :mod:`repro.campaign.store`)."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix, suffix=".tmp")
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -359,7 +359,9 @@ def test_progress_line_non_tty_emits_plain_lines():
 def test_trace_writer_atomic_publish_and_crash_safety(tmp_path, monkeypatch):
     """The one atomic writer (span files, metrics, store entries): the
     target appears only at ``os.replace``, after an fsync of the temp
-    file, and a write that raises leaves neither file behind."""
+    file for span and metrics files, and a write that raises leaves
+    neither file behind.  Store entries carry a checksum instead of
+    being fsynced."""
     target = tmp_path / "spans.jsonl"
     real_replace = os.replace
     steps = []
@@ -379,15 +381,18 @@ def test_trace_writer_atomic_publish_and_crash_safety(tmp_path, monkeypatch):
     assert target.read_text() == "{}\n"
 
     # store entries: same writer, `.<key[:8]>-….tmp` names (what prune
-    # reaps), compact JSON bytes
+    # reaps), no fsync, compact JSON bytes plus the checksum trailer
+    import zlib
+
     from repro.campaign.store import ResultStore
 
     steps.clear()
     key = "ab12cd34" * 8
     path = ResultStore(tmp_path / "cache").put(key, {"b": 1, "a": [1, 2]})
-    assert steps[0] == "fsync"
-    assert steps[1].startswith(f".{key[:8]}-") and steps[1].endswith(".tmp")
-    assert path.read_text() == '{"b":1,"a":[1,2]}'
+    assert len(steps) == 1  # the replace alone: nothing was fsynced
+    assert steps[0].startswith(f".{key[:8]}-") and steps[0].endswith(".tmp")
+    body = b'{"b":1,"a":[1,2]}'
+    assert path.read_bytes() == body + b"\n%08x\n" % zlib.crc32(body)
 
     def failing_replace(src, dst):
         raise OSError("disk full")
@@ -454,6 +459,41 @@ def test_campaign_collect_telemetry_aggregates_and_keeps_cache_clean(tmp_path):
     for job in jobs:
         cached = store.get(job.key)
         assert cached is not None and "telemetry" not in cached
+
+
+def test_campaign_meters_and_traces_each_cssg_construction(tmp_path):
+    """The runner builds a circuit's CSSG once for all its jobs, outside
+    ``Flow.run``.  Each construction is still one ``"cssg"`` stage run
+    and one ``stage.cssg`` span; a memo or store hit is neither."""
+    import shutil
+
+    from repro.campaign import CampaignSpec, ResultStore, expand, run_campaign
+
+    jobs = expand(
+        CampaignSpec(
+            benchmarks=["dff", "hazard"],
+            fault_models=("output", "input"),
+            options=AtpgOptions(**FAST),
+        )
+    )
+    store = ResultStore(tmp_path / "cache")
+
+    def constructions(**campaign):
+        reg = obs_metrics.enable(MetricsRegistry())
+        with use_tracer() as tracer:
+            report = run_campaign(jobs, workers=0, **campaign)
+        assert report.all_ok and report.n_ran == len(jobs)
+        spans = sum(rec["name"] == "stage.cssg" for rec in tracer.spans)
+        runs = reg.value("repro_flow_stage_runs_total", "cssg")
+        timed = reg.get("repro_flow_stage_seconds").labels("cssg").count
+        assert spans == runs == timed
+        return spans
+
+    assert constructions(store=None) == 2  # the second model hits the memo
+    assert constructions(store=store, incremental=True) == 2
+    shutil.rmtree(store.root / "results")
+    shutil.rmtree(store.root / "cohorts")
+    assert constructions(store=store, incremental=True) == 0  # store hits
 
 
 def test_campaign_pool_merges_worker_snapshots(tmp_path):

@@ -16,7 +16,9 @@ import multiprocessing
 import os
 import time
 
-from repro.campaign.store import ResultStore
+import pytest
+
+from repro.campaign.store import ENTRY_CLASSES, ResultStore
 
 KEY = "ab" * 32
 
@@ -78,7 +80,7 @@ def test_concurrent_same_key_writers_never_tear(tmp_path):
     assert final is not None and _intact(final)
     assert final["body"]["nonce"] == n_rounds - 1
     # No temp-file litter survived the stampede.
-    assert not list((tmp_path / "results").glob("*/.*.tmp"))
+    assert not list((tmp_path / "results").glob(".*.tmp"))
 
 
 # -- maintenance (repro-cache backing) ---------------------------------------
@@ -372,7 +374,7 @@ def test_concurrent_overlapping_packs_never_mix_runs(tmp_path):
     for i in range(6):
         doc = store.get_cohort(_cohort_key(i))
         assert doc is not None and doc["run"] == doc["made_by"]
-    assert not list((tmp_path / "cohorts").glob("*/.*.tmp"))
+    assert not list((tmp_path / "cohorts").glob(".*.tmp"))
 
 
 def test_threads_sharing_one_store_agree_with_the_index_file(tmp_path):
@@ -429,3 +431,114 @@ def test_clear_dry_run_counts_every_class(tmp_path, capsys):
     assert "would remove 3 entries" in capsys.readouterr().out
     assert cache_main(argv) == 0
     assert "removed 3 entries" in capsys.readouterr().out
+
+
+# -- crash consistency: every entry checks its own bytes ---------------------
+
+
+def _put_and_get(store, entry_class):
+    """Put one small entry of ``entry_class``; returns the entry's path
+    and a lookup that reads it back (``None`` on a miss)."""
+    if entry_class == "results":
+        return store.put(KEY, {"ok": [1, 2]}), lambda: store.get(KEY)
+    if entry_class == "cssg":
+        return store.put_cssg(KEY, {"states": 3}), lambda: store.get_cssg(KEY)
+    run, cohort = _run_key(1), _cohort_key(1)
+    path = store.put_cohort(run, _pack(run, [cohort, _cohort_key(2)]))
+    return path, lambda: store.get_cohort(cohort)
+
+
+@pytest.mark.parametrize("entry_class", ENTRY_CLASSES)
+def test_torn_truncated_flipped_or_zeroed_entry_reads_as_a_miss(
+    tmp_path, entry_class
+):
+    """What a crash can leave of an entry written without ``fsync``:
+    cut at any byte offset (zero-length included), any one byte
+    flipped, or zero-filled.  Each reads as a miss, never a payload."""
+    store = ResultStore(tmp_path)
+    path, get = _put_and_get(store, entry_class)
+    good = path.read_bytes()
+    expected = get()
+    assert expected is not None
+    damaged = [good[:n] for n in range(len(good))]
+    damaged += [
+        good[:i] + bytes([good[i] ^ mask]) + good[i + 1 :]
+        for i in range(len(good))
+        for mask in (0x01, 0x80, 0xFF)
+    ]
+    damaged.append(bytes(len(good)))
+    for data in damaged:
+        path.write_bytes(data)
+        assert get() is None, data
+    path.write_bytes(good)
+    assert get() == expected
+
+
+@pytest.mark.parametrize("entry_class", ENTRY_CLASSES)
+def test_entry_without_checksum_is_a_miss_until_put_again(
+    tmp_path, entry_class
+):
+    """An entry in the format written before checksums (the bare
+    compact JSON) is never trusted, and the next put overwrites it."""
+    store = ResultStore(tmp_path)
+    path, get = _put_and_get(store, entry_class)
+    good, expected = path.read_bytes(), get()
+    body = good[: good.rindex(b"\n", 0, -1)]
+    json.loads(body)  # the bare body is the old format, still valid JSON
+    path.write_bytes(body)
+    assert get() is None
+    again, get = _put_and_get(store, entry_class)
+    assert again == path and path.read_bytes() == good
+    assert get() == expected
+
+
+def test_old_shard_layout_is_listed_counted_evicted_and_cleared(
+    tmp_path, capsys
+):
+    """A cache from before the flat layout kept entries, and crashed
+    writers' temp files, one level down in ``<class>/<key[:2]>/``.
+    They are never read, but maintenance still finds all of them."""
+    from repro.cli import cache_main
+
+    def seed_old_layout():
+        old = {}
+        for entry_class in ENTRY_CLASSES:
+            shard = tmp_path / entry_class / KEY[:2]
+            shard.mkdir(parents=True, exist_ok=True)
+            old[entry_class] = shard / f"{KEY}.json"
+            old[entry_class].write_text('{"old":true}')
+            stale = shard / ".abababab-stale.tmp"
+            stale.write_text("partial")
+            os.utime(stale, (time.time() - 7200,) * 2)
+        return old
+
+    store = ResultStore(tmp_path)
+    old = seed_old_layout()
+    store.put(KEY, {"new": True})
+    assert store.get(KEY) == {"new": True}
+    assert store.get_cssg(KEY) is None  # the old entry is never read
+    for entry_class, path in old.items():
+        assert path in [e[1] for e in store.class_entries(entry_class)]
+    doc = store.stats()
+    assert doc["n_entries"] == len(store) == 2
+    assert doc["classes"]["cohorts"]["n_entries"] == 1
+    assert doc["classes"]["cssg"]["n_entries"] == 1
+
+    later = time.time() + 60
+    plan = store.prune_plan(max_age_seconds=0.0, now=later)
+    assert plan["total"]["n_entries"] == 4
+    n, _freed = store.prune(max_age_seconds=0.0, now=later)
+    assert n == 4 + 3  # four entries, three stale temp files
+    assert not list(tmp_path.rglob("*.json"))
+    assert not list(tmp_path.rglob("*.tmp"))
+
+    seed_old_layout()
+    argv = ["clear", "--cache-dir", str(tmp_path)]
+    assert cache_main(argv + ["--dry-run"]) == 0
+    assert "would remove 3 entries" in capsys.readouterr().out
+    assert cache_main(argv) == 0
+    assert "removed 3 entries" in capsys.readouterr().out
+    assert not list(tmp_path.rglob("*.json"))
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert not list(tmp_path.glob("*/*/"))  # the emptied shards are gone
+
