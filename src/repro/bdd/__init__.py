@@ -9,8 +9,8 @@ operation cache, quantification, the fused and-exists relational
 product, arbitrary variable substitution, mark-and-sweep garbage
 collection and in-place sifting (:mod:`repro.bdd.manager`), the only
 BDD engine in the package; the seed engine survives with the tests as
-their differential oracle.  :mod:`repro.bdd.reorder` hosts the offline
-variable-order exploration utilities on top of the in-place machinery.
+their differential oracle.  :mod:`repro.bdd.reorder` computes the
+netlist-driven initial variable order the symbolic CSSG builder installs.
 """
 
 from repro.bdd.manager import BddManager, BddStats

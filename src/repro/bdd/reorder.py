@@ -1,35 +1,22 @@
-"""Variable-ordering exploration for the BDD engine.
+"""The initial variable order of the symbolic CSSG builder.
 
 The paper's §6 lists "studying better variable ordering strategies in
-the use of BDDs" as the first way to speed up its symbolic step.  The
-production path is :meth:`repro.bdd.manager.BddManager.sift` — in-place
+the use of BDDs" as the first way to speed up its symbolic step.  Two
+pieces answer it.  :meth:`repro.bdd.manager.BddManager.sift` is in-place
 Rudell sifting, triggered automatically by node-count growth when the
 manager is configured with ``auto_reorder_nodes`` (the symbolic CSSG
-builder does this).  This module keeps the *offline* utilities on top
-of it:
-
-* :func:`copy_with_order` — rebuild functions in a fresh manager under
-  an arbitrary explicit variable permutation;
-* :func:`total_size` — the shared-node count of a set of functions, the
-  quantity orderings try to minimize;
-* :func:`sift_order` — search for a good order by running the in-place
-  sifter on a scratch copy, leaving the source manager untouched;
-  returns the discovered order so it can be applied, logged or compared;
-* :func:`static_order` — a connectivity-driven *initial* order computed
-  from the netlist before any BDD exists: DFS from the primary outputs
-  through gate fanins, so each signal lands next to the cone it feeds.
-  Installed by the symbolic CSSG builder via
-  :meth:`~repro.bdd.manager.BddManager.set_order` on the fresh manager,
-  it avoids building the (exponential) declaration-order blowup that
-  dynamic reordering would otherwise have to sift its way out of.
+builder does this).  :func:`static_order` is a connectivity-driven
+*initial* order computed from the netlist before any BDD exists: DFS
+from the primary outputs through gate fanins, so each signal lands next
+to the cone it feeds.  Installed by the symbolic CSSG builder via
+:meth:`~repro.bdd.manager.BddManager.set_order` on the fresh manager,
+it avoids building the (exponential) declaration-order blowup that
+dynamic reordering would otherwise have to sift its way out of.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-from repro.bdd.manager import TRUE, BddManager
-from repro.errors import BddError
+from typing import List
 
 
 def static_order(circuit) -> List[int]:
@@ -67,49 +54,3 @@ def static_order(circuit) -> List[int]:
     for s in range(circuit.n_signals):
         visit(s)
     return order
-
-
-def copy_with_order(
-    src: BddManager, roots: Sequence[int], order: Sequence[int]
-) -> Tuple[BddManager, List[int]]:
-    """Rebuild ``roots`` in a new manager where old variable ``order[i]``
-    sits at level ``i``.  Returns (new manager, translated roots)."""
-    if sorted(order) != list(range(src.n_vars)):
-        raise BddError("order must be a permutation of all variables")
-    position = {old: new for new, old in enumerate(order)}
-    dst = BddManager(src.n_vars)
-    cache: Dict[int, int] = {}
-
-    def rebuild(ref: int) -> int:
-        if ref <= TRUE:
-            return ref
-        cached = cache.get(ref)
-        if cached is not None:
-            return cached
-        var = src.top_var(ref)
-        lo, hi = src.cofactors(ref, var)
-        result = dst.ite(dst.var(position[var]), rebuild(hi), rebuild(lo))
-        cache[ref] = result
-        return result
-
-    return dst, [rebuild(r) for r in roots]
-
-
-def total_size(mgr: BddManager, roots: Sequence[int]) -> int:
-    """Distinct internal nodes shared across ``roots``."""
-    return mgr.shared_size(roots)
-
-
-def sift_order(
-    src: BddManager, roots: Sequence[int], max_growth: float = 2.0
-) -> Tuple[List[int], int]:
-    """Sifting search on a scratch copy: returns (best order, best size).
-
-    ``src`` is left untouched; the returned order maps level → variable
-    of ``src`` and can be applied with :func:`copy_with_order` (or used
-    to seed a fresh manager).  The search itself is the manager's
-    in-place :meth:`~repro.bdd.manager.BddManager.sift`.
-    """
-    scratch, copies = copy_with_order(src, roots, list(range(src.n_vars)))
-    scratch.sift(roots=copies, max_growth=max_growth)
-    return scratch.order(), scratch.shared_size(copies)

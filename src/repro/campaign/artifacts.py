@@ -22,8 +22,10 @@ from repro.campaign.plan import CODE_VERSION, CampaignSpec
 from repro.campaign.runner import CampaignReport, JobOutcome
 from repro.core.report import TableRow, format_table, payload_row, to_csv, to_json
 
-#: Version of the ``campaign.json`` manifest layout.
-ARTIFACT_SCHEMA_VERSION = 1
+#: Version of the ``campaign.json`` manifest layout.  Version 2 dropped
+#: the rows' ``stage_seconds`` / ``bdd_cache_hits`` /
+#: ``bdd_cache_lookups`` columns.
+ARTIFACT_SCHEMA_VERSION = 2
 
 
 def _row_name(outcome: JobOutcome) -> str:

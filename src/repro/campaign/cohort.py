@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.faults import Fault
@@ -78,6 +78,8 @@ __all__ = [
 COHORT_SCHEMA_VERSION = 2
 
 #: Same role for serialized CSSGs under their structural fingerprint.
+#: Stats keys a reader does not know (the retired BDD cache counters of
+#: older entries) are ignored, not a reason to bump.
 CSSG_CACHE_SCHEMA_VERSION = 1
 
 
@@ -400,7 +402,7 @@ def merge_payload(
 
     When every partial comes from one producing run, the output is
     byte-identical to that run's :meth:`AtpgResult.to_json_dict`
-    except for ``cpu_seconds`` (and the telemetry block) — the
+    except for ``cpu_seconds`` — the
     invariant ``tests/test_incremental.py`` pins against the golden
     digests on every Table-1 benchmark.
     """
@@ -468,7 +470,8 @@ def cssg_from_doc(circuit: Circuit, doc: object) -> Optional[Cssg]:
     if not isinstance(doc, dict) or doc.get("version") != CSSG_CACHE_SCHEMA_VERSION:
         return None
     try:
-        stats = CssgStats(**doc["stats"])
+        known = {f.name for f in fields(CssgStats)}
+        stats = CssgStats(**{k: v for k, v in doc["stats"].items() if k in known})
         return Cssg(
             circuit=circuit,
             k=int(doc["k"]),

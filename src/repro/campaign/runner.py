@@ -23,7 +23,6 @@ independent, seeded, deterministic computation.
 :func:`run_job` is the one per-job path (the ``workers=0`` loop and
 the forked worker both call it), and :meth:`_Pool.step` the one
 parent-side message pump, stepped until every job is resolved.
-Payloads bound for a store go through :func:`canonical_payload`.
 """
 
 from __future__ import annotations
@@ -73,6 +72,9 @@ class JobOutcome:
     #: :meth:`~repro.campaign.cohort.IncrementalStats.to_json_dict`
     #: shape); ``None`` for plain runs and cache hits.
     incremental: Optional[Dict] = None
+    #: The job's own metrics registry snapshot when a worker ran it under
+    #: ``collect_telemetry``; ``None`` otherwise.
+    metrics: Optional[Dict] = None
 
     @property
     def ok(self) -> bool:
@@ -216,7 +218,7 @@ def _memoised_cssg(
         if cssg is not None:
             stats.cssg_reused = True
     if cssg is None:
-        cssg, _ = Flow.build_cssg(circuit, opts, n_faults, build=cssg_for)
+        cssg = Flow.build_cssg(circuit, opts, n_faults, build=cssg_for)
         if store is not None:
             store.put_cssg(fingerprint, _cohort.cssg_to_doc(cssg))
     if cssg_memo is not None:
@@ -320,9 +322,7 @@ def execute_job_incremental(
     # a later merge reassembles this payload position-exactly.  The
     # whole partition is one pack, so this is one store write.
     if cohorts:
-        partials = _cohort.extract_partials(
-            circuit, canonical_payload(payload), cohorts, job.key
-        )
+        partials = _cohort.extract_partials(circuit, payload, cohorts, job.key)
         store.put_cohort(job.key, partials)
     return payload, result, stats
 
@@ -331,8 +331,8 @@ def note_incremental_stats(doc: Optional[Dict]) -> None:
     """Fold one incremental execution's cohort accounting (a
     :attr:`JobOutcome.incremental` dict) into the ambient metrics
     registry — call exactly once per job, parent-side, never inside a
-    telemetry-collected worker, which would double-count through the
-    snapshot merge.  ``None`` is a no-op."""
+    worker, whose metrics snapshot the parent merges too.  ``None`` is
+    a no-op."""
     if doc is None or not _obs.enabled():
         return
     counter = _obs.get_registry().counter(
@@ -343,16 +343,6 @@ def note_incremental_stats(doc: Optional[Dict]) -> None:
     counter.labels("planned").inc(doc.get("cohorts_total", 0))
     counter.labels("reused").inc(doc.get("cohorts_reused", 0))
     counter.labels("executed").inc(doc.get("cohorts_executed", 0))
-
-
-def canonical_payload(payload: Optional[Dict]) -> Optional[Dict]:
-    """``payload`` without its opt-in ``telemetry`` block — the form
-    every store entry takes.  Telemetry is wall-clock data specific to
-    one run; dropping it keeps the payload byte-identical to what a
-    plain run produces."""
-    if payload is None or "telemetry" not in payload:
-        return payload
-    return {k: v for k, v in payload.items() if k != "telemetry"}
 
 
 def run_job(
@@ -425,15 +415,15 @@ def _worker_main(
     fault-model / seed variants share a single construction.
 
     With ``collect_telemetry`` the worker arms a **fresh metrics
-    registry per job** and lets the flow attach its final snapshot to
-    the result's ``telemetry`` block — which is how per-job metrics
-    reach the parent's campaign-wide registry exactly once.
+    registry per job** and sends its snapshot as the ``done`` message's
+    last element, so per-job metrics reach the parent's campaign-wide
+    registry exactly once.
 
     With ``incremental`` (and a ``cache_root``), jobs resolve through
     :func:`execute_job_incremental` against a worker-local
-    :class:`ResultStore`; the cohort-reuse stats ride as a sixth
-    ``done``-event element so the *parent* folds them into its registry
-    exactly once."""
+    :class:`ResultStore`; the cohort-reuse stats ride the ``done``
+    message too, so the *parent* folds them into its registry exactly
+    once."""
     inc_store = _incremental_store(incremental, cache_root)
     while True:
         item = task_q.get()
@@ -446,9 +436,12 @@ def _worker_main(
                 _obs.enable(_obs.MetricsRegistry())
             outcome = run_job(job, inc_store, cssg_memo, refresh=refresh)
             if outcome.ok:
+                metrics = (
+                    _obs.get_registry().snapshot() if collect_telemetry else None
+                )
                 event_q.put(
                     ("done", wid, job.key, outcome.seconds, outcome.payload,
-                     outcome.incremental)
+                     outcome.incremental, metrics)
                 )
             else:
                 event_q.put(
@@ -630,7 +623,7 @@ class _Pool:
             resolve(
                 JobOutcome(
                     job, "ran", payload=event[4], seconds=seconds,
-                    incremental=event[5],
+                    incremental=event[5], metrics=event[6],
                 )
             )
         else:
@@ -705,11 +698,12 @@ def run_campaign(
     budget a worker job may spend on one result; past it the worker is
     killed and the job resolves as ``timeout``.
 
-    ``collect_telemetry`` arms metrics collection (the parent's ambient
-    registry becomes the campaign-wide aggregate; workers record into
-    per-job registries whose snapshots are merged in as results
-    arrive).  It never changes a payload byte that reaches the store:
-    the cache always holds the canonical, telemetry-free result.
+    ``collect_telemetry`` arms metrics collection for the call (the
+    parent's ambient registry becomes the campaign-wide aggregate;
+    workers record into per-job registries whose snapshots are merged
+    in as results arrive) and restores the switch's previous state on
+    return; the registry keeps the campaign's series.  Payloads never
+    depend on it.
 
     ``incremental`` resolves jobs that miss the whole-result cache
     through :func:`execute_job_incremental`: per-fault-cohort partials
@@ -721,89 +715,86 @@ def run_campaign(
         workers = os.cpu_count() or 1
     if workers < 0:
         raise ReproError(f"workers must be >= 0, got {workers}")
-    if collect_telemetry and not _obs.enabled():
-        _obs.enable()
-    start = time.perf_counter()
-    outcomes: Dict[str, JobOutcome] = {}
-    n_total = len(jobs)
+    with _obs.armed(collect_telemetry):
+        start = time.perf_counter()
+        outcomes: Dict[str, JobOutcome] = {}
+        n_total = len(jobs)
 
-    def resolve(outcome: JobOutcome) -> None:
-        outcomes[outcome.job.key] = outcome
-        note_incremental_stats(outcome.incremental)
-        if outcome.executed and store is not None and outcome.payload is not None:
-            store.put(outcome.job.key, canonical_payload(outcome.payload))
-        if _obs.enabled():
-            _obs.get_registry().counter(
-                "repro_campaign_jobs_total",
-                "Campaign jobs resolved, by outcome status.",
-                ("status",),
-            ).labels(outcome.status).inc()
-        if progress is not None:
-            progress(outcome, len(outcomes), n_total)
+        def resolve(outcome: JobOutcome) -> None:
+            outcomes[outcome.job.key] = outcome
+            note_incremental_stats(outcome.incremental)
+            if outcome.executed and store is not None and outcome.payload:
+                store.put(outcome.job.key, outcome.payload)
+            if _obs.enabled():
+                _obs.get_registry().counter(
+                    "repro_campaign_jobs_total",
+                    "Campaign jobs resolved, by outcome status.",
+                    ("status",),
+                ).labels(outcome.status).inc()
+            if progress is not None:
+                progress(outcome, len(outcomes), n_total)
 
-    pending: List[Job] = []
-    for job in jobs:
-        payload = None if refresh else _fresh_payload(store, job)
-        if payload is not None:
-            resolve(JobOutcome(job, "cached", payload=payload))
-        else:
-            pending.append(job)
+        pending: List[Job] = []
+        for job in jobs:
+            payload = None if refresh else _fresh_payload(store, job)
+            if payload is not None:
+                resolve(JobOutcome(job, "cached", payload=payload))
+            else:
+                pending.append(job)
 
-    if workers == 0:
-        job_store = _incremental_store(
-            incremental, None if store is None else store.root
+        if workers == 0:
+            job_store = _incremental_store(
+                incremental, None if store is None else store.root
+            )
+            cssg_memo: Dict = {}
+            last_group: Optional[str] = None
+            for job in pending:
+                if job.group != last_group:  # bound memory to one circuit
+                    cssg_memo = {}
+                    last_group = job.group
+                resolve(run_job(job, job_store, cssg_memo, refresh=refresh))
+        elif pending:
+            pool = _Pool(
+                pending, min(workers, len(pending)), timeout, collect_telemetry,
+                incremental=incremental and store is not None,
+                cache_root=str(store.root) if store is not None else None,
+                refresh=refresh,
+            )
+
+            def resolve_worker_job(outcome: JobOutcome) -> None:
+                dispatched = pool.dispatched_at.pop(outcome.job.key, None)
+                if outcome.status in ("ran", "failed"):  # the worker reported it
+                    _absorb_worker_job(outcome, dispatched)
+                resolve(outcome)
+
+            try:
+                pool.start()
+                while pool.unresolved:
+                    pool.step(resolve_worker_job)
+            finally:
+                pool.shutdown()
+
+        return CampaignReport(
+            jobs=jobs,
+            outcomes=[outcomes[j.key] for j in jobs],
+            wall_seconds=time.perf_counter() - start,
+            workers=workers,
         )
-        cssg_memo: Dict = {}
-        last_group: Optional[str] = None
-        for job in pending:
-            if job.group != last_group:  # bound memory to one circuit
-                cssg_memo = {}
-                last_group = job.group
-            resolve(run_job(job, job_store, cssg_memo, refresh=refresh))
-    elif pending:
-        pool = _Pool(
-            pending, min(workers, len(pending)), timeout, collect_telemetry,
-            incremental=incremental and store is not None,
-            cache_root=str(store.root) if store is not None else None,
-            refresh=refresh,
-        )
-
-        def resolve_worker_job(outcome: JobOutcome) -> None:
-            dispatched = pool.dispatched_at.pop(outcome.job.key, None)
-            if outcome.status in ("ran", "failed"):  # the worker reported it
-                _absorb_job_telemetry(outcome, dispatched)
-            resolve(outcome)
-
-        try:
-            pool.start()
-            while pool.unresolved:
-                pool.step(resolve_worker_job)
-        finally:
-            pool.shutdown()
-
-    return CampaignReport(
-        jobs=jobs,
-        outcomes=[outcomes[j.key] for j in jobs],
-        wall_seconds=time.perf_counter() - start,
-        workers=workers,
-    )
 
 
-def _absorb_job_telemetry(
+def _absorb_worker_job(
     outcome: JobOutcome, dispatched: Optional[float]
 ) -> None:
     """Fold one finished worker job into the campaign-wide registry:
-    merge the per-job metrics snapshot the flow attached to the payload
-    (exactly once per job), and record the run/queue-wait split.  Queue
+    merge the job's metrics snapshot (exactly once per job), and record
+    the run/queue-wait split.  Queue
     wait is parent-side arithmetic: seconds since the job's *batch* was
     ``dispatched``, minus the run time the worker reports."""
     if not _obs.enabled():
         return
     reg = _obs.get_registry()
-    telemetry = (outcome.payload or {}).get("telemetry") or {}
-    snap = telemetry.get("metrics")
-    if snap:
-        reg.merge_snapshot(snap)
+    if outcome.metrics:
+        reg.merge_snapshot(outcome.metrics)
     reg.histogram(
         "repro_campaign_job_seconds", "Per-job ATPG run time (worker-side)."
     ).observe(outcome.seconds)

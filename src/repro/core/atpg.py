@@ -37,11 +37,11 @@ from repro.sgraph.cssg import Cssg, CssgSummary, build_cssg
 #: ``faults`` / ``statuses`` / ``tests`` arrays — same ``[kind, gate,
 #: site, value]`` element shape, new ``kind`` vocabulary — so caches
 #: written by stuck-at-only readers are never asked to hold records
-#: they cannot interpret.  Version 5 added the *optional* ``telemetry``
-#: block (per-stage wall times, BDD cache counters, metrics snapshot) —
-#: present only when the run executed under an active tracer or with
-#: metrics enabled, absent (not null) otherwise, so default payloads
-#: keep their historical byte-exact form.
+#: they cannot interpret.  Version 5 added an optional ``telemetry``
+#: block for observed runs.  The block is retired (stage times and BDD
+#: cache traffic live in spans and metrics) and readers ignore a stray
+#: key; the version stays 5 because a payload without the block was
+#: always a valid version-5 payload.
 RESULT_SCHEMA_VERSION = 5
 
 
@@ -182,11 +182,6 @@ class AtpgResult:
     n_fault_sim: int = 0
     n_undetectable: int = 0
     n_aborted: int = 0
-    #: Opt-in observability block (see :mod:`repro.obs`): per-stage wall
-    #: times, BDD cache counters, and — when metrics are enabled — a
-    #: registry snapshot.  ``None`` (and absent from the JSON form) for
-    #: default runs, so cached payload digests are unaffected.
-    telemetry: Optional[Dict] = None
 
     @property
     def n_total(self) -> int:
@@ -231,9 +226,7 @@ class AtpgResult:
         """Canonical JSON form: the whole Table 1/2 row plus every test
         and per-fault verdict.  ``from_json_dict`` inverts it; two runs
         are *the same result* iff these dicts agree up to
-        ``cpu_seconds`` (and the opt-in ``telemetry`` block, which
-        carries wall-clock data and is only present for observed
-        runs)."""
+        ``cpu_seconds``, whether or not the run was observed."""
         cssg = self.cssg
         if isinstance(cssg, Cssg):
             cssg = cssg.summary()
@@ -262,8 +255,6 @@ class AtpgResult:
             "n_undetectable": self.n_undetectable,
             "n_aborted": self.n_aborted,
         }
-        if self.telemetry is not None:
-            doc["telemetry"] = self.telemetry
         return doc
 
     @staticmethod
@@ -299,7 +290,6 @@ class AtpgResult:
             n_fault_sim=int(data["n_fault_sim"]),
             n_undetectable=int(data["n_undetectable"]),
             n_aborted=int(data["n_aborted"]),
-            telemetry=data.get("telemetry"),
         )
 
 

@@ -41,14 +41,6 @@ class TableRow:
     space-separated — e.g. ``"bridging:140/156 transition:44/46"`` —
     empty when only the paper's two stuck-at universes ran (whose
     counts keep their historical dedicated columns).
-
-    ``stage_seconds`` / ``bdd_cache_hits`` / ``bdd_cache_lookups`` are
-    telemetry-derived: per-stage wall times as compact
-    ``stage:seconds`` entries and the BDD unique/apply cache traffic of
-    the input-model run.  They are filled only when the result carries
-    a ``telemetry`` block (runs under ``--metrics`` / an active tracer)
-    and stay at their empty/zero defaults otherwise — the columns are
-    always present, only the values are opt-in.
     """
 
     name: str
@@ -71,9 +63,6 @@ class TableRow:
     reorders: int = 0
     image_iters: int = 0
     models: str = ""
-    stage_seconds: str = ""
-    bdd_cache_hits: int = 0
-    bdd_cache_lookups: int = 0
 
     @property
     def out_fc(self) -> float:
@@ -100,36 +89,6 @@ def format_model_counts(counts: Dict[str, Sequence[int]]) -> str:
         f"{model}:{covered}/{total}"
         for model, (covered, total) in sorted(counts.items())
     )
-
-
-def format_stage_seconds(stage_seconds: Dict[str, float]) -> str:
-    """Render the telemetry ``stage_seconds`` map as compact
-    ``stage:seconds`` entries in flow order (insertion order of the
-    map, which the flow writes stage by stage).
-
-    >>> format_stage_seconds({"collapse": 0.001, "random-tpg": 0.25})
-    'collapse:0.001 random-tpg:0.25'
-    """
-    return " ".join(f"{name}:{dt:g}" for name, dt in stage_seconds.items())
-
-
-def telemetry_columns(telemetry: Optional[Dict]) -> Dict[str, object]:
-    """The :class:`TableRow` fields derived from a result's optional
-    ``telemetry`` block; empty defaults when the block is absent.
-
-    >>> telemetry_columns(None)
-    {'stage_seconds': '', 'bdd_cache_hits': 0, 'bdd_cache_lookups': 0}
-    >>> telemetry_columns({"stage_seconds": {"compaction": 0.02},
-    ...                    "bdd": {"cache_hits": 7, "cache_lookups": 9}})
-    {'stage_seconds': 'compaction:0.02', 'bdd_cache_hits': 7, 'bdd_cache_lookups': 9}
-    """
-    tel = telemetry or {}
-    bdd = tel.get("bdd") or {}
-    return {
-        "stage_seconds": format_stage_seconds(tel.get("stage_seconds") or {}),
-        "bdd_cache_hits": int(bdd.get("cache_hits", 0)),
-        "bdd_cache_lookups": int(bdd.get("cache_lookups", 0)),
-    }
 
 
 def payload_row(
@@ -177,7 +136,6 @@ def payload_row(
         models=format_model_counts(
             {m: (p["n_covered"], p["n_total"]) for m, p in extras.items()}
         ),
-        **telemetry_columns(inp.get("telemetry")),
     )
 
 
@@ -237,7 +195,6 @@ CSV_COLUMNS = (
     "rnd", "three_ph", "sim", "cpu", "aborted", "abort_reasons",
     "cssg_method", "cssg_states", "cssg_edges", "tcsg_states",
     "peak_bdd_nodes", "gc_passes", "reorders", "image_iters", "models",
-    "stage_seconds", "bdd_cache_hits", "bdd_cache_lookups",
 )
 
 

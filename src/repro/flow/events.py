@@ -24,7 +24,7 @@ the span open when it was emitted).  The stream is **deterministic** for a fixed
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, List
 
 from repro.circuit.faults import Fault
 
@@ -119,67 +119,36 @@ Listener = Callable[[FlowEvent], None]
 
 
 class EventBus:
-    """Synchronous fan-out of flow events to subscribed listeners.
+    """Synchronous fan-out of flow events to a fixed list of listeners.
 
-    Listeners are plain callables invoked in subscription order, on the
-    thread that runs the flow.  Listeners are *isolated*: one that
-    raises is unsubscribed after its first error and the exception is
-    surfaced once as a :class:`RuntimeWarning` — the run completes and
-    every other listener keeps receiving the full stream.  (Consumers
-    doing fallible I/O still get exactly one warning naming them, so a
-    broken trace file is visible without killing hours of ATPG.)
-
-    Mid-run attach/detach is supported: :meth:`subscribe` and
-    :meth:`unsubscribe` may be called while the flow is emitting — from
-    inside a listener or from another thread.  Each :meth:`emit` fans
-    out to a snapshot of the subscription list, so a subscription added
-    mid-emit takes effect from the *next* event and a detach never
-    perturbs the other listeners' delivery.  :meth:`unsubscribe` is idempotent — a
-    listener that already unsubscribed itself (or was dropped after
-    raising) is a no-op to remove again.
+    Listeners are plain callables, given at construction and invoked in
+    that order on the thread that runs the flow.  Listeners are
+    *isolated*: one that raises is dropped after its first error and the
+    exception is surfaced once as a :class:`RuntimeWarning` — the run
+    completes and every other listener keeps receiving the full stream.
+    (Consumers doing fallible I/O still get exactly one warning naming
+    them, so a broken trace file is visible without killing hours of
+    ATPG.)
     """
 
-    def __init__(self) -> None:
-        self._listeners: List[Listener] = []
-        self.n_emitted = 0
-        self.n_listener_errors = 0
-
-    def subscribe(self, listener: Listener) -> Listener:
-        self._listeners.append(listener)
-        return listener
-
-    def unsubscribe(self, listener: Listener) -> bool:
-        """Detach ``listener``; ``False`` if it was not subscribed."""
-        try:
-            self._listeners.remove(listener)
-            return True
-        except ValueError:
-            return False
+    def __init__(self, listeners: Iterable[Listener] = ()) -> None:
+        self._listeners: List[Listener] = list(listeners)
 
     def emit(self, event: FlowEvent) -> None:
-        self.n_emitted += 1
-        broken = None
-        # Snapshot: listeners may (un)subscribe — themselves or others —
-        # while this event fans out, without skipping anyone else.
-        for listener in tuple(self._listeners):
-            if listener not in self._listeners:
-                continue  # detached earlier in this same emit
+        broken = []
+        for listener in self._listeners:
             try:
                 listener(event)
             except Exception as exc:
-                if broken is None:
-                    broken = []
-                broken.append((listener, exc))
-        if broken is not None:
-            import warnings
+                import warnings
 
-            for listener, exc in broken:
-                self.n_listener_errors += 1
-                self.unsubscribe(listener)
+                broken.append(listener)
                 warnings.warn(
                     f"event listener {listener!r} raised "
                     f"{type(exc).__name__}: {exc} on "
-                    f"{type(event).__name__}; unsubscribed",
+                    f"{type(event).__name__}; dropped",
                     RuntimeWarning,
                     stacklevel=2,
                 )
+        if broken:
+            self._listeners = [l for l in self._listeners if l not in broken]

@@ -21,7 +21,7 @@ timeline and its verdict narrative (``repro-atpg --spans FILE``).
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.circuit.faults import Fault, fault_universe
 from repro.circuit.netlist import Circuit
@@ -112,14 +112,11 @@ class Flow:
         that inject a fake clock; the per-fault caps always come from
         ``options``.
         """
-        from repro.obs import metrics as obs_metrics
-        from repro.obs.trace import active as tracing_active, get_tracer
+        from repro.obs.trace import get_tracer
 
         opts = options if options is not None else AtpgOptions()
         bus = _observed_bus(listeners)
-        observing = obs_metrics.enabled() or tracing_active()
         tracer = get_tracer()
-        stage_seconds: "dict" = {}
         start = time.perf_counter()
         run_budget = budget if budget is not None else Budget.from_options(opts)
         run_budget.start()
@@ -129,9 +126,7 @@ class Flow:
             "flow.run", circuit=circuit.name, fault_model=opts.fault_model
         ):
             if cssg is None:
-                cssg, stage_seconds["cssg"] = self.build_cssg(
-                    circuit, opts, len(faults), bus
-                )
+                cssg = self.build_cssg(circuit, opts, len(faults), bus)
             ctx = RunContext(
                 circuit, opts, cssg, list(faults), bus=bus, budget=run_budget
             )
@@ -143,7 +138,7 @@ class Flow:
                 t0 = time.perf_counter()
                 with tracer.span(f"stage.{stage.name}"):
                     stage.run(ctx)
-                stage_seconds[stage.name] = seconds = time.perf_counter() - t0
+                seconds = time.perf_counter() - t0
                 detail = ""
                 stats = ctx.stage_stats.get(stage.name)
                 if stats:
@@ -152,12 +147,7 @@ class Flow:
                     )
                 bus.emit(StageFinished(stage.name, seconds, detail))
             ctx.stage = ""
-            result = ctx.finish(time.perf_counter() - start)
-        if observing:
-            result.telemetry = self._telemetry_block(
-                cssg, stage_seconds, obs_metrics
-            )
-        return result
+            return ctx.finish(time.perf_counter() - start)
 
     @staticmethod
     def build_cssg(
@@ -166,10 +156,10 @@ class Flow:
         n_faults: int,
         bus: Optional[EventBus] = None,
         build: Optional[Callable[[Circuit, AtpgOptions], Cssg]] = None,
-    ) -> Tuple[Cssg, float]:
+    ) -> Cssg:
         """Build ``circuit``'s CSSG as the pseudo-stage ``"cssg"``, in a
         ``stage.cssg`` span between ``StageStarted`` and
-        ``StageFinished`` on ``bus``; returns the graph and its seconds.
+        ``StageFinished`` on ``bus``.
 
         ``bus`` defaults to one carrying only the ambient observers, so
         a construction outside a run (the campaign runner builds one
@@ -183,40 +173,15 @@ class Flow:
         t0 = time.perf_counter()
         with get_tracer().span("stage.cssg"):
             cssg = (build or cssg_for)(circuit, opts)
-        seconds = time.perf_counter() - t0
         bus.emit(
             StageFinished(
                 "cssg",
-                seconds,
+                time.perf_counter() - t0,
                 f"{cssg.n_states} states / {cssg.n_edges} edges "
                 f"[{cssg.method}]",
             )
         )
-        return cssg, seconds
-
-    @staticmethod
-    def _telemetry_block(cssg, stage_seconds, obs_metrics) -> dict:
-        """The opt-in ``telemetry`` payload block: per-stage wall times,
-        symbolic-kernel cache counters, and — with metrics armed — the
-        run's registry snapshot.  Only attached when observability is
-        active, so default runs keep their historical byte-exact
-        payloads (and cache digests)."""
-        block: "dict" = {
-            "stage_seconds": {
-                name: round(dt, 6) for name, dt in stage_seconds.items()
-            }
-        }
-        stats = getattr(cssg, "stats", None)
-        if stats is not None:
-            block["bdd"] = {
-                "cache_hits": getattr(stats, "n_cache_hits", 0),
-                "cache_lookups": getattr(stats, "n_cache_lookups", 0),
-                "peak_nodes": stats.peak_bdd_nodes,
-                "gc_passes": stats.n_gc_passes,
-            }
-        if obs_metrics.enabled():
-            block["metrics"] = obs_metrics.get_registry().snapshot()
-        return block
+        return cssg
 
 
 def _observed_bus(listeners: Iterable[Listener] = ()) -> EventBus:
@@ -225,19 +190,15 @@ def _observed_bus(listeners: Iterable[Listener] = ()) -> EventBus:
     Observability is ambient, never part of the call contract: with
     metrics enabled the bus also feeds a MetricsConsumer, and under a
     recording tracer every event is filed on the span open when it is
-    emitted.  Both are observational only — the event stream and the
-    default serialized payload are byte-identical with or without them;
-    the opt-in ``telemetry`` block of :meth:`Flow.run` is the single
-    exception."""
+    emitted.  Both are observational only: the event stream and the
+    serialized result are byte-identical with or without them."""
     from repro.obs import metrics as obs_metrics
     from repro.obs.trace import active as tracing_active, get_tracer
 
-    bus = EventBus()
-    for listener in listeners:
-        bus.subscribe(listener)
+    observers: List[Listener] = list(listeners)
     if obs_metrics.enabled():
-        bus.subscribe(obs_metrics.MetricsConsumer())
+        observers.append(obs_metrics.MetricsConsumer())
     if tracing_active():
         tracer = get_tracer()
-        bus.subscribe(lambda event: tracer.event(event.to_json_dict()))
-    return bus
+        observers.append(lambda event: tracer.event(event.to_json_dict()))
+    return EventBus(observers)

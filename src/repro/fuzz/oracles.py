@@ -357,7 +357,7 @@ def _digest(payload: Dict) -> str:
     doc = {
         k: v
         for k, v in payload.items()
-        if k not in ("cpu_seconds", "schema_version", "telemetry")
+        if k not in ("cpu_seconds", "schema_version")
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -1,6 +1,6 @@
 """Observability: metrics and span tracing.
 
-The telemetry subsystem the rest of the package reports into — see
+The observability subsystem the rest of the package reports into — see
 ``docs/observability.md`` for the full taxonomy and examples:
 
 * :mod:`repro.obs.metrics` — labeled counters / gauges / fixed-bucket
@@ -16,8 +16,7 @@ The telemetry subsystem the rest of the package reports into — see
   exposition plus a minimal parser for CI assertions.
 
 Everything here is observational: enabling any of it never changes the
-flow's event stream or serialized results beyond the explicitly
-opt-in ``telemetry`` block.
+flow's event stream or serialized results.
 """
 
 from repro.obs.export import (

@@ -18,7 +18,7 @@ A :class:`MetricsRegistry` owns families (``counter()`` / ``gauge()`` /
 (:meth:`MetricsRegistry.snapshot`) and merges snapshots from other
 processes (:meth:`MetricsRegistry.merge_snapshot`) — that pair is the
 campaign-aggregation transport: each campaign worker job's final
-snapshot rides its result payload, and the parent merges it once into
+snapshot rides its ``done`` message, and the parent merges it once into
 one campaign-wide registry.  Exposition (Prometheus text / JSON)
 lives in :mod:`repro.obs.export`.
 
@@ -26,7 +26,8 @@ lives in :mod:`repro.obs.export`.
 the BDD manager) guard their measurement code on :func:`enabled`, which
 is off by default — a plain run pays one cheap check per handle, not
 per operation.  ``enable()`` arms collection into the default registry
-(or one you pass); the CLI's ``--metrics`` flag flips it for you.
+(or one you pass), :func:`armed` over one block only; the CLI's
+``--metrics`` flag flips it for you.
 
 >>> reg = MetricsRegistry()
 >>> c = reg.counter("requests_total", "Requests served.", ("verb",))
@@ -44,7 +45,10 @@ changes the event stream, so determinism guarantees are untouched.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.errors import ReproError
 
@@ -57,6 +61,7 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "get_registry",
     "set_registry",
+    "armed",
     "enable",
     "disable",
     "enabled",
@@ -387,6 +392,19 @@ def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
 def disable() -> None:
     global _enabled
     _enabled = False
+
+
+@contextmanager
+def armed(arm: bool = True) -> Iterator[None]:
+    """Arm collection over the block when ``arm``, then restore the
+    switch's previous state; the registry keeps what was recorded."""
+    global _enabled
+    previous = _enabled
+    _enabled = previous or arm
+    try:
+        yield
+    finally:
+        _enabled = previous
 
 
 def enabled() -> bool:

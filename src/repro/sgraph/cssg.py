@@ -50,13 +50,6 @@ class CssgStats:
     n_gc_passes: int = 0
     n_reorders: int = 0
     n_image_iterations: int = 0
-    # ITE-cache effectiveness of the symbolic kernel.  In-memory /
-    # telemetry only: deliberately NOT part of the serialized ``cssg``
-    # block (they are performance facts, not result facts) — the
-    # telemetry block in :class:`repro.core.atpg.AtpgResult` carries
-    # them for observed runs.
-    n_cache_hits: int = 0
-    n_cache_lookups: int = 0
 
 
 @dataclass(frozen=True)

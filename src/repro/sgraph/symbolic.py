@@ -343,8 +343,6 @@ class SymbolicTcsg:
         stats.n_gc_passes = mstats.n_gc_passes
         stats.n_reorders = mstats.n_reorders
         stats.n_image_iterations = self.n_image_iterations
-        stats.n_cache_hits = mstats.cache_hits
-        stats.n_cache_lookups = mstats.cache_lookups
         # Small builds may never cross a GC/sift boundary — flush the
         # kernel counters so armed runs always see repro_bdd_* series.
         self.mgr.publish_metrics()

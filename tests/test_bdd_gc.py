@@ -158,6 +158,19 @@ def test_sift_reduces_blocked_function():
     assert after_live == mgr.n_nodes
 
 
+def test_sift_finds_a_good_order():
+    """Sifting reaches (or beats) the size of the hand-paired order
+    x0 x3 x1 x4 x2 x5, under which the blocked function is linear."""
+    paired = BddManager(NV)
+    paired.set_order([0, 3, 1, 4, 2, 5])
+    g = blocked_function(paired)
+    mgr = BddManager(NV)
+    f = mgr.add_root(blocked_function(mgr))
+    mgr.sift()
+    assert table(mgr, f) == table(paired, g)
+    assert mgr.size(f) <= paired.size(g)
+
+
 def test_gc_stress_interleaved_with_ops():
     """Alternating garbage production, collections and new structure:
     node counts shrink at every collect and results stay exact."""

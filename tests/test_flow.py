@@ -12,7 +12,6 @@ from repro.core.atpg import AtpgOptions, cssg_for
 from repro.flow import (
     Budget,
     BudgetExhausted,
-    EventBus,
     FaultClassified,
     Flow,
     ProgressLine,
@@ -34,13 +33,6 @@ def strip_cpu(payload):
     return clean
 
 
-def untraced(result):
-    """A traced run's payload minus its opt-in telemetry block."""
-    doc = strip_cpu(result.to_json_dict())
-    del doc["telemetry"]
-    return doc
-
-
 def span_events(tracer):
     """Every event filed on ``tracer``'s spans, in emission order."""
     return sorted(
@@ -55,8 +47,8 @@ def span_events(tracer):
 @pytest.mark.parametrize("name", TABLE1_NAMES)
 def test_flow_matches_legacy_engine_on_table1(name):
     """Tracing is observational on every Table-1 benchmark: a run under
-    a recording tracer yields the untraced payload (modulo cpu_seconds
-    and the opt-in telemetry block) and files each event exactly once.
+    a recording tracer yields the untraced payload (modulo cpu_seconds)
+    and files each event exactly once.
     (The ID dates from when this compared a since-removed engine facade
     with the flow.)"""
     circuit = load_benchmark(name, "complex")
@@ -65,8 +57,7 @@ def test_flow_matches_legacy_engine_on_table1(name):
     seen = []
     with use_tracer(Tracer()) as tracer:
         traced = Flow.default().run(circuit, options, listeners=[seen.append])
-    assert plain.telemetry is None
-    assert untraced(traced) == strip_cpu(plain.to_json_dict())
+    assert strip_cpu(traced.to_json_dict()) == strip_cpu(plain.to_json_dict())
     assert len(span_events(tracer)) == len(seen)
 
 
@@ -237,89 +228,11 @@ def test_budget_exhausted_event_emitted():
     assert exhausted[0].n_remaining > 0
 
 
-def test_event_bus_subscribe_unsubscribe():
-    bus = EventBus()
-    seen = []
-    listener = bus.subscribe(seen.append)
-    bus.emit(StageStarted("x", 1))
-    bus.unsubscribe(listener)
-    bus.emit(StageStarted("y", 1))
-    assert [e.stage for e in seen] == ["x"]
-    assert bus.n_emitted == 2
-
-
-def test_event_bus_unsubscribe_is_idempotent():
-    bus = EventBus()
-    listener = bus.subscribe(lambda e: None)
-    assert bus.unsubscribe(listener) is True
-    assert bus.unsubscribe(listener) is False  # no ValueError, no-op
-
-
-def test_event_bus_subscribe_from_listener_takes_effect_next_emit():
-    bus = EventBus()
-    late = []
-
-    def attach_once(event):
-        bus.unsubscribe(attach_once)
-        bus.subscribe(late.append)
-
-    bus.subscribe(attach_once)
-    bus.emit(StageStarted("first", 1))
-    assert late == []  # attached mid-emit: not called for this event
-    bus.emit(StageStarted("second", 1))
-    assert [e.stage for e in late] == ["second"]
-
-
-def test_event_bus_detach_other_listener_mid_emit():
-    bus = EventBus()
-    seen_a, seen_b = [], []
-
-    def detach_b(event):
-        bus.unsubscribe(listener_b)
-
-    bus.subscribe(detach_b)
-    bus.subscribe(seen_a.append)
-    listener_b = bus.subscribe(seen_b.append)
-    bus.emit(StageStarted("x", 1))
-    # The detached listener is skipped even though it was in the
-    # snapshot; the untouched listener still gets the event.
-    assert [e.stage for e in seen_a] == ["x"]
-    assert seen_b == []
-
-
-def test_event_bus_cross_thread_detach_does_not_disturb_others():
-    import threading
-
-    bus = EventBus()
-    survivor = []
-    victims = [bus.subscribe(lambda e: None) for _ in range(8)]
-    bus.subscribe(survivor.append)
-    stop = threading.Event()
-
-    def emitter():
-        while not stop.is_set():
-            bus.emit(StageStarted("spin", 1))
-
-    thread = threading.Thread(target=emitter)
-    thread.start()
-    try:
-        # Another thread detaching listeners while the flow thread
-        # keeps emitting.
-        for victim in victims:
-            bus.unsubscribe(victim)
-    finally:
-        stop.set()
-        thread.join()
-    n_before = len(survivor)
-    bus.emit(StageStarted("after", 1))
-    assert len(survivor) == n_before + 1  # survivor never detached
-
-
 def test_event_bus_raising_listener_dropped_without_disturbing_run(celem):
     import warnings
 
     # A listener that dies mid-run (say, one writing to a broken pipe)
-    # is unsubscribed after one warning; the run completes and the
+    # is dropped after one warning; the run completes and the
     # steady listener sees the full stream.
     steady = []
     flaky_seen = []
@@ -364,7 +277,7 @@ def test_trace_writer_emits_replayable_jsonl(celem, tmp_path):
     assert {"FaultClassified", "TestAdded", "StageFinished"} <= {
         event["event"] for event in filed
     }
-    assert untraced(traced) == strip_cpu(plain.to_json_dict())
+    assert strip_cpu(traced.to_json_dict()) == strip_cpu(plain.to_json_dict())
 
     path = tmp_path / "spans.jsonl"
     assert tracer.write_jsonl(str(path)) == len(tracer.spans)
@@ -553,20 +466,26 @@ def test_deadline_inside_the_undetectability_proof(monkeypatch):
 
 
 def test_telemetry_stage_seconds_equal_the_stage_finished_seconds():
-    """Each stage's time is read from the clock once: the telemetry
-    block and the ``StageFinished`` event carry the same reading, the
-    ``cssg`` pseudo-stage included."""
+    """Each stage's time is read from the clock once: the
+    ``repro_flow_stage_seconds`` histogram records exactly the
+    ``StageFinished`` readings, the ``cssg`` pseudo-stage included."""
+    from repro.obs import metrics as obs_metrics
+
     finished = []
-    with use_tracer(Tracer()):
-        result = Flow.default().run(
-            load_benchmark("ebergen", "complex"),
-            AtpgOptions(),
-            listeners=[finished.append],
-        )
-    seconds = {
-        e.stage: round(e.seconds, 6)
-        for e in finished
-        if isinstance(e, StageFinished)
-    }
+    registry = obs_metrics.MetricsRegistry()
+    with obs_metrics.armed():
+        previous = obs_metrics.set_registry(registry)
+        try:
+            Flow.default().run(
+                load_benchmark("ebergen", "complex"),
+                AtpgOptions(),
+                listeners=[finished.append],
+            )
+        finally:
+            obs_metrics.set_registry(previous)
+    seconds = {e.stage: e.seconds for e in finished if isinstance(e, StageFinished)}
     assert "cssg" in seconds and "random-tpg" in seconds
-    assert result.telemetry["stage_seconds"] == seconds
+    histogram = registry.get("repro_flow_stage_seconds")
+    for stage, dt in seconds.items():
+        child = histogram.labels(stage)
+        assert (child.count, child.sum) == (1, dt)

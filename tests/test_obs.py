@@ -202,14 +202,12 @@ def test_error_inside_span_is_recorded_and_propagates():
 
 
 def test_raising_listener_is_unsubscribed_with_one_warning():
-    bus = EventBus()
     seen = []
 
     def bad(event):
         raise ValueError("broken consumer")
 
-    bus.subscribe(bad)
-    bus.subscribe(seen.append)
+    bus = EventBus([bad, seen.append])
     first = StageStarted(stage="s", n_remaining=3)
     with pytest.warns(RuntimeWarning, match="broken consumer"):
         bus.emit(first)
@@ -218,8 +216,6 @@ def test_raising_listener_is_unsubscribed_with_one_warning():
     second = StageFinished(stage="s", seconds=0.1)
     bus.emit(second)  # ...and the broken one is gone: no further warning
     assert seen == [first, second]
-    assert bus.n_listener_errors == 1
-    assert bus.n_emitted == 2
 
 
 def test_flow_completes_with_raising_listener():
@@ -242,36 +238,48 @@ def run_dff(listeners=(), **opts):
     )
 
 
+def payload(result):
+    """``result``'s serialized form minus its one wall-clock field."""
+    doc = result.to_json_dict()
+    doc.pop("cpu_seconds")
+    return doc
+
+
 def test_default_run_has_no_telemetry_block():
     result = run_dff()
-    assert result.telemetry is None
     assert "telemetry" not in result.to_json_dict()
+    # A stray block, as in older --json output, is ignored on read.
+    data = dict(result.to_json_dict(), telemetry={"stage_seconds": {}})
+    back = AtpgResult.from_json_dict(data, result.circuit)
+    assert back.to_json_dict() == result.to_json_dict()
 
 
-def test_metrics_enabled_run_attaches_telemetry_and_counts_faults():
+@pytest.mark.parametrize("observe", ["metrics", "tracer", "both"])
+def test_observed_run_payload_equals_plain_run(observe):
+    """Observation never reaches the result: with metrics armed, under
+    a recording tracer, or both, the payload is a plain run's."""
+    plain = payload(run_dff(cssg_method="symbolic"))
+    if observe != "tracer":
+        obs_metrics.enable(MetricsRegistry())
+    with use_tracer(NULL_TRACER if observe == "metrics" else Tracer()):
+        observed = payload(run_dff(cssg_method="symbolic"))
+    assert observed == plain
+
+
+def test_metrics_enabled_run_counts_faults():
     reg = obs_metrics.enable(MetricsRegistry())
     result = run_dff()
-    tel = result.telemetry
-    assert tel is not None
-    assert set(tel) == {"stage_seconds", "bdd", "metrics"}
-    assert "random-tpg" in tel["stage_seconds"]
     # the MetricsConsumer-derived verdict counts match the result's
     family = reg.get("repro_flow_faults_classified_total")
     total = sum(ch.value for _, ch in family.children())
     assert total == result.n_total
     assert reg.value("repro_flow_events_total", "StageFinished") > 0
-    # telemetry survives the JSON round trip, stripped stays stripped
-    data = result.to_json_dict()
-    back = AtpgResult.from_json_dict(data, result.circuit)
-    assert back.telemetry == tel
-    data.pop("telemetry")
-    assert AtpgResult.from_json_dict(data, result.circuit).telemetry is None
+    assert reg.get("repro_flow_stage_seconds").labels("random-tpg").count == 1
 
 
 def test_traced_run_produces_stage_spans():
     with use_tracer() as tracer:
-        result = run_dff()
-    assert result.telemetry is not None  # tracing alone arms the block
+        run_dff()
     names = {rec["name"] for rec in tracer.spans}
     assert {"flow.run", "stage.cssg", "stage.random-tpg",
             "cssg.traverse"} <= names
@@ -286,16 +294,13 @@ def test_symbolic_run_traces_image_iterations_and_bdd_cache():
         result = run_dff(cssg_method="symbolic")
     names = [rec["name"] for rec in tracer.spans]
     assert "cssg.reach" in names and "cssg.image" in names
-    bdd = result.telemetry["bdd"]
-    assert bdd["cache_lookups"] >= bdd["cache_hits"] >= 0
-    assert bdd["cache_lookups"] > 0
-    assert bdd["peak_nodes"] > 0
     # dff is far too small to trigger GC/sift, but the build's final
     # flush must still land the kernel series in the registry.
-    assert registry.value("repro_bdd_cache_lookups_total") == (
-        bdd["cache_lookups"]
-    )
-    assert registry.value("repro_bdd_peak_nodes") == bdd["peak_nodes"]
+    lookups = registry.value("repro_bdd_cache_lookups_total")
+    assert lookups >= registry.value("repro_bdd_cache_hits_total") >= 0
+    assert lookups > 0
+    peak = result.cssg.summary().peak_bdd_nodes
+    assert peak > 0 and registry.value("repro_bdd_peak_nodes") == peak
 
 
 def test_event_stream_identical_with_and_without_metrics():
@@ -455,10 +460,54 @@ def test_campaign_collect_telemetry_aggregates_and_keeps_cache_clean(tmp_path):
     assert reg.value("repro_campaign_cache_requests_total", "hit") == len(jobs)
 
     # the cache never stores telemetry: warm payloads are canonical
-    obs_metrics.disable()
     for job in jobs:
         cached = store.get(job.key)
         assert cached is not None and "telemetry" not in cached
+
+
+def _dff_hazard_jobs():
+    from repro.campaign import CampaignSpec, expand
+
+    return expand(
+        CampaignSpec(
+            benchmarks=["dff", "hazard"],
+            fault_models=("output", "input"),
+            options=AtpgOptions(**FAST),
+        )
+    )
+
+
+def test_campaign_collect_telemetry_restores_the_metrics_switch():
+    """``collect_telemetry`` arms metrics for the call only: the switch
+    returns to its previous state, the campaign's series stay readable,
+    and a later plain run records nothing."""
+    from repro.campaign import run_campaign
+
+    jobs = _dff_hazard_jobs()
+    assert not obs_metrics.enabled()
+    run_campaign(jobs, workers=0, collect_telemetry=True)
+    assert not obs_metrics.enabled()
+    reg = obs_metrics.get_registry()
+    assert reg.value("repro_campaign_jobs_total", "ran") == len(jobs)
+    finished = reg.value("repro_flow_events_total", "StageFinished")
+    run_dff()
+    assert reg.value("repro_flow_events_total", "StageFinished") == finished
+
+    obs_metrics.enable()  # an armed caller stays armed
+    run_campaign(jobs, workers=0, collect_telemetry=True)
+    assert obs_metrics.enabled()
+
+
+def test_in_process_telemetry_campaign_payloads_equal_plain_campaign():
+    from repro.campaign import run_campaign
+
+    jobs = _dff_hazard_jobs()
+    plain = run_campaign(jobs, workers=0)
+    observed = run_campaign(jobs, workers=0, collect_telemetry=True)
+    assert observed.all_ok and observed.n_ran == len(jobs)
+    for a, b in zip(plain.outcomes, observed.outcomes):
+        assert b.metrics is None  # in-process jobs record straight in
+        assert {**a.payload, "cpu_seconds": 0} == {**b.payload, "cpu_seconds": 0}
 
 
 def test_campaign_meters_and_traces_each_cssg_construction(tmp_path):
@@ -467,15 +516,9 @@ def test_campaign_meters_and_traces_each_cssg_construction(tmp_path):
     and one ``stage.cssg`` span; a memo or store hit is neither."""
     import shutil
 
-    from repro.campaign import CampaignSpec, ResultStore, expand, run_campaign
+    from repro.campaign import ResultStore, run_campaign
 
-    jobs = expand(
-        CampaignSpec(
-            benchmarks=["dff", "hazard"],
-            fault_models=("output", "input"),
-            options=AtpgOptions(**FAST),
-        )
-    )
+    jobs = _dff_hazard_jobs()
     store = ResultStore(tmp_path / "cache")
 
     def constructions(**campaign):
@@ -513,25 +556,6 @@ def test_campaign_pool_merges_worker_snapshots(tmp_path):
     assert reg.get("repro_campaign_queue_wait_seconds").labels().count == len(jobs)
     for job in jobs:
         assert "telemetry" not in store.get(job.key)
-
-
-# -- report columns ---------------------------------------------------------
-
-
-def test_telemetry_report_columns():
-    from repro.core.report import result_row
-
-    obs_metrics.enable(MetricsRegistry())
-    result = run_dff(cssg_method="symbolic")
-    row = result_row("dff", None, result)
-    assert "random-tpg:" in row.stage_seconds
-    assert row.bdd_cache_lookups >= row.bdd_cache_hits >= 0
-    assert row.bdd_cache_lookups > 0
-
-    obs_metrics.disable()
-    plain = result_row("dff", None, run_dff())
-    assert plain.stage_seconds == ""
-    assert plain.bdd_cache_hits == plain.bdd_cache_lookups == 0
 
 
 # -- CLI --------------------------------------------------------------------

@@ -1,79 +1,67 @@
-"""BDD variable reordering (the paper's §6 'better orderings' lead)."""
+"""BDD variable orders (the paper's §6 'better orderings' lead): the
+initial order the symbolic builder installs, and what an order does to
+a function's size."""
 
 import pytest
 
 from repro.bdd.manager import BddManager
-from repro.bdd.reorder import copy_with_order, sift_order, total_size
+from repro.bdd.reorder import static_order
+from repro.benchmarks_data import load_figure_circuit
 from repro.errors import BddError
 
+PAIRED = [0, 3, 1, 4, 2, 5]
 
-def interleaved_vs_blocked():
-    """f = (x0<->x3) & (x1<->x4) & (x2<->x5): blocked order is exponential,
-    interleaved order is linear — the classic reordering showcase."""
+
+def classic(order=None):
+    """f = (x0<->x3) & (x1<->x4) & (x2<->x5) built under ``order``: the
+    blocked (identity) order is exponential, the paired one linear."""
     mgr = BddManager(6)
+    if order is not None:
+        mgr.set_order(order)
     f = mgr.and_all(
         mgr.apply_iff(mgr.var(i), mgr.var(i + 3)) for i in range(3)
     )
     return mgr, f
 
 
-def table(mgr, f, nv):
-    return [
-        mgr.eval(f, [(m >> i) & 1 for i in range(nv)]) for m in range(1 << nv)
-    ]
-
-
-def test_copy_with_order_preserves_function():
-    mgr, f = interleaved_vs_blocked()
-    reference = table(mgr, f, 6)
-    order = [0, 3, 1, 4, 2, 5]  # pairs adjacent
-    dst, (g,) = copy_with_order(mgr, [f], order)
-    # Variable old `order[i]` now lives at level i: translate assignments.
-    for m in range(1 << 6):
-        assign_old = [(m >> i) & 1 for i in range(6)]
-        assign_new = [assign_old[order[level]] for level in range(6)]
-        assert dst.eval(g, assign_new) == reference[m]
-
-
 def test_identity_order_is_noop_in_size():
-    mgr, f = interleaved_vs_blocked()
-    dst, (g,) = copy_with_order(mgr, [f], list(range(6)))
-    assert total_size(dst, [g]) == mgr.size(f)
+    mgr, f = classic()
+    ordered, g = classic(list(range(6)))
+    assert ordered.size(g) == mgr.size(f)
 
 
 def test_interleaving_shrinks_the_classic_function():
-    mgr, f = interleaved_vs_blocked()
-    blocked = total_size(*_rebuild(mgr, f, list(range(6))))
-    paired = total_size(*_rebuild(mgr, f, [0, 3, 1, 4, 2, 5]))
-    assert paired < blocked
-
-
-def _rebuild(mgr, f, order):
-    dst, (g,) = copy_with_order(mgr, [f], order)
-    return dst, [g]
-
-
-def test_sift_finds_a_good_order():
-    mgr, f = interleaved_vs_blocked()
-    start = total_size(mgr, [f])
-    order, size = sift_order(mgr, [f])
-    assert size <= start
-    # Sifting must reach (or beat) the hand-paired order's size.
-    paired = total_size(*_rebuild(mgr, f, [0, 3, 1, 4, 2, 5]))
-    assert size <= paired
+    blocked, f = classic()
+    paired, g = classic(PAIRED)
+    assert paired.order() == PAIRED
+    assert paired.size(g) < blocked.size(f)
+    # Same variables, same function: only the level of each moved.
+    for m in range(1 << 6):
+        bits = [(m >> i) & 1 for i in range(6)]
+        assert paired.eval(g, bits) == blocked.eval(f, bits)
 
 
 def test_bad_permutation_rejected():
-    mgr, f = interleaved_vs_blocked()
+    mgr = BddManager(6)
     with pytest.raises(BddError):
-        copy_with_order(mgr, [f], [0, 0, 1, 2, 3, 4])
+        mgr.set_order([0, 0, 1, 2, 3, 4])
+    mgr, f = classic()
+    with pytest.raises(BddError):  # multi-level nodes exist: sift's job
+        mgr.set_order(PAIRED)
 
 
 def test_multiple_roots_share_nodes():
     mgr = BddManager(4)
     f = mgr.apply_and(mgr.var(0), mgr.var(1))
     g = mgr.apply_or(f, mgr.var(2))
-    shared = total_size(mgr, [f, g])
+    shared = mgr.shared_size([f, g])
     assert shared <= mgr.size(f) + mgr.size(g)
-    dst, roots = copy_with_order(mgr, [f, g], [3, 2, 1, 0])
-    assert total_size(dst, roots) >= 2
+    assert shared >= 2
+
+
+def test_static_order_places_each_gate_above_its_cone():
+    circuit = load_figure_circuit("fig1a")  # y = c | (y & a), c = a & b
+    order = static_order(circuit)
+    assert sorted(order) == list(range(circuit.n_signals))
+    names = [circuit.signal_name(s) for s in order]
+    assert names == ["y", "a", "A", "c", "b", "B"]

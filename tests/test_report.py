@@ -56,8 +56,7 @@ def test_to_csv_layout():
         "name,out_tot,out_cov,out_fc,in_tot,in_cov,in_fc,"
         "rnd,three_ph,sim,cpu,aborted,abort_reasons,"
         "cssg_method,cssg_states,cssg_edges,tcsg_states,"
-        "peak_bdd_nodes,gc_passes,reorders,image_iters,models,"
-        "stage_seconds,bdd_cache_hits,bdd_cache_lookups"
+        "peak_bdd_nodes,gc_passes,reorders,image_iters,models"
     )
     assert lines[1].startswith("alpha,10,10,1.0,20,18,0.9,9,6,3,1.25")
     assert len(lines) == 3
