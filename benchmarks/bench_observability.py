@@ -1,11 +1,13 @@
 """Instrumentation overhead: telemetry must be ≤3% on the hot kernels.
 
 The observability layer's contract is that it is safe to leave in the
-code: disabled, instrumented sites cost one switch/None check per
-handle; enabled, the meters batch their bookkeeping (see ``_WalkMeter``
-in :mod:`repro.sim.arena`) so even armed collection stays within noise
-of the uninstrumented timings.  This bench measures exactly that on the
-two perf-floor workloads:
+code: disabled, instrumented sites cost one switch check per call
+site; enabled, they only count, and publish their counts at
+boundaries (the BDD manager at GC/sift and at the end of a build),
+never per operation, so even armed collection stays within noise of
+the uninstrumented timings.  The arena walk step carries no
+instrumentation at all: it is the bare generator ``send``.  This bench
+measures exactly that on the two perf-floor workloads:
 
 * the packed fault-simulation walk at W=2560 on the largest bundled
   benchmark (the :mod:`bench_ternary_cost` workload), and

@@ -894,12 +894,6 @@ class BddManager:
             if delta:
                 reg.counter(name, help_text).inc(delta)
                 setattr(pub, attr, getattr(s, attr))
-        reg.gauge(
-            "repro_bdd_live_nodes", "Live BDD nodes (unique-table load)."
-        ).set(self.n_nodes)
-        reg.gauge(
-            "repro_bdd_peak_nodes", "High-water mark of live BDD nodes."
-        ).set(s.peak_nodes)
 
     def collect(self, roots: Iterable[int] = ()) -> int:
         """Mark-and-sweep: free every node not reachable from the

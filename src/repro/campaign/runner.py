@@ -496,9 +496,6 @@ class _Pool:
         self.incremental = incremental
         self.cache_root = cache_root
         self.refresh = refresh
-        #: dispatch instant per in-flight job key, for queue-wait
-        #: accounting; popped when the job resolves.
-        self.dispatched_at: Dict[str, float] = {}
         self.job_of = {j.key: j for j in pending}
         #: keys of handed-in jobs that have no outcome yet.
         self.unresolved = set(self.job_of)
@@ -554,10 +551,7 @@ class _Pool:
         batch_id = self.next_batch_id
         self.next_batch_id += 1
         self.worker_remaining[wid] = list(batch)
-        now = time.monotonic()
-        self.worker_last_event[wid] = now
-        for job in batch:
-            self.dispatched_at[job.key] = now
+        self.worker_last_event[wid] = time.monotonic()
         self.task_qs[wid].put((batch_id, batch))
 
     def dispatch_all(self) -> None:
@@ -726,7 +720,10 @@ def run_campaign(
             if outcome.executed and store is not None and outcome.payload:
                 store.put(outcome.job.key, outcome.payload)
             if _obs.enabled():
-                _obs.get_registry().counter(
+                reg = _obs.get_registry()
+                if outcome.metrics:  # a worker job's, merged exactly once
+                    reg.merge_snapshot(outcome.metrics)
+                reg.counter(
                     "repro_campaign_jobs_total",
                     "Campaign jobs resolved, by outcome status.",
                     ("status",),
@@ -760,17 +757,10 @@ def run_campaign(
                 cache_root=str(store.root) if store is not None else None,
                 refresh=refresh,
             )
-
-            def resolve_worker_job(outcome: JobOutcome) -> None:
-                dispatched = pool.dispatched_at.pop(outcome.job.key, None)
-                if outcome.status in ("ran", "failed"):  # the worker reported it
-                    _absorb_worker_job(outcome, dispatched)
-                resolve(outcome)
-
             try:
                 pool.start()
                 while pool.unresolved:
-                    pool.step(resolve_worker_job)
+                    pool.step(resolve)
             finally:
                 pool.shutdown()
 
@@ -780,28 +770,3 @@ def run_campaign(
             wall_seconds=time.perf_counter() - start,
             workers=workers,
         )
-
-
-def _absorb_worker_job(
-    outcome: JobOutcome, dispatched: Optional[float]
-) -> None:
-    """Fold one finished worker job into the campaign-wide registry:
-    merge the job's metrics snapshot (exactly once per job), and record
-    the run/queue-wait split.  Queue
-    wait is parent-side arithmetic: seconds since the job's *batch* was
-    ``dispatched``, minus the run time the worker reports."""
-    if not _obs.enabled():
-        return
-    reg = _obs.get_registry()
-    if outcome.metrics:
-        reg.merge_snapshot(outcome.metrics)
-    reg.histogram(
-        "repro_campaign_job_seconds", "Per-job ATPG run time (worker-side)."
-    ).observe(outcome.seconds)
-    if dispatched is not None:
-        wait = (time.monotonic() - dispatched) - outcome.seconds
-        reg.histogram(
-            "repro_campaign_queue_wait_seconds",
-            "Seconds a job spent dispatched but not running "
-            "(waiting behind its batch).",
-        ).observe(max(0.0, wait))

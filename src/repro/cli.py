@@ -298,23 +298,26 @@ def main(argv=None) -> int:
 
 @contextmanager
 def _armed_metrics(arm: bool, path):
-    """Arm a fresh ambient metrics registry over the block when ``arm``,
-    disarm it after (one-shot: never leave the global switch armed), and
-    write the registry to ``path`` when one is given and the block
+    """Collect into a fresh ambient metrics registry over the block when
+    ``arm``, then restore the caller's registry and switch, and write
+    the fresh registry to ``path`` when one is given and the block
     succeeded — the ``--metrics`` plumbing of ``repro-atpg`` and
     ``repro-campaign``."""
     if not arm:
         yield
         return
-    from repro.obs import MetricsRegistry, disable, enable, get_registry, write_metrics
+    from repro.obs import MetricsRegistry, set_registry, write_metrics
+    from repro.obs.metrics import armed
 
-    enable(MetricsRegistry())
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
     try:
-        yield
+        with armed():
+            yield
     finally:
-        disable()
+        set_registry(previous)
     if path:
-        write_metrics(path, get_registry())
+        write_metrics(path, registry)
 
 
 def _add_runner_options(parser, unit, refresh_help, out_help, json_help):

@@ -16,9 +16,9 @@ emitting events on the run's :class:`EventBus`:
 Events are frozen dataclasses with a stable :meth:`to_json_dict` form,
 so the same stream feeds the ``repro-atpg --progress`` live line and
 the span events of a traced run (``--spans FILE``: each event rides
-the span open when it was emitted).  The stream is **deterministic** for a fixed
-(circuit, options, seed) — only the wall-clock fields
-(:attr:`StageFinished.seconds`) vary between runs.
+the span open when it was emitted).  The stream is **deterministic**
+for a fixed (circuit, options, seed): no event carries wall-clock
+data, which lives in the ``stage.*`` spans alone.
 """
 
 from __future__ import annotations
@@ -66,11 +66,9 @@ class StageStarted(FlowEvent):
 
 @dataclass(frozen=True)
 class StageFinished(FlowEvent):
-    """A stage completed.  ``seconds`` is wall-clock (the one
-    non-deterministic event field); ``detail`` is a short free-form
-    stage summary (e.g. compaction stats)."""
+    """A stage completed.  ``detail`` is a short free-form stage
+    summary (e.g. compaction stats)."""
 
-    seconds: float
     detail: str = ""
 
 

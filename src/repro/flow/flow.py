@@ -135,17 +135,15 @@ class Flow:
                     continue
                 ctx.stage = stage.name
                 bus.emit(StageStarted(stage.name, len(ctx.remaining())))
-                t0 = time.perf_counter()
                 with tracer.span(f"stage.{stage.name}"):
                     stage.run(ctx)
-                seconds = time.perf_counter() - t0
                 detail = ""
                 stats = ctx.stage_stats.get(stage.name)
                 if stats:
                     detail = " ".join(
                         f"{key}={value}" for key, value in sorted(stats.items())
                     )
-                bus.emit(StageFinished(stage.name, seconds, detail))
+                bus.emit(StageFinished(stage.name, detail))
             ctx.stage = ""
             return ctx.finish(time.perf_counter() - start)
 
@@ -170,13 +168,11 @@ class Flow:
 
         bus = bus if bus is not None else _observed_bus()
         bus.emit(StageStarted("cssg", n_faults))
-        t0 = time.perf_counter()
         with get_tracer().span("stage.cssg"):
             cssg = (build or cssg_for)(circuit, opts)
         bus.emit(
             StageFinished(
                 "cssg",
-                time.perf_counter() - t0,
                 f"{cssg.n_states} states / {cssg.n_edges} edges "
                 f"[{cssg.method}]",
             )

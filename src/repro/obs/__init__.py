@@ -3,11 +3,10 @@
 The observability subsystem the rest of the package reports into — see
 ``docs/observability.md`` for the full taxonomy and examples:
 
-* :mod:`repro.obs.metrics` — labeled counters / gauges / fixed-bucket
-  histograms in a :class:`MetricsRegistry`, a process-global default
-  registry behind an :func:`enabled` switch, and the
-  :class:`MetricsConsumer` that derives flow metrics from the event
-  stream;
+* :mod:`repro.obs.metrics` — labeled counters (the only metric type)
+  in a :class:`MetricsRegistry`, a process-global default registry
+  behind an :func:`enabled` switch, and the :class:`MetricsConsumer`
+  that derives flow metrics from the event stream;
 * :mod:`repro.obs.trace` — :class:`Tracer` context-manager spans (the
   only home of wall-clock data), the ambient-tracer pattern
   (:func:`get_tracer` / :func:`use_tracer`, no-op by default), and the
@@ -26,10 +25,7 @@ from repro.obs.export import (
     write_metrics,
 )
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
     Counter,
-    Gauge,
-    Histogram,
     MetricsConsumer,
     MetricsRegistry,
     disable,
@@ -55,10 +51,7 @@ __all__ = [
     "to_json_text",
     "to_prometheus_text",
     "write_metrics",
-    "DEFAULT_BUCKETS",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsConsumer",
     "MetricsRegistry",
     "disable",

@@ -3,9 +3,7 @@
 ``to_prometheus_text`` renders a :class:`~repro.obs.metrics.MetricsRegistry`
 (or one of its snapshots) in the Prometheus text exposition format —
 ``# HELP`` / ``# TYPE`` headers, one ``name{labels} value`` line per
-series, histograms expanded into cumulative ``_bucket{le=...}`` series
-plus ``_sum`` and ``_count``.  ``to_json_text`` is the same data as the
-snapshot JSON.  ``write_metrics`` picks the format from the file
+series.  ``to_json_text`` is the same data as the snapshot JSON.  ``write_metrics`` picks the format from the file
 extension and writes atomically.
 
 ``parse_prometheus_text`` is the deliberately minimal inverse — enough
@@ -28,7 +26,6 @@ jobs_total{status="cached"} 3
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from typing import Dict, List, Tuple, Union
@@ -94,12 +91,10 @@ def _escape(value: str) -> str:
     )
 
 
-def _label_str(names: List[str], values: List[str], extra: str = "") -> str:
+def _label_str(names: List[str], values: List[str]) -> str:
     parts = [
         f'{n}="{_escape(str(v))}"' for n, v in zip(names, values)
     ]
-    if extra:
-        parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
@@ -113,44 +108,14 @@ def to_prometheus_text(source: Union[MetricsRegistry, Dict]) -> str:
     """Render a registry or snapshot in the Prometheus text format."""
     snap = _snapshot_of(source)
     lines: List[str] = []
-    for kind in ("counters", "gauges"):
-        ptype = "counter" if kind == "counters" else "gauge"
-        for rec in snap.get(kind, ()):
-            name = rec["name"]
-            if rec.get("help"):
-                lines.append(f"# HELP {name} {rec['help']}")
-            lines.append(f"# TYPE {name} {ptype}")
-            names = rec.get("label_names", [])
-            for lv, value in rec.get("samples", ()):
-                lines.append(f"{name}{_label_str(names, lv)} {_fmt_value(value)}")
-    for rec in snap.get("histograms", ()):
+    for rec in snap.get("counters", ()):
         name = rec["name"]
         if rec.get("help"):
             lines.append(f"# HELP {name} {rec['help']}")
-        lines.append(f"# TYPE {name} histogram")
+        lines.append(f"# TYPE {name} counter")
         names = rec.get("label_names", [])
-        bounds = list(rec.get("buckets", ()))
-        for lv, sample in rec.get("samples", ()):
-            running = 0
-            counts = sample.get("bucket_counts", [])
-            for bound, count in zip(bounds, counts):
-                running += count
-                le = 'le="%s"' % _fmt_value(float(bound))
-                lines.append(
-                    f"{name}_bucket{_label_str(names, lv, le)} {running}"
-                )
-            if len(counts) > len(bounds):
-                running += counts[-1]
-            inf = 'le="+Inf"'
-            lines.append(
-                f"{name}_bucket{_label_str(names, lv, inf)} {running}"
-            )
-            lines.append(
-                f"{name}_sum{_label_str(names, lv)} {_fmt_value(sample.get('sum', 0.0))}"
-            )
-            lines.append(
-                f"{name}_count{_label_str(names, lv)} {sample.get('count', 0)}"
-            )
+        for lv, value in rec.get("samples", ()):
+            lines.append(f"{name}{_label_str(names, lv)} {_fmt_value(value)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -201,8 +166,6 @@ def parse_prometheus_text(text: str) -> Dict[str, Dict[tuple, float]]:
     Comments (``# HELP`` / ``# TYPE``) are validated for shape and
     skipped; every sample line must parse or :class:`ValueError` is
     raised — CI uses this as the "file is well-formed" check.
-    Histogram expansions come back under their expanded names
-    (``name_bucket`` / ``name_sum`` / ``name_count``).
     """
     series: Dict[str, Dict[tuple, float]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -221,11 +184,5 @@ def parse_prometheus_text(text: str) -> Dict[str, Dict[tuple, float]]:
         else:
             name, value_text = line.split(None, 1)
             labels = ()
-        value_text = value_text.strip()
-        value = (
-            math.inf if value_text == "+Inf"
-            else -math.inf if value_text == "-Inf"
-            else float(value_text)
-        )
-        series.setdefault(name.strip(), {})[labels] = value
+        series.setdefault(name.strip(), {})[labels] = float(value_text)
     return series

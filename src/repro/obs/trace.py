@@ -8,10 +8,9 @@ monotonic-clock intervals with free-form attributes::
         with tracer.span("stage.collapse"):
             ...
 
-Spans carry the only wall-clock data the observability layer produces
-(besides :attr:`StageFinished.seconds`, which the event stream always
-had): event payloads and serialized results stay byte-deterministic,
-and anything timing-shaped lives here.
+Spans carry the only wall-clock data the observability layer produces:
+event payloads, metrics (counters only) and serialized results stay
+byte-deterministic, and anything timing-shaped lives here.
 
 **Span events.**  :meth:`Tracer.event` files a point-in-time record
 on the innermost open span.  A flow run under a recording tracer

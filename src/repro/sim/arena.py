@@ -38,28 +38,12 @@ benchmark.
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.circuit.expr import OP_AND, OP_NOT, OP_OR, OP_VAR, OP_XOR, Program
 from repro.circuit.netlist import Circuit, Gate
-from repro.obs import metrics as _obs
-
-if TYPE_CHECKING:
-    from repro.sim.engine import SimEngine
 
 __all__ = ["ArenaWalk", "WalkKernel", "walk_layout"]
-
-_WORD = 64
 
 #: Per gate, in declaration order: ``(gate signal index, pin sites,
 #: bridge partners)`` — the gate's support, and the partners it is
@@ -351,56 +335,6 @@ def _codegen_walk(circuit: Circuit, layout: WalkLayout) -> str:
     return "\n".join(lines)
 
 
-class _WalkMeter:
-    """Throughput accounting for one walk, when metrics are enabled.
-
-    ``units`` is lane-words × gates — the amount of word-parallel work
-    one test cycle performs — so the published rate is the packed-sim
-    ``words·gates/sec`` figure of merit.  Registry updates are batched
-    (one flush per :data:`_BATCH` steps): the per-step cost is two
-    ``perf_counter`` calls and two float adds."""
-
-    __slots__ = ("units", "_steps", "_seconds", "_ctr_steps",
-                 "_ctr_seconds", "_rate")
-
-    _BATCH = 64
-
-    def __init__(self, engine: SimEngine):
-        reg = _obs.get_registry()
-        words = (engine.width + _WORD - 1) // _WORD
-        self.units = words * max(1, len(engine.circuit.gates))
-        self._steps = 0
-        self._seconds = 0.0
-        self._ctr_steps = reg.counter(
-            "repro_sim_walk_steps_total", "Arena walk test cycles executed."
-        )
-        self._ctr_seconds = reg.counter(
-            "repro_sim_walk_seconds_total",
-            "Wall-clock seconds inside arena walk steps.",
-        )
-        self._rate = reg.gauge(
-            "repro_sim_words_gates_per_sec",
-            "Arena walk throughput: lane words x gates per second "
-            "(last flushed batch).",
-        )
-
-    def record(self, seconds: float) -> None:
-        self._steps += 1
-        self._seconds += seconds
-        if self._steps >= self._BATCH:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._steps:
-            return
-        self._ctr_steps.inc(self._steps)
-        self._ctr_seconds.inc(self._seconds)
-        if self._seconds > 0.0:
-            self._rate.set(self._steps * self.units / self._seconds)
-        self._steps = 0
-        self._seconds = 0.0
-
-
 class ArenaWalk:
     """One in-flight walk of an engine's machines.
 
@@ -409,25 +343,16 @@ class ArenaWalk:
     current state (observation 0 after reset), :meth:`state` snapshots
     the per-signal words (:func:`repro.sim.engine.lane_of` reads one
     machine out of them).
-    With metrics disabled (the default) stepping pays a single ``is
-    None`` check on top of the generator send.
     """
 
-    __slots__ = ("_gen", "_meter")
+    __slots__ = ("_gen",)
 
-    def __init__(self, gen, meter: Optional[_WalkMeter] = None):
+    def __init__(self, gen):
         self._gen = gen
-        self._meter = meter
 
     def step(self, pattern: int, good_state: int) -> int:
         """Drive ``pattern``, settle, observe against ``good_state``."""
-        meter = self._meter
-        if meter is None:
-            return self._gen.send((pattern, good_state))
-        t0 = perf_counter()
-        det = self._gen.send((pattern, good_state))
-        meter.record(perf_counter() - t0)
-        return det
+        return self._gen.send((pattern, good_state))
 
     def observe(self, good_state: int) -> int:
         """Detection mask of the current (already settled) state."""

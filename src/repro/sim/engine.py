@@ -83,13 +83,11 @@ from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.errors import ReproError, SimulationError
 from repro.faultmodels import model_for_kind
-from repro.obs import metrics as _obs
 from repro.sim.arena import (
     ArenaWalk,
     WalkKernel,
     WalkLayout,
     _codegen_walk,
-    _WalkMeter,
     walk_layout,
 )
 
@@ -391,7 +389,7 @@ class SimEngine:
         fully settle, return the stepping handle."""
         gen = self._start(*self.reset_words(reset_state))
         gen.send((-2, self._all))
-        return ArenaWalk(gen, _WalkMeter(self) if _obs.enabled() else None)
+        return ArenaWalk(gen)
 
     def lane_at_reset(self, j: int, reset_state: int) -> Tuple[int, int]:
         """Machine ``j`` settled from the forced ``reset_state`` (see

@@ -48,6 +48,29 @@ def test_run_netlist_file(tmp_path, capsys):
     assert "toy" in capsys.readouterr().out
 
 
+def test_metrics_flag_restores_the_callers_registry_and_switch(tmp_path, capsys):
+    """``--metrics`` collects into a registry of its own and leaves the
+    process as it found it: an armed caller stays armed, with its own
+    registry in place and untouched by the run."""
+    from repro.obs import metrics as obs_metrics
+
+    out = tmp_path / "m.prom"
+    mine = obs_metrics.MetricsRegistry()
+    previous = obs_metrics.set_registry(mine)
+    try:
+        with obs_metrics.armed():
+            assert main(["dff", "--metrics", str(out)]) == 0
+            assert obs_metrics.enabled()
+            assert obs_metrics.get_registry() is mine
+        assert mine.families() == []
+        assert "repro_flow_faults_classified_total" in out.read_text()
+        assert main(["dff", "--metrics", str(out)]) == 0
+        assert not obs_metrics.enabled()
+        assert obs_metrics.get_registry() is mine
+    finally:
+        obs_metrics.set_registry(previous)
+
+
 def test_missing_argument(capsys):
     assert main([]) == 2
     assert "error" in capsys.readouterr().err

@@ -53,7 +53,7 @@ def _clean_obs_state():
 # -- registry ---------------------------------------------------------------
 
 
-def test_counter_gauge_histogram_basics():
+def test_counter_basics():
     reg = MetricsRegistry()
     jobs = reg.counter("jobs_total", "Jobs.", ("status",))
     jobs.labels("ran").inc()
@@ -63,26 +63,15 @@ def test_counter_gauge_histogram_basics():
     assert reg.value("jobs_total", "cached") == 1.0
     assert reg.value("jobs_total", "failed") == 0.0  # unseen series
 
-    depth = reg.gauge("depth")
-    depth.set(7)
-    depth.inc(-2)
-    assert depth.value == 5.0
-
-    lat = reg.histogram("latency_seconds", buckets=(0.1, 1.0))
-    for v in (0.05, 0.5, 5.0):
-        lat.observe(v)
-    child = lat.labels()
-    assert child.count == 3
-    assert child.sum == pytest.approx(5.55)
-    assert child.bucket_counts == [1, 1, 1]
+    steps = reg.counter("steps_total")
+    steps.inc(7)
+    assert steps.value == 7.0 == reg.value("steps_total")
 
 
 def test_registry_get_or_create_and_shape_conflicts():
     reg = MetricsRegistry()
     a = reg.counter("x_total", "X.", ("k",))
     assert reg.counter("x_total", "X.", ("k",)) is a
-    with pytest.raises(ReproError, match="already registered"):
-        reg.gauge("x_total")
     with pytest.raises(ReproError, match="already registered"):
         reg.counter("x_total", label_names=("other",))
     with pytest.raises(ReproError, match="bind them"):
@@ -97,15 +86,13 @@ def test_snapshot_merge_is_the_fleet_transport():
     )
     for i, reg in enumerate((worker1, worker2), start=1):
         reg.counter("faults_total", "F.", ("status",)).labels("detected").inc(i)
-        reg.gauge("live_nodes").set(100 * i)
-        reg.histogram("seconds", buckets=(1.0,)).observe(0.5 * i)
+        reg.counter("steps_total").inc(10 * i)
     for reg in (worker1, worker2):
         parent.merge_snapshot(json.loads(json.dumps(reg.snapshot())))
-    # counters add, gauges last-write-win, histograms add
+    # every sample adds
     assert parent.value("faults_total", "detected") == 3.0
-    assert parent.get("live_nodes").value == 200.0
-    hist = parent.get("seconds").labels()
-    assert hist.count == 2 and hist.sum == pytest.approx(1.5)
+    assert parent.value("steps_total") == 30.0
+    assert list(parent.snapshot()) == ["counters"]
 
 
 # -- exposition -------------------------------------------------------------
@@ -114,15 +101,11 @@ def test_snapshot_merge_is_the_fleet_transport():
 def test_prometheus_text_round_trips_through_parser():
     reg = MetricsRegistry()
     reg.counter("c_total", "A counter.", ("k",)).labels('we"ird\n').inc(2)
-    reg.gauge("g").set(1.5)
-    reg.histogram("h_seconds", "H.", buckets=(0.1, 1.0)).observe(0.25)
+    reg.counter("fractional_total").inc(1.5)
     text = to_prometheus_text(reg)
     series = parse_prometheus_text(text)
     assert series["c_total"][(("k", 'we"ird\n'),)] == 2.0
-    assert series["g"][()] == 1.5
-    assert series["h_seconds_bucket"][(("le", "1"),)] == 1.0
-    assert series["h_seconds_bucket"][(("le", "+Inf"),)] == 1.0
-    assert series["h_seconds_count"][()] == 1.0
+    assert series["fractional_total"][()] == 1.5
     # snapshots render identically to the live registry
     assert to_prometheus_text(reg.snapshot()) == text
 
@@ -213,7 +196,7 @@ def test_raising_listener_is_unsubscribed_with_one_warning():
         bus.emit(first)
     # the healthy listener saw the event despite its broken neighbour...
     assert seen == [first]
-    second = StageFinished(stage="s", seconds=0.1)
+    second = StageFinished(stage="s")
     bus.emit(second)  # ...and the broken one is gone: no further warning
     assert seen == [first, second]
 
@@ -274,7 +257,7 @@ def test_metrics_enabled_run_counts_faults():
     total = sum(ch.value for _, ch in family.children())
     assert total == result.n_total
     assert reg.value("repro_flow_events_total", "StageFinished") > 0
-    assert reg.get("repro_flow_stage_seconds").labels("random-tpg").count == 1
+    assert reg.value("repro_flow_stage_runs_total", "random-tpg") == 1
 
 
 def test_traced_run_produces_stage_spans():
@@ -299,8 +282,7 @@ def test_symbolic_run_traces_image_iterations_and_bdd_cache():
     lookups = registry.value("repro_bdd_cache_lookups_total")
     assert lookups >= registry.value("repro_bdd_cache_hits_total") >= 0
     assert lookups > 0
-    peak = result.cssg.summary().peak_bdd_nodes
-    assert peak > 0 and registry.value("repro_bdd_peak_nodes") == peak
+    assert result.cssg.summary().peak_bdd_nodes > 0  # a result fact
 
 
 def test_event_stream_identical_with_and_without_metrics():
@@ -309,8 +291,6 @@ def test_event_stream_identical_with_and_without_metrics():
     def stream():
         events = []
         run_dff(listeners=[lambda e: events.append(e.to_json_dict())])
-        for doc in events:
-            doc.pop("seconds", None)  # the one wall-clock field
         return events
 
     plain = stream()
@@ -353,7 +333,7 @@ def test_progress_line_non_tty_emits_plain_lines():
 
         # throttled: ticks inside the interval produce no output
         line(ProgressTick(stage="random-tpg", done=1, total=8, covered=0))
-        line(StageFinished(stage="random-tpg", seconds=0.2))
+        line(StageFinished(stage="random-tpg"))
     out = pipe.text
     assert "\r" not in out  # never the TTY carriage-return dance
     lines = out.splitlines()
@@ -528,8 +508,7 @@ def test_campaign_meters_and_traces_each_cssg_construction(tmp_path):
         assert report.all_ok and report.n_ran == len(jobs)
         spans = sum(rec["name"] == "stage.cssg" for rec in tracer.spans)
         runs = reg.value("repro_flow_stage_runs_total", "cssg")
-        timed = reg.get("repro_flow_stage_seconds").labels("cssg").count
-        assert spans == runs == timed
+        assert spans == runs
         return spans
 
     assert constructions(store=None) == 2  # the second model hits the memo
@@ -552,10 +531,42 @@ def test_campaign_pool_merges_worker_snapshots(tmp_path):
     family = reg.get("repro_flow_faults_classified_total")
     classified = sum(ch.value for _, ch in family.children())
     assert classified == sum(o.payload["n_total"] for o in report.outcomes)
-    assert reg.get("repro_campaign_job_seconds").labels().count == len(jobs)
-    assert reg.get("repro_campaign_queue_wait_seconds").labels().count == len(jobs)
+    assert reg.value("repro_campaign_jobs_total", "ran") == len(jobs)
     for job in jobs:
         assert "telemetry" not in store.get(job.key)
+
+
+# -- determinism ------------------------------------------------------------
+
+
+def test_cli_metrics_files_are_byte_identical_and_counters_only(tmp_path, capsys):
+    """Metrics count, spans time: two runs of the same work write the
+    same exposition file, byte for byte, and it declares no type but
+    ``counter``."""
+    from repro.cli import main
+
+    first, second = tmp_path / "a.prom", tmp_path / "b.prom"
+    assert main(["ebergen", "--metrics", str(first)]) == 0
+    assert main(["ebergen", "--metrics", str(second)]) == 0
+    text = first.read_text()
+    assert second.read_text() == text
+    types = [l.split()[3] for l in text.splitlines() if l.startswith("# TYPE")]
+    assert types and set(types) == {"counter"}
+    assert not any("seconds" in name or "per_sec" in name
+                   for name in parse_prometheus_text(text))
+
+
+def test_cold_in_process_campaigns_record_equal_snapshots():
+    from repro.campaign import run_campaign
+
+    jobs = _dff_hazard_jobs()
+    snapshots = []
+    for _ in range(2):
+        obs_metrics.set_registry(MetricsRegistry())
+        run_campaign(jobs, workers=0, collect_telemetry=True)
+        snapshots.append(obs_metrics.get_registry().snapshot())
+    assert snapshots[0] == snapshots[1]
+    assert list(snapshots[0]) == ["counters"] and snapshots[0]["counters"]
 
 
 # -- CLI --------------------------------------------------------------------
