@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz import generate_scenario, run_scenario
+from fuzzer import generate_scenario, run_scenario
 
 OUT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_fuzz.json"
 

@@ -8,7 +8,7 @@ interpreter noise), not exponential.
 
 A second experiment pits the scalar settle (:func:`ternary.settle`,
 which runs the compiled arena kernel) against the seed's sweep
-implementation (preserved in :mod:`repro.fuzz.reference`) on the largest
+implementation (preserved in ``tests/fuzzer/reference.py``) on the largest
 bundled benchmark: 4.1–4.3x measured on a 2-core VM under Python 3.11
 (2.9x for the per-gate worklist engine the kernel replaced), with a
 1.5x floor asserted (noise headroom for shared CI runners); the printed
@@ -33,9 +33,10 @@ from pathlib import Path
 import pytest
 
 from repro.circuit.netlist import Circuit
-from repro.fuzz import reference
 from repro.sim import ternary
 from repro.sim.engine import engine_for
+
+from fuzzer import reference
 
 CHAIN_SIZES = [8, 16, 32, 64]
 

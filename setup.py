@@ -31,7 +31,6 @@ setup(
             "repro-atpg = repro.cli:main",
             "repro-campaign = repro.cli:campaign_main",
             "repro-cache = repro.cli:cache_main",
-            "repro-fuzz = repro.cli:fuzz_main",
         ],
     },
 )

@@ -30,6 +30,7 @@ from repro.benchmarks_data import (
     TABLE2_NAMES,
     benchmark_path,
 )
+from repro.circuit.parser import refuse_stg_file
 from repro.core.atpg import RESULT_SCHEMA_VERSION, AtpgOptions
 from repro.errors import ReproError
 from repro.flow import DEFAULT_STAGE_NAMES
@@ -136,12 +137,13 @@ def _classify_source(entry: str) -> Tuple[str, str]:
     """``(source_kind, source)`` for one ``benchmarks`` entry.
 
     Bundled names win; otherwise any existing file is a netlist (not
-    just ``*.net`` paths); otherwise path-looking entries fail here and
-    bare words fall through to the unknown-benchmark error with the
-    available list."""
+    just ``*.net`` paths) unless it is a ``.g`` STG spec, which fails
+    here; otherwise path-looking entries fail here and bare words fall
+    through to the unknown-benchmark error with the available list."""
     if entry in TABLE1_NAMES:
         return "benchmark", entry
     if Path(entry).exists():
+        refuse_stg_file(entry)
         return "netlist", entry
     if "/" in entry or entry.endswith(".net"):
         raise ReproError(f"netlist file not found: {entry!r}")

@@ -163,13 +163,6 @@ def execute_job(job: Job, cssg_memo: Optional[Dict] = None) -> AtpgResult:
     loaded circuit and CSSG construction through ``cssg_memo`` (all
     fault-model / seed variants of one circuit use the same graph,
     exactly like the sequential table harness did)."""
-    if job.source_kind == "fuzz":
-        # Scenario-fuzzing chunks (repro-fuzz) ride the same workers
-        # and store; their execution lives with the fuzz subsystem.
-        # cssg_memo is meaningless across fuzzed circuits.
-        from repro.fuzz.campaign import execute_fuzz_job
-
-        return execute_fuzz_job(job)
     from repro.circuit.faults import fault_universe
 
     circuit = _memoised_circuit(job, cssg_memo)
@@ -256,13 +249,7 @@ def execute_job_incremental(
     of approximate incremental reruns.
     """
     opts = job.options
-    if (
-        store is None
-        or opts.deadline_seconds is not None
-        or job.source_kind == "fuzz"
-    ):
-        # Fuzz chunks have no fault cohorts to reuse — the whole-result
-        # cache (keyed on the chunk's content hash) is their only tier.
+    if store is None or opts.deadline_seconds is not None:
         result = execute_job(job, cssg_memo)
         return result.to_json_dict(), result, None
 

@@ -127,7 +127,19 @@ def _wrap(fn, filename, lineno, *args, **kwargs):
 
 def load_netlist(path) -> Circuit:
     """Parse a ``.net`` file from disk."""
+    refuse_stg_file(path)
     return parse_netlist(read_source(path), filename=str(path))
+
+
+def refuse_stg_file(path) -> None:
+    """A ``.g`` path is an STG spec, not a netlist: refuse it by name
+    instead of failing on its first STG directive."""
+    if str(path).endswith(".g"):
+        raise ParseError(
+            "STG specs are accepted only as bundled benchmark names "
+            "(see repro-atpg --list), not as files",
+            str(path),
+        )
 
 
 def read_source(path) -> str:

@@ -1,5 +1,5 @@
-"""Command line interfaces: ``repro-atpg``, ``repro-campaign``,
-``repro-cache``, and ``repro-fuzz``.
+"""Command line interfaces: ``repro-atpg``, ``repro-campaign`` and
+``repro-cache``.
 
 Examples::
 
@@ -28,11 +28,9 @@ Examples::
     repro-cache prune --max-age-days 30 --max-size-mb 512
     repro-cache clear
 
-    repro-fuzz -n 200                    # 200 seeds through all oracles
-    repro-fuzz --seed 1000 -n 50 --oracles settle,kernels
-    repro-fuzz -n 500 --workers 8 --out out/fuzz   # shrunk-spec artifacts
-
-``python -m repro.cli`` behaves like ``repro-atpg``.
+``python -m repro.cli`` behaves like ``repro-atpg``.  The scenario
+fuzzer is test infrastructure, not a console script: see
+``docs/fuzzing.md``.
 """
 
 from __future__ import annotations
@@ -320,73 +318,14 @@ def _armed_metrics(arm: bool, path):
         write_metrics(path, registry)
 
 
-def _add_runner_options(parser, unit, refresh_help, out_help, json_help):
-    """The campaign-runner options ``repro-campaign`` and ``repro-fuzz``
-    share; ``unit`` names one campaign job ("job" / "chunk")."""
-    parser.add_argument(
-        "--workers",
-        type=non_negative(int),
-        default=None,
-        help="worker processes (0 = in-process; default: CPU count)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help=f"per-{unit} timeout in seconds (default: 600)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="neither read nor write the cache"
-    )
-    parser.add_argument("--refresh", action="store_true", help=refresh_help)
-    parser.add_argument("--out", default=None, help=out_help)
-    parser.add_argument("--json", action="store_true", help=json_help)
-    parser.add_argument(
-        "--quiet", action="store_true", help=f"suppress per-{unit} progress on stderr"
-    )
-
-
-def _run_jobs(jobs, args, **kwargs):
-    """``run_campaign`` over ``jobs`` with the shared runner options,
-    printing one progress line per resolved job on stderr unless
-    ``--quiet``."""
-    from repro.campaign import ResultStore, run_campaign
-    from repro.campaign.runner import DEFAULT_JOB_TIMEOUT
-
-    def progress(outcome, done, total):
-        line = f"[{done}/{total}] {outcome.job.name}: {outcome.status}"
-        if outcome.executed:
-            line += f" ({outcome.seconds:.2f}s)"
-        if outcome.error:
-            line += f" — {outcome.error}"
-        print(line, file=sys.stderr)
-
-    return run_campaign(
-        jobs,
-        workers=args.workers,
-        store=(
-            None if args.no_cache
-            else ResultStore(args.cache_dir, track_stats=True)
-        ),
-        timeout=args.timeout if args.timeout is not None else DEFAULT_JOB_TIMEOUT,
-        progress=None if args.quiet else progress,
-        refresh=args.refresh,
-        **kwargs,
-    )
-
-
-def _print_failures(report) -> None:
-    for outcome in report.outcomes:
-        if not outcome.ok:
-            print(
-                f"error: {outcome.job.name}: {outcome.status} {outcome.error}",
-                file=sys.stderr,
-            )
+def _print_progress(outcome, done, total) -> None:
+    """``repro-campaign``'s progress line for one resolved job."""
+    line = f"[{done}/{total}] {outcome.job.name}: {outcome.status}"
+    if outcome.executed:
+        line += f" ({outcome.seconds:.2f}s)"
+    if outcome.error:
+        line += f" — {outcome.error}"
+    print(line, file=sys.stderr)
 
 
 def _run_observed(circuit, options, listeners, tracer, args):
@@ -478,12 +417,43 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--walk-len", type=int, default=None, help="random TPG walk length"
     )
-    _add_runner_options(
-        parser,
-        "job",
-        refresh_help="ignore cached results but still store fresh ones",
-        out_help="write table.txt / campaign.csv / campaign.json here",
-        json_help="print the campaign manifest as JSON instead of the table",
+    parser.add_argument(
+        "--workers",
+        type=non_negative(int),
+        default=None,
+        help="worker processes (0 = in-process; default: CPU count)",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="per-job timeout in seconds (default: 600)",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true", help="neither read nor write the cache"
+    )
+    parser.add_argument(
+        "--refresh",
+        action="store_true",
+        help="ignore cached results but still store fresh ones",
+    )
+    parser.add_argument(
+        "--out",
+        default=None,
+        help="write table.txt / campaign.csv / campaign.json here",
+    )
+    parser.add_argument(
+        "--json",
+        action="store_true",
+        help="print the campaign manifest as JSON instead of the table",
+    )
+    parser.add_argument(
+        "--quiet", action="store_true", help="suppress per-job progress on stderr"
     )
     parser.add_argument(
         "--incremental",
@@ -512,11 +482,14 @@ def campaign_main(argv=None) -> int:
     from repro.benchmarks_data import TABLE1_NAMES, TABLE2_NAMES
     from repro.campaign import (
         CampaignSpec,
+        ResultStore,
         campaign_manifest,
         expand,
         rows_from_outcomes,
+        run_campaign,
         write_artifacts,
     )
+    from repro.campaign.runner import DEFAULT_JOB_TIMEOUT
     from repro.core.report import format_table
 
     args = build_campaign_parser().parse_args(argv)
@@ -567,9 +540,16 @@ def campaign_main(argv=None) -> int:
     title = "Table-2 campaign" if args.table2 else "Campaign"
     collect_telemetry = bool(args.metrics)
     with _armed_metrics(collect_telemetry, args.metrics):
-        report = _run_jobs(
+        report = run_campaign(
             jobs,
-            args,
+            workers=args.workers,
+            store=(
+                None if args.no_cache
+                else ResultStore(args.cache_dir, track_stats=True)
+            ),
+            timeout=DEFAULT_JOB_TIMEOUT if args.timeout is None else args.timeout,
+            progress=None if args.quiet else _print_progress,
+            refresh=args.refresh,
             collect_telemetry=collect_telemetry,
             incremental=args.incremental,
         )
@@ -590,238 +570,13 @@ def campaign_main(argv=None) -> int:
                 f"executed of {sum(d.get('cohorts_total', 0) for d in inc)}",
                 file=sys.stderr,
             )
-    _print_failures(report)
-    return 0 if report.all_ok else 1
-
-
-# ---------------------------------------------------------------------------
-# repro-fuzz
-# ---------------------------------------------------------------------------
-
-
-def build_fuzz_parser() -> argparse.ArgumentParser:
-    from repro.fuzz import oracle_names
-
-    parser = argparse.ArgumentParser(
-        prog="repro-fuzz",
-        description=(
-            "Differential-oracle fuzzing: generate seeded STG/netlist "
-            "scenarios, run each through paired implementations (kernel "
-            "vs legacy settle, explicit vs symbolic CSSG, overlay vs "
-            "materialized faults, walk kernel vs legacy fault sim, "
-            "plain vs incremental re-ATPG) and auto-shrink any divergence "
-            "to a minimal failing spec.  Runs as a campaign: seed chunks are "
-            "jobs on the fork workers with the shared result cache."
-        ),
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="first scenario seed (default: 0)"
-    )
-    parser.add_argument(
-        "-n",
-        "--scenarios",
-        type=int,
-        default=200,
-        help="number of consecutive seeds to fuzz (default: 200)",
-    )
-    parser.add_argument(
-        "--chunk",
-        type=int,
-        default=25,
-        help="seeds per campaign job (default: 25)",
-    )
-    parser.add_argument(
-        "--oracles",
-        default=None,
-        help=(
-            "comma list of oracle pairs to run "
-            f"({', '.join(oracle_names())}); default: all"
-        ),
-    )
-    parser.add_argument(
-        "--no-shrink",
-        action="store_true",
-        help="report divergences without auto-shrinking them",
-    )
-    parser.add_argument(
-        "--max-signals",
-        type=int,
-        default=None,
-        help="ring signals per scenario upper bound (generator axis)",
-    )
-    parser.add_argument(
-        "--max-total-signals",
-        type=int,
-        default=None,
-        help="hard cap on total signals incl. decorations (latency dial)",
-    )
-    parser.add_argument(
-        "--netlist-fraction",
-        type=float,
-        default=None,
-        help="fraction of seeds that generate raw netlists instead of STGs",
-    )
-    parser.add_argument(
-        "--choice-density",
-        type=float,
-        default=None,
-        help="probability of decorating an STG with an input choice",
-    )
-    parser.add_argument(
-        "--concurrency",
-        type=float,
-        default=None,
-        help="probability of decorating an STG with a parallel fork",
-    )
-    parser.add_argument(
-        "--mirror-density",
-        type=float,
-        default=None,
-        help="probability of duplicating an input edge as label/1, label/2",
-    )
-    parser.add_argument(
-        "--max-faults",
-        type=int,
-        default=None,
-        help="faults sampled per model in the oracle battery",
-    )
-    _add_runner_options(
-        parser,
-        "chunk",
-        refresh_help="ignore cached chunk results but still store fresh ones",
-        out_help=(
-            "directory for fuzz_report.json plus one shrunk .g/.net file "
-            "per divergent seed (the nightly-job artifact)"
-        ),
-        json_help="print the aggregate report as JSON instead of the summary",
-    )
-    return parser
-
-
-@exits_on_broken_pipe
-def fuzz_main(argv=None) -> int:
-    from dataclasses import replace
-
-    from repro.fuzz import (
-        FuzzSpec,
-        GeneratorConfig,
-        OracleCaps,
-        aggregate_reports,
-        expand_fuzz,
-        oracle_names,
-    )
-
-    args = build_fuzz_parser().parse_args(argv)
-    oracles: tuple = ()
-    if args.oracles:
-        oracles = tuple(o.strip() for o in args.oracles.split(",") if o.strip())
-        unknown = sorted(set(oracles) - set(oracle_names()))
-        if unknown:
+    for outcome in report.outcomes:
+        if not outcome.ok:
             print(
-                f"error: unknown --oracles value(s) {', '.join(unknown)} "
-                f"(choose from {', '.join(oracle_names())})",
+                f"error: {outcome.job.name}: {outcome.status} {outcome.error}",
                 file=sys.stderr,
             )
-            return 2
-    config = GeneratorConfig()
-    config_fields = {}
-    for flag, field in (
-        ("max_signals", "max_signals"),
-        ("max_total_signals", "max_total_signals"),
-        ("netlist_fraction", "netlist_fraction"),
-        ("choice_density", "choice_density"),
-        ("concurrency", "concurrency"),
-        ("mirror_density", "mirror_density"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            config_fields[field] = value
-    if config_fields:
-        config = replace(config, **config_fields)
-    caps = OracleCaps()
-    if args.max_faults is not None:
-        caps = replace(caps, max_faults=args.max_faults)
-    try:
-        spec = FuzzSpec(
-            start=args.seed,
-            stop=args.seed + args.scenarios,
-            chunk=args.chunk,
-            oracles=oracles,
-            config=config,
-            caps=caps,
-            shrink=not args.no_shrink,
-        )
-        jobs = expand_fuzz(spec)
-    except (ReproError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = _run_jobs(jobs, args)
-    payloads = [o.payload for o in report.outcomes if o.payload is not None]
-    aggregate = aggregate_reports(payloads)
-    if args.out:
-        _write_fuzz_artifacts(args.out, spec, report, aggregate)
-    if args.json:
-        print(json.dumps(aggregate, indent=2))
-    else:
-        checks = ", ".join(
-            f"{oracle}={n}" for oracle, n in aggregate["checks"].items()
-        )
-        print(
-            f"fuzzed {aggregate['n_scenarios']} scenarios "
-            f"(seeds {spec.start}..{spec.stop}), "
-            f"{aggregate['n_divergent']} divergent, "
-            f"{aggregate['n_unproductive']} unproductive"
-        )
-        if checks:
-            print(f"checks: {checks}")
-        if aggregate["tallies"]:
-            tallies = ", ".join(
-                f"{case}={n}" for case, n in aggregate["tallies"].items()
-            )
-            print(f"tallies (not divergences): {tallies}")
-        for d in aggregate["divergences"]:
-            print(
-                f"DIVERGENCE seed={d['seed']} oracle={d['oracle']}: {d['detail']}"
-            )
-    print(report.summary(), file=sys.stderr)
-    _print_failures(report)
-    # The CI smoke gate is this exit code: 0 means every chunk ran
-    # (or replayed) cleanly AND no oracle pair disagreed on any seed.
-    return 0 if report.all_ok and aggregate["n_divergent"] == 0 else 1
-
-
-def _write_fuzz_artifacts(out_dir, spec, report, aggregate) -> None:
-    """``fuzz_report.json`` plus one shrunk spec file per divergence —
-    what the nightly CI job uploads for offline replay."""
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "spec": {
-            "start": spec.start,
-            "stop": spec.stop,
-            "chunk": spec.chunk,
-            "oracles": list(spec.oracles),
-            "config": spec.config.to_json_dict(),
-            "caps": spec.caps.to_json_dict(),
-            "shrink": spec.shrink,
-        },
-        "summary": report.summary(),
-        "aggregate": aggregate,
-    }
-    (path / "fuzz_report.json").write_text(
-        json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-    )
-    seen = set()
-    for d in aggregate["divergences"]:
-        seed = d["seed"]
-        if seed in seen:
-            continue  # one artifact per seed, first oracle wins
-        seen.add(seed)
-        ext = "g" if d["kind"] == "stg" else "net"
-        text = d["shrunk_text"] or d["spec_text"]
-        (path / f"divergent-seed{seed}.{ext}").write_text(
-            text, encoding="utf-8"
-        )
+    return 0 if report.all_ok else 1
 
 
 def build_cache_parser() -> argparse.ArgumentParser:
@@ -829,7 +584,7 @@ def build_cache_parser() -> argparse.ArgumentParser:
         prog="repro-cache",
         description=(
             "Maintain the shared content-addressed result cache used by "
-            "repro-campaign and repro-fuzz."
+            "repro-campaign."
         ),
     )
     parser.add_argument(

@@ -218,10 +218,9 @@ def mutate_netlist(text: str, op: str, rng: random.Random) -> Optional[Mutation]
     """Apply ``op`` to canonical ``.net`` text; None when inapplicable.
 
     >>> import random
-    >>> from repro.fuzz.generator import generate_scenario
-    >>> sc = generate_scenario(3)
+    >>> from repro.benchmarks_data import load_benchmark
     >>> from repro.circuit.parser import netlist_to_text
-    >>> base = netlist_to_text(sc.circuit())
+    >>> base = netlist_to_text(load_benchmark("dff"))
     >>> m = mutate_netlist(base, "rename", random.Random(0))
     >>> m.preserving and m.detail.startswith("fzren")
     True

@@ -15,8 +15,9 @@
   single-fault injection; this is the conservative race/oscillation
   detector of paper §5.4.  Thin adapter over the engine.
 
-The seed's sweep-based reference implementations live with the fuzzer,
-in :mod:`repro.fuzz.reference`, as the parity/benchmark oracle.
+The seed's sweep-based reference implementations are not in the
+package: they live with the tests, in ``tests/fuzzer/reference.py``,
+as the parity/benchmark oracle.
 """
 
 from repro.sim.ternary import (

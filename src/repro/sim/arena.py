@@ -28,8 +28,8 @@ function calls).  Both algorithms run through one sweep body in which
 every gate is emitted once; a phase flag picks the update (Algorithm A:
 lub into the old value; Algorithm B: plain assignment).  Both fixpoints
 are unique under any fair order, so the kernel is bit-identical to the
-seed's sweeps kept in :mod:`repro.fuzz.reference`, which
-``tests/test_sim_cross.py`` and ``tests/test_arena.py`` check.
+seed's sweeps kept with the tests (``tests/fuzzer/reference.py``),
+which ``tests/test_sim_cross.py`` and ``tests/test_arena.py`` check.
 
 CPython bignum bitwise ops are already C-speed word-parallel, so one
 bignum word per signal carries the whole fault universe of every bundled

@@ -15,8 +15,8 @@ the information order; because they are *unique* for any fair evaluation
 order, this module is a thin adapter over the fault overlay's compiled
 arena walk kernel (:mod:`repro.sim.engine`, :mod:`repro.sim.arena`) —
 it contains no settle loop of its own, and its results are bit-identical
-to the historical sweep implementation preserved in
-:mod:`repro.fuzz.reference`.
+to the historical sweep implementation the tests keep as their
+reference (``tests/fuzzer/reference.py``).
 
 If the final state is fully definite it is the *unique* stable successor
 under the unbounded gate-delay model; any remaining Φ conservatively

@@ -32,7 +32,7 @@ reset state.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.expr import And, Const, Expr, Not, Or, Var, Xor
@@ -60,8 +60,8 @@ __all__ = [
 class GeneratorConfig:
     """Shape axes of the scenario distribution.
 
-    ``GeneratorConfig()`` is the everyday small-and-fast profile used
-    by the CI smoke job; the nightly campaign widens the axes.
+    ``GeneratorConfig()`` is the small-and-fast profile the driver
+    (:mod:`fuzzer.driver`) runs every seed with.
 
     >>> GeneratorConfig(max_signals=6).max_signals
     6
@@ -101,13 +101,6 @@ class GeneratorConfig:
     #: Rejection-sampling budget per scenario seed.
     max_attempts: int = 10
 
-    def to_json_dict(self) -> Dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json_dict(data: Dict) -> "GeneratorConfig":
-        return GeneratorConfig(**data)
-
 
 @dataclass
 class RejectionStats:
@@ -119,19 +112,6 @@ class RejectionStats:
 
     def note(self, reason: str) -> None:
         self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
-
-    def merge(self, other: "RejectionStats") -> None:
-        self.attempts += other.attempts
-        self.accepted += other.accepted
-        for reason, n in other.by_reason.items():
-            self.by_reason[reason] = self.by_reason.get(reason, 0) + n
-
-    def to_json_dict(self) -> Dict:
-        return {
-            "attempts": self.attempts,
-            "accepted": self.accepted,
-            "by_reason": dict(sorted(self.by_reason.items())),
-        }
 
 
 # -- the STG spec IR ----------------------------------------------------
@@ -219,6 +199,7 @@ class Scenario:
 
 
 def _rng_for(seed: int, attempt: int) -> random.Random:
+    # The RNG keys are frozen: changing them re-draws every seed.
     return random.Random(f"repro-fuzz:{seed}:{attempt}")
 
 

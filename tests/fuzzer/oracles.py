@@ -17,7 +17,7 @@ construction — there is no "expected output" file anywhere):
                (excited-gate lists, reduced-explorer tables, forced
                reset), for every registered fault model
 ``kernels``    arena walk kernel vs the seed's sweeps in
-               :mod:`repro.fuzz.reference` (:func:`reference_reset` /
+               :mod:`fuzzer.reference` (:func:`reference_reset` /
                :func:`reference_apply`), detection words and packed
                states per step, for every registered fault model
 ``incremental``  plain :func:`~repro.campaign.runner.execute_job` vs
@@ -63,7 +63,7 @@ import hashlib
 import random
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -79,15 +79,16 @@ from repro.core.atpg import AtpgOptions
 from repro.core.three_phase import DETECTED, UNDETECTABLE, ThreePhaseGenerator
 from repro.ext.undetectable import POSSIBLY_DETECTABLE, classify_undetectable
 from repro.faultmodels import model_names
-from repro.fuzz.generator import Scenario
 from repro.fuzz.mutate import MUTATION_OPS, mutate_netlist
 from repro.sgraph.cssg import Cssg, build_cssg
 from repro.sgraph.explore import _stubborn, reduced_settle_report, settle_report
 from repro.sgraph.symbolic import SymbolicTcsg
-from repro.fuzz import reference
-from repro.fuzz.reference import pack_lanes, reference_apply, reference_reset
 from repro.sim import ternary
 from repro.sim.engine import compiled, engine_for
+
+from fuzzer import reference
+from fuzzer.generator import Scenario
+from fuzzer.reference import pack_lanes, reference_apply, reference_reset
 
 __all__ = [
     "ORACLES",
@@ -109,13 +110,6 @@ class OracleCaps:
     #: the BDD builder's cost explodes past ~13 signals; the ``cssg``
     #: oracle skips (checks=0) on circuits wider than this
     max_symbolic_signals: int = 12
-
-    def to_json_dict(self) -> Dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json_dict(data: Dict) -> "OracleCaps":
-        return OracleCaps(**data)
 
 
 @dataclass(frozen=True)
@@ -145,15 +139,6 @@ class ScenarioReport:
     @property
     def ok(self) -> bool:
         return not self.divergences
-
-    def to_json_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "kind": self.kind,
-            "checks": dict(sorted(self.checks.items())),
-            "divergences": [d.to_json_dict() for d in self.divergences],
-            "tallies": dict(sorted(self.tallies.items())),
-        }
 
 
 class _Ctx:
@@ -390,7 +375,7 @@ def _oracle_incremental(ctx: _Ctx) -> Tuple[int, List[str]]:
     )
     base_text = netlist_to_text(ctx.circuit)
     checks, bad = 0, []
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-inc-") as td:
+    with tempfile.TemporaryDirectory(prefix="fuzzer-inc-") as td:
         tmp = Path(td)
         store = ResultStore(tmp / "cache")
 

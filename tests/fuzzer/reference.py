@@ -7,9 +7,9 @@ full-circuit passes with per-gate stack interpretation through
 **bit-identical** to them on every state: ``tests/test_sim_cross.py``,
 ``tests/test_arena.py``, the fuzzer's ``settle`` and ``kernels`` oracle
 pairs and ``benchmarks/bench_ternary_cost.py`` import this module as
-the ground truth and the speed baseline.  Production code outside
-:mod:`repro.fuzz` must not (``tests/test_layering.py`` checks): the
-kernel is strictly faster and the only supported settle path.
+the ground truth and the speed baseline.  Nothing under ``src/``
+may (``tests/test_layering.py`` checks): the kernel is strictly
+faster and the only supported settle path.
 
 :func:`reference_reset` and :func:`reference_apply` run one scalar
 machine per fault of any registered model on these sweeps, for

@@ -17,8 +17,8 @@ Greedy first-improvement delta debugging over two substrates:
 
 ``fails`` predicates must return True iff the candidate still exhibits
 the failure; raise-free — a candidate that crashes the predicate
-should be reported as False (not failing), which the campaign's
-wrapper does.
+should be reported as False (not failing), which the driver's
+predicate does.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from typing import Callable, Iterator, List, Optional, Tuple
 from repro.circuit.expr import And, Const, Expr, Not, Or, Var, Xor
 from repro.circuit.netlist import Circuit
 from repro.circuit.parser import netlist_to_text, parse_netlist
-from repro.fuzz.generator import (
+
+from fuzzer.generator import (
     ChoiceSpec,
     Scenario,
     StgSpec,

@@ -2,7 +2,7 @@
 
 The arena walk kernel (compiled generator, state in generator locals)
 is the package's one Algorithm A/B settle, so its reference is the
-seed's sweeps in :mod:`repro.fuzz.reference`: the walk must match them
+seed's sweeps in :mod:`fuzzer.reference`: the walk must match them
 bit for bit — same settled states after every cycle, same detection
 words at every observation — because Eichelberger's Algorithms A and B
 compute unique lattice fixpoints regardless of evaluation order.  The
@@ -42,11 +42,12 @@ from repro.core.three_phase import ThreePhaseGenerator
 from repro.core.verify import verify_test_set
 from repro.ext.undetectable import classify_undetectable
 from repro.faultmodels import get_model, model_names
-from repro.fuzz import reference
-from repro.fuzz.reference import pack_lanes, reference_apply, reference_reset
 from repro.sgraph.cssg import build_cssg
 from repro.sim import engine, ternary
 from repro.sim.engine import SimEngine, engine_for, lane_of
+
+from fuzzer import reference
+from fuzzer.reference import pack_lanes, reference_apply, reference_reset
 
 WALK_LEN = 8
 

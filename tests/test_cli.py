@@ -197,7 +197,6 @@ def test_trace_flag_writes_jsonl(tmp_path, capsys):
 ENTRY_POINTS = {
     "repro-atpg": "from repro.cli import main as entry",
     "repro-campaign": "from repro.cli import campaign_main as entry",
-    "repro-fuzz": "from repro.cli import fuzz_main as entry",
     "repro-cache": "from repro.cli import cache_main as entry",
 }
 
@@ -220,8 +219,9 @@ def run_entry_point(name, argv, stdout=subprocess.DEVNULL):
 @pytest.mark.parametrize("name,argv", [
     ("repro-atpg", ["dff", "--json"]),
     ("repro-campaign", ["dff", "--workers", "0", "--no-cache", "--quiet"]),
-    ("repro-fuzz", ["-n", "1", "--workers", "0", "--no-cache", "--quiet"]),
-    ("repro-cache", ["--cache-dir", "{tmp}", "stats"]),
+    # explicit id: the row keeps the test ID it had as the fourth row
+    pytest.param("repro-cache", ["--cache-dir", "{tmp}", "stats"],
+                 id="repro-cache-argv3"),
 ])
 def test_broken_pipe_exits_1_without_traceback(name, argv, tmp_path):
     """A reader that is gone before the first write (``| head`` that
@@ -242,7 +242,6 @@ def test_broken_pipe_exits_1_without_traceback(name, argv, tmp_path):
 
 @pytest.mark.parametrize("name,argv", [
     ("repro-campaign", ["dff", "--workers", "-2", "--no-cache"]),
-    ("repro-fuzz", ["-n", "2", "--workers", "-1", "--no-cache"]),
 ])
 def test_negative_workers_exit_2(name, argv):
     proc = run_entry_point(name, argv)
@@ -250,17 +249,36 @@ def test_negative_workers_exit_2(name, argv):
     assert "--workers: must be >= 0, got -" in proc.stderr
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("repro-atpg", []),
+    ("repro-campaign", ["--workers", "0", "--no-cache", "--quiet"]),
+])
+def test_stg_file_is_refused_by_name(name, argv, tmp_path):
+    """A ``.g`` file (such as a shrunk fuzz artifact) is an STG spec,
+    not a netlist: both runners refuse it up front, naming the file,
+    instead of failing on its ``.graph`` directive."""
+    spec = tmp_path / "divergent-seed6.g"
+    corpus = Path(__file__).resolve().parent / "data" / "fuzz"
+    spec.write_text((corpus / "000-choice-minimal.g").read_text())
+    proc = run_entry_point(name, [str(spec)] + argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert (
+        f"error: {spec}: STG specs are accepted only as bundled benchmark "
+        "names"
+    ) in proc.stderr
+    assert ".graph" not in proc.stderr
+
+
 def test_retired_liveness_flags_exit_2(capsys):
     """Jobs are policed by the per-job ``--timeout`` alone: the live
     dashboard and the silent-worker cull are gone."""
-    from repro.cli import campaign_main, fuzz_main
+    from repro.cli import campaign_main
 
     for entry, argv in (
         (campaign_main, ["dff", "--workers", "0", "--no-cache", "--dashboard"]),
         (campaign_main, ["dff", "--workers", "0", "--no-cache",
                          "--hang-timeout", "5"]),
-        (fuzz_main, ["-n", "1", "--workers", "0", "--no-cache",
-                     "--hang-timeout", "5"]),
     ):
         with pytest.raises(SystemExit) as exc:
             entry(argv)

@@ -1,5 +1,5 @@
-"""The fuzzing subsystem: generator determinism, mutation contracts,
-shrinking minimality, campaign packaging, and the ``repro-fuzz`` CLI.
+"""The fuzzer (``tests/fuzzer``): generator determinism, mutation
+contracts, shrinking minimality, and the seed driver.
 
 The oracle pairs themselves are exercised against real implementations
 in ``test_fuzz_corpus.py`` (frozen shrunk corpus); here the focus is
@@ -8,33 +8,33 @@ fails an oracle must come back as a minimal, replayable shrunk spec.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.circuit.parser import netlist_to_text, parse_netlist
-from repro.errors import ReproError
-from repro.fuzz import (
-    FuzzSpec,
+from repro.fuzz.mutate import MUTATION_OPS, mutate_netlist, shift_marking
+from repro.stg.analysis import analyse_stg
+from repro.stg.parser import parse_stg
+from repro.stg.reachability import build_state_graph
+
+from fuzzer import (
     GeneratorConfig,
-    MUTATION_OPS,
     OracleCaps,
-    aggregate_reports,
-    execute_fuzz_job,
-    expand_fuzz,
     generate_scenario,
-    mutate_netlist,
     oracle_names,
     run_scenario,
-    shift_marking,
     shrink_netlist_text,
     shrink_scenario,
     shrink_spec,
 )
-from repro.fuzz.shrink import _netlist_candidates, _spec_moves
-from repro.stg.analysis import analyse_stg
-from repro.stg.parser import parse_stg
-from repro.stg.reachability import build_state_graph
+from fuzzer.driver import aggregate, fuzz_seed, main, run_seeds, write_report
+from fuzzer.shrink import _netlist_candidates, _spec_moves
 
 #: Pinned by scanning seeds: STG_SEED yields a plain STG scenario;
 #: CHOICE_SEED yields one decorated with a choice block *and* a
@@ -192,48 +192,42 @@ def test_shrunk_scenario_is_replayable_same_seed():
     assert fails(small)
 
 
-# -- campaign packaging -------------------------------------------------
+# -- the seed driver ----------------------------------------------------
 
 
-def test_expand_fuzz_chunks_and_keys():
-    spec = FuzzSpec(start=0, stop=50, chunk=20, oracles=("settle",))
-    jobs = expand_fuzz(spec)
-    assert [j.name for j in jobs] == ["fuzz/0..20", "fuzz/20..40", "fuzz/40..50"]
-    assert len({j.key for j in jobs}) == 3
-    # same spec -> same keys; different generator config -> all new keys
-    assert [j.key for j in expand_fuzz(spec)] == [j.key for j in jobs]
-    other = FuzzSpec(
-        start=0, stop=50, chunk=20, oracles=("settle",),
-        config=GeneratorConfig(max_signals=3),
-    )
-    assert not {j.key for j in expand_fuzz(other)} & {j.key for j in jobs}
-
-
-def test_expand_fuzz_validates_inputs():
-    with pytest.raises(ReproError, match="empty fuzz seed range"):
-        expand_fuzz(FuzzSpec(start=5, stop=5))
-    with pytest.raises(ReproError, match="chunk"):
-        expand_fuzz(FuzzSpec(chunk=0))
-    with pytest.raises(ReproError, match="unknown oracles"):
-        expand_fuzz(FuzzSpec(oracles=("bogus",)))
+def test_expand_fuzz_validates_inputs(capsys):
+    """An empty seed range, an unknown oracle pair and a negative worker
+    count are usage errors (exit 2), before any seed runs."""
+    for argv, message in (
+        (["-n", "0"], "-n: must be >= 1, got 0"),
+        (["--oracles", "settle,bogus"], "unknown oracle(s) bogus"),
+        (["--workers", "-1"], "--workers: must be >= 0, got -1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err
 
 
 def test_execute_fuzz_job_deterministic_payload():
-    spec = FuzzSpec(start=2, stop=6, chunk=4, oracles=("settle",))
-    job = expand_fuzz(spec)[0]
-    a = execute_fuzz_job(job).to_json_dict()
-    b = execute_fuzz_job(job).to_json_dict()
-    a.pop("cpu_seconds"), b.pop("cpu_seconds")
-    assert a == b
-    assert a["n_scenarios"] + a["n_unproductive"] == 4
-    assert a["n_divergent"] == 0
+    """Per-seed records are a pure function of the seed: two in-process
+    runs and a two-worker pool run aggregate to the same report."""
+    seeds = range(2, 6)
+    first = run_seeds(seeds, ("settle",), workers=0)
+    assert [r["seed"] for r in first] == list(seeds)
+    assert run_seeds(seeds, ("settle",), workers=0) == first
+    summary = aggregate(first)
+    assert aggregate(run_seeds(seeds, ("settle",), workers=2)) == summary
+    assert summary["n_scenarios"] + summary["n_unproductive"] == 4
+    assert summary["n_divergent"] == 0
+    assert set(summary["checks"]) == {"settle"}
 
 
-def test_divergence_is_shrunk_and_replayable(monkeypatch):
+def test_divergence_is_shrunk_and_replayable(monkeypatch, tmp_path):
     """Inject a failing oracle pair and check the whole divergence
-    path: the chunk payload carries the failing spec plus a shrunk
+    path: the seed's record carries the failing spec plus a shrunk
     form that is smaller, still failing, and replayable standalone."""
-    import repro.fuzz.oracles as oracles_mod
+    import fuzzer.oracles as oracles_mod
 
     def picky_settle(ctx):
         # "Diverges" whenever the scenario still contains a choice
@@ -242,73 +236,89 @@ def test_divergence_is_shrunk_and_replayable(monkeypatch):
         return 1, (["choice-disagreement"] if has_choice else [])
 
     monkeypatch.setitem(oracles_mod.ORACLES, "settle", picky_settle)
-    spec = FuzzSpec(
-        start=CHOICE_SEED, stop=CHOICE_SEED + 1, chunk=1, oracles=("settle",)
-    )
-    result = execute_fuzz_job(expand_fuzz(spec)[0])
-    assert len(result.divergences) == 1
-    d = result.divergences[0]
+    record = fuzz_seed(CHOICE_SEED, ("settle",))
+    assert len(record["divergences"]) == 1
+    d = record["divergences"][0]
     assert d["oracle"] == "settle" and d["detail"] == "choice-disagreement"
     assert d["shrunk_text"] and len(d["shrunk_text"]) < len(d["spec_text"])
     # replayable: parse + health + still failing, from the text alone
     stg = parse_stg(d["shrunk_text"])
     assert analyse_stg(stg, build_state_graph(stg)).healthy
     assert " pc0" in d["shrunk_text"]
-    payload = result.to_json_dict()
-    assert payload["n_divergent"] == 1
-    agg = aggregate_reports([payload])
-    assert agg["n_divergent"] == 1 and len(agg["divergences"]) == 1
+    summary = aggregate([record])
+    assert summary["n_divergent"] == 1 and summary["divergences"] == [d]
+    write_report(tmp_path, range(CHOICE_SEED, CHOICE_SEED + 1), (), summary)
+    artifact = tmp_path / f"divergent-seed{CHOICE_SEED}.g"
+    assert artifact.read_text() == d["shrunk_text"]
 
 
-def test_aggregate_reports_rejects_foreign_payloads():
-    with pytest.raises(ReproError, match="non-fuzz"):
-        aggregate_reports([{"kind": "atpg"}])
+def test_crashing_oracle_is_reported_as_a_divergence(monkeypatch, capsys):
+    """A battery that raises is a finding under the pseudo-oracle
+    ``error``: the run goes on to the next seed and exits 1."""
+    import fuzzer.oracles as oracles_mod
 
+    def crash(ctx):
+        raise RuntimeError("boom")
 
-def test_fuzz_jobs_cache_warm_reruns(tmp_path):
-    from repro.campaign import ResultStore, run_campaign
-
-    jobs = expand_fuzz(
-        FuzzSpec(start=0, stop=4, chunk=2, oracles=("settle",))
-    )
-    store = ResultStore(tmp_path)
-    cold = run_campaign(jobs, workers=0, store=store)
-    assert cold.all_ok and cold.n_ran == 2
-    warm = run_campaign(jobs, workers=0, store=store)
-    assert warm.all_ok and warm.n_cached == 2
-
-    def digest(report):
-        docs = []
-        for o in report.outcomes:
-            doc = dict(o.payload)
-            doc.pop("cpu_seconds")
-            docs.append(doc)
-        return json.dumps(docs, sort_keys=True)
-
-    assert digest(warm) == digest(cold)
-
-
-# -- CLI ----------------------------------------------------------------
+    monkeypatch.setitem(oracles_mod.ORACLES, "settle", crash)
+    assert main(["--seed", str(STG_SEED), "-n", "2", "--workers", "0",
+                 "--oracles", "settle"]) == 1
+    out = capsys.readouterr().out
+    assert f"DIVERGENCE seed={STG_SEED} oracle=error: Traceback" in out
+    assert "RuntimeError: boom" in out
+    assert "fuzzed 2 scenarios" in out and "2 divergent" in out
 
 
 def test_fuzz_cli_smoke_and_exit_codes(tmp_path, capsys):
-    from repro.cli import fuzz_main
-
-    rc = fuzz_main(
+    rc = main(
         [
-            "--seed", "0", "-n", "4", "--chunk", "2", "--workers", "0",
-            "--oracles", "settle", "--cache-dir", str(tmp_path / "cache"),
-            "--out", str(tmp_path / "out"), "--quiet", "--json",
+            "--seed", "0", "-n", "4", "--workers", "0",
+            "--oracles", "settle", "--out", str(tmp_path / "out"),
         ]
     )
-    out = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
     assert rc == 0
-    assert out["n_divergent"] == 0 and out["n_scenarios"] >= 3
+    assert "0 divergent" in out and "checks: settle=" in out
     report = json.loads((tmp_path / "out" / "fuzz_report.json").read_text())
-    assert report["aggregate"]["n_scenarios"] == out["n_scenarios"]
+    assert report["seeds"] == [0, 4] and report["oracles"] == ["settle"]
+    assert report["aggregate"]["n_divergent"] == 0
+    assert report["aggregate"]["n_scenarios"] >= 3
 
-    assert fuzz_main(["--oracles", "bogus"]) == 2
-    assert fuzz_main(["-n", "0"]) == 2  # empty seed range
+    with pytest.raises(SystemExit) as exc:
+        main(["--oracles", "bogus"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["-n", "0"])  # empty seed range
+    assert exc.value.code == 2
+
+
+def _run_module(argv):
+    """``python -m fuzzer`` in a fresh interpreter, with ``src`` and
+    ``tests`` on the path as CI runs it."""
+    repo_src = Path(repro.__file__).resolve().parent.parent
+    tests_dir = Path(__file__).resolve().parent
+    return subprocess.run(
+        [sys.executable, "-m", "fuzzer", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=f"{repo_src}{os.pathsep}{tests_dir}"),
+    )
+
+
+def test_module_entry_runs_and_rejects_bad_options():
+    proc = _run_module(["--seed", str(STG_SEED), "-n", "1", "--workers", "0",
+                        "--oracles", "settle"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("fuzzed 1 scenarios")
+    for argv, message in (
+        (["-n", "2", "--workers", "-1"], "--workers: must be >= 0, got -1"),
+        (["--oracles", "bogus"], "unknown oracle(s) bogus"),
+    ):
+        proc = _run_module(argv)
+        assert proc.returncode == 2, argv
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_run_scenario_rejects_unknown_oracle():

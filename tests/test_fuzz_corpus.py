@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz import OracleCaps, Scenario, oracle_names, run_scenario
+from fuzzer import OracleCaps, Scenario, oracle_names, run_scenario
 
 CORPUS_DIR = Path(__file__).resolve().parent / "data" / "fuzz"
 MANIFEST = json.loads((CORPUS_DIR / "manifest.json").read_text())

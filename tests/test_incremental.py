@@ -502,7 +502,7 @@ FUZZ_SEED = 4
 
 def fuzz_net_text():
     from repro.circuit.parser import netlist_to_text
-    from repro.fuzz.generator import generate_scenario
+    from fuzzer.generator import generate_scenario
 
     scenario = generate_scenario(FUZZ_SEED)
     assert scenario is not None and scenario.kind == "stg"

@@ -1,22 +1,27 @@
-"""Layering: the seed oracles stay out of the production namespaces.
+"""Layering: the test oracles stay out of the production namespaces.
 
-The seed's sweep simulators (:mod:`repro.fuzz.reference`) are the
-differential reference for the tests, benchmarks and the ``repro-fuzz``
-CLI, which ships them.  No production module may import them, directly
-or through a package re-export.  The seed BDD manager is a test-only
-oracle (``tests/legacy_bdd.py``) and does not ship in ``repro`` at all;
-nor does the retired HTTP daemon.
+The fuzzer — generator, oracle pairs, shrinker, seed driver and the
+seed's sweep simulators (``fuzzer.reference``), the differential
+reference for the tests and benchmarks — is test infrastructure in
+``tests/fuzzer``.  No module under ``src/`` may import it, and
+``repro.fuzz`` keeps only the netlist mutators.  The seed BDD manager
+is a test-only oracle (``tests/legacy_bdd.py``) and does not ship in
+``repro`` at all; nor do the retired HTTP daemon and the ``repro-fuzz``
+console script.
 """
 
 import ast
 import importlib.util
+import pkgutil
 import re
 from pathlib import Path
 
 import repro
+import repro.fuzz
 
 SRC = Path(repro.__file__).resolve().parent
-ORACLES = {"repro.fuzz.reference"}
+#: The test-side packages no production module may import.
+ORACLES = {"fuzzer", "legacy_bdd"}
 
 
 def _imported_modules(tree):
@@ -36,8 +41,6 @@ def test_production_modules_do_not_import_the_seed_oracles():
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC)
-        if rel.parts[0] == "fuzz":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for name in _imported_modules(tree):
             if any(name == o or name.startswith(o + ".") for o in ORACLES):
@@ -52,3 +55,16 @@ def test_production_modules_do_not_import_the_seed_oracles():
     scripts = re.findall(r'"([\w-]+) = ([\w.]+):\w+"', setup_py.read_text())
     assert "repro-atpg" in dict(scripts)
     assert [s for s in scripts if s[1].startswith("repro.serve")] == []
+    assert "repro-fuzz" not in dict(scripts)
+
+
+def test_fuzzer_lives_with_the_tests():
+    """The fuzzer left the package: ``repro.fuzz`` holds the netlist
+    mutators alone, and imports nothing on its own."""
+    for module in ("campaign", "generator", "oracles", "reference", "shrink"):
+        assert importlib.util.find_spec(f"repro.fuzz.{module}") is None
+    modules = [m.name for m in pkgutil.iter_modules(repro.fuzz.__path__)]
+    assert modules == ["mutate"]
+    init = ast.parse(Path(repro.fuzz.__file__).read_text())
+    assert list(_imported_modules(init)) == []
+    assert importlib.util.find_spec("fuzzer.driver") is not None

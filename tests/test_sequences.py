@@ -55,17 +55,24 @@ def test_public_api_surface():
     import importlib
     import pkgutil
 
+    import fuzzer
     import repro
 
     assert repro.__version__ == "1.0.0"
-    # Every ``__all__`` name of every repro module resolves, so a
-    # deletion cannot leave a dangling re-export behind.
+    # Every ``__all__`` name of every repro module (and of the
+    # test-side fuzzer package) resolves, so a deletion cannot leave a
+    # dangling re-export behind.
     modules = [repro] + [
         importlib.import_module(info.name)
         for info in pkgutil.walk_packages(repro.__path__, "repro.")
     ]
+    assert sum(hasattr(m, "__all__") for m in modules) >= 25
+    modules += [fuzzer] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(fuzzer.__path__, "fuzzer.")
+        if info.name != "fuzzer.__main__"  # importing it runs the driver
+    ]
     exporting = [m for m in modules if hasattr(m, "__all__")]
-    assert len(exporting) >= 30
     dangling = [
         f"{m.__name__}.{name}"
         for m in exporting

@@ -10,7 +10,7 @@ These are the load-bearing soundness relations of the whole approach:
   confluent, and terminates in exactly the ternary result;
 * **parity** — the compiled arena walk kernel (:mod:`repro.sim.arena`)
   must be *bit-identical* to the seed's sweep implementation preserved
-  in :mod:`repro.fuzz.reference`: scalar ternary settling (with and
+  in :mod:`fuzzer.reference`: scalar ternary settling (with and
   without faults), one-fault engines, each lane of a fault list's
   engine run alone (the three-phase and classifier faulty machines), and
   the excited-gate enumeration that drives exact simulation.
@@ -30,12 +30,13 @@ from repro.circuit.expr import And, Const, Not, Or, Var, Xor
 from repro.circuit.faults import fault_universe
 from repro.circuit.netlist import Circuit
 from repro.faultmodels import get_model, model_names
-from repro.fuzz import reference
-from repro.fuzz.reference import reference_apply, reference_reset
 from repro.sgraph.cssg import build_cssg
 from repro.sgraph.explore import settle_report
 from repro.sim import ternary
 from repro.sim.engine import compiled, engine_for
+
+from fuzzer import reference
+from fuzzer.reference import reference_apply, reference_reset
 
 
 def check_agreement(circuit, start_state):
