@@ -3,7 +3,7 @@
 The observability layer's contract is that it is safe to leave in the
 code: disabled, instrumented sites cost one switch check per call
 site; enabled, they only count, and publish their counts at
-boundaries (the BDD manager at GC/sift and at the end of a build),
+boundaries (the BDD manager at GC and at the end of a build),
 never per operation, so even armed collection stays within noise of
 the uninstrumented timings.  This bench measures exactly that on two
 instrumented kernels:
@@ -13,13 +13,14 @@ instrumented kernels:
   every start the CSSG construction settles on the largest Table-2
   circuit, and
 * the symbolic reachability image microbench on ``wide_handshake(10)``
-  (the :mod:`bench_symbolic` workload),
+  (the :mod:`bench_symbolic` workload) at a 5,000-node GC threshold,
+  so armed ``bdd.gc`` boundaries are part of the timed path,
 
 each run alternately with telemetry fully armed (metrics + ambient
-tracer) and fully off, comparing *temporally adjacent* sample pairs and
-taking the cleanest armed/off ratio (see :func:`interleaved_overhead` —
-pairing cancels runner drift, the minimum sheds scheduler spikes the
-way best-of timing does).  The asserted ceiling is **3% overhead when
+tracer) and fully off, call by call, in best-of-5 samples (see
+:func:`interleaved_overhead` — alternation cancels runner drift, the
+best-of sheds scheduler spikes, the median over pairs sheds the pairs
+a spike still reaches).  The asserted ceiling is **3% overhead when
 armed** — the acceptance bar for shipping instrumentation inside
 kernels.  Results land in ``benchmarks/out/BENCH_observability.json``.
 """
@@ -55,45 +56,44 @@ def _telemetry_off_after():
     obs_metrics.disable()
 
 
-def interleaved_overhead(run_off, run_on, reps=11, inner=1):
-    """Armed-vs-off overhead measured on temporally adjacent pairs.
+def interleaved_overhead(run_off, run_on, reps=11, inner=5):
+    """Armed-vs-off overhead measured on interleaved calls.
 
-    Shared runners drift (throttling, neighbours), so comparing a
-    global best-of-off against a global best-of-on confounds drift with
-    overhead.  Instead each rep times one off and one on sample
-    back-to-back and contributes an on/off ratio; the reported overhead
-    is the **minimum** ratio — the same noise-free-estimate logic as
-    best-of timing (scheduler interference only ever adds time, so the
-    cleanest pair is the honest one; a *systematic* overhead shows up
-    in every pair and survives the min).  Each sample is the best of
-    ``inner`` timed calls, so a spike that hits one *off* call cannot
-    pass for a negative overhead.  The within-pair order flips
-    every rep — throttling decays monotonically *within* a pair too,
-    and a fixed order would bill that decay to whichever mode runs
-    second.  Returns ``(t_off_min, t_on_min, overhead_min,
-    overhead_median)`` — assert on the min (the noise-free estimate),
-    report the median (the typical pair)."""
+    Shared runners drift and stall (throttling, neighbours): on a busy
+    VM a third of the calls can run half again slower, in spells a few
+    calls long.  So the two modes' calls alternate (off, on, on, off,
+    ...; the order within each call pair flips every time, since
+    throttling decays within a pair too) and a spell lands on both.
+    Each rep's sample of a mode is the best of its ``inner`` calls, and
+    the rep contributes one on/off ratio.  The reported overhead is the
+    **median** ratio: a *systematic* overhead shows up in every pair,
+    while a spell that still slows one sample of a pair moves only that
+    pair.  (The smallest ratio is not used: with spells this common,
+    some rep always catches a slow off sample and reports a large
+    negative overhead, which hides a real one.)  Returns ``(t_off_min,
+    t_on_min, overhead)``."""
 
-    def sample(run):
-        best = float("inf")
-        for _ in range(inner):
-            t0 = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - t0)
-        return best
+    def timed(run):
+        t0 = time.perf_counter()
+        run()
+        return time.perf_counter() - t0
 
     ratios = []
     t_off = t_on = float("inf")
     for rep in range(reps):
-        if rep % 2 == 0:
-            off, on = sample(run_off), sample(run_on)
-        else:
-            on, off = sample(run_on), sample(run_off)
+        off = on = float("inf")
+        for call in range(inner):
+            if (rep + call) % 2 == 0:
+                off = min(off, timed(run_off))
+                on = min(on, timed(run_on))
+            else:
+                on = min(on, timed(run_on))
+                off = min(off, timed(run_off))
         ratios.append(on / off)
         t_off = min(t_off, off)
         t_on = min(t_on, on)
     ratios.sort()
-    return t_off, t_on, ratios[0] - 1.0, ratios[len(ratios) // 2] - 1.0
+    return t_off, t_on, ratios[len(ratios) // 2] - 1.0
 
 
 def test_settle_report_overhead():
@@ -139,13 +139,11 @@ def test_settle_report_overhead():
     }
     n_states = sum(r.n_states for r in reports)
     assert counted["repro_settle_states_total"] == [[["full"], n_states]]
-    t_off, t_on, overhead, typical = interleaved_overhead(
-        run_off, run_on, inner=5
-    )
+    t_off, t_on, overhead = interleaved_overhead(run_off, run_on)
     print(
         f"\nsettle_report on {circuit.name} ({len(starts)} starts): off "
-        f"{1e3 * t_off:.1f}ms vs armed {1e3 * t_on:.1f}ms -> best "
-        f"{100 * overhead:+.2f}% / median {100 * typical:+.2f}%"
+        f"{1e3 * t_off:.1f}ms vs armed {1e3 * t_on:.1f}ms -> overhead "
+        f"{100 * overhead:+.2f}%"
     )
     _results["settle_report"] = {
         "benchmark": circuit.name,
@@ -154,7 +152,6 @@ def test_settle_report_overhead():
         "off_ms": round(1e3 * t_off, 2),
         "armed_ms": round(1e3 * t_on, 2),
         "overhead_fraction": round(overhead, 4),
-        "overhead_fraction_median": round(typical, 4),
     }
     assert overhead <= MAX_OVERHEAD, (
         f"armed telemetry costs {100 * overhead:.2f}% on settle_report "
@@ -170,9 +167,7 @@ def test_symbolic_image_overhead():
     circuit = wide_handshake(10)
 
     def run_reach():
-        s = SymbolicTcsg(
-            circuit, auto_gc_nodes=5_000, auto_reorder_nodes=1_000
-        )
+        s = SymbolicTcsg(circuit, auto_gc_nodes=5_000)
         return s.count_states(s.reachable())
 
     def run_off():
@@ -185,18 +180,19 @@ def test_symbolic_image_overhead():
             return run_reach()
 
     assert run_off() == run_on()  # same reachable state count
-    t_off, t_on, overhead, typical = interleaved_overhead(run_off, run_on)
+    # Armed, the fixpoint crosses at least one GC boundary: the span and
+    # the metric flush there are on the timed path.
+    assert obs_metrics.get_registry().value("repro_bdd_gc_passes_total") >= 1
+    t_off, t_on, overhead = interleaved_overhead(run_off, run_on)
     print(
         f"\nimage m=10: off {1e3 * t_off:.1f}ms vs armed "
-        f"{1e3 * t_on:.1f}ms -> best {100 * overhead:+.2f}% "
-        f"/ median {100 * typical:+.2f}%"
+        f"{1e3 * t_on:.1f}ms -> overhead {100 * overhead:+.2f}%"
     )
     _results["symbolic_image"] = {
         "m": 10,
         "off_ms": round(1e3 * t_off, 2),
         "armed_ms": round(1e3 * t_on, 2),
         "overhead_fraction": round(overhead, 4),
-        "overhead_fraction_median": round(typical, 4),
     }
     assert overhead <= MAX_OVERHEAD, (
         f"armed telemetry costs {100 * overhead:.2f}% on the image "

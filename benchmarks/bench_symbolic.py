@@ -1,13 +1,17 @@
-"""Symbolic CSSG benchmark: explicit exact vs symbolic construction.
+"""Symbolic CSSG benchmark: explicit vs symbolic construction.
 
-Builds the CSSG of the largest bundled Table-1 specs both ways, checks
-the two graphs are equal, and writes the timings and BDD peaks to
+Builds the CSSG of the largest bundled Table-1 specs both ways (exact
+vs symbolic), and of the fork-join family (hybrid — what ``auto``
+picks at these sizes — vs symbolic), checks each pair of graphs is
+equal, and writes the timings, BDD peaks and GC passes to
 ``benchmarks/out/BENCH_symbolic.json``.  No speed assertion: at ≤13
-signals explicit enumeration is expected to win; the JSON row records
-the trajectory as the corpus grows.  The arena kernel's answers are
-checked against the seed BDD manager in ``tests/test_symbolic_diff.py``.
+signals explicit enumeration is expected to win, while fork-join is the
+workload the symbolic kernel exists for; the JSON rows record the
+trajectory and the data behind ``auto``'s signal-count limit.  The arena
+kernel's answers are checked against the seed BDD manager in
+``tests/test_symbolic_diff.py``.
 
-``wide_handshake`` is the reorder-sensitive image workload
+``wide_handshake`` is the order-sensitive image workload
 ``bench_observability.py`` times with telemetry armed and disarmed.
 """
 
@@ -65,6 +69,23 @@ def wide_handshake(m):
     return c.finalize()
 
 
+def fork_join(n):
+    """One input ``A`` forked to ``n`` buffers joined by one ``n``-input
+    C-element, every signal reset to 0.  The CSSG has 2 states, but
+    settling each input change walks all 2**n buffer interleavings, so
+    explicit construction is exponential in ``n`` where the symbolic
+    image is not."""
+    c = Circuit(f"forkjoin{n}")
+    c.add_input("A")
+    buffers = [f"b{i}" for i in range(n)]
+    for b in buffers:
+        c.add_gate(b, gtype="BUF", inputs=["A"])
+    c.add_gate("c", gtype="CELEM", inputs=buffers)
+    c.mark_output("c")
+    c.set_reset({s: 0 for s in ["A", "c", *buffers]})
+    return c.finalize()
+
+
 def test_cssg_build_timing_on_largest_specs():
     """Explicit exact vs symbolic CSSG build on the biggest bundled
     specs — equality-checked, timings recorded for the trajectory."""
@@ -98,3 +119,39 @@ def test_cssg_build_timing_on_largest_specs():
             f"peak {symbolic.stats.peak_bdd_nodes} nodes)"
         )
     _results["cssg_build"] = rows
+
+
+def test_fork_join_hybrid_vs_symbolic():
+    """Hybrid vs symbolic CSSG build on the fork-join family —
+    equality-checked; timings, BDD peaks and GC passes recorded."""
+    rows = []
+    for n in (10, 12, 14, 16):
+        circuit = fork_join(n)
+        t_hybrid, hybrid = best_of(
+            lambda c=circuit: build_cssg(c, method="hybrid")
+        )
+        t_symbolic, symbolic = best_of(
+            lambda c=circuit: build_cssg(c, method="symbolic")
+        )
+        assert symbolic.reset == hybrid.reset
+        assert symbolic.states == hybrid.states
+        assert symbolic.edges == hybrid.edges
+        rows.append(
+            {
+                "n": n,
+                "n_signals": circuit.n_signals,
+                "cssg_states": hybrid.n_states,
+                "cssg_edges": hybrid.n_edges,
+                "hybrid_ms": round(1000 * t_hybrid, 2),
+                "symbolic_ms": round(1000 * t_symbolic, 2),
+                "peak_bdd_nodes": symbolic.stats.peak_bdd_nodes,
+                "gc_passes": symbolic.stats.n_gc_passes,
+            }
+        )
+        print(
+            f"\nfork-join N={n} ({circuit.n_signals} signals): hybrid "
+            f"{1000 * t_hybrid:.1f}ms vs symbolic {1000 * t_symbolic:.1f}ms "
+            f"(peak {symbolic.stats.peak_bdd_nodes} nodes, "
+            f"{symbolic.stats.n_gc_passes} GC passes)"
+        )
+    _results["fork_join"] = rows

@@ -15,7 +15,7 @@ Public API quick map:
 * state graphs — :func:`settle_report`, :func:`build_cssg` (methods
   exact / ternary / hybrid / symbolic), :class:`SymbolicTcsg`
 * BDD kernel — :class:`BddManager` (complement edges, unified ITE, GC,
-  in-place sifting; the seed manager is a test-only oracle)
+  a static variable order; the seed manager is a test-only oracle)
 * STGs — :func:`parse_stg`, :func:`load_stg`, :func:`build_state_graph`,
   :func:`synthesize`
 * ATPG flow — :class:`Flow` (staged pipeline; ``Flow.default()`` is the

@@ -6,11 +6,11 @@ machines [10]" — i.e. BDD-based image computation.  This package
 provides the production kernel: a hash-consed reduced ordered BDD
 manager with complement edges, a unified ITE apply over one int-keyed
 operation cache, quantification, the fused and-exists relational
-product, arbitrary variable substitution, mark-and-sweep garbage
-collection and in-place sifting (:mod:`repro.bdd.manager`), the only
-BDD engine in the package; the seed engine survives with the tests as
-their differential oracle.  :mod:`repro.bdd.reorder` computes the
-netlist-driven initial variable order the symbolic CSSG builder installs.
+product, arbitrary variable substitution and mark-and-sweep garbage
+collection (:mod:`repro.bdd.manager`), the only BDD engine in the
+package; the seed engine survives with the tests as their differential
+oracle.  :mod:`repro.bdd.reorder` computes the netlist-driven variable
+order the symbolic CSSG builder installs.
 """
 
 from repro.bdd.manager import BddManager, BddStats

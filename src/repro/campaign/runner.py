@@ -676,8 +676,9 @@ def run_campaign(
     ``refresh=True`` bypasses cache reads but still stores fresh
     results (existing entries are only ever overwritten, never deleted,
     so an interrupted refresh loses nothing).  ``timeout`` is the hard
-    budget a worker job may spend on one result; past it the worker is
-    killed and the job resolves as ``timeout``.
+    budget a worker job may spend on one result (seconds, > 0; ``inf``
+    never fires); past it the worker is killed and the job resolves as
+    ``timeout``.
 
     ``collect_telemetry`` arms metrics collection for the call (the
     parent's ambient registry becomes the campaign-wide aggregate;
@@ -696,6 +697,8 @@ def run_campaign(
         workers = os.cpu_count() or 1
     if workers < 0:
         raise ReproError(f"workers must be >= 0, got {workers}")
+    if not timeout > 0:  # NaN too: no job would outlive the first sweep
+        raise ReproError(f"timeout must be > 0 seconds, got {timeout}")
     with _obs.armed(collect_telemetry):
         start = time.perf_counter()
         outcomes: Dict[str, JobOutcome] = {}

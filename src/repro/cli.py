@@ -75,18 +75,31 @@ def exits_on_broken_pipe(entry):
     return run
 
 
-def non_negative(convert):
-    """The argparse type ``convert`` (``int`` / ``float``) restricted
-    to values >= 0; argparse exits 2 on anything else."""
+def _restricted(convert, accept, requirement: str):
+    """The argparse type ``convert`` (``int`` / ``float``) restricted to
+    the values ``accept`` admits (NaN compares false, so it is refused);
+    argparse exits 2 on anything else."""
 
     def parse(text: str):
         value = convert(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {value}"
+            )
         return value
 
     parse.__name__ = convert.__name__  # "invalid int value: 'x'"
     return parse
+
+
+def non_negative(convert):
+    """``convert`` restricted to values >= 0."""
+    return _restricted(convert, lambda v: v >= 0, ">= 0")
+
+
+def positive(convert):
+    """``convert`` restricted to values > 0 (``inf`` accepted)."""
+    return _restricted(convert, lambda v: v > 0, "> 0")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -425,9 +438,9 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=positive(float),
         default=None,
-        help="per-job timeout in seconds (default: 600)",
+        help="per-job timeout in seconds, > 0 (default: 600; inf = never)",
     )
     parser.add_argument(
         "--cache-dir",

@@ -60,7 +60,7 @@ class TableRow:
     tcsg_states: int = 0
     peak_bdd_nodes: int = 0
     gc_passes: int = 0
-    reorders: int = 0
+    reorders: int = 0  # always 0 (no reordering); kept as a CSV column
     image_iters: int = 0
     models: str = ""
 

@@ -31,7 +31,7 @@ from repro.sgraph.explore import settle_report
 class CssgStats:
     """Construction accounting: vector-validity counters, plus — for the
     symbolic builder — the paper-table state counts and kernel metrics
-    (peak BDD nodes, GC passes, reorders, image iterations)."""
+    (peak BDD nodes, GC passes, image iterations)."""
 
     n_vectors_tried: int = 0
     n_valid: int = 0
@@ -48,6 +48,8 @@ class CssgStats:
     # Symbolic-kernel metrics (zero for the explicit builders):
     peak_bdd_nodes: int = 0
     n_gc_passes: int = 0
+    #: Always 0: the kernel keeps the order it starts with.  Kept so
+    #: payloads, golden digests and job keys stay byte-identical.
     n_reorders: int = 0
     n_image_iterations: int = 0
 

@@ -33,10 +33,11 @@ inputs are rewritten arbitrarily, so its image is
 **Memory discipline.**  Persistent functions (gate functions, excitation
 conditions, the stable set) are registered as GC roots; the traversal
 loops call :meth:`BddManager.checkpoint` with their live frontier
-protected, so growth past the configured thresholds triggers
-mark-and-sweep collection and, past the reorder threshold, in-place
-sifting — peak live nodes stay bounded by the working set, not by the
-history of the computation.
+protected, so growth past the configured threshold triggers
+mark-and-sweep collection — peak live nodes stay bounded by the working
+set, not by the history of the computation.  The variable order is the
+netlist-driven :func:`~repro.bdd.reorder.static_order`, fixed before
+any BDD exists.
 """
 
 from __future__ import annotations
@@ -51,16 +52,12 @@ from repro.circuit.netlist import Circuit
 from repro.errors import StateGraphError
 from repro.sgraph.cssg import Cssg
 
-#: Default housekeeping thresholds for the traversal manager: cheap
-#: mark-and-sweep collects from the first threshold on, escalating to a
-#: full in-place sift only when the *live* set keeps growing past the
-#: second (collection alone raises its own next trigger, so a working
-#: set that stays small after GC never pays for sifting).  Both sit
-#: above anything the bundled corpus allocates (peak ~13k nodes) —
-#: these exist for the circuits the explicit builder cannot touch,
-#: where declaration order is rarely the right order.
+#: Default GC threshold of the traversal manager: mark-and-sweep
+#: collects from here on, and each collection raises its own next
+#: trigger to twice the surviving live set.  The bundled corpus peaks
+#: near it (vbe10b two-level: ~20k nodes, one pass), and the fork-join
+#: family stays under 25k nodes up to 42 signals.
 DEFAULT_AUTO_GC_NODES = 20_000
-DEFAULT_AUTO_REORDER_NODES = 100_000
 
 #: Frontier iterations :meth:`SymbolicTcsg.reachable` runs before it
 #: gives up on convergence.
@@ -71,30 +68,24 @@ class SymbolicTcsg:
     """BDD encoding of one circuit's test-mode behaviour.
 
     Signal *i* is BDD variable *i*; a set of states is a function over
-    those variables.  ``auto_gc_nodes`` / ``auto_reorder_nodes`` arm the
-    manager's checkpoint housekeeping (``None`` disables either).
+    those variables.  ``auto_gc_nodes`` arms the manager's checkpoint
+    garbage collection (``None`` disables it).
     """
 
     def __init__(
         self,
         circuit: Circuit,
         auto_gc_nodes: Optional[int] = DEFAULT_AUTO_GC_NODES,
-        auto_reorder_nodes: Optional[int] = DEFAULT_AUTO_REORDER_NODES,
     ):
         self.circuit = circuit
         self.n = circuit.n_signals
-        self.mgr = BddManager(
-            self.n,
-            auto_gc_nodes=auto_gc_nodes,
-            auto_reorder_nodes=auto_reorder_nodes,
-        )
+        self.mgr = BddManager(self.n, auto_gc_nodes=auto_gc_nodes)
         mgr = self.mgr
-        # Connectivity-driven initial order: declaration order places
-        # related signals arbitrarily far apart (inputs first, their
-        # consumers much later), which is exactly the pattern that makes
-        # intermediate images exponential.  Starting from the netlist
-        # DFS order means dynamic reordering corrects residual badness
-        # instead of digging out of a structural one.
+        # Connectivity-driven order: declaration order places related
+        # signals arbitrarily far apart (inputs first, their consumers
+        # much later), which is exactly the pattern that makes
+        # intermediate images exponential.  The order is fixed here,
+        # before any BDD exists, and never changes.
         mgr.set_order(static_order(circuit))
         #: Gate functions over the state variables.
         self.gate_fn: Dict[int, int] = {
@@ -341,8 +332,7 @@ class SymbolicTcsg:
         mstats = self.mgr.stats
         stats.peak_bdd_nodes = mstats.peak_nodes
         stats.n_gc_passes = mstats.n_gc_passes
-        stats.n_reorders = mstats.n_reorders
         stats.n_image_iterations = self.n_image_iterations
-        # Small builds may never cross a GC/sift boundary — flush the
+        # Small builds may never cross a GC boundary — flush the
         # kernel counters so armed runs always see repro_bdd_* series.
         self.mgr.publish_metrics()

@@ -1,8 +1,8 @@
-"""Garbage collection, roots, checkpoints and in-place sifting."""
+"""Garbage collection, roots and checkpoints."""
 
 import pytest
 
-from repro.bdd.manager import FALSE, TRUE, BddManager
+from repro.bdd.manager import TRUE, BddManager
 from repro.errors import BddError
 
 NV = 6
@@ -98,77 +98,6 @@ def test_checkpoint_auto_gc_keeps_live_nodes_bounded():
     # Bounded: the threshold plus one round of garbage, not 40 rounds.
     assert peak_live <= 2 * 48
     assert table(mgr, keep) == reference
-
-
-def test_checkpoint_auto_reorder_sifts_in_place():
-    mgr = BddManager(NV, auto_reorder_nodes=8)
-    f = mgr.add_root(blocked_function(mgr))
-    reference = table(mgr, f)
-    big = mgr.size(f)
-    mgr.checkpoint()  # node count is past the threshold: sift runs
-    assert mgr.stats.n_reorders == 1
-    assert mgr.size(f) < big  # the classic function shrinks when paired
-    assert table(mgr, f) == reference  # same handle, same function
-    assert mgr.order() != list(range(NV))
-
-
-def test_sift_preserves_multiple_roots():
-    mgr = BddManager(NV)
-    f = mgr.add_root(blocked_function(mgr))
-    g = mgr.add_root(mgr.apply_or(mgr.var(0), mgr.apply_and(mgr.var(4), mgr.var(2))))
-    tf, tg = table(mgr, f), table(mgr, g)
-    mgr.sift()
-    assert table(mgr, f) == tf
-    assert table(mgr, g) == tg
-    # The manager stays fully usable: canonicity across the new order.
-    assert mgr.apply_and(f, f) == f
-    assert mgr.apply_or(g, FALSE) == g
-    h = mgr.apply_and(f, g)
-    assert table(mgr, h) == [a & b for a, b in zip(tf, tg)]
-
-
-def test_sift_on_fully_packed_store():
-    """Regression: when every slot is live (empty free list), sifting's
-    exploratory swaps must be able to append fresh node slots — the
-    scaffolding used to be sized once and crashed with IndexError."""
-    mgr = BddManager(NV)
-    f = mgr.add_root(blocked_function(mgr))
-    reference = table(mgr, f)
-    mgr.collect()
-    cubes = []
-    i = 0
-    while mgr._free:  # consume every freed slot with live cubes
-        cube = mgr.cube({v: (i >> v) & 1 for v in range(NV)})
-        cubes.append((cube, i))
-        mgr.add_root(cube)
-        i += 1
-    assert not mgr._free
-    mgr.sift()
-    assert table(mgr, f) == reference
-    for cube, bits in cubes:
-        assert mgr.eval(cube, [(bits >> v) & 1 for v in range(NV)]) == 1
-
-
-def test_sift_reduces_blocked_function():
-    mgr = BddManager(NV)
-    f = mgr.add_root(blocked_function(mgr))
-    before = mgr.size(f)
-    after_live = mgr.sift()
-    assert mgr.size(f) < before
-    assert after_live == mgr.n_nodes
-
-
-def test_sift_finds_a_good_order():
-    """Sifting reaches (or beats) the size of the hand-paired order
-    x0 x3 x1 x4 x2 x5, under which the blocked function is linear."""
-    paired = BddManager(NV)
-    paired.set_order([0, 3, 1, 4, 2, 5])
-    g = blocked_function(paired)
-    mgr = BddManager(NV)
-    f = mgr.add_root(blocked_function(mgr))
-    mgr.sift()
-    assert table(mgr, f) == table(paired, g)
-    assert mgr.size(f) <= paired.size(g)
 
 
 def test_gc_stress_interleaved_with_ops():

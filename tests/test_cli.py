@@ -249,6 +249,26 @@ def test_negative_workers_exit_2(name, argv):
     assert "--workers: must be >= 0, got -" in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_campaign_timeout_must_be_positive(value, capsys):
+    """A per-job timeout that is not > 0 would fail every job still
+    running at the first policing sweep: the CLI refuses it (exit 2)
+    and so does ``run_campaign``.  ``inf`` stays valid: never time out."""
+    from repro.campaign.runner import run_campaign
+    from repro.cli import build_campaign_parser, campaign_main
+    from repro.errors import ReproError
+
+    with pytest.raises(SystemExit) as exc:
+        campaign_main(["dff", "--workers", "0", "--no-cache", "--timeout", value])
+    assert exc.value.code == 2
+    assert "--timeout: must be > 0, got" in capsys.readouterr().err
+    with pytest.raises(ReproError, match="timeout must be > 0 seconds"):
+        run_campaign([], workers=0, timeout=float(value))
+    args = build_campaign_parser().parse_args(["dff", "--timeout", "inf"])
+    assert args.timeout == float("inf")
+    assert run_campaign([], workers=0, timeout=args.timeout).outcomes == []
+
+
 @pytest.mark.parametrize("name,argv", [
     ("repro-atpg", []),
     ("repro-campaign", ["--workers", "0", "--no-cache", "--quiet"]),

@@ -46,7 +46,7 @@ def test_bad_permutation_rejected():
     with pytest.raises(BddError):
         mgr.set_order([0, 0, 1, 2, 3, 4])
     mgr, f = classic()
-    with pytest.raises(BddError):  # multi-level nodes exist: sift's job
+    with pytest.raises(BddError):  # multi-level nodes exist: too late
         mgr.set_order(PAIRED)
 
 
