@@ -29,141 +29,56 @@ Public API quick map:
   cache and a per-job timeout)
 * benchmarks — :func:`load_benchmark`, :func:`benchmark_names`,
   :data:`TABLE1_NAMES`, :data:`TABLE2_NAMES`
+
+Every facade in the package is lazy (PEP 562, :mod:`repro._lazy`): a
+name is imported from its defining module the first time it is read, so
+``import repro`` loads nothing else, and a run loads only the modules it
+uses.  A ``repro-atpg`` run loads neither the BDD kernel (only the
+symbolic CSSG method needs it), nor the campaign package, nor
+``multiprocessing`` (only a campaign's worker pool needs it).
 """
 
-from repro.circuit import (
-    Circuit,
-    Expr,
-    Fault,
-    fault_universe,
-    input_fault_universe,
-    load_netlist,
-    netlist_to_text,
-    output_fault_universe,
-    parse_expr,
-    parse_netlist,
-)
-from repro.faultmodels import (
-    FaultModel,
-    get_model,
-    model_for_kind,
-    model_names,
-    register_model,
-)
-from repro.core import (
-    AtpgOptions,
-    AtpgResult,
-    Test,
-    TestSet,
-    format_table,
-    result_row,
-)
-from repro.campaign import (
-    CampaignReport,
-    CampaignSpec,
-    Job,
-    JobOutcome,
-    ResultStore,
-    expand,
-    run_campaign,
-    write_artifacts,
-)
-from repro.flow import (
-    Budget,
-    EventBus,
-    Flow,
-    ProgressLine,
-    RunContext,
-    Stage,
-)
-from repro.bdd import BddManager
-from repro.sgraph import (
-    CSSG_METHODS,
-    Cssg,
-    SettleReport,
-    build_cssg,
-    settle_report,
-)
-from repro.sgraph.symbolic import SymbolicTcsg
-from repro.stg import (
-    Stg,
-    StateGraph,
-    build_state_graph,
-    check_csc,
-    load_stg,
-    parse_stg,
-    synthesize,
-)
-from repro.benchmarks_data import (
-    FIGURE_NETS,
-    TABLE1_NAMES,
-    TABLE2_NAMES,
-    benchmark_names,
-    load_benchmark,
-    load_benchmark_stg,
-    load_figure_circuit,
-)
-from repro.errors import ReproError
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Circuit",
-    "Expr",
-    "Fault",
-    "FaultModel",
-    "fault_universe",
-    "get_model",
-    "model_for_kind",
-    "model_names",
-    "register_model",
-    "input_fault_universe",
-    "output_fault_universe",
-    "parse_expr",
-    "parse_netlist",
-    "load_netlist",
-    "netlist_to_text",
-    "AtpgOptions",
-    "AtpgResult",
-    "Budget",
-    "EventBus",
-    "Flow",
-    "ProgressLine",
-    "RunContext",
-    "Stage",
-    "Test",
-    "TestSet",
-    "format_table",
-    "result_row",
-    "CampaignReport",
-    "CampaignSpec",
-    "Job",
-    "JobOutcome",
-    "ResultStore",
-    "expand",
-    "run_campaign",
-    "write_artifacts",
-    "BddManager",
-    "CSSG_METHODS",
-    "Cssg",
-    "SettleReport",
-    "build_cssg",
-    "settle_report",
-    "SymbolicTcsg",
-    "Stg",
-    "StateGraph",
-    "build_state_graph",
-    "check_csc",
-    "parse_stg",
-    "load_stg",
-    "synthesize",
-    "TABLE1_NAMES",
-    "TABLE2_NAMES",
-    "FIGURE_NETS",
-    "benchmark_names",
-    "load_benchmark",
-    "load_benchmark_stg",
-    "load_figure_circuit",
-    "ReproError",
-    "__version__",
-]
+_EXPORTS = {
+    "repro.circuit.netlist": ("Circuit",),
+    "repro.circuit.expr": ("Expr", "parse_expr"),
+    "repro.circuit.faults": (
+        "Fault", "fault_universe", "input_fault_universe", "output_fault_universe",
+    ),
+    "repro.circuit.parser": ("parse_netlist", "load_netlist", "netlist_to_text"),
+    "repro.faultmodels.base": (
+        "FaultModel", "get_model", "model_for_kind", "model_names", "register_model",
+    ),
+    "repro.core.atpg": ("AtpgOptions", "AtpgResult"),
+    "repro.core.sequences": ("Test", "TestSet"),
+    "repro.core.report": ("format_table", "result_row"),
+    "repro.flow.budget": ("Budget",),
+    "repro.flow.events": ("EventBus",),
+    "repro.flow.flow": ("Flow",),
+    "repro.flow.consumers": ("ProgressLine",),
+    "repro.flow.context": ("RunContext",),
+    "repro.flow.stages": ("Stage",),
+    "repro.campaign.runner": ("CampaignReport", "JobOutcome", "run_campaign"),
+    "repro.campaign.plan": ("CampaignSpec", "Job", "expand"),
+    "repro.campaign.store": ("ResultStore",),
+    "repro.campaign.artifacts": ("write_artifacts",),
+    "repro.bdd.manager": ("BddManager",),
+    "repro.sgraph.cssg": ("CSSG_METHODS", "Cssg", "build_cssg"),
+    "repro.sgraph.explore": ("SettleReport", "settle_report"),
+    "repro.sgraph.symbolic": ("SymbolicTcsg",),
+    "repro.stg.petrinet": ("Stg",),
+    "repro.stg.reachability": ("StateGraph", "build_state_graph", "check_csc"),
+    "repro.stg.parser": ("parse_stg", "load_stg"),
+    "repro.stg.synthesis": ("synthesize",),
+    "repro.benchmarks_data.registry": (
+        "TABLE1_NAMES", "TABLE2_NAMES", "FIGURE_NETS", "benchmark_names",
+        "load_benchmark", "load_benchmark_stg", "load_figure_circuit",
+    ),
+    "repro.errors": ("ReproError",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__ += ["__version__"]

@@ -13,6 +13,10 @@ oracle.  :mod:`repro.bdd.reorder` computes the netlist-driven variable
 order the symbolic CSSG builder installs.
 """
 
-from repro.bdd.manager import BddManager, BddStats
+from repro._lazy import lazy_exports
 
-__all__ = ["BddManager", "BddStats"]
+_EXPORTS = {
+    "repro.bdd.manager": ("BddManager", "BddStats"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

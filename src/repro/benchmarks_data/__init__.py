@@ -9,24 +9,13 @@ Use :func:`load_benchmark` / :func:`load_benchmark_stg` /
 :func:`benchmark_names` — they are re-exported at the package top level.
 """
 
-from repro.benchmarks_data.registry import (
-    TABLE1_NAMES,
-    TABLE2_NAMES,
-    FIGURE_NETS,
-    benchmark_names,
-    benchmark_path,
-    load_benchmark,
-    load_benchmark_stg,
-    load_figure_circuit,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TABLE1_NAMES",
-    "TABLE2_NAMES",
-    "FIGURE_NETS",
-    "benchmark_names",
-    "benchmark_path",
-    "load_benchmark",
-    "load_benchmark_stg",
-    "load_figure_circuit",
-]
+_EXPORTS = {
+    "repro.benchmarks_data.registry": (
+        "TABLE1_NAMES", "TABLE2_NAMES", "FIGURE_NETS", "benchmark_names",
+        "benchmark_path", "load_benchmark", "load_benchmark_stg", "load_figure_circuit",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -26,63 +26,26 @@ The ``repro-campaign`` CLI (:func:`repro.cli.campaign_main`) and the
 table benchmarks are thin wrappers over these four layers.
 """
 
-from repro.campaign.artifacts import (
-    ARTIFACT_SCHEMA_VERSION,
-    campaign_manifest,
-    rows_from_outcomes,
-    write_artifacts,
-)
-from repro.campaign.cohort import (
-    Cohort,
-    IncrementalStats,
-    cohort_key,
-    cohort_salt,
-    cone_of,
-    partition,
-)
-from repro.campaign.plan import (
-    CODE_VERSION,
-    CampaignSpec,
-    Job,
-    cohort_plan,
-    expand,
-    job_key,
-    source_fingerprint,
-)
-from repro.campaign.runner import (
-    CampaignReport,
-    JobOutcome,
-    execute_job,
-    execute_job_incremental,
-    load_job_circuit,
-    run_campaign,
-)
-from repro.campaign.store import ResultStore, default_cache_dir
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARTIFACT_SCHEMA_VERSION",
-    "CODE_VERSION",
-    "CampaignReport",
-    "CampaignSpec",
-    "Cohort",
-    "IncrementalStats",
-    "Job",
-    "JobOutcome",
-    "ResultStore",
-    "campaign_manifest",
-    "cohort_key",
-    "cohort_plan",
-    "cohort_salt",
-    "cone_of",
-    "default_cache_dir",
-    "execute_job",
-    "execute_job_incremental",
-    "expand",
-    "job_key",
-    "load_job_circuit",
-    "partition",
-    "rows_from_outcomes",
-    "run_campaign",
-    "source_fingerprint",
-    "write_artifacts",
-]
+_EXPORTS = {
+    "repro.campaign.artifacts": (
+        "ARTIFACT_SCHEMA_VERSION", "campaign_manifest", "rows_from_outcomes",
+        "write_artifacts",
+    ),
+    "repro.campaign.cohort": (
+        "Cohort", "IncrementalStats", "cohort_key", "cohort_salt", "cone_of",
+        "partition",
+    ),
+    "repro.campaign.plan": (
+        "CODE_VERSION", "CampaignSpec", "Job", "cohort_plan", "expand", "job_key",
+        "source_fingerprint",
+    ),
+    "repro.campaign.runner": (
+        "CampaignReport", "JobOutcome", "execute_job", "execute_job_incremental",
+        "load_job_circuit", "run_campaign",
+    ),
+    "repro.campaign.store": ("ResultStore", "default_cache_dir"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

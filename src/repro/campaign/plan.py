@@ -190,8 +190,11 @@ def cohort_plan(job: Job) -> List["object"]:
     keys without executing anything (the incremental tests and
     ``benchmarks/bench_incremental.py`` use it).
 
-    Imports lazily: plan construction must stay cheap and free of the
-    circuit/flow machinery for the common cached-campaign path.
+    Imports the cohort layer and the runner here, not at module level:
+    the runner imports this module, and only cohort enumeration needs
+    them.  Planning itself is not free of the flow machinery: this
+    module's imports of :mod:`repro.core.atpg` and :mod:`repro.flow`
+    load three-phase, exact simulation, the simulator and the CSSG.
     """
     from repro.campaign import cohort as _cohort
     from repro.campaign.runner import load_job_circuit

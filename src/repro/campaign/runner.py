@@ -27,7 +27,6 @@ parent-side message pump, stepped until every job is resolved.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue as queue_mod
 import time
@@ -438,6 +437,8 @@ def _worker_main(
 
 
 def _mp_context():
+    import multiprocessing  # only a worker pool pays for it
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # platforms without fork

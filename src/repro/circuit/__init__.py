@@ -12,33 +12,17 @@ This subpackage provides:
 * :mod:`repro.circuit.faults` — input/output stuck-at fault universes.
 """
 
-from repro.circuit.expr import Expr, Var, Const, Not, And, Or, Xor, parse_expr
-from repro.circuit.netlist import Circuit, Gate, Signal
-from repro.circuit.parser import parse_netlist, netlist_to_text, load_netlist
-from repro.circuit.faults import (
-    Fault,
-    input_fault_universe,
-    output_fault_universe,
-    fault_universe,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Expr",
-    "Var",
-    "Const",
-    "Not",
-    "And",
-    "Or",
-    "Xor",
-    "parse_expr",
-    "Circuit",
-    "Gate",
-    "Signal",
-    "parse_netlist",
-    "netlist_to_text",
-    "load_netlist",
-    "Fault",
-    "input_fault_universe",
-    "output_fault_universe",
-    "fault_universe",
-]
+_EXPORTS = {
+    "repro.circuit.expr": (
+        "Expr", "Var", "Const", "Not", "And", "Or", "Xor", "parse_expr",
+    ),
+    "repro.circuit.netlist": ("Circuit", "Gate", "Signal"),
+    "repro.circuit.parser": ("parse_netlist", "netlist_to_text", "load_netlist"),
+    "repro.circuit.faults": (
+        "Fault", "input_fault_universe", "output_fault_universe", "fault_universe",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

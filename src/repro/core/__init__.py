@@ -17,29 +17,16 @@ collapse → random TPG → 3-phase → compaction, over one
 collapsing, compaction, verification, and reporting.
 """
 
-from repro.core.sequences import Test, TestSet
-from repro.core.atpg import AtpgOptions, AtpgResult, FaultStatus
-from repro.core.random_tpg import random_tpg
-from repro.core.three_phase import ThreePhaseGenerator, GenerationOutcome
-from repro.core.report import format_table, result_row
-from repro.core.verify import VerificationReport, audit_result, verify_test_set
-from repro.core.compact import compact_test_set
-from repro.core.collapse import collapse_faults
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Test",
-    "TestSet",
-    "AtpgOptions",
-    "AtpgResult",
-    "FaultStatus",
-    "random_tpg",
-    "ThreePhaseGenerator",
-    "GenerationOutcome",
-    "format_table",
-    "result_row",
-    "VerificationReport",
-    "audit_result",
-    "verify_test_set",
-    "compact_test_set",
-    "collapse_faults",
-]
+_EXPORTS = {
+    "repro.core.sequences": ("Test", "TestSet"),
+    "repro.core.atpg": ("AtpgOptions", "AtpgResult", "FaultStatus"),
+    "repro.core.three_phase": ("ThreePhaseGenerator", "GenerationOutcome"),
+    "repro.core.report": ("format_table", "result_row"),
+    "repro.core.verify": ("VerificationReport", "audit_result", "verify_test_set"),
+    "repro.core.compact": ("compact_test_set",),
+    "repro.core.collapse": ("collapse_faults",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

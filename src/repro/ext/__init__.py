@@ -6,11 +6,11 @@
   faults ("classifying undetectable faults to avoid wasting time").
 """
 
-from repro.ext.scan import insert_scan_inputs, rank_scan_candidates
-from repro.ext.undetectable import classify_undetectable
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "insert_scan_inputs",
-    "rank_scan_candidates",
-    "classify_undetectable",
-]
+_EXPORTS = {
+    "repro.ext.scan": ("insert_scan_inputs", "rank_scan_candidates"),
+    "repro.ext.undetectable": ("classify_undetectable",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -20,44 +20,35 @@ transition 2 × every gate output           self-sticky ``F∧s`` / ``F∨s``
 'transition'
 """
 
-from repro.faultmodels.base import (
-    FaultModel,
-    get_model,
-    model_for_kind,
-    model_names,
-    rebuild_faulty,
-    register_model,
-    unregister_model,
-)
-from repro.faultmodels.bridging import WIRED_AND, WIRED_OR, BridgingModel, adjacent_pairs
+from repro._lazy import lazy_exports
+from repro.faultmodels.base import register_model
+from repro.faultmodels.bridging import BridgingModel
 from repro.faultmodels.stuckat import InputStuckAtModel, OutputStuckAtModel
-from repro.faultmodels.transition import SLOW_TO_FALL, SLOW_TO_RISE, TransitionModel
+from repro.faultmodels.transition import TransitionModel
 
-#: The built-in model singletons, registered at import time.
+#: The built-in model singletons, registered at import time.  That loads
+#: every module of this package, so the table below saves no import
+#: here; it only lists each public name once.
 INPUT_STUCK_AT = register_model(InputStuckAtModel())
 OUTPUT_STUCK_AT = register_model(OutputStuckAtModel())
 BRIDGING = register_model(BridgingModel())
 TRANSITION = register_model(TransitionModel())
 
-__all__ = [
-    "FaultModel",
-    "register_model",
-    "unregister_model",
-    "get_model",
-    "model_for_kind",
-    "model_names",
-    "rebuild_faulty",
-    "adjacent_pairs",
-    "InputStuckAtModel",
-    "OutputStuckAtModel",
-    "BridgingModel",
-    "TransitionModel",
-    "INPUT_STUCK_AT",
-    "OUTPUT_STUCK_AT",
-    "BRIDGING",
-    "TRANSITION",
-    "WIRED_AND",
-    "WIRED_OR",
-    "SLOW_TO_RISE",
-    "SLOW_TO_FALL",
-]
+_EXPORTS = {
+    "repro.faultmodels.base": (
+        "FaultModel", "register_model", "unregister_model", "get_model",
+        "model_for_kind", "model_names", "rebuild_faulty",
+    ),
+    "repro.faultmodels.bridging": (
+        "adjacent_pairs", "BridgingModel", "WIRED_AND", "WIRED_OR",
+    ),
+    "repro.faultmodels.stuckat": ("InputStuckAtModel", "OutputStuckAtModel"),
+    "repro.faultmodels.transition": (
+        "TransitionModel", "SLOW_TO_RISE", "SLOW_TO_FALL",
+    ),
+    "repro.faultmodels": (
+        "INPUT_STUCK_AT", "OUTPUT_STUCK_AT", "BRIDGING", "TRANSITION",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -22,49 +22,21 @@ monolith:
   timeline (see :mod:`repro.flow.flow`).
 """
 
-from repro.flow.budget import Budget, REASON_BUDGET
-from repro.flow.consumers import ProgressLine
-from repro.flow.context import REASON_UNPROCESSED, RunContext
-from repro.flow.events import (
-    BudgetExhausted,
-    EventBus,
-    FaultClassified,
-    FlowEvent,
-    ProgressTick,
-    StageFinished,
-    StageStarted,
-    TestAdded,
-)
-from repro.flow.flow import DEFAULT_STAGE_NAMES, Flow
-from repro.flow.stages import (
-    CollapseStage,
-    CompactionStage,
-    RandomTpgStage,
-    Stage,
-    ThreePhaseStage,
-    fault_simulate,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Budget",
-    "REASON_BUDGET",
-    "REASON_UNPROCESSED",
-    "ProgressLine",
-    "RunContext",
-    "BudgetExhausted",
-    "EventBus",
-    "FaultClassified",
-    "FlowEvent",
-    "ProgressTick",
-    "StageFinished",
-    "StageStarted",
-    "TestAdded",
-    "DEFAULT_STAGE_NAMES",
-    "Flow",
-    "CollapseStage",
-    "CompactionStage",
-    "RandomTpgStage",
-    "Stage",
-    "ThreePhaseStage",
-    "fault_simulate",
-]
+_EXPORTS = {
+    "repro.flow.budget": ("Budget", "REASON_BUDGET"),
+    "repro.flow.consumers": ("ProgressLine",),
+    "repro.flow.context": ("REASON_UNPROCESSED", "RunContext"),
+    "repro.flow.events": (
+        "BudgetExhausted", "EventBus", "FaultClassified", "FlowEvent", "ProgressTick",
+        "StageFinished", "StageStarted", "TestAdded",
+    ),
+    "repro.flow.flow": ("DEFAULT_STAGE_NAMES", "Flow"),
+    "repro.flow.stages": (
+        "CollapseStage", "CompactionStage", "RandomTpgStage", "Stage",
+        "ThreePhaseStage", "fault_simulate",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

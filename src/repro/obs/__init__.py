@@ -18,54 +18,20 @@ Everything here is observational: enabling any of it never changes the
 flow's event stream or serialized results.
 """
 
-from repro.obs.export import (
-    parse_prometheus_text,
-    to_json_text,
-    to_prometheus_text,
-    write_metrics,
-)
-from repro.obs.metrics import (
-    Counter,
-    MetricsConsumer,
-    MetricsRegistry,
-    disable,
-    enable,
-    enabled,
-    get_registry,
-    set_registry,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    active,
-    format_profile,
-    get_tracer,
-    set_tracer,
-    use_tracer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "parse_prometheus_text",
-    "to_json_text",
-    "to_prometheus_text",
-    "write_metrics",
-    "Counter",
-    "MetricsConsumer",
-    "MetricsRegistry",
-    "disable",
-    "enable",
-    "enabled",
-    "get_registry",
-    "set_registry",
-    "NULL_TRACER",
-    "NullTracer",
-    "Span",
-    "Tracer",
-    "active",
-    "format_profile",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
-]
+_EXPORTS = {
+    "repro.obs.export": (
+        "parse_prometheus_text", "to_json_text", "to_prometheus_text", "write_metrics",
+    ),
+    "repro.obs.metrics": (
+        "Counter", "MetricsConsumer", "MetricsRegistry", "disable", "enable", "enabled",
+        "get_registry", "set_registry",
+    ),
+    "repro.obs.trace": (
+        "NULL_TRACER", "NullTracer", "Span", "Tracer", "active", "format_profile",
+        "get_tracer", "set_tracer", "use_tracer",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

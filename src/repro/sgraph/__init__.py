@@ -14,14 +14,11 @@
 :func:`build_cssg` dispatches on ``method``, one of :data:`CSSG_METHODS`.
 """
 
-from repro.sgraph.explore import SettleReport, reduced_settle_report, settle_report
-from repro.sgraph.cssg import CSSG_METHODS, Cssg, build_cssg
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SettleReport",
-    "reduced_settle_report",
-    "settle_report",
-    "CSSG_METHODS",
-    "Cssg",
-    "build_cssg",
-]
+_EXPORTS = {
+    "repro.sgraph.explore": ("SettleReport", "reduced_settle_report", "settle_report"),
+    "repro.sgraph.cssg": ("CSSG_METHODS", "Cssg", "build_cssg"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

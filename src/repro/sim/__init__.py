@@ -20,32 +20,15 @@ package: they live with the tests, in ``tests/fuzzer/reference.py``,
 as the parity/benchmark oracle.
 """
 
-from repro.sim.ternary import (
-    TernaryState,
-    from_binary,
-    is_definite,
-    to_binary,
-    settle,
-    apply_pattern,
-    settle_from_reset,
-    detects,
-    phi_signals,
-)
-from repro.sim.arena import ArenaWalk
-from repro.sim.engine import SimEngine, compiled, engine_for
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TernaryState",
-    "from_binary",
-    "is_definite",
-    "to_binary",
-    "settle",
-    "apply_pattern",
-    "settle_from_reset",
-    "detects",
-    "phi_signals",
-    "ArenaWalk",
-    "SimEngine",
-    "compiled",
-    "engine_for",
-]
+_EXPORTS = {
+    "repro.sim.ternary": (
+        "TernaryState", "from_binary", "is_definite", "to_binary", "settle",
+        "apply_pattern", "settle_from_reset", "detects", "phi_signals",
+    ),
+    "repro.sim.arena": ("ArenaWalk",),
+    "repro.sim.engine": ("SimEngine", "compiled", "engine_for"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -18,31 +18,15 @@ so this subpackage implements the required slice from scratch:
   stand-in).
 """
 
-from repro.stg.petrinet import Stg, Transition
-from repro.stg.parser import parse_stg, load_stg
-from repro.stg.reachability import StateGraph, build_state_graph, check_csc
-from repro.stg.synthesis import synthesize
-from repro.stg.analysis import StgReport, analyse_stg
-from repro.stg.twolevel import (
-    Cube,
-    compute_primes,
-    irredundant_cover,
-    cover_eval,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Stg",
-    "Transition",
-    "parse_stg",
-    "load_stg",
-    "StateGraph",
-    "build_state_graph",
-    "check_csc",
-    "synthesize",
-    "Cube",
-    "compute_primes",
-    "irredundant_cover",
-    "cover_eval",
-    "StgReport",
-    "analyse_stg",
-]
+_EXPORTS = {
+    "repro.stg.petrinet": ("Stg", "Transition"),
+    "repro.stg.parser": ("parse_stg", "load_stg"),
+    "repro.stg.reachability": ("StateGraph", "build_state_graph", "check_csc"),
+    "repro.stg.synthesis": ("synthesize",),
+    "repro.stg.analysis": ("StgReport", "analyse_stg"),
+    "repro.stg.twolevel": ("Cube", "compute_primes", "irredundant_cover", "cover_eval"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -384,10 +384,14 @@ def test_engines_of_different_widths_share_one_kernel(monkeypatch):
 
 
 def test_import_repro_does_not_load_numpy():
-    """The package is standard-library only: importing it (and the
-    simulation layer) must not drag numpy in."""
+    """The package is standard-library only: importing it, and every
+    module in it (the facades are lazy, so ``import repro`` alone loads
+    none of them), must not drag numpy in."""
     code = (
-        "import sys, repro, repro.sim; "
+        "import importlib, pkgutil, sys, repro; "
+        "[importlib.import_module(m.name) "
+        " for m in pkgutil.walk_packages(repro.__path__, 'repro.')]; "
+        "assert 'repro.sim.ternary' in sys.modules; "
         "assert 'numpy' not in sys.modules, 'numpy was imported'"
     )
     src_dir = str(Path(repro.__file__).resolve().parent.parent)

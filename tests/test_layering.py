@@ -8,12 +8,20 @@ reference for the tests and benchmarks — is test infrastructure in
 is a test-only oracle (``tests/legacy_bdd.py``) and does not ship in
 ``repro`` at all; nor do the retired HTTP daemon and the ``repro-fuzz``
 console script.
+
+Start-up stays lean: the package facades are lazy, so ``import repro``
+loads none of the subsystems, and a ``repro-atpg`` run loads neither
+the BDD kernel, nor the campaign runner, nor ``multiprocessing``.
 """
 
 import ast
 import importlib.util
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -68,3 +76,46 @@ def test_fuzzer_lives_with_the_tests():
     init = ast.parse(Path(repro.fuzz.__file__).read_text())
     assert list(_imported_modules(init)) == []
     assert importlib.util.find_spec("fuzzer.driver") is not None
+
+
+def _loaded_after(code):
+    """The ``repro`` modules and ``multiprocessing`` that a fresh
+    interpreter has loaded after running ``code``."""
+    probe = (
+        f"import sys\n{code}\n"
+        "import json\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith("
+        "('repro', 'multiprocessing')))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _under(modules, prefixes):
+    return [m for m in modules if any(m == p or m.startswith(p + ".") for p in prefixes)]
+
+
+def test_import_repro_loads_no_subsystem():
+    loaded = _loaded_after("import repro")
+    banned = ("repro.bdd", "repro.sgraph.symbolic", "repro.campaign", "repro.fuzz",
+              "multiprocessing")
+    assert _under(loaded, banned) == []
+
+
+def test_atpg_run_loads_neither_bdd_nor_campaign_pool():
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "import repro.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert repro.cli.main(['ebergen']) == 0"
+    )
+    assert "repro.flow.flow" in loaded  # the run did run
+    banned = ("repro.bdd", "repro.campaign.runner", "repro.fuzz", "multiprocessing")
+    assert _under(loaded, banned) == []
