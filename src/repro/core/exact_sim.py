@@ -29,38 +29,55 @@ itself race, the machine state is a **set** of possible stable states:
   grows beyond ``max_set``, the simulation reports ``None`` and the
   caller falls back to ternary semantics (sound, never optimistic).
 
-This module owns no settling machinery of its own: all exploration
-routes through its module-level name ``settle_report``, bound to
+Most starts never reach an explorer.  Three-phase hands each machine
+its fault's lane of the work list's engine (the arena kernel random TPG
+already compiled, :func:`repro.sim.engine.engine_for`), and
+:func:`certify` first tries to prove the outcome there with
+Eichelberger's Algorithms A and B (Brzozowski & Seger, *Asynchronous
+Circuits*, 1995).  A over-approximates every value reachable under any
+gate delays; when the gates it leaves at Φ read one another without a
+cycle, every interleaving is finite, and a definite B result is then the
+one stable state every interleaving ends in (``docs/architecture.md``
+sketches the proof).  On Table 2 that settles about 85% of the starts.
+A definite B alone proves nothing about cycles: a gate that reads
+itself can chase its own value while the ternary result stays definite.
+
+The starts the certificate refuses, and those of a machine with no lane
+(a materialized netlist in tests), are explored through this module's
+module-level name ``settle_report``, bound to
 :func:`repro.sgraph.explore.reduced_settle_report`.  Only the stable
 states and the cycle and truncation flags are read here, never the
 height, so the stubborn-set-reduced explorer serves: it keeps every
 stable state and every reachable cycle (the two theorems in its
-docstring) and visits about a fifth of the states on Table 2.  Its cap
-counts reduced states, so a start the full explorer would cut short
-may finish here with an exact answer instead of falling back.  The
-CSSG keeps the full :func:`repro.sgraph.explore.settle_report`, whose
-heights its k-bound needs.  Both explorers enumerate excited gates
-through compiled functions of :mod:`repro.sim.engine`; a patched
-machine's is the good circuit's plus its patch.
+docstring).  Its cap counts reduced states, so a start the full
+explorer would cut short may finish here with an exact answer instead
+of falling back; so may a start the certificate proves, which is never
+capped.  The CSSG keeps the full
+:func:`repro.sgraph.explore.settle_report`, whose heights its k-bound
+needs.  Both explorers enumerate excited gates through compiled
+functions of :mod:`repro.sim.engine`; a patched machine's is the good
+circuit's plus its patch, compiled at the machine's first exploration.
 
-With metrics armed, each fallback is counted in
-``repro_exact_fallbacks_total{reason}``: ``oscillation``,
-``truncation`` or ``max_set``.
+With metrics armed, each start is counted in
+``repro_exact_starts_total{outcome}`` (``certified`` or ``explored``)
+and each fallback in ``repro_exact_fallbacks_total{reason}``:
+``oscillation``, ``truncation`` or ``max_set``.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Union
+from typing import FrozenSet, Optional, Sequence, Tuple, Union
 
+from repro._bits import iter_set_bits
 from repro.circuit.expr import compile_expr, program_vars
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.faultmodels import model_for_kind
 from repro.faultmodels.base import faulty_name
 from repro.obs import metrics as _obs
-from repro.sgraph.explore import _Stubborn
+from repro.sgraph.explore import _Stubborn, read_masks
 from repro.sgraph.explore import reduced_settle_report as settle_report
-from repro.sim.engine import patched_excited
+from repro.sim.engine import SimEngine, patched_excited
 
 FaultyStates = FrozenSet[int]
 
@@ -69,14 +86,20 @@ class PatchedMachine:
     """The faulty machine of ``fault`` as the good ``circuit`` plus a
     patch of the (at most two) gates the fault's model replaces.
 
+    * ``lane`` is ``(engine, j)`` when the fault is machine ``j`` of an
+      engine over the circuit, else None: :func:`certify` runs there.
+    * ``reads`` holds the :func:`~repro.sgraph.explore.read_masks` of
+      the patched supports: the certificate's feedback check walks them,
+      and the stubborn tables are built from them.
     * ``excited_signals`` is the good circuit's compiled excited-gate
       function with the patched gates re-evaluated, removed and
       re-inserted in ascending gate order: the very list the materialized
       netlist's would return, so the reduced explorer's tie-break, and
       with it every per-start state count, is unchanged.  The patch is
-      the machine's only compiled code.
+      the machine's only compiled code, compiled on first use, so a
+      machine whose every start is certified compiles nothing.
     * ``stubborn`` holds the reduced explorer's dependence masks, built
-      from the patched supports: a bridged gate reads its partner's
+      on first use from ``reads``: a bridged gate reads its partner's
       support as well, and a table built from the good supports would
       miss those dependences.
     * ``reset_state`` is the good reset as a tester forces it on the
@@ -88,29 +111,51 @@ class PatchedMachine:
         "circuit",
         "fault",
         "name",
-        "excited_signals",
-        "stubborn",
+        "lane",
+        "reads",
         "reset_state",
+        "_programs",
+        "_excited",
+        "_stubborn",
     )
 
-    def __init__(self, circuit: Circuit, fault: Fault):
+    def __init__(
+        self,
+        circuit: Circuit,
+        fault: Fault,
+        lane: Optional[Tuple[SimEngine, int]] = None,
+    ):
         model = model_for_kind(fault.kind)
         index_of = {s.name: s.index for s in circuit.signals}
-        programs = {
+        self._programs = {
             g: compile_expr(expr, index_of)
             for g, expr in model.replacements(circuit, fault).items()
         }
         self.circuit = circuit
         self.fault = fault
         self.name = faulty_name(circuit, fault)
-        self.excited_signals = patched_excited(circuit, programs, self.name)
-        self.stubborn = _Stubborn(
-            circuit, {g: program_vars(p) for g, p in programs.items()}
+        self.lane = lane
+        self.reads = read_masks(
+            circuit, {g: program_vars(p) for g, p in self._programs.items()}
         )
+        self._excited = None
+        self._stubborn: Optional[_Stubborn] = None
         reset = circuit.reset_state
         self.reset_state = (
             None if reset is None else model.forced_reset(circuit, fault, reset)
         )
+
+    @property
+    def excited_signals(self):
+        if self._excited is None:
+            self._excited = patched_excited(self.circuit, self._programs, self.name)
+        return self._excited
+
+    @property
+    def stubborn(self) -> _Stubborn:
+        if self._stubborn is None:
+            self._stubborn = _Stubborn(self.circuit, self.reads)
+        return self._stubborn
 
     def apply_input_pattern(self, state: int, pattern: int) -> int:
         """Drive the inputs to ``pattern``: an R_I step, as on the good
@@ -123,6 +168,16 @@ class PatchedMachine:
 Machine = Union[PatchedMachine, Circuit]
 
 
+def _started(outcome: str) -> None:
+    """Count one start settled by ``outcome`` (metrics armed only)."""
+    if _obs.enabled():
+        _obs.get_registry().counter(
+            "repro_exact_starts_total",
+            "Exact faulty-machine starts, by how each was settled.",
+            ("outcome",),
+        ).labels(outcome).inc()
+
+
 def _fallback(reason: str) -> None:
     """Count one fall back to ternary semantics (metrics armed only)."""
     if _obs.enabled():
@@ -133,9 +188,49 @@ def _fallback(reason: str) -> None:
         ).labels(reason).inc()
 
 
+def _feedback_free(gates: int, reads: Sequence[int]) -> bool:
+    """True when the gates of the bitmask ``gates`` read one another
+    without a cycle; a gate that reads itself is a cycle.  Peels, round
+    by round, the gates that read none of those left."""
+    while gates:
+        peel = 0
+        for g in iter_set_bits(gates):
+            if not reads[g] & gates:
+                peel |= 1 << g
+        if not peel:
+            return False
+        gates ^= peel
+    return True
+
+
+def certify(
+    engine: SimEngine, j: int, reads: Sequence[int], start: int
+) -> Optional[int]:
+    """The one stable state every interleaving from ``start`` ends in,
+    proved on machine ``j`` of ``engine``, or None when the proof fails.
+
+    Algorithm A runs from ``start``; the gates it leaves at Φ must read
+    one another without a cycle, and Algorithm B must then resolve every
+    one of them (:meth:`~repro.sim.engine.SimEngine.settle_lane_if`).
+    ``reads`` (see :func:`~repro.sgraph.explore.read_masks`) must
+    describe machine ``j``'s own gates: the patched supports for lane
+    ``j`` of the fault list's engine, the good ones for the fault-free
+    engine's lane 0."""
+    return engine.settle_lane_if(start, j, lambda phi: _feedback_free(phi, reads))
+
+
 def _settled(faulty: Machine, start: int, cap: int) -> Optional[FaultyStates]:
-    """Stable states reachable from ``start``, or None (counted) when the
-    machine may oscillate or the exploration hits ``cap``."""
+    """Stable states reachable from ``start``, certified on the
+    machine's lane when :func:`certify` can, else explored; None
+    (counted) when the machine may oscillate or the exploration hits
+    ``cap``."""
+    lane = faulty.lane if isinstance(faulty, PatchedMachine) else None
+    if lane is not None:
+        state = certify(lane[0], lane[1], faulty.reads, start)
+        if state is not None:
+            _started("certified")
+            return frozenset((state,))
+    _started("explored")
     report = settle_report(faulty, start, cap)
     if report.truncated:
         _fallback("truncation")

@@ -25,12 +25,14 @@ For one target fault the generator runs:
 Two faulty-machine semantics are available:
 
 * ``"exact"`` (default) — the faulty circuit is the good one with the
-  fault's (at most two) gates patched in, simulated with the
+  fault's (at most two) gates patched in; its state is a *set* of
+  possible stable states (see :mod:`repro.core.exact_sim`).  Each start
+  is first certified on the fault's lane of the generator's fault-list
+  engine, and only the starts that certificate refuses run the
   stubborn-set-reduced settling explorer, which keeps every stable
-  state and reachable cycle; its state is a *set* of possible stable
-  states (see :mod:`repro.core.exact_sim`).  Per fault it compiles one
-  small patch, never a whole faulty circuit.  Oscillation or set
-  blow-up falls back to ternary, never the reverse.
+  state and reachable cycle.  A fault compiles at most one small patch,
+  at its first explored start, never a whole faulty circuit.
+  Oscillation or set blow-up falls back to ternary, never the reverse.
 * ``"ternary"`` — the paper's machinery: Eichelberger simulation with
   the fault injected, conservative about races.  Each fault's machine is
   one lane of the generator's fault-list engine on the circuit's arena
@@ -94,9 +96,15 @@ class _ExactMachine:
     holds the ``None`` (fall back) outcome too, and dies with the fault.
     """
 
-    def __init__(self, circuit: Circuit, fault: Fault, cap: int):
+    def __init__(
+        self,
+        circuit: Circuit,
+        fault: Fault,
+        cap: int,
+        lane: Optional[Tuple[SimEngine, int]] = None,
+    ):
         self.circuit = circuit
-        self.faulty = exact_sim.PatchedMachine(circuit, fault)
+        self.faulty = exact_sim.PatchedMachine(circuit, fault, lane)
         self.cap = cap
         self._applied: Dict[
             Tuple[exact_sim.FaultyStates, int], Optional[exact_sim.FaultyStates]
@@ -175,8 +183,9 @@ class ThreePhaseGenerator:
         self._faults = tuple(faults)
         self._lane_of = {f: j for j, f in enumerate(self._faults)}
         #: The engine over ``faults``, looked up once, by the first
-        #: ternary machine of a listed fault: the cache key hashes every
-        #: fault, too much to pay per machine.
+        #: machine of a listed fault: the cache key hashes every fault,
+        #: too much to pay per machine.  Ternary machines run on its
+        #: lanes, and exact machines certify their starts there.
         self._engine: Optional[SimEngine] = None
 
     # -- phase 1 ---------------------------------------------------------
@@ -244,13 +253,14 @@ class ThreePhaseGenerator:
     # -- full per-fault flow ----------------------------------------------
 
     def _machine(self, fault: Fault, semantics: str):
-        if semantics == "exact":
-            return _ExactMachine(self.circuit, fault, self.settle_cap)
         j = self._lane_of.get(fault)
+        if j is not None and self._engine is None:
+            self._engine = engine_for(self.circuit, self._faults)
+        if semantics == "exact":
+            lane = None if j is None else (self._engine, j)
+            return _ExactMachine(self.circuit, fault, self.settle_cap, lane)
         if j is None:
             return _TernaryMachine(engine_for(self.circuit, (fault,)), 0)
-        if self._engine is None:
-            self._engine = engine_for(self.circuit, self._faults)
         return _TernaryMachine(self._engine, j)
 
     def generate(self, fault: Fault, max_activation_tries: int = 8) -> GenerationOutcome:

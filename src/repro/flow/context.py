@@ -85,11 +85,15 @@ class RunContext:
         outcome = self._outcomes.get(fault)
         if outcome is None:
             if self._generator is None:
+                # Its lanes are the faults still unclassified now: inside
+                # the random-TPG stage, the very list the walks run on,
+                # so the faulty machines reuse that stage's cached engine
+                # (replayed faults are already classified there too).
                 self._generator = ThreePhaseGenerator(
                     self.cssg,
                     self.options.max_product_states,
                     faulty_semantics=self.options.faulty_semantics,
-                    faults=self.work_list,
+                    faults=self.remaining(),
                 )
             outcome = self._generator.generate(
                 fault, self.options.max_activation_tries

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
+from repro._bits import iter_set_bits
 from repro.circuit.netlist import Circuit
 from repro.errors import StateGraphError
 from repro.obs import metrics as _obs
@@ -178,48 +179,51 @@ def _count(n_states: int, truncated: bool, explorer: str) -> None:
         ).inc()
 
 
+def read_masks(
+    circuit: Circuit, supports: Optional[Dict[int, Sequence[int]]] = None
+) -> List[int]:
+    """Per signal, the bitmask of the non-input signals its gate reads
+    (0 for an input; inputs never move while settling).  ``supports``
+    (gate index → support) overrides the supports of the gates a
+    patched faulty machine rewrites: a bridged gate reads its partner's
+    support too."""
+    supports = supports or {}
+    reads = [0] * circuit.n_signals
+    for gate in circuit.gates:
+        m = 0
+        for src in supports.get(gate.index, gate.support):
+            if src >= circuit.n_inputs:
+                m |= 1 << src
+        reads[gate.index] = m
+    return reads
+
+
 class _Stubborn:
     """A circuit's dependence masks, for the stubborn-set closure.
 
     Bit ``g`` of a mask is gate signal ``g``; inputs never move while
     settling, so no mask holds one.  ``cone[g]`` is gate ``g`` and every
     gate it reads, transitively; ``fan_cone[g]`` is the union of the
-    cones of the gates that read ``g``.  Built from the gates' supports
-    alone: no code is generated.  ``supports`` (gate index → support)
-    overrides the supports of the gates a patched faulty machine
-    rewrites: a bridged gate reads its partner's support too, so the
-    good circuit's tables would miss dependences there.
+    cones of the gates that read ``g``.  Built from the gates'
+    :func:`read_masks` alone: no code is generated.  A patched faulty
+    machine passes the masks of its patched supports, since the good
+    circuit's would miss the dependences a bridge adds.
     """
 
     __slots__ = ("cone", "fan_cone")
 
-    def __init__(
-        self, circuit: Circuit, supports: Optional[Dict[int, Sequence[int]]] = None
-    ):
-        supports = supports or {}
-        reads = [
-            (
-                gate.index,
-                [
-                    src
-                    for src in supports.get(gate.index, gate.support)
-                    if src >= circuit.n_inputs
-                ],
-            )
-            for gate in circuit.gates
-        ]
+    def __init__(self, circuit: Circuit, reads: Sequence[int]):
+        gates = [gate.index for gate in circuit.gates]
         cone = [0] * circuit.n_signals
-        for g, srcs in reads:
-            cone[g] = 1 << g
-            for src in srcs:
-                cone[g] |= 1 << src
-        for k, _ in reads:  # Warshall: close the read relation
-            for g, _ in reads:
+        for g in gates:
+            cone[g] = (1 << g) | reads[g]
+        for k in gates:  # Warshall: close the read relation
+            for g in gates:
                 if cone[g] >> k & 1:
                     cone[g] |= cone[k]
         fan_cone = [0] * circuit.n_signals
-        for g, srcs in reads:
-            for src in srcs:
+        for g in gates:
+            for src in iter_set_bits(reads[g]):
                 fan_cone[src] |= cone[g]
         self.cone = cone
         self.fan_cone = fan_cone
@@ -261,7 +265,7 @@ class _Stubborn:
 def _stubborn(circuit: Circuit) -> _Stubborn:
     tables = getattr(circuit, "_stubborn", None)
     if tables is None:
-        tables = circuit._stubborn = _Stubborn(circuit)
+        tables = circuit._stubborn = _Stubborn(circuit, read_masks(circuit))
     return tables
 
 

@@ -255,8 +255,11 @@ def _codegen_walk(circuit: Circuit, layout: WalkLayout) -> str:
     the current state, re-examining the gates whose exam mask meets
     the ``changed`` signal bitmask (every signal for an arbitrary
     state, only the rewritten ones for a state that had settled under
-    these arguments); ``(-3, 0)`` yields a snapshot ``((l...), (h...))``
-    of every signal word.
+    these arguments); ``(-4, changed)`` does the same but stops at
+    Algorithm A's fixpoint, and a later ``(-2, phi)``, with ``phi``
+    covering every signal A left at Φ in the machines read, finishes
+    Algorithm B for them; ``(-3, 0)`` yields a snapshot
+    ``((l...), (h...))`` of every signal word.
     """
     n_signals = circuit.n_signals
     n_inputs = circuit.n_inputs
@@ -285,7 +288,7 @@ def _codegen_walk(circuit: Circuit, layout: WalkLayout) -> str:
     _emit_observe(ap, "            ", circuit, "b", "det")
     ap("            r = det")
     ap("            continue")
-    ap("        elif a == -2:")
+    ap("        elif a == -2 or a == -4:")
     ap("            ac = b")
     ap("        else:")
     ap(f"            r = (({lows}), ({highs}))")
@@ -302,6 +305,8 @@ def _codegen_walk(circuit: Circuit, layout: WalkLayout) -> str:
     ap("        rounds = 0")
     ap("        while ac or pa:")
     ap("            if not ac:")
+    ap("                if a == -4:")
+    ap("                    break")
     ap("                pa = 0; ac = aev; rounds = 0")
     ap("                continue")
     ap("            nc = 0")

@@ -61,8 +61,9 @@ and the Algorithm A/B fixpoints are unique, so lane *j* of an engine is
 bit-for-bit the scalar machine of fault *j*.  That is how the
 three-phase generator and the undetectability classifier run their
 per-fault ternary machines on their fault list's engine
-(:meth:`SimEngine.lane_at_reset`, :meth:`SimEngine.apply_lane`),
-compiling nothing per fault.
+(:meth:`SimEngine.lane_at_reset`, :meth:`SimEngine.apply_lane`), and
+how the exact faulty machine certifies its starts
+(:meth:`SimEngine.settle_lane_if`), compiling nothing per fault.
 
 Engines are cached per ``(circuit, faults)``, so repeated construction
 (the scalar API's per-fault machines, a classifier and a generator over
@@ -77,7 +78,7 @@ from bisect import insort
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro._bits import mask
+from repro._bits import iter_set_bits, mask
 from repro.circuit.expr import OP_AND, OP_NOT, OP_OR, OP_VAR, OP_XOR, Program
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
@@ -369,6 +370,39 @@ class SimEngine:
         L = [(0 if (state >> i) & 1 else ones) for i in range(self.cc.n_signals)]
         H = [(ones if (state >> i) & 1 else 0) for i in range(self.cc.n_signals)]
         return L, H
+
+    def settle_lane_if(
+        self, state: int, j: int, accept: Callable[[int], bool]
+    ) -> Optional[int]:
+        """Machine ``j`` settled from the binary ``state``, or None.
+
+        Every machine starts from ``state`` (:meth:`broadcast`) and
+        Algorithm A runs alone.  ``accept`` is then shown the bitmask of
+        the signals A leaves at Φ on lane ``j``, if there are any.  When
+        it refuses, or Algorithm B leaves one of them at Φ, the result
+        is None; otherwise it is the definite state lane ``j`` ends in."""
+        gen = self._start(*self.broadcast(state))
+        gen.send((-4, self._all))
+        low, high = gen.send((-3, 0))
+        bit = 1 << j
+        phi = 0
+        for i in range(self.cc.n_inputs, self.cc.n_signals):
+            if low[i] & high[i] & bit:
+                phi |= 1 << i
+        if not phi:
+            return state
+        if not accept(phi):
+            return None
+        gen.send((-2, phi))
+        low, high = gen.send((-3, 0))
+        for i in iter_set_bits(phi):
+            if not high[i] & bit:
+                state &= ~(1 << i)
+            elif low[i] & bit:
+                return None
+            else:
+                state |= 1 << i
+        return state
 
     def reset_words(
         self, reset_state: Optional[int] = None

@@ -18,9 +18,15 @@ it contains no settle loop of its own, and its results are bit-identical
 to the historical sweep implementation the tests keep as their
 reference (``tests/fuzzer/reference.py``).
 
-If the final state is fully definite it is the *unique* stable successor
-under the unbounded gate-delay model; any remaining Φ conservatively
-signals possible non-confluence or oscillation.
+If the final state is fully definite, every stable state reachable under
+the unbounded gate-delay model equals it.  That does not rule out a
+gate-delay cycle: a gate that reads itself can chase its own value
+forever beside a path that settles (``SIDE_CYCLE_NET`` in
+``tests/test_explore.py``), and ternary simulation still ends definite.
+:func:`repro.core.exact_sim.certify` adds the missing half: when the
+gates Algorithm A leaves at Φ read one another without a cycle, every
+interleaving is finite.  A remaining Φ conservatively signals a
+possible race or oscillation.
 
 A single fault of any registered model can be injected: an ``input``
 pin force, an ``output`` constant, a ``bridging`` wired blend, or a
@@ -97,8 +103,10 @@ def settle(
 ) -> TernaryState:
     """Run Algorithm A then Algorithm B with primary inputs held.
 
-    Returns the ternary settling result; definite iff the circuit has a
-    unique stable successor reached without races (conservatively).
+    Returns the ternary settling result.  When it is definite, every
+    stable state reachable under any gate delays from a binary state
+    that ``tstate`` covers equals it, but the circuit may still
+    oscillate (see the module docstring).
     Accepts arbitrary start states (every gate is re-examined).
     """
     engine = _engine(circuit, fault)

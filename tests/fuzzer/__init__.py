@@ -25,7 +25,8 @@ through the differential oracle pairs (:mod:`fuzzer.oracles`):
   (:mod:`repro.fuzz.mutate`, which stays in the package because the
   benchmark draws its edits with it),
 * three-phase undetectability vs the classifier and random walks,
-* full vs stubborn-set-reduced exact settling.
+* full vs stubborn-set-reduced exact settling,
+* the exact machine's ternary certificate vs full exact settling.
 
 A divergence is auto-shrunk (:mod:`fuzzer.shrink`) to a minimal
 failing spec by the driver (:mod:`fuzzer.driver`), which maps seeds

@@ -1,4 +1,4 @@
-"""The seven differential oracle pairs every scenario runs through.
+"""The eight differential oracle pairs every scenario runs through.
 
 Each oracle compares two independent implementations that must agree;
 any disagreement is a :class:`Divergence` (a bug in one of the two, by
@@ -36,6 +36,12 @@ construction — there is no "expected output" file anywhere):
                truncation; a patched machine's reference is its
                materialized netlist, whose reduced report it must
                equal outright
+``certified``  the exact machine's ternary certificate
+               (:func:`repro.core.exact_sim.certify`, on the fault's
+               engine lane) vs the full settling explorer on the
+               materialized netlist, over the reduced-settle pair's
+               starts: a certified start has exactly one stable
+               outcome, the certified state, and no cycle
 ============   ====================================================
 
 Oracles assert exactly the documented contracts and no more: the
@@ -49,7 +55,8 @@ nothing either way, and the classifier is not complete.  The
 reduced-settle oracle compares nothing where the full explorer
 truncates; a start the reduced explorer finishes there is tallied as
 ``reduced_settle.full_truncated`` in the report's ``tallies``, apart
-from divergences.
+from divergences; so is a start the certificate proves where the full
+explorer truncates, as ``certified.full_truncated``.
 
 Everything is deterministic in ``(scenario, caps)``: internal RNGs are
 seeded from the scenario seed, so a divergence found in CI replays
@@ -152,6 +159,8 @@ class _Ctx:
         self.tallies: Dict[str, int] = {}
         self._cssg: Optional[Cssg] = None
         self._three_phase: Optional["_ThreePhaseRun"] = None
+        self._settle_starts: Optional[List[Tuple[exact_sim.Machine, int, int]]] = None
+        self._netlists: Dict[Fault, Circuit] = {}
 
     @property
     def cssg(self) -> Cssg:
@@ -164,6 +173,24 @@ class _Ctx:
         if self._three_phase is None:
             self._three_phase = _ThreePhaseRun(self)
         return self._three_phase
+
+    @property
+    def settle_starts(self) -> List[Tuple[exact_sim.Machine, int, int]]:
+        if self._settle_starts is None:
+            self._settle_starts = _settle_starts(self)
+        return self._settle_starts
+
+    def netlist_of(self, machine: exact_sim.Machine) -> Circuit:
+        """A patched machine's full-explorer reference: its fault's
+        materialized netlist, one per fault.  A netlist is its own."""
+        if isinstance(machine, Circuit):
+            return machine
+        netlist = self._netlists.get(machine.fault)
+        if netlist is None:
+            netlist = self._netlists[machine.fault] = materialize_fault(
+                machine.circuit, machine.fault
+            )
+        return netlist
 
     def fault_sample(self, model: str) -> List:
         """A deterministic spread through the model's universe."""
@@ -483,29 +510,29 @@ def _recording_exact_settles(
     sink: List[Tuple[exact_sim.Machine, int, int]]
 ) -> Iterator[None]:
     """Record every ``(machine, start, cap)`` the exact faulty machine
-    settles (a :class:`~repro.core.exact_sim.PatchedMachine`), by
-    rebinding :mod:`repro.core.exact_sim`'s module-level
-    ``settle_report`` (its one explorer entry) for the duration.  The
+    settles (a :class:`~repro.core.exact_sim.PatchedMachine`), certified
+    or explored, by rebinding :mod:`repro.core.exact_sim`'s module-level
+    ``_settled`` (its one per-start entry) for the duration.  The
     rebinding is process-wide; oracles run one scenario at a time."""
-    real = exact_sim.settle_report
+    real = exact_sim._settled
 
-    def record(machine: exact_sim.Machine, start: int, cap: int = 200_000):
+    def record(machine: exact_sim.Machine, start: int, cap: int):
         sink.append((machine, start, cap))
         return real(machine, start, cap)
 
-    exact_sim.settle_report = record
+    exact_sim._settled = record
     try:
         yield
     finally:
-        exact_sim.settle_report = real
+        exact_sim._settled = real
 
 
 class _ThreePhaseRun:
     """Three-phase generation on every sampled fault, shared by the
-    undetectable and reduced-settle pairs.  Every claim is relative to
-    one single-input-change CSSG: fuzzed specs can have 6+ primary
-    inputs, where the unbounded CSSG offers ~100 vectors per state and
-    each exhaustive search takes seconds per fault."""
+    undetectable, reduced-settle and certified pairs.  Every claim is
+    relative to one single-input-change CSSG: fuzzed specs can have 6+
+    primary inputs, where the unbounded CSSG offers ~100 vectors per
+    state and each exhaustive search takes seconds per fault."""
 
     def __init__(self, ctx: _Ctx):
         self.cssg = build_cssg(ctx.circuit, method="exact", max_input_changes=1)
@@ -571,18 +598,25 @@ def _oracle_undetectable(ctx: _Ctx) -> Tuple[int, List[str]]:
 _SEEDED_SETTLE_CAP = 2000
 
 
-def _oracle_reduced_settle(ctx: _Ctx) -> Tuple[int, List[str]]:
+def _settle_starts(ctx: _Ctx) -> List[Tuple[exact_sim.Machine, int, int]]:
+    """The distinct ``(machine, start, cap)`` starts of the
+    reduced-settle and certified pairs: every exact start of the shared
+    three-phase run, plus seeded starts per machine (a CSSG state under
+    a random input pattern, as a test cycle settles, and an arbitrary
+    state) on the good circuit and on each sampled fault's patched
+    machine, which carries its lane of the sample's engine."""
     c = ctx.circuit
-    starts = list(ctx.three_phase.exact_starts)
-    # Seeded starts: a CSSG state under a random input pattern (what a
-    # test cycle settles) and an arbitrary state, per machine.
+    run = ctx.three_phase
+    starts = list(run.exact_starts)
     rng = random.Random(f"fuzz-reduced-settle:{ctx.scenario.seed}")
-    stable = sorted(ctx.three_phase.cssg.states)
-    machines = [c] + [
-        exact_sim.PatchedMachine(c, f)
-        for model in model_names()
-        for f in ctx.fault_sample(model)
-    ]
+    stable = sorted(run.cssg.states)
+    machines: List[exact_sim.Machine] = [c]
+    if run.faults:
+        engine = engine_for(c, run.faults)
+        machines += [
+            exact_sim.PatchedMachine(c, f, (engine, j))
+            for j, f in enumerate(run.faults)
+        ]
     for machine in machines:
         for _ in range(ctx.caps.n_states // 4):
             pattern = rng.getrandbits(c.n_inputs)
@@ -591,22 +625,14 @@ def _oracle_reduced_settle(ctx: _Ctx) -> Tuple[int, List[str]]:
                  _SEEDED_SETTLE_CAP)
             )
             starts.append((machine, rng.getrandbits(c.n_signals), _SEEDED_SETTLE_CAP))
-    # A patched machine's full-explorer reference is its fault's
-    # materialized netlist, one per (circuit, fault).
-    netlists: Dict[Tuple[int, Fault], Circuit] = {}
-
-    def netlist_of(machine) -> Circuit:
-        if isinstance(machine, Circuit):
-            return machine
-        key = (id(machine.circuit), machine.fault)
-        if key not in netlists:
-            netlists[key] = materialize_fault(machine.circuit, machine.fault)
-        return netlists[key]
-
     distinct = {(id(start[0]),) + start[1:]: start for start in starts}
+    return list(distinct.values())
+
+
+def _oracle_reduced_settle(ctx: _Ctx) -> Tuple[int, List[str]]:
     checks, rescued, bad = 0, 0, []
-    for machine, start, cap in distinct.values():
-        netlist = netlist_of(machine)
+    for machine, start, cap in ctx.settle_starts:
+        netlist = ctx.netlist_of(machine)
         full = settle_report(netlist, start, cap)
         reduced = reduced_settle_report(machine, start, cap)
         checks += 1
@@ -634,6 +660,36 @@ def _oracle_reduced_settle(ctx: _Ctx) -> Tuple[int, List[str]]:
     return checks, bad
 
 
+def _oracle_certified(ctx: _Ctx) -> Tuple[int, List[str]]:
+    c = ctx.circuit
+    good_lane = (engine_for(c), 0)
+    good_reads = exact_sim.read_masks(c)
+    checks, rescued, bad = 0, 0, []
+    for machine, start, cap in ctx.settle_starts:
+        if isinstance(machine, Circuit):
+            (engine, j), reads = good_lane, good_reads
+        else:
+            (engine, j), reads = machine.lane, machine.reads
+        state = exact_sim.certify(engine, j, reads, start)
+        if state is None:
+            continue
+        netlist = ctx.netlist_of(machine)
+        full = settle_report(netlist, start, cap)
+        if full.truncated:
+            rescued += 1
+            continue
+        checks += 1
+        if full.has_cycle or full.stable_states != {state}:
+            bad.append(
+                f"{netlist.name} from {netlist.state_bits(start)}: certified "
+                f"{netlist.state_bits(state)}; full "
+                f"stable={sorted(full.stable_states)} cycle={full.has_cycle}"
+            )
+    if rescued:
+        ctx.tallies["certified.full_truncated"] = rescued
+    return checks, bad
+
+
 ORACLES: Dict[str, Callable[[_Ctx], Tuple[int, List[str]]]] = {
     "settle": _oracle_settle,
     "cssg": _oracle_cssg,
@@ -642,6 +698,7 @@ ORACLES: Dict[str, Callable[[_Ctx], Tuple[int, List[str]]]] = {
     "incremental": _oracle_incremental,
     "undetectable": _oracle_undetectable,
     "reduced_settle": _oracle_reduced_settle,
+    "certified": _oracle_certified,
 }
 
 
@@ -650,7 +707,7 @@ def oracle_names() -> Tuple[str, ...]:
 
     >>> oracle_names()  # doctest: +NORMALIZE_WHITESPACE
     ('settle', 'cssg', 'faults', 'kernels', 'incremental', 'undetectable',
-     'reduced_settle')
+     'reduced_settle', 'certified')
     """
     return tuple(ORACLES)
 

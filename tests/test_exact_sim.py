@@ -17,12 +17,14 @@ from repro.core.exact_sim import (
     faulty_apply,
     faulty_detects,
     faulty_reset_states,
+    read_masks,
 )
 from repro.faultmodels import model_names
 from repro.sgraph.cssg import build_cssg
 from repro.sgraph.explore import _stubborn
 from repro.sim import ternary
-from repro.sim.engine import compiled
+from repro.sim import engine
+from repro.sim.engine import compiled, engine_for
 
 
 def test_materialize_output_fault(celem):
@@ -134,9 +136,39 @@ def test_patched_machine_is_the_materialized_netlist(name, style):
             tables = _stubborn(netlist)
             assert machine.stubborn.cone == tables.cone
             assert machine.stubborn.fan_cone == tables.fan_cone
+            assert machine.reads == read_masks(netlist)
             excited = compiled(netlist).excited_signals
             for state in states:
                 assert machine.excited_signals(state) == excited(state), (
                     fault,
                     state,
                 )
+
+
+def test_machine_compiles_its_patch_at_its_first_explored_start(celem, monkeypatch):
+    """A certified start compiles nothing; the first start the
+    certificate refuses compiles the machine's patch, once."""
+    compiles = []
+    real_exec = engine._exec
+
+    def spy(src, filename):
+        compiles.append(filename)
+        return real_exec(src, filename)
+
+    monkeypatch.setattr(engine, "_exec", spy)
+    faults = input_fault_universe(celem)
+    fault = Fault("input", celem.index("a"), celem.index("A"), 1)
+    lane = (engine_for(celem, faults), faults.index(fault))
+    machine = PatchedMachine(celem, fault, lane)
+    states = faulty_reset_states(machine, machine.reset_state)
+    assert not [f for f in compiles if f.startswith("<patch:")]
+    # B rises with a stuck high: c, which reads itself, is left at Φ.
+    after = faulty_apply(machine, states, 0b10)
+    after_again = faulty_apply(machine, states, 0b11)
+    assert [f for f in compiles if f.startswith("<patch:")] == [
+        f"<patch:{machine.name}>"
+    ]
+    netlist = materialize_fault(celem, fault)
+    assert states == faulty_reset_states(netlist, netlist.require_reset())
+    assert after == faulty_apply(netlist, states, 0b10)
+    assert after_again == faulty_apply(netlist, states, 0b11)

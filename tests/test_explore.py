@@ -9,14 +9,15 @@ import pytest
 from repro.benchmarks_data import TABLE1_NAMES, TABLE2_NAMES
 from repro.campaign import plan, runner
 from repro.campaign.plan import CampaignSpec
-from repro.circuit.faults import materialize_fault
+from repro.circuit.faults import Fault, fault_universe, materialize_fault
 from repro.circuit.parser import parse_netlist
 from repro.core import exact_sim
 from repro.errors import StateGraphError
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.sgraph.explore import SettleReport, reduced_settle_report, settle_report
-from repro.sim.engine import compiled
+from repro.sim import ternary
+from repro.sim.engine import compiled, engine_for
 
 
 def reference_settle_report(circuit, start: int, cap: int = 200_000) -> SettleReport:
@@ -199,7 +200,10 @@ def corpus_starts():
     distinct settle one pass of Table 1 or Table 2 (all circuits x the
     four fault models) issues, from CSSG construction (``"cssg"``, on
     the good circuit) or from the exact faulty machine (``"exact"``, on
-    a :class:`~repro.core.exact_sim.PatchedMachine`)."""
+    a :class:`~repro.core.exact_sim.PatchedMachine`).  Exact starts are
+    recorded where the machine settles them (``exact_sim._settled``),
+    before the certificate answers most of them, so the differentials
+    below see every start, certified or explored."""
     calls: Dict[Tuple[str, str], Dict] = {}
 
     def recorder(table, caller, real):
@@ -226,8 +230,8 @@ def corpus_starts():
                 recorder(table, "cssg", settle_report),
             )
             patch.setattr(
-                "repro.core.exact_sim.settle_report",
-                recorder(table, "exact", exact_sim.settle_report),
+                "repro.core.exact_sim._settled",
+                recorder(table, "exact", exact_sim._settled),
             )
             for job in plan.expand(spec):
                 runner.execute_job(job)
@@ -291,6 +295,44 @@ def test_cycle_beside_a_stable_branch():
     assert report.oscillating and report.longest_path is None
     (settled,) = report.stable_states
     assert circuit.value(settled, "o") == 1 and circuit.value(settled, "e") == 0
+
+
+def _good_certificate(circuit, start):
+    """The certificate run on the good circuit itself (lane 0 of its
+    fault-free engine)."""
+    return exact_sim.certify(
+        engine_for(circuit), 0, exact_sim.read_masks(circuit), start
+    )
+
+
+def test_definite_ternary_settle_does_not_rule_out_a_cycle():
+    """Ternary settles the side cycle to a definite state, yet the
+    explorer finds the gate-delay cycle through o, which reads itself:
+    the certificate must refuse it."""
+    circuit = parse_netlist(SIDE_CYCLE_NET)
+    started = circuit.apply_input_pattern(circuit.require_reset(), 1)
+    settled = ternary.settle(circuit, ternary.from_binary(started, circuit.n_signals))
+    assert ternary.is_definite(settled)
+    assert settle_report(circuit, started).oscillating
+    assert _good_certificate(circuit, started) is None
+
+
+@pytest.mark.parametrize(
+    "fixture, pattern", [("race", 0b01), ("oscillator", 1)]
+)
+def test_certificate_refuses_races_and_oscillation(fixture, pattern, request):
+    circuit = request.getfixturevalue(fixture)
+    started = circuit.apply_input_pattern(circuit.require_reset(), pattern)
+    report = settle_report(circuit, started)
+    assert report.nonconfluent or report.oscillating
+    assert _good_certificate(circuit, started) is None
+
+
+def test_certificate_proves_a_feedback_free_settle():
+    circuit = parse_netlist(SIX_BUFFERS_NET)
+    started = circuit.apply_input_pattern(circuit.require_reset(), 0b111111)
+    (settled,) = settle_report(circuit, started).stable_states
+    assert _good_certificate(circuit, started) == settled
 
 
 # -- the stubborn-set-reduced explorer against the full one ---------------
@@ -357,6 +399,39 @@ def test_reduced_matches_full_on_every_corpus_exact_start(corpus_starts, table):
         # no result (see test_cap_counts_reduced_states).
         assert not settle_report(netlist, start, cap).truncated
         assert patched == _same_outcome(netlist, start, cap)
+
+
+def _certified(machine, start):
+    """The certificate's answer on the machine's lane (None: refused)."""
+    engine, j = machine.lane
+    return exact_sim.certify(engine, j, machine.reads, start)
+
+
+@pytest.mark.parametrize("table", ["table1", "table2"])
+def test_certified_matches_full_on_every_corpus_exact_start(corpus_starts, table):
+    """Every start the certificate proves has exactly the full
+    explorer's outcome on the materialized faulty netlist: one stable
+    state, the certified one, and no cycle."""
+    starts = corpus_starts[table, "exact"]
+    certified = 0
+    for machine, start, cap in starts:
+        state = _certified(machine, start)
+        if state is None:
+            continue
+        certified += 1
+        full = settle_report(materialized(machine), start, cap)
+        assert not full.truncated and not full.has_cycle
+        assert full.stable_states == {state}
+    assert certified > len(starts) / 2  # measured: 89 of 141, 444 of 506
+
+
+def test_certificate_settles_most_table2_exact_starts(corpus_starts):
+    """Deterministic floor (measured: 444 of the 506 distinct starts
+    certified); the rest still reach the explorer."""
+    starts = corpus_starts["table2", "exact"]
+    certified = sum(_certified(m, s) is not None for m, s, _ in starts)
+    assert certified >= 400
+    assert certified < len(starts)
 
 
 def test_reduced_explores_at_most_half_the_table2_states(corpus_starts):
@@ -491,3 +566,18 @@ def test_exact_fallbacks_are_counted_by_reason(celem, race, oscillator, fresh_me
     obs_metrics.disable()
     assert exact_sim.faulty_apply(oscillator, frozenset([osc_reset]), 1) is None
     assert registry.value("repro_exact_fallbacks_total", "oscillation") == 1
+
+
+def test_exact_starts_are_counted_by_outcome(celem, fresh_metrics):
+    faults = fault_universe(celem, "input")
+    fault = Fault("input", celem.index("a"), celem.index("A"), 1)
+    lane = (engine_for(celem, faults), faults.index(fault))
+    machine = exact_sim.PatchedMachine(celem, fault, lane)
+    registry = obs_metrics.enable(MetricsRegistry())
+    states = exact_sim.faulty_reset_states(machine, machine.reset_state)
+    exact_sim.faulty_apply(machine, states, 0b10)  # c reads itself at Φ
+    assert registry.value("repro_exact_starts_total", "certified") == 1
+    assert registry.value("repro_exact_starts_total", "explored") == 1
+    obs_metrics.disable()
+    exact_sim.faulty_apply(machine, states, 0b10)
+    assert registry.value("repro_exact_starts_total", "explored") == 1

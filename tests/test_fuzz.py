@@ -327,5 +327,5 @@ def test_run_scenario_rejects_unknown_oracle():
         run_scenario(scenario, ("nope",), OracleCaps())
     assert oracle_names() == (
         "settle", "cssg", "faults", "kernels", "incremental", "undetectable",
-        "reduced_settle",
+        "reduced_settle", "certified",
     )
