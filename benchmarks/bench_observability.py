@@ -3,9 +3,9 @@
 The observability layer's contract is that it is safe to leave in the
 code: disabled, instrumented sites cost one switch check per call
 site; enabled, they only count, and publish their counts at
-boundaries (the BDD manager at GC and at the end of a build),
-never per operation, so even armed collection stays within noise of
-the uninstrumented timings.  This bench measures exactly that on two
+boundaries (the BDD manager at the end of a build), never per
+operation, so even armed collection stays within noise of the
+uninstrumented timings.  This bench measures exactly that on two
 instrumented kernels:
 
 * exhaustive settling (:func:`repro.sgraph.explore.settle_report`),
@@ -13,8 +13,8 @@ instrumented kernels:
   every start the CSSG construction settles on the largest Table-2
   circuit, and
 * the symbolic reachability image microbench on ``wide_handshake(10)``
-  (the :mod:`bench_symbolic` workload) at a 5,000-node GC threshold,
-  so armed ``bdd.gc`` boundaries are part of the timed path,
+  (the :mod:`bench_symbolic` workload), ending in the manager's
+  metrics flush, so the armed publication is part of the timed path,
 
 each run alternately with telemetry fully armed (metrics + ambient
 tracer) and fully off, call by call, in best-of-5 samples (see
@@ -167,8 +167,10 @@ def test_symbolic_image_overhead():
     circuit = wide_handshake(10)
 
     def run_reach():
-        s = SymbolicTcsg(circuit, auto_gc_nodes=5_000)
-        return s.count_states(s.reachable())
+        s = SymbolicTcsg(circuit)
+        count = s.count_states(s.reachable())
+        s.mgr.publish_metrics()
+        return count
 
     def run_off():
         obs_metrics.disable()
@@ -180,9 +182,9 @@ def test_symbolic_image_overhead():
             return run_reach()
 
     assert run_off() == run_on()  # same reachable state count
-    # Armed, the fixpoint crosses at least one GC boundary: the span and
-    # the metric flush there are on the timed path.
-    assert obs_metrics.get_registry().value("repro_bdd_gc_passes_total") >= 1
+    # Armed, the end-of-build flush publishes the cache counters: the
+    # metric flush is on the timed path.
+    assert obs_metrics.get_registry().value("repro_bdd_cache_lookups_total") >= 1
     t_off, t_on, overhead = interleaved_overhead(run_off, run_on)
     print(
         f"\nimage m=10: off {1e3 * t_off:.1f}ms vs armed "

@@ -2,9 +2,10 @@
 
 Builds the CSSG of the largest bundled Table-1 specs both ways (exact
 vs symbolic), and of the fork-join family (hybrid — what ``auto``
-picks at these sizes — vs symbolic), checks each pair of graphs is
-equal, and writes the timings, BDD peaks and GC passes to
-``benchmarks/out/BENCH_symbolic.json``.  No speed assertion: at ≤13
+picks at these sizes — vs symbolic, N = 10..16), checks each pair of
+graphs is equal, then builds fork-join at N = 24..40 symbolically only
+(hybrid would walk 2**N interleavings), and writes the timings and BDD
+node counts to ``benchmarks/out/BENCH_symbolic.json``.  No speed assertion: at ≤13
 signals explicit enumeration is expected to win, while fork-join is the
 workload the symbolic kernel exists for; the JSON rows record the
 trajectory and the data behind ``auto``'s signal-count limit.  The arena
@@ -123,7 +124,7 @@ def test_cssg_build_timing_on_largest_specs():
 
 def test_fork_join_hybrid_vs_symbolic():
     """Hybrid vs symbolic CSSG build on the fork-join family —
-    equality-checked; timings, BDD peaks and GC passes recorded."""
+    equality-checked; timings and BDD peaks recorded."""
     rows = []
     for n in (10, 12, 14, 16):
         circuit = fork_join(n)
@@ -145,13 +146,36 @@ def test_fork_join_hybrid_vs_symbolic():
                 "hybrid_ms": round(1000 * t_hybrid, 2),
                 "symbolic_ms": round(1000 * t_symbolic, 2),
                 "peak_bdd_nodes": symbolic.stats.peak_bdd_nodes,
-                "gc_passes": symbolic.stats.n_gc_passes,
             }
         )
         print(
             f"\nfork-join N={n} ({circuit.n_signals} signals): hybrid "
             f"{1000 * t_hybrid:.1f}ms vs symbolic {1000 * t_symbolic:.1f}ms "
-            f"(peak {symbolic.stats.peak_bdd_nodes} nodes, "
-            f"{symbolic.stats.n_gc_passes} GC passes)"
+            f"(peak {symbolic.stats.peak_bdd_nodes} nodes)"
         )
     _results["fork_join"] = rows
+
+
+def test_fork_join_symbolic_scaling():
+    """Symbolic-only fork-join builds past hybrid's reach — seconds and
+    BDD nodes recorded, no floor; the CSSG keeps its 2 states."""
+    rows = []
+    for n in (24, 32, 40):
+        circuit = fork_join(n)
+        t_symbolic, symbolic = best_of(
+            lambda c=circuit: build_cssg(c, method="symbolic")
+        )
+        assert symbolic.n_states == 2
+        rows.append(
+            {
+                "n": n,
+                "n_signals": circuit.n_signals,
+                "symbolic_s": round(t_symbolic, 3),
+                "peak_bdd_nodes": symbolic.stats.peak_bdd_nodes,
+            }
+        )
+        print(
+            f"\nfork-join N={n} ({circuit.n_signals} signals): symbolic "
+            f"{t_symbolic:.2f}s ({symbolic.stats.peak_bdd_nodes} nodes)"
+        )
+    _results["fork_join_symbolic"] = rows

@@ -14,8 +14,9 @@ Public API quick map:
 * simulation — :mod:`repro.sim` (ternary + parallel fault simulation)
 * state graphs — :func:`settle_report`, :func:`build_cssg` (methods
   exact / ternary / hybrid / symbolic), :class:`SymbolicTcsg`
-* BDD kernel — :class:`BddManager` (complement edges, unified ITE, GC,
-  a static variable order; the seed manager is a test-only oracle)
+* BDD kernel — :class:`BddManager` (complement edges, unified ITE, an
+  append-only store, a static variable order; the seed manager is a
+  test-only oracle)
 * STGs — :func:`parse_stg`, :func:`load_stg`, :func:`build_state_graph`,
   :func:`synthesize`
 * ATPG flow — :class:`Flow` (staged pipeline; ``Flow.default()`` is the

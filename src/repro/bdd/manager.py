@@ -29,23 +29,11 @@ Design notes:
   (``_var`` / ``_lo`` / ``_hi``) indexed by node id.  The unique table
   and the operation cache are keyed by one packed integer each (no
   tuple allocation or tuple hashing on any hot path), backed by the
-  runtime's open-addressed hash table.  The free list is an index
-  chain threaded through ``_lo`` (``_free_head`` → ``_lo[node]`` → …),
-  so reclaiming and reusing a slot is two array writes — no side list,
-  no set membership tests.
-* **Mark-and-sweep GC.**  :meth:`collect` marks from registered roots
-  (:meth:`add_root`) plus any refs passed in (one flat ``bytearray``
-  of marks, no hash sets), sweeps dead nodes onto the free chain, and
-  invalidates the operation cache (freed ids may be re-allocated to
-  different functions).  Node ids of surviving nodes do not move, so
-  live references stay valid across collections.
-* **Housekeeping is explicit.**  GC runs only from :meth:`collect` /
-  :meth:`checkpoint`, never from inside an operation, so intermediate
-  results of a running computation cannot be reclaimed.  Long-running
-  clients (the symbolic CSSG builder) register their persistent
-  functions as roots and call ``checkpoint()`` at iteration boundaries;
-  the manager then collects when the node count crosses the configured
-  threshold.
+  runtime's open-addressed hash table.
+* **Append-only.**  Nodes are hash-consed and never reclaimed: node ids
+  never move and cache entries never go stale, so no operation needs
+  roots, safe points or cache invalidation.  Each symbolic build owns
+  its manager, so the store is returned whole when the build ends.
 """
 
 from __future__ import annotations
@@ -83,66 +71,37 @@ _USHIFT = 35
 class BddStats:
     """Counters the manager keeps about itself.
 
-    ``peak_nodes`` is the high-water mark of allocated-and-not-freed
-    nodes (terminal included); ``n_gc_passes`` counts completed
-    :meth:`~BddManager.collect` runs; ``cache_hits`` / ``cache_lookups``
-    profile the shared operation cache.
+    ``n_allocated`` counts nodes ever made (terminal included); nothing
+    is freed, so it is also the store's size and its peak.
+    ``cache_hits`` / ``cache_lookups`` profile the shared operation
+    cache.
     """
 
-    peak_nodes: int = 0
     n_allocated: int = 0
-    n_freed: int = 0
-    n_gc_passes: int = 0
     cache_hits: int = 0
     cache_lookups: int = 0
 
-    def to_json_dict(self) -> Dict:
-        return {
-            "peak_nodes": self.peak_nodes,
-            "n_allocated": self.n_allocated,
-            "n_freed": self.n_freed,
-            "n_gc_passes": self.n_gc_passes,
-            "cache_hits": self.cache_hits,
-            "cache_lookups": self.cache_lookups,
-        }
-
 
 class BddManager:
-    """Hash-consed ROBDD store with complement edges and GC.
+    """Hash-consed, append-only ROBDD store with complement edges."""
 
-    ``auto_gc_nodes`` arms :meth:`checkpoint`: when the live node count
-    crosses the threshold at a checkpoint, the manager garbage-collects
-    against the registered roots.  It defaults to off, in which case
-    the manager never reclaims behind a caller's back.
-    """
-
-    def __init__(self, n_vars: int = 0, auto_gc_nodes: Optional[int] = None):
+    def __init__(self, n_vars: int = 0):
         # Node 0 is the shared terminal (constant FALSE as a regular
         # reference; TRUE is its complement).
         self._var: List[int] = [-1]
         self._lo: List[int] = [FALSE]
         self._hi: List[int] = [FALSE]
         self._unique: Dict[int, int] = {}
-        # Free slots form an index chain threaded through _lo:
-        # _free_head -> _lo[_free_head] -> ... -> -1.  A slot is free
-        # iff its _var entry is -1 (node 0, the terminal, aside).
-        self._free_head: int = -1
         self._cache: Dict[int, int] = {}
         self._var2level: List[int] = []
         self._level2var: List[int] = []
-        self._roots: Dict[int, int] = {}
         self._quant_tags: Dict[frozenset, int] = {}
         self._subst_tags: Dict[Tuple, int] = {}
-        self.stats = BddStats(peak_nodes=1, n_allocated=1)
+        self.stats = BddStats(n_allocated=1)
         # Watermark of counters already pushed to the metrics registry:
-        # _publish_metrics emits deltas against this, at GC boundaries
-        # only, so the hot ITE path carries no metric code.
+        # publish_metrics emits deltas against this, at the end of a
+        # build only, so the hot ITE path carries no metric code.
         self._published = BddStats()
-        self.auto_gc_nodes = auto_gc_nodes
-        self._next_gc = auto_gc_nodes if auto_gc_nodes is not None else 0
-        # Allocated-and-not-freed node count (terminal included),
-        # maintained incrementally — the GC trigger metric.
-        self._n_live = 1
         self.n_vars = 0
         for _ in range(n_vars):
             self.new_var()
@@ -168,23 +127,12 @@ class BddManager:
         key = (var << _USHIFT | lo) << _USHIFT | hi
         node = self._unique.get(key)
         if node is None:
-            node = self._free_head
-            if node != -1:
-                self._free_head = self._lo[node]
-                self._var[node] = var
-                self._lo[node] = lo
-                self._hi[node] = hi
-            else:
-                node = len(self._var)
-                self._var.append(var)
-                self._lo.append(lo)
-                self._hi.append(hi)
+            node = len(self._var)
+            self._var.append(var)
+            self._lo.append(lo)
+            self._hi.append(hi)
             self._unique[key] = node
-            stats = self.stats
-            stats.n_allocated += 1
-            self._n_live += 1
-            if self._n_live > stats.peak_nodes:
-                stats.peak_nodes = self._n_live
+            self.stats.n_allocated += 1
         return (node << 1) | neg
 
     def var(self, i: int) -> int:
@@ -214,12 +162,6 @@ class BddManager:
                 f = self._mk(v, f, FALSE)
         return f
 
-    @property
-    def n_nodes(self) -> int:
-        """Allocated, not-yet-reclaimed nodes (terminal included).  After
-        a :meth:`collect` this is exactly the live node count."""
-        return self._n_live
-
     def set_order(self, order: Sequence[int]) -> None:
         """Install the variable order (``order[level] = var``).
 
@@ -229,9 +171,7 @@ class BddManager:
         never reordered.
         """
         for node in range(1, len(self._var)):
-            if self._var[node] >= 0 and (
-                self._lo[node] > TRUE or self._hi[node] > TRUE
-            ):
+            if self._lo[node] > TRUE or self._hi[node] > TRUE:
                 raise BddError(
                     "set_order on a manager with multi-level nodes "
                     "(the order must be set before any BDD is built)"
@@ -790,40 +730,13 @@ class BddManager:
             stack.append(self._hi[node] >> 1)
         return len(seen)
 
-    # -- roots and garbage collection -------------------------------------
-
-    def add_root(self, ref: int) -> int:
-        """Register ``ref`` as a GC root; returns ``ref``.
-        Balanced by :meth:`remove_root` (a ref may be registered more
-        than once; it stays a root until every registration is removed)."""
-        self._roots[ref] = self._roots.get(ref, 0) + 1
-        return ref
-
-    def remove_root(self, ref: int) -> None:
-        count = self._roots.get(ref)
-        if count is None:
-            raise BddError(f"ref {ref} is not a registered root")
-        if count == 1:
-            del self._roots[ref]
-        else:
-            self._roots[ref] = count - 1
-
-    def roots(self) -> List[int]:
-        return list(self._roots)
+    # -- metrics ---------------------------------------------------------------
 
     def publish_metrics(self) -> None:
-        """Flush kernel counter deltas to the ambient metrics registry.
-
-        Happens automatically at GC boundaries; call it explicitly
-        at the end of a workload whose circuit is small enough never to
-        trigger housekeeping (the symbolic CSSG builder does)."""
-        self._publish_metrics()
-
-    def _publish_metrics(self) -> None:
-        """Push kernel counters into the ambient metrics registry as
-        deltas since the last publication.  Called from :meth:`collect`
-        and :meth:`publish_metrics` — housekeeping and end-of-workload
-        boundaries — never the per-operation paths."""
+        """Push the cache counters into the ambient metrics registry as
+        deltas since the last publication.  Call it at the end of a
+        workload (the symbolic CSSG builder does), never on the
+        per-operation paths."""
         from repro.obs import metrics as obs
 
         if not obs.enabled():
@@ -835,71 +748,8 @@ class BddManager:
              "ITE operation-cache hits."),
             ("cache_lookups", "repro_bdd_cache_lookups_total",
              "ITE operation-cache lookups."),
-            ("n_gc_passes", "repro_bdd_gc_passes_total",
-             "Completed mark-and-sweep passes."),
-            ("n_freed", "repro_bdd_nodes_freed_total",
-             "BDD nodes reclaimed by GC."),
         ):
             delta = getattr(s, attr) - getattr(pub, attr)
             if delta:
                 reg.counter(name, help_text).inc(delta)
                 setattr(pub, attr, getattr(s, attr))
-
-    def collect(self, roots: Iterable[int] = ()) -> int:
-        """Mark-and-sweep: free every node not reachable from the
-        registered roots plus ``roots``; returns the number freed.
-
-        The operation cache is invalidated (freed ids may be re-used by
-        later allocations), but surviving node ids do not move — any
-        reference whose function was marked stays valid.
-        """
-        from repro.obs.trace import get_tracer
-
-        with get_tracer().span("bdd.gc", nodes=self.n_nodes):
-            freed = self._collect(roots)
-        self._publish_metrics()
-        return freed
-
-    def _collect(self, roots: Iterable[int] = ()) -> int:
-        var_arr, lo_arr, hi_arr = self._var, self._lo, self._hi
-        marks = bytearray(len(var_arr))
-        marks[0] = 1
-        stack = [r >> 1 for r in self._roots]
-        stack.extend(r >> 1 for r in roots)
-        while stack:
-            node = stack.pop()
-            if marks[node]:
-                continue
-            marks[node] = 1
-            stack.append(lo_arr[node] >> 1)
-            stack.append(hi_arr[node] >> 1)
-        unique = self._unique
-        free_head = self._free_head
-        freed = 0
-        for node in range(1, len(var_arr)):
-            v = var_arr[node]
-            if v < 0 or marks[node]:
-                continue  # already on the free chain, or live
-            del unique[(v << _USHIFT | lo_arr[node]) << _USHIFT | hi_arr[node]]
-            var_arr[node] = -1
-            lo_arr[node] = free_head
-            free_head = node
-            freed += 1
-        self._free_head = free_head
-        self._cache.clear()
-        self._n_live -= freed
-        self.stats.n_freed += freed
-        self.stats.n_gc_passes += 1
-        return freed
-
-    def checkpoint(self) -> None:
-        """Housekeeping safe point for long computations.
-
-        If the configured threshold is crossed, garbage-collect against
-        the registered roots.  Callers must register (or have already
-        registered) every reference they intend to use afterwards —
-        anything unreachable from the roots is reclaimed.
-        """
-        if self.auto_gc_nodes is not None and self.n_nodes >= self._next_gc:
-            self.collect()
-            self._next_gc = max(self.auto_gc_nodes, 2 * self.n_nodes)

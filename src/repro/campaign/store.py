@@ -269,7 +269,9 @@ class ResultStore:
         return self._write(key, payload, "results")
 
     def has(self, key: str) -> bool:
-        return self.path_for(key).exists()
+        """Whether :meth:`get` would hit (uncounted): a torn entry is
+        absent here too."""
+        return self._load(self.path_for(key)) is not None
 
     def delete(self, key: str) -> bool:
         try:

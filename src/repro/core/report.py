@@ -33,8 +33,10 @@ class TableRow:
     and ``cssg_method`` the resolved construction method;
     ``tcsg_states`` is the total test-mode reachable state count (the
     paper-table metric, computed by the symbolic builder; 0 = not
-    computed).  ``peak_bdd_nodes`` / ``gc_passes`` / ``image_iters``
-    profile the symbolic kernel, zero for explicit constructions.
+    computed).  ``peak_bdd_nodes`` (every node the append-only kernel
+    allocated) and ``image_iters`` profile the symbolic kernel, zero
+    for explicit constructions; ``gc_passes`` and ``reorders`` are
+    always 0 (the kernel neither collects nor reorders).
 
     ``models`` carries the coverage of any *non-stuck-at* fault-model
     runs of the variant as compact ``model:covered/total`` entries,
@@ -59,7 +61,7 @@ class TableRow:
     cssg_edges: int = 0
     tcsg_states: int = 0
     peak_bdd_nodes: int = 0
-    gc_passes: int = 0
+    gc_passes: int = 0  # always 0 (no GC); kept as a CSV column
     reorders: int = 0  # always 0 (no reordering); kept as a CSV column
     image_iters: int = 0
     models: str = ""

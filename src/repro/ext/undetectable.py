@@ -149,9 +149,7 @@ def classify_undetectable(
             sym = SymbolicTcsg(cssg.circuit)
             # One transient-inclusive reachability computation shared
             # by every fault.
-            reachable = sym.mgr.add_root(
-                sym.reachable(sym.state_bdd(cssg.reset))
-            )
+            reachable = sym.reachable(sym.state_bdd(cssg.reset))
         except StateGraphError:
             sym = None  # fall back to the explicit CSSG walk
     result: Dict[Fault, Classification] = {}
@@ -160,10 +158,6 @@ def classify_undetectable(
     for j, fault in enumerate(faults):
         if sym is not None:
             never = _never_excited_symbolic(sym, reachable, fault)
-            # Per-fault faulty-function garbage has no further use;
-            # let the manager's auto-GC reclaim it at this safe
-            # point (the reachable set and encoding are rooted).
-            sym.mgr.checkpoint()
         else:
             never = _never_excited(cssg, fault)
         if never:

@@ -31,7 +31,7 @@ from repro.sgraph.explore import settle_report
 class CssgStats:
     """Construction accounting: vector-validity counters, plus — for the
     symbolic builder — the paper-table state counts and kernel metrics
-    (peak BDD nodes, GC passes, image iterations)."""
+    (peak BDD nodes, image iterations)."""
 
     n_vectors_tried: int = 0
     n_valid: int = 0
@@ -47,9 +47,9 @@ class CssgStats:
     n_tcsg_states: int = 0
     # Symbolic-kernel metrics (zero for the explicit builders):
     peak_bdd_nodes: int = 0
-    n_gc_passes: int = 0
-    #: Always 0: the kernel keeps the order it starts with.  Kept so
+    #: Always 0: the kernel neither collects nor reorders.  Kept so
     #: payloads, golden digests and job keys stay byte-identical.
+    n_gc_passes: int = 0
     n_reorders: int = 0
     n_image_iterations: int = 0
 

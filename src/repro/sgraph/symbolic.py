@@ -30,14 +30,10 @@ inputs are rewritten arbitrarily, so its image is
 ``∃ inputs . (S ∧ stable)``.  The manager therefore only carries
 ``n_signals`` variables instead of the seed's interleaved ``2n``.
 
-**Memory discipline.**  Persistent functions (gate functions, excitation
-conditions, the stable set) are registered as GC roots; the traversal
-loops call :meth:`BddManager.checkpoint` with their live frontier
-protected, so growth past the configured threshold triggers
-mark-and-sweep collection — peak live nodes stay bounded by the working
-set, not by the history of the computation.  The variable order is the
-netlist-driven :func:`~repro.bdd.reorder.static_order`, fixed before
-any BDD exists.
+**Memory.**  Each :class:`SymbolicTcsg` owns an append-only manager:
+nothing is collected during a build, and the whole store goes when the
+builder does.  The variable order is the netlist-driven
+:func:`~repro.bdd.reorder.static_order`, fixed before any BDD exists.
 """
 
 from __future__ import annotations
@@ -52,13 +48,6 @@ from repro.circuit.netlist import Circuit
 from repro.errors import StateGraphError
 from repro.sgraph.cssg import Cssg
 
-#: Default GC threshold of the traversal manager: mark-and-sweep
-#: collects from here on, and each collection raises its own next
-#: trigger to twice the surviving live set.  The bundled corpus peaks
-#: near it (vbe10b two-level: ~20k nodes, one pass), and the fork-join
-#: family stays under 25k nodes up to 42 signals.
-DEFAULT_AUTO_GC_NODES = 20_000
-
 #: Frontier iterations :meth:`SymbolicTcsg.reachable` runs before it
 #: gives up on convergence.
 _MAX_REACH_ITERS = 100_000
@@ -68,18 +57,13 @@ class SymbolicTcsg:
     """BDD encoding of one circuit's test-mode behaviour.
 
     Signal *i* is BDD variable *i*; a set of states is a function over
-    those variables.  ``auto_gc_nodes`` arms the manager's checkpoint
-    garbage collection (``None`` disables it).
+    those variables.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        auto_gc_nodes: Optional[int] = DEFAULT_AUTO_GC_NODES,
-    ):
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
         self.n = circuit.n_signals
-        self.mgr = BddManager(self.n, auto_gc_nodes=auto_gc_nodes)
+        self.mgr = BddManager(self.n)
         mgr = self.mgr
         # Connectivity-driven order: declaration order places related
         # signals arbitrarily far apart (inputs first, their consumers
@@ -104,11 +88,6 @@ class SymbolicTcsg:
         self._input_vars = list(range(circuit.n_inputs))
         #: Image-computation step counter (reachability + settling).
         self.n_image_iterations = 0
-        for ref in self.gate_fn.values():
-            mgr.add_root(ref)
-        for ref in self.excited.values():
-            mgr.add_root(ref)
-        mgr.add_root(self.stable)
 
     # -- encoding helpers -------------------------------------------------
 
@@ -197,15 +176,6 @@ class SymbolicTcsg:
             self.delta_image(states), mgr.apply_and(states, self.stable)
         )
 
-    def _checkpoint(self, *live: int) -> None:
-        """Housekeeping safe point with the loop's live sets protected."""
-        mgr = self.mgr
-        for ref in live:
-            mgr.add_root(ref)
-        mgr.checkpoint()
-        for ref in live:
-            mgr.remove_root(ref)
-
     # -- traversal ---------------------------------------------------------
 
     def reachable(self, from_states: Optional[int] = None) -> int:
@@ -234,7 +204,6 @@ class SymbolicTcsg:
                         return reached
                     reached = mgr.apply_or(reached, new)
                     frontier = new
-                    self._checkpoint(reached, frontier)
         raise StateGraphError("symbolic reachability did not converge")
 
     def enumerate_states(self, bdd: int) -> Iterator[int]:
@@ -271,7 +240,6 @@ class SymbolicTcsg:
                 # Fixpoint: the set at every later step equals this one.
                 break
             current = nxt
-            self._checkpoint(current)
         # The k-step set must be one state, and that state stable: the
         # subset test is a single conjunction, no decoding needed.
         if mgr.apply_and(current, self.stable) != current:
@@ -329,10 +297,7 @@ class SymbolicTcsg:
         return cssg
 
     def _record_kernel_stats(self, stats) -> None:
-        mstats = self.mgr.stats
-        stats.peak_bdd_nodes = mstats.peak_nodes
-        stats.n_gc_passes = mstats.n_gc_passes
+        # Nothing is freed, so the peak is every node allocated.
+        stats.peak_bdd_nodes = self.mgr.stats.n_allocated
         stats.n_image_iterations = self.n_image_iterations
-        # Small builds may never cross a GC boundary — flush the
-        # kernel counters so armed runs always see repro_bdd_* series.
         self.mgr.publish_metrics()

@@ -135,7 +135,7 @@ def test_never_excited_symbolic_at_most_explicit():
         circuit = load_benchmark(name, "complex")
         cssg = build_cssg(circuit)
         sym = SymbolicTcsg(circuit)
-        reach = sym.mgr.add_root(sym.reachable(sym.state_bdd(cssg.reset)))
+        reach = sym.reachable(sym.state_bdd(cssg.reset))
         for fault in input_fault_universe(circuit):
             if _never_excited_symbolic(sym, reach, fault):
                 assert _never_excited(cssg, fault), (name, fault)

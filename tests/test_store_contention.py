@@ -474,6 +474,16 @@ def test_torn_truncated_flipped_or_zeroed_entry_reads_as_a_miss(
     assert get() == expected
 
 
+def test_has_agrees_with_get_on_a_torn_entry(tmp_path):
+    """``has`` answers what ``get`` would: a cut entry is absent."""
+    store = ResultStore(tmp_path)
+    path, get = _put_and_get(store, "results")
+    assert store.has(KEY)
+    path.write_bytes(path.read_bytes()[:-3])
+    assert get() is None
+    assert not store.has(KEY)
+
+
 @pytest.mark.parametrize("entry_class", ENTRY_CLASSES)
 def test_entry_without_checksum_is_a_miss_until_put_again(
     tmp_path, entry_class

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
+from repro.circuit.netlist import Circuit
 from repro.sgraph.cssg import build_cssg
 from repro.sgraph.explore import settle_report
 from repro.sgraph.symbolic import SymbolicTcsg
@@ -133,3 +134,28 @@ def test_symbolic_cssg_prunes_nonconfluence(race):
     assert symbolic.edges == explicit.edges
     # The racy vector AB=10 from reset must be absent.
     assert 0b01 not in symbolic.valid_patterns(symbolic.reset)
+
+
+def fork_join(n):
+    """One input forked to ``n`` buffers joined by an ``n``-input
+    C-element, every signal reset to 0: a 2-state CSSG whose settling
+    interleaves all 2**n buffer orders."""
+    c = Circuit(f"forkjoin{n}")
+    c.add_input("A")
+    buffers = [f"b{i}" for i in range(n)]
+    for b in buffers:
+        c.add_gate(b, gtype="BUF", inputs=["A"])
+    c.add_gate("c", gtype="CELEM", inputs=buffers)
+    c.mark_output("c")
+    c.set_reset({s: 0 for s in ["A", "c", *buffers]})
+    return c.finalize()
+
+
+def test_fork_join_build_does_not_thrash():
+    """Fork-join N=24 needs about 24k nodes.  A collector that clears
+    the operation cache at every pass recomputed what it had dropped
+    and allocated 57k."""
+    sym = SymbolicTcsg(fork_join(24))
+    cssg = sym.build_cssg()
+    assert cssg.n_states == 2
+    assert sym.mgr.stats.n_allocated <= 30_000

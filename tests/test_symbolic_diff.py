@@ -3,16 +3,14 @@
 The 23 bundled benchmarks are well-behaved SI circuits; this harness
 feeds both builders seeded *random* feedback netlists — racy, oscillating
 and non-confluent behaviour included — and asserts exact agreement of
-states, edges and reset.  A second battery squeezes the symbolic build
-through a tiny GC threshold to prove collection never changes results.
-A third battery mirrors one op sequence (gate functions, quantification,
+states, edges and reset, and adds the largest Table-2 circuit.  A second
+battery mirrors one op sequence (gate functions, quantification,
 relational products, renames) on the arena :class:`BddManager` and the
 seed :class:`LegacyBddManager` (kept in ``tests/legacy_bdd.py``),
-comparing function *semantics* (truth vectors and model counts) — with
-mark-and-sweep collections fired mid-sequence on the arena side only,
-which must not change any answer.  A fourth pins the TCSG reachable
-counts the seed manager gave on an order-sensitive wide handshake, and
-bounds the peak node count the static variable order reaches there.
+comparing function *semantics* (truth vectors and model counts).  A
+third pins the TCSG reachable counts the seed manager gave on an
+order-sensitive wide handshake, and bounds the nodes the static
+variable order allocates there.
 """
 
 import random
@@ -104,23 +102,10 @@ def test_harness_is_not_vacuous():
     assert any(g.stats.n_valid < g.stats.n_vectors_tried for g in graphs)
 
 
-@pytest.mark.parametrize("seed", [1, 3, 7, 11])
-def test_symbolic_under_gc_pressure_matches_explicit(seed):
-    """A tiny GC threshold forces collections mid-construction; results
-    must not change and collections must actually have happened."""
-    circuit = random_circuit(seed)
-    if circuit is None:
-        pytest.skip("no stable state for this seed")
-    sym = SymbolicTcsg(circuit, auto_gc_nodes=40)
-    cssg = sym.build_cssg()
-    explicit = build_cssg(circuit, method="exact")
-    assert cssg.states == explicit.states
-    assert cssg.edges == explicit.edges
-    assert cssg.stats.n_gc_passes >= 1
-    # After a final collect, the live set is just the registered roots.
-    before = sym.mgr.n_nodes
-    sym.mgr.collect()
-    assert sym.mgr.n_nodes <= before
+def test_symbolic_matches_exact_on_vbe10b_two_level():
+    """The largest Table-2 circuit (20 signals, the most BDD nodes of
+    the bundled corpus)."""
+    _agree(load_benchmark("vbe10b", "two-level"))
 
 
 # -- arena BddManager vs the seed LegacyBddManager -----------------------
@@ -161,30 +146,23 @@ def _truth_vector(mgr, f, n_signals, n_vars):
     return vec
 
 
-def _mirror_ops(mgr, circuit, checkpoint):
-    """Run the shared op sequence, calling ``checkpoint(live_refs)``
-    between steps; return the semantic fingerprints."""
+def _mirror_ops(mgr, circuit):
+    """Run the shared op sequence; return the semantic fingerprints."""
     n = circuit.n_signals
     n_vars = 2 * n
     cur = lambda i: i  # noqa: E731 - trivial index maps
     nxt = lambda i: n + i  # noqa: E731
     out = []
     gate_fns = {}
-    live = []
-    for k, gate in enumerate(circuit.gates):
+    for gate in circuit.gates:
         f = _compile_gate(mgr, gate.program, cur)
         gate_fns[gate.index] = f
-        live.append(f)
         out.append(_truth_vector(mgr, f, n, n_vars))
-        if k == len(circuit.gates) // 2:
-            checkpoint(mgr, live)  # mid-build GC (arena only)
     # The stable-set conjunction (every gate agrees with its function).
     stable = mgr.and_all(
         mgr.apply_iff(mgr.var(cur(g.index)), gate_fns[g.index])
         for g in circuit.gates
     )
-    live.append(stable)
-    checkpoint(mgr, live)
     out.append(_truth_vector(mgr, stable, n, n_vars))
     out.append(mgr.sat_count(stable, [cur(i) for i in range(n)]))
     # Quantification, relational product, rename round-trip.
@@ -195,44 +173,22 @@ def _mirror_ops(mgr, circuit, checkpoint):
         ae = mgr.and_exists(stable, gate_fns[g.index], some_vars)
         out.append(_truth_vector(mgr, ae, n, n_vars))
     renamed = mgr.rename(stable, {cur(i): nxt(i) for i in range(n)})
-    live.append(renamed)
-    checkpoint(mgr, live)
     back = mgr.rename(renamed, {nxt(i): cur(i) for i in range(n)})
     out.append(_truth_vector(mgr, back, n, n_vars))
     out.append(int(back == stable))  # canonicity: round-trip is identity
     return out
 
 
-def _arena_checkpoint(mgr, live):
-    mgr.collect(live)
-
-
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_random_netlists_arena_bdd_equals_legacy(seed):
     """The arena kernel and the seed manager agree on every fingerprint
-    of the mirrored op sequence, despite mid-sequence collections on
-    the arena side."""
+    of the mirrored op sequence."""
     circuit = random_circuit(seed)
     if circuit is None:
         pytest.skip("no stable state for this seed")
-    arena = BddManager(2 * circuit.n_signals, auto_gc_nodes=64)
+    arena = BddManager(2 * circuit.n_signals)
     legacy = LegacyBddManager(2 * circuit.n_signals)
-    got = _mirror_ops(arena, circuit, _arena_checkpoint)
-    want = _mirror_ops(legacy, circuit, lambda mgr, live: None)
-    assert got == want
-
-
-def test_gc_pressure_on_benchmark_matches_default():
-    """The largest Table-1 benchmark under a small threshold: bounded
-    peak, several collections, identical graph."""
-    circuit = load_benchmark("vbe10b", "complex")
-    relaxed = SymbolicTcsg(circuit)
-    pressured = SymbolicTcsg(circuit, auto_gc_nodes=2_000)
-    a = relaxed.build_cssg()
-    b = pressured.build_cssg()
-    assert a.states == b.states and a.edges == b.edges
-    assert b.stats.n_gc_passes > a.stats.n_gc_passes
-    assert b.stats.peak_bdd_nodes <= a.stats.peak_bdd_nodes
+    assert _mirror_ops(arena, circuit) == _mirror_ops(legacy, circuit)
 
 
 # -- reachable counts on an order-sensitive wide handshake ---------------
@@ -266,18 +222,17 @@ def wide_handshake(m):
 #: :class:`LegacyBddManager`); each equals 4**m + 3**m - 1.
 SEED_WIDE_REACHABLE = {6: 4_824, 8: 72_096, 10: 1_107_624}
 
-#: Peak live nodes of that fixpoint at a 1,000-node GC threshold, about
-#: twice what the static order reaches (1,078 / 1,335 / 2,133).  Under
-#: declaration order the same runs peak at 2,839 / 17,170 / 88,066.
-WIDE_PEAK_BOUND = {6: 2_200, 8: 2_700, 10: 4_300}
+#: Peak nodes of that fixpoint (every node allocated: the manager never
+#: frees), about twice what the static order needs (1,865 / 3,976 /
+#: 7,546).  Under declaration order the same runs allocate 12,090 /
+#: 81,166 / 495,823.
+WIDE_PEAK_BOUND = {6: 3_800, 8: 8_000, 10: 15_000}
 
 
 @pytest.mark.parametrize("m", sorted(SEED_WIDE_REACHABLE))
 def test_wide_handshake_reachable_count_matches_seed(m):
-    """The arena kernel, collecting as the fixpoint grows, reaches the
-    seed's reachable-state count, and its static variable order keeps
-    the peak node count small."""
-    sym = SymbolicTcsg(wide_handshake(m), auto_gc_nodes=1_000)
+    """The arena kernel reaches the seed's reachable-state count, and
+    its static variable order keeps the allocated node count small."""
+    sym = SymbolicTcsg(wide_handshake(m))
     assert sym.count_states(sym.reachable()) == SEED_WIDE_REACHABLE[m]
-    assert sym.mgr.stats.n_gc_passes >= 1
-    assert sym.mgr.stats.peak_nodes <= WIDE_PEAK_BOUND[m]
+    assert sym.mgr.stats.n_allocated <= WIDE_PEAK_BOUND[m]
