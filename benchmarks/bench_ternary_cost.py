@@ -21,12 +21,19 @@ every cycle through the state-passing :meth:`SimEngine.settle` (which
 reloads the state into the kernel per call; the per-gate-closure
 worklist engine it originally ran on no longer exists).  At a 2560-machine universe the walk kernel
 measures ~24x (and the gap grows with width); a ≥10x floor and an
-absolute words·gates/sec throughput floor are asserted.  Results land
-in ``benchmarks/out/BENCH_ternary_cost.json``.
+absolute words·gates/sec throughput floor are asserted.
+
+A fourth records, without a floor, what the walk kernels cost to
+generate: the source bytes and compile milliseconds of every kernel of
+Table 1 (complex) and Table 2 (two-level), split into bridge-free and
+bridging kernels (``kernel_source`` in the JSON), so the trajectory of
+code generation stays visible next to the run-time figures.  Results
+land in ``benchmarks/out/BENCH_ternary_cost.json``.
 """
 
 import json
 import random
+import re
 import time
 from pathlib import Path
 
@@ -299,3 +306,52 @@ def test_packed_fault_sim_speedup_and_throughput():
         f"packed-sim throughput {throughput / 1e6:.2f}M words*gates/s "
         f"below the 1M floor"
     )
+
+
+# -- walk-kernel source: bytes and compile time per corpus and kind ------
+
+
+def test_walk_kernel_source_record(monkeypatch):
+    """Record (no floor) the source bytes and compile time of the walk
+    kernels of both tables: the bridge-free kernel of each circuit (an
+    input-fault overlay) and its bridging kernel (the bridging
+    universe), each compiled once on a private copy of the circuit."""
+    from repro.benchmarks_data import TABLE1_NAMES, TABLE2_NAMES, load_benchmark
+    from repro.circuit.parser import netlist_to_text, parse_netlist
+    from repro.faultmodels import get_model
+    from repro.sim import engine
+
+    record = {}
+    real_exec = engine._exec
+
+    def timed_exec(src, filename):
+        t0 = time.perf_counter()
+        ns = real_exec(src, filename)
+        if filename.startswith("<arena:"):
+            kind = "bridging" if re.search(r":\d+br", filename) else "bridge_free"
+            row = record.setdefault(corpus, {}).setdefault(
+                kind, {"kernels": 0, "bytes": 0, "compile_ms": 0.0}
+            )
+            row["kernels"] += 1
+            row["bytes"] += len(src.encode())
+            row["compile_ms"] += 1e3 * (time.perf_counter() - t0)
+        return ns
+
+    monkeypatch.setattr(engine, "_exec", timed_exec)
+    for corpus, names, style in (
+        ("table1", TABLE1_NAMES, "complex"),
+        ("table2", TABLE2_NAMES, "two-level"),
+    ):
+        for name in names:
+            circuit = parse_netlist(netlist_to_text(load_benchmark(name, style)))
+            for model in ("input", "bridging"):
+                faults = get_model(model).universe(circuit)
+                if faults:
+                    engine_for(circuit, faults).walk(circuit.require_reset())
+    for rows in record.values():
+        for row in rows.values():
+            row["compile_ms"] = round(row["compile_ms"], 1)
+    total = sum(row["bytes"] for rows in record.values() for row in rows.values())
+    print(f"\nwalk-kernel source: {total} bytes; {record}")
+    _results["kernel_source"] = record
+    assert record["table1"]["bridge_free"]["kernels"] == len(TABLE1_NAMES)

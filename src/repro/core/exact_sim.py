@@ -58,15 +58,22 @@ needs.  Both explorers enumerate excited gates through compiled
 functions of :mod:`repro.sim.engine`; a patched machine's is the good
 circuit's plus its patch, compiled at the machine's first exploration.
 
+A patched machine settles each ``(start, cap)`` once: its ``settled``
+memo answers a repeat (the same start reached from another state set,
+or reset again), the ``None`` outcome included.
+
 With metrics armed, each start is counted in
-``repro_exact_starts_total{outcome}`` (``certified`` or ``explored``)
-and each fallback in ``repro_exact_fallbacks_total{reason}``:
-``oscillation``, ``truncation`` or ``max_set``.
+``repro_exact_starts_total{outcome}``: ``certified`` or ``explored``
+for a settle that ran, ``memo`` for a repeat the memo answered, so the
+labels sum to every start asked for.  Each fallback is counted in
+``repro_exact_fallbacks_total{reason}`` (``oscillation``,
+``truncation`` or ``max_set``) every time a simulation hands back, a
+memo hit included.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
 
 from repro._bits import iter_set_bits
 from repro.circuit.expr import compile_expr, program_vars
@@ -80,6 +87,10 @@ from repro.sgraph.explore import reduced_settle_report as settle_report
 from repro.sim.engine import SimEngine, patched_excited
 
 FaultyStates = FrozenSet[int]
+
+#: One start's settle: the stable states (None: fall back to ternary)
+#: and the reason of the fall back.
+_Outcome = Tuple[Optional[FaultyStates], Optional[str]]
 
 
 class PatchedMachine:
@@ -105,6 +116,8 @@ class PatchedMachine:
     * ``reset_state`` is the good reset as a tester forces it on the
       faulty machine (:meth:`~repro.faultmodels.FaultModel.forced_reset`),
       or None when the circuit has none.
+    * ``settled`` memoises :func:`_settled`: ``(start, cap)`` → the
+      stable states (None: fall back) and the fallback reason.
     """
 
     __slots__ = (
@@ -114,6 +127,7 @@ class PatchedMachine:
         "lane",
         "reads",
         "reset_state",
+        "settled",
         "_programs",
         "_excited",
         "_stubborn",
@@ -138,6 +152,7 @@ class PatchedMachine:
         self.reads = read_masks(
             circuit, {g: program_vars(p) for g, p in self._programs.items()}
         )
+        self.settled: Dict[Tuple[int, int], _Outcome] = {}
         self._excited = None
         self._stubborn: Optional[_Stubborn] = None
         reset = circuit.reset_state
@@ -219,26 +234,41 @@ def certify(
     return engine.settle_lane_if(start, j, lambda phi: _feedback_free(phi, reads))
 
 
-def _settled(faulty: Machine, start: int, cap: int) -> Optional[FaultyStates]:
-    """Stable states reachable from ``start``, certified on the
-    machine's lane when :func:`certify` can, else explored; None
-    (counted) when the machine may oscillate or the exploration hits
-    ``cap``."""
+def _settle(faulty: Machine, start: int, cap: int) -> _Outcome:
+    """One start settled: certified on the machine's lane when
+    :func:`certify` can, else explored."""
     lane = faulty.lane if isinstance(faulty, PatchedMachine) else None
     if lane is not None:
         state = certify(lane[0], lane[1], faulty.reads, start)
         if state is not None:
             _started("certified")
-            return frozenset((state,))
+            return frozenset((state,)), None
     _started("explored")
     report = settle_report(faulty, start, cap)
     if report.truncated:
-        _fallback("truncation")
-        return None
+        return None, "truncation"
     if report.oscillating:
-        _fallback("oscillation")
-        return None
-    return report.stable_states
+        return None, "oscillation"
+    return report.stable_states, None
+
+
+def _settled(faulty: Machine, start: int, cap: int) -> Optional[FaultyStates]:
+    """Stable states reachable from ``start``, certified or explored
+    (:func:`_settle`), once per ``(start, cap)`` on a patched machine;
+    None (counted) when the machine may oscillate or the exploration
+    hits ``cap``."""
+    memo = faulty.settled if isinstance(faulty, PatchedMachine) else None
+    outcome = None if memo is None else memo.get((start, cap))
+    if outcome is None:
+        outcome = _settle(faulty, start, cap)
+        if memo is not None:
+            memo[start, cap] = outcome
+    else:
+        _started("memo")
+    states, reason = outcome
+    if reason is not None:
+        _fallback(reason)
+    return states
 
 
 def faulty_reset_states(

@@ -140,7 +140,8 @@ def classify_undetectable(
     reachable set — one BDD reachability computation shared by every
     fault; otherwise it walks the CSSG's states and edge settlings.
     The stable-equivalent walk explores at most ``_BUDGET_PER_FAULT``
-    product states per fault.
+    product states per fault.  The symbolic manager's cache counters
+    are published once, after the last fault.
     """
     sym: Optional[SymbolicTcsg] = None
     reachable = FALSE
@@ -168,4 +169,6 @@ def classify_undetectable(
             result[fault] = Classification(fault, STABLE_EQUIVALENT, explored)
         else:
             result[fault] = Classification(fault, POSSIBLY_DETECTABLE, explored)
+    if sym is not None:
+        sym.mgr.publish_metrics()
     return result

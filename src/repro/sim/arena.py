@@ -11,11 +11,14 @@ support signal), its self blend and its output force, and every
 overlay's masks arrive as one argument tuple the generator unpacks into
 locals when it starts.  So one kernel per circuit serves the good
 machine and every input, output and transition overlay, however many
-faults it carries; only bridging, whose blends evaluate a partner gate
-inline, adds one kernel per set of bridged gate pairs (bridge blends
-are extra slots of the same code).  :class:`~repro.sim.engine.CompiledCircuit` compiles
-and caches them; each :class:`~repro.sim.engine.SimEngine` builds its
-argument tuple once, with identity masks where its overlay has none.
+faults it carries.  Only bridging, whose blends evaluate a partner gate
+inline, adds a kernel per set of bridged gate pairs, and such a kernel
+carries only the families its overlay sets: an overlay of bridging
+faults alone gets one with no pin, self or output slot, and a bridging
+overlay mixed with other kinds one with every family.
+:class:`~repro.sim.engine.CompiledCircuit` compiles and caches them;
+each :class:`~repro.sim.engine.SimEngine` builds its argument tuple
+once, with identity masks where its overlay has none.
 
 The kernel is one generated *generator* whose locals hold every
 signal's ``(l, h)`` words; each request is a single ``send`` (see
@@ -26,10 +29,14 @@ of changed signals: a pass re-evaluates only gates whose exam mask
 intersects the changes (no queue, no per-event allocation, no per-gate
 function calls).  Both algorithms run through one sweep body in which
 every gate is emitted once; a phase flag picks the update (Algorithm A:
-lub into the old value; Algorithm B: plain assignment).  Both fixpoints
-are unique under any fair order, so the kernel is bit-identical to the
-seed's sweeps kept with the tests (``tests/fuzzer/reference.py``),
-which ``tests/test_sim_cross.py`` and ``tests/test_arena.py`` check.
+lub into the old value; Algorithm B: plain assignment), and B starts
+from every signal changed since the settle began.  A step drives its
+inputs by swapping words (a walk's inputs are definite and
+lane-uniform), and a step and a bare observation share one observation
+block.  Both fixpoints are unique under any fair order, so the kernel
+is bit-identical to the seed's sweeps kept with the tests
+(``tests/fuzzer/reference.py``), which ``tests/test_sim_cross.py`` and
+``tests/test_arena.py`` check.
 
 CPython bignum bitwise ops are already C-speed word-parallel, so one
 bignum word per signal carries the whole fault universe of every bundled
@@ -53,10 +60,12 @@ WalkLayout = Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]
 
 class WalkKernel(NamedTuple):
     """One compiled walk kernel: ``run(low, high, args)`` is the
-    generator function, and ``layout`` fixes the order of ``args``."""
+    generator function, and ``layout`` and ``full`` fix the order of
+    ``args`` (see :func:`_arg_names`)."""
 
     run: Callable
     layout: WalkLayout
+    full: bool
 
 
 def walk_layout(
@@ -80,21 +89,25 @@ def _slot(prefix: str) -> List[str]:
     return [f"{prefix}m0", f"{prefix}k1", f"{prefix}m1", f"{prefix}k0"]
 
 
-def _arg_names(layout: WalkLayout) -> List[str]:
+def _arg_names(layout: WalkLayout, full: bool) -> List[str]:
     """The locals the kernel unpacks its argument tuple into, in order:
-    ``ones`` and the round cap, then per gate four slot families — its
-    pins (one slot per support signal), its bridges (one per partner),
-    its self blend and its output force — each a flag followed by the
-    family's slots."""
+    ``ones`` and the round cap, then per gate its slot families — its
+    pins (one slot per support signal, none for a gate without
+    support), its bridges (one per partner, none for an unbridged
+    gate), its self blend and its output force.  The pin, self and
+    output families each lead with a flag and are present only in a
+    ``full`` kernel; bridges have no flag, since a bridging kernel is
+    compiled for exactly its overlay's pairs and every one is set."""
     names = ["ones", "cap"]
     for gi, sites, partners in layout:
-        names.append(f"fp{gi}")
-        for s in sites:
-            names += _slot(f"p{gi}_{s}")
-        names.append(f"fb{gi}")
+        if full and sites:
+            names.append(f"fp{gi}")
+            for s in sites:
+                names += _slot(f"p{gi}_{s}")
         for p in partners:
             names += _slot(f"b{gi}_{p}")
-        names += [f"fs{gi}"] + _slot(f"s{gi}") + [f"fo{gi}"] + _slot(f"o{gi}")
+        if full:
+            names += [f"fs{gi}"] + _slot(f"s{gi}") + [f"fo{gi}"] + _slot(f"o{gi}")
     return names
 
 
@@ -104,6 +117,7 @@ def _emit_eval(
     gate: Gate,
     partners: Tuple[int, ...],
     gate_at: Dict[int, Gate],
+    full: bool,
 ) -> Tuple[str, str]:
     """Append the straight-line evaluation of ``gate`` with its overlay
     slots to ``lines``; returns the ``(l, h)`` result locals, which are
@@ -127,23 +141,26 @@ def _emit_eval(
 
     Every slot is the identity outside its masks (every word fits in
     ``ones``), and each machine bit carries at most one fault, so the
-    application order is immaterial.  Each family of a gate's slots
-    (pins, bridges, self, output) sits behind a flag (``fp`` / ``fb`` /
-    ``fs`` / ``fo`` + gate), false when the overlay leaves the whole
-    family at identity, so an overlay pays only for the families it
-    sets.  Temporaries are introduced per operator, so the generated
-    code is linear in the program length (shared subterms are never
-    re-expanded).
+    application order is immaterial.  The pin, self and output families
+    of a gate sit behind a flag each (``fp`` / ``fs`` / ``fo`` + gate),
+    false when the overlay leaves the whole family at identity, so an
+    overlay pays only for the families it sets; a kernel that is not
+    ``full`` has none of them, and reads its operands straight from the
+    signal locals.  Temporaries are introduced per operator, so the
+    generated code is linear in the program length (shared subterms are
+    never re-expanded).
     """
     gi = gate.index
     tag = f"g{gi}_"
     counter = [0]
+    own = set()
     ap = lines.append
     inner = indent + "    "
 
     def fresh() -> Tuple[str, str]:
         a, b = f"{tag}t{counter[0]}", f"{tag}u{counter[0]}"
         counter[0] += 1
+        own.add(a)
         return a, b
 
     def emit(prog: Program, read, at: str) -> Tuple[str, str]:
@@ -181,7 +198,11 @@ def _emit_eval(
                 stack.append(("0", "ones") if arg else ("ones", "0"))
         return stack.pop()
 
-    if gate.support:
+    def signal(s: int) -> Tuple[str, str]:
+        return f"l{s}", f"h{s}"
+
+    read = signal
+    if full and gate.support:
         ap(f"{indent}if fp{gi}:")
         for s in gate.support:
             p = f"p{gi}_{s}"
@@ -192,27 +213,28 @@ def _emit_eval(
         ap(f"{indent}else:")
         copies = (f"x{gi}_{s} = l{s}; y{gi}_{s} = h{s}" for s in gate.support)
         ap(inner + "; ".join(copies))
-    l, h = emit(gate.program, lambda s: (f"x{gi}_{s}", f"y{gi}_{s}"), indent)
-    if l in ("0", "ones"):  # a constant gate: give its value locals
+        own.update(f"{xy}{gi}_{s}" for xy in "xy" for s in gate.support)
+        read = lambda s: (f"x{gi}_{s}", f"y{gi}_{s}")
+    l, h = emit(gate.program, read, indent)
+    if l not in own:  # a constant or a bare operand: give it own locals
         a, b = fresh()
         ap(f"{indent}{a} = {l}; {b} = {h}")
         l, h = a, b
-    if partners:
-        ap(f"{indent}if fb{gi}:")
     for partner in partners:
-        lb, hb = emit(gate_at[partner].program, lambda s: (f"l{s}", f"h{s}"), inner)
+        lb, hb = emit(gate_at[partner].program, signal, indent)
         b = f"b{gi}_{partner}"
         ap(
-            f"{inner}{l} = ({l}|({lb}&{b}m0))&({lb}|{b}k1); "
+            f"{indent}{l} = ({l}|({lb}&{b}m0))&({lb}|{b}k1); "
             f"{h} = ({h}&({hb}|{b}k0))|({hb}&{b}m1)"
         )
-    ap(f"{indent}if fs{gi}:")
-    ap(
-        f"{inner}{l} = ({l}|(l{gi}&s{gi}m0))&(l{gi}|s{gi}k1); "
-        f"{h} = ({h}&(h{gi}|s{gi}k0))|(h{gi}&s{gi}m1)"
-    )
-    ap(f"{indent}if fo{gi}:")
-    ap(f"{inner}{l} = ({l}|o{gi}m0)&o{gi}k1; {h} = ({h}|o{gi}m1)&o{gi}k0")
+    if full:
+        ap(f"{indent}if fs{gi}:")
+        ap(
+            f"{inner}{l} = ({l}|(l{gi}&s{gi}m0))&(l{gi}|s{gi}k1); "
+            f"{h} = ({h}&(h{gi}|s{gi}k0))|(h{gi}&s{gi}m1)"
+        )
+        ap(f"{indent}if fo{gi}:")
+        ap(f"{inner}{l} = ({l}|o{gi}m0)&o{gi}k1; {h} = ({h}|o{gi}m1)&o{gi}k0")
     return l, h
 
 
@@ -230,21 +252,10 @@ def _exam_mask(gate: Gate, partners: Tuple[int, ...], gate_at) -> int:
     return m
 
 
-def _emit_observe(ap, indent: str, circuit: Circuit, good: str, dest: str):
-    """Detection mask accumulation: definite output difference vs the
-    good state in ``good`` (same formula as :func:`repro.sim.ternary.detects`,
-    one machine per bit)."""
-    ap(f"{indent}{dest} = 0")
-    for out in circuit.outputs:
-        ap(f"{indent}if ({good} >> {out}) & 1:")
-        ap(f"{indent}    {dest} |= l{out} & ~h{out}")
-        ap(f"{indent}else:")
-        ap(f"{indent}    {dest} |= h{out} & ~l{out}")
-
-
-def _codegen_walk(circuit: Circuit, layout: WalkLayout) -> str:
+def _codegen_walk(circuit: Circuit, layout: WalkLayout, full: bool) -> str:
     """Source of the arena walk generator ``walk(low, high, args)`` for
-    ``circuit`` with the slots of ``layout``; ``args`` holds the words
+    ``circuit`` with the slots of ``layout`` (and, when ``full``, the
+    pin, self and output families); ``args`` holds the words
     :func:`_arg_names` lists, in that order.
 
     Protocol (after priming with ``next``): ``send((pattern, good))``
@@ -260,6 +271,30 @@ def _codegen_walk(circuit: Circuit, layout: WalkLayout) -> str:
     covering every signal A left at Φ in the machines read, finishes
     Algorithm B for them; ``(-3, 0)`` yields a snapshot
     ``((l...), (h...))`` of every signal word.
+
+    A step and ``-1`` share the one observation block: ``-1`` enters
+    the settle with nothing changed, which falls straight through.
+
+    *Input drive.*  A walk's inputs are definite and lane-uniform: its
+    state comes from :meth:`~repro.sim.engine.SimEngine.reset_words`,
+    which broadcasts a binary state, and no overlay forces an input
+    signal (an input stuck-at fault clamps a gate's pin).  So input
+    ``i``'s words are ``(ones, 0)`` or ``(0, ones)``, the generator
+    keeps the binary input vector ``cur`` they encode, and a step
+    drives ``pattern`` by swapping the two words of each input in
+    ``pattern ^ cur``, which is also the changed-signal bitmask the
+    settle starts from.  The other ops never move an input, and the
+    states that break the invariant (the word lists of
+    :meth:`~repro.sim.engine.SimEngine.settle`) are never stepped.
+
+    *Algorithm B's seed.*  ``sc`` accumulates every signal changed
+    since the settle began (the starting bitmask and each pass's
+    changes).  The gates whose exam mask meets ``sc`` are exactly the
+    gates Algorithm A evaluated; every other gate read no change, so it
+    still holds the value it held at a settled start and B cannot move
+    it until a fan-in does.  B's first pass re-examines them from
+    ``sc``, and since B's fixpoint is unique, the result is the one a
+    sweep of every gate would reach.
     """
     n_signals = circuit.n_signals
     n_inputs = circuit.n_inputs
@@ -269,74 +304,61 @@ def _codegen_walk(circuit: Circuit, layout: WalkLayout) -> str:
     highs = ", ".join(f"h{i}" for i in range(n_signals)) + ","
     lines: List[str] = ["def walk(low, high, args):"]
     ap = lines.append
-    ap("    " + ", ".join(_arg_names(layout)) + " = args")
+    ap("    " + ", ".join(_arg_names(layout, full)) + " = args")
     ap(f"    {lows} = low")
     ap(f"    {highs} = high")
+    inputs = " | ".join(f"(h{i} and {1 << i})" for i in range(n_inputs))
+    ap(f"    cur = {inputs or 0}")
     ap("    r = None")
     ap("    while True:")
     ap("        a, b = yield r")
     ap("        if a >= 0:")
-    ap("            ac = 0")
+    ap("            ac = a ^ cur; cur = a")
     for i in range(n_inputs):
-        ap(f"            if (a >> {i}) & 1:")
-        ap(f"                if l{i} or h{i} != ones:")
-        ap(f"                    l{i} = 0; h{i} = ones; ac |= {1 << i}")
-        ap("            else:")
-        ap(f"                if l{i} != ones or h{i}:")
-        ap(f"                    l{i} = ones; h{i} = 0; ac |= {1 << i}")
-    ap("        elif a == -1:")
-    _emit_observe(ap, "            ", circuit, "b", "det")
-    ap("            r = det")
-    ap("            continue")
-    ap("        elif a == -2 or a == -4:")
-    ap("            ac = b")
-    ap("        else:")
+        ap(f"            if ac & {1 << i}: l{i}, h{i} = h{i}, l{i}")
+    ap("        elif a == -3:")
     ap(f"            r = (({lows}), ({highs}))")
     ap("            continue")
+    ap("        else:")
+    ap("            ac = 0 if a == -1 else b")
     # Algorithm A (pa = 1): value <- lub(value, eval), to the least
     # fixpoint; then Algorithm B (pa = 0): value <- eval, monotone
     # decreasing to the greatest fixpoint below it.  Each pass
     # re-evaluates exactly the gates whose exam mask meets the signals
-    # changed so far (ac) or in this pass (nc); aev remembers every gate
-    # A evaluated so B can seed from it (a gate A never touched started
-    # settled and cannot move until a fan-in does).
-    ap("        aev = 0")
-    ap("        pa = 1")
-    ap("        rounds = 0")
+    # changed so far (ac) or in this pass (nc); B starts from every
+    # signal changed since the settle began (sc).
+    ap("        sc = ac; pa = 1; rounds = 0")
     ap("        while ac or pa:")
     ap("            if not ac:")
     ap("                if a == -4:")
     ap("                    break")
-    ap("                pa = 0; ac = aev; rounds = 0")
+    ap("                pa = 0; ac = sc; rounds = 0")
     ap("                continue")
     ap("            nc = 0")
     ap("            rounds += 1")
     ap("            if rounds > cap:")
-    ap("                if pa:")
     ap(
-        "                    raise SimulationError("
-        "'Algorithm A failed to converge (internal bug)')"
-    )
-    ap(
-        "                raise SimulationError("
-        "'Algorithm B failed to converge (internal bug)')"
+        "                raise SimulationError('Algorithm ' + ('A' if pa else 'B')"
+        " + ' failed to converge (internal bug)')"
     )
     for pos in circuit.levels():
         gate = circuit.gates[pos]
         gi = gate.index
         partners = partners_of[gi]
         ap(f"            if (ac | nc) & {_exam_mask(gate, partners, gate_at)}:")
-        l, h = _emit_eval(lines, "                ", gate, partners, gate_at)
-        ap("                if pa:")
-        ap(f"                    aev |= {1 << gi}; {l} |= l{gi}; {h} |= h{gi}")
+        l, h = _emit_eval(lines, "                ", gate, partners, gate_at, full)
+        ap(f"                if pa: {l} |= l{gi}; {h} |= h{gi}")
         ap(f"                if {l} != l{gi} or {h} != h{gi}:")
         ap(f"                    l{gi} = {l}; h{gi} = {h}; nc |= {1 << gi}")
-    ap("            ac = nc")
-    ap("        if a < 0:")
+    ap("            ac = nc; sc |= nc")
+    ap("        if a < -1:")
     ap("            r = None")
     ap("            continue")
-    _emit_observe(ap, "        ", circuit, "b", "det")
-    ap("        r = det")
+    # Detection: definite output difference vs the good state in b (the
+    # formula of repro.sim.ternary.detects, one machine per bit).
+    ap("        r = 0")
+    for o in circuit.outputs:
+        ap(f"        r |= (l{o} & ~h{o}) if (b >> {o}) & 1 else (h{o} & ~l{o})")
     return "\n".join(lines)
 
 

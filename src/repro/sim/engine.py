@@ -14,9 +14,12 @@ straight-line function enumerating excited gates in the binary domain
 levelized gate order (:meth:`Circuit.levels`), the engine cache, and
 the arena walk kernels (:meth:`CompiledCircuit.walk_kernel`): one for
 the good machine and every input, output and transition overlay, and
-one per set of bridged gate pairs.  An exact faulty machine reuses the
-good circuit's function and compiles only a patch of the gates its
-fault rewrites (:func:`patched_excited`).
+one per set of bridged gate pairs (without the pin, self and output
+slots when the overlay has only bridging faults).  Each compiles on
+first use, the excited-gate function too, so a run that never explores
+compiles none.  An exact faulty machine reuses the good circuit's
+function and compiles only a patch of the gates its fault rewrites
+(:func:`patched_excited`).
 
 **Fault overlays** (:class:`SimEngine`).  One engine pairs the circuit
 with a fault-injection overlay:
@@ -69,7 +72,8 @@ Engines are cached per ``(circuit, faults)``, so repeated construction
 (the scalar API's per-fault machines, a classifier and a generator over
 one fault list) reuses the argument tuple and the settled resets; the
 kernel itself is shared by every overlay of the circuit without
-bridges.
+bridges, and by every overlay with the same bridged pairs and
+families.
 """
 
 from __future__ import annotations
@@ -87,7 +91,6 @@ from repro.faultmodels import model_for_kind
 from repro.sim.arena import (
     ArenaWalk,
     WalkKernel,
-    WalkLayout,
     _codegen_walk,
     walk_layout,
 )
@@ -175,11 +178,17 @@ def patched_excited(
 
 
 def _add_slots(args: List[int], pairs: List[Tuple[int, int]], ones: int) -> None:
-    """Append a flag (any mask set) and the four words of each
-    ``(m0, m1)`` mask pair: ``m0``, ``ones & ~m1``, ``m1``, ``ones & ~m0``."""
-    args.append(any(m0 or m1 for m0, m1 in pairs))
+    """Append the four words of each ``(m0, m1)`` mask pair: ``m0``,
+    ``ones & ~m1``, ``m1``, ``ones & ~m0``."""
     for m0, m1 in pairs:
         args += (m0, ones & ~m1, m1, ones & ~m0)
+
+
+def _add_family(args: List[int], pairs: List[Tuple[int, int]], ones: int) -> None:
+    """Append a flagged slot family: the flag (any mask set), then
+    :func:`_add_slots`."""
+    args.append(any(m0 or m1 for m0, m1 in pairs))
+    _add_slots(args, pairs, ones)
 
 
 def _exec(src: str, filename: str) -> Dict[str, object]:
@@ -197,31 +206,44 @@ class CompiledCircuit:
         self.n_signals = circuit.n_signals
         self.gate_index: Tuple[int, ...] = tuple(g.index for g in circuit.gates)
         self.order: Tuple[int, ...] = circuit.levels()
-        exc_ns = _exec(_codegen_excited(circuit), f"<excited:{circuit.name}>")
-        #: ``excited(state) -> [gate indices]`` in the binary domain.
-        self.excited_signals: Callable[[int], List[int]] = exc_ns["excited"]
+        self._excited: Optional[Callable[[int], List[int]]] = None
         self._engines: "OrderedDict[Tuple[Fault, ...], SimEngine]" = OrderedDict()
-        self._walks: Dict[Tuple[Tuple[int, int], ...], WalkKernel] = {}
+        self._walks: Dict[Tuple[Tuple[Tuple[int, int], ...], bool], WalkKernel] = {}
+
+    @property
+    def excited_signals(self) -> Callable[[int], List[int]]:
+        """``excited(state) -> [gate indices]`` in the binary domain,
+        compiled on first use: a run that never explores (its CSSG read
+        from a store, every exact start certified) compiles none."""
+        if self._excited is None:
+            circuit = self.circuit
+            ns = _exec(_codegen_excited(circuit), f"<excited:{circuit.name}>")
+            self._excited = ns["excited"]
+        return self._excited
 
     def walk_kernel(
-        self, bridge_pairs: Tuple[Tuple[int, int], ...] = ()
+        self, bridge_pairs: Tuple[Tuple[int, int], ...], full: bool
     ) -> WalkKernel:
         """The circuit's arena walk kernel with blend slots for the
-        bridged ``(gate, partner)`` pairs, compiled on first use.  The
-        good machine and every input, output and transition overlay
-        share the bridge-free one.  A kernel is published by one
-        assignment, so two threads racing here at worst compile it
-        twice."""
-        kernel = self._walks.get(bridge_pairs)
+        bridged ``(gate, partner)`` pairs, and with the pin, self and
+        output families when ``full``, compiled on first use.  The good
+        machine and every input, output and transition overlay share
+        the bridge-free kernel, which is always full; an overlay of
+        bridging faults alone runs on a kernel without those families,
+        and a bridging overlay mixed with other kinds on a full one.  A
+        kernel is published by one assignment, so two threads racing
+        here at worst compile it twice."""
+        key = (bridge_pairs, full)
+        kernel = self._walks.get(key)
         if kernel is None:
             circuit = self.circuit
             layout = walk_layout(circuit, bridge_pairs)
             name = circuit.name
             if bridge_pairs:
-                name += f":{len(bridge_pairs)}br"
-            ns = _exec(_codegen_walk(circuit, layout), f"<arena:{name}>")
+                name += f":{len(bridge_pairs)}br" + ("+pso" if full else "")
+            ns = _exec(_codegen_walk(circuit, layout, full), f"<arena:{name}>")
             ns["SimulationError"] = SimulationError
-            kernel = self._walks[bridge_pairs] = WalkKernel(ns["walk"], layout)
+            kernel = self._walks[key] = WalkKernel(ns["walk"], layout, full)
         return kernel
 
 
@@ -315,6 +337,12 @@ class SimEngine:
         self._bridge_pairs = tuple(
             sorted((g, p) for g, per_gate in self.bridges.items() for p in per_gate)
         )
+        #: Whether the kernel needs the pin, self and output families:
+        #: always without bridges (one kernel per circuit), and with
+        #: them only when the overlay sets one.
+        self._full = not self._bridge_pairs or bool(
+            self.pin_force or self.out_force or self.self_and or self.self_or
+        )
         self._args: Optional[Tuple[int, ...]] = None
         self._all = mask(cc.n_signals)
         #: Every machine settled from each forced reset state, and from
@@ -322,30 +350,33 @@ class SimEngine:
         self._resets: Dict[int, BatchState] = {}
         self._at_rest: Optional[BatchState] = None
 
-    def _walk_args(self, layout: WalkLayout) -> Tuple[int, ...]:
+    def _walk_args(self, kernel: WalkKernel) -> Tuple[int, ...]:
         """The kernel argument tuple of this overlay (see
         :func:`repro.sim.arena._arg_names` for the order): every slot
-        this overlay leaves empty gets identity masks, and each slot
+        this overlay leaves empty gets identity masks, and each flagged
         family's flag says whether any of its slots is set."""
         ones = self.ones
+        full = kernel.full
         args: List[int] = [ones, 2 * self.cc.n_signals * self.width + 4]
-        for gi, sites, partners in layout:
-            pins = self.pin_force.get(gi, {})
-            _add_slots(args, [pins.get(s, (0, 0)) for s in sites], ones)
+        for gi, sites, partners in kernel.layout:
+            if full and sites:
+                pins = self.pin_force.get(gi, {})
+                _add_family(args, [pins.get(s, (0, 0)) for s in sites], ones)
             bridged = self.bridges.get(gi, {})
-            _add_slots(args, [bridged.get(p, (0, 0)) for p in partners], ones)
-            self_blend = (self.self_and.get(gi, 0), self.self_or.get(gi, 0))
-            _add_slots(args, [self_blend], ones)
-            _add_slots(args, [self.out_force.get(gi, (0, 0))], ones)
+            _add_slots(args, [bridged[p] for p in partners], ones)
+            if full:
+                self_blend = (self.self_and.get(gi, 0), self.self_or.get(gi, 0))
+                _add_family(args, [self_blend], ones)
+                _add_family(args, [self.out_force.get(gi, (0, 0))], ones)
         return tuple(args)
 
     def _start(self, L: Sequence[int], H: Sequence[int]):
         """A primed generator of the circuit's walk kernel holding
         ``(L, H)``, run with this overlay's arguments."""
-        kernel = self.cc.walk_kernel(self._bridge_pairs)
+        kernel = self.cc.walk_kernel(self._bridge_pairs, self._full)
         args = self._args
         if args is None:
-            args = self._args = self._walk_args(kernel.layout)
+            args = self._args = self._walk_args(kernel)
         gen = kernel.run(L, H, args)
         next(gen)
         return gen

@@ -24,6 +24,7 @@ and width run on them, and nothing imports numpy.
 
 import os
 import random
+import re
 import subprocess
 import sys
 import zlib
@@ -35,7 +36,9 @@ import repro
 from repro.benchmarks_data import TABLE1_NAMES, TABLE2_NAMES, load_benchmark
 from repro.campaign import runner
 from repro.campaign.plan import CampaignSpec, expand
+from repro.campaign.store import ResultStore
 from repro.circuit.parser import netlist_to_text, parse_netlist
+from repro.core import exact_sim
 from repro.core.atpg import AtpgOptions
 from repro.core.sequences import Test
 from repro.core.three_phase import ThreePhaseGenerator
@@ -44,6 +47,7 @@ from repro.ext.undetectable import classify_undetectable
 from repro.faultmodels import get_model, model_names
 from repro.sgraph.cssg import build_cssg
 from repro.sim import engine, ternary
+from repro.sim.arena import _arg_names
 from repro.sim.engine import SimEngine, engine_for, lane_of
 
 from fuzzer import reference
@@ -162,7 +166,7 @@ def _walk_kernels(compiles):
     """The walk-kernel compiles among ``compiles``, split into the
     bridge-free ones and the bridging ones."""
     arena = [f for f in compiles if f.startswith("<arena:")]
-    bridged = [f for f in arena if f.endswith("br>")]
+    bridged = [f for f in arena if re.search(r":\d+br", f)]
     return [f for f in arena if f not in bridged], bridged
 
 
@@ -329,6 +333,22 @@ def test_table_pass_compiles_one_walk_kernel_per_circuit(monkeypatch):
     assert len(copies) == len(TABLE1_NAMES) + len(TABLE2_NAMES)
 
 
+def _assert_walks_match_the_reference(cssg, faults, seeds=range(3)):
+    """``faults``' engine walks match the per-fault references cycle by
+    cycle along a few random walks."""
+    circuit = cssg.circuit
+    sim = engine_for(circuit, faults)
+    for seed in seeds:
+        lanes = reference_reset(circuit, faults, cssg.reset)
+        walk = sim.walk(cssg.reset)
+        assert walk.state() == pack_lanes(lanes, circuit.n_signals)
+        assert walk.observe(cssg.reset) == _detections(circuit, lanes, cssg.reset)
+        for pattern, good in _walk_states(cssg, seed=seed):
+            lanes = reference_apply(circuit, faults, lanes, pattern)
+            assert walk.step(pattern, good) == _detections(circuit, lanes, good)
+            assert walk.state() == pack_lanes(lanes, circuit.n_signals)
+
+
 @pytest.mark.parametrize("name", ["ebergen", "chu150", "vbe6a"])
 def test_mixed_overlay_batch_matches_the_reference(name):
     """One word mixing input, output and transition faults runs on the
@@ -341,17 +361,73 @@ def test_mixed_overlay_batch_matches_the_reference(name):
         for model in ("input", "output", "transition")
         for fault in get_model(model).universe(circuit)
     ]
-    sim = engine_for(circuit, faults)
-    assert sim._bridge_pairs == ()
-    for seed in range(3):
-        lanes = reference_reset(circuit, faults, cssg.reset)
-        walk = sim.walk(cssg.reset)
-        assert walk.state() == pack_lanes(lanes, circuit.n_signals)
-        assert walk.observe(cssg.reset) == _detections(circuit, lanes, cssg.reset)
-        for pattern, good in _walk_states(cssg, seed=seed):
-            lanes = reference_apply(circuit, faults, lanes, pattern)
-            assert walk.step(pattern, good) == _detections(circuit, lanes, good)
-            assert walk.state() == pack_lanes(lanes, circuit.n_signals)
+    assert engine_for(circuit, faults)._bridge_pairs == ()
+    _assert_walks_match_the_reference(cssg, faults)
+
+
+_FORCE_FLAGS = ("fp", "fs", "fo")
+
+
+def _kernel_args(sim):
+    """The argument names of ``sim``'s walk kernel."""
+    kernel = sim.cc.walk_kernel(sim._bridge_pairs, sim._full)
+    return _arg_names(kernel.layout, kernel.full)
+
+
+@pytest.mark.parametrize("name", ["ebergen", "chu150", "vbe6a"])
+def test_bridging_kernels_carry_only_their_families(name):
+    """A bridging-only overlay's kernel has no pin, self-blend or
+    output-force family; a bridging overlay mixed with input faults
+    keeps every family, runs on its own kernel, and still matches the
+    per-fault references cycle by cycle."""
+    cssg = _cssg_for(name)
+    circuit = cssg.circuit
+    bridging = get_model("bridging").universe(circuit)
+    assert bridging, name
+    lean = engine_for(circuit, bridging)
+    assert not [a for a in _kernel_args(lean) if a.startswith(_FORCE_FLAGS)]
+    mixed_faults = bridging + get_model("input").universe(circuit)
+    mixed = engine_for(circuit, mixed_faults)
+    assert mixed._bridge_pairs == lean._bridge_pairs
+    flags = {a[:2] for a in _kernel_args(mixed) if a.startswith(_FORCE_FLAGS)}
+    assert flags == set(_FORCE_FLAGS)
+    _assert_walks_match_the_reference(cssg, mixed_faults)
+
+
+#: Ceiling on the walk-kernel source bytes of Table 1 (complex) and
+#: Table 2 (two-level), bridge-free plus bridging kernels: 241,829
+#: bytes measured (336,448 with the observation block emitted twice,
+#: per-input drive branches, per-gate ``aev`` bookkeeping and every
+#: family in the bridging kernels).  The 3% headroom is below the +4.4%
+#: a second copy of the one-line-per-output observation block adds.
+KERNEL_SOURCE_CEILING = 249_000
+
+
+def test_walk_kernel_source_stays_under_its_ceiling(monkeypatch):
+    """The generated walk kernels of both tables stay lean: one
+    observation block, swap-driven inputs, no per-gate bookkeeping
+    beyond the update, and bridging kernels without force families."""
+    sizes = []
+    real_exec = engine._exec
+
+    def spy(src, filename):
+        if filename.startswith("<arena:"):
+            sizes.append(len(src.encode()))
+        return real_exec(src, filename)
+
+    monkeypatch.setattr(engine, "_exec", spy)
+    n_kernels = 0
+    for names, style in ((TABLE1_NAMES, "complex"), (TABLE2_NAMES, "two-level")):
+        for name in names:
+            circuit = _private_copy(name, style)
+            for model in ("input", "bridging"):
+                faults = get_model(model).universe(circuit)
+                if faults:
+                    engine_for(circuit, faults).walk(circuit.require_reset())
+                    n_kernels += 1
+            assert len(sizes) == n_kernels, name
+    total = sum(sizes)
+    assert total <= KERNEL_SOURCE_CEILING, f"{total} bytes of walk-kernel source"
 
 
 def test_engines_of_different_widths_share_one_kernel(monkeypatch):
@@ -381,6 +457,48 @@ def test_engines_of_different_widths_share_one_kernel(monkeypatch):
     assert got[id(b)] == want_wide
     assert _walk_kernels(compiles) == ([f"<arena:{circuit.name}>"], [])
     assert narrow.width != wide.width
+
+
+def test_walks_and_store_hit_jobs_compile_no_excited(monkeypatch, tmp_path):
+    """The excited-gate function compiles on first use: a walk compiles
+    none, and neither does a job whose CSSG is a store hit and whose
+    every exact faulty-machine start is certified (converta's output
+    job: 3 starts, none explored)."""
+    compiles = _spy_compiles(monkeypatch)
+    circuit = _private_copy("ebergen")
+    engine_for(circuit, get_model("input").universe(circuit)).walk(
+        circuit.require_reset()
+    )
+    assert compiles == [f"<arena:{circuit.name}>"]
+
+    net = tmp_path / "converta.net"
+    net.write_text(netlist_to_text(load_benchmark("converta", "complex")))
+    store = ResultStore(tmp_path / "cache")
+
+    def job(model):
+        spec = CampaignSpec(benchmarks=[str(net)], fault_models=(model,))
+        return expand(spec)[0]
+
+    runner.execute_job_incremental(job("input"), store)  # stores the CSSG
+    starts, explored = [], []
+    real_settled, real_explore = exact_sim._settled, exact_sim.settle_report
+
+    def settled(machine, start, cap):
+        starts.append(start)
+        return real_settled(machine, start, cap)
+
+    def explore(machine, start, cap):
+        explored.append(start)
+        return real_explore(machine, start, cap)
+
+    monkeypatch.setattr(exact_sim, "_settled", settled)
+    monkeypatch.setattr(exact_sim, "settle_report", explore)
+    compiles.clear()
+    _payload, _live, stats = runner.execute_job_incremental(job("output"), store)
+    assert stats.cssg_reused and stats.cohorts_executed
+    assert starts and not explored
+    assert [f for f in compiles if f.startswith("<arena:")]
+    assert not [f for f in compiles if f.startswith("<excited:")], compiles
 
 
 def test_import_repro_does_not_load_numpy():

@@ -581,3 +581,40 @@ def test_exact_starts_are_counted_by_outcome(celem, fresh_metrics):
     obs_metrics.disable()
     exact_sim.faulty_apply(machine, states, 0b10)
     assert registry.value("repro_exact_starts_total", "explored") == 1
+
+
+def test_patched_machine_settles_each_start_once(celem, monkeypatch, fresh_metrics):
+    """A repeated ``faulty_apply`` (same machine, states and pattern)
+    certifies and explores nothing again: the machine's memo answers
+    each start, counted as ``memo``, and its fallbacks are counted
+    again, as every simulation that hands back is."""
+    faults = fault_universe(celem, "input")
+    fault = Fault("input", celem.index("a"), celem.index("A"), 1)
+    lane = (engine_for(celem, faults), faults.index(fault))
+    machine = exact_sim.PatchedMachine(celem, fault, lane)
+    states = exact_sim.faulty_reset_states(machine, machine.reset_state)
+    first = exact_sim.faulty_apply(machine, states, 0b10)
+    capped = exact_sim.faulty_apply(machine, states, 0b10, cap=1)
+    assert first is not None and capped is None
+    certified, explored = [], []
+    real_settle_lane_if = type(lane[0]).settle_lane_if
+
+    def settle_lane_if(self, state, j, accept):
+        certified.append(state)
+        return real_settle_lane_if(self, state, j, accept)
+
+    def explore(*args):
+        explored.append(args)
+        raise AssertionError("explored a settled start again")
+
+    monkeypatch.setattr(type(lane[0]), "settle_lane_if", settle_lane_if)
+    monkeypatch.setattr(exact_sim, "settle_report", explore)
+    registry = obs_metrics.enable(MetricsRegistry())
+    assert exact_sim.faulty_reset_states(machine, machine.reset_state) == states
+    assert exact_sim.faulty_apply(machine, states, 0b10) == first
+    assert exact_sim.faulty_apply(machine, states, 0b10, cap=1) is None
+    assert certified == explored == []
+    assert registry.value("repro_exact_starts_total", "memo") == 3
+    assert registry.value("repro_exact_starts_total", "certified") == 0
+    assert registry.value("repro_exact_starts_total", "explored") == 0
+    assert registry.value("repro_exact_fallbacks_total", "truncation") == 1

@@ -284,6 +284,23 @@ def test_symbolic_run_traces_image_iterations_and_bdd_cache():
     assert result.cssg.summary().peak_bdd_nodes > 0  # a result fact
 
 
+def test_undetectable_classifier_publishes_bdd_cache_counters():
+    """The classifier's symbolic manager publishes its cache counters
+    once, after classification: vbe10b two-level's reachable set alone
+    never flushed them."""
+    from repro.circuit.faults import input_fault_universe
+    from repro.ext.undetectable import classify_undetectable
+    from repro.sgraph.cssg import build_cssg
+
+    cssg = build_cssg(load_benchmark("vbe10b", "two-level"))
+    faults = input_fault_universe(cssg.circuit)
+    registry = obs_metrics.enable(MetricsRegistry())
+    classify_undetectable(cssg, faults)
+    lookups = registry.value("repro_bdd_cache_lookups_total")
+    assert lookups > 0
+    assert lookups >= registry.value("repro_bdd_cache_hits_total")
+
+
 def test_event_stream_identical_with_and_without_metrics():
     """Determinism: subscribing telemetry never changes the stream."""
 
