@@ -46,13 +46,12 @@ else:  # pragma: no cover - exercised on 3.8/3.9 CI
 
 
 def iter_set_bits(x: int) -> Iterator[int]:
-    """Yield the indices of the set bits of ``x`` in increasing order."""
-    i = 0
+    """Yield the indices of the set bits of ``x`` in increasing order
+    (``x`` must be non-negative); one step per set bit."""
     while x:
-        if x & 1:
-            yield i
-        x >>= 1
-        i += 1
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def bits_to_str(state: int, n: int) -> str:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.faults import Fault
@@ -109,7 +109,7 @@ class IncrementalStats:
     cssg_reused: bool = False
 
     def to_json_dict(self) -> Dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # -- cones and cohort keys ---------------------------------------------
@@ -451,7 +451,7 @@ def cssg_fingerprint(
 def cssg_to_doc(cssg: Cssg) -> Dict:
     """Serialize a CSSG for the structural cache (states, edges, and
     the stats block the result payload's ``cssg`` summary reads)."""
-    stats = asdict(cssg.stats)
+    stats = {f.name: getattr(cssg.stats, f.name) for f in fields(cssg.stats)}
     return {
         "version": CSSG_CACHE_SCHEMA_VERSION,
         "k": cssg.k,

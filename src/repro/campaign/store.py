@@ -94,9 +94,25 @@ _DELETED = "-"
 #: Bytes of an entry's checksum trailer, ``\n<crc32 as 8 hex>\n``.
 _TRAILER = 10
 
+#: Parsed cohort packs one store keeps (see :meth:`ResultStore._pack`).
+_PACK_MEMO = 8
+
 
 def _trailer(body: bytes) -> bytes:
     return b"\n%08x\n" % zlib.crc32(body)
+
+
+def _parse(data: bytes) -> Optional[Dict]:
+    """The entry ``data`` holds if its checksum trailer matches its
+    body, else ``None``."""
+    body, trailer = data[:-_TRAILER], data[-_TRAILER:]
+    if trailer != _trailer(body):
+        return None
+    try:
+        payload = json.loads(body)
+    except ValueError:
+        return None
+    return payload if isinstance(payload, dict) else None
 
 
 def default_cache_dir() -> Path:
@@ -125,6 +141,10 @@ class ResultStore:
         self._index_rows: Dict[str, str] = {}
         self._index_at: Optional[Tuple[int, int]] = None
         self._index_lock = threading.Lock()
+        #: Recently parsed packs: path -> (the file's ``(st_ino,
+        #: st_size, st_mtime_ns, trailer)``, the pack), oldest first.
+        self._packs: Dict[Path, Tuple[Tuple[int, int, int, bytes], Dict]] = {}
+        self._packs_lock = threading.Lock()
 
     def _class_dir(self, entry_class: str) -> Path:
         return self.root / entry_class
@@ -207,14 +227,42 @@ class ResultStore:
                 data = handle.read()
         except OSError:
             return None
-        body, trailer = data[:-_TRAILER], data[-_TRAILER:]
-        if trailer != _trailer(body):
-            return None
+        return _parse(data)
+
+    def _pack(self, path: Path) -> Optional[Dict]:
+        """The cohort pack at ``path``, as :meth:`_load` reads it, but
+        parsed once while the file stays the same: a small memo keyed
+        on the ``(st_ino, st_size, st_mtime_ns)`` of the opened file and
+        its checksum trailer, so a job's cohort lookups parse each pack
+        once, and a pack another store rewrote under the same run key
+        (a new file, replaced into place) is read again.  Only packs
+        that pass their checksum are kept; the pack is shared, so
+        callers must not mutate it."""
         try:
-            payload = json.loads(body)
-        except ValueError:
+            with open(path, "rb") as handle:
+                fd = handle.fileno()
+                st = os.fstat(fd)
+                stamp = (
+                    st.st_ino,
+                    st.st_size,
+                    st.st_mtime_ns,
+                    os.pread(fd, _TRAILER, max(0, st.st_size - _TRAILER)),
+                )
+                with self._packs_lock:
+                    hit = self._packs.get(path)
+                if hit is not None and hit[0] == stamp:
+                    return hit[1]
+                data = handle.read()
+        except OSError:
             return None
-        return payload if isinstance(payload, dict) else None
+        pack = _parse(data)
+        with self._packs_lock:
+            self._packs.pop(path, None)
+            if pack is not None:
+                self._packs[path] = (stamp, pack)
+                if len(self._packs) > _PACK_MEMO:
+                    del self._packs[next(iter(self._packs))]
+        return pack
 
     def _read(self, key: str, entry_class: str) -> Optional[Dict]:
         return self._counted(
@@ -285,7 +333,9 @@ class ResultStore:
     def get_cohort(self, key: str) -> Optional[Dict]:
         """A cached per-cohort partial payload, or ``None``: the pack's
         shared fields merged with the cohort's own, from the pack the
-        latest index row names."""
+        latest index row names.  Its nested values belong to the
+        store's memo of parsed packs (:meth:`_pack`): read, never
+        mutate them."""
         return self._counted(self._find_partial(key), key, "cohorts")
 
     def put_cohort(self, run_key: str, partials: Dict) -> Path:
@@ -322,7 +372,7 @@ class ResultStore:
         run = self._read_index().get(key, _DELETED)
         if run == _DELETED:
             return None
-        pack = self._load(self.path_for(run, "cohorts"))
+        pack = self._pack(self.path_for(run, "cohorts"))
         cohorts = pack.get("cohorts") if pack is not None else None
         own = cohorts.get(key) if isinstance(cohorts, dict) else None
         if not isinstance(own, dict):

@@ -13,7 +13,7 @@ module keeps the *data contract* every consumer shares:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
@@ -114,7 +114,8 @@ class AtpgOptions:
             )
 
     def to_json_dict(self) -> Dict:
-        return asdict(self)
+        # Every field is a scalar: asdict's deep copy buys nothing.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_json_dict(data: Dict) -> "AtpgOptions":

@@ -34,11 +34,13 @@ its fault's lane of the work list's engine (the arena kernel random TPG
 already compiled, :func:`repro.sim.engine.engine_for`), and
 :func:`certify` first tries to prove the outcome there with
 Eichelberger's Algorithms A and B (Brzozowski & Seger, *Asynchronous
-Circuits*, 1995).  A over-approximates every value reachable under any
-gate delays; when the gates it leaves at Φ read one another without a
-cycle, every interleaving is finite, and a definite B result is then the
-one stable state every interleaving ends in (``docs/architecture.md``
-sketches the proof).  On Table 2 that settles about 85% of the starts.
+Circuits*, 1995); after a test cycle's drive, A is seeded with the
+inputs that moved, since the state driven was stable.  A
+over-approximates every value reachable under any gate delays; when the
+gates it leaves at Φ read one another without a cycle, every
+interleaving is finite, and a definite B result is then the one stable
+state every interleaving ends in (``docs/architecture.md`` sketches the
+proof).  On Table 2 that settles about 85% of the starts.
 A definite B alone proves nothing about cycles: a gate that reads
 itself can chase its own value while the ternary result stays definite.
 
@@ -54,9 +56,10 @@ explorer would cut short may finish here with an exact answer instead
 of falling back; so may a start the certificate proves, which is never
 capped.  The CSSG keeps the full
 :func:`repro.sgraph.explore.settle_report`, whose heights its k-bound
-needs.  Both explorers enumerate excited gates through compiled
-functions of :mod:`repro.sim.engine`; a patched machine's is the good
-circuit's plus its patch, compiled at the machine's first exploration.
+needs, for the starts its own certificate refuses.  Both explorers
+enumerate excited gates through compiled functions of
+:mod:`repro.sim.engine`; a patched machine's is the good circuit's plus
+its patch, compiled at the machine's first exploration.
 
 A patched machine settles each ``(start, cap)`` once: its ``settled``
 memo answers a repeat (the same start reached from another state set,
@@ -75,14 +78,13 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
 
-from repro._bits import iter_set_bits
 from repro.circuit.expr import compile_expr, program_vars
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.faultmodels import model_for_kind
 from repro.faultmodels.base import faulty_name
 from repro.obs import metrics as _obs
-from repro.sgraph.explore import _Stubborn, read_masks
+from repro.sgraph.explore import _Stubborn, read_masks, transition_bound
 from repro.sgraph.explore import reduced_settle_report as settle_report
 from repro.sim.engine import SimEngine, patched_excited
 
@@ -203,43 +205,41 @@ def _fallback(reason: str) -> None:
         ).labels(reason).inc()
 
 
-def _feedback_free(gates: int, reads: Sequence[int]) -> bool:
-    """True when the gates of the bitmask ``gates`` read one another
-    without a cycle; a gate that reads itself is a cycle.  Peels, round
-    by round, the gates that read none of those left."""
-    while gates:
-        peel = 0
-        for g in iter_set_bits(gates):
-            if not reads[g] & gates:
-                peel |= 1 << g
-        if not peel:
-            return False
-        gates ^= peel
-    return True
-
-
 def certify(
-    engine: SimEngine, j: int, reads: Sequence[int], start: int
+    engine: SimEngine,
+    j: int,
+    reads: Sequence[int],
+    start: int,
+    seed: Optional[int] = None,
 ) -> Optional[int]:
     """The one stable state every interleaving from ``start`` ends in,
     proved on machine ``j`` of ``engine``, or None when the proof fails.
 
     Algorithm A runs from ``start``; the gates it leaves at Φ must read
-    one another without a cycle, and Algorithm B must then resolve every
-    one of them (:meth:`~repro.sim.engine.SimEngine.settle_lane_if`).
-    ``reads`` (see :func:`~repro.sgraph.explore.read_masks`) must
-    describe machine ``j``'s own gates: the patched supports for lane
-    ``j`` of the fault list's engine, the good ones for the fault-free
-    engine's lane 0."""
-    return engine.settle_lane_if(start, j, lambda phi: _feedback_free(phi, reads))
+    one another without a cycle
+    (:func:`~repro.sgraph.explore.transition_bound` is not None), and
+    Algorithm B must then resolve every one of them
+    (:meth:`~repro.sim.engine.SimEngine.settle_lane_if`).  ``reads``
+    (see :func:`~repro.sgraph.explore.read_masks`) must describe
+    machine ``j``'s own gates: the patched supports for lane ``j`` of
+    the fault list's engine, the good ones for the fault-free engine's
+    lane 0.  ``seed`` is None for an arbitrary start (A examines every
+    gate); for a stable state of the machine whose inputs were just
+    driven, it is the inputs that moved, and A examines only the gates
+    reading them first."""
+    return engine.settle_lane_if(
+        start, j, lambda phi: transition_bound(phi, reads) is not None, seed
+    )
 
 
-def _settle(faulty: Machine, start: int, cap: int) -> _Outcome:
+def _settle(
+    faulty: Machine, start: int, cap: int, seed: Optional[int]
+) -> _Outcome:
     """One start settled: certified on the machine's lane when
     :func:`certify` can, else explored."""
     lane = faulty.lane if isinstance(faulty, PatchedMachine) else None
     if lane is not None:
-        state = certify(lane[0], lane[1], faulty.reads, start)
+        state = certify(lane[0], lane[1], faulty.reads, start, seed)
         if state is not None:
             _started("certified")
             return frozenset((state,)), None
@@ -252,15 +252,20 @@ def _settle(faulty: Machine, start: int, cap: int) -> _Outcome:
     return report.stable_states, None
 
 
-def _settled(faulty: Machine, start: int, cap: int) -> Optional[FaultyStates]:
+def _settled(
+    faulty: Machine, start: int, cap: int, seed: Optional[int]
+) -> Optional[FaultyStates]:
     """Stable states reachable from ``start``, certified or explored
     (:func:`_settle`), once per ``(start, cap)`` on a patched machine;
     None (counted) when the machine may oscillate or the exploration
-    hits ``cap``."""
+    hits ``cap``.  ``seed`` is the certificate's (see :func:`certify`):
+    None from reset, the moved inputs after a test cycle's drive.  It
+    changes how much A examines, never the outcome, so the memo does
+    not key on it."""
     memo = faulty.settled if isinstance(faulty, PatchedMachine) else None
     outcome = None if memo is None else memo.get((start, cap))
     if outcome is None:
-        outcome = _settle(faulty, start, cap)
+        outcome = _settle(faulty, start, cap, seed)
         if memo is not None:
             memo[start, cap] = outcome
     else:
@@ -283,7 +288,7 @@ def faulty_reset_states(
     :attr:`PatchedMachine.reset_state`).  Returns None when the machine
     may oscillate or the analysis blows the caps.
     """
-    states = _settled(faulty, reset_state, cap)
+    states = _settled(faulty, reset_state, cap, None)
     if states is not None and len(states) > max_set:
         _fallback("max_set")
         return None
@@ -297,10 +302,13 @@ def faulty_apply(
     cap: int = 50_000,
     max_set: int = 64,
 ) -> Optional[FaultyStates]:
-    """Drive the inputs to ``pattern`` on every possible faulty state."""
+    """Drive the inputs to ``pattern`` on every possible faulty state.
+    Each member is a stable state of the machine, so its certificate is
+    seeded with the inputs that moved."""
     out = set()
     for state in states:
-        settled = _settled(faulty, faulty.apply_input_pattern(state, pattern), cap)
+        start = faulty.apply_input_pattern(state, pattern)
+        settled = _settled(faulty, start, cap, start ^ state)
         if settled is None:
             return None
         out |= settled

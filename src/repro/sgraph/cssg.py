@@ -10,8 +10,11 @@ synchronous FSM, so standard sequential ATPG applies (paper §5).
 
 Construction is a breadth-first traversal from the reset state: for each
 stable state, every input pattern (optionally limited to a maximum number
-of simultaneously changing pins) is analysed with
-:func:`repro.sgraph.explore.settle_report`.  Reports are memoized on the
+of simultaneously changing pins) is analysed.  Under the exact and
+hybrid methods the state's starts first go, all at once, to a ternary
+certificate with a transition bound (:func:`_edge_certifier`); the
+starts it refuses are analysed with
+:func:`repro.sgraph.explore.settle_report`.  Results are memoized on the
 post-R_I state, since distinct (state, pattern) pairs can coincide there.
 """
 
@@ -21,10 +24,11 @@ import random
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro._bits import hamming
+from repro._bits import hamming, iter_set_bits
 from repro.circuit.netlist import Circuit
 from repro.errors import StateGraphError
-from repro.sgraph.explore import settle_report
+from repro.obs import metrics as _obs
+from repro.sgraph.explore import read_masks, settle_report, transition_bound
 
 
 @dataclass
@@ -39,7 +43,6 @@ class CssgStats:
     n_oscillating: int = 0
     n_too_slow: int = 0
     n_phi: int = 0  # ternary method: rejected with uncertain outcome
-    max_settle_path: int = 0
     #: The validity analysis that actually ran ("exact" / "ternary" /
     #: "hybrid" / "symbolic"; "auto" is resolved before construction).
     method: str = ""
@@ -211,23 +214,27 @@ def frontier_traverse(
     analyse,
     max_input_changes: Optional[int],
     cap_states: int,
+    certify=None,
 ) -> Cssg:
     """The construction loop every method shares: breadth-first over
     reachable stable states, trying every input pattern (optionally
     Hamming-limited), with results memoized on the post-R_I state.
 
     ``analyse(started) -> Optional[successor]`` is the method-specific
-    validity analysis — the only thing the methods differ in.  Raises
-    :class:`StateGraphError` past ``cap_states`` stable states.
+    validity analysis — the only thing the methods differ in.
+    ``certify(state, starts) -> {start: successor}``, when given, first
+    sees every start of a stable state the memo has not seen, in one
+    call, and answers those it proves; the others go to ``analyse``.
+    Raises :class:`StateGraphError` past ``cap_states`` stable states.
     """
     from repro.obs.trace import get_tracer
 
     with get_tracer().span("cssg.traverse", circuit=cssg.circuit.name):
-        _frontier_loop(cssg, analyse, max_input_changes, cap_states)
+        _frontier_loop(cssg, analyse, max_input_changes, cap_states, certify)
     return cssg
 
 
-def _frontier_loop(cssg, analyse, max_input_changes, cap_states) -> None:
+def _frontier_loop(cssg, analyse, max_input_changes, cap_states, certify) -> None:
     circuit = cssg.circuit
     stats = cssg.stats
     all_patterns = list(range(1 << circuit.n_inputs))
@@ -239,16 +246,21 @@ def _frontier_loop(cssg, analyse, max_input_changes, cap_states) -> None:
         for s in frontier:
             cur = circuit.input_pattern(s)
             out_edges: Dict[int, int] = {}
-            for pattern in all_patterns:
-                if pattern == cur:
-                    continue
-                if (
-                    max_input_changes is not None
-                    and hamming(pattern, cur) > max_input_changes
-                ):
-                    continue
+            starts = [
+                (pattern, circuit.apply_input_pattern(s, pattern))
+                for pattern in all_patterns
+                if pattern != cur
+                and (
+                    max_input_changes is None
+                    or hamming(pattern, cur) <= max_input_changes
+                )
+            ]
+            if certify is not None:
+                fresh = [started for _, started in starts if started not in memo]
+                if fresh:
+                    memo.update(certify(s, fresh))
+            for pattern, started in starts:
                 stats.n_vectors_tried += 1
-                started = circuit.apply_input_pattern(s, pattern)
                 if started in memo:
                     t = memo[started]
                 else:
@@ -286,11 +298,15 @@ def build_cssg(
 
     ``method`` selects the per-vector validity analysis:
 
-    * ``"exact"`` — exhaustive interleaving exploration implementing the
-      paper's formal TCR_k/CSSG_k definition (§4.2): the settling graph
-      must be acyclic with a single stable terminal reached within ``k``
-      transitions.  Exponential in the worst case; fine for small
-      circuits.
+    * ``"exact"`` — the paper's formal TCR_k/CSSG_k definition (§4.2):
+      the settling graph must be acyclic with a single stable terminal
+      reached within ``k`` transitions.  Each stable state's starts are
+      first certified together (:func:`_edge_certifier`: ternary
+      Algorithms A and B plus a transition bound, polynomial); the
+      starts the certificate refuses get exhaustive interleaving
+      exploration, exponential in the worst case.  A start the
+      explorer would truncate at its cap but the certificate proves is
+      a valid edge.
     * ``"ternary"`` — Eichelberger ternary simulation (§5.4): a vector is
       valid iff Algorithms A+B settle every signal to a definite value.
       This is the GMW race model of [6] — polynomial, conservative about
@@ -298,8 +314,9 @@ def build_cssg(
       settling graph whose escape is delay-forced still gets a definite
       verdict.  The ``k`` bound is not checked (GMW has no step count).
     * ``"hybrid"`` — the union of the two acceptances: take the exact
-      verdict when the settling graph is acyclic; when only a transient
-      cycle blocks it, accept a definite ternary outcome.  Both criteria
+      verdict (certified or explored, as under ``"exact"``) when the
+      settling graph is acyclic; when only a transient cycle blocks it,
+      accept a definite ternary outcome.  Both criteria
       are sound for the unbounded gate-delay model, and each covers the
       other's blind spot (exact: interlocked feedback that ternary
       dissolves into Φ; ternary: transient cycles whose escape is
@@ -374,7 +391,75 @@ def build_cssg(
         if report.longest_path > k:
             stats.n_too_slow += 1
             return None
-        stats.max_settle_path = max(stats.max_settle_path, report.longest_path)
         return report.unique_stable
 
-    return frontier_traverse(cssg, analyse, max_input_changes, cap_states)
+    if method == "ternary":
+        return frontier_traverse(cssg, analyse, max_input_changes, cap_states)
+
+    def explore(started: int) -> Optional[int]:
+        _started("explored")
+        return analyse(started)
+
+    return frontier_traverse(
+        cssg, explore, max_input_changes, cap_states, _edge_certifier(circuit, k)
+    )
+
+
+def _started(outcome: str, n: int = 1) -> None:
+    """Count ``n`` CSSG starts settled by ``outcome`` (metrics armed
+    only)."""
+    if _obs.enabled():
+        _obs.get_registry().counter(
+            "repro_cssg_starts_total",
+            "CSSG starts of the exact and hybrid builders, by how each "
+            "was settled.",
+            ("outcome",),
+        ).labels(outcome).inc(n)
+
+
+def _edge_certifier(circuit: Circuit, k: int):
+    """``certify(state, starts) -> {start: successor}`` for
+    :func:`frontier_traverse`: the starts of stable ``state`` whose one
+    outcome a ternary certificate proves within ``k`` transitions.
+
+    All starts settle at once, one lane each, on the circuit's
+    fault-free engine (:meth:`~repro.sim.engine.SimEngine.settle_lanes_if`),
+    and Algorithm A is seeded with the inputs that moved: ``state`` is
+    stable, so no other gate can move first.  A lane is accepted when
+    its Φ gates read one another without a cycle and their
+    :func:`~repro.sgraph.explore.transition_bound`, counting as excited
+    at the start the gates that read an input the lane moved, is at
+    most ``k``; a definite Algorithm B result is then the one stable
+    state every interleaving reaches, and within ``k`` transitions
+    (``docs/architecture.md``).  So every certified start is one
+    :func:`settle_report` would accept with the same successor; a
+    refused one is explored as before."""
+    from repro.sim.engine import engine_for
+
+    engine = engine_for(circuit)
+    reads = read_masks(circuit)
+    readers = [0] * circuit.n_inputs
+    for gate in circuit.gates:
+        for src in gate.support:
+            if src < circuit.n_inputs:
+                readers[src] |= 1 << gate.index
+
+    def certify(state: int, starts: List[int]) -> Dict[int, int]:
+        def accept(start: int, phi: int) -> bool:
+            fired = 0
+            for i in iter_set_bits(start ^ state):
+                fired |= readers[i]
+            bound = transition_bound(phi, reads, fired)
+            return bound is not None and bound <= k
+
+        moved = 0
+        for start in starts:
+            moved |= start ^ state
+        settled = engine.settle_lanes_if(starts, moved, accept)
+        proved = {
+            start: succ for start, succ in zip(starts, settled) if succ is not None
+        }
+        _started("certified", len(proved))
+        return proved
+
+    return certify

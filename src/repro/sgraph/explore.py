@@ -15,6 +15,9 @@ single-gate transitions and classifies the outcome (paper §2):
 A vector is *valid* for the CSSG exactly when the outcome is confluent,
 acyclic and within ``k`` (see :mod:`repro.sgraph.cssg`).  One
 depth-first search decides all four at once (see :func:`settle_report`).
+The CSSG first tries a ternary certificate with a transition bound
+(:func:`transition_bound`), and runs this search on the starts it
+refuses.
 
 The exact faulty machine (:mod:`repro.core.exact_sim`) needs the first
 three only.  :func:`reduced_settle_report` answers them from a
@@ -198,6 +201,51 @@ def read_masks(
     return reads
 
 
+def transition_bound(
+    gates: int, reads: Sequence[int], fired: int = 0
+) -> Optional[int]:
+    """The most gate transitions any interleaving can take when only
+    the gates of the bitmask ``gates`` can move, or None when they read
+    one another in a cycle; a gate that reads itself is a cycle.
+
+    ``reads`` are the :func:`read_masks` of the machine, and ``fired``
+    holds the gates that may be excited at the start: at a stable state
+    whose inputs just moved, the gates that read a moved input.  The
+    gates are peeled round by round, each round taking those that read
+    none of the gates left, so a gate's readings are counted before it:
+    ``fires(g) = [g in fired] + sum(fires(i))`` over the gates ``i`` of
+    ``gates`` that ``g`` reads, and the bound is the sum of ``fires``.
+    A gate fires at most once before, and at most once after each
+    firing of, a moving gate it reads; no other signal moves
+    (``docs/architecture.md`` sketches the argument)."""
+    fires: Dict[int, int] = {}  # gate bit -> its fires
+    bound = 0
+    left = gates
+    while left:
+        peel = 0
+        rest = left
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if not reads[bit.bit_length() - 1] & left:
+                peel |= bit
+        if not peel:
+            return None
+        left ^= peel
+        while peel and fired:  # with nothing fired, every count is 0
+            bit = peel & -peel
+            peel ^= bit
+            n = 1 if fired & bit else 0
+            below = reads[bit.bit_length() - 1] & gates
+            while below:
+                read = below & -below
+                n += fires[read]
+                below ^= read
+            fires[bit] = n
+            bound += n
+    return bound
+
+
 class _Stubborn:
     """A circuit's dependence masks, for the stubborn-set closure.
 
@@ -281,7 +329,8 @@ def reduced_settle_report(machine, start: int, cap: int = 200_000) -> SettleRepo
 
     The report is *height-free*: ``longest_path`` is None, and asking it
     for CSSG validity raises :class:`StateGraphError` (the CSSG's k-bound
-    needs every interleaving's length, so it keeps :func:`settle_report`).
+    needs every interleaving's length, so the starts its certificate
+    refuses run :func:`settle_report`).
     ``n_states`` counts reduced states, and so does ``cap``.
 
     Transitions are gates: gate g switches state s to s ^ 2^g when g is

@@ -57,7 +57,9 @@ once, with identity masks where the overlay has none, and
 :meth:`SimEngine.apply_lane` all run the circuit's arena walk kernel
 (:mod:`repro.sim.arena`) on it: it is the package's only Algorithm A/B
 implementation.  An engine's width is its fault count (one machine for
-the good circuit), so every mask lies inside ``ones``.
+the good circuit), so every mask lies inside ``ones``; the width is a
+parameter of the argument tuple, and only a fault-free engine, whose
+masks are all the identity, builds tuples of other widths.
 
 **Lanes.**  Lanes never interact under the kernel's bitwise operators
 and the Algorithm A/B fixpoints are unique, so lane *j* of an engine is
@@ -66,7 +68,10 @@ three-phase generator and the undetectability classifier run their
 per-fault ternary machines on their fault list's engine
 (:meth:`SimEngine.lane_at_reset`, :meth:`SimEngine.apply_lane`), and
 how the exact faulty machine certifies its starts
-(:meth:`SimEngine.settle_lane_if`), compiling nothing per fault.
+(:meth:`SimEngine.settle_lane_if`), compiling nothing per fault.  The
+good machine runs as many lanes as CSSG construction has starts to
+certify for one stable state (:meth:`SimEngine.settle_lanes_if`), each
+lane the good circuit from its own start, in one settle.
 
 Engines are cached per ``(circuit, faults)``, so repeated construction
 (the scalar API's per-fault machines, a classifier and a generator over
@@ -97,6 +102,10 @@ from repro.sim.arena import (
 
 #: Per-signal words ``((L...), (H...))`` of every machine of an engine.
 BatchState = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+#: Lanes per :meth:`SimEngine.settle_lanes_if` settle: starts beyond it
+#: go to a further settle.
+LANES = 64
 
 # ---------------------------------------------------------------------------
 # Per-circuit compilation
@@ -343,21 +352,22 @@ class SimEngine:
         self._full = not self._bridge_pairs or bool(
             self.pin_force or self.out_force or self.self_and or self.self_or
         )
-        self._args: Optional[Tuple[int, ...]] = None
+        #: The kernel argument tuple, per lane width (see :meth:`_start`).
+        self._args: Dict[int, Tuple[int, ...]] = {}
         self._all = mask(cc.n_signals)
         #: Every machine settled from each forced reset state, and from
         #: all-zero words (:meth:`_rest`), computed on first use.
         self._resets: Dict[int, BatchState] = {}
         self._at_rest: Optional[BatchState] = None
 
-    def _walk_args(self, kernel: WalkKernel) -> Tuple[int, ...]:
-        """The kernel argument tuple of this overlay (see
-        :func:`repro.sim.arena._arg_names` for the order): every slot
-        this overlay leaves empty gets identity masks, and each flagged
-        family's flag says whether any of its slots is set."""
-        ones = self.ones
+    def _walk_args(self, kernel: WalkKernel, width: int) -> Tuple[int, ...]:
+        """The kernel argument tuple of this overlay over ``width`` lanes
+        (see :func:`repro.sim.arena._arg_names` for the order): every
+        slot this overlay leaves empty gets identity masks, and each
+        flagged family's flag says whether any of its slots is set."""
+        ones = mask(width)
         full = kernel.full
-        args: List[int] = [ones, 2 * self.cc.n_signals * self.width + 4]
+        args: List[int] = [ones, 2 * self.cc.n_signals * width + 4]
         for gi, sites, partners in kernel.layout:
             if full and sites:
                 pins = self.pin_force.get(gi, {})
@@ -370,13 +380,17 @@ class SimEngine:
                 _add_family(args, [self.out_force.get(gi, (0, 0))], ones)
         return tuple(args)
 
-    def _start(self, L: Sequence[int], H: Sequence[int]):
+    def _start(self, L: Sequence[int], H: Sequence[int], width: int = 0):
         """A primed generator of the circuit's walk kernel holding
-        ``(L, H)``, run with this overlay's arguments."""
+        ``(L, H)``, run with this overlay's arguments over ``width``
+        lanes (default: the engine's own width).  Only a fault-free
+        engine runs another width: its overlay is the identity, so any
+        number of lanes are each the good machine."""
+        width = width or self.width
         kernel = self.cc.walk_kernel(self._bridge_pairs, self._full)
-        args = self._args
+        args = self._args.get(width)
         if args is None:
-            args = self._args = self._walk_args(kernel)
+            args = self._args[width] = self._walk_args(kernel, width)
         gen = kernel.run(L, H, args)
         next(gen)
         return gen
@@ -403,37 +417,130 @@ class SimEngine:
         return L, H
 
     def settle_lane_if(
-        self, state: int, j: int, accept: Callable[[int], bool]
+        self,
+        state: int,
+        j: int,
+        accept: Callable[[int], bool],
+        seed: Optional[int] = None,
     ) -> Optional[int]:
         """Machine ``j`` settled from the binary ``state``, or None.
 
         Every machine starts from ``state`` (:meth:`broadcast`) and
-        Algorithm A runs alone.  ``accept`` is then shown the bitmask of
-        the signals A leaves at Φ on lane ``j``, if there are any.  When
-        it refuses, or Algorithm B leaves one of them at Φ, the result
-        is None; otherwise it is the definite state lane ``j`` ends in."""
-        gen = self._start(*self.broadcast(state))
-        gen.send((-4, self._all))
+        Algorithm A runs alone, examining first the gates that read a
+        signal of ``seed`` (None: every gate).  ``accept`` is then shown
+        the bitmask of the signals A leaves at Φ on lane ``j``, if there
+        are any.  When it refuses, or Algorithm B leaves one of them at
+        Φ, the result is None; otherwise it is the definite state lane
+        ``j`` ends in.
+
+        A seed narrower than every signal is sound when ``state`` is a
+        stable state of machine ``j`` whose seed signals (its inputs)
+        were just rewritten: every other gate of lane ``j`` evaluates to
+        its own value, so A would not move it before a seed signal's
+        change reached it.  The other lanes may stop short of their
+        fixpoint; lanes never interact, so lane ``j`` does not see it."""
+        return self._certify(
+            *self.broadcast(state),
+            self.width,
+            self._all if seed is None else seed,
+            {j: state},
+            lambda _start, phi: accept(phi),
+        )[j]
+
+    def settle_lanes_if(
+        self,
+        starts: Sequence[int],
+        seed: int,
+        accept: Callable[[int, int], bool],
+    ) -> List[Optional[int]]:
+        """Each binary state of ``starts`` settled on a lane of its own
+        of this fault-free engine, as :meth:`settle_lane_if` settles one
+        lane: per start, the definite state it ends in, or None.
+
+        Every start must be a stable state of the good machine with
+        only the signals of ``seed`` (its inputs) rewritten.
+        ``accept(start, phi)`` is shown, per start, the signals
+        Algorithm A leaves at Φ on its lane.  Algorithm B then runs once
+        for every accepted lane.  Starts go :data:`LANES` at a time, so
+        a wide input alphabet never builds one huge word."""
+        if self.faults:
+            raise SimulationError("settle_lanes_if runs the good machine only")
+        out: List[Optional[int]] = []
+        n_signals = self.cc.n_signals
+        for at in range(0, len(starts), LANES):
+            chunk = starts[at : at + LANES]
+            ones = mask(len(chunk))
+            first = chunk[0]
+            high = [ones if (first >> i) & 1 else 0 for i in range(n_signals)]
+            varying = 0
+            for start in chunk:
+                varying |= start ^ first
+            for i in iter_set_bits(varying):
+                high[i] = sum(((start >> i) & 1) << j for j, start in enumerate(chunk))
+            low = [ones & ~h for h in high]
+            settled = self._certify(
+                low, high, len(chunk), seed, dict(enumerate(chunk)), accept
+            )
+            out += settled.values()
+        return out
+
+    def _certify(
+        self,
+        L: List[int],
+        H: List[int],
+        width: int,
+        seed: int,
+        lanes: Dict[int, int],
+        accept: Callable[[int, int], bool],
+    ) -> Dict[int, Optional[int]]:
+        """The one certificate settle behind :meth:`settle_lane_if` and
+        :meth:`settle_lanes_if`: Algorithm A from ``(L, H)`` over
+        ``width`` lanes, examining first the gates that read ``seed``;
+        then ``accept(start, phi)`` on the Φ signals of each lane ``j``
+        of ``lanes`` (lane → its start), one Algorithm B for every
+        accepted lane (seeded with the union of their Φ signals, which
+        covers every signal A left at Φ in the lanes read), and, per
+        lane, the definite state it ends in, or None."""
+        gen = self._start(L, H, width)
+        gen.send((-4, seed))
         low, high = gen.send((-3, 0))
-        bit = 1 << j
-        phi = 0
+        read = 0
+        for j in lanes:
+            read |= 1 << j
+        phi: Dict[int, int] = {}
         for i in range(self.cc.n_inputs, self.cc.n_signals):
-            if low[i] & high[i] & bit:
-                phi |= 1 << i
-        if not phi:
-            return state
-        if not accept(phi):
-            return None
-        gen.send((-2, phi))
-        low, high = gen.send((-3, 0))
-        for i in iter_set_bits(phi):
-            if not high[i] & bit:
-                state &= ~(1 << i)
-            elif low[i] & bit:
-                return None
+            word = low[i] & high[i] & read
+            while word:
+                bit = word & -word
+                word ^= bit
+                j = bit.bit_length() - 1
+                phi[j] = phi.get(j, 0) | (1 << i)
+        out: Dict[int, Optional[int]] = dict(lanes)
+        accepted = {}
+        union = 0
+        for j, gates in phi.items():
+            if accept(lanes[j], gates):
+                accepted[j] = gates
+                union |= gates
             else:
-                state |= 1 << i
-        return state
+                out[j] = None
+        if not accepted:
+            return out
+        gen.send((-2, union))
+        low, high = gen.send((-3, 0))
+        for j, gates in accepted.items():
+            bit = 1 << j
+            state = lanes[j]
+            for i in iter_set_bits(gates):
+                if not high[i] & bit:
+                    state &= ~(1 << i)
+                elif low[i] & bit:
+                    state = None
+                    break
+                else:
+                    state |= 1 << i
+            out[j] = state
+        return out
 
     def reset_words(
         self, reset_state: Optional[int] = None

@@ -41,7 +41,13 @@ construction — there is no "expected output" file anywhere):
                engine lane) vs the full settling explorer on the
                materialized netlist, over the reduced-settle pair's
                starts: a certified start has exactly one stable
-               outcome, the certified state, and no cycle
+               outcome, the certified state, and no cycle; each start
+               a test cycle drove certifies the same seeded (from the
+               inputs that moved) as unseeded; and the CSSG's batched
+               certificate vs :func:`settle_report` on every start of
+               every stable state of the scenario's exact CSSG: a
+               certified start is valid under its k, with the
+               certified successor
 ============   ====================================================
 
 Oracles assert exactly the documented contracts and no more: the
@@ -87,7 +93,7 @@ from repro.core.three_phase import DETECTED, UNDETECTABLE, ThreePhaseGenerator
 from repro.ext.undetectable import POSSIBLY_DETECTABLE, classify_undetectable
 from repro.faultmodels import model_names
 from repro.fuzz.mutate import MUTATION_OPS, mutate_netlist
-from repro.sgraph.cssg import Cssg, build_cssg
+from repro.sgraph.cssg import Cssg, _edge_certifier, build_cssg
 from repro.sgraph.explore import _stubborn, reduced_settle_report, settle_report
 from repro.sgraph.symbolic import SymbolicTcsg
 from repro.sim import ternary
@@ -507,18 +513,25 @@ _UNDETECTABLE_WALKS = 4
 
 @contextmanager
 def _recording_exact_settles(
-    sink: List[Tuple[exact_sim.Machine, int, int]]
+    sink: List[Tuple[exact_sim.Machine, int, int]],
+    seeded: List[Tuple[exact_sim.Machine, int, int, int]],
 ) -> Iterator[None]:
     """Record every ``(machine, start, cap)`` the exact faulty machine
     settles (a :class:`~repro.core.exact_sim.PatchedMachine`), certified
-    or explored, by rebinding :mod:`repro.core.exact_sim`'s module-level
-    ``_settled`` (its one per-start entry) for the duration.  The
-    rebinding is process-wide; oracles run one scenario at a time."""
+    or explored, into ``sink``, and each start a test cycle drove, with
+    its certificate seed (the inputs that moved), into ``seeded``, by
+    rebinding :mod:`repro.core.exact_sim`'s module-level ``_settled``
+    (its one per-start entry) for the duration.  The rebinding is
+    process-wide; oracles run one scenario at a time."""
     real = exact_sim._settled
 
-    def record(machine: exact_sim.Machine, start: int, cap: int):
+    def record(
+        machine: exact_sim.Machine, start: int, cap: int, seed: Optional[int]
+    ):
         sink.append((machine, start, cap))
-        return real(machine, start, cap)
+        if seed is not None:
+            seeded.append((machine, start, cap, seed))
+        return real(machine, start, cap, seed)
 
     exact_sim._settled = record
     try:
@@ -539,12 +552,14 @@ class _ThreePhaseRun:
         self.faults = [f for model in model_names() for f in ctx.fault_sample(model)]
         #: every exact faulty-machine settle the run issued
         self.exact_starts: List[Tuple[exact_sim.Machine, int, int]] = []
+        #: those a test cycle drove, with their certificate seed
+        self.seeded_starts: List[Tuple[exact_sim.Machine, int, int, int]] = []
         self.verdict: Dict[Fault, str] = {}
         if self.faults:
             generator = ThreePhaseGenerator(
                 self.cssg, _UNDETECTABLE_PRODUCT_CAP, faults=self.faults
             )
-            with _recording_exact_settles(self.exact_starts):
+            with _recording_exact_settles(self.exact_starts, self.seeded_starts):
                 for fault in self.faults:
                     self.verdict[fault] = generator.generate(fault).status
 
@@ -685,9 +700,59 @@ def _oracle_certified(ctx: _Ctx) -> Tuple[int, List[str]]:
                 f"{netlist.state_bits(state)}; full "
                 f"stable={sorted(full.stable_states)} cycle={full.has_cycle}"
             )
+    # A seeded certificate (a test cycle's start) answers as an
+    # unseeded one does.
+    distinct = {(id(m), start, cap, seed): m for m, start, cap, seed in
+                ctx.three_phase.seeded_starts}
+    for (_, start, _cap, seed), machine in distinct.items():
+        (engine, j), reads = machine.lane, machine.reads
+        checks += 1
+        seeded = exact_sim.certify(engine, j, reads, start, seed)
+        unseeded = exact_sim.certify(engine, j, reads, start)
+        if seeded != unseeded:
+            bad.append(
+                f"{machine.name} from {c.state_bits(start)}: seeded "
+                f"certificate {seeded} (seed {seed:b}), unseeded {unseeded}"
+            )
+    n, more, cssg_bad = _certified_cssg_starts(ctx.cssg)
+    checks += n
+    rescued += more
+    bad += cssg_bad
     if rescued:
         ctx.tallies["certified.full_truncated"] = rescued
     return checks, bad
+
+
+def _certified_cssg_starts(cssg: Cssg) -> Tuple[int, int, List[str]]:
+    """Every start of every stable state of ``cssg`` through the CSSG's
+    batched certificate, under its k: each certified start must be one
+    :func:`settle_report` accepts, with the certified successor.
+    Returns the checks, the certified starts the full explorer
+    truncates (tallied, not compared) and the divergences."""
+    c = cssg.circuit
+    certify = _edge_certifier(c, cssg.k)
+    checks, rescued, bad = 0, 0, []
+    for state in sorted(cssg.states):
+        cur = c.input_pattern(state)
+        starts = [
+            c.apply_input_pattern(state, pattern)
+            for pattern in range(1 << c.n_inputs)
+            if pattern != cur
+        ]
+        for start, succ in certify(state, starts).items():
+            full = settle_report(c, start)
+            if full.truncated:
+                rescued += 1
+                continue
+            checks += 1
+            if not full.valid(cssg.k) or full.unique_stable != succ:
+                bad.append(
+                    f"{c.name} from {c.state_bits(start)} (k={cssg.k}): "
+                    f"certified {c.state_bits(succ)}; full "
+                    f"stable={sorted(full.stable_states)} cycle={full.has_cycle} "
+                    f"longest={full.longest_path}"
+                )
+    return checks, rescued, bad
 
 
 ORACLES: Dict[str, Callable[[_Ctx], Tuple[int, List[str]]]] = {

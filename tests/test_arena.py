@@ -483,9 +483,9 @@ def test_walks_and_store_hit_jobs_compile_no_excited(monkeypatch, tmp_path):
     starts, explored = [], []
     real_settled, real_explore = exact_sim._settled, exact_sim.settle_report
 
-    def settled(machine, start, cap):
+    def settled(machine, start, cap, seed):
         starts.append(start)
-        return real_settled(machine, start, cap)
+        return real_settled(machine, start, cap, seed)
 
     def explore(machine, start, cap):
         explored.append(start)

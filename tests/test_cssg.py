@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from repro.benchmarks_data import TABLE1_NAMES, TABLE2_NAMES, load_benchmark
 from repro.circuit.parser import parse_netlist
 from repro.errors import StateGraphError
+from repro.sgraph import cssg as cssg_module
 from repro.sgraph.cssg import build_cssg
+from repro.sgraph.explore import settle_report
 from repro.sim import ternary
 
 
@@ -173,3 +176,131 @@ def test_random_walk_stays_on_edges(celem):
 def test_cap_states_enforced(celem):
     with pytest.raises(StateGraphError):
         build_cssg(celem, cap_states=2)
+
+
+# -- the edge certificate -------------------------------------------------
+
+
+def _recording_certifier(monkeypatch):
+    """Record every ``(state, start, successor)`` the CSSG's batched
+    certificate proves, and count the starts it is shown."""
+    proved, shown = [], []
+    real = cssg_module._edge_certifier
+
+    def certifier(circuit, k):
+        certify = real(circuit, k)
+
+        def record(state, starts):
+            out = certify(state, starts)
+            shown.extend(starts)
+            proved.extend((circuit, k, state, s, t) for s, t in out.items())
+            return out
+
+        return record
+
+    monkeypatch.setattr(cssg_module, "_edge_certifier", certifier)
+    return proved, shown
+
+
+def _reference(circuit, start, k, method):
+    """The verdict the explorer alone gives ``start``: the successor
+    :func:`settle_report` plus the method's fallback accepts, or None."""
+    report = settle_report(circuit, start)
+    if report.nonconfluent:
+        return None
+    if report.oscillating or report.truncated:
+        if method != "hybrid":
+            return None
+        settled = ternary.settle(circuit, ternary.from_binary(start, circuit.n_signals))
+        return ternary.to_binary(settled) if ternary.is_definite(settled) else None
+    return report.unique_stable if report.longest_path <= k else None
+
+
+@pytest.mark.parametrize(
+    "names, style, floor",
+    [(TABLE1_NAMES, "complex", 290), (TABLE2_NAMES, "two-level", 130)],
+)
+@pytest.mark.parametrize("method", ["hybrid", "exact"])
+def test_certified_cssg_starts_match_the_explorer(
+    monkeypatch, names, style, floor, method
+):
+    """Every CSSG start the certificate proves has the explorer's
+    verdict and successor.  Deterministic floors on the certified
+    starts (measured: 298 of 343 on Table 1, 136 of 155 on Table 2,
+    under either method); the rest still reach the explorer."""
+    proved, shown = _recording_certifier(monkeypatch)
+    for name in names:
+        build_cssg(load_benchmark(name, style), method=method)
+    for circuit, k, _state, start, succ in proved:
+        assert _reference(circuit, start, k, method) == succ
+    assert floor <= len(proved) < len(shown)
+
+
+#: A chain of four buffers: raising A takes four transitions.
+CHAIN_NET = """
+.model chain
+.inputs A
+.gate a BUF A
+.gate b BUF a
+.gate c BUF b
+.gate d BUF c
+.outputs d
+.reset A=0 a=0 b=0 c=0 d=0
+"""
+
+#: A set latch: y reads itself.
+LATCH_NET = """
+.model latch
+.inputs S
+.gate s BUF S
+.expr y = s | y
+.outputs y
+.reset S=0 s=0 y=0
+"""
+
+
+def test_chain_longer_than_k_is_explored_and_counted_too_slow(monkeypatch):
+    """The chain's bound is 4: under the netlist's ``.k 3`` the
+    certificate refuses the rising edge, which the explorer then counts
+    as too slow; under k = 4 it proves every edge."""
+    proved, shown = _recording_certifier(monkeypatch)
+    cssg = build_cssg(parse_netlist(CHAIN_NET), k=4)
+    assert cssg.valid_patterns(cssg.reset) and len(proved) == len(shown)
+    proved.clear()
+    shown.clear()
+    cssg = build_cssg(parse_netlist(CHAIN_NET.replace(".outputs", ".k 3\n.outputs")))
+    assert cssg.k == 3
+    assert cssg.valid_patterns(cssg.reset) == {}
+    assert cssg.stats.n_too_slow == 1
+    assert shown and not proved
+
+
+def test_self_reading_latch_is_refused_and_explored(monkeypatch):
+    circuit = parse_netlist(LATCH_NET)
+    proved, shown = _recording_certifier(monkeypatch)
+    cssg = build_cssg(circuit, method="exact")
+    reset = cssg.reset
+    set_ = cssg.successor(reset, 1)
+    assert circuit.value(set_, "y") == 1
+    assert (reset, circuit.apply_input_pattern(reset, 1)) not in {
+        (state, start) for _, _, state, start, _ in proved
+    }
+    assert circuit.apply_input_pattern(reset, 1) in shown
+
+
+def test_side_cycle_start_is_refused(monkeypatch):
+    """The side cycle's definite ternary settle hides a gate-delay
+    cycle: the certificate refuses it, the exact method prunes it and
+    hybrid takes the ternary verdict, as before."""
+    from test_explore import SIDE_CYCLE_NET
+
+    circuit = parse_netlist(SIDE_CYCLE_NET)
+    proved, shown = _recording_certifier(monkeypatch)
+    exact = build_cssg(circuit, method="exact")
+    hybrid = build_cssg(circuit, method="hybrid")
+    started = circuit.apply_input_pattern(circuit.require_reset(), 1)
+    assert started in shown
+    assert started not in {start for _, _, _, start, _ in proved}
+    assert exact.successor(exact.reset, 1) is None
+    assert exact.stats.n_oscillating == 1
+    assert hybrid.successor(hybrid.reset, 1) is not None

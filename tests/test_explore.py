@@ -15,6 +15,7 @@ from repro.core import exact_sim
 from repro.errors import StateGraphError
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
+from repro.sgraph.cssg import build_cssg
 from repro.sgraph.explore import SettleReport, reduced_settle_report, settle_report
 from repro.sim import ternary
 from repro.sim.engine import compiled, engine_for
@@ -199,19 +200,34 @@ def corpus_starts():
     """``{(table, caller): [(machine, start, cap), ...]}``: every
     distinct settle one pass of Table 1 or Table 2 (all circuits x the
     four fault models) issues, from CSSG construction (``"cssg"``, on
-    the good circuit) or from the exact faulty machine (``"exact"``, on
-    a :class:`~repro.core.exact_sim.PatchedMachine`).  Exact starts are
+    the good circuit, the starts its certificate refuses) or from the
+    exact faulty machine (``"exact"``, on a
+    :class:`~repro.core.exact_sim.PatchedMachine`).  Exact starts are
     recorded where the machine settles them (``exact_sim._settled``),
     before the certificate answers most of them, so the differentials
-    below see every start, certified or explored."""
+    below see every start, certified or explored.  ``"seeded"`` holds
+    the exact starts a test cycle drove, as ``(machine, start, cap,
+    seed)`` with the certificate's seed (the inputs that moved)."""
     calls: Dict[Tuple[str, str], Dict] = {}
 
-    def recorder(table, caller, real):
-        seen = calls.setdefault((table, caller), {})
+    def recorder(table, real):
+        seen = calls.setdefault((table, "cssg"), {})
 
         def record(circuit, start, cap=200_000):
             seen[id(circuit), start, cap] = (circuit, start, cap)
             return real(circuit, start, cap)
+
+        return record
+
+    def exact_recorder(table, real):
+        seen = calls.setdefault((table, "exact"), {})
+        seeded = calls.setdefault((table, "seeded"), {})
+
+        def record(machine, start, cap, seed):
+            seen[id(machine), start, cap] = (machine, start, cap)
+            if seed is not None:
+                seeded[id(machine), start, cap, seed] = (machine, start, cap, seed)
+            return real(machine, start, cap, seed)
 
         return record
 
@@ -226,12 +242,11 @@ def corpus_starts():
         )
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
-                "repro.sgraph.cssg.settle_report",
-                recorder(table, "cssg", settle_report),
+                "repro.sgraph.cssg.settle_report", recorder(table, settle_report)
             )
             patch.setattr(
                 "repro.core.exact_sim._settled",
-                recorder(table, "exact", exact_sim._settled),
+                exact_recorder(table, exact_sim._settled),
             )
             for job in plan.expand(spec):
                 runner.execute_job(job)
@@ -425,6 +440,22 @@ def test_certified_matches_full_on_every_corpus_exact_start(corpus_starts, table
     assert certified > len(starts) / 2  # measured: 89 of 141, 444 of 506
 
 
+@pytest.mark.parametrize("table", ["table1", "table2"])
+def test_seeded_certificate_equals_unseeded_on_every_corpus_cycle_start(
+    corpus_starts, table
+):
+    """Every start a test cycle drove (``faulty_apply``), certified as
+    three-phase certifies it, seeded with the inputs that moved, and
+    with every gate examined: the same answer, refusals included."""
+    starts = corpus_starts[table, "seeded"]
+    assert len(starts) > 50
+    for machine, start, _cap, seed in starts:
+        engine, j = machine.lane
+        assert exact_sim.certify(
+            engine, j, machine.reads, start, seed
+        ) == _certified(machine, start)
+
+
 def test_certificate_settles_most_table2_exact_starts(corpus_starts):
     """Deterministic floor (measured: 444 of the 506 distinct starts
     certified); the rest still reach the explorer."""
@@ -583,6 +614,28 @@ def test_exact_starts_are_counted_by_outcome(celem, fresh_metrics):
     assert registry.value("repro_exact_starts_total", "explored") == 1
 
 
+@pytest.mark.parametrize("method", ["exact", "hybrid"])
+def test_cssg_starts_are_counted_by_outcome(celem, monkeypatch, fresh_metrics, method):
+    """Each CSSG start the builder settles is counted once: certified,
+    or explored (every ``settle_report`` call the builder makes)."""
+    explored = []
+
+    def explore(circuit, start, cap=200_000):
+        explored.append(start)
+        return settle_report(circuit, start, cap)
+
+    monkeypatch.setattr("repro.sgraph.cssg.settle_report", explore)
+    registry = obs_metrics.enable(MetricsRegistry())
+    cssg = build_cssg(celem, method=method)
+    certified = registry.value("repro_cssg_starts_total", "certified")
+    assert registry.value("repro_cssg_starts_total", "explored") == len(explored)
+    assert certified > 0 and explored  # the racing vectors explore
+    assert certified + len(explored) <= cssg.stats.n_vectors_tried
+    obs_metrics.disable()
+    build_cssg(celem, method=method)
+    assert registry.value("repro_cssg_starts_total", "certified") == certified
+
+
 def test_patched_machine_settles_each_start_once(celem, monkeypatch, fresh_metrics):
     """A repeated ``faulty_apply`` (same machine, states and pattern)
     certifies and explores nothing again: the machine's memo answers
@@ -599,9 +652,9 @@ def test_patched_machine_settles_each_start_once(celem, monkeypatch, fresh_metri
     certified, explored = [], []
     real_settle_lane_if = type(lane[0]).settle_lane_if
 
-    def settle_lane_if(self, state, j, accept):
+    def settle_lane_if(self, state, j, accept, seed=None):
         certified.append(state)
-        return real_settle_lane_if(self, state, j, accept)
+        return real_settle_lane_if(self, state, j, accept, seed)
 
     def explore(*args):
         explored.append(args)

@@ -89,6 +89,31 @@ def test_options_round_trip():
     assert AtpgOptions.from_json_dict(opts.to_json_dict()) == opts
 
 
+def test_flat_dataclass_dicts_match_asdict_key_for_key():
+    """The flat dataclasses build their dicts from ``fields()``: the
+    same keys, order and values ``dataclasses.asdict`` gives, so job
+    keys, payloads and CSSG cache docs stay byte-identical."""
+    from repro.campaign.cohort import IncrementalStats, cssg_from_doc, cssg_to_doc
+    from repro.sgraph.cssg import build_cssg
+
+    def same(got, obj):
+        assert json.dumps(got) == json.dumps(dataclasses.asdict(obj))
+
+    opts = AtpgOptions(fault_model="bridging", k=9, deadline_seconds=1.5)
+    same(opts.to_json_dict(), opts)
+    stats = IncrementalStats(cohorts_total=4, cohorts_reused=3, cssg_reused=True)
+    same(stats.to_json_dict(), stats)
+    circuit = load_benchmark("ebergen", "complex")
+    cssg = build_cssg(circuit, method="hybrid")
+    doc = cssg_to_doc(cssg)
+    same(doc["stats"], cssg.stats)
+    # A doc written while CssgStats still had max_settle_path loads.
+    doc["stats"]["max_settle_path"] = 3
+    back = cssg_from_doc(circuit, doc)
+    assert back is not None and back.stats == cssg.stats
+    assert back.edges == cssg.edges
+
+
 def test_options_reject_unknown_fields():
     with pytest.raises(ReproError, match="unknown AtpgOptions"):
         AtpgOptions.from_json_dict({"fault_model": "input", "bogus": 1})

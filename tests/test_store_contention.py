@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.campaign import store as store_module
 from repro.campaign.store import ENTRY_CLASSES, ResultStore
 
 KEY = "ab" * 32
@@ -552,3 +553,50 @@ def test_old_shard_layout_is_listed_counted_evicted_and_cleared(
     assert not list(tmp_path.rglob("*.tmp"))
     assert not list(tmp_path.glob("*/*/"))  # the emptied shards are gone
 
+
+
+def _counting_parses(monkeypatch):
+    """Every entry body the store parses, in order."""
+    parses = []
+    real = store_module._parse
+
+    def parse(data):
+        parses.append(data)
+        return real(data)
+
+    monkeypatch.setattr(store_module, "_parse", parse)
+    return parses
+
+
+def test_pack_is_parsed_once_until_another_store_rewrites_it(tmp_path, monkeypatch):
+    """A store's cohort lookups parse each pack once; a pack a second
+    store rewrites under the same run key, even at the same size, is
+    read again."""
+    store, other = ResultStore(tmp_path), ResultStore(tmp_path)
+    run, a, b = _run_key(1), _cohort_key(1), _cohort_key(2)
+    path = store.put_cohort(run, _pack(run, [a, b]))
+    parses = _counting_parses(monkeypatch)
+    assert store.get_cohort(a)["made_by"] == run
+    assert store.get_cohort(b)["made_by"] == run
+    assert store.has_cohort(a)
+    assert len(parses) == 1
+    size = path.stat().st_size
+    rewritten = _pack(run, [a, b])
+    rewritten["cohorts"][a]["made_by"] = _run_key(2)
+    assert other.put_cohort(run, rewritten).stat().st_size == size
+    assert store.get_cohort(a)["made_by"] == _run_key(2)
+    assert store.get_cohort(b)["made_by"] == run
+    assert len(parses) == 2
+
+
+def test_torn_pack_reads_as_a_miss_after_a_memoised_hit(tmp_path):
+    store = ResultStore(tmp_path)
+    run, a = _run_key(1), _cohort_key(1)
+    path = store.put_cohort(run, _pack(run, [a]))
+    assert store.get_cohort(a)["made_by"] == run
+    good = path.read_bytes()
+    path.write_bytes(good[: len(good) // 2])
+    assert store.get_cohort(a) is None
+    assert not store.has_cohort(a)
+    path.write_bytes(good)
+    assert store.get_cohort(a)["made_by"] == run
