@@ -218,30 +218,22 @@ def transition_bound(
     A gate fires at most once before, and at most once after each
     firing of, a moving gate it reads; no other signal moves
     (``docs/architecture.md`` sketches the argument)."""
-    fires: Dict[int, int] = {}  # gate bit -> its fires
+    fires: Dict[int, int] = {}  # gate -> its fires
     bound = 0
     left = gates
     while left:
-        peel = 0
-        rest = left
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if not reads[bit.bit_length() - 1] & left:
-                peel |= bit
+        peel = [g for g in iter_set_bits(left) if not reads[g] & left]
         if not peel:
             return None
-        left ^= peel
-        while peel and fired:  # with nothing fired, every count is 0
-            bit = peel & -peel
-            peel ^= bit
-            n = 1 if fired & bit else 0
-            below = reads[bit.bit_length() - 1] & gates
-            while below:
-                read = below & -below
-                n += fires[read]
-                below ^= read
-            fires[bit] = n
+        for g in peel:
+            left ^= 1 << g
+        if not fired:  # with nothing fired, every count is 0
+            continue
+        for g in peel:
+            n = fired >> g & 1
+            for i in iter_set_bits(reads[g] & gates):
+                n += fires[i]
+            fires[g] = n
             bound += n
     return bound
 

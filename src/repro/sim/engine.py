@@ -462,7 +462,10 @@ class SimEngine:
         ``accept(start, phi)`` is shown, per start, the signals
         Algorithm A leaves at Φ on its lane.  Algorithm B then runs once
         for every accepted lane.  Starts go :data:`LANES` at a time, so
-        a wide input alphabet never builds one huge word."""
+        a wide input alphabet never builds one huge word.  The lanes
+        drive different inputs, which breaks the kernel's input-drive
+        invariant (:func:`repro.sim.arena._codegen_walk`): the
+        generator only settles, and is never stepped."""
         if self.faults:
             raise SimulationError("settle_lanes_if runs the good machine only")
         out: List[Optional[int]] = []
@@ -509,11 +512,7 @@ class SimEngine:
             read |= 1 << j
         phi: Dict[int, int] = {}
         for i in range(self.cc.n_inputs, self.cc.n_signals):
-            word = low[i] & high[i] & read
-            while word:
-                bit = word & -word
-                word ^= bit
-                j = bit.bit_length() - 1
+            for j in iter_set_bits(low[i] & high[i] & read):
                 phi[j] = phi.get(j, 0) | (1 << i)
         out: Dict[int, Optional[int]] = dict(lanes)
         accepted = {}

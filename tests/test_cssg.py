@@ -258,6 +258,47 @@ LATCH_NET = """
 .reset S=0 s=0 y=0
 """
 
+#: Seven buffered inputs: the reset state has 127 starts, more than
+#: one settle's :data:`~repro.sim.engine.LANES`.  g's constant reads
+#: the lane mask, which differs with the width of the settle.
+SEVEN_BUFFERS_NET = """
+.model seven
+.inputs A B C D E F G
+.gate a BUF A
+.gate b BUF B
+.gate c BUF C
+.gate d BUF D
+.gate e BUF E
+.gate f BUF F
+.expr g = G & 1
+.outputs a b c d e f g
+.reset A=0 B=0 C=0 D=0 E=0 F=0 G=0 a=0 b=0 c=0 d=0 e=0 f=0 g=0
+"""
+
+
+def test_starts_beyond_one_settle_keep_their_order():
+    """127 starts settle in two words (64 + 63 lanes).  Under k = 3 a
+    start is proved exactly when it moves at most three inputs, in
+    either word, with the successor :func:`settle_report` gives it;
+    the others are refused, and the explorer finds them too slow."""
+    from repro.sim.engine import LANES, engine_for
+
+    circuit = parse_netlist(SEVEN_BUFFERS_NET)
+    reset = circuit.require_reset()
+    patterns = range(1, 1 << circuit.n_inputs)
+    starts = [circuit.apply_input_pattern(reset, p) for p in patterns]
+    assert LANES < len(starts) < 2 * LANES
+    proved = cssg_module._edge_certifier(circuit, 3)(reset, starts)
+    assert set(engine_for(circuit)._args) >= {LANES, len(starts) - LANES}
+    for pattern, start in zip(patterns, starts):
+        report = settle_report(circuit, start)
+        assert report.longest_path == bin(pattern).count("1")
+        if report.longest_path <= 3:
+            assert proved[start] == report.unique_stable
+        else:
+            assert start not in proved
+    assert len(proved) == 7 + 21 + 35
+
 
 def test_chain_longer_than_k_is_explored_and_counted_too_slow(monkeypatch):
     """The chain's bound is 4: under the netlist's ``.k 3`` the

@@ -15,6 +15,7 @@ from repro.core import exact_sim
 from repro.errors import StateGraphError
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
+from repro.sgraph import cssg as cssg_module
 from repro.sgraph.cssg import build_cssg
 from repro.sgraph.explore import SettleReport, reduced_settle_report, settle_report
 from repro.sim import ternary
@@ -200,11 +201,12 @@ def corpus_starts():
     """``{(table, caller): [(machine, start, cap), ...]}``: every
     distinct settle one pass of Table 1 or Table 2 (all circuits x the
     four fault models) issues, from CSSG construction (``"cssg"``, on
-    the good circuit, the starts its certificate refuses) or from the
-    exact faulty machine (``"exact"``, on a
-    :class:`~repro.core.exact_sim.PatchedMachine`).  Exact starts are
-    recorded where the machine settles them (``exact_sim._settled``),
-    before the certificate answers most of them, so the differentials
+    the good circuit) or from the exact faulty machine (``"exact"``, on
+    a :class:`~repro.core.exact_sim.PatchedMachine`).  CSSG starts are
+    recorded where the edge certificate is shown them
+    (``cssg._edge_certifier``) and where the explorer is, exact starts
+    where the machine settles them (``exact_sim._settled``), both
+    before a certificate answers most of them, so the differentials
     below see every start, certified or explored.  ``"seeded"`` holds
     the exact starts a test cycle drove, as ``(machine, start, cap,
     seed)`` with the certificate's seed (the inputs that moved)."""
@@ -218,6 +220,21 @@ def corpus_starts():
             return real(circuit, start, cap)
 
         return record
+
+    def certifier_recorder(table, real):
+        seen = calls.setdefault((table, "cssg"), {})
+
+        def edge_certifier(circuit, k):
+            certify = real(circuit, k)
+
+            def record(state, starts):
+                for start in starts:
+                    seen[id(circuit), start, 200_000] = (circuit, start, 200_000)
+                return certify(state, starts)
+
+            return record
+
+        return edge_certifier
 
     def exact_recorder(table, real):
         seen = calls.setdefault((table, "exact"), {})
@@ -245,6 +262,10 @@ def corpus_starts():
                 "repro.sgraph.cssg.settle_report", recorder(table, settle_report)
             )
             patch.setattr(
+                "repro.sgraph.cssg._edge_certifier",
+                certifier_recorder(table, cssg_module._edge_certifier),
+            )
+            patch.setattr(
                 "repro.core.exact_sim._settled",
                 exact_recorder(table, exact_sim._settled),
             )
@@ -270,8 +291,11 @@ def table2_starts(corpus_starts):
     ]
 
 
-def test_matches_reference_on_every_table2_start(table2_starts):
-    assert len(table2_starts) > 500
+def test_matches_reference_on_every_table2_start(corpus_starts, table2_starts):
+    # measured: every one of the 155 CSSG starts, certified or explored,
+    # and 506 exact starts
+    assert len(corpus_starts["table2", "cssg"]) >= 155
+    assert len(table2_starts) > 650
     for circuit, start, cap in table2_starts:
         assert settle_report(circuit, start, cap) == reference_settle_report(
             circuit, start, cap
