@@ -32,8 +32,10 @@ from pathlib import Path
 import pytest
 
 from repro.benchmarks_data import load_benchmark
-from repro.campaign import CampaignSpec, ResultStore, cohort_plan, expand
-from repro.campaign.runner import execute_job_incremental
+from repro.campaign import CampaignSpec, ResultStore, expand
+from repro.campaign.cohort import cohort_salt, partition
+from repro.campaign.runner import execute_job_incremental, load_job_circuit
+from repro.circuit.faults import fault_universe
 from repro.circuit.parser import netlist_to_text
 from repro.core.atpg import AtpgOptions
 
@@ -95,8 +97,13 @@ def test_edit_rerun_speedup(tmp_path, capsys):
 
     # Each timed iteration is a true first-rerun-after-edit: the stale
     # cohorts' fresh partials are deleted again between runs.
+    circuit = load_job_circuit(edited)
+    universe = fault_universe(circuit, edited.options.fault_model)
+    salt = cohort_salt(circuit, edited.style, edited.options)
     stale_keys = [
-        c.key for c in cohort_plan(edited) if not store.has_cohort(c.key)
+        c.key
+        for c in partition(circuit, universe, salt)
+        if not store.has_cohort(c.key)
     ]
     assert stale_keys
     warm_times = []

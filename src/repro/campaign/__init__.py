@@ -38,7 +38,7 @@ _EXPORTS = {
         "partition",
     ),
     "repro.campaign.plan": (
-        "CODE_VERSION", "CampaignSpec", "Job", "cohort_plan", "expand", "job_key",
+        "CODE_VERSION", "CampaignSpec", "Job", "expand", "job_key",
         "source_fingerprint",
     ),
     "repro.campaign.runner": (

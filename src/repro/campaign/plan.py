@@ -179,33 +179,6 @@ def job_key(fingerprint: str, style: str, options: AtpgOptions) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def cohort_plan(job: Job) -> List["object"]:
-    """Expand one job into its cohort-granular work units.
-
-    Cohorts are the incremental cache's addressing unit: the job's
-    fault universe partitioned by structural cone of influence, each
-    with a content key over the canonicalized cone sub-netlist (see
-    :mod:`repro.campaign.cohort`).  The runner computes the same
-    partition internally; this entry point enumerates a job's cohort
-    keys without executing anything (the incremental tests and
-    ``benchmarks/bench_incremental.py`` use it).
-
-    Imports the cohort layer and the runner here, not at module level:
-    the runner imports this module, and only cohort enumeration needs
-    them.  Planning itself is not free of the flow machinery: this
-    module's imports of :mod:`repro.core.atpg` and :mod:`repro.flow`
-    load three-phase, exact simulation, the simulator and the CSSG.
-    """
-    from repro.campaign import cohort as _cohort
-    from repro.campaign.runner import load_job_circuit
-    from repro.circuit.faults import fault_universe
-
-    circuit = load_job_circuit(job)
-    universe = fault_universe(circuit, job.options.fault_model)
-    salt = _cohort.cohort_salt(circuit, job.style, job.options)
-    return _cohort.partition(circuit, universe, salt)
-
-
 def _display_name(
     base: str,
     style: str,

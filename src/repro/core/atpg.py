@@ -103,11 +103,17 @@ class AtpgOptions:
     deadline_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # ``not value >= 0`` also refuses NaN, which every comparison fails.
         for name in ("k", "random_walks", "walk_len", "deadline_seconds"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:
                 raise ReproError(f"AtpgOptions.{name} must be >= 0, got {value!r}")
-        if self.max_input_changes is not None and self.max_input_changes < 1:
+        if self.deadline_seconds == float("inf"):
+            raise ReproError(
+                "AtpgOptions.deadline_seconds must be finite "
+                "(None means unbounded), got inf"
+            )
+        if self.max_input_changes is not None and not self.max_input_changes >= 1:
             raise ReproError(
                 "AtpgOptions.max_input_changes must be >= 1, "
                 f"got {self.max_input_changes!r}"

@@ -219,7 +219,8 @@ def certify(
     one another without a cycle
     (:func:`~repro.sgraph.explore.transition_bound` is not None), and
     Algorithm B must then resolve every one of them
-    (:meth:`~repro.sim.engine.SimEngine.settle_lane_if`).  ``reads``
+    (:meth:`~repro.sim.engine.SimEngine.settle_lanes_if` on lane ``j``
+    alone).  ``reads``
     (see :func:`~repro.sgraph.explore.read_masks`) must describe
     machine ``j``'s own gates: the patched supports for lane ``j`` of
     the fault list's engine, the good ones for the fault-free engine's
@@ -227,9 +228,9 @@ def certify(
     gate); for a stable state of the machine whose inputs were just
     driven, it is the inputs that moved, and A examines only the gates
     reading them first."""
-    return engine.settle_lane_if(
-        start, j, lambda phi: transition_bound(phi, reads) is not None, seed
-    )
+    return engine.settle_lanes_if(
+        {j: start}, seed, lambda _j, phi: transition_bound(phi, reads) is not None
+    )[j]
 
 
 def _settle(

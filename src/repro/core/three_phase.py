@@ -50,7 +50,7 @@ instead, the fault is reported aborted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
@@ -90,10 +90,10 @@ class _ExactMachine:
     """Faulty machine as a set of possible stable states of the good
     circuit with the fault patched in (:class:`exact_sim.PatchedMachine`).
 
-    ``apply`` results are memoised per machine, so per fault: the
-    differentiation searches from each activation target and from reset
-    keep applying the same vectors to the same state sets.  The memo
-    holds the ``None`` (fall back) outcome too, and dies with the fault.
+    The patched machine settles each ``(start, cap)`` once, the ``None``
+    (fall back) outcome included, so the differentiation searches from
+    each activation target and from reset, which keep applying the same
+    vectors to the same state sets, settle nothing twice per fault.
     """
 
     def __init__(
@@ -106,9 +106,6 @@ class _ExactMachine:
         self.circuit = circuit
         self.faulty = exact_sim.PatchedMachine(circuit, fault, lane)
         self.cap = cap
-        self._applied: Dict[
-            Tuple[exact_sim.FaultyStates, int], Optional[exact_sim.FaultyStates]
-        ] = {}
 
     def reset(self, reset_state: int):
         if self.faulty.reset_state is not None:
@@ -119,13 +116,7 @@ class _ExactMachine:
         return states
 
     def apply(self, states, pattern: int):
-        key = (states, pattern)
-        try:
-            nxt = self._applied[key]
-        except KeyError:
-            nxt = self._applied[key] = exact_sim.faulty_apply(
-                self.faulty, states, pattern, self.cap
-            )
+        nxt = exact_sim.faulty_apply(self.faulty, states, pattern, self.cap)
         if nxt is None:
             raise _Fallback
         return nxt

@@ -422,9 +422,11 @@ def _edge_certifier(circuit: Circuit, k: int):
     :func:`frontier_traverse`: the starts of stable ``state`` whose one
     outcome a ternary certificate proves within ``k`` transitions.
 
-    All starts settle at once, one lane each, on the circuit's
-    fault-free engine (:meth:`~repro.sim.engine.SimEngine.settle_lanes_if`),
-    and Algorithm A is seeded with the inputs that moved: ``state`` is
+    The starts settle :data:`~repro.sim.engine.LANES` at a time, so a
+    wide input alphabet never builds one huge word, one lane each, on
+    the circuit's fault-free engine
+    (:meth:`~repro.sim.engine.SimEngine.settle_lanes_if`), and
+    Algorithm A is seeded with the inputs that moved: ``state`` is
     stable, so no other gate can move first.  A lane is accepted when
     its Φ gates read one another without a cycle and their
     :func:`~repro.sgraph.explore.transition_bound`, counting as excited
@@ -434,7 +436,7 @@ def _edge_certifier(circuit: Circuit, k: int):
     (``docs/architecture.md``).  So every certified start is one
     :func:`settle_report` would accept with the same successor; a
     refused one is explored as before."""
-    from repro.sim.engine import engine_for
+    from repro.sim.engine import LANES, engine_for
 
     engine = engine_for(circuit)
     reads = read_masks(circuit)
@@ -445,20 +447,24 @@ def _edge_certifier(circuit: Circuit, k: int):
                 readers[src] |= 1 << gate.index
 
     def certify(state: int, starts: List[int]) -> Dict[int, int]:
-        def accept(start: int, phi: int) -> bool:
-            fired = 0
-            for i in iter_set_bits(start ^ state):
-                fired |= readers[i]
-            bound = transition_bound(phi, reads, fired)
-            return bound is not None and bound <= k
-
         moved = 0
         for start in starts:
             moved |= start ^ state
-        settled = engine.settle_lanes_if(starts, moved, accept)
-        proved = {
-            start: succ for start, succ in zip(starts, settled) if succ is not None
-        }
+        proved = {}
+        for at in range(0, len(starts), LANES):
+            chunk = starts[at : at + LANES]
+
+            def accept(lane: int, phi: int) -> bool:
+                fired = 0
+                for i in iter_set_bits(chunk[lane] ^ state):
+                    fired |= readers[i]
+                bound = transition_bound(phi, reads, fired)
+                return bound is not None and bound <= k
+
+            settled = engine.settle_lanes_if(dict(enumerate(chunk)), moved, accept)
+            for lane, succ in settled.items():
+                if succ is not None:
+                    proved[chunk[lane]] = succ
         _started("certified", len(proved))
         return proved
 

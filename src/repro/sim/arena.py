@@ -285,9 +285,10 @@ def _codegen_walk(circuit: Circuit, layout: WalkLayout, full: bool) -> str:
     ``pattern ^ cur``, which is also the changed-signal bitmask the
     settle starts from.  The other ops never move an input, and the
     states that break the invariant are never stepped: the word lists
-    of :meth:`~repro.sim.engine.SimEngine.settle`, and the starts of
-    :meth:`~repro.sim.engine.SimEngine.settle_lanes_if`, whose inputs
-    differ from lane to lane, so ``cur`` means nothing there.
+    of :meth:`~repro.sim.engine.SimEngine.settle`, and the certificate
+    starts of :meth:`~repro.sim.engine.SimEngine.settle_lanes_if`, the
+    one door of both exact machines, whose inputs may differ from lane
+    to lane, so ``cur`` means nothing there.
 
     *Algorithm B's seed.*  ``sc`` accumulates every signal changed
     since the settle began (the starting bitmask and each pass's

@@ -66,12 +66,12 @@ and the Algorithm A/B fixpoints are unique, so lane *j* of an engine is
 bit-for-bit the scalar machine of fault *j*.  That is how the
 three-phase generator and the undetectability classifier run their
 per-fault ternary machines on their fault list's engine
-(:meth:`SimEngine.lane_at_reset`, :meth:`SimEngine.apply_lane`), and
-how the exact faulty machine certifies its starts
-(:meth:`SimEngine.settle_lane_if`), compiling nothing per fault.  The
-good machine runs as many lanes as CSSG construction has starts to
-certify for one stable state (:meth:`SimEngine.settle_lanes_if`), each
-lane the good circuit from its own start, in one settle.
+(:meth:`SimEngine.lane_at_reset`, :meth:`SimEngine.apply_lane`),
+compiling nothing per fault.  Both exact machines certify their starts
+through one method, :meth:`SimEngine.settle_lanes_if`: the exact faulty
+machine gives its fault's lane one start, and CSSG construction gives
+the fault-free engine up to :data:`LANES` starts of one stable state,
+each lane the good circuit from its own start, in one settle.
 
 Engines are cached per ``(circuit, faults)``, so repeated construction
 (the scalar API's per-fault machines, a classifier and a generator over
@@ -103,8 +103,9 @@ from repro.sim.arena import (
 #: Per-signal words ``((L...), (H...))`` of every machine of an engine.
 BatchState = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
-#: Lanes per :meth:`SimEngine.settle_lanes_if` settle: starts beyond it
-#: go to a further settle.
+#: Lanes per certificate settle of the CSSG's starts
+#: (:func:`repro.sgraph.cssg._edge_certifier`): starts beyond it go to a
+#: further :meth:`SimEngine.settle_lanes_if`.
 LANES = 64
 
 # ---------------------------------------------------------------------------
@@ -416,109 +417,58 @@ class SimEngine:
         H = [(ones if (state >> i) & 1 else 0) for i in range(self.cc.n_signals)]
         return L, H
 
-    def settle_lane_if(
-        self,
-        state: int,
-        j: int,
-        accept: Callable[[int], bool],
-        seed: Optional[int] = None,
-    ) -> Optional[int]:
-        """Machine ``j`` settled from the binary ``state``, or None.
-
-        Every machine starts from ``state`` (:meth:`broadcast`) and
-        Algorithm A runs alone, examining first the gates that read a
-        signal of ``seed`` (None: every gate).  ``accept`` is then shown
-        the bitmask of the signals A leaves at Φ on lane ``j``, if there
-        are any.  When it refuses, or Algorithm B leaves one of them at
-        Φ, the result is None; otherwise it is the definite state lane
-        ``j`` ends in.
-
-        A seed narrower than every signal is sound when ``state`` is a
-        stable state of machine ``j`` whose seed signals (its inputs)
-        were just rewritten: every other gate of lane ``j`` evaluates to
-        its own value, so A would not move it before a seed signal's
-        change reached it.  The other lanes may stop short of their
-        fixpoint; lanes never interact, so lane ``j`` does not see it."""
-        return self._certify(
-            *self.broadcast(state),
-            self.width,
-            self._all if seed is None else seed,
-            {j: state},
-            lambda _start, phi: accept(phi),
-        )[j]
-
     def settle_lanes_if(
         self,
-        starts: Sequence[int],
-        seed: int,
-        accept: Callable[[int, int], bool],
-    ) -> List[Optional[int]]:
-        """Each binary state of ``starts`` settled on a lane of its own
-        of this fault-free engine, as :meth:`settle_lane_if` settles one
-        lane: per start, the definite state it ends in, or None.
-
-        Every start must be a stable state of the good machine with
-        only the signals of ``seed`` (its inputs) rewritten.
-        ``accept(start, phi)`` is shown, per start, the signals
-        Algorithm A leaves at Φ on its lane.  Algorithm B then runs once
-        for every accepted lane.  Starts go :data:`LANES` at a time, so
-        a wide input alphabet never builds one huge word.  The lanes
-        drive different inputs, which breaks the kernel's input-drive
-        invariant (:func:`repro.sim.arena._codegen_walk`): the
-        generator only settles, and is never stepped."""
-        if self.faults:
-            raise SimulationError("settle_lanes_if runs the good machine only")
-        out: List[Optional[int]] = []
-        n_signals = self.cc.n_signals
-        for at in range(0, len(starts), LANES):
-            chunk = starts[at : at + LANES]
-            ones = mask(len(chunk))
-            first = chunk[0]
-            high = [ones if (first >> i) & 1 else 0 for i in range(n_signals)]
-            varying = 0
-            for start in chunk:
-                varying |= start ^ first
-            for i in iter_set_bits(varying):
-                high[i] = sum(((start >> i) & 1) << j for j, start in enumerate(chunk))
-            low = [ones & ~h for h in high]
-            settled = self._certify(
-                low, high, len(chunk), seed, dict(enumerate(chunk)), accept
-            )
-            out += settled.values()
-        return out
-
-    def _certify(
-        self,
-        L: List[int],
-        H: List[int],
-        width: int,
-        seed: int,
-        lanes: Dict[int, int],
+        starts: Dict[int, int],
+        seed: Optional[int],
         accept: Callable[[int, int], bool],
     ) -> Dict[int, Optional[int]]:
-        """The one certificate settle behind :meth:`settle_lane_if` and
-        :meth:`settle_lanes_if`: Algorithm A from ``(L, H)`` over
-        ``width`` lanes, examining first the gates that read ``seed``;
-        then ``accept(start, phi)`` on the Φ signals of each lane ``j``
-        of ``lanes`` (lane → its start), one Algorithm B for every
-        accepted lane (seeded with the union of their Φ signals, which
-        covers every signal A left at Φ in the lanes read), and, per
-        lane, the definite state it ends in, or None."""
-        gen = self._start(L, H, width)
-        gen.send((-4, seed))
+        """Each lane of ``starts`` (lane → binary start) settled from its
+        start: per lane, the definite state it ends in, or None.
+
+        Lanes left out of ``starts`` hold its first start; a fault-free
+        engine runs as many lanes as it is given, each the good machine.
+        Algorithm A runs alone, examining first the gates that read a
+        signal of ``seed`` (None: every gate), and ``accept(lane, phi)``
+        is shown the bitmask of the signals A leaves at Φ on each given
+        lane that has any.  One Algorithm B then runs for every accepted
+        lane, seeded with the union of their Φ signals, which covers
+        every signal A left at Φ on them.  A lane refused, or left at Φ
+        by B, settles to None.
+
+        A seed narrower than every signal is sound when each start is a
+        stable state of its lane's machine with only the seed signals
+        (its inputs) rewritten: every other gate evaluates to its own
+        value, so A would not move it before a seed signal's change
+        reached it.  Lanes never interact, so the lanes left out may
+        stop short of their fixpoint unseen.  Lanes may drive different
+        inputs, which breaks the kernel's input-drive invariant
+        (:func:`repro.sim.arena._codegen_walk`): the generator only
+        settles, and is never stepped."""
+        n_signals = self.cc.n_signals
+        width = self.width if self.faults else max(starts) + 1
+        ones = mask(width)
+        first = next(iter(starts.values()))
+        high = [ones if (first >> i) & 1 else 0 for i in range(n_signals)]
+        flips = {j: start ^ first for j, start in starts.items()}
+        varying = 0
+        for diff in flips.values():
+            varying |= diff
+        for i in iter_set_bits(varying):
+            high[i] ^= sum(((diff >> i) & 1) << j for j, diff in flips.items())
+        gen = self._start([ones & ~h for h in high], high, width)
+        gen.send((-4, self._all if seed is None else seed))
         low, high = gen.send((-3, 0))
-        read = 0
-        for j in lanes:
-            read |= 1 << j
+        read = sum(1 << j for j in starts)
         phi: Dict[int, int] = {}
-        for i in range(self.cc.n_inputs, self.cc.n_signals):
+        for i in range(self.cc.n_inputs, n_signals):
             for j in iter_set_bits(low[i] & high[i] & read):
                 phi[j] = phi.get(j, 0) | (1 << i)
-        out: Dict[int, Optional[int]] = dict(lanes)
+        out: Dict[int, Optional[int]] = dict(starts)
         accepted = {}
         union = 0
         for j, gates in phi.items():
-            if accept(lanes[j], gates):
+            if accept(j, gates):
                 accepted[j] = gates
                 union |= gates
             else:
@@ -529,7 +479,7 @@ class SimEngine:
         low, high = gen.send((-3, 0))
         for j, gates in accepted.items():
             bit = 1 << j
-            state = lanes[j]
+            state = out[j]
             for i in iter_set_bits(gates):
                 if not high[i] & bit:
                     state &= ~(1 << i)

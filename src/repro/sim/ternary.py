@@ -46,7 +46,7 @@ from repro._bits import mask
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.errors import SimulationError
-from repro.sim.engine import SimEngine, engine_for
+from repro.sim.engine import SimEngine, engine_for, lane_of
 
 TernaryState = Tuple[int, int]
 
@@ -89,15 +89,6 @@ def _unpack(tstate: TernaryState, n: int) -> Tuple[List[int], List[int]]:
     )
 
 
-def _pack(L: List[int], H: List[int]) -> TernaryState:
-    low = 0
-    high = 0
-    for i in range(len(L) - 1, -1, -1):
-        low = (low << 1) | L[i]
-        high = (high << 1) | H[i]
-    return (low, high)
-
-
 def settle(
     circuit: Circuit, tstate: TernaryState, fault: Optional[Fault] = None
 ) -> TernaryState:
@@ -112,7 +103,7 @@ def settle(
     engine = _engine(circuit, fault)
     L, H = _unpack(tstate, circuit.n_signals)
     engine.settle(L, H)
-    return _pack(L, H)
+    return lane_of((L, H), 0)
 
 
 def apply_pattern(

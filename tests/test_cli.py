@@ -309,10 +309,15 @@ def test_retired_liveness_flags_exit_2(capsys):
 @pytest.mark.parametrize("flag,value,field", [
     ("--k", "-1", "k"),
     ("--deadline", "-5", "deadline_seconds"),
+    ("--deadline", "nan", "deadline_seconds"),
+    ("--deadline", "inf", "deadline_seconds"),
 ])
 def test_out_of_range_option_exits_1_naming_the_field(flag, value, field, capsys):
+    """NaN passes every ``< 0`` test and an ``inf`` deadline never
+    fires, and neither serializes as JSON: both are refused."""
     assert main(["dff", flag, value]) == 1
-    assert f"AtpgOptions.{field} must be >= 0" in capsys.readouterr().err
+    bound = "finite" if value == "inf" else ">= 0"
+    assert f"AtpgOptions.{field} must be {bound}" in capsys.readouterr().err
 
 
 def test_campaign_logs_whole_job_lookups(tmp_path, capsys):

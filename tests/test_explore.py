@@ -674,17 +674,17 @@ def test_patched_machine_settles_each_start_once(celem, monkeypatch, fresh_metri
     capped = exact_sim.faulty_apply(machine, states, 0b10, cap=1)
     assert first is not None and capped is None
     certified, explored = [], []
-    real_settle_lane_if = type(lane[0]).settle_lane_if
+    real_settle_lanes_if = type(lane[0]).settle_lanes_if
 
-    def settle_lane_if(self, state, j, accept, seed=None):
-        certified.append(state)
-        return real_settle_lane_if(self, state, j, accept, seed)
+    def settle_lanes_if(self, starts, seed, accept):
+        certified.extend(starts.values())
+        return real_settle_lanes_if(self, starts, seed, accept)
 
     def explore(*args):
         explored.append(args)
         raise AssertionError("explored a settled start again")
 
-    monkeypatch.setattr(type(lane[0]), "settle_lane_if", settle_lane_if)
+    monkeypatch.setattr(type(lane[0]), "settle_lanes_if", settle_lanes_if)
     monkeypatch.setattr(exact_sim, "settle_report", explore)
     registry = obs_metrics.enable(MetricsRegistry())
     assert exact_sim.faulty_reset_states(machine, machine.reset_state) == states

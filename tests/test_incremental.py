@@ -26,8 +26,8 @@ from repro.campaign.cohort import (
     partition,
     validate_partial,
 )
-from repro.campaign.plan import CampaignSpec, cohort_plan, expand
-from repro.campaign.runner import execute_job_incremental
+from repro.campaign.plan import CampaignSpec, expand
+from repro.campaign.runner import execute_job_incremental, load_job_circuit
 from repro.campaign.store import ResultStore
 from repro.circuit.faults import fault_universe
 from repro.circuit.parser import parse_netlist
@@ -180,12 +180,14 @@ def test_validate_partial_rejects_wrong_faults_and_schema():
 
 
 def test_cohort_plan_partitions_the_universe_exactly():
+    """A job's cohorts, partitioned as ``execute_job_incremental`` does,
+    hold each fault of its universe once, under distinct keys."""
     job = expand(CampaignSpec(benchmarks=["dff"], fault_models=("input",)))[0]
-    cohorts = cohort_plan(job)
-    from repro.campaign.runner import load_job_circuit
-
     circuit = load_job_circuit(job)
     universe = fault_universe(circuit, "input")
+    cohorts = partition(
+        circuit, universe, cohort_salt(circuit, job.style, job.options)
+    )
     seen = [f for c in cohorts for f in c.faults]
     assert sorted(map(repr, seen)) == sorted(map(repr, universe))
     assert len(seen) == len(universe)
