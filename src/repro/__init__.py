@@ -21,8 +21,9 @@ Public API quick map:
   :func:`synthesize`
 * ATPG flow — :class:`Flow` (staged pipeline; ``Flow.default()`` is the
   paper's collapse → random TPG → 3-phase → compaction), :class:`Budget`
-  (the run deadline), :class:`RunContext`, the typed event stream
-  (:class:`EventBus`, :mod:`repro.flow.events`) and its consumers
+  (the run deadline), :class:`RunContext`, the event stream (plain
+  ``{"event": ..., "stage": ..., ...}`` records handed to each run
+  listener; see :mod:`repro.flow.context`) and its consumers
   (:class:`ProgressLine`); options/results —
   :class:`AtpgOptions`, :class:`AtpgResult`
 * campaigns — :class:`CampaignSpec`, :func:`expand`, :func:`run_campaign`,
@@ -57,7 +58,6 @@ _EXPORTS = {
     "repro.core.sequences": ("Test", "TestSet"),
     "repro.core.report": ("format_table", "result_row"),
     "repro.flow.budget": ("Budget",),
-    "repro.flow.events": ("EventBus",),
     "repro.flow.flow": ("Flow",),
     "repro.flow.consumers": ("ProgressLine",),
     "repro.flow.context": ("RunContext",),

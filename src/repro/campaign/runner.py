@@ -71,8 +71,8 @@ class JobOutcome:
     #: :meth:`~repro.campaign.cohort.IncrementalStats.to_json_dict`
     #: shape); ``None`` for plain runs and cache hits.
     incremental: Optional[Dict] = None
-    #: The job's own metrics registry snapshot when a worker ran it under
-    #: ``collect_telemetry``; ``None`` otherwise.
+    #: The job's own metrics registry snapshot when a worker ran it with
+    #: metrics enabled; ``None`` otherwise.
     metrics: Optional[Dict] = None
 
     @property
@@ -668,7 +668,6 @@ def run_campaign(
     timeout: float = DEFAULT_JOB_TIMEOUT,
     progress: Optional[Callable[[JobOutcome, int, int], None]] = None,
     refresh: bool = False,
-    collect_telemetry: bool = False,
     incremental: bool = False,
 ) -> CampaignReport:
     """Resolve every job: from the cache when possible, else by running
@@ -681,12 +680,10 @@ def run_campaign(
     never fires); past it the worker is killed and the job resolves as
     ``timeout``.
 
-    ``collect_telemetry`` arms metrics collection for the call (the
-    parent's ambient registry becomes the campaign-wide aggregate;
+    With metrics enabled (:func:`repro.obs.metrics.enabled`) when it is
+    called, the ambient registry becomes the campaign-wide aggregate:
     workers record into per-job registries whose snapshots are merged
-    in as results arrive) and restores the switch's previous state on
-    return; the registry keeps the campaign's series.  Payloads never
-    depend on it.
+    in as results arrive.  Payloads never depend on it.
 
     ``incremental`` resolves jobs that miss the whole-result cache
     through :func:`execute_job_incremental`: per-fault-cohort partials
@@ -700,64 +697,63 @@ def run_campaign(
         raise ReproError(f"workers must be >= 0, got {workers}")
     if not timeout > 0:  # NaN too: no job would outlive the first sweep
         raise ReproError(f"timeout must be > 0 seconds, got {timeout}")
-    with _obs.armed(collect_telemetry):
-        start = time.perf_counter()
-        outcomes: Dict[str, JobOutcome] = {}
-        n_total = len(jobs)
+    start = time.perf_counter()
+    outcomes: Dict[str, JobOutcome] = {}
+    n_total = len(jobs)
 
-        def resolve(outcome: JobOutcome) -> None:
-            outcomes[outcome.job.key] = outcome
-            note_incremental_stats(outcome.incremental)
-            if outcome.executed and store is not None and outcome.payload:
-                store.put(outcome.job.key, outcome.payload)
-            if _obs.enabled():
-                reg = _obs.get_registry()
-                if outcome.metrics:  # a worker job's, merged exactly once
-                    reg.merge_snapshot(outcome.metrics)
-                reg.counter(
-                    "repro_campaign_jobs_total",
-                    "Campaign jobs resolved, by outcome status.",
-                    ("status",),
-                ).labels(outcome.status).inc()
-            if progress is not None:
-                progress(outcome, len(outcomes), n_total)
+    def resolve(outcome: JobOutcome) -> None:
+        outcomes[outcome.job.key] = outcome
+        note_incremental_stats(outcome.incremental)
+        if outcome.executed and store is not None and outcome.payload:
+            store.put(outcome.job.key, outcome.payload)
+        if _obs.enabled():
+            reg = _obs.get_registry()
+            if outcome.metrics:  # a worker job's, merged exactly once
+                reg.merge_snapshot(outcome.metrics)
+            reg.counter(
+                "repro_campaign_jobs_total",
+                "Campaign jobs resolved, by outcome status.",
+                ("status",),
+            ).labels(outcome.status).inc()
+        if progress is not None:
+            progress(outcome, len(outcomes), n_total)
 
-        pending: List[Job] = []
-        for job in jobs:
-            payload = None if refresh else _fresh_payload(store, job)
-            if payload is not None:
-                resolve(JobOutcome(job, "cached", payload=payload))
-            else:
-                pending.append(job)
+    pending: List[Job] = []
+    for job in jobs:
+        payload = None if refresh else _fresh_payload(store, job)
+        if payload is not None:
+            resolve(JobOutcome(job, "cached", payload=payload))
+        else:
+            pending.append(job)
 
-        if workers == 0:
-            job_store = _incremental_store(
-                incremental, None if store is None else store.root
-            )
-            cssg_memo: Dict = {}
-            last_group: Optional[str] = None
-            for job in pending:
-                if job.group != last_group:  # bound memory to one circuit
-                    cssg_memo = {}
-                    last_group = job.group
-                resolve(run_job(job, job_store, cssg_memo, refresh=refresh))
-        elif pending:
-            pool = _Pool(
-                pending, min(workers, len(pending)), timeout, collect_telemetry,
-                incremental=incremental and store is not None,
-                cache_root=str(store.root) if store is not None else None,
-                refresh=refresh,
-            )
-            try:
-                pool.start()
-                while pool.unresolved:
-                    pool.step(resolve)
-            finally:
-                pool.shutdown()
-
-        return CampaignReport(
-            jobs=jobs,
-            outcomes=[outcomes[j.key] for j in jobs],
-            wall_seconds=time.perf_counter() - start,
-            workers=workers,
+    if workers == 0:
+        job_store = _incremental_store(
+            incremental, None if store is None else store.root
         )
+        cssg_memo: Dict = {}
+        last_group: Optional[str] = None
+        for job in pending:
+            if job.group != last_group:  # bound memory to one circuit
+                cssg_memo = {}
+                last_group = job.group
+            resolve(run_job(job, job_store, cssg_memo, refresh=refresh))
+    elif pending:
+        pool = _Pool(
+            pending, min(workers, len(pending)), timeout, _obs.enabled(),
+            incremental=incremental and store is not None,
+            cache_root=str(store.root) if store is not None else None,
+            refresh=refresh,
+        )
+        try:
+            pool.start()
+            while pool.unresolved:
+                pool.step(resolve)
+        finally:
+            pool.shutdown()
+
+    return CampaignReport(
+        jobs=jobs,
+        outcomes=[outcomes[j.key] for j in jobs],
+        wall_seconds=time.perf_counter() - start,
+        workers=workers,
+    )

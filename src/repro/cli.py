@@ -551,8 +551,7 @@ def campaign_main(argv=None) -> int:
         return 2
 
     title = "Table-2 campaign" if args.table2 else "Campaign"
-    collect_telemetry = bool(args.metrics)
-    with _armed_metrics(collect_telemetry, args.metrics):
+    with _armed_metrics(bool(args.metrics), args.metrics):
         report = run_campaign(
             jobs,
             workers=args.workers,
@@ -563,7 +562,6 @@ def campaign_main(argv=None) -> int:
             timeout=DEFAULT_JOB_TIMEOUT if args.timeout is None else args.timeout,
             progress=None if args.quiet else _print_progress,
             refresh=args.refresh,
-            collect_telemetry=collect_telemetry,
             incremental=args.incremental,
         )
     if args.out:

@@ -3,8 +3,8 @@
 The flow itself lives in :mod:`repro.flow`: a pipeline of composable
 stages (collapse → random TPG → 3-phase + fault sim → compaction) over a
 shared :class:`~repro.flow.context.RunContext`, with a run
-:class:`~repro.flow.budget.Budget` and a typed event stream.  This
-module keeps the *data contract* every consumer shares:
+:class:`~repro.flow.budget.Budget` and a stream of plain event records.
+This module keeps the *data contract* every consumer shares:
 
 * :class:`AtpgOptions` — the tuning knobs (also the campaign cache key);
 * :class:`FaultStatus` / :class:`AtpgResult` — per-fault verdicts and
@@ -22,7 +22,7 @@ from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.core.sequences import Test, TestSet
 from repro.core.three_phase import DETECTED, UNDETECTABLE
-from repro.sgraph.cssg import Cssg, CssgSummary, build_cssg
+from repro.sgraph.cssg import CSSG_METHODS, Cssg, CssgSummary, build_cssg
 
 
 #: Version of the :meth:`AtpgResult.to_json_dict` schema.  Bump whenever
@@ -104,7 +104,10 @@ class AtpgOptions:
 
     def __post_init__(self) -> None:
         # ``not value >= 0`` also refuses NaN, which every comparison fails.
-        for name in ("k", "random_walks", "walk_len", "deadline_seconds"):
+        for name in (
+            "k", "random_walks", "walk_len", "deadline_seconds",
+            "max_product_states", "max_activation_tries", "auto_exact_limit",
+        ):
             value = getattr(self, name)
             if value is not None and not value >= 0:
                 raise ReproError(f"AtpgOptions.{name} must be >= 0, got {value!r}")
@@ -117,6 +120,16 @@ class AtpgOptions:
             raise ReproError(
                 "AtpgOptions.max_input_changes must be >= 1, "
                 f"got {self.max_input_changes!r}"
+            )
+        if self.cssg_method != "auto" and self.cssg_method not in CSSG_METHODS:
+            raise ReproError(
+                "AtpgOptions.cssg_method must be 'auto' or one of "
+                f"{', '.join(CSSG_METHODS)}, got {self.cssg_method!r}"
+            )
+        if self.faulty_semantics not in ("exact", "ternary"):
+            raise ReproError(
+                "AtpgOptions.faulty_semantics must be 'exact' or 'ternary', "
+                f"got {self.faulty_semantics!r}"
             )
 
     def to_json_dict(self) -> Dict:

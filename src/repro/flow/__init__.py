@@ -10,15 +10,16 @@ monolith:
   built-in stages; write your own by implementing ``name`` /
   ``enabled(ctx)`` / ``run(ctx)``;
 * :mod:`repro.flow.context` — :class:`RunContext`: the circuit, CSSG,
-  fault ledger, test set, seeded RNG and budget every stage shares;
+  fault ledger, test set, seeded RNG, budget and event listeners every
+  stage shares; and :func:`emit`, which hands each event record
+  (``{"event": "StageStarted", "stage": ..., ...}`` … ``BudgetExhausted``)
+  to the run's listeners;
 * :mod:`repro.flow.budget` — :class:`Budget`: the wall-clock deadline,
   honored cooperatively (a bounded run yields a valid partial result,
   remainder ``aborted``/``"budget"``);
-* :mod:`repro.flow.events` — the typed event stream
-  (``StageStarted`` … ``BudgetExhausted``) and :class:`EventBus`;
 * :mod:`repro.flow.consumers` — the ready-made listener
   :class:`ProgressLine`.  A run under a recording
-  :class:`~repro.obs.trace.Tracer` also files every event on its span
+  :class:`~repro.obs.trace.Tracer` also files every record on its span
   timeline (see :mod:`repro.flow.flow`).
 """
 
@@ -27,11 +28,7 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "repro.flow.budget": ("Budget", "REASON_BUDGET"),
     "repro.flow.consumers": ("ProgressLine",),
-    "repro.flow.context": ("REASON_UNPROCESSED", "RunContext"),
-    "repro.flow.events": (
-        "BudgetExhausted", "EventBus", "FaultClassified", "FlowEvent", "ProgressTick",
-        "StageFinished", "StageStarted", "TestAdded",
-    ),
+    "repro.flow.context": ("REASON_UNPROCESSED", "RunContext", "emit"),
     "repro.flow.flow": ("DEFAULT_STAGE_NAMES", "Flow"),
     "repro.flow.stages": (
         "CollapseStage", "CompactionStage", "RandomTpgStage", "Stage",

@@ -1,8 +1,8 @@
 """Event-stream consumer: the progress line.
 
-:class:`ProgressLine` is the ready-made listener for the flow's
-:class:`EventBus`: a live single-line status on a TTY-ish stream
-(``repro-atpg --progress``).
+:class:`ProgressLine` is the ready-made run listener: a live
+single-line status on a TTY-ish stream (``repro-atpg --progress``),
+driven by the flow's event records (see :mod:`repro.flow.context`).
 
 The structured record of the stream is not a listener here: a run
 under a recording :class:`~repro.obs.trace.Tracer` files every event
@@ -13,17 +13,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import IO, Optional
-
-from repro.flow.events import (
-    BudgetExhausted,
-    FaultClassified,
-    FlowEvent,
-    ProgressTick,
-    StageFinished,
-    StageStarted,
-    TestAdded,
-)
+from typing import IO, Dict, Optional
 
 __all__ = ["ProgressLine"]
 
@@ -53,26 +43,27 @@ class ProgressLine:
         self._tty = bool(getattr(self.stream, "isatty", lambda: False)())
         self._last_plain = float("-inf")
 
-    def __call__(self, event: FlowEvent) -> None:
+    def __call__(self, doc: Dict) -> None:
+        kind = doc["event"]
         boundary = False
-        if isinstance(event, StageStarted):
-            self.stage = event.stage
+        if kind == "StageStarted":
+            self.stage = doc["stage"]
             self.done = self.total = 0
             boundary = True
-        elif isinstance(event, ProgressTick):
-            self.stage = event.stage
-            self.done, self.total = event.done, event.total
-        elif isinstance(event, FaultClassified):
-            if event.status == "detected":
+        elif kind == "ProgressTick":
+            self.stage = doc["stage"]
+            self.done, self.total = doc["done"], doc["total"]
+        elif kind == "FaultClassified":
+            if doc["status"] == "detected":
                 self.covered += 1
-            elif event.status == "aborted":
+            elif doc["status"] == "aborted":
                 self.aborted += 1
-        elif isinstance(event, TestAdded):
-            self.tests = event.index + 1
-        elif isinstance(event, BudgetExhausted):
-            self.stage = f"{event.stage} (budget!)"
+        elif kind == "TestAdded":
+            self.tests = doc["index"] + 1
+        elif kind == "BudgetExhausted":
+            self.stage = f"{doc['stage']} (budget!)"
             boundary = True
-        elif isinstance(event, StageFinished):
+        elif kind == "StageFinished":
             self.done = self.total
             boundary = True
         self._render(boundary)

@@ -3,9 +3,21 @@
 A :class:`RunContext` owns everything a stage may read or write: the
 circuit, the CSSG, the full fault universe and the (possibly collapsed)
 work list, the mutable fault ledger, the growing test set, the seeded
-RNG, the run :class:`~repro.flow.budget.Budget`, and the
-:class:`~repro.flow.events.EventBus`.  Stages communicate *only* through
-the context — that is what makes them recomposable.
+RNG, the run :class:`~repro.flow.budget.Budget`, and the run's event
+listeners.  Stages communicate *only* through the context — that is
+what makes them recomposable.
+
+**Events are records.**  Stages narrate the run by handing plain dicts
+to :func:`emit`, ``{"event": <kind>, "stage": <name>, <fields>}`` — the
+very record a traced run files on its spans.  Kinds and fields, in
+order: ``StageStarted`` (``n_remaining``), ``StageFinished``
+(``detail``), ``FaultClassified`` (``fault`` as :meth:`Fault.to_json`,
+``status``, ``phase``, ``reason``), ``TestAdded`` (``index``,
+``source``, ``n_patterns``, ``n_faults``), ``ProgressTick`` (``done``,
+``total``, ``covered``) and ``BudgetExhausted`` (``reason``,
+``n_remaining``).  No record carries wall-clock data, so the stream is
+deterministic for a fixed (circuit, options, seed).  A record is built
+only when the run has a listener.
 
 :meth:`RunContext.finish` freezes the ledger into an
 :class:`~repro.core.atpg.AtpgResult`: collapsed equivalence classes are
@@ -18,7 +30,8 @@ and the per-phase counters are tallied from the ledger.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+import warnings
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
@@ -32,13 +45,35 @@ from repro.core.three_phase import (
     ThreePhaseGenerator,
 )
 from repro.flow.budget import Budget
-from repro.flow.events import EventBus, FaultClassified, TestAdded
 from repro.sgraph.cssg import Cssg
 
-__all__ = ["RunContext", "REASON_UNPROCESSED"]
+__all__ = ["RunContext", "REASON_UNPROCESSED", "emit"]
 
 #: Reason for faults left unclassified by a custom (partial) stage list.
 REASON_UNPROCESSED = "unprocessed"
+
+Listener = Callable[[Dict], None]
+
+
+def emit(listeners: List[Listener], doc: Dict) -> None:
+    """Hand the event record ``doc`` to every listener, in order.
+
+    Listeners are isolated: one that raises is removed from
+    ``listeners`` after its first error, which surfaces once as a
+    :class:`RuntimeWarning`; the run completes and every other listener
+    keeps receiving the whole stream.  Listeners share ``doc`` and must
+    not mutate it."""
+    for listener in list(listeners):
+        try:
+            listener(doc)
+        except Exception as exc:
+            listeners.remove(listener)
+            warnings.warn(
+                f"event listener {listener!r} raised {type(exc).__name__}: "
+                f"{exc} on {doc['event']}; dropped",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
 
 class RunContext:
@@ -50,7 +85,7 @@ class RunContext:
         options: AtpgOptions,
         cssg: Cssg,
         faults: List[Fault],
-        bus: Optional[EventBus] = None,
+        listeners: Iterable[Listener] = (),
         budget: Optional[Budget] = None,
     ):
         self.circuit = circuit
@@ -69,7 +104,8 @@ class RunContext:
         self.tests = TestSet(circuit)
         #: Seeded once per run; stages share the stream in stage order.
         self.rng = random.Random(options.seed)
-        self.bus = bus if bus is not None else EventBus()
+        #: Event listeners; :func:`emit` drops one that raises.
+        self.listeners: List[Listener] = list(listeners)
         self.budget = budget if budget is not None else Budget.from_options(options)
         #: Name of the stage currently running (set by ``Flow.run``).
         self.stage = ""
@@ -118,18 +154,24 @@ class RunContext:
         """Record a fault's final verdict and emit ``FaultClassified``."""
         record = FaultStatus(fault, status, phase, test_index, reason)
         self.statuses[fault] = record
-        self.bus.emit(FaultClassified(self.stage, fault, status, phase, reason))
+        if self.listeners:
+            emit(self.listeners, {
+                "event": "FaultClassified", "stage": self.stage,
+                "fault": fault.to_json(), "status": status, "phase": phase,
+                "reason": reason,
+            })
         return record
 
     def add_test(self, test: Test) -> int:
         """Append a test, emit ``TestAdded``, return its index."""
         index = len(self.tests.tests)
         self.tests.add(test)
-        self.bus.emit(
-            TestAdded(
-                self.stage, index, test.source, len(test.patterns), len(test.faults)
-            )
-        )
+        if self.listeners:
+            emit(self.listeners, {
+                "event": "TestAdded", "stage": self.stage, "index": index,
+                "source": test.source, "n_patterns": len(test.patterns),
+                "n_faults": len(test.faults),
+            })
         return index
 
     def remaining(self) -> List[Fault]:

@@ -3,7 +3,7 @@
 ``Flow.default().run(circuit, options)`` is the paper's complete flow;
 ``Flow([...])`` composes any stage list over the same
 :class:`~repro.flow.context.RunContext`.  ``run`` brackets every enabled
-stage with ``StageStarted`` / ``StageFinished`` events (CSSG
+stage with ``StageStarted`` / ``StageFinished`` event records (CSSG
 construction included, as the pseudo-stage ``"cssg"``), starts the run
 :class:`~repro.flow.budget.Budget` before any work, and finishes by
 freezing the context into an :class:`~repro.core.atpg.AtpgResult`.
@@ -12,10 +12,12 @@ Listeners subscribe per run::
 
     result = Flow.default().run(circuit, options, listeners=[ProgressLine()])
 
-Under a recording tracer (:func:`repro.obs.use_tracer`) the run also
-files every event on the innermost span open at emission time
-(:meth:`repro.obs.Tracer.event`), so one span file carries the run's
-timeline and its verdict narrative (``repro-atpg --spans FILE``).
+A listener is any callable taking one event record (a dict; see
+:mod:`repro.flow.context`).  Under a recording tracer
+(:func:`repro.obs.use_tracer`) :meth:`repro.obs.Tracer.event` is one
+more listener: it files every record on the innermost span open at
+emission time, so one span file carries the run's timeline and its
+verdict narrative (``repro-atpg --spans FILE``).
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from repro.circuit.faults import Fault, fault_universe
 from repro.circuit.netlist import Circuit
 from repro.core.atpg import AtpgOptions, AtpgResult, cssg_for
 from repro.flow.budget import Budget
-from repro.flow.context import RunContext
-from repro.flow.events import EventBus, Listener, StageFinished, StageStarted
+from repro.flow.context import Listener, RunContext, emit
 from repro.flow.stages import (
     CollapseStage,
     CompactionStage,
@@ -115,7 +116,7 @@ class Flow:
         from repro.obs.trace import get_tracer
 
         opts = options if options is not None else AtpgOptions()
-        bus = _observed_bus(listeners)
+        observers = _observers(listeners)
         tracer = get_tracer()
         start = time.perf_counter()
         run_budget = budget if budget is not None else Budget.from_options(opts)
@@ -126,24 +127,30 @@ class Flow:
             "flow.run", circuit=circuit.name, fault_model=opts.fault_model
         ):
             if cssg is None:
-                cssg = self.build_cssg(circuit, opts, len(faults), bus)
+                cssg = self.build_cssg(circuit, opts, len(faults), observers)
             ctx = RunContext(
-                circuit, opts, cssg, list(faults), bus=bus, budget=run_budget
+                circuit, opts, cssg, list(faults), listeners=observers,
+                budget=run_budget,
             )
             for stage in self.stages:
                 if not stage.enabled(ctx):
                     continue
                 ctx.stage = stage.name
-                bus.emit(StageStarted(stage.name, len(ctx.remaining())))
+                if ctx.listeners:
+                    emit(ctx.listeners, {
+                        "event": "StageStarted", "stage": stage.name,
+                        "n_remaining": len(ctx.remaining()),
+                    })
                 with tracer.span(f"stage.{stage.name}"):
                     stage.run(ctx)
-                detail = ""
-                stats = ctx.stage_stats.get(stage.name)
-                if stats:
-                    detail = " ".join(
-                        f"{key}={value}" for key, value in sorted(stats.items())
-                    )
-                bus.emit(StageFinished(stage.name, detail))
+                if ctx.listeners:
+                    stats = ctx.stage_stats.get(stage.name) or {}
+                    emit(ctx.listeners, {
+                        "event": "StageFinished", "stage": stage.name,
+                        "detail": " ".join(
+                            f"{key}={value}" for key, value in sorted(stats.items())
+                        ),
+                    })
             ctx.stage = ""
             return ctx.finish(time.perf_counter() - start)
 
@@ -152,42 +159,47 @@ class Flow:
         circuit: Circuit,
         opts: AtpgOptions,
         n_faults: int,
-        bus: Optional[EventBus] = None,
+        listeners: Optional[List[Listener]] = None,
         build: Optional[Callable[[Circuit, AtpgOptions], Cssg]] = None,
     ) -> Cssg:
         """Build ``circuit``'s CSSG as the pseudo-stage ``"cssg"``, in a
         ``stage.cssg`` span between ``StageStarted`` and
-        ``StageFinished`` on ``bus``.
+        ``StageFinished`` records emitted to ``listeners``.
 
-        ``bus`` defaults to one carrying only the ambient observers, so
-        a construction outside a run (the campaign runner builds one
+        ``listeners`` defaults to the ambient observers alone, so a
+        construction outside a run (the campaign runner builds one
         graph for a circuit's jobs) is metered and traced as a run's
         is.  ``build`` defaults to :func:`~repro.core.atpg.cssg_for`.
         """
         from repro.obs.trace import get_tracer
 
-        bus = bus if bus is not None else _observed_bus()
-        bus.emit(StageStarted("cssg", n_faults))
+        if listeners is None:
+            listeners = _observers()
+        if listeners:
+            emit(listeners, {
+                "event": "StageStarted", "stage": "cssg", "n_remaining": n_faults,
+            })
         with get_tracer().span("stage.cssg"):
             cssg = (build or cssg_for)(circuit, opts)
-        bus.emit(
-            StageFinished(
-                "cssg",
-                f"{cssg.n_states} states / {cssg.n_edges} edges "
-                f"[{cssg.method}]",
-            )
-        )
+        if listeners:
+            emit(listeners, {
+                "event": "StageFinished", "stage": "cssg",
+                "detail": (
+                    f"{cssg.n_states} states / {cssg.n_edges} edges [{cssg.method}]"
+                ),
+            })
         return cssg
 
 
-def _observed_bus(listeners: Iterable[Listener] = ()) -> EventBus:
-    """An event bus feeding ``listeners`` and the ambient observers.
+def _observers(listeners: Iterable[Listener] = ()) -> List[Listener]:
+    """``listeners`` plus the ambient observers.
 
     Observability is ambient, never part of the call contract: with
-    metrics enabled the bus also feeds a MetricsConsumer, and under a
-    recording tracer every event is filed on the span open when it is
-    emitted.  Both are observational only: the event stream and the
-    serialized result are byte-identical with or without them."""
+    metrics enabled the run also feeds a MetricsConsumer, and under a
+    recording tracer :meth:`~repro.obs.trace.Tracer.event` files every
+    record on the span open when it is emitted.  Both are observational
+    only: the event stream and the serialized result are byte-identical
+    with or without them."""
     from repro.obs import metrics as obs_metrics
     from repro.obs.trace import active as tracing_active, get_tracer
 
@@ -195,6 +207,5 @@ def _observed_bus(listeners: Iterable[Listener] = ()) -> EventBus:
     if obs_metrics.enabled():
         observers.append(obs_metrics.MetricsConsumer())
     if tracing_active():
-        tracer = get_tracer()
-        observers.append(lambda event: tracer.event(event.to_json_dict()))
-    return EventBus(observers)
+        observers.append(get_tracer().event)
+    return observers

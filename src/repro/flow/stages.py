@@ -19,7 +19,7 @@ undetected.  The walks stop hunting the ones it proves undetectable
 (the paper's §6 early classification, with three-phase's own
 exhaustive search as the proof).  :class:`ThreePhaseStage` then issues
 every verdict as before, in work-list order, reusing those outcomes,
-so events, fault-sim credit and results do not change.
+so event records, fault-sim credit and results do not change.
 
 Stages honor the run :class:`~repro.flow.budget.Budget` cooperatively:
 :class:`RandomTpgStage` stops at a walk boundary and its proof stops
@@ -41,8 +41,7 @@ from repro.core.sequences import Test
 from repro.core.verify import verify_test_set
 from repro.core.three_phase import ABORTED, DETECTED, UNDETECTABLE
 from repro.flow.budget import REASON_BUDGET
-from repro.flow.context import RunContext
-from repro.flow.events import BudgetExhausted, ProgressTick
+from repro.flow.context import RunContext, emit
 from repro.sgraph.cssg import Cssg
 
 __all__ = [
@@ -192,11 +191,12 @@ class RandomTpgStage:
         def on_walk(walk_index: int, n_detected: int) -> None:
             nonlocal n_walks
             n_walks += 1
-            ctx.bus.emit(
-                ProgressTick(
-                    self.name, walk_index + 1, opts.random_walks, n_detected
-                )
-            )
+            if ctx.listeners:
+                emit(ctx.listeners, {
+                    "event": "ProgressTick", "stage": self.name,
+                    "done": walk_index + 1, "total": opts.random_walks,
+                    "covered": n_detected,
+                })
 
         def prove_undetectable(faults: List[Fault]) -> List[Fault]:
             # Three-phase's own verdicts, through the run's outcome memo:
@@ -255,16 +255,17 @@ class ThreePhaseStage:
             # An outcome random TPG's proof already generated is honoured
             # even past the deadline: that work is done.
             if ctx.generated(fault) is None and budget.expired():
-                if not budget_announced:
+                if ctx.listeners and not budget_announced:
                     budget_announced = True
                     n_left = sum(
                         1
                         for f in remaining
                         if f not in ctx.statuses and ctx.generated(f) is None
                     )
-                    ctx.bus.emit(
-                        BudgetExhausted(self.name, "deadline", n_left)
-                    )
+                    emit(ctx.listeners, {
+                        "event": "BudgetExhausted", "stage": self.name,
+                        "reason": "deadline", "n_remaining": n_left,
+                    })
                 ctx.classify(fault, ABORTED, reason=REASON_BUDGET)
                 continue
             outcome = ctx.generate(fault)
@@ -279,7 +280,7 @@ class ThreePhaseStage:
                     ]
                     extras = fault_simulate(ctx.cssg, others, outcome.patterns)
                     test.faults.extend(extras)
-                # Credit computed first so TestAdded.n_faults is final.
+                # Credit computed first so TestAdded's n_faults is final.
                 test_index = ctx.add_test(test)
                 ctx.classify(fault, DETECTED, "3-ph", test_index)
                 for extra in extras:
@@ -288,7 +289,11 @@ class ThreePhaseStage:
                 ctx.classify(fault, UNDETECTABLE)
             else:
                 ctx.classify(fault, ABORTED, reason=outcome.reason)
-            ctx.bus.emit(ProgressTick(self.name, done, total, ctx.n_covered))
+            if ctx.listeners:
+                emit(ctx.listeners, {
+                    "event": "ProgressTick", "stage": self.name, "done": done,
+                    "total": total, "covered": ctx.n_covered,
+                })
 
 
 class CompactionStage:

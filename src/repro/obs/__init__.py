@@ -6,9 +6,11 @@ The observability subsystem the rest of the package reports into — see
 * :mod:`repro.obs.metrics` — labeled counters (the only metric type)
   in a :class:`MetricsRegistry`, a process-global default registry
   behind an :func:`enabled` switch, and the :class:`MetricsConsumer`
-  that derives flow metrics from the event stream;
+  that derives flow metrics from the flow's event records;
 * :mod:`repro.obs.trace` — :class:`Tracer` context-manager spans (the
-  only home of wall-clock data), the ambient-tracer pattern
+  only home of wall-clock data; :meth:`Tracer.event` is the run
+  listener that files each event record on its span), the
+  ambient-tracer pattern
   (:func:`get_tracer` / :func:`use_tracer`, no-op by default), and the
   self-profile table;
 * :mod:`repro.obs.export` — zero-dependency Prometheus-text and JSON

@@ -36,8 +36,8 @@ block only; the CLI's ``--metrics`` flag flips it for you.
 [(('GET',), 3.0), (('PUT',), 1.0)]
 
 The flow adapter, :class:`MetricsConsumer`, derives flow metrics purely
-from :class:`~repro.flow.events.EventBus` events — subscribing it never
-changes the event stream, so determinism guarantees are untouched.
+from the flow's event records — subscribing it never changes the event
+stream, so determinism guarantees are untouched.
 """
 
 from __future__ import annotations
@@ -255,8 +255,8 @@ def enabled() -> bool:
 
 
 class MetricsConsumer:
-    """An :class:`~repro.flow.events.EventBus` listener deriving flow
-    metrics from the typed event stream.
+    """A flow run listener deriving flow metrics from the event records
+    (see :mod:`repro.flow.context`).
 
     Purely observational: it never emits, filters, or reorders events,
     so a run with a ``MetricsConsumer`` subscribed produces exactly the
@@ -265,7 +265,7 @@ class MetricsConsumer:
 
     Series it maintains (all prefixed ``repro_flow_``):
 
-    * ``events_total{event}`` — every event, by type;
+    * ``events_total{event}`` — every event, by kind;
     * ``faults_classified_total{status,reason}``;
     * ``tests_added_total{source}``;
     * ``stage_runs_total{stage}``;
@@ -297,20 +297,14 @@ class MetricsConsumer:
             ("stage", "reason"),
         )
 
-    def __call__(self, event) -> None:
-        from repro.flow.events import (
-            BudgetExhausted,
-            FaultClassified,
-            StageFinished,
-            TestAdded,
-        )
-
-        self._events.labels(type(event).__name__).inc()
-        if isinstance(event, FaultClassified):
-            self._classified.labels(event.status, event.reason).inc()
-        elif isinstance(event, TestAdded):
-            self._tests.labels(event.source).inc()
-        elif isinstance(event, StageFinished):
-            self._stage_runs.labels(event.stage).inc()
-        elif isinstance(event, BudgetExhausted):
-            self._budget.labels(event.stage, event.reason).inc()
+    def __call__(self, doc: Dict) -> None:
+        kind = doc["event"]
+        self._events.labels(kind).inc()
+        if kind == "FaultClassified":
+            self._classified.labels(doc["status"], doc["reason"]).inc()
+        elif kind == "TestAdded":
+            self._tests.labels(doc["source"]).inc()
+        elif kind == "StageFinished":
+            self._stage_runs.labels(doc["stage"]).inc()
+        elif kind == "BudgetExhausted":
+            self._budget.labels(doc["stage"], doc["reason"]).inc()

@@ -14,9 +14,9 @@ byte-deterministic, and anything timing-shaped lives here.
 
 **Span events.**  :meth:`Tracer.event` files a point-in-time record
 on the innermost open span.  A flow run under a recording tracer
-subscribes one listener that files every flow event this way, so a
-span's ``events`` list narrates the verdicts reached while it was
-open, next to its timing.
+subscribes ``tracer.event`` itself as a listener, so every flow event
+record lands on a span and a span's ``events`` list narrates the
+verdicts reached while it was open, next to its timing.
 
 The finished-span records (:attr:`Tracer.spans`) serialize to JSON
 lines (:meth:`Tracer.write_jsonl`) and fold into a per-run

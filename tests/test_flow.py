@@ -1,25 +1,20 @@
 """The staged flow API: parity, budgets, events, composition."""
 
 import io
+import itertools
 import json
 import warnings
 
 import pytest
 
 from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
-from repro.circuit.faults import fault_universe
+from repro.circuit.faults import Fault, fault_universe
 from repro.core.atpg import AtpgOptions, cssg_for
 from repro.flow import (
     Budget,
-    BudgetExhausted,
-    FaultClassified,
     Flow,
     ProgressLine,
-    ProgressTick,
     RandomTpgStage,
-    StageFinished,
-    StageStarted,
-    TestAdded,
     ThreePhaseStage,
     REASON_BUDGET,
     REASON_UNPROCESSED,
@@ -176,7 +171,7 @@ def test_event_stream_is_deterministic_given_seed():
     options = AtpgOptions(seed=7)
     _, first = run_with_recorder(circuit, options)
     _, second = run_with_recorder(circuit, options)
-    assert [e.to_json_dict() for e in first] == [e.to_json_dict() for e in second]
+    assert first == second
     assert len(first) > 10
 
 
@@ -184,23 +179,23 @@ def test_event_stream_shape(celem):
     result, events = run_with_recorder(celem, AtpgOptions(seed=1))
     # Stages bracket correctly: one StageFinished per StageStarted,
     # in order, starting with the cssg pseudo-stage.
-    starts = [e.stage for e in events if isinstance(e, StageStarted)]
-    ends = [e.stage for e in events if isinstance(e, StageFinished)]
+    starts = [e["stage"] for e in events if e["event"] == "StageStarted"]
+    ends = [e["stage"] for e in events if e["event"] == "StageFinished"]
     assert starts == ends
     assert starts[0] == "cssg"
     assert "three-phase" in starts
     # Every fault classified exactly once; every test announced.
-    classified = [e for e in events if isinstance(e, FaultClassified)]
+    classified = [e for e in events if e["event"] == "FaultClassified"]
     assert len(classified) == result.n_total
-    assert {e.fault for e in classified} == set(result.faults)
-    added = [e for e in events if isinstance(e, TestAdded)]
+    assert {Fault.from_json(e["fault"]) for e in classified} == set(result.faults)
+    added = [e for e in events if e["event"] == "TestAdded"]
     assert len(added) == len(result.tests.tests)
-    assert [e.index for e in added] == list(range(len(added)))
+    assert [e["index"] for e in added] == list(range(len(added)))
     # n_faults is final at emit time (fault-sim credit counted in).
-    assert [e.n_faults for e in added] == [
+    assert [e["n_faults"] for e in added] == [
         len(t.faults) for t in result.tests.tests
     ]
-    assert any(isinstance(e, ProgressTick) for e in events)
+    assert any(e["event"] == "ProgressTick" for e in events)
 
 
 def test_budget_exhausted_event_emitted():
@@ -212,10 +207,10 @@ def test_budget_exhausted_event_emitted():
         listeners=[recorder],
         budget=_mid_run_deadline(),
     )
-    exhausted = [e for e in recorder.events if isinstance(e, BudgetExhausted)]
+    exhausted = [e for e in recorder.events if e["event"] == "BudgetExhausted"]
     assert len(exhausted) == 1
-    assert exhausted[0].reason == "deadline"
-    assert exhausted[0].n_remaining > 0
+    assert exhausted[0]["reason"] == "deadline"
+    assert exhausted[0]["n_remaining"] > 0
 
 
 def test_event_bus_raising_listener_dropped_without_disturbing_run(celem):
@@ -245,6 +240,70 @@ def test_event_bus_raising_listener_dropped_without_disturbing_run(celem):
     )
 
 
+#: Each event kind's record keys, in order (the span file's layout).
+EVENT_KEYS = {
+    "StageStarted": ("event", "stage", "n_remaining"),
+    "StageFinished": ("event", "stage", "detail"),
+    "ProgressTick": ("event", "stage", "done", "total", "covered"),
+    "TestAdded": (
+        "event", "stage", "index", "source", "n_patterns", "n_faults",
+    ),
+    "FaultClassified": ("event", "stage", "fault", "status", "phase", "reason"),
+    "BudgetExhausted": ("event", "stage", "reason", "n_remaining"),
+}
+
+#: ``(event, stage, run length)`` of the dff/complex seed-0 stream...
+DFF_SEQUENCE = [
+    ("StageStarted", "cssg", 1), ("StageFinished", "cssg", 1),
+    ("StageStarted", "random-tpg", 1), ("ProgressTick", "random-tpg", 1),
+    ("TestAdded", "random-tpg", 1), ("FaultClassified", "random-tpg", 10),
+    ("StageFinished", "random-tpg", 1),
+    ("StageStarted", "three-phase", 1), ("StageFinished", "three-phase", 1),
+]
+#: ...and of vbe6a/two-level's, cut short by ``_mid_run_deadline``.
+BUDGET_SEQUENCE = [
+    ("StageStarted", "cssg", 1), ("StageFinished", "cssg", 1),
+    ("StageStarted", "random-tpg", 1), ("ProgressTick", "random-tpg", 2),
+    ("TestAdded", "random-tpg", 1), ("FaultClassified", "random-tpg", 22),
+    ("StageFinished", "random-tpg", 1),
+    ("StageStarted", "three-phase", 1),
+    *[("FaultClassified", "three-phase", 1), ("ProgressTick", "three-phase", 1)] * 7,
+    ("BudgetExhausted", "three-phase", 1), ("FaultClassified", "three-phase", 17),
+    ("StageFinished", "three-phase", 1),
+]
+
+
+@pytest.mark.parametrize("name, style, budget, expected", [
+    ("dff", "complex", None, DFF_SEQUENCE),
+    ("vbe6a", "two-level", _mid_run_deadline, BUDGET_SEQUENCE),
+])
+def test_event_records_keep_their_keys_and_order(name, style, budget, expected):
+    """The event-record contract of a traced run: every kind's keys in
+    order, and the run-length ``(event, stage)`` sequence.  A listener
+    and the span file see the same records."""
+    seen = []
+    with use_tracer(Tracer()) as tracer:
+        Flow.default().run(
+            load_benchmark(name, style),
+            AtpgOptions(seed=0),
+            listeners=[seen.append],
+            budget=budget() if budget else None,
+        )
+    filed = [
+        {key: value for key, value in event.items() if key != "t"}
+        for event in span_events(tracer)
+    ]
+    assert filed == seen
+    for event in filed:
+        assert tuple(event) == EVENT_KEYS[event["event"]]
+    assert [
+        (event, stage, len(list(run)))
+        for (event, stage), run in itertools.groupby(
+            (e["event"], e["stage"]) for e in filed
+        )
+    ] == expected
+
+
 # -- consumers ---------------------------------------------------------------
 
 
@@ -262,7 +321,7 @@ def test_trace_writer_emits_replayable_jsonl(celem, tmp_path):
     assert [
         {key: value for key, value in event.items() if key != "t"}
         for event in filed
-    ] == [event.to_json_dict() for event in seen]
+    ] == seen
     assert filed[0]["event"] == "StageStarted" and filed[0]["stage"] == "cssg"
     assert {"FaultClassified", "TestAdded", "StageFinished"} <= {
         event["event"] for event in filed
@@ -316,7 +375,7 @@ def test_user_defined_stage_participates(celem):
     result = flow.run(celem, AtpgOptions(seed=1), listeners=[recorder])
     assert result.coverage == 1.0
     assert any(
-        isinstance(e, StageStarted) and e.stage == "stamp"
+        e["event"] == "StageStarted" and e["stage"] == "stamp"
         for e in recorder.events
     )
 
@@ -398,11 +457,11 @@ def test_three_phase_generates_each_fault_once(use_random_tpg, monkeypatch):
         circuit, AtpgOptions(fault_model="input", use_random_tpg=use_random_tpg)
     )
     by_three_phase = [
-        e.fault
+        Fault.from_json(e["fault"])
         for e in events
-        if isinstance(e, FaultClassified)
-        and e.stage == "three-phase"
-        and e.phase != "sim"
+        if e["event"] == "FaultClassified"
+        and e["stage"] == "three-phase"
+        and e["phase"] != "sim"
     ]
     assert result.n_undetectable == 7
     assert len(by_three_phase) >= 7
@@ -450,6 +509,6 @@ def test_deadline_inside_the_undetectability_proof(monkeypatch):
             assert (status.status, status.reason) == ("aborted", REASON_BUDGET)
     assert result.n_covered == unbounded.n_covered
     (exhausted,) = [
-        e for e in recorder.events if isinstance(e, BudgetExhausted)
+        e for e in recorder.events if e["event"] == "BudgetExhausted"
     ]
-    assert exhausted.stage == "three-phase" and exhausted.n_remaining == 6
+    assert exhausted["stage"] == "three-phase" and exhausted["n_remaining"] == 6

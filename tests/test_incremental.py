@@ -407,11 +407,11 @@ def test_incremental_campaign_matches_plain_at_both_worker_counts(
     for workers in (0, 2):
         store = ResultStore(tmp_path / f"w{workers}")
         for run in ("cold", "warm"):
-            armed_registry.enable(armed_registry.MetricsRegistry())
-            report = run_campaign(
-                jobs, workers=workers, store=store, incremental=True,
-                collect_telemetry=True,
-            )
+            armed_registry.set_registry(armed_registry.MetricsRegistry())
+            with armed_registry.armed():
+                report = run_campaign(
+                    jobs, workers=workers, store=store, incremental=True,
+                )
             assert report.all_ok and report.n_ran == len(jobs), (workers, run)
             for outcome in report.outcomes:
                 assert payload_digest(outcome.payload) == payload_digest(

@@ -14,7 +14,6 @@ from repro.benchmarks_data import load_benchmark
 from repro.core.atpg import AtpgOptions, AtpgResult
 from repro.errors import ReproError
 from repro.flow import Flow
-from repro.flow.events import EventBus, StageFinished, StageStarted
 from repro.obs import metrics as obs_metrics
 from repro.obs.export import (
     atomic_write_text,
@@ -181,24 +180,28 @@ def test_error_inside_span_is_recorded_and_propagates():
     assert tracer.spans[0]["error"] == "RuntimeError"
 
 
-# -- event-bus isolation ----------------------------------------------------
+# -- listener isolation ----------------------------------------------------
 
 
 def test_raising_listener_is_unsubscribed_with_one_warning():
-    seen = []
+    circuit = load_benchmark("dff", "complex")
+    options = AtpgOptions(seed=1, **FAST)
+    stream = []
+    Flow.default().run(circuit, options, listeners=[stream.append])
+    calls = []
 
     def bad(event):
+        calls.append(event)
         raise ValueError("broken consumer")
 
-    bus = EventBus([bad, seen.append])
-    first = StageStarted(stage="s", n_remaining=3)
-    with pytest.warns(RuntimeWarning, match="broken consumer"):
-        bus.emit(first)
-    # the healthy listener saw the event despite its broken neighbour...
-    assert seen == [first]
-    second = StageFinished(stage="s")
-    bus.emit(second)  # ...and the broken one is gone: no further warning
-    assert seen == [first, second]
+    seen = []
+    with pytest.warns(RuntimeWarning, match="broken consumer") as caught:
+        Flow.default().run(circuit, options, listeners=[bad, seen.append])
+    # the broken listener is gone after its first event: one warning...
+    assert len(calls) == 1
+    assert sum("broken consumer" in str(w.message) for w in caught) == 1
+    # ...and the healthy one beside it saw the whole stream, first event too
+    assert seen == stream
 
 
 def test_flow_completes_with_raising_listener():
@@ -306,7 +309,7 @@ def test_event_stream_identical_with_and_without_metrics():
 
     def stream():
         events = []
-        run_dff(listeners=[lambda e: events.append(e.to_json_dict())])
+        run_dff(listeners=[events.append])
         return events
 
     plain = stream()
@@ -344,12 +347,11 @@ def test_progress_line_non_tty_emits_plain_lines():
 
     pipe = _Pipe()
     with ProgressLine(stream=pipe, plain_interval=3600.0) as line:
-        line(StageStarted(stage="random-tpg", n_remaining=8))
-        from repro.flow.events import ProgressTick
-
+        line({"event": "StageStarted", "stage": "random-tpg", "n_remaining": 8})
         # throttled: ticks inside the interval produce no output
-        line(ProgressTick(stage="random-tpg", done=1, total=8, covered=0))
-        line(StageFinished(stage="random-tpg"))
+        line({"event": "ProgressTick", "stage": "random-tpg",
+              "done": 1, "total": 8, "covered": 0})
+        line({"event": "StageFinished", "stage": "random-tpg", "detail": ""})
     out = pipe.text
     assert "\r" not in out  # never the TTY carriage-return dance
     lines = out.splitlines()
@@ -437,10 +439,11 @@ def test_campaign_collect_telemetry_aggregates_and_keeps_cache_clean(tmp_path):
     store = ResultStore(tmp_path / "cache")
 
     done_order = []
-    report = run_campaign(
-        jobs, workers=0, store=store, collect_telemetry=True,
-        progress=lambda outcome, done, total: done_order.append(done),
-    )
+    with obs_metrics.armed():
+        report = run_campaign(
+            jobs, workers=0, store=store,
+            progress=lambda outcome, done, total: done_order.append(done),
+        )
     assert report.n_ran == len(jobs)
     assert done_order == [1, 2]
 
@@ -451,7 +454,8 @@ def test_campaign_collect_telemetry_aggregates_and_keeps_cache_clean(tmp_path):
     classified = sum(ch.value for _, ch in family.children())
     assert classified == sum(o.payload["n_total"] for o in report.outcomes)
 
-    warm = run_campaign(jobs, workers=0, store=store, collect_telemetry=True)
+    with obs_metrics.armed():
+        warm = run_campaign(jobs, workers=0, store=store)
     assert warm.n_cached == len(jobs)
     assert reg.value("repro_campaign_cache_requests_total", "hit") == len(jobs)
 
@@ -473,33 +477,13 @@ def _dff_hazard_jobs():
     )
 
 
-def test_campaign_collect_telemetry_restores_the_metrics_switch():
-    """``collect_telemetry`` arms metrics for the call only: the switch
-    returns to its previous state, the campaign's series stay readable,
-    and a later plain run records nothing."""
-    from repro.campaign import run_campaign
-
-    jobs = _dff_hazard_jobs()
-    assert not obs_metrics.enabled()
-    run_campaign(jobs, workers=0, collect_telemetry=True)
-    assert not obs_metrics.enabled()
-    reg = obs_metrics.get_registry()
-    assert reg.value("repro_campaign_jobs_total", "ran") == len(jobs)
-    finished = reg.value("repro_flow_events_total", "StageFinished")
-    run_dff()
-    assert reg.value("repro_flow_events_total", "StageFinished") == finished
-
-    obs_metrics.enable()  # an armed caller stays armed
-    run_campaign(jobs, workers=0, collect_telemetry=True)
-    assert obs_metrics.enabled()
-
-
 def test_in_process_telemetry_campaign_payloads_equal_plain_campaign():
     from repro.campaign import run_campaign
 
     jobs = _dff_hazard_jobs()
     plain = run_campaign(jobs, workers=0)
-    observed = run_campaign(jobs, workers=0, collect_telemetry=True)
+    with obs_metrics.armed():
+        observed = run_campaign(jobs, workers=0)
     assert observed.all_ok and observed.n_ran == len(jobs)
     for a, b in zip(plain.outcomes, observed.outcomes):
         assert b.metrics is None  # in-process jobs record straight in
@@ -540,7 +524,8 @@ def test_campaign_pool_merges_worker_snapshots(tmp_path):
     spec = CampaignSpec(benchmarks=["dff"], options=AtpgOptions(**FAST))
     jobs = expand(spec)
     store = ResultStore(tmp_path / "cache")
-    report = run_campaign(jobs, workers=1, store=store, collect_telemetry=True)
+    with obs_metrics.armed():
+        report = run_campaign(jobs, workers=1, store=store)
     assert report.n_ran == len(jobs)
     reg = obs_metrics.get_registry()
     # worker-side flow metrics crossed the process boundary exactly once
@@ -579,7 +564,8 @@ def test_cold_in_process_campaigns_record_equal_snapshots():
     snapshots = []
     for _ in range(2):
         obs_metrics.set_registry(MetricsRegistry())
-        run_campaign(jobs, workers=0, collect_telemetry=True)
+        with obs_metrics.armed():
+            run_campaign(jobs, workers=0)
         snapshots.append(obs_metrics.get_registry().snapshot())
     assert snapshots[0] == snapshots[1]
     assert list(snapshots[0]) == ["counters"] and snapshots[0]["counters"]

@@ -9,7 +9,7 @@ from repro.benchmarks_data import TABLE1_NAMES, TABLE2_NAMES, load_benchmark
 from repro.circuit.faults import fault_universe, input_fault_universe
 from repro.core.atpg import AtpgOptions
 from repro.core.random_tpg import random_tpg
-from repro.flow import Flow, ProgressTick, StageFinished
+from repro.flow import Flow
 from repro.flow import stages
 from repro.sgraph.cssg import build_cssg
 from repro.sim import ternary
@@ -145,15 +145,19 @@ def test_walks_stop_once_the_rest_is_proven_undetectable(monkeypatch):
     )
     assert (result.n_total, result.n_undetectable) == (12, 2)
     walks = [
-        e for e in events if isinstance(e, ProgressTick) and e.stage == "random-tpg"
+        e
+        for e in events
+        if e["event"] == "ProgressTick" and e["stage"] == "random-tpg"
     ]
     assert len(walks) < options.random_walks
     assert len(steps) < options.random_walks * options.walk_len
     (finished,) = [
-        e for e in events if isinstance(e, StageFinished) and e.stage == "random-tpg"
+        e
+        for e in events
+        if e["event"] == "StageFinished" and e["stage"] == "random-tpg"
     ]
-    assert f"n_walks={len(walks)}" in finished.detail
-    assert "n_proven_undetectable=2" in finished.detail
+    assert f"n_walks={len(walks)}" in finished["detail"]
+    assert "n_proven_undetectable=2" in finished["detail"]
 
 
 def test_prover_is_consulted_once_with_the_undetected_faults():

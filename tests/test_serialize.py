@@ -134,6 +134,19 @@ def test_options_reject_out_of_range_values(field, value):
         AtpgOptions.from_json_dict({field: value})
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("max_product_states", -1, "must be >= 0"),
+    ("max_product_states", float("nan"), "must be >= 0"),
+    ("max_activation_tries", -3, "must be >= 0"),
+    ("auto_exact_limit", -1, "must be >= 0"),
+    ("cssg_method", "bogus", "must be 'auto' or one of"),
+    ("faulty_semantics", "bogus", "must be 'exact' or 'ternary'"),
+])
+def test_options_refuse_values_the_flow_cannot_run(field, value, message):
+    with pytest.raises(ReproError, match=f"AtpgOptions.{field} {message}"):
+        AtpgOptions(**{field: value})
+
+
 def test_options_boundary_values_stay_legal_and_serialize_unchanged():
     opts = AtpgOptions(
         k=0, random_walks=0, walk_len=0, deadline_seconds=0.0,
